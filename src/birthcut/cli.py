@@ -9,6 +9,7 @@ deterministic at fixed precision. Exit codes: 0 ok, 1 validation failure,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from mpmath import mp, mpf
@@ -257,6 +258,23 @@ def cmd_compare(args):
     return EXIT_OK
 
 
+# a value such as -1e-4 or -2:2:0.1; argparse reads it as an unknown option
+# ("expected one argument"). No option of this CLI starts with "-<digit>".
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv):
+    """Write `--opt -1e-4` as `--opt=-1e-4`, which argparse accepts."""
+    out = []
+    for tok in argv:
+        if (out and _NEGATIVE_VALUE.match(tok) and out[-1].startswith("--")
+                and "=" not in out[-1]):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="birthcut", description=__doc__)
     ap.add_argument("--bits", type=int, default=320, help="oracle precision bits")
@@ -319,7 +337,8 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_negative_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     mp.dps = args.dps

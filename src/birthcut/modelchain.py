@@ -1,4 +1,5 @@
-"""The effective matrix model in the potential y^{2 nu}/(2 nu).
+"""The effective matrix model in the potential y^{2 nu}/(2 nu), and the
+integer Stieltjes kernel that builds every recurrence chain in the package.
 
 Everything reduces to the monic orthogonal polynomials P_k of the weight
 w(y) = exp(-y^{2 nu}/(2 nu)) on the line. Their recurrence data is computed
@@ -10,6 +11,22 @@ amplitudes as
     A_k = A^{-k^2} (2 pi)^{-k} zeta_k
 
 for the model constant A = (2 sinh phi_e)^2 (2 sinh(phi_e) Q(e)/T_c)^{1/2nu}.
+
+The Stieltjes procedure (`stieltjes_chain`, shared with the finite-N oracle)
+runs in Lanczos form on the orthonormal node vectors v_k(x_i) =
+sqrt(w_i) P_k(x_i)/sqrt(h_k), in Python-integer fixed point with F = prec +
+GUARD_BITS fraction bits (Gautschi, Orthogonal Polynomials: Computation and
+Approximation, 2004, section 2.2). Each node carries its own exponent e_i >= 0
+and holds v_k, v_{k-1} as integers a_i, c_i over 2^(F + e_i). For the
+quartic oracle at phi_e = 0.62, N = 80 the start vector spans about 150
+orders of magnitude over the grid (about e^{-1.96 N} in the newborn well),
+and the well's entries grow by as much as n nears N. A single fixed-point
+scale would flush them to zero and lose the accuracy they carry into later
+steps (1e-25 at n = 94); the per-node exponent keeps every node at F
+significant bits. Only the per-step scalars (beta_k, b_{k+1} = gamma_{k+1},
+ln h_{k+1} = ln h_k + 2 ln b_{k+1}) are formed in mpf. The same integer
+sweep re-integrates a finished chain on an independent grid for the
+orthonormality checks (`gram_entries`).
 
 Wavefunctions: psi_k = P_k e^{-y^{2nu}/4nu} / sqrt(h_k); the Hilbert-transform
 partners start from the principal-value Cauchy transform of the weight and
@@ -39,15 +56,17 @@ class ModelChain:
     ln_h: list             # ln h_k, k = 0..k_max-1
     gamma: list            # gamma_k = sqrt(h_k/h_{k-1}), k = 1..k_max-1 (index k)
     beta: list             # recurrence beta_k (all ~ 0 by parity)
+    gsq: list              # gamma_k^2 (index k; gsq[0] = 0)
+    hs: list               # h_k = exp(ln_h[k])
     xs: list = field(repr=False, default=None)      # quadrature nodes
     gl_w: list = field(repr=False, default=None)    # bare GL weights
     wv: list = field(repr=False, default=None)      # weight values at nodes
 
     def h(self, k):
-        return mp.exp(self.ln_h[k])
+        return self.hs[k]
 
     def gamma_sq(self, k):
-        return mp.exp(self.ln_h[k] - self.ln_h[k - 1])
+        return self.gsq[k]
 
 
 def A_constant(spec: CriticalSpec):
@@ -73,39 +92,155 @@ def _model_domain(nu: int, k_max: int, prec: int):
     return R
 
 
-def stieltjes_chain(xs, ws, n_steps):
-    """Recurrence data of the monic orthogonal polynomials of the discrete
-    measure sum_i ws[i] delta(x - xs[i]).
+GUARD_BITS = 32        # fixed-point fraction bits beyond the working precision
+BAND_BITS = 8          # a node is rescaled when its integer leaves F +- 8 bits
 
-    Returns (beta, ln_h) with len(beta) = len(ln_h) = n_steps; the monic
-    three-term recurrence is p_{k+1} = (x - beta_k) p_k - (h_k/h_{k-1}) p_{k-1}.
+
+def _start_vector(ws, norm, F):
+    """v_0 = sqrt(ws[i]/norm) as per-node integers a_i and exponents
+    e_i >= 0 with a_i / 2^(F + e_i) = v_0(x_i) to F bits."""
+    a, e = [], []
+    with mp.workprec(F):
+        for w in ws:
+            man, ex = mp.sqrt(w / norm).man_exp
+            ei = max(0, -(ex + man.bit_length()))
+            a.append(man << (F + ei + ex))
+            e.append(ei)
+    return a, e
+
+
+def _sums(X, a, e, F):
+    """S = 2^F sum v^2 and T = 2^(2F) sum x v^2 of one node vector."""
+    S = T = 0
+    for xi, ai, ei in zip(X, a, e):
+        q = ai * ai >> (F + 2 * ei)
+        S += q
+        T += xi * q
+    return S, T
+
+
+def _advance(X, a, c, e, B, G, sh, F):
+    """One three-term step on every node: a' = ((x - beta) a - g c) / 2^sh
+    with B = beta 2^F and G = g 2^F, then each node whose a' has left
+    F +- BAND_BITS bits is rescaled together with its c' = a. Returns
+    (a', c', e', S', T') with the sums of `_sums` over a'."""
+    lo, hi = F - BAND_BITS, F + BAND_BITS
+    na, nc, ne = [], [], []
+    S = T = 0
+    for xi, ai, ci, ei in zip(X, a, c, e):
+        v = ((xi - B) * ai - G * ci) >> sh
+        bl = v.bit_length()
+        if bl < lo:
+            if v:
+                d = F - bl
+                v <<= d
+                ai <<= d
+                ei += d
+        elif bl > hi and ei:
+            d = min(bl - F, ei)
+            v >>= d
+            ai >>= d
+            ei -= d
+        na.append(v)
+        nc.append(ai)
+        ne.append(ei)
+        q = v * v >> (F + 2 * ei)
+        S += q
+        T += xi * q
+    return na, nc, ne, S, T
+
+
+def _nearest_shift(x):
+    """s with 2^s nearest to x > 0 on a log scale."""
+    return int(mp.nint(mp.log(x, 2)))
+
+
+def stieltjes_chain(xs, ws, n_steps):
+    """Recurrence data of the orthogonal polynomials of the discrete measure
+    sum_i ws[i] delta(x - xs[i]), at the working precision.
+
+    Returns (beta, gamma, ln_h), each of length n_steps, with gamma[0] = 0:
+    the monic recurrence is p_{k+1} = (x - beta_k) p_k - gamma_k^2 p_{k-1}
+    and h_k = h_{k-1} gamma_k^2 = sum_i ws[i] p_k(xs[i])^2.
+
+    Lanczos form on integer node vectors (module docstring). The vector
+    held at step k is alpha_k v_k, alpha_k = sqrt(S_k / 2^F); forming the
+    next one with an extra factor 2^-s_k keeps alpha near 1, so that
+    b_{k+1} = 2^s_k sqrt(S_{k+1}/S_k) and the coefficient of v_{k-1} in
+    step k is g_k = b_k alpha_k / alpha_{k-1} = 2^s_{k-1} S_k / S_{k-1}.
     """
-    m = len(xs)
-    zero, one = mpf(0), mpf(1)
-    p_prev = [zero] * m
-    p = [one] * m
-    betas, ln_hs = [], []
-    h_prev = None
-    for k in range(n_steps):
-        s = zero
-        t = zero
-        for i in range(m):
-            q = ws[i] * p[i] * p[i]
-            s += q
-            t += q * xs[i]
-        if s <= 0:
-            raise ArithmeticError(
-                "norm collapsed at k = %d: more nodes or bits needed" % k)
-        beta = t / s
-        betas.append(beta)
-        ln_hs.append(mp.log(s))
-        g = s / h_prev if h_prev is not None else zero
-        p_new = [None] * m
-        for i in range(m):
-            p_new[i] = (xs[i] - beta) * p[i] - g * p_prev[i]
-        p_prev, p = p, p_new
-        h_prev = s
-    return betas, ln_hs
+    prec = mp.prec
+    F = prec + GUARD_BITS
+    betas, gammas, ln_hs = [], [], []
+    with mp.workprec(F + 16):
+        total = mp.fsum(ws)
+        ln_h = mp.log(total)
+        X = [int(mp.ldexp(x, F)) for x in xs]
+        a, e = _start_vector(ws, total, F)
+        c = [0] * len(a)
+        S, T = _sums(X, a, e, F)
+        S_prev = s_prev = G = 0
+        b = mpf(0)
+        for k in range(n_steps):
+            if S <= 0:
+                raise ArithmeticError(
+                    "norm collapsed at k = %d: more nodes or bits needed" % k)
+            if k:
+                b = mp.ldexp(mp.sqrt(mpf(S) / S_prev), s_prev)
+                ln_h += 2 * mp.log(b)
+                G = (S << (F + s_prev)) // S_prev
+            betas.append(mp.ldexp(mpf(T) / S, -F))
+            gammas.append(b)
+            ln_hs.append(ln_h)
+            if k + 1 < n_steps:
+                alpha = mp.sqrt(mp.ldexp(mpf(S), -F))
+                s = _nearest_shift(alpha * b if k else alpha)
+                a, c, e, S_next, T = _advance(X, a, c, e, T // S, G, F + s, F)
+                S_prev, S, s_prev = S, S_next, s
+    return ([+v for v in betas], [+v for v in gammas], [+v for v in ln_hs])
+
+
+def gram_entries(xs, ws, beta, gamma, ln_h0, pairs):
+    """<psi_n, psi_m> = sum_i ws[i] p_n p_m / sqrt(h_n h_m) for each (n, m)
+    in pairs, where p_k are the monic polynomials of the recurrence data
+    (beta, gamma, ln_h0) evaluated on the grid (xs, ws); for a chain built on
+    another grid these are the identity up to that chain's error. ws may be
+    an iterator.
+
+    Same integer node vectors as `stieltjes_chain`, with the given
+    coefficients in place of those formed from the sums: the vector held at
+    step k is alpha_k v_k with alpha_k = prod_{j<k} 2^-s_j b_{j+1}, s_j
+    chosen to keep alpha_k near 1. Only the lower vector of each off-diagonal
+    pair is kept, until the step that completes the pair.
+    """
+    top = max(max(pq) for pq in pairs)
+    lower = {min(pq) for pq in pairs if pq[0] != pq[1]}
+    F = mp.prec + GUARD_BITS
+    gram = {}
+    with mp.workprec(F + 16):
+        X = [int(mp.ldexp(x, F)) for x in xs]
+        a, e = _start_vector(ws, mp.exp(ln_h0), F)
+        c = [0] * len(a)
+        alpha = [mpf(1)]
+        kept = {}
+        s = 0
+        for k in range(top + 1):
+            if k:
+                s_prev = s
+                s = _nearest_shift(alpha[k - 1] * gamma[k])
+                B = int(mp.ldexp(beta[k - 1], F))
+                G = int(mp.ldexp(gamma[k - 1] ** 2, F - s_prev))
+                a, c, e, _, _ = _advance(X, a, c, e, B, G, F + s, F)
+                alpha.append(mp.ldexp(alpha[k - 1] * gamma[k], -s))
+            if k in lower:
+                kept[k] = (a, e)
+            for n, m_ in pairs:
+                if max(n, m_) == k:
+                    a2, e2 = kept[min(n, m_)] if n != m_ else (a, e)
+                    P = sum(x * y >> (F + i + j)
+                            for x, y, i, j in zip(a, a2, e, e2))
+                    gram[n, m_] = mp.ldexp(mpf(P), -F) / (alpha[n] * alpha[m_])
+    return [+gram[pq] for pq in pairs]
 
 
 def build_chain(nu: int, k_max: int = 100, prec: int = 256, nodes: int = 4096,
@@ -119,18 +254,14 @@ def build_chain(nu: int, k_max: int = 100, prec: int = 256, nodes: int = 4096,
         xs, glw = panel_nodes(-R, R, panels, 64)
         wv = [mp.exp(-x ** (2 * nu) / (2 * nu)) for x in xs]
         ws = [g * w for g, w in zip(glw, wv)]
-        betas, ln_hs = stieltjes_chain(xs, ws, k_max)
+        betas, gammas, ln_hs = stieltjes_chain(xs, ws, k_max)
         ln_zeta = [mpf(0)]
         for k in range(k_max):
             ln_zeta.append(ln_zeta[-1] + ln_hs[k])
-        gammas = [mpf(0)]
-        for k in range(1, k_max):
-            gammas.append(mp.exp((ln_hs[k] - ln_hs[k - 1]) / 2))
         chain = ModelChain(nu=nu, k_max=k_max, prec=prec, R=R,
-                           ln_zeta=[+v for v in ln_zeta],
-                           ln_h=[+v for v in ln_hs],
-                           gamma=[+v for v in gammas],
-                           beta=[+v for v in betas],
+                           ln_zeta=ln_zeta, ln_h=ln_hs, gamma=gammas,
+                           beta=betas, gsq=[g * g for g in gammas],
+                           hs=[mp.exp(v) for v in ln_hs],
                            xs=xs, gl_w=glw, wv=wv)
         if check_orthonormality:
             resid = _orthonormality_residual(chain)
@@ -144,26 +275,15 @@ def build_chain(nu: int, k_max: int = 100, prec: int = 256, nodes: int = 4096,
 def _orthonormality_residual(chain: ModelChain):
     """Worst re-integrated deviation of <psi_j, psi_k> from delta_jk on an
     independently panelized grid, at the highest (worst-resolved) index."""
-    panels = max(1, int(len(chain.xs) * mpf("1.37") / 64))
-    xs, ws = panel_nodes(-chain.R, chain.R, panels, 64)
-    top = chain.k_max - 1
-    wv = [w * mp.exp(-x ** (2 * chain.nu) / (2 * chain.nu))
-          for x, w in zip(xs, ws)]
-    p_prev = [mpf(0)] * len(xs)
-    p = [mpf(1)] * len(xs)
-    for j in range(top):
-        g = chain.gamma_sq(j) if j >= 1 else mpf(0)
-        b = chain.beta[j]
-        p_prev, p = p, [(x - b) * pi - g * pp
-                        for x, pi, pp in zip(xs, p, p_prev)]
-    norm = mpf(0)
-    cross = mpf(0)
-    for w, pi in zip(wv, p):
-        norm += w * pi * pi
-        cross += w * pi
-    norm = norm * mp.exp(-chain.ln_h[top])
-    cross = cross * mp.exp(-(chain.ln_h[top] + chain.ln_h[0]) / 2)
-    return max(abs(norm - 1), abs(cross))
+    with mp.workprec(chain.prec):
+        panels = max(1, int(len(chain.xs) * mpf("1.37") / 64))
+        xs, ws = panel_nodes(-chain.R, chain.R, panels, 64)
+        wv = (w * mp.exp(-x ** (2 * chain.nu) / (2 * chain.nu))
+              for x, w in zip(xs, ws))
+        top = chain.k_max - 1
+        norm, cross = gram_entries(xs, wv, chain.beta, chain.gamma,
+                                   chain.ln_h[0], ((top, top), (top, 0)))
+        return max(abs(norm - 1), abs(cross))
 
 
 def _p_values(chain: ModelChain, k: int, y):
@@ -171,7 +291,7 @@ def _p_values(chain: ModelChain, k: int, y):
     y = mpf(y)
     p_prev, p = mpf(0), mpf(1)
     for j in range(k):
-        g = chain.gamma_sq(j) if j >= 1 else mpf(0)
+        g = chain.gsq[j]
         p_prev, p = p, (y - chain.beta[j]) * p - g * p_prev
     return p_prev, p
 
@@ -210,8 +330,8 @@ def phat_values(chain: ModelChain, k: int, y):
         y = mpf(y)
         q_prev, q = mpf(0), _phat_seed(chain, y)
         for j in range(k):
-            g = chain.gamma_sq(j) if j >= 1 else mpf(0)
-            inhom = mp.exp(chain.ln_h[0]) if j == 0 else mpf(0)
+            g = chain.gsq[j]
+            inhom = chain.hs[0] if j == 0 else 0
             q_prev, q = q, (y - chain.beta[j]) * q - g * q_prev - inhom
         return q_prev, q
 
@@ -262,7 +382,7 @@ def _dp_values(chain: ModelChain, k: int, y):
     p_prev, p = mpf(0), mpf(1)
     d_prev, d = mpf(0), mpf(0)
     for j in range(k):
-        g = chain.gamma_sq(j) if j >= 1 else mpf(0)
+        g = chain.gsq[j]
         d_prev, d = d, p + (y - chain.beta[j]) * d - g * d_prev
         p_prev, p = p, (y - chain.beta[j]) * p - g * p_prev
     return d_prev, d

@@ -12,10 +12,18 @@ re-derives h_1, h_2 from 1- and 2-dimensional integrals as a cross-check.)
 
 Chains are built at >= 256-bit precision on a composite Gauss-Legendre grid
 wide enough that the x^{2 n_max}-weighted tail is negligible at the target
-precision. Evaluators (psi_n, phi_n, the Christoffel-Darboux kernel, counting
-integrals) are pure functions of the immutable chain. mpf exponents are
-unbounded, so no separate log-magnitude bookkeeping is needed even where
-pi_n e^{-NV/2T_c} spans thousands of orders of magnitude.
+precision, by the integer Stieltjes kernel `modelchain.stieltjes_chain`. Its
+node vectors sqrt(w) pi_n / sqrt(h_n) span about 150 orders of magnitude
+across the grid (phi_e = 0.62, N = 80: tiny in the newborn well, and growing
+there as n nears N), so each node keeps its own binary exponent on top of the
+fixed-point fraction; without it the well's entries flush to zero and the
+chain loses accuracy at n ~ N.
+
+gamma_n^2 and h_n are stored with the chain at its precision, so the
+recurrences of the evaluators (psi_n, phi_n, the Christoffel-Darboux kernel,
+counting integrals), which are pure functions of the immutable chain, make no
+exp per step. The evaluators work in mpf, whose unbounded exponents cover
+pi_n e^{-NV/2T_c} at single points.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
 
-from .modelchain import stieltjes_chain
+from .modelchain import gram_entries, stieltjes_chain
 from .poly import Poly
 from .quadrature import panel_nodes
 
@@ -41,15 +49,17 @@ class RecChain:
     log_h: list            # ln h_n, n = 0..n_max
     gamma: list            # gamma_n, n = 1..n_max (index n; gamma[0] = 0)
     beta: list             # beta_n, n = 0..n_max
+    gsq: list              # gamma_n^2 (index n; gsq[0] = 0)
+    hs: list               # h_n = exp(log_h[n])
     xs: list = field(repr=False, default=None)
     gl_w: list = field(repr=False, default=None)
     wv: list = field(repr=False, default=None)     # weight at nodes
 
     def h(self, n):
-        return mp.exp(self.log_h[n])
+        return self.hs[n]
 
     def gamma_sq(self, n):
-        return mp.exp(self.log_h[n] - self.log_h[n - 1])
+        return self.gsq[n]
 
     def weight(self, x):
         return mp.exp(-self.N / self.Tc * self.V(x))
@@ -92,14 +102,11 @@ def build_rec_chain(V: Poly, N: int, Tc, n_max: int = None, bits: int = 320,
         coupling = mpf(N) / Tc
         wv = [mp.exp(-coupling * V(x)) for x in xs]
         ws = [g * w for g, w in zip(glw, wv)]
-        betas, ln_hs = stieltjes_chain(xs, ws, n_max + 1)
-        gammas = [mpf(0)]
-        for n in range(1, n_max + 1):
-            gammas.append(mp.exp((ln_hs[n] - ln_hs[n - 1]) / 2))
+        betas, gammas, ln_hs = stieltjes_chain(xs, ws, n_max + 1)
         chain = RecChain(N=N, Tc=Tc, V=V, n_max=n_max, prec=bits,
-                         x_min=lo, x_max=hi,
-                         log_h=[+v for v in ln_hs], gamma=[+v for v in gammas],
-                         beta=[+v for v in betas], xs=xs, gl_w=glw, wv=wv)
+                         x_min=lo, x_max=hi, log_h=ln_hs, gamma=gammas,
+                         beta=betas, gsq=[g * g for g in gammas],
+                         hs=[mp.exp(v) for v in ln_hs], xs=xs, gl_w=glw, wv=wv)
         if check_orthogonality:
             resid = orthogonality_residual(chain, pairs=((0, 0), (1, 3), (4, 4)))
             if resid > mpf(10) ** (-15):
@@ -117,22 +124,17 @@ def orthogonality_residual(chain: RecChain, pairs, panels=None):
             panels = max(1, int(len(chain.xs) * mpf("1.37") / 64))
         xs, glw = panel_nodes(chain.x_min, chain.x_max, panels, 64)
         coupling = mpf(chain.N) / chain.Tc
-        worst = mpf(0)
-        for n, m_ in pairs:
-            acc = mpf(0)
-            for x, g in zip(xs, glw):
-                acc += g * _pi_value(chain, n, x) * _pi_value(chain, m_, x) \
-                    * mp.exp(-coupling * chain.V(x))
-            acc /= mp.exp((chain.log_h[n] + chain.log_h[m_]) / 2)
-            tgt = 1 if n == m_ else 0
-            worst = max(worst, abs(acc - tgt))
-        return worst
+        ws = (g * mp.exp(-coupling * chain.V(x)) for x, g in zip(xs, glw))
+        gram = gram_entries(xs, ws, chain.beta, chain.gamma, chain.log_h[0],
+                            pairs)
+        return max(abs(v - (1 if n == m_ else 0))
+                   for v, (n, m_) in zip(gram, pairs))
 
 
 def _pi_value(chain: RecChain, n: int, x):
     p_prev, p = mpf(0), mpf(1)
     for j in range(n):
-        g = chain.gamma_sq(j) if j >= 1 else mpf(0)
+        g = chain.gsq[j]
         p_prev, p = p, (x - chain.beta[j]) * p - g * p_prev
     return p
 
@@ -140,7 +142,7 @@ def _pi_value(chain: RecChain, n: int, x):
 def _pi_pair(chain: RecChain, n: int, x):
     p_prev, p = mpf(0), mpf(1)
     for j in range(n):
-        g = chain.gamma_sq(j) if j >= 1 else mpf(0)
+        g = chain.gsq[j]
         p_prev, p = p, (x - chain.beta[j]) * p - g * p_prev
     return p_prev, p
 
@@ -179,8 +181,8 @@ def pihat_values(chain: RecChain, n: int, x):
         x = mpf(x)
         q_prev, q = mpf(0), _pihat_seed(chain, x)
         for j in range(n):
-            g = chain.gamma_sq(j) if j >= 1 else mpf(0)
-            inhom = mp.exp(chain.log_h[0]) if j == 0 else mpf(0)
+            g = chain.gsq[j]
+            inhom = chain.hs[0] if j == 0 else 0
             q_prev, q = q, (x - chain.beta[j]) * q - g * q_prev - inhom
         return q_prev, q
 
@@ -199,7 +201,7 @@ def pihat_direct(chain: RecChain, n: int, x):
         p_prev = [mpf(0)] * len(chain.xs)
         p = [mpf(1)] * len(chain.xs)
         for j in range(n):
-            g = chain.gamma_sq(j) if j >= 1 else mpf(0)
+            g = chain.gsq[j]
             b = chain.beta[j]
             p_prev, p = p, [(xi - b) * pi - g * pp
                             for xi, pi, pp in zip(chain.xs, p, p_prev)]
@@ -251,7 +253,7 @@ def _dpi_pair(chain: RecChain, n: int, x):
     p_prev, p = mpf(0), mpf(1)
     d_prev, d = mpf(0), mpf(0)
     for j in range(n):
-        g = chain.gamma_sq(j) if j >= 1 else mpf(0)
+        g = chain.gsq[j]
         d_prev, d = d, p + (x - chain.beta[j]) * d - g * d_prev
         p_prev, p = p, (x - chain.beta[j]) * p - g * p_prev
     return d_prev, d
@@ -268,11 +270,11 @@ def expected_count_exact(chain: RecChain, n: int, lo, hi=None, panels=24):
         for x, g in zip(xs, glw):
             w = mp.exp(-coupling * chain.V(x))
             p_prev, p = mpf(0), mpf(1)
-            acc = w * p * p / mp.exp(chain.log_h[0])
+            acc = w * p * p / chain.hs[0]
             for j in range(1, n):
-                gsq = chain.gamma_sq(j - 1) if j - 1 >= 1 else mpf(0)
-                p_prev, p = p, (x - chain.beta[j - 1]) * p - gsq * p_prev
-                acc += w * p * p / mp.exp(chain.log_h[j])
+                p_prev, p = p, ((x - chain.beta[j - 1]) * p
+                                - chain.gsq[j - 1] * p_prev)
+                acc += w * p * p / chain.hs[j]
             total += g * acc
         return total
 

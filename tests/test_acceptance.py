@@ -415,7 +415,8 @@ def test_A9_newborn_endpoints():
 
 
 # ---------------------------------------------------------------------------
-# A10: kernel reduction (phi_e = 1.05, N = 80, u ~ 1.3) and the count route
+# A10: kernel reduction (phi_e = 1.05, N = 80; p = nint(1.3 ln N / 2 phi_e)
+# = 3 puts u at 1.44) and the count route
 # ---------------------------------------------------------------------------
 
 def test_A10a_kernel_reduction():

@@ -55,6 +55,21 @@ def test_equilibrium_two_cut(tmp_path):
     assert mu.endpoints[1] < mu.x0 < mu.endpoints[2]   # x0 lies in the gap
 
 
+def test_negative_option_values(tmp_path):
+    # argparse alone reads -1e-4 and -2:2:0.1 as unknown options (exit 2)
+    out = tmp_path / "mu.kv"
+    assert run(["equilibrium", "--phi-e", "1.0", "--t", "-1e-4",
+                "--out", str(out)]) == 0
+    mu = measure_from_kv(out.read_text())
+    assert mu.s == 1 and mu.T < quartic("1.0").Tc
+    out = tmp_path / "psi.csv"
+    assert run(["psi", "--phi-e", "1.05", "--N", "80", "--y-grid", "-2:2:0.1",
+                "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 1 + 41
+    assert abs(mpf(rows[1].split(",")[0]) + 2) < mpf("1e-30")
+
+
 def test_critical_block(tmp_path):
     out = tmp_path / "crit.kv"
     assert run(["critical", "--phi-e", "1.0", "--t", "1e-4", "--out", str(out)]) == 0

@@ -174,6 +174,24 @@ def test_one_cut_gamma_limit_below_tc():
         assert abs(ch.gamma[n] / target - 1) < tol
 
 
+def test_kernel_precision_at_n_near_N():
+    # the integer Stieltjes kernel keeps each node's own exponent; a single
+    # fixed-point scale flushes the newborn well's tiny entries to zero and
+    # is off by ~1e-25 near n = N, where those entries have grown
+    spec = quartic("0.62")
+    chains = [build_rec_chain(spec.V, 80, spec.Tc, n_max=94, bits=bits,
+                              nodes=1024, check_orthogonality=False)
+              for bits in (320, 448)]
+    base, fine = chains
+    assert (base.x_min, base.x_max) == (fine.x_min, fine.x_max)
+    with mp.workprec(448):
+        for name in ("beta", "gamma", "log_h"):
+            dev = max(abs(x - y) for x, y in zip(getattr(base, name),
+                                                 getattr(fine, name)))
+            assert len(getattr(base, name)) == 95
+            assert dev <= mpf("1e-70"), (name, dev)
+
+
 def test_rejects_low_precision():
     with pytest.raises(ValueError):
         build_rec_chain(Poly([0, 0, 1]), 4, 1, bits=128)
