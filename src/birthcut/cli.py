@@ -344,7 +344,9 @@ def main(argv=None):
     mp.dps = args.dps
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # ValueError here is an argument outside a function's domain, such as
+        # mpf('abc'), phi_e <= 0 or k_max > 200
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except (equilibrium.PhaseError, equilibrium.ConvergenceError,

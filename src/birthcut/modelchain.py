@@ -24,9 +24,19 @@ and the well's entries grow by as much as n nears N. A single fixed-point
 scale would flush them to zero and lose the accuracy they carry into later
 steps (1e-25 at n = 94); the per-node exponent keeps every node at F
 significant bits. Only the per-step scalars (beta_k, b_{k+1} = gamma_{k+1},
-ln h_{k+1} = ln h_k + 2 ln b_{k+1}) are formed in mpf. The same integer
-sweep re-integrates a finished chain on an independent grid for the
-orthonormality checks (`gram_entries`).
+ln h_{k+1} = ln h_k + 2 ln b_{k+1}) are formed in mpf.
+
+The evaluators of both chain types run on the same integers. A finished
+chain stores beta_k and gamma_k^2 as integers over 2^F (`beta_fx`,
+`gsq_fx`). Point values p_{k-1}(y), p_k(y), and their y-derivatives for the
+diagonal Christoffel-Darboux kernel, come from `_monic_at`: the recurrence
+for one node, whose entries share one block exponent that follows p_k up and
+down the way e_i does (p_k grows like e^{+N V / 2 T_c} towards the domain
+ends, so a single fixed scale would not do). Sums over a grid come from one
+sweep of the node vectors with the chain's coefficients (`_node_vectors`):
+`gram_entries` re-integrates a finished chain on an independent grid for the
+orthogonality checks, and the oracle's `expected_count_exact` sums the
+diagonal entries of the same sweep over its counting grid.
 
 Wavefunctions: psi_k = P_k e^{-y^{2nu}/4nu} / sqrt(h_k); the Hilbert-transform
 partners start from the principal-value Cauchy transform of the weight and
@@ -58,6 +68,8 @@ class ModelChain:
     beta: list             # recurrence beta_k (all ~ 0 by parity)
     gsq: list              # gamma_k^2 (index k; gsq[0] = 0)
     hs: list               # h_k = exp(ln_h[k])
+    beta_fx: list = field(repr=False)   # beta_k 2^F, F = prec + GUARD_BITS
+    gsq_fx: list = field(repr=False)    # gamma_k^2 2^F
     xs: list = field(repr=False, default=None)      # quadrature nodes
     gl_w: list = field(repr=False, default=None)    # bare GL weights
     wv: list = field(repr=False, default=None)      # weight values at nodes
@@ -175,7 +187,7 @@ def stieltjes_chain(xs, ws, n_steps):
     with mp.workprec(F + 16):
         total = mp.fsum(ws)
         ln_h = mp.log(total)
-        X = [int(mp.ldexp(x, F)) for x in xs]
+        X = _to_fixed(xs, F)
         a, e = _start_vector(ws, total, F)
         c = [0] * len(a)
         S, T = _sums(X, a, e, F)
@@ -200,6 +212,38 @@ def stieltjes_chain(xs, ws, n_steps):
     return ([+v for v in betas], [+v for v in gammas], [+v for v in ln_hs])
 
 
+def _to_fixed(values, F):
+    """Each value times 2^F, truncated to an integer."""
+    return [int(mp.ldexp(v, F)) for v in values]
+
+
+def _node_vectors(xs, ws, beta, gamma, ln_h0, count, F):
+    """The monic polynomials p_0..p_{count-1} of the recurrence data (beta,
+    gamma, ln_h0) on the grid (xs, ws), as the integer node vectors of
+    `stieltjes_chain` with the given coefficients in place of those formed
+    from the sums. Yields (a, e, S, alpha) for k = 0..count-1, where
+    a_i / 2^(F + e_i) = alpha v_k(x_i), v_k = sqrt(ws) p_k / sqrt(h_k), and
+    S = 2^F sum_i (alpha v_k(x_i))^2; alpha = prod_{j<k} 2^-s_j b_{j+1},
+    with s_j chosen to keep alpha near 1. The caller holds the working
+    precision at F + 16 while it iterates.
+    """
+    X = _to_fixed(xs, F)
+    a, e = _start_vector(ws, mp.exp(ln_h0), F)
+    c = [0] * len(a)
+    S, _ = _sums(X, a, e, F)
+    alpha = mpf(1)
+    s = 0
+    for k in range(count):
+        if k:
+            s_prev = s
+            s = _nearest_shift(alpha * gamma[k])
+            B = int(mp.ldexp(beta[k - 1], F))
+            G = int(mp.ldexp(gamma[k - 1] ** 2, F - s_prev))
+            a, c, e, S, _ = _advance(X, a, c, e, B, G, F + s, F)
+            alpha = mp.ldexp(alpha * gamma[k], -s)
+        yield a, e, S, alpha
+
+
 def gram_entries(xs, ws, beta, gamma, ln_h0, pairs):
     """<psi_n, psi_m> = sum_i ws[i] p_n p_m / sqrt(h_n h_m) for each (n, m)
     in pairs, where p_k are the monic polynomials of the recurrence data
@@ -207,10 +251,7 @@ def gram_entries(xs, ws, beta, gamma, ln_h0, pairs):
     another grid these are the identity up to that chain's error. ws may be
     an iterator.
 
-    Same integer node vectors as `stieltjes_chain`, with the given
-    coefficients in place of those formed from the sums: the vector held at
-    step k is alpha_k v_k with alpha_k = prod_{j<k} 2^-s_j b_{j+1}, s_j
-    chosen to keep alpha_k near 1. Only the lower vector of each off-diagonal
+    One sweep of `_node_vectors`; only the lower vector of each off-diagonal
     pair is kept, until the step that completes the pair.
     """
     top = max(max(pq) for pq in pairs)
@@ -218,28 +259,23 @@ def gram_entries(xs, ws, beta, gamma, ln_h0, pairs):
     F = mp.prec + GUARD_BITS
     gram = {}
     with mp.workprec(F + 16):
-        X = [int(mp.ldexp(x, F)) for x in xs]
-        a, e = _start_vector(ws, mp.exp(ln_h0), F)
-        c = [0] * len(a)
-        alpha = [mpf(1)]
+        alpha = []
         kept = {}
-        s = 0
-        for k in range(top + 1):
-            if k:
-                s_prev = s
-                s = _nearest_shift(alpha[k - 1] * gamma[k])
-                B = int(mp.ldexp(beta[k - 1], F))
-                G = int(mp.ldexp(gamma[k - 1] ** 2, F - s_prev))
-                a, c, e, _, _ = _advance(X, a, c, e, B, G, F + s, F)
-                alpha.append(mp.ldexp(alpha[k - 1] * gamma[k], -s))
+        for k, (a, e, S, al) in enumerate(
+                _node_vectors(xs, ws, beta, gamma, ln_h0, top + 1, F)):
+            alpha.append(al)
             if k in lower:
                 kept[k] = (a, e)
             for n, m_ in pairs:
-                if max(n, m_) == k:
-                    a2, e2 = kept[min(n, m_)] if n != m_ else (a, e)
+                if max(n, m_) != k:
+                    continue
+                if n == m_:
+                    P = S
+                else:
+                    a2, e2 = kept[min(n, m_)]
                     P = sum(x * y >> (F + i + j)
                             for x, y, i, j in zip(a, a2, e, e2))
-                    gram[n, m_] = mp.ldexp(mpf(P), -F) / (alpha[n] * alpha[m_])
+                gram[n, m_] = mp.ldexp(mpf(P), -F) / (alpha[n] * alpha[m_])
     return [+gram[pq] for pq in pairs]
 
 
@@ -258,10 +294,13 @@ def build_chain(nu: int, k_max: int = 100, prec: int = 256, nodes: int = 4096,
         ln_zeta = [mpf(0)]
         for k in range(k_max):
             ln_zeta.append(ln_zeta[-1] + ln_hs[k])
+        gsq = [g * g for g in gammas]
+        F = prec + GUARD_BITS
         chain = ModelChain(nu=nu, k_max=k_max, prec=prec, R=R,
                            ln_zeta=ln_zeta, ln_h=ln_hs, gamma=gammas,
-                           beta=betas, gsq=[g * g for g in gammas],
+                           beta=betas, gsq=gsq,
                            hs=[mp.exp(v) for v in ln_hs],
+                           beta_fx=_to_fixed(betas, F), gsq_fx=_to_fixed(gsq, F),
                            xs=xs, gl_w=glw, wv=wv)
         if check_orthonormality:
             resid = _orthonormality_residual(chain)
@@ -286,14 +325,47 @@ def _orthonormality_residual(chain: ModelChain):
         return max(abs(norm - 1), abs(cross))
 
 
-def _p_values(chain: ModelChain, k: int, y):
-    """(P_{k-1}(y), P_k(y)) by the monic recurrence."""
-    y = mpf(y)
-    p_prev, p = mpf(0), mpf(1)
-    for j in range(k):
-        g = chain.gsq[j]
-        p_prev, p = p, (y - chain.beta[j]) * p - g * p_prev
-    return p_prev, p
+def _monic_at(chain, n, x, deriv=False):
+    """(p_{n-1}(x), p_n(x)) of the chain's monic recurrence at one point,
+    followed by (p'_{n-1}(x), p'_n(x)) when deriv, as mpf at the working
+    precision. chain is a ModelChain or an oracle RecChain.
+
+    Integer fixed point on the chain's beta_fx, gsq_fx: all entries share
+    one block exponent E (value = integer 2^(E - F), F = chain.prec +
+    GUARD_BITS), and the block is shifted whenever p_n leaves F +- BAND_BITS
+    bits, the one-node version of `_advance`. Unlike a single fixed scale
+    this covers the e^{N V / 2 T_c}-sized growth of p_n at the domain ends.
+    """
+    F = chain.prec + GUARD_BITS
+    lo, hi = F - BAND_BITS, F + BAND_BITS
+    X = int(mp.ldexp(x, F))
+    bs, gs = chain.beta_fx, chain.gsq_fx
+    q, p = 0, 1 << F
+    dq = dp = 0
+    E = 0
+    for j in range(n):
+        t = X - bs[j]
+        g = gs[j]
+        if deriv:
+            dq, dp = dp, p + ((t * dp - g * dq) >> F)
+        q, p = p, (t * p - g * q) >> F
+        bl = p.bit_length()
+        if bl > hi:
+            d = bl - F
+            p >>= d
+            q >>= d
+            dp >>= d
+            dq >>= d
+            E += d
+        elif bl < lo and p:
+            d = F - bl
+            p <<= d
+            q <<= d
+            dp <<= d
+            dq <<= d
+            E -= d
+    vals = (q, p, dq, dp) if deriv else (q, p)
+    return tuple(mp.ldexp(mpf(v), E - F) for v in vals)
 
 
 def psi_model(chain: ModelChain, k: int, y):
@@ -302,7 +374,7 @@ def psi_model(chain: ModelChain, k: int, y):
         raise ValueError("k out of range")
     with mp.workprec(chain.prec):
         y = mpf(y)
-        _, p = _p_values(chain, k, y)
+        _, p = _monic_at(chain, k, y)
         return p * mp.exp(-y ** (2 * chain.nu) / (4 * chain.nu) - chain.ln_h[k] / 2)
 
 
@@ -354,38 +426,24 @@ def psihat_model(chain: ModelChain, k: int, y):
 def kernel_model(chain: ModelChain, k: int, y, y2):
     """Christoffel-Darboux kernel K_k(y, y') of the model, degenerating to the
     derivative form on the diagonal."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not 1 <= k < chain.k_max:
+        raise ValueError("k out of range")
     with mp.workprec(chain.prec):
         y, y2 = mpf(y), mpf(y2)
-        gam = chain.gamma[k] if k < chain.k_max else mp.exp(
-            (chain.ln_h[k] - chain.ln_h[k - 1]) / 2)
+        gam = chain.gamma[k]
         if abs(y - y2) > mpf(10) ** (-8) * (1 + abs(y)):
-            pk1, pk = _p_values(chain, k, y)
-            qk1, qk = _p_values(chain, k, y2)
+            pk1, pk = _monic_at(chain, k, y)
+            qk1, qk = _monic_at(chain, k, y2)
             ex = mp.exp(-(y ** (2 * chain.nu) + y2 ** (2 * chain.nu)) / (4 * chain.nu)
                         - (chain.ln_h[k] + chain.ln_h[k - 1]) / 2)
             return gam * ex * (pk * qk1 - pk1 * qk) / (y - y2)
         # diagonal limit: gamma_k (psi_k' psi_{k-1} - psi_{k-1}' psi_k)
-        pk1, pk = _p_values(chain, k, y)
-        dk1, dk = _dp_values(chain, k, y)
+        pk1, pk, dk1, dk = _monic_at(chain, k, y, deriv=True)
         nu = chain.nu
         s = y ** (2 * nu - 1) / 2
         ex = mp.exp(-y ** (2 * nu) / (2 * nu) - (chain.ln_h[k] + chain.ln_h[k - 1]) / 2)
         num = (dk - s * pk) * pk1 - (dk1 - s * pk1) * pk
         return gam * ex * num
-
-
-def _dp_values(chain: ModelChain, k: int, y):
-    """(P'_{k-1}, P'_k) alongside the recurrence."""
-    y = mpf(y)
-    p_prev, p = mpf(0), mpf(1)
-    d_prev, d = mpf(0), mpf(0)
-    for j in range(k):
-        g = chain.gsq[j]
-        d_prev, d = d, p + (y - chain.beta[j]) * d - g * d_prev
-        p_prev, p = p, (y - chain.beta[j]) * p - g * p_prev
-    return d_prev, d
 
 
 # ----------------------------------------------------------------------------

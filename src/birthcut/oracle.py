@@ -19,11 +19,16 @@ there as n nears N), so each node keeps its own binary exponent on top of the
 fixed-point fraction; without it the well's entries flush to zero and the
 chain loses accuracy at n ~ N.
 
-gamma_n^2 and h_n are stored with the chain at its precision, so the
-recurrences of the evaluators (psi_n, phi_n, the Christoffel-Darboux kernel,
-counting integrals), which are pure functions of the immutable chain, make no
-exp per step. The evaluators work in mpf, whose unbounded exponents cover
-pi_n e^{-NV/2T_c} at single points.
+gamma_n^2 and h_n are stored with the chain at its precision, and beta_n,
+gamma_n^2 also as integers over 2^F, F = bits + GUARD_BITS. The evaluators
+(psi_n, phi_n, the Christoffel-Darboux kernel, counting integrals) are pure
+functions of the immutable chain and run their recurrences on those integers
+(see `modelchain`): point values through `modelchain._monic_at`, whose block
+exponent covers the growth of pi_n towards the domain ends, and counts as the
+diagonal Gram entries of one node-vector sweep, `modelchain._node_vectors`.
+Only the prefactors e^{-NV/2T_c} / sqrt(h_n) are formed in mpf. The diagonal
+kernel keeps the Christoffel-Darboux derivative form, so that it stays an
+independent check of the count.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
 
-from .modelchain import gram_entries, stieltjes_chain
+from .modelchain import (GUARD_BITS, _monic_at, _node_vectors, _to_fixed,
+                         gram_entries, stieltjes_chain)
 from .poly import Poly
 from .quadrature import panel_nodes
 
@@ -51,6 +57,8 @@ class RecChain:
     beta: list             # beta_n, n = 0..n_max
     gsq: list              # gamma_n^2 (index n; gsq[0] = 0)
     hs: list               # h_n = exp(log_h[n])
+    beta_fx: list = field(repr=False)   # beta_n 2^F, F = prec + GUARD_BITS
+    gsq_fx: list = field(repr=False)    # gamma_n^2 2^F
     xs: list = field(repr=False, default=None)
     gl_w: list = field(repr=False, default=None)
     wv: list = field(repr=False, default=None)     # weight at nodes
@@ -82,8 +90,6 @@ def _domain(V: Poly, N: int, Tc, n_max: int, prec: int):
     while deficit(hi) < 0:
         hi += mpf(1) / 2
         vmin = min(vmin, V(hi))
-    if vmin < V(lo) and vmin < V(hi):
-        pass  # interior minimum as assumed
     return lo, hi
 
 
@@ -103,10 +109,13 @@ def build_rec_chain(V: Poly, N: int, Tc, n_max: int = None, bits: int = 320,
         wv = [mp.exp(-coupling * V(x)) for x in xs]
         ws = [g * w for g, w in zip(glw, wv)]
         betas, gammas, ln_hs = stieltjes_chain(xs, ws, n_max + 1)
+        gsq = [g * g for g in gammas]
+        F = bits + GUARD_BITS
         chain = RecChain(N=N, Tc=Tc, V=V, n_max=n_max, prec=bits,
                          x_min=lo, x_max=hi, log_h=ln_hs, gamma=gammas,
-                         beta=betas, gsq=[g * g for g in gammas],
-                         hs=[mp.exp(v) for v in ln_hs], xs=xs, gl_w=glw, wv=wv)
+                         beta=betas, gsq=gsq, hs=[mp.exp(v) for v in ln_hs],
+                         beta_fx=_to_fixed(betas, F), gsq_fx=_to_fixed(gsq, F),
+                         xs=xs, gl_w=glw, wv=wv)
         if check_orthogonality:
             resid = orthogonality_residual(chain, pairs=((0, 0), (1, 3), (4, 4)))
             if resid > mpf(10) ** (-15):
@@ -131,82 +140,30 @@ def orthogonality_residual(chain: RecChain, pairs, panels=None):
                    for v, (n, m_) in zip(gram, pairs))
 
 
-def _pi_value(chain: RecChain, n: int, x):
-    p_prev, p = mpf(0), mpf(1)
-    for j in range(n):
-        g = chain.gsq[j]
-        p_prev, p = p, (x - chain.beta[j]) * p - g * p_prev
-    return p
-
-
-def _pi_pair(chain: RecChain, n: int, x):
-    p_prev, p = mpf(0), mpf(1)
-    for j in range(n):
-        g = chain.gsq[j]
-        p_prev, p = p, (x - chain.beta[j]) * p - g * p_prev
-    return p_prev, p
-
-
 def eval_psi_exact(chain: RecChain, n: int, x):
     """psi_n(x) = pi_n(x) e^{-(N/2Tc) V(x)} / sqrt(h_n)."""
     if not 0 <= n <= chain.n_max:
         raise ValueError("n out of range")
     with mp.workprec(chain.prec):
         x = mpf(x)
-        p = _pi_value(chain, n, x)
+        _, p = _monic_at(chain, n, x)
         ex = -mpf(chain.N) / (2 * chain.Tc) * chain.V(x) - chain.log_h[n] / 2
         return p * mp.exp(ex)
-
-
-def _pihat_seed(chain: RecChain, x):
-    """PV (or plain, outside the grid) integral of w(x')/(x - x')."""
-    x = mpf(x)
-    if x <= chain.x_min or x >= chain.x_max:
-        acc = mpf(0)
-        for xi, g, w in zip(chain.xs, chain.gl_w, chain.wv):
-            acc += g * w / (x - xi)
-        return acc
-    coupling = mpf(chain.N) / chain.Tc
-    wx = mp.exp(-coupling * chain.V(x))
-    acc = mpf(0)
-    for xi, g, w in zip(chain.xs, chain.gl_w, chain.wv):
-        acc += g * (w - wx) / (x - xi)
-    return acc + wx * mp.log((x - chain.x_min) / (chain.x_max - x))
-
-
-def pihat_values(chain: RecChain, n: int, x):
-    """(pihat_{n-1}, pihat_n): seed plus the recurrence with the delta_{j,0}
-    h_0 inhomogeneity. Stable at this precision; see the module docstring."""
-    with mp.workprec(chain.prec):
-        x = mpf(x)
-        q_prev, q = mpf(0), _pihat_seed(chain, x)
-        for j in range(n):
-            g = chain.gsq[j]
-            inhom = chain.hs[0] if j == 0 else 0
-            q_prev, q = q, (x - chain.beta[j]) * q - g * q_prev - inhom
-        return q_prev, q
 
 
 def pihat_direct(chain: RecChain, n: int, x):
     """pihat_n(x) = int pi_n(x') w(x')/(x - x') dx' by direct (PV) quadrature.
 
-    Unlike the seeded forward recurrence this is accurate at every n: outside
+    Unlike a seeded forward recurrence this is accurate at every n: outside
     the bulk support the hat solution decays like Lambda^{-n} while the
     recurrence's roundoff feeds the growing pi_n branch, which overtakes the
     true value near n ~ 45 at 320 bits.
     """
     with mp.workprec(chain.prec):
         x = mpf(x)
-        pn = [None] * len(chain.xs)
-        p_prev = [mpf(0)] * len(chain.xs)
-        p = [mpf(1)] * len(chain.xs)
-        for j in range(n):
-            g = chain.gsq[j]
-            b = chain.beta[j]
-            p_prev, p = p, [(xi - b) * pi - g * pp
-                            for xi, pi, pp in zip(chain.xs, p, p_prev)]
+        p = [_monic_at(chain, n, xi)[1] for xi in chain.xs]
         if chain.x_min < x < chain.x_max:
-            fx = _pi_value(chain, n, x) * chain.weight(x)
+            fx = _monic_at(chain, n, x)[1] * chain.weight(x)
             acc = mpf(0)
             for xi, g, w, pi in zip(chain.xs, chain.gl_w, chain.wv, p):
                 acc += g * (pi * w - fx) / (x - xi)
@@ -238,45 +195,33 @@ def kernel_exact(chain: RecChain, n: int, x, x2):
         gam = chain.gamma[n]
         lh = (chain.log_h[n] + chain.log_h[n - 1]) / 2
         if abs(x - x2) > mpf(10) ** (-8) * (1 + abs(x)):
-            pn1, pn = _pi_pair(chain, n, x)
-            qn1, qn = _pi_pair(chain, n, x2)
+            pn1, pn = _monic_at(chain, n, x)
+            qn1, qn = _monic_at(chain, n, x2)
             ex = mp.exp(-coupling * (chain.V(x) + chain.V(x2)) - lh)
             return gam * ex * (pn * qn1 - pn1 * qn) / (x - x2)
-        pn1, pn = _pi_pair(chain, n, x)
-        dn1, dn = _dpi_pair(chain, n, x)
+        pn1, pn, dn1, dn = _monic_at(chain, n, x, deriv=True)
         s = coupling * chain.V.deriv()(x)
         ex = mp.exp(-2 * coupling * chain.V(x) - lh)
         return gam * ex * ((dn - s * pn) * pn1 - (dn1 - s * pn1) * pn)
 
 
-def _dpi_pair(chain: RecChain, n: int, x):
-    p_prev, p = mpf(0), mpf(1)
-    d_prev, d = mpf(0), mpf(0)
-    for j in range(n):
-        g = chain.gsq[j]
-        d_prev, d = d, p + (x - chain.beta[j]) * d - g * d_prev
-        p_prev, p = p, (x - chain.beta[j]) * p - g * p_prev
-    return d_prev, d
-
-
 def expected_count_exact(chain: RecChain, n: int, lo, hi=None, panels=24):
-    """integral_lo^hi K_n(x, x) dx via the direct sum_{j<n} psi_j^2 form."""
+    """integral_lo^hi K_n(x, x) dx = sum_{j<n} <psi_j, psi_j> on [lo, hi]:
+    the diagonal Gram entries of one `_node_vectors` sweep over the
+    composite Gauss-Legendre grid of [lo, hi]."""
+    F = chain.prec + GUARD_BITS
     with mp.workprec(chain.prec):
         lo = mpf(lo)
         hi = mpf(hi) if hi is not None else chain.x_max
         xs, glw = panel_nodes(lo, hi, panels, 64)
         coupling = mpf(chain.N) / chain.Tc
-        total = mpf(0)
-        for x, g in zip(xs, glw):
-            w = mp.exp(-coupling * chain.V(x))
-            p_prev, p = mpf(0), mpf(1)
-            acc = w * p * p / chain.hs[0]
-            for j in range(1, n):
-                p_prev, p = p, ((x - chain.beta[j - 1]) * p
-                                - chain.gsq[j - 1] * p_prev)
-                acc += w * p * p / chain.hs[j]
-            total += g * acc
-        return total
+        ws = [g * mp.exp(-coupling * chain.V(x)) for x, g in zip(xs, glw)]
+        with mp.workprec(F + 16):
+            total = mp.fsum(mp.ldexp(mpf(S), -F) / (alpha * alpha)
+                            for _, _, S, alpha in _node_vectors(
+                                xs, ws, chain.beta, chain.gamma,
+                                chain.log_h[0], n, F))
+        return +total
 
 
 def chain_to_table(chain: RecChain) -> str:

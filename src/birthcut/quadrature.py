@@ -23,15 +23,17 @@ class ConvergenceError(RuntimeError):
 
 
 def gauss_legendre(n: int):
-    """Nodes and weights on [-1, 1] at the current precision."""
+    """Nodes and weights on [-1, 1] at the current precision, ascending.
+    Newton runs on the ceil(n/2) non-negative roots only; the rule is
+    symmetric, so the others are their mirror images."""
     key = (n, mp.prec)
     got = _CACHE.get(key)
     if got is not None:
         return got
     seeds, _ = np.polynomial.legendre.leggauss(n)
-    xs, ws = [], []
+    half, hw = [], []
     one = mpf(1)
-    for s in seeds:
+    for s in seeds[n // 2:]:
         x = mpf(float(s))
         for _ in range(60):
             p0, p1 = one, x
@@ -46,8 +48,11 @@ def gauss_legendre(n: int):
         for k in range(1, n):
             p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
         dp = n * (x * p1 - p0) / (x * x - 1)
-        xs.append(x)
-        ws.append(2 / ((1 - x * x) * dp * dp))
+        half.append(x)
+        hw.append(2 / ((1 - x * x) * dp * dp))
+    mirror = slice(n % 2, None)
+    xs = [-x for x in reversed(half[mirror])] + half
+    ws = list(reversed(hw[mirror])) + hw
     _CACHE[key] = (xs, ws)
     return xs, ws
 

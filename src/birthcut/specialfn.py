@@ -205,13 +205,6 @@ def small_m_E(m):
     return mp.pi / 2 * (1 - m / 4 - 3 * m * m / 64)
 
 
-def small_m_Kprime(m):
-    """K' to O(m^2 log m): ln(4/sqrt(m)) + (m/4)(ln(4/sqrt(m)) - 1)."""
-    m = mpf(m)
-    L = mp.log(4 / mp.sqrt(m))
-    return L + m / 4 * (L - 1)
-
-
 def small_m_Eprime(m):
     """E' to O(m^2 log m): 1 + (m/2)(ln(4/sqrt(m)) - 1/2)."""
     m = mpf(m)

@@ -33,6 +33,18 @@ def oracle_chain(phi_e: str, N: int, bits: int = 320, nodes: int = 6000,
     return build_rec_chain(spec.V, N, spec.Tc, n_max=n_max, bits=bits, nodes=nodes)
 
 
+def monic_reference(beta, gsq, n, x):
+    """(p_{n-1}, p_n, p'_{n-1}, p'_n) of the monic recurrence by plain mpf
+    arithmetic at the working precision: the reference for the integer
+    fixed-point evaluators."""
+    q, p, dq, dp = mpf(0), mpf(1), mpf(0), mpf(0)
+    for j in range(n):
+        t = x - beta[j]
+        dq, dp = dp, p + t * dp - gsq[j] * dq
+        q, p = p, t * p - gsq[j] * q
+    return q, p, dq, dp
+
+
 @pytest.fixture(scope="session")
 def quartic_phi1():
     return quartic("1.0")

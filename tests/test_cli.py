@@ -1,5 +1,6 @@
 """CLI surface: exit codes, file formats, determinism."""
 
+import pytest
 from mpmath import mp, mpf
 
 from birthcut.cli import main
@@ -35,6 +36,19 @@ def test_missing_file_is_usage_error():
 
 def test_no_spec_arguments_is_usage_error():
     assert run(["validate"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--phi-e", "abc"],
+    ["validate", "--phi-e", "-1"],
+    ["chain", "--kmax", "500"],
+    ["scan-u", "--phi-e", "0.62", "--N", "2"],
+])
+def test_out_of_domain_input_is_usage_error(argv, capsys):
+    # the library's ValueError for such input ended in a traceback (exit 1)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_equilibrium_writes_parseable_measure(tmp_path):

@@ -1,14 +1,18 @@
 """The y^{2 nu}/(2 nu) model chain against Gaussian closed forms and
 independently re-integrated identities."""
 
+from types import SimpleNamespace
+
+import pytest
 from mpmath import mp, mpf
 
 from birthcut.modelchain import (A_constant, build_chain, chain_to_table,
                                  kernel_model, ln_A_k, phat_values, psi_model,
-                                 psihat_model, _p_values)
+                                 psihat_model, GUARD_BITS, _monic_at,
+                                 _to_fixed)
 from birthcut.quadrature import panel_nodes
 from birthcut.specialfn import ln_zeta_nu1_exact
-from conftest import model_chain, quartic
+from conftest import model_chain, monic_reference, quartic
 
 
 def test_gaussian_recurrence_closed_form():
@@ -28,7 +32,7 @@ def test_beta_vanishes_by_parity():
 def test_monic_p2():
     ch = model_chain(1, 55)
     y = mpf("0.7")
-    _, p2 = _p_values(ch, 2, y)
+    _, p2 = _monic_at(ch, 2, y)
     assert abs(p2 - (y * y - 1)) < mpf("1e-40")
 
 
@@ -50,10 +54,10 @@ def test_hat_recurrence_agrees_with_direct_transform():
         for y in (mpf("-1.3"), mpf("0.4"), mpf("2.1")):
             for k in (1, 3, 6):
                 _, rec = phat_values(ch, k, y)
-                fy = _p_values(ch, k, y)[1] * mp.exp(-y ** 4 / 4)
+                fy = _monic_at(ch, k, y)[1] * mp.exp(-y ** 4 / 4)
                 acc = mpf(0)
                 for x, g, w in zip(ch.xs, ch.gl_w, ch.wv):
-                    acc += g * (_p_values(ch, k, x)[1] * w - fy) / (y - x)
+                    acc += g * (_monic_at(ch, k, x)[1] * w - fy) / (y - x)
                 acc += fy * mp.log((y + ch.R) / (ch.R - y))
                 assert abs(rec - acc) < mpf("1e-30") * max(abs(acc), mpf("1e-5"))
 
@@ -100,6 +104,55 @@ def test_kernel_identities():
         d1 = kernel_model(ch, 4, y1, y1)
         d2 = kernel_model(ch, 4, y1, y1 + mpf("1e-6"))
         assert abs(d1 - d2) < mpf("1e-4")
+
+
+def test_integer_evaluators_match_mpf_recurrence():
+    # psi_model and both kernel_model forms at k = 29 against a plain mpf
+    # recurrence at 640 bits, up to the domain ends
+    ch = model_chain(1, 55)
+    k = 29
+    with mp.workprec(256):
+        pts = [(y, y + mpf(1) / 7) for y in (
+            -ch.R + mpf("0.1"), mpf("-1.7"), mpf("0.3"), ch.R - mpf("0.1"))]
+        got = [(psi_model(ch, k, y), kernel_model(ch, k, y, y),
+                kernel_model(ch, k, y, y2)) for y, y2 in pts]
+    with mp.workprec(640):
+        lh = (ch.ln_h[k] + ch.ln_h[k - 1]) / 2
+        for (y, y2), (psi, diag, off) in zip(pts, got):
+            q, p, dq, dp = monic_reference(ch.beta, ch.gsq, k, y)
+            q2, p2, _, _ = monic_reference(ch.beta, ch.gsq, k, y2)
+            refs = (p * mp.exp(-y * y / 4 - ch.ln_h[k] / 2),
+                    ch.gamma[k] * mp.exp(-y * y / 2 - lh)
+                    * ((dp - y / 2 * p) * q - (dq - y / 2 * q) * p),
+                    ch.gamma[k] * mp.exp(-(y * y + y2 * y2) / 4 - lh)
+                    * (p * q2 - q * p2) / (y - y2))
+            for name, v, ref in zip(("psi", "diag", "off"), (psi, diag, off), refs):
+                assert abs(v - ref) <= mpf("1e-70") * abs(ref), (name, y)
+
+
+def test_monic_block_rescales_small_values():
+    # gamma_j^2 = j sigma^2, the Gaussian of width sigma = 1e-3: p_n shrinks
+    # like sigma^n, past any fixed scale of 2^-F, so the block exponent must
+    # follow it down
+    with mp.workprec(256):
+        beta = [mpf(0)] * 40
+        gsq = [j * mpf("1e-6") for j in range(40)]
+        F = 256 + GUARD_BITS
+        ch = SimpleNamespace(prec=256, beta_fx=_to_fixed(beta, F),
+                             gsq_fx=_to_fixed(gsq, F))
+        x = mpf("0.0013")
+        got = _monic_at(ch, 40, x, deriv=True)
+    with mp.workprec(640):
+        ref = monic_reference(beta, gsq, 40, x)
+        for v, r in zip(got, ref):
+            assert abs(v - r) <= mpf("1e-70") * abs(r)
+
+
+def test_kernel_index_past_chain_top_is_rejected():
+    ch = model_chain(1, 55)
+    for k in (0, ch.k_max):
+        with pytest.raises(ValueError, match="k out of range"):
+            kernel_model(ch, k, mpf("0.3"), mpf("0.5"))
 
 
 def test_kernel_trace_counts_states():

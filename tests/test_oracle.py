@@ -10,10 +10,10 @@ from mpmath import mp, mpf
 from birthcut.oracle import (build_rec_chain, chain_to_table, eval_phi_exact,
                              eval_psi_exact, expected_count_exact,
                              kernel_exact, orthogonality_residual,
-                             pihat_direct, pihat_values, _pi_value)
+                             pihat_direct)
 from birthcut.poly import Poly
 from birthcut.quadrature import panel_nodes
-from conftest import oracle_chain, quartic
+from conftest import monic_reference, oracle_chain, quartic
 
 
 @functools.lru_cache(maxsize=None)
@@ -116,20 +116,6 @@ def test_psi_orthonormal_and_kernel():
         assert abs(d1 - d2) < mpf("1e-3") * max(abs(d1), mpf(1))
 
 
-def test_pihat_recurrence_valid_at_small_n_only():
-    # the seeded recurrence agrees with the direct Cauchy transform at small n
-    # and departs at large n (documented precision-loss mode); eval_phi_exact
-    # therefore uses the direct route
-    ch = small_quartic_chain()
-    spec = quartic("1.0")
-    x = spec.e + mpf("0.05")
-    with mp.workprec(320):
-        for n in (2, 6, 10):
-            _, rec = pihat_values(ch, n, x)
-            direct = pihat_direct(ch, n, x)
-            assert abs(rec - direct) < mpf("1e-25") * max(abs(direct), mpf("1e-30"))
-
-
 def test_pihat_inhomogeneous_recursion_residual():
     ch = small_quartic_chain()
     with mp.workprec(320):
@@ -190,6 +176,48 @@ def test_kernel_precision_at_n_near_N():
                                                  getattr(fine, name)))
             assert len(getattr(base, name)) == 95
             assert dev <= mpf("1e-70"), (name, dev)
+
+
+def test_integer_evaluators_match_mpf_recurrence():
+    # psi, both kernel forms and the count against a plain mpf recurrence at
+    # 640 bits on the same chain data, at n = n_max; next to x_min and x_max
+    # p_n grows fastest and the fixed-point block is rescaled most often
+    spec = quartic("0.5")
+    ch = build_rec_chain(spec.V, 80, spec.Tc, bits=320, nodes=1024,
+                         check_orthogonality=False)
+    n = ch.n_max
+    assert n == 94
+    with mp.workprec(320):
+        pts = [(x, x + mpf(1) / 7) for x in (
+            ch.x_min + mpf("0.05"), mpf("-1.3"), mpf("0.2"),
+            spec.e_tilde + mpf("0.1"), spec.e, ch.x_max - mpf("0.05"))]
+        got = [(eval_psi_exact(ch, n, x), kernel_exact(ch, n, x, x),
+                kernel_exact(ch, n, x, x2)) for x, x2 in pts]
+        xs, gw = panel_nodes(spec.e_tilde, ch.x_max, 2, 64)
+        count = expected_count_exact(ch, n, spec.e_tilde, panels=2)
+    with mp.workprec(640):
+        c = mpf(ch.N) / ch.Tc
+        lh = (ch.log_h[n] + ch.log_h[n - 1]) / 2
+        dV = spec.V.deriv()
+        for (x, x2), (psi, diag, off) in zip(pts, got):
+            q, p, dq, dp = monic_reference(ch.beta, ch.gsq, n, x)
+            q2, p2, _, _ = monic_reference(ch.beta, ch.gsq, n, x2)
+            s = c / 2 * dV(x)
+            refs = (p * mp.exp(-c / 2 * spec.V(x) - ch.log_h[n] / 2),
+                    ch.gamma[n] * mp.exp(-c * spec.V(x) - lh)
+                    * ((dp - s * p) * q - (dq - s * q) * p),
+                    ch.gamma[n] * mp.exp(-c / 2 * (spec.V(x) + spec.V(x2)) - lh)
+                    * (p * q2 - q * p2) / (x - x2))
+            for name, v, ref in zip(("psi", "diag", "off"), (psi, diag, off), refs):
+                assert abs(v - ref) <= mpf("1e-70") * abs(ref), (name, x)
+        ref = mpf(0)
+        for x, g in zip(xs, gw):
+            q, p, acc = mpf(0), mpf(1), mpf(0)
+            for j in range(n):
+                acc += p * p / mp.exp(ch.log_h[j])
+                q, p = p, (x - ch.beta[j]) * p - ch.gsq[j] * q
+            ref += g * mp.exp(-c * spec.V(x)) * acc
+        assert abs(count - ref) <= mpf("1e-70") * ref
 
 
 def test_rejects_low_precision():
