@@ -22,7 +22,7 @@ from mpmath import mp, mpf
 
 from .critical import newborn_scaling
 from .modelchain import (A_constant, ModelChain, kernel_model, ln_A_k,
-                         psi_model, psihat_model)
+                         psi_model, psi_values, psihat_values)
 from .potentials import CriticalSpec
 
 FORBIDDEN_BAND = mpf("0.02")     # guard band around integer / half-integer u
@@ -89,27 +89,39 @@ def _k_limit(chain: ModelChain, rp: RegimePoint, margin=10):
     return min(rp.ubar + margin, chain.k_max - 1, rp.N + rp.p - 1)
 
 
-def _sum_terms(spec, chain, rp, shift_exp=0, k_lo=0, k_hi=None, half=False):
-    """sum_k N^{(2ku - k^2)/2nu} e^{shift_exp * k phi_e} A_k, or the
-    half-shifted variant with k -> k + 1/2 in the N exponent and
-    sqrt(A_k A_{k+1}) amplitudes (used by the psi sums)."""
+def _log_terms(spec, chain, rp, shift_exp=0, k_hi=None, half=False):
+    """ln of the terms k = 0..k_hi of the k-sum:
+    N^{(2ku - k^2)/2nu} e^{shift_exp * k phi_e} A_k, or the half-shifted
+    variant with k -> k + 1/2 in the N exponent and sqrt(A_k A_{k+1})
+    amplitudes (the psi sums)."""
     lnA = mp.log(A_constant(spec))
     nu, phi = spec.nu, spec.phi_e
     lnN = mp.log(rp.N)
     if k_hi is None:
         k_hi = _k_limit(chain, rp)
-    acc = mpf(0)
-    for k in range(k_lo, k_hi + 1):
+    out = []
+    for k in range(k_hi + 1):
         if half:
             kk = k + mpf(1) / 2
             amp = (ln_A_k(chain, lnA, k) + ln_A_k(chain, lnA, k + 1)) / 2
         else:
             kk = mpf(k)
             amp = ln_A_k(chain, lnA, k)
-        expo = (2 * kk * rp.u - kk * kk) / (2 * nu) * lnN \
-            + shift_exp * kk * phi + amp
-        acc += mp.exp(expo)
-    return acc
+        out.append((2 * kk * rp.u - kk * kk) / (2 * nu) * lnN
+                   + shift_exp * kk * phi + amp)
+    return out
+
+
+def _sum_terms(spec, chain, rp, shift_exp=0, k_hi=None):
+    """sum_k N^{(2ku - k^2)/2nu} e^{shift_exp * k phi_e} A_k; computed once
+    per (spec, regime, arguments, working precision) and kept on the chain."""
+    def total():
+        acc = mpf(0)
+        for expo in _log_terms(spec, chain, rp, shift_exp, k_hi):
+            acc += mp.exp(expo)
+        return acc
+
+    return chain.cached(("k-sum", spec, rp, shift_exp, k_hi, mp.prec), total)
 
 
 def sum_Z(spec: CriticalSpec, chain: ModelChain, N: int, p: int):
@@ -228,10 +240,10 @@ def phi_reduced(spec, chain, rp: RegimePoint, y, index_offset=0):
     pref = mp.sqrt(A_constant(spec) / (2 * mp.sinh(phi)))
     pw = mpf(rp.N) ** ((rp.u - ub) / (2 * nu))
     sgn = 1 if index_offset == 0 else -1
-    t_up = pw * mp.exp(sgn * phi / 2) * _amp_ratio(spec, chain, ub + 1, ub) \
-        * psihat_model(chain, ub, y)
+    hat_dn, hat_up = psihat_values(chain, ub, y)
+    t_up = pw * mp.exp(sgn * phi / 2) * _amp_ratio(spec, chain, ub + 1, ub) * hat_up
     t_dn = (1 / pw) * mp.exp(-sgn * phi / 2) \
-        * _amp_ratio(spec, chain, ub - 1, ub) * psihat_model(chain, ub - 1, y)
+        * _amp_ratio(spec, chain, ub - 1, ub) * hat_dn
     den = 1 + _corr(spec, chain, rp, sign=-sgn)
     return pref * (t_up + t_dn) / den
 
@@ -246,27 +258,31 @@ def Psi_matrix(spec, chain, rp: RegimePoint, y):
     return rows
 
 
+def _psi_full_terms(spec, chain, rp, index_offset):
+    """The y-independent parts of psi_full: its prefactor, the amplitudes of
+    psi_0..psi_{k_hi} (the half-shifted k-sum terms at p + index_offset)
+    and the normalizer sqrt(s_plus s_0)."""
+    rp_here = make_regime(spec, rp.N, rp.p + index_offset)
+    amps = [mp.exp(expo) for expo in _log_terms(
+        spec, chain, rp_here, shift_exp=1, k_hi=_k_limit(chain, rp), half=True)]
+    norm = mp.sqrt(_sum_terms(spec, chain, rp_here, shift_exp=2)
+                   * _sum_terms(spec, chain, rp_here, shift_exp=0))
+    pref = mpf(rp.N) ** (mpf(1) / (8 * spec.nu)) \
+        * mp.sqrt(A_constant(spec) / (2 * mp.sinh(spec.phi_e)))
+    return pref, amps, norm
+
+
 def psi_full(spec, chain, rp: RegimePoint, y, index_offset=0):
     """Full half-shifted-sum form of psi_{N+p+index_offset}(x(y)), including
-    the N^{1/(8 nu)} prefactor."""
-    nu, phi = spec.nu, spec.phi_e
-    lnA = mp.log(A_constant(spec))
-    lnN = mp.log(rp.N)
-    u, p = rp.u, rp.p + index_offset
-    u_eff = 2 * nu * phi * p / lnN
-    k_hi = _k_limit(chain, rp)
+    the N^{1/(8 nu)} prefactor. Its y-independent parts are computed once
+    per (spec, regime, offset, working precision) and kept on the chain."""
+    pref, amps, norm = chain.cached(
+        ("psi_full", spec, rp, index_offset, mp.prec),
+        lambda: _psi_full_terms(spec, chain, rp, index_offset))
     num = mpf(0)
-    for k in range(0, k_hi + 1):
-        kk = k + mpf(1) / 2
-        expo = (2 * kk * u_eff - kk * kk) / (2 * nu) * lnN + kk * phi \
-            + (ln_A_k(chain, lnA, k) + ln_A_k(chain, lnA, k + 1)) / 2
-        num += mp.exp(expo) * psi_model(chain, k, y)
-    rp_here = make_regime(spec, rp.N, p)
-    s_plus = _sum_terms(spec, chain, rp_here, shift_exp=2)
-    s_0 = _sum_terms(spec, chain, rp_here, shift_exp=0)
-    pref = mpf(rp.N) ** (mpf(1) / (8 * nu)) \
-        * mp.sqrt(A_constant(spec) / (2 * mp.sinh(phi)))
-    return pref * num / mp.sqrt(s_plus * s_0)
+    for amp, psi in zip(amps, psi_values(chain, len(amps) - 1, y)):
+        num += amp * psi
+    return pref * num / norm
 
 
 def kernel_reduced(spec, chain, rp: RegimePoint, x, x2):

@@ -144,6 +144,8 @@ def cmd_scan_u(args):
     spec = _load_spec(args)
     us = _parse_grid(args.u_grid or "0.1:3.0:0.1")
     Ns = [int(v) for v in (args.N or "40").split(",")]
+    for N in Ns:        # the domain check (N >= 3), before the chain build
+        asymptotics.make_regime(spec, N, 0)
     mc = modelchain.build_chain(spec.nu, k_max=30, prec=256)
     rows = ["N,p,u,ubar,eps_u,gamma_oracle,gamma_reduced,gamma_full,"
             "beta_oracle,beta_reduced,beta_full,rel_err_gamma,rel_err_beta"]
@@ -239,11 +241,15 @@ def cmd_compare(args):
     except Exception:
         raise UsageError("table missing '# N=... Tc=... n_max=...' header")
     gam = {}
-    for line in lines:
+    for lineno, line in enumerate(lines, 1):
         if line.startswith("#") or not line.strip():
             continue
         toks = line.split()
-        gam[int(toks[0])] = mpf(toks[2])
+        try:
+            gam[int(toks[0])] = mpf(toks[2])
+        except (IndexError, ValueError):
+            raise UsageError("%s line %d: expected 'n ln_h gamma beta', got %r"
+                             % (args.table, lineno, line))
     mc = modelchain.build_chain(spec.nu, k_max=30, prec=256)
     rows = ["N,p,u,gamma_oracle,gamma_reduced,gamma_full"]
     for n in sorted(gam):

@@ -44,10 +44,18 @@ climb the same three-term recurrence with the delta_{k,0} h_0 inhomogeneity.
 At 256-bit precision the forward recurrence keeps the hat solution clean for
 every k used here (contamination by the growing solution enters at the seed's
 relative accuracy, far below any tolerance in play).
+
+No work is done twice. `build_chain` keeps the last few chains it built and
+returns the same object for the same arguments, so chains are shared and
+read-only. The Hilbert seed (the principal-value integral over all chain
+nodes) is one integer fixed-point sweep over the grid, computed once per
+point y and kept on the chain (`ModelChain.cached`), as are the k-sum terms
+that `asymptotics` needs once per regime.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
@@ -58,6 +66,14 @@ from .quadrature import panel_nodes
 
 @dataclass
 class ModelChain:
+    """Recurrence data of the y^{2 nu}/(2 nu) model up to k_max.
+
+    Read-only: `build_chain` hands the same object to every caller with the
+    same arguments. Its one mutable part is a memo of values derived from
+    the chain on first use (`cached`): the Hilbert seed per point y, and the
+    k-sum terms per regime that `asymptotics` keys by spec, regime and
+    working precision.
+    """
     nu: int
     k_max: int
     prec: int
@@ -73,6 +89,16 @@ class ModelChain:
     xs: list = field(repr=False, default=None)      # quadrature nodes
     gl_w: list = field(repr=False, default=None)    # bare GL weights
     wv: list = field(repr=False, default=None)      # weight values at nodes
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def cached(self, key, compute):
+        """The value stored under key, from compute() on first use."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
 
     def h(self, k):
         return self.hs[k]
@@ -279,11 +305,32 @@ def gram_entries(xs, ws, beta, gamma, ln_h0, pairs):
     return [+gram[pq] for pq in pairs]
 
 
+CHAIN_CACHE_SIZE = 4   # chains kept by build_chain, least recently used dropped
+_chains = OrderedDict()
+
+
 def build_chain(nu: int, k_max: int = 100, prec: int = 256, nodes: int = 4096,
                 check_orthonormality: bool = True) -> ModelChain:
-    """Chain of the y^{2 nu}/(2 nu) model up to k_max."""
+    """Chain of the y^{2 nu}/(2 nu) model up to k_max.
+
+    A call with the same arguments as one of the last CHAIN_CACHE_SIZE
+    distinct calls returns the chain that call built (shared, read-only);
+    every fresh build runs its orthonormality check when asked to."""
     if k_max > 200:
         raise ValueError("k_max beyond 200 is not supported")
+    key = (nu, k_max, prec, nodes, check_orthonormality)
+    chain = _chains.get(key)
+    if chain is None:
+        chain = _build_chain(*key)
+        _chains[key] = chain
+        if len(_chains) > CHAIN_CACHE_SIZE:
+            _chains.popitem(last=False)
+    else:
+        _chains.move_to_end(key)
+    return chain
+
+
+def _build_chain(nu, k_max, prec, nodes, check_orthonormality):
     with mp.workprec(prec):
         R = _model_domain(nu, k_max, prec)
         panels = max(1, nodes // 64)
@@ -325,10 +372,11 @@ def _orthonormality_residual(chain: ModelChain):
         return max(abs(norm - 1), abs(cross))
 
 
-def _monic_at(chain, n, x, deriv=False):
+def _monic_at(chain, n, x, deriv=False, every=False):
     """(p_{n-1}(x), p_n(x)) of the chain's monic recurrence at one point,
     followed by (p'_{n-1}(x), p'_n(x)) when deriv, as mpf at the working
-    precision. chain is a ModelChain or an oracle RecChain.
+    precision; with every, the list p_0(x), ..., p_n(x) instead. chain is a
+    ModelChain or an oracle RecChain.
 
     Integer fixed point on the chain's beta_fx, gsq_fx: all entries share
     one block exponent E (value = integer 2^(E - F), F = chain.prec +
@@ -343,6 +391,7 @@ def _monic_at(chain, n, x, deriv=False):
     q, p = 0, 1 << F
     dq = dp = 0
     E = 0
+    ps = [(p, E)]
     for j in range(n):
         t = X - bs[j]
         g = gs[j]
@@ -364,6 +413,10 @@ def _monic_at(chain, n, x, deriv=False):
             dp <<= d
             dq <<= d
             E -= d
+        if every:
+            ps.append((p, E))
+    if every:
+        return [mp.ldexp(mpf(v), e - F) for v, e in ps]
     vals = (q, p, dq, dp) if deriv else (q, p)
     return tuple(mp.ldexp(mpf(v), E - F) for v in vals)
 
@@ -378,34 +431,78 @@ def psi_model(chain: ModelChain, k: int, y):
         return p * mp.exp(-y ** (2 * chain.nu) / (4 * chain.nu) - chain.ln_h[k] / 2)
 
 
+def psi_values(chain: ModelChain, n: int, y):
+    """[psi_0(y), ..., psi_n(y)], as psi_model gives them, from one pass of
+    the recurrence."""
+    if not 0 <= n < chain.k_max:
+        raise ValueError("k out of range")
+    with mp.workprec(chain.prec):
+        y = mpf(y)
+        g = -y ** (2 * chain.nu) / (4 * chain.nu)
+        return [p * mp.exp(g - chain.ln_h[k] / 2)
+                for k, p in enumerate(_monic_at(chain, n, y, every=True))]
+
+
+def _seed_grid(chain: ModelChain):
+    """The chain's nodes x_i, GL weights g_i and g_i w(x_i), each times 2^F
+    (F = prec + GUARD_BITS) as integers."""
+    F = chain.prec + GUARD_BITS
+    with mp.workprec(F):
+        gw = [g * w for g, w in zip(chain.gl_w, chain.wv)]
+        return _to_fixed(chain.xs, F), _to_fixed(chain.gl_w, F), _to_fixed(gw, F)
+
+
 def _phat_seed(chain: ModelChain, y):
     """PV integral of w(x)/(y-x) over the truncated support, by singularity
-    subtraction against w(y)."""
+    subtraction against w(y) for |y| < R (the plain sum outside).
+
+    One integer sweep over the chain's grid: sum_i g_i (w_i - w(y))/(y - x_i)
+    in fixed point with F = prec + GUARD_BITS fraction bits, an absolute
+    error of about one unit of 2^-F per node."""
+    F = chain.prec + GUARD_BITS
+    X, G, GW = chain.cached("seed grid", lambda: _seed_grid(chain))
     y = mpf(y)
     R = chain.R
-    if abs(y) >= R:
-        acc = mpf(0)
-        for x, g, w in zip(chain.xs, chain.gl_w, chain.wv):
-            acc += g * w / (y - x)
-        return acc
-    wy = mp.exp(-y ** (2 * chain.nu) / (2 * chain.nu))
-    acc = mpf(0)
-    for x, g, w in zip(chain.xs, chain.gl_w, chain.wv):
-        acc += g * (w - wy) / (y - x)
-    return acc + wy * mp.log((y + R) / (R - y))
+    inside = abs(y) < R
+    wy = mp.exp(-y ** (2 * chain.nu) / (2 * chain.nu)) if inside else mpf(0)
+    Y, WY = int(mp.ldexp(y, F)), int(mp.ldexp(wy, F))
+    acc = 0
+    for x, g, gw in zip(X, G, GW):
+        acc += ((gw - (g * WY >> F)) << F) // (Y - x)
+    seed = mp.ldexp(mpf(acc), -F)
+    if inside:
+        seed += wy * mp.log((y + R) / (R - y))
+    return seed
 
 
 def phat_values(chain: ModelChain, k: int, y):
     """(phat_{k-1}, phat_k) where phat_j(y) = int P_j(x) w(x)/(y-x) dx,
-    built from the seed and the inhomogeneous three-term recurrence."""
+    built from the seed (computed once per y) and the inhomogeneous
+    three-term recurrence."""
     with mp.workprec(chain.prec):
         y = mpf(y)
-        q_prev, q = mpf(0), _phat_seed(chain, y)
+        q_prev = mpf(0)
+        q = chain.cached(("phat seed", y), lambda: _phat_seed(chain, y))
         for j in range(k):
             g = chain.gsq[j]
             inhom = chain.hs[0] if j == 0 else 0
             q_prev, q = q, (y - chain.beta[j]) * q - g * q_prev - inhom
         return q_prev, q
+
+
+def psihat_values(chain: ModelChain, k: int, y):
+    """(psihat_{k-1}(y), psihat_k(y)) from one phat_values call, with
+    psihat_j = phat_j e^{+y^{2nu}/(4nu)} / sqrt(h_j) and psihat_{-1} the
+    bare e^{+y^{2nu}/(4nu)} (empty-average convention)."""
+    if not 0 <= k < chain.k_max:
+        raise ValueError("k out of range")
+    with mp.workprec(chain.prec):
+        y = mpf(y)
+        g = y ** (2 * chain.nu) / (4 * chain.nu)
+        q_prev, q = phat_values(chain, k, y)
+        up = q * mp.exp(g - chain.ln_h[k] / 2)
+        down = q_prev * mp.exp(g - chain.ln_h[k - 1] / 2) if k else mp.exp(g)
+        return down, up
 
 
 def psihat_model(chain: ModelChain, k: int, y):
@@ -415,12 +512,7 @@ def psihat_model(chain: ModelChain, k: int, y):
         with mp.workprec(chain.prec):
             y = mpf(y)
             return mp.exp(y ** (2 * chain.nu) / (4 * chain.nu))
-    if not 0 <= k < chain.k_max:
-        raise ValueError("k out of range")
-    with mp.workprec(chain.prec):
-        y = mpf(y)
-        _, q = phat_values(chain, k, y)
-        return q * mp.exp(y ** (2 * chain.nu) / (4 * chain.nu) - chain.ln_h[k] / 2)
+    return psihat_values(chain, k, y)[1]
 
 
 def kernel_model(chain: ModelChain, k: int, y, y2):

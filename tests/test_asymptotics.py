@@ -8,6 +8,7 @@ from birthcut.asymptotics import (Psi_matrix, beta_full, beta_reduced,
                                   kernel_reduced, large_u_match, make_regime,
                                   make_scaling_map, phi_reduced, psi_full,
                                   psi_reduced, sum_Z, _sum_terms)
+from birthcut import modelchain
 from birthcut.modelchain import kernel_model
 from conftest import model_chain, quartic
 
@@ -205,3 +206,86 @@ def test_large_u_match_analytic():
         max(fulls) <= reports[0]["gamma_hi"] * mpf("1.25")
     with pytest.raises(ValueError):
         large_u_match(spec, ch, make_regime(spec, N, 1))
+
+
+def test_psi_matrix_computes_one_seed_per_point(monkeypatch):
+    # the four Hilbert partners of one Psi_matrix call share one seed
+    seeds = []
+    seed = modelchain._phat_seed
+    monkeypatch.setattr(modelchain, "_phat_seed",
+                        lambda ch, y: seeds.append(y) or seed(ch, y))
+    spec = quartic("1.0")
+    ch = model_chain(1, 30)
+    rp = make_regime(spec, 80, 3)
+    y = mpf("0.2718281828")          # a point no other test evaluates
+    first = Psi_matrix(spec, ch, rp, y)
+    assert len(seeds) == 1
+    assert Psi_matrix(spec, ch, rp, y) == first
+    assert len(seeds) == 1
+
+
+# A10a set-up (phi_e = 1.05, N = 80, p = 3, k_max = 30): kernel_full on the
+# 5x5 grid of the acceptance test, (psi_full offset 0, offset -1) at
+# y = -2..2 and Psi_matrix rows [psi_{n-1}, phi_{n-1}, psi_n, phi_n] at
+# y = -1, 0, 1, recorded at 40 digits from the evaluation that recomputed
+# every sum, seed and recurrence on each call.
+A10A_KERNEL_FULL = [
+    "0.1651844701317807412738477116823407304786",
+    "0.3484858781667478344729222987099519180458",
+    "0.445915838227076720754650421193455366673",
+    "0.3460766999054679003889098386682379468431",
+    "0.1629084362542842603253250109473594716996",
+    "0.3502334647096930497243003385078230561803",
+    "0.7390449718303806696760118693074310826231",
+    "0.9458788609290568770889811749956060249754",
+    "0.7342629325629136320236976970630379539405",
+    "0.3457157182542923908384114903030416727861",
+    "0.4503994054632615259556685249970323347531",
+    "0.9506222455141934156622200931096877733674",
+    "1.216940105953710982992230861656743544997",
+    "0.944890556541950012134502861707758999699",
+    "0.4449845096064693825394605673378315054329",
+    "0.3513093608931068976125044601981496742572",
+    "0.7416457420118004411639856845966127858556",
+    "0.9496289765506531366045048724788574726983",
+    "0.7375000978153347316560524457869065721974",
+    "0.3473928611022786990283178131039440023193",
+    "0.166200904874314099699189543423026156465",
+    "0.3509429118568869058883029639841416437984",
+    "0.4494586966041859441931108068557979457627",
+    "0.3491349570873478796573043884996774356243",
+    "0.1644928886254002175154356336205037782735",
+]
+A10A_PSI_FULL = [
+    ("-0.1376508221227656626454788085439112822345", "0.2075045013735275477174837112095735671967"),
+    ("-0.01224077517862690542430199539155806606115", "0.5148385675658262548745388508672294487027"),
+    ("0.3440079655675916499004316658447411122323", "0.7581177638599438549590751801203937603148"),
+    ("0.5490565693054945857670812521170723783723", "0.666039454691937079683270456545754425115"),
+    ("0.3926253778481392706394441593781416669249", "0.3503489850869423636038743581144172356403"),
+]
+A10A_PSI_MATRIX = [
+    ("0.7506183866886278530781637750836365209872", "-2.551082311235068376294859606789117858939", "-0.01296187962013606095599048279731542654621", "-1.260573774591321667306218682481345693174"),
+    ("1.105342298976181514665679084878951736254", "-0.3347157926610019026563581783969910584325", "0.3649452909616211136704993836557600888173", "-1.01378352571332296002406417950360597832"),
+    ("0.9710645093205663133137656194595936682804", "2.314510910041747543763153605056599916825", "0.581401236378400494343444096991955268799", "0.544048906499404716142962969966124503097"),
+]
+
+
+def test_full_forms_match_reference_on_A10a_grid():
+    spec = quartic("1.05")
+    mc = model_chain(1, 30)
+    N = 80
+    rp = make_regime(spec, N, int(mp.nint(mpf("1.3") * mp.log(N) / (2 * spec.phi_e))))
+    assert rp.p == 3
+    smap = make_scaling_map(spec, N)
+    tol = mpf("1e-35")
+    grid = [(yi, yj) for yi in (-2, -1, 0, 1, 2) for yj in (-2, -1, 0, 1, 2)]
+    for (yi, yj), ref in zip(grid, A10A_KERNEL_FULL):
+        v = kernel_full(spec, mc, rp, smap.x_of_y(mpf(yi)),
+                        smap.x_of_y(mpf(yj) + mpf(1) / 100))
+        assert abs(v - mpf(ref)) < tol, (yi, yj)
+    for y, refs in zip((-2, -1, 0, 1, 2), A10A_PSI_FULL):
+        for off, ref in zip((0, -1), refs):
+            assert abs(psi_full(spec, mc, rp, mpf(y), off) - mpf(ref)) < tol, (y, off)
+    for y, refs in zip((-1, 0, 1), A10A_PSI_MATRIX):
+        flat = [v for row in Psi_matrix(spec, mc, rp, mpf(y)) for v in row]
+        assert all(abs(v - mpf(r)) < tol for v, r in zip(flat, refs)), y

@@ -51,6 +51,17 @@ def test_out_of_domain_input_is_usage_error(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_scan_u_checks_every_N_before_building_the_chain(monkeypatch, capsys):
+    from birthcut import modelchain
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("model chain built before N was checked")
+
+    monkeypatch.setattr(modelchain, "build_chain", no_build)
+    assert run(["scan-u", "--phi-e", "0.62", "--N", "40,2"]) == 2
+    assert capsys.readouterr().err == "error: need N >= 3\n"
+
+
 def test_equilibrium_writes_parseable_measure(tmp_path):
     out = tmp_path / "mu.kv"
     assert run(["equilibrium", "--phi-e", "1.0", "--out", str(out)]) == 0
@@ -135,3 +146,13 @@ def test_compare_against_exported_table(tmp_path):
     rows = out.read_text().splitlines()
     assert rows[0].startswith("N,p,u,gamma_oracle")
     assert len(rows) == 1 + 4   # p = 0..3
+
+
+def test_compare_malformed_row_is_usage_error(tmp_path, capsys):
+    table = tmp_path / "oracle.tsv"
+    table.write_text("# N=12 Tc=0.5 n_max=15 bits=256\n# n ln_h gamma beta\n"
+                     "12 0.1 1.0 0.0\n13 0.5\n")
+    assert run(["compare", "--phi-e", "0.62", "--table", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "line 4" in err

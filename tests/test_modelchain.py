@@ -1,15 +1,17 @@
 """The y^{2 nu}/(2 nu) model chain against Gaussian closed forms and
 independently re-integrated identities."""
 
+from collections import OrderedDict
 from types import SimpleNamespace
 
 import pytest
 from mpmath import mp, mpf
 
+from birthcut import modelchain
 from birthcut.modelchain import (A_constant, build_chain, chain_to_table,
                                  kernel_model, ln_A_k, phat_values, psi_model,
-                                 psihat_model, GUARD_BITS, _monic_at,
-                                 _to_fixed)
+                                 psi_values, psihat_model, psihat_values,
+                                 GUARD_BITS, _monic_at, _phat_seed, _to_fixed)
 from birthcut.quadrature import panel_nodes
 from birthcut.specialfn import ln_zeta_nu1_exact
 from conftest import model_chain, monic_reference, quartic
@@ -213,3 +215,57 @@ def test_table_export_format():
     toks = lines[5].split()
     assert toks[0] == "5" and len(toks) == 4
     assert abs(mpf(toks[1]) - ch.ln_zeta[5]) < mpf("1e-25") * max(abs(ch.ln_zeta[5]), 1)
+
+
+def test_psi_and_psihat_pairs_match_single_values():
+    ch = model_chain(1, 55)
+    y = mpf("-0.6")
+    with mp.workprec(256):
+        psis = psi_values(ch, 12, y)
+        assert len(psis) == 13
+        assert all(v == psi_model(ch, k, y) for k, v in enumerate(psis))
+        for k in (0, 1, 4):
+            assert psihat_values(ch, k, y) == (psihat_model(ch, k - 1, y),
+                                               psihat_model(ch, k, y))
+
+
+def test_integer_seed_matches_mpf_sum():
+    # the principal-value seed against the plain mpf sum over the same grid
+    # at 640 bits: inside the support, next to a node, and outside it
+    ch = model_chain(1, 30)
+    node = min(x for x in ch.xs if x > mpf("0.7"))
+    ys = [mpf("-1.3"), mpf("0.4"), mpf("2.1"), node + mpf("1e-4"),
+          ch.R + mpf("0.5")]
+    with mp.workprec(256):
+        got = [_phat_seed(ch, y) for y in ys]
+    with mp.workprec(640):
+        for y, v in zip(ys, got):
+            wy = mp.exp(-y * y / 2) if abs(y) < ch.R else 0
+            ref = mp.fsum(g * (w - wy) / (y - x)
+                          for x, g, w in zip(ch.xs, ch.gl_w, ch.wv))
+            if abs(y) < ch.R:
+                ref += wy * mp.log((y + ch.R) / (ch.R - y))
+            assert abs(v - ref) <= mpf("1e-60") * abs(ref), y
+
+
+def test_build_chain_shares_one_chain_per_argument_tuple(monkeypatch):
+    monkeypatch.setattr(modelchain, "_chains", OrderedDict())
+    checks = []
+    residual = modelchain._orthonormality_residual
+    monkeypatch.setattr(modelchain, "_orthonormality_residual",
+                        lambda ch: checks.append(ch) or residual(ch))
+    a = build_chain(1, k_max=4, nodes=128)
+    assert len(checks) == 1                            # a fresh build checks
+    assert build_chain(1, 4, 256, 128, True) is a      # defaults applied
+    assert len(checks) == 1
+    others = [build_chain(1, k_max=4, nodes=256),
+              build_chain(1, k_max=5, nodes=128),
+              build_chain(1, k_max=4, nodes=128, check_orthonormality=False)]
+    assert len({id(c) for c in others + [a]}) == 4
+    assert len(checks) == 3
+    assert build_chain(1, k_max=4, nodes=128) is a
+    # the cache is bounded: the least recently used chain is built again
+    for k in range(6, 6 + modelchain.CHAIN_CACHE_SIZE):
+        build_chain(1, k_max=k, nodes=128)
+    assert len(modelchain._chains) == modelchain.CHAIN_CACHE_SIZE
+    assert build_chain(1, k_max=4, nodes=128) is not a
