@@ -87,14 +87,8 @@ def cmd_equilibrium(args):
     T = spec.Tc * (1 + mpf(args.t)) if args.t is not None else spec.Tc
     try:
         if args.two_cut:
-            ns = critical.newborn_scaling(spec, T - spec.Tc)
-            drift = {"a": mpf(-2), "b": mpf(2)}
-            if T > spec.Tc:
-                tt = T - spec.Tc
-                drift["a"] = -2 + tt / ((2 + spec.e) ** (2 * spec.nu - 1) * spec.Q(mpf(-2)))
-                drift["b"] = 2 - tt / ((spec.e - 2) ** (2 * spec.nu - 1) * spec.Q(mpf(2)))
-            guess = (drift["a"], drift["b"], ns.c, ns.d)
-            mu = equilibrium.solve_two_cut(spec.V, T, guess)
+            mu = equilibrium.solve_two_cut(
+                spec.V, T, critical.two_cut_guess(spec, T - spec.Tc))
         else:
             mu = equilibrium.solve_one_cut(spec.V, T, guess=(-2, 2))
     except (equilibrium.PhaseError, equilibrium.ConvergenceError) as exc:
@@ -211,11 +205,8 @@ def cmd_transition(args):
         except (equilibrium.PhaseError, equilibrium.ConvergenceError) as exc:
             rows.append("%s,below,ERROR %s," % (_fmt(that), exc))
         try:
-            ns = critical.newborn_scaling(spec, t)
-            drift_a = -2 + t / ((2 + spec.e) ** (2 * spec.nu - 1) * spec.Q(mpf(-2)))
-            drift_b = 2 - t / ((spec.e - 2) ** (2 * spec.nu - 1) * spec.Q(mpf(2)))
             mu2 = equilibrium.solve_two_cut(spec.V, spec.Tc + t,
-                                            guess=(drift_a, drift_b, ns.c, ns.d))
+                                            guess=critical.two_cut_guess(spec, t))
             g2 = equilibrium.gamma_two_cut(mu2)
             rows.append(",".join([_fmt(that), "above", _fmt(-2 * mp.log(g2)), _fmt(law_p)]))
         except (equilibrium.PhaseError, equilibrium.ConvergenceError) as exc:

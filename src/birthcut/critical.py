@@ -67,6 +67,15 @@ def g_scaling_hyperbolic(nu: int, zeta, psi):
     return zeta ** (2 * nu - 2) * acc
 
 
+def _edge_weights(spec: CriticalSpec):
+    """(w_+, w_-) = ((e-2)^{2nu-1} Q(2), (e+2)^{2nu-1} Q(-2)), M's values at
+    the cut ends 2 and -2: to first order in t the ends move to
+    b = 2 - t/w_+ and a = -2 + t/w_-."""
+    nu, e, Q = spec.nu, spec.e, spec.Q
+    return ((e - 2) ** (2 * nu - 1) * Q(mpf(2)),
+            (e + 2) ** (2 * nu - 1) * Q(mpf(-2)))
+
+
 def one_cut_drift(spec: CriticalSpec, t):
     """First-order endpoint and recurrence-coefficient drift for t < 0.
 
@@ -76,9 +85,7 @@ def one_cut_drift(spec: CriticalSpec, t):
     t = mpf(t)
     if t >= 0:
         raise ValueError("one-cut drift needs t < 0")
-    nu, e, Q = spec.nu, spec.e, spec.Q
-    wp = (e - 2) ** (2 * nu - 1) * Q(mpf(2))
-    wm = (e + 2) ** (2 * nu - 1) * Q(mpf(-2))
+    wp, wm = _edge_weights(spec)
     return {
         "a": -2 + t / wm,
         "b": 2 - t / wp,
@@ -112,6 +119,16 @@ def newborn_scaling(spec: CriticalSpec, t) -> NewbornScaling:
     )
 
 
+def two_cut_guess(spec: CriticalSpec, t):
+    """Initial endpoints (a, b, c, d) for the two-cut solve at T = T_c + t,
+    0 < t << T_c: the old cut's first-order drift (`one_cut_drift`'s a and b,
+    continued to t > 0) and the newborn cut [c, d] of `newborn_scaling`."""
+    ns = newborn_scaling(spec, t)
+    t = mpf(t)
+    wp, wm = _edge_weights(spec)
+    return (-2 + t / wm, 2 - t / wp, ns.c, ns.d)
+
+
 def expected_count(spec: CriticalSpec, N: int, n: int):
     """Mean number of eigenvalues in the newborn well at index n >= N:
     k ~ 2 nu phi_e (n - N)/ln N."""
@@ -126,9 +143,7 @@ def transition_curvature(spec: CriticalSpec, t):
     t = mpf(t)
     if t == 0:
         raise ValueError("t must be nonzero")
-    nu, e, Q, phi = spec.nu, spec.e, spec.Q, spec.phi_e
     if t < 0:
-        wp = (e - 2) ** (2 * nu - 1) * Q(mpf(2))
-        wm = (e + 2) ** (2 * nu - 1) * Q(mpf(-2))
+        wp, wm = _edge_weights(spec)
         return t / 2 * (1 / wp + 1 / wm)
-    return 4 * nu * phi ** 2 / mp.log(t / spec.Tc)
+    return 4 * spec.nu * spec.phi_e ** 2 / mp.log(t / spec.Tc)

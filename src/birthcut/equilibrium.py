@@ -12,7 +12,12 @@ V'/sqrt(sigma) = M + sum_j c_j x^{-j}, one needs
     s = 1:  c_1 = 0, c_2 = 2T;      s = 2:  c_1 = c_2 = 0, c_3 = 2T,
 
 which a damped Newton iteration solves for the endpoints. The gap condition
-for s = 2 is the one genuine quadrature, done under the cosine substitution.
+for s = 2, integral_b^c M sqrt(sigma) = 0, is in closed form too: with
+P = M sigma it is sum_k p_k I_k over the moments I_k = integral_b^c t^k /
+sqrt(sigma), which reduce to the complete elliptic integrals K, E and Pi of
+the parameter 1 - m (`_gap_moments`). So is the image u_inf of infinity, an
+incomplete F, and E(u_inf). No step of the two-cut solve is an adaptive
+quadrature, and its cost does not grow as the newborn cut [c, d] shrinks.
 
 Density: rho(x) = M(x) sqrt(-sigma(x)) / (2 pi T) on the support.
 """
@@ -25,10 +30,14 @@ from typing import Optional
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from .poly import Poly, laurent_split, sqrt_sigma_tail
+from .poly import Poly, laurent_split, monic_from_roots, sqrt_sigma_tail
 from .quadrature import ConvergenceError, integrate_bracket, integrate_doubling
-from .specialfn import (EllipticParams, complete_integrals, incomplete_E,
-                        sn_cn_dn, theta1, theta1_prime0)
+from .specialfn import (EllipticParams, complete_K_E_Pi, complete_integrals,
+                        incomplete_E, theta1, theta1_prime0)
+
+# extra bits for the gap condition: its terms p_k I_k are thousands of times
+# larger than their sum, which Newton drives to 0
+GAP_GUARD_BITS = 32
 
 
 class PhaseError(RuntimeError):
@@ -190,12 +199,11 @@ def solve_two_cut(V: Poly, T, guess) -> EqMeasure:
         if (d - c) < mpf("1e-10") * span or (c - b) < mpf("1e-10") * span:
             raise PhaseError("cut collision: a cut or the gap has closed")
         M, cs = _moments(Vp, (a, b, c, d))
-        # integral_b^c M sqrt(sigma): integrate_bracket supplies the
-        # 1/sqrt((t-b)(c-t)) weight, so feed it M sqrt((t-a)(d-t)) (t-b)(c-t)
-        gap = integrate_bracket(
-            lambda t: M(t) * mp.sqrt((t - a) * (d - t)) * (t - b) * (c - t),
-            b, c)
-        return (cs[1], cs[2], cs[3] - 2 * T, gap)
+        # integral_b^c M sqrt(sigma) = integral_b^c P / sqrt(sigma), P = M sigma
+        with mp.workprec(mp.prec + GAP_GUARD_BITS):
+            P = M * monic_from_roots(x)
+            gap = mp.fsum(p * I for p, I in zip(P.c, _gap_moments(x, len(P))))
+        return (cs[1], cs[2], cs[3] - 2 * T, +gap)
 
     a, b, c, d = _newton(F, guess, max_iter=40)
     M, _ = _moments(Vp, (a, b, c, d))
@@ -203,6 +211,48 @@ def solve_two_cut(V: Poly, T, guess) -> EqMeasure:
     _check_density(mu)
     _fill_two_cut_data(mu)
     return mu
+
+
+def _gap_moments(endpoints, count):
+    """[I_0, ..., I_{count-1}], I_k = integral_b^c t^k dt / sqrt(sigma(t)),
+    in closed form at the working precision, for a < b < c < d.
+
+    The substitution sn^2(u|k^2) = (c-a)(t-b) / ((c-b)(t-a)) maps [b, c] onto
+    [0, K] and gives t - a = (b-a) / (1 - alpha^2 sn^2), with
+    k^2 = (c-b)(d-a) / ((c-a)(d-b)) = 1 - m and alpha^2 = (c-b)/(c-a). So
+    (Byrd & Friedman, Handbook of Elliptic Integrals, 2nd ed., 1971, section
+    254 and 336.02)
+
+        J_k = integral_b^c (t-a)^k / sqrt(sigma) = g (b-a)^k V_k,
+        g = 2 / sqrt((c-a)(d-b)),  V_0 = K,  V_1 = Pi(alpha^2|k^2),
+        V_2 = [alpha^2 E + (k^2 - alpha^2) K
+               + (2 alpha^2 k^2 + 2 alpha^2 - alpha^4 - 3 k^2) Pi]
+              / (2 (alpha^2 - 1)(k^2 - alpha^2)),
+
+    and I_0..I_2 follow from t = (t-a) + a. sqrt(sigma) vanishes at b and c,
+    so integral_b^c d/dt [t^j sqrt(sigma)] dt = 0, that is
+    sum_i (j + i/2) s_i I_{i+j-1} = 0 for sigma = sum_i s_i t^i, s_4 = 1:
+    each I_{j+3} from I_{j-1} .. I_{j+2}.
+    """
+    a, b, c, d = endpoints
+    ca, db, ba = c - a, d - b, b - a
+    k2 = (c - b) * (d - a) / (ca * db)
+    n = (c - b) / ca
+    # m = 1 - k^2 as a product keeps its relative accuracy as the new cut closes
+    K, E, Pi = complete_K_E_Pi(ba * (d - c) / (ca * db), n)
+    g = 2 / mp.sqrt(ca * db)
+    J0 = g * K
+    J1 = g * ba * Pi
+    J2 = g * ba * ba * (n * E + (k2 - n) * K
+                        + (2 * n * k2 + 2 * n - n * n - 3 * k2) * Pi) \
+        / (2 * (n - 1) * (k2 - n))
+    moments = [J0, J1 + a * J0, J2 + 2 * a * J1 + a * a * J0]
+    s = monic_from_roots(endpoints).c
+    for j in range(count - 3):
+        acc = mp.fsum((j + mpf(i) / 2) * s[i] * moments[i + j - 1]
+                      for i in range(0 if j else 1, 4))
+        moments.append(-acc / (j + 2))
+    return moments[:count]
 
 
 def _check_density(mu: EqMeasure, samples=200):
@@ -223,9 +273,12 @@ def _fill_two_cut_data(mu: EqMeasure):
     a, b, c, d = mu.endpoints
     m = (b - a) * (d - c) / ((c - a) * (d - b))
     ell = complete_integrals(m)
+    # u_inf = i integral_0^r dy / sqrt((1+y^2)(1+m y^2)); y = tan(theta)
+    # turns it into i F(arctan r | 1-m)
     r = mp.sqrt((d - b) / (b - a))
-    u_inf = mpc(0, 1) * integrate_doubling(
-        lambda y: 1 / mp.sqrt((1 + y * y) * (1 + m * y * y)), 0, r)
+    with mp.workprec(mp.prec + 20):
+        v = mpmath.ellipf(mp.atan(r), 1 - m)
+    u_inf = mpc(0, v)
     Eu = incomplete_E(u_inf, m)
     x0 = d + mpc(0, 1) * mp.sqrt((c - a) * (d - b)) * (
         Eu - (1 - ell.Eprime / ell.Kprime) * u_inf)

@@ -55,6 +55,7 @@ that `asymptotics` needs once per regime.
 
 from __future__ import annotations
 
+import bisect
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -239,8 +240,16 @@ def stieltjes_chain(xs, ws, n_steps):
 
 
 def _to_fixed(values, F):
-    """Each value times 2^F, truncated to an integer."""
-    return [int(mp.ldexp(v, F)) for v in values]
+    """Each value times 2^F, truncated toward 0 to an integer, as
+    int(mp.ldexp(v, F)) gives it, by shifting the mpf mantissa directly."""
+    out = []
+    for v in values:
+        sign, man, exp, _ = (v if isinstance(v, mpf) else mpf(v))._mpf_
+        shift = exp + F
+        # the magnitude is shifted, so a right shift truncates toward 0
+        n = man << shift if shift >= 0 else man >> -shift
+        out.append(-n if sign else n)
+    return out
 
 
 def _node_vectors(xs, ws, beta, gamma, ln_h0, count, F):
@@ -467,7 +476,15 @@ def _phat_seed(chain: ModelChain, y):
     wy = mp.exp(-y ** (2 * chain.nu) / (2 * chain.nu)) if inside else mpf(0)
     Y, WY = int(mp.ldexp(y, F)), int(mp.ldexp(wy, F))
     acc = 0
-    for x, g, gw in zip(X, G, GW):
+    nodes = zip(X, G, GW)
+    i = bisect.bisect_left(X, Y)
+    if i < len(X) and X[i] == Y:
+        # y is node i (to 2^-F): its term has the finite limit
+        # -g_i w'(x_i) = g_i w_i x_i^(2nu-1)
+        p = 2 * chain.nu - 1
+        acc = (GW[i] * X[i] ** p) >> (F * p)
+        nodes = zip(X[:i] + X[i + 1:], G[:i] + G[i + 1:], GW[:i] + GW[i + 1:])
+    for x, g, gw in nodes:
         acc += ((gw - (g * WY >> F)) << F) // (Y - x)
     seed = mp.ldexp(mpf(acc), -F)
     if inside:

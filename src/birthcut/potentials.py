@@ -262,8 +262,9 @@ def validate_critical(spec: CriticalSpec) -> ValidationReport:
 
     floor = tol * max(scale, mpf(1))
     left_pts = [-2 - mpf(10) ** k for k in range(-3, 3)]
-    left_ok = all(Fminus(x) > -floor and Fminus(x) != 0 for x in left_pts)
-    left_min = min(Fminus(x) for x in left_pts)
+    left_vals = [Fminus(x) for x in left_pts]
+    left_ok = all(v > -floor and v != 0 for v in left_vals)
+    left_min = min(left_vals)
     add("effective potential rises for x < -2", left_ok and left_min > floor,
         "min sampled integral = %s" % mp.nstr(left_min, 6))
 

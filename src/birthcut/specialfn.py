@@ -11,8 +11,9 @@ so that the two-cut gamma formula reads gamma = (i/4K) sqrt((d-b)(c-a))
 
 Complete integrals and Jacobi functions are delegated to mpmath (AGM/Landen
 based, valid at arbitrary precision); this module owns the conventions, the
-theta1 series, the incomplete second integral along straight paths, and the
-Stirling-type asymptotics of the model partition functions.
+theta1 series, the incomplete second integral along straight paths, one AGM
+sequence for K, E and Pi together, and the Stirling-type asymptotics of the
+model partition functions.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from .quadrature import integrate_doubling
+from .quadrature import ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -69,12 +70,60 @@ def sn_cn_dn(u, m, pole_tol=None):
     return +sn, +cn, +dn
 
 
+def complete_K_E_Pi(mc, n):
+    """(K, E, Pi(n|.)) at parameter m = 1 - mc, for 0 < mc <= 1 and n < 1.
+
+    One arithmetic-geometric mean sequence a_j, g_j from (1, sqrt(mc)) gives
+    all three (DLMF 19.8.1, 19.8.6; Abramowitz & Stegun 17.6.3):
+
+        K = pi / (2 M),  E = K (1 - sum_j 2^(j-1) c_j^2),  c_0^2 = m,
+        Pi(n|m) = pi/(4 M) (2 + n/(1-n) sum_j Q_j),
+
+    with c_{j+1} = (a_j - g_j)/2 and p_0^2 = 1 - n, Q_0 = 1,
+    p_{j+1} = (p_j^2 + a_j g_j)/(2 p_j), Q_{j+1} = Q_j (p_j^2 - a_j g_j)
+    / (2 (p_j^2 + a_j g_j)). Taking the complementary parameter keeps full
+    relative accuracy as m -> 1, where K is log-singular. Each sum converges
+    quadratically, in about log2(prec) steps.
+    """
+    mc, n = mpf(mc), mpf(n)
+    if not (0 < mc <= 1 and n < 1):
+        raise ValueError("need 0 < mc <= 1 and n < 1")
+    with mp.workprec(mp.prec + 20):
+        tol = mp.ldexp(1, -mp.prec)
+        a, g = mpf(1), mp.sqrt(mc)
+        p2 = 1 - n
+        p = mp.sqrt(p2)
+        q = qsum = mpf(1)
+        csum = (1 - mc) / 2
+        weight = mpf(1) / 2
+        for _ in range(mp.prec):
+            ag = a * g
+            q *= (p2 - ag) / (2 * (p2 + ag))
+            p = (p2 + ag) / (2 * p)
+            p2 = p * p
+            qsum += q
+            c = (a - g) / 2
+            a, g = (a + g) / 2, mp.sqrt(ag)
+            weight *= 2
+            csum += weight * c * c
+            if abs(c) <= tol and abs(q) <= tol:
+                break
+        else:
+            raise ConvergenceError("AGM did not converge for mc = %s, n = %s"
+                                   % (mp.nstr(mc, 8), mp.nstr(n, 8)))
+        K = mp.pi / (2 * a)
+        E = K * (1 - csum)
+        Pi = mp.pi / (4 * a) * (2 + n / (1 - n) * qsum)
+    return +K, +E, +Pi
+
+
 def incomplete_E(u, m):
     """E(u, m) = integral_0^{sn(u,m)} sqrt((1-m y^2)/(1-y^2)) dy, straight path.
 
     Real u (|sn|<=1) uses the trigonometric form; purely imaginary u stays on
-    the imaginary axis where the integrand is smooth. Other arguments are
-    rejected rather than silently crossing a branch cut.
+    the imaginary axis, where the Jacobi imaginary transformation gives a
+    closed form. Other arguments are rejected rather than silently crossing a
+    branch cut.
     """
     m = mpf(m)
     u = mpc(u)
@@ -88,12 +137,18 @@ def incomplete_E(u, m):
             val = mpmath.ellipe(phi, m)
         return +val.real if abs(val.imag) < mpf(10) ** (-mp.dps + 4) else +val
     if abs(u.real) <= mpf(10) ** (-mp.dps) * (1 + abs(u.imag)):
-        # imaginary path: sn = i s, y = i s t
+        # imaginary path: sn = i s. With y = i tan(theta) and s = tan(phi),
+        # the integral is i int_0^phi sqrt(1 - (1-m) sin^2) sec^2 dtheta, which
+        # integrates by parts to the Jacobi imaginary transformation
+        #   E(iv|m) = i (v + tan(phi) sqrt(1 - (1-m) sin^2 phi) - E(phi|1-m)),
+        # v = F(phi|1-m); sqrt(1 - (1-m) sin^2 phi) = sqrt((1+m s^2)/(1+s^2))
         with mp.workprec(mp.prec + 20):
             sn, _, _ = sn_cn_dn(u, m)
             s = sn.imag
-            f = lambda t: mp.sqrt((1 + m * s * s * t * t) / (1 + s * s * t * t))
-            val = mpc(0, 1) * s * integrate_doubling(f, 0, 1)
+            phi = mp.atan(s)
+            mc = 1 - m
+            val = mpc(0, mpmath.ellipf(phi, mc) - mpmath.ellipe(phi, mc)
+                      + s * mp.sqrt((1 + m * s * s) / (1 + s * s)))
         return +val
     raise ValueError("incomplete_E: straight path would cross a branch cut "
                      "for general complex u; only real or imaginary u supported")

@@ -29,9 +29,9 @@ from mpmath import mp, mpf
 from birthcut.asymptotics import (beta_reduced, gamma_full, gamma_reduced,
                                   kernel_full, kernel_reduced, make_regime,
                                   make_scaling_map)
-from birthcut.critical import (g_scaling_poly, newborn_scaling,
-                               scaling_constant_C, scaling_zeta,
-                               transition_curvature)
+from birthcut.critical import (g_scaling_poly, scaling_constant_C,
+                               scaling_zeta, transition_curvature,
+                               two_cut_guess)
 from birthcut.equilibrium import (abelian_objects, gamma_two_cut,
                                   solve_one_cut, solve_two_cut)
 from birthcut.modelchain import psi_model
@@ -336,10 +336,7 @@ def test_A7_transition_order():
         if that > mpf("1.01e-3"):
             break
         t = that * spec2.Tc
-        ns = newborn_scaling(spec2, t)
-        a = -2 + t / ((2 + spec2.e) * spec2.Q(mpf(-2)))
-        b = 2 - t / ((spec2.e - 2) * spec2.Q(mpf(2)))
-        mu = solve_two_cut(spec2.V, spec2.Tc + t, guess=(a, b, ns.c, ns.d))
+        mu = solve_two_cut(spec2.V, spec2.Tc + t, guess=two_cut_guess(spec2, t))
         y = -2 * mp.log(gamma_two_cut(mu))
         x = 1 / mp.log(that)
         num += y * x
@@ -401,10 +398,7 @@ def test_A9_newborn_endpoints():
     rels = []
     for texp in ("1e-3", "1e-4"):
         t = mpf(texp) * spec.Tc
-        ns = newborn_scaling(spec, t)
-        a = -2 + t / ((2 + spec.e) * spec.Q(mpf(-2)))
-        b = 2 - t / ((spec.e - 2) * spec.Q(mpf(2)))
-        mu = solve_two_cut(spec.V, spec.Tc + t, guess=(a, b, ns.c, ns.d))
+        mu = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
         half_solver = (mu.endpoints[3] - mu.endpoints[2]) / 2
         half_law = 2 * zeta * (-t / mp.log(t / spec.Tc)) ** (mpf(1) / 2)
         rels.append(abs(half_solver - half_law) / half_law)

@@ -9,9 +9,9 @@ from mpmath import mp, mpf
 from birthcut.critical import (expected_count, g_scaling_hyperbolic,
                                g_scaling_poly, newborn_scaling, one_cut_drift,
                                scaling_constant_C, scaling_zeta,
-                               transition_curvature)
+                               transition_curvature, two_cut_guess)
 from birthcut.poly import Poly
-from conftest import quartic
+from conftest import quartic, spec_nu
 
 
 def g_fraction_coeffs(nu):
@@ -156,3 +156,20 @@ def test_transition_curvature_sides():
     assert abs(tiny) < abs(above)
     with pytest.raises(ValueError):
         transition_curvature(spec, 0)
+
+
+def test_two_cut_guess_is_drift_plus_newborn_cut():
+    # bit-identical to the inline guesses it replaced: the general form, and
+    # the nu = 1 form without the power (2 + e)^(2 nu - 1)
+    for spec in (quartic("1.0"), quartic("0.6"), spec_nu(2, "2.6")):
+        for that in ("1e-5", "3e-4", "1e-3"):
+            t = mpf(that) * spec.Tc
+            ns = newborn_scaling(spec, t)
+            a = -2 + t / ((2 + spec.e) ** (2 * spec.nu - 1) * spec.Q(mpf(-2)))
+            b = 2 - t / ((spec.e - 2) ** (2 * spec.nu - 1) * spec.Q(mpf(2)))
+            assert two_cut_guess(spec, t) == (a, b, ns.c, ns.d)
+            if spec.nu == 1:
+                assert a == -2 + t / ((2 + spec.e) * spec.Q(mpf(-2)))
+                assert b == 2 - t / ((spec.e - 2) * spec.Q(mpf(2)))
+    with pytest.raises(ValueError):
+        two_cut_guess(quartic("1.0"), mpf(0))

@@ -3,6 +3,7 @@
 import pytest
 from mpmath import mp, mpf
 
+from birthcut import equilibrium, quadrature
 from birthcut.equilibrium import (ConvergenceError, PhaseError, abelian_objects,
                                   classical_gamma_beta, dtrace_dr,
                                   effective_potential, gamma_from_lambda_limit,
@@ -10,18 +11,11 @@ from birthcut.equilibrium import (ConvergenceError, PhaseError, abelian_objects,
                                   normalization, prime_form_one_cut,
                                   solve_one_cut, solve_two_cut,
                                   thermo_derivatives, veff_const_bs)
-from birthcut.poly import Poly
+from birthcut.poly import Poly, monic_from_roots
 from birthcut.quadrature import integrate_bracket
 from birthcut.specialfn import sn_cn_dn
-from birthcut.critical import newborn_scaling, one_cut_drift
+from birthcut.critical import one_cut_drift, two_cut_guess
 from conftest import quartic, spec_nu
-
-
-def two_cut_guess(spec, t):
-    ns = newborn_scaling(spec, t)
-    a = -2 + t / ((2 + spec.e) ** (2 * spec.nu - 1) * spec.Q(mpf(-2)))
-    b = 2 - t / ((spec.e - 2) ** (2 * spec.nu - 1) * spec.Q(mpf(2)))
-    return (a, b, ns.c, ns.d)
 
 
 def test_gaussian_semicircle():
@@ -134,6 +128,63 @@ def test_gap_period_bracket_converges_in_few_doublings():
 
     assert abs(integrate_bracket(f, b, c)) < mpf("1e-30")
     assert calls[0] <= 32 * (1 + 2 + 4 + 8)
+
+
+def test_gap_moments_match_bracket_quadrature():
+    # the closed-form gap condition sum_k p_k I_k against the cosine-rule
+    # quadrature of M sqrt(sigma) at 50 digits, as the new cut shrinks
+    # ((d-c)/(c-b) from 0.17 down to 0.0034)
+    spec = quartic("1.0")
+    for that in ("1e-3", "1e-4", "1e-5", "1e-6"):
+        ends = two_cut_guess(spec, mpf(that) * spec.Tc)
+        a, b, c, d = ends
+        M, _ = equilibrium._moments(spec.V.deriv(), ends)
+        with mp.workprec(mp.prec + equilibrium.GAP_GUARD_BITS):
+            P = M * monic_from_roots(ends)
+            terms = [p * I for p, I in
+                     zip(P.c, equilibrium._gap_moments(ends, len(P)))]
+            gap, scale = mp.fsum(terms), mp.fsum(terms, absolute=True)
+        with mp.workdps(50):
+            ref = integrate_bracket(
+                lambda x: M(x) * mp.sqrt((x - a) * (d - x)) * (x - b) * (c - x),
+                b, c, max_n=2 ** 13)
+        assert abs(gap - ref) <= mpf("1e-35") * scale, that
+
+
+# endpoints of the A9 solves (phi_e = 1.0, t/Tc = 1e-3 and 1e-4) as the
+# adaptive cosine-rule gap condition gave them
+A9_ENDPOINTS = {
+    "1e-3": ("-2.000348128603838385020056234064379746369",
+             "2.010570972032395250028071324307153766012",
+             "3.020385928348357596288753590232676378823",
+             "3.150518649606191940034187488343582446744"),
+    "1e-4": ("-2.000035392057564578555083853879133949336",
+             "2.001155397104226640720995275176107817663",
+             "3.06755213803972576917834955578343064634",
+             "3.104834485114464449628288830260079829162"),
+}
+
+
+def test_two_cut_endpoints_unchanged():
+    spec = quartic("1.0")
+    for that, ref in A9_ENDPOINTS.items():
+        t = mpf(that) * spec.Tc
+        mu = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
+        assert max(abs(x - mpf(r)) for x, r in zip(mu.endpoints, ref)) \
+            < mpf("1e-30"), that
+
+
+def test_two_cut_solve_runs_no_adaptive_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quadrature inside the two-cut solve")
+
+    for name in ("integrate_bracket", "integrate_doubling"):
+        monkeypatch.setattr(equilibrium, name, refuse)
+    monkeypatch.setattr(quadrature, "_refine", refuse)
+    spec = quartic("1.0")
+    t = mpf("1e-5") * spec.Tc
+    mu = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
+    assert mu.x0 is not None and mu.u_inf is not None   # _fill_two_cut_data ran
 
 
 def test_two_cut_collision_guard():

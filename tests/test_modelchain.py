@@ -1,6 +1,7 @@
 """The y^{2 nu}/(2 nu) model chain against Gaussian closed forms and
 independently re-integrated identities."""
 
+import random
 from collections import OrderedDict
 from types import SimpleNamespace
 
@@ -246,6 +247,43 @@ def test_integer_seed_matches_mpf_sum():
             if abs(y) < ch.R:
                 ref += wy * mp.log((y + ch.R) / (ch.R - y))
             assert abs(v - ref) <= mpf("1e-60") * abs(ref), y
+
+
+def test_seed_at_a_node_is_the_finite_limit():
+    # y equal to a grid node takes that node's principal-value limit: it is
+    # finite, and the seed is smooth through it, so it lies at the mean of
+    # the 640-bit mpf sums at node -+ 1e-30. Off the node, w(y) carries the
+    # working precision's 2^-256 relative error, which the difference
+    # quotient (w_i - w(y))/(y - x_i) magnifies by 1e30: hence 1e-45.
+    ch = build_chain(1, k_max=8, nodes=1024)
+    for node in (ch.xs[600], ch.xs[100]):
+        with mp.workprec(256):
+            ys = (node - mpf("1e-30"), node + mpf("1e-30"))
+            at = _phat_seed(ch, node)
+            sides = [_phat_seed(ch, y) for y in ys]
+            assert mp.isfinite(psihat_model(ch, 1, node))
+        with mp.workprec(640):
+            refs = []
+            for y in ys:
+                wy = mp.exp(-y * y / 2)
+                refs.append(mp.fsum(g * (w - wy) / (y - x)
+                                    for x, g, w in zip(ch.xs, ch.gl_w, ch.wv))
+                            + wy * mp.log((y + ch.R) / (ch.R - y)))
+            for v, ref in zip(sides, refs):
+                assert abs(v - ref) <= mpf("1e-45") * abs(ref)
+            assert abs(at - (refs[0] + refs[1]) / 2) <= mpf("1e-45") * abs(at)
+
+
+def test_to_fixed_truncates_toward_zero_like_int_ldexp():
+    rng = random.Random(5)
+    F = 256 + GUARD_BITS
+    with mp.workprec(256):
+        values = [mpf(0), mpf(1), mpf(-1), mp.ldexp(mpf(-3), -F - 1),
+                  mp.ldexp(mpf(5), -F - 3), 2 ** 300 + mpf(1)]
+        for _ in range(300):
+            v = mp.ldexp(mpf(rng.random()), rng.randint(-F - 20, 60))
+            values.append(v if rng.random() < 0.5 else -v)
+        assert _to_fixed(values, F) == [int(mp.ldexp(v, F)) for v in values]
 
 
 def test_build_chain_shares_one_chain_per_argument_tuple(monkeypatch):

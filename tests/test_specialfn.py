@@ -4,7 +4,9 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
-from birthcut.specialfn import (complete_integrals, incomplete_E, ln_factorial,
+from birthcut.quadrature import integrate_doubling
+from birthcut.specialfn import (complete_K_E_Pi, complete_integrals,
+                                incomplete_E, ln_factorial,
                                 ln_Hn, ln_Hn_exact, ln_zeta_asymptotic,
                                 ln_zeta_nu1_exact, small_m_E, small_m_Eprime,
                                 small_m_K, sn_cn_dn, theta1, theta1_prime0)
@@ -63,9 +65,39 @@ def test_incomplete_E_endpoints():
     assert abs(incomplete_E(ell.K, m) - ell.E) < mpf("1e-30")
 
 
+def test_complete_K_E_Pi_matches_mpmath():
+    # one AGM sequence against mpmath's ellipk/ellipe/ellippi, including the
+    # newborn-cut regime m -> 1 and a negative characteristic
+    for mc, n in (("1e-12", "0.1"), ("1e-6", "0.13"), ("0.003", "0.45"),
+                  ("0.3", "0.5"), ("0.9", "0.05"), ("1", "0.2"),
+                  ("0.5", "-0.7")):
+        mc, n = mpf(mc), mpf(n)
+        got = complete_K_E_Pi(mc, n)
+        with mp.workprec(mp.prec + 40):
+            m = 1 - mc
+            ref = (mpmath.ellipk(m), mpmath.ellipe(m), mpmath.ellippi(n, m))
+        for g, r in zip(got, ref):
+            assert abs(g - r) < mpf("1e-38") * abs(r), (mc, n)
+    with pytest.raises(ValueError):
+        complete_K_E_Pi(0, mpf("0.1"))
+
+
+def test_incomplete_E_imaginary_axis_closed_form():
+    # the Jacobi imaginary transformation against the straight-path
+    # quadrature i s int_0^1 sqrt((1 + m s^2 t^2)/(1 + s^2 t^2)) dt
+    for m, s in (("1e-6", "0.2"), ("0.027", "0.39"), ("0.3", "1.7"),
+                 ("0.8", "0.05")):
+        m, s = mpf(m), mpf(s)
+        u = mpc(0, mpmath.ellipf(mp.atan(s), 1 - m))     # sn(u|m) = i s
+        with mp.workprec(mp.prec + 20):
+            ref = mpc(0, 1) * s * integrate_doubling(
+                lambda t: mp.sqrt((1 + m * s * s * t * t) / (1 + s * s * t * t)),
+                0, 1)
+        assert abs(incomplete_E(u, m) - ref) < mpf("1e-35") * abs(ref), (m, s)
+
+
 def test_incomplete_E_imaginary_axis_small_m():
     # E(u_inf) - u_inf ~ i m (sinh(phi) - phi)/4 in the two-cut m -> 0 limit
-    from birthcut.quadrature import integrate_doubling
     phi = mpf("1.1")
     s = mp.sinh(phi / 2)
     for m in (mpf("1e-5"), mpf("1e-7")):
