@@ -49,13 +49,32 @@ class UsageError(Exception):
     pass
 
 
+# options that hold one real number (the commands convert them with mpf)
+_NUMBER_OPTIONS = ("phi_e", "e", "t", "u")
+
+
+def _check_numbers(args):
+    """UsageError unless every number option given is a finite number."""
+    for name in _NUMBER_OPTIONS:
+        text = getattr(args, name, None)
+        if text is None:
+            continue
+        try:
+            finite = mp.isfinite(mpf(text))
+        except ValueError:
+            finite = False
+        if not finite:
+            raise UsageError("--%s: expected a finite number, got %r"
+                             % (name.replace("_", "-"), text))
+
+
 def _parse_grid(text):
-    """A:B:STEP inclusive grid of mpf values."""
+    """A:B:STEP inclusive grid of finite mpf values."""
     try:
         a, b, step = (mpf(v) for v in text.split(":"))
     except Exception:
         raise UsageError("bad grid %r, expected A:B:STEP" % text)
-    if step <= 0 or b < a:
+    if not all(mp.isfinite(v) for v in (a, b, step)) or step <= 0 or b < a:
         raise UsageError("bad grid %r" % text)
     out = []
     v = a
@@ -340,6 +359,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     mp.dps = args.dps
     try:
+        _check_numbers(args)
         return args.func(args)
     except (UsageError, ValueError) as exc:
         # ValueError here is an argument outside a function's domain, such as

@@ -33,6 +33,7 @@ independent check of the count.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
@@ -165,7 +166,16 @@ def pihat_direct(chain: RecChain, n: int, x):
         if chain.x_min < x < chain.x_max:
             fx = _monic_at(chain, n, x)[1] * chain.weight(x)
             acc = mpf(0)
-            for xi, g, w, pi in zip(chain.xs, chain.gl_w, chain.wv, p):
+            nodes = list(zip(chain.xs, chain.gl_w, chain.wv, p))
+            i = bisect.bisect_left(chain.xs, x)
+            if i < len(chain.xs) and chain.xs[i] == x:
+                # x is node i: its term has the finite limit -g_i (pi_n w)'(x_i)
+                # with (pi_n w)' = w (pi_n' - (N/T_c) V' pi_n)
+                _, pn, _, dn = _monic_at(chain, n, x, deriv=True)
+                slope = dn - mpf(chain.N) / chain.Tc * chain.V.deriv()(x) * pn
+                acc = -chain.gl_w[i] * chain.wv[i] * slope
+                del nodes[i]
+            for xi, g, w, pi in nodes:
                 acc += g * (pi * w - fx) / (x - xi)
             return acc + fx * mp.log((x - chain.x_min) / (chain.x_max - x))
         acc = mpf(0)

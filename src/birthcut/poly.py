@@ -119,31 +119,16 @@ def monic_from_roots(roots):
 # Laurent expansions of f/sqrt(sigma) at infinity
 # ----------------------------------------------------------------------------
 
-def _binom_series(alpha, nterms):
-    """Coefficients of (1+w)^alpha = sum b_k w^k."""
-    b = [mpf(1)]
-    for k in range(nterms - 1):
-        b.append(b[-1] * (alpha - k) / (k + 1))
-    return b
-
-
-def _tail_mul(a, b, jmax):
-    """Product of two power series in 1/x, truncated at x^-jmax."""
-    out = [mpf(0)] * (jmax + 1)
-    for i, ai in enumerate(a):
-        if i > jmax or ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > jmax:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
 def sqrt_sigma_tail(sigma, jmax, alpha=None):
     """Series t with sqrt(sigma(x)) = x^s * sum_j t[j] x^-j, sigma monic deg 2s.
 
     With ``alpha=-0.5`` returns instead the series of x^s/sqrt(sigma).
+
+    sigma / x^{2s} = 1 + sum_{k=1}^{2s} w_k x^-k, and J.C.P. Miller's
+    recurrence for the power (1 + w)^alpha of a series,
+    t[n] = (1/n) sum_{k=1}^{min(n, 2s)} ((alpha+1) k - n) w_k t[n-k],
+    takes O(jmax * deg sigma) operations (Henrici, Applied and Computational
+    Complex Analysis vol. 1, 1974, section 1.6).
     """
     if alpha is None:
         alpha = mpf(1) / 2
@@ -153,18 +138,13 @@ def sqrt_sigma_tail(sigma, jmax, alpha=None):
     s = d // 2
     if sigma[d] != 1:
         raise ValueError("sigma must be monic")
-    w = [mpf(0)] * (jmax + 1)
-    for j in range(1, min(d, jmax) + 1):
-        w[j] = sigma[d - j]
-    b = _binom_series(alpha, jmax + 1)
-    out = [mpf(0)] * (jmax + 1)
-    wpow = [mpf(1)] + [mpf(0)] * jmax
-    for k in range(jmax + 1):
-        bk = b[k]
-        for j in range(jmax + 1):
-            out[j] += bk * wpow[j]
-        if k < jmax:
-            wpow = _tail_mul(wpow, w, jmax)
+    w = [sigma[d - k] for k in range(d + 1)]
+    out = [mpf(1)]
+    for n in range(1, jmax + 1):
+        acc = mpf(0)
+        for k in range(1, min(n, d) + 1):
+            acc += ((alpha + 1) * k - n) * w[k] * out[n - k]
+        out.append(acc / n)
     return out
 
 

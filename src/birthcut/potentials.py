@@ -12,16 +12,27 @@ polynomial Q with
 subject to the sign and vanishing conditions checked by `validate_critical`.
 `build_critical_Q` produces a valid Q = (x - e_tilde) Qtilde from any strictly
 positive even Qtilde by fixing e_tilde as a ratio of two cut integrals.
+
+Every integral here is of a polynomial times sqrt(x^2 - 4) over an interval
+of [2, inf) (for x < -2, of the mirrored polynomial), so it has an exact
+antiderivative: in x = 2 cosh(t) the integrand is a cosine polynomial in t
+(`_cut_integral`). No quadrature runs; near a high-order zero of M the
+antiderivative's terms cancel, and guard bits sized from the measured
+cancellation keep the result at working precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from mpmath import mp, mpf
 
 from .poly import Poly, count_real_roots, isolate_real_roots
-from .quadrature import integrate_doubling
+
+# extra bits for the first pass of a `_cut_integral`; later passes add the
+# bits that the measured cancellation costs
+CUT_GUARD_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -68,21 +79,86 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _cut_weight_integral(g, e, nu, lo=2, hi=None):
-    """integral_lo^hi g(x) (x-e)^{2 nu - 1} sqrt(x^2-4) dx, x = 2 cosh(t),
-    for 2 <= lo <= hi <= e (hi = e by default).
+def _cosh_coefficients(P: Poly):
+    """c with P(2 cosh t) = c[0] + sum_k c[k] cosh(k t), from
+    (2 cosh t)^n = (e^t + e^-t)^n = sum_j binom(n, j) e^{(n - 2j) t}."""
+    c = [mpf(0)] * (P.degree + 1)
+    for n, r in enumerate(P.c):
+        for j in range(n // 2 + 1):
+            k = n - 2 * j
+            c[k] += r * comb(n, j) * (2 if k else 1)
+    return c
 
-    The substitution removes the sqrt endpoint singularity at x = 2; the
-    (x-e)^{2 nu - 1} factor vanishes smoothly at the upper end.
+
+def _sinh_terms(x, K):
+    """[t, sinh(t), sinh(2t)/2, ..., sinh(K t)/K] at x = 2 cosh(t) >= 2:
+    the antiderivatives of 1, cosh(t), ..., cosh(K t). The addition
+    formulas add only positive terms, so nothing cancels as t -> 0."""
+    s1 = mp.sqrt((x - 2) * (x + 2)) / 2
+    c1 = x / 2
+    out = [mp.asinh(s1)]
+    s, c = mpf(0), mpf(1)       # sinh(k t), cosh(k t)
+    for k in range(1, K + 1):
+        s, c = s * c1 + c * s1, c * c1 + s * s1
+        out.append(s / k)
+    return out
+
+
+def _cut_integral(factors):
+    """The function (lo, hi) -> integral_lo^hi P(x) sqrt(x^2-4) dx for
+    2 <= lo <= hi, P the product of the Polys `factors`, in closed form.
+
+    x = 2 cosh(t) turns the integrand into P(x)(x^2-4) dt = (c_0 + sum_k c_k
+    cosh(k t)) dt, with antiderivative c_0 t + sum_k c_k sinh(k t)/k. The
+    terms can be far larger than their sum (near a high-order zero of P, or
+    on a short interval next to x = 2), so P is expanded and the terms are
+    summed with guard bits: CUT_GUARD_BITS first, then again with the bits
+    that the measured cancellation sum |terms| / |value| costs, until the
+    guard covers it. The absolute terms come from the product of the
+    factors' absolute coefficients, so they bound the rounding of the
+    expansion too. Expansions are kept per precision and shared by all
+    intervals.
     """
-    hi = e if hi is None else hi
+    expansions = {}
 
-    def f(t):
-        x = 2 * mp.cosh(t)
-        # dx = 2 sinh t dt and sqrt(x^2-4) = 2 sinh t
-        return g(x) * (x - e) ** (2 * nu - 1) * 4 * mp.sinh(t) ** 2
+    def expansion():
+        got = expansions.get(mp.prec)
+        if got is None:
+            P, A = Poly([-4, 0, 1]), Poly([4, 0, 1])
+            for f in factors:
+                P = P * f
+                A = A * Poly([abs(a) for a in f.c])
+            got = expansions[mp.prec] = (_cosh_coefficients(P),
+                                         _cosh_coefficients(A))
+        return got
 
-    return integrate_doubling(f, mp.acosh(mpf(lo) / 2), mp.acosh(mpf(hi) / 2))
+    def integral(lo, hi):
+        prec = mp.prec
+        guard = CUT_GUARD_BITS
+        while True:
+            with mp.workprec(prec + guard):
+                c, ca = expansion()
+                value = mass = mpf(0)
+                for x, sign in ((mpf(hi), 1), (mpf(lo), -1)):
+                    for ck, ak, T in zip(c, ca, _sinh_terms(x, len(c) - 1)):
+                        value += sign * ck * T
+                        mass += ak * T
+            lost = mp.mag(mass) - mp.mag(value) if value else prec + guard
+            if lost + CUT_GUARD_BITS <= guard or guard >= 4 * prec:
+                return +value
+            guard = CUT_GUARD_BITS * (lost // CUT_GUARD_BITS + 2)
+
+    return integral
+
+
+def _mirror(p: Poly) -> Poly:
+    """p(-x)."""
+    return Poly([-a if k % 2 else a for k, a in enumerate(p.c)])
+
+
+def _weight_factors(g: Poly, e, nu):
+    """The factors of g(x) (x-e)^{2 nu - 1}, for `_cut_integral`."""
+    return [Poly([-e, 1])] * (2 * nu - 1) + [g]
 
 
 def _sign_change_points(Q: Poly, lo, hi):
@@ -127,10 +203,10 @@ def build_critical_Q(nu: int, e, Q_tilde: Poly):
     if count_real_roots(Q_tilde, -mpf(10) ** 9, mpf(10) ** 9) != 0:
         raise ValueError("Q_tilde must have no real zero")
 
-    den = _cut_weight_integral(Q_tilde, e, nu)
-    num = _cut_weight_integral(lambda x: x * Q_tilde(x), e, nu)
+    den = _cut_integral(_weight_factors(Q_tilde, e, nu))(2, e)
+    num = _cut_integral(_weight_factors(Poly([0, 1]) * Q_tilde, e, nu))(2, e)
     if den == 0:
-        raise ValueError("degenerate weight: quadrature returned zero")
+        raise ValueError("degenerate weight: the weight integral is zero")
     e_tilde = num / den
     if not (2 < e_tilde < e):
         raise ValueError("computed e_tilde = %s not in (2, e)" % e_tilde)
@@ -179,10 +255,13 @@ def quartic_etilde(phi_e):
     phi_e = mpf(phi_e)
     if phi_e <= 0:
         raise ValueError("need phi_e > 0")
-    ch, sh = mp.cosh(phi_e), mp.sinh(phi_e)
-    num = sh * ch * (5 - 2 * ch * ch) / 3 - phi_e
-    den = 2 * (phi_e * ch - sh * (2 + ch * ch) / 3)
-    if abs(den) < mpf(10) ** (-mp.dps + 4) * (1 + abs(num)):
+    tol = mpf(10) ** (-mp.dps + 4)
+    # num and den cancel like phi_e^3 and phi_e^5 as phi_e -> 0
+    with mp.workprec(mp.prec + CUT_GUARD_BITS):
+        ch, sh = mp.cosh(phi_e), mp.sinh(phi_e)
+        num = sh * ch * (5 - 2 * ch * ch) / 3 - phi_e
+        den = 2 * (phi_e * ch - sh * (2 + ch * ch) / 3)
+    if abs(den) < tol * (1 + abs(num)):
         raise ValueError("denominator vanishes at phi_e = %s" % phi_e)
     return num / den
 
@@ -233,12 +312,14 @@ def validate_critical(spec: CriticalSpec) -> ValidationReport:
 
     add("Q(e) > 0", Q(e) > 0, mp.nstr(Q(e), 8))
 
-    # Integrated piecewise between the sign changes of Q, each piece has a
-    # smooth integrand of one sign: the pieces sum to the vanishing integral,
-    # and their absolute values to its scale integral_2^e |Q (x-e)^{2nu-1}| sqrt.
+    # F(lo, hi) = integral_lo^hi M sqrt(x^2-4) dx, M = Q (x-e)^{2nu-1}.
+    # Integrated piecewise between the sign changes of Q, each piece has an
+    # integrand of one sign: the pieces sum to the vanishing integral, and
+    # their absolute values to its scale integral_2^e |M| sqrt(x^2-4) dx.
+    M_factors = _weight_factors(Q, e, nu)
+    F = _cut_integral(M_factors)
     cuts = [mpf(2)] + _sign_change_points(Q, mpf(2), e) + [e]
-    pieces = [_cut_weight_integral(Q, e, nu, lo, hi)
-              for lo, hi in zip(cuts, cuts[1:])]
+    pieces = [F(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     vanish = mp.fsum(pieces)
     scale = mp.fsum(pieces, absolute=True)
     tol = mpf(10) ** (-mp.dps + 10)
@@ -246,23 +327,13 @@ def validate_critical(spec: CriticalSpec) -> ValidationReport:
         abs(vanish) <= tol * max(scale, mpf(1)),
         "value = %s (scale %s)" % (mp.nstr(vanish, 6), mp.nstr(scale, 4)))
 
-    M = spec.M_critical()
-
-    def Fplus(x):
-        # integral_2^x M sqrt(s^2-4) ds via s = 2 cosh t
-        t1 = mp.acosh(mpf(x) / 2)
-        f = lambda t: M(2 * mp.cosh(t)) * 4 * mp.sinh(t) ** 2
-        return integrate_doubling(f, 0, t1)
-
-    def Fminus(x):
-        # integral_x^{-2} M sqrt(s^2-4) ds via s = -2 cosh t
-        t1 = mp.acosh(-mpf(x) / 2)
-        f = lambda t: M(-2 * mp.cosh(t)) * 4 * mp.sinh(t) ** 2
-        return integrate_doubling(f, 0, t1)
+    # for x < -2: integral_x^{-2} M sqrt(s^2-4) ds = F_mirror(2, -x), the
+    # same integral of M(-s)
+    F_mirror = _cut_integral([_mirror(f) for f in M_factors])
 
     floor = tol * max(scale, mpf(1))
     left_pts = [-2 - mpf(10) ** k for k in range(-3, 3)]
-    left_vals = [Fminus(x) for x in left_pts]
+    left_vals = [F_mirror(2, -x) for x in left_pts]
     left_ok = all(v > -floor and v != 0 for v in left_vals)
     left_min = min(left_vals)
     add("effective potential rises for x < -2", left_ok and left_min > floor,
@@ -275,7 +346,7 @@ def validate_critical(spec: CriticalSpec) -> ValidationReport:
             right_pts.append(2 + step)
         right_pts.append(e + step)
     right_pts += [e - (e - 2) * mpf(10) ** (-k) for k in range(1, 4)]
-    right_vals = [Fplus(x) for x in right_pts]
+    right_vals = [F(2, x) for x in right_pts]
     add("effective potential > 0 on (2, inf) away from e",
         all(v > floor for v in right_vals),
         "min sampled integral = %s" % mp.nstr(min(right_vals), 6))

@@ -51,6 +51,23 @@ def test_out_of_domain_input_is_usage_error(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--nu", "2", "--e", "nan"],
+    ["validate", "--phi-e", "inf"],
+    ["critical", "--phi-e", "1.0", "--t", "nan"],
+    ["equilibrium", "--phi-e", "1.0", "--t", "inf"],
+    ["equilibrium", "--phi-e", "1.0", "--t=-inf"],
+    ["psi", "--phi-e", "1.0", "--u", "nan"],
+    ["transition", "--phi-e", "1.0", "--t-grid", "nan:1e-3:1e-4"],
+])
+def test_non_finite_number_is_usage_error(argv, capsys):
+    # these ended in a traceback (exit 1) or printed nan/inf with exit 0
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_scan_u_checks_every_N_before_building_the_chain(monkeypatch, capsys):
     from birthcut import modelchain
 

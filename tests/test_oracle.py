@@ -130,6 +130,20 @@ def test_pihat_inhomogeneous_recursion_residual():
                 assert abs(r) < mpf("1e-12") * max(abs(vals[n]), abs(h0) * mpf("1e-12"))
 
 
+def test_pihat_at_a_node_is_the_finite_limit():
+    # the node's PV term (pi_n w)(x_i) - (pi_n w)(x) over x - x_i divided by
+    # zero at x = x_i; its limit is -g_i (pi_n w)'(x_i), and pihat_n is smooth
+    # there, so it equals the mean of the values at x_i -+ 2^-100
+    ch = oracle_chain("0.62", 20, nodes=1024)
+    h = mp.ldexp(1, -100)
+    with mp.workprec(ch.prec):
+        for i in (0, 500, len(ch.xs) - 1):
+            xi = ch.xs[i]
+            got = pihat_direct(ch, 10, xi)
+            mean = (pihat_direct(ch, 10, xi - h) + pihat_direct(ch, 10, xi + h)) / 2
+            assert abs(got - mean) <= mpf("1e-50") * abs(mean), i
+
+
 def test_phi_wronskian_with_psi():
     # the Casoratian gamma_n (psi_n phi_{n-1} - psi_{n-1} phi_n) is n-free;
     # checks the phi normalization against psi without any asymptotics

@@ -1,3 +1,4 @@
+import pytest
 from mpmath import mp, mpf
 
 from birthcut.poly import (Poly, count_real_roots, isolate_real_roots,
@@ -43,6 +44,24 @@ def test_sqrt_sigma_tail_squares_back():
     for j in range(13):
         expect = sigma[4 - j] if j <= 4 else mpf(0)
         assert abs(sq[j] - expect) < mpf("1e-30")
+
+
+@pytest.mark.parametrize("roots", [
+    (-2, 2), (-2, 2, 3, "3.5"), ("-1.9", "1.7", "2.41", "2.43", 4, "4.5")])
+def test_sqrt_sigma_tail_power_identities(roots):
+    # tail(1/2)^2 = sigma / x^{2s} and tail(1/2) tail(-1/2) = 1 to jmax = 50
+    sigma = monic_from_roots([mpf(r) for r in roots])
+    jmax, d = 50, sigma.degree
+    half = sqrt_sigma_tail(sigma, jmax)
+    inv = sqrt_sigma_tail(sigma, jmax, alpha=-mpf(1) / 2)
+    assert len(half) == len(inv) == jmax + 1
+    for n in range(jmax + 1):
+        sq = sum(half[k] * half[n - k] for k in range(n + 1))
+        one = sum(half[k] * inv[n - k] for k in range(n + 1))
+        scale = sum(abs(half[k] * half[n - k]) for k in range(n + 1))
+        expect = sigma[d - n] if n <= d else 0
+        assert abs(sq - expect) <= mpf("1e-36") * max(scale, 1), n
+        assert abs(one - (1 if n == 0 else 0)) <= mpf("1e-36") * max(scale, 1), n
 
 
 def test_laurent_split_contour_moments():

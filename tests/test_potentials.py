@@ -2,9 +2,11 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
+from birthcut import quadrature
 from birthcut.poly import Poly
-from birthcut.potentials import (build_critical_Q, build_potential,
-                                 make_quartic_spec, quartic_etilde,
+from birthcut.potentials import (_cut_integral, _mirror, _weight_factors,
+                                 build_critical_Q, build_potential,
+                                 make_quartic_spec, make_spec, quartic_etilde,
                                  validate_critical)
 from birthcut.kvio import spec_from_kv, spec_to_kv
 from conftest import quartic, spec_nu
@@ -129,3 +131,45 @@ def test_spec_kv_roundtrip():
     assert abs(back.e - spec.e) < mpf("1e-28")
     assert abs(back.Tc - spec.Tc) < mpf("1e-28")
     assert all(abs(a - b) < mpf("1e-28") for a, b in zip(back.V.c, spec.V.c))
+
+
+@pytest.mark.parametrize("nu, e, Q_tilde", [
+    (1, "2.6", None), (2, "2.6", None), (3, "2.3", None), (4, "2.2", None),
+    (2, "2.6", (5, -2, 0, 0, 3))])
+def test_cut_integrals_match_quadrature(nu, e, Q_tilde):
+    # integral_2^x M(+-s) sqrt(s^2-4) ds in closed form against mpmath.quad
+    # at 90 digits, on the same binary inputs; near e the integral is
+    # O((x-e)^{2nu+1}) while its antiderivative terms are O(1)
+    spec = make_spec(nu, mpf(e), Poly(Q_tilde) if Q_tilde else None)
+    e = spec.e
+    factors = _weight_factors(spec.Q, e, nu)
+    xs = [2 + mpf("1e-3"), (2 + e) / 2, e - mpf("1e-3"), e + mpf("1e-3"),
+          e + 1, e + 100]
+    for side in (factors, [_mirror(f) for f in factors]):
+        F = _cut_integral(side)
+        for x in xs:
+            got = F(2, x)
+            with mp.workdps(90):
+                M = lambda s: mp.fprod(f(s) for f in side)
+                pts = [mpf(2)] + ([e] if e < x else []) + [x]
+                ref = mpmath.quad(lambda s: M(s) * mp.sqrt((s - 2) * (s + 2)),
+                                  pts)
+                assert abs(got - ref) <= mpf("1e-36") * abs(ref), (nu, x)
+
+
+def test_cut_integral_of_zero_and_empty_interval():
+    x = mpf("2.5")
+    assert _cut_integral([Poly()])(2, x) == 0
+    assert _cut_integral([Poly([1])])(x, x) == 0
+
+
+def test_critical_spec_runs_no_adaptive_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quadrature in a critical potential")
+
+    monkeypatch.setattr(quadrature, "integrate_doubling", refuse)
+    monkeypatch.setattr(quadrature, "_refine", refuse)
+    Q, et = build_critical_Q(3, mpf("2.3"), Poly([1, 0, 1]))
+    assert 2 < et < mpf("2.3")
+    spec = make_spec(2, mpf("2.6"))
+    assert validate_critical(spec).ok
