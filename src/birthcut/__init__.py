@@ -6,9 +6,10 @@ Subpackages by role:
 * ``specialfn``    elliptic functions, theta1, Stirling-type asymptotics
 * ``equilibrium``  one- and two-cut equilibrium measures and derivatives
 * ``critical``     near-critical expansions (endpoint drift, newborn scaling)
-* ``modelchain``   the effective y^{2 nu}/(2 nu) matrix model chain
+* ``modelchain``   the effective y^{2 nu}/(2 nu) matrix model on the oracle chain
 * ``asymptotics``  mean-field predictions for gamma_n, beta_n, psi_n, kernel
-* ``oracle``       exact finite-N recurrence chain (ground truth)
+* ``oracle``       the one recurrence-chain type: exact finite-N chain (ground
+                   truth), its integer Stieltjes builder and evaluators
 * ``cli``          command-line front end emitting CSV / key=value blocks
 """
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .critical import newborn_scaling
-from .modelchain import (A_constant, ModelChain, kernel_model, ln_A_k,
-                         psi_model, psi_values, psihat_values)
+from .modelchain import A_constant, ln_A_k, psi_values, psihat_values
+from .oracle import RecChain, eval_psi_exact, kernel_exact
 from .potentials import CriticalSpec
 
 FORBIDDEN_BAND = mpf("0.02")     # guard band around integer / half-integer u
@@ -85,8 +85,8 @@ def make_regime(spec: CriticalSpec, N: int, p: int) -> RegimePoint:
 # k-sums
 # ----------------------------------------------------------------------------
 
-def _k_limit(chain: ModelChain, rp: RegimePoint, margin=10):
-    return min(rp.ubar + margin, chain.k_max - 1, rp.N + rp.p - 1)
+def _k_limit(chain: RecChain, rp: RegimePoint, margin=10):
+    return min(rp.ubar + margin, chain.n_max, rp.N + rp.p - 1)
 
 
 def _log_terms(spec, chain, rp, shift_exp=0, k_hi=None, half=False):
@@ -124,7 +124,7 @@ def _sum_terms(spec, chain, rp, shift_exp=0, k_hi=None):
     return chain.cached(("k-sum", spec, rp, shift_exp, k_hi, mp.prec), total)
 
 
-def sum_Z(spec: CriticalSpec, chain: ModelChain, N: int, p: int):
+def sum_Z(spec: CriticalSpec, chain: RecChain, N: int, p: int):
     """ln of the k-sum of the partition function plus its reported prefactors.
 
     The overall constants Fbar(T_c, V) and Fbar^(1)(T_c, V) are unknown here
@@ -142,7 +142,7 @@ def sum_Z(spec: CriticalSpec, chain: ModelChain, N: int, p: int):
     }
 
 
-def gamma_reduced(spec: CriticalSpec, chain: ModelChain, rp: RegimePoint):
+def gamma_reduced(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
     """gamma_{N+p} ~ 1 + 2 sinh^2(phi_e) N^{(|u-ubar|-1/2)/nu} A_{ubar+eps}/A_ubar."""
     lnA = mp.log(A_constant(spec))
     nu, phi = spec.nu, spec.phi_e
@@ -152,7 +152,7 @@ def gamma_reduced(spec: CriticalSpec, chain: ModelChain, rp: RegimePoint):
     return 1 + 2 * mp.sinh(phi) ** 2 * power * ratio
 
 
-def gamma_full(spec: CriticalSpec, chain: ModelChain, rp: RegimePoint):
+def gamma_full(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
     """The ratio-of-sums form of gamma_{N+p}^2, truncated at ubar + 10."""
     s_plus = _sum_terms(spec, chain, rp, shift_exp=2)
     s_minus = _sum_terms(spec, chain, rp, shift_exp=-2)
@@ -160,7 +160,7 @@ def gamma_full(spec: CriticalSpec, chain: ModelChain, rp: RegimePoint):
     return mp.sqrt(s_plus * s_minus) / s_0
 
 
-def beta_reduced(spec: CriticalSpec, chain: ModelChain, rp: RegimePoint):
+def beta_reduced(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
     """beta_{N+p} ~ 4 sinh^2(phi_e) N^{(2|u-ubar|-1)/2nu} e^{eps phi_e}
     A_{ubar+eps}/A_ubar."""
     lnA = mp.log(A_constant(spec))
@@ -171,7 +171,7 @@ def beta_reduced(spec: CriticalSpec, chain: ModelChain, rp: RegimePoint):
     return 4 * mp.sinh(phi) ** 2 * power * mp.exp(rp.eps_u * phi) * ratio
 
 
-def beta_full(spec: CriticalSpec, chain: ModelChain, rp: RegimePoint):
+def beta_full(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
     """2 sinh(phi_e) [<k>_{p+1} - <k>_p] with <k>_p the weight-average of k
     over the partition-function terms."""
     phi = spec.phi_e
@@ -223,8 +223,8 @@ def psi_reduced(spec, chain, rp: RegimePoint, y, index_offset=0):
     pw = mpf(rp.N) ** ((rp.u - ub) / (2 * nu))
     sgn = 1 if index_offset == 0 else -1
     t_up = pw * mp.exp(sgn * phi / 2) * _amp_ratio(spec, chain, ub + 1, ub) \
-        * psi_model(chain, ub, y)
-    psi_dn = psi_model(chain, ub - 1, y) if ub >= 1 else mpf(0)
+        * eval_psi_exact(chain, ub, y)
+    psi_dn = eval_psi_exact(chain, ub - 1, y) if ub >= 1 else mpf(0)
     t_dn = (1 / pw) * mp.exp(-sgn * phi / 2) \
         * (_amp_ratio(spec, chain, ub - 1, ub) if ub >= 1 else mpf(0)) * psi_dn
     den = 1 + _corr(spec, chain, rp, sign=sgn)
@@ -291,7 +291,7 @@ def kernel_reduced(spec, chain, rp: RegimePoint, x, x2):
     y, y2 = smap.y_of_x(x), smap.y_of_x(x2)
     if rp.ubar < 1:
         return mpf(0)
-    return kernel_model(chain, rp.ubar, y, y2) * smap.dy_dx()
+    return kernel_exact(chain, rp.ubar, y, y2) * smap.dy_dx()
 
 
 def kernel_full(spec, chain, rp: RegimePoint, x, x2):

@@ -49,6 +49,8 @@ class UsageError(Exception):
     pass
 
 
+MAX_GRID_POINTS = 10 ** 5        # a longer A:B:STEP grid is a usage error
+
 # options that hold one real number (the commands convert them with mpf)
 _NUMBER_OPTIONS = ("phi_e", "e", "t", "u")
 
@@ -76,6 +78,10 @@ def _parse_grid(text):
         raise UsageError("bad grid %r, expected A:B:STEP" % text)
     if not all(mp.isfinite(v) for v in (a, b, step)) or step <= 0 or b < a:
         raise UsageError("bad grid %r" % text)
+    if (b - a) / step >= MAX_GRID_POINTS or a + step == a or b + step == b:
+        # the loop below would not end, or not soon: v += step must move v
+        raise UsageError("bad grid %r: more than %d points, or a step below "
+                         "the precision of its bounds" % (text, MAX_GRID_POINTS))
     out = []
     v = a
     while v <= b + step / 2:
@@ -192,6 +198,14 @@ def cmd_psi(args):
     u = mpf(args.u or "1.3")
     p = int(mp.nint(u * mp.log(N) / (2 * spec.nu * spec.phi_e)))
     rp = asymptotics.make_regime(spec, N, p)
+    if rp.u < 0:
+        raise UsageError("u = %s < 0 puts n = N + p below N; psi needs u > 1/2"
+                         % _fmt(rp.u, 6))
+    if not rp.valid_psi:
+        print("warning: u = %s is outside the psi regime (u > 1/2, more than "
+              "%s from a half-integer)" % (_fmt(rp.u, 6),
+                                           _fmt(asymptotics.FORBIDDEN_BAND, 3)),
+              file=sys.stderr)
     mc = modelchain.build_chain(spec.nu, k_max=30, prec=256)
     smap = asymptotics.make_scaling_map(spec, N)
     ys = _parse_grid(args.y_grid or "-2:2:0.5")

@@ -97,10 +97,11 @@ def one_cut_drift(spec: CriticalSpec, t):
 def newborn_scaling(spec: CriticalSpec, t) -> NewbornScaling:
     """Leading scaling data of the newborn cut for 0 < t << T_c."""
     t = mpf(t)
-    if t <= 0:
-        raise ValueError("newborn scaling needs t > 0")
-    nu, phi = spec.nu, spec.phi_e
     that = t / spec.Tc
+    if not 0 < that < 1:
+        # at t >= T_c, ln(t/T_c) >= 0 and the scaling powers turn complex
+        raise ValueError("newborn scaling needs 0 < t < T_c")
+    nu, phi = spec.nu, spec.phi_e
     lnt = mp.log(that)
     C = scaling_constant_C(spec)
     zeta = scaling_zeta(spec)

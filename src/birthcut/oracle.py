@@ -1,4 +1,6 @@
-"""Exact finite-N recurrence chain: the ground truth for every asymptotic law.
+"""Recurrence chains of the weight exp(-(N/T_c) V): the exact finite-N
+oracle, the ground truth for every asymptotic law, and the effective model
+chain of exp(-y^{2 nu}/(2 nu)), which is the same object at N = T_c = 1.
 
 The n-dependent-temperature partition functions collapse to a single fixed
 weight: Z_n(T_c n/N, V) couples as n/T = N/T_c, so
@@ -6,29 +8,45 @@ weight: Z_n(T_c n/N, V) couples as n/T = N/T_c, so
     h_n = Z_{n+1}/Z_n,  gamma_n = sqrt(h_n/h_{n-1}),  beta_n
 
 are exactly the norm and recurrence data of the monic orthogonal polynomials
-of w(x) = exp(-(N/T_c) V(x)) on the line. (The identity n/(T_c n/N) = N/T_c
-is what makes one discretized-Stieltjes pass sufficient; the test suite
-re-derives h_1, h_2 from 1- and 2-dimensional integrals as a cross-check.)
+of w(x) = exp(-(N/T_c) V(x)) on the line, and zeta_n = prod_{j<n} h_j is the
+n-eigenvalue partition function (kept in log space). (The identity
+n/(T_c n/N) = N/T_c is what makes one discretized-Stieltjes pass sufficient;
+the test suite re-derives h_1, h_2 from 1- and 2-dimensional integrals as a
+cross-check.)
 
 Chains are built at >= 256-bit precision on a composite Gauss-Legendre grid
 wide enough that the x^{2 n_max}-weighted tail is negligible at the target
-precision, by the integer Stieltjes kernel `modelchain.stieltjes_chain`. Its
-node vectors sqrt(w) pi_n / sqrt(h_n) span about 150 orders of magnitude
-across the grid (phi_e = 0.62, N = 80: tiny in the newborn well, and growing
-there as n nears N), so each node keeps its own binary exponent on top of the
-fixed-point fraction; without it the well's entries flush to zero and the
-chain loses accuracy at n ~ N.
+precision, by the discretized Stieltjes procedure (stable, unlike
+Hankel-determinant routes; Gautschi, Orthogonal Polynomials: Computation and
+Approximation, 2004, section 2.2).
 
-gamma_n^2 and h_n are stored with the chain at its precision, and beta_n,
-gamma_n^2 also as integers over 2^F, F = bits + GUARD_BITS. The evaluators
-(psi_n, phi_n, the Christoffel-Darboux kernel, counting integrals) are pure
-functions of the immutable chain and run their recurrences on those integers
-(see `modelchain`): point values through `modelchain._monic_at`, whose block
-exponent covers the growth of pi_n towards the domain ends, and counts as the
-diagonal Gram entries of one node-vector sweep, `modelchain._node_vectors`.
-Only the prefactors e^{-NV/2T_c} / sqrt(h_n) are formed in mpf. The diagonal
-kernel keeps the Christoffel-Darboux derivative form, so that it stays an
-independent check of the count.
+`stieltjes_chain` runs it in Lanczos form on the orthonormal node vectors
+v_k(x_i) = sqrt(w_i) P_k(x_i)/sqrt(h_k), in Python-integer fixed point with
+F = prec + GUARD_BITS fraction bits. Each node carries its own exponent
+e_i >= 0 and holds v_k, v_{k-1} as integers a_i, c_i over 2^(F + e_i). For
+the quartic oracle at phi_e = 0.62, N = 80 the start vector spans about 150
+orders of magnitude over the grid (about e^{-1.96 N} in the newborn well),
+and the well's entries grow by as much as n nears N. A single fixed-point
+scale would flush them to zero and lose the accuracy they carry into later
+steps (1e-25 at n = 94); the per-node exponent keeps every node at F
+significant bits. Only the per-step scalars (beta_k, b_{k+1} = gamma_{k+1},
+ln h_{k+1} = ln h_k + 2 ln b_{k+1}) are formed in mpf.
+
+The evaluators run on the same integers. A finished chain stores beta_k and
+gamma_k^2 as integers over 2^F (`beta_fx`, `gsq_fx`). Point values
+p_{k-1}(x), p_k(x), and their x-derivatives for the diagonal
+Christoffel-Darboux kernel, come from `_monic_at`: the recurrence for one
+node, whose entries share one block exponent that follows p_k up and down
+the way e_i does (p_k grows like e^{+N V / 2 T_c} towards the domain ends,
+so a single fixed scale would not do). Sums over a grid come from one sweep
+of the node vectors with the chain's coefficients (`_node_vectors`):
+`gram_entries` re-integrates a finished chain on an independent grid for the
+orthogonality checks, `expected_count_exact` sums the diagonal entries of
+the same sweep over its counting grid, and `pihat_direct` sums
+g_i w_i pi_n(x_i)/(x - x_i) over the chain's own grid. Only the prefactors
+e^{-NV/2T_c} / sqrt(h_n) are formed in mpf. The diagonal kernel keeps the
+Christoffel-Darboux derivative form, so that it stays an independent check
+of the count.
 """
 
 from __future__ import annotations
@@ -38,14 +56,19 @@ from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
 
-from .modelchain import (GUARD_BITS, _monic_at, _node_vectors, _to_fixed,
-                         gram_entries, stieltjes_chain)
 from .poly import Poly
 from .quadrature import panel_nodes
 
 
 @dataclass
 class RecChain:
+    """Recurrence data of w = exp(-(N/Tc) V) up to n_max on [x_min, x_max].
+
+    Read-only once built, so it can be shared. Its one mutable part is a
+    memo of values derived from the chain on first use (`cached`), such as
+    the principal-value node sums of `pihat_direct` and the k-sum terms that
+    `asymptotics` keys by spec, regime and working precision.
+    """
     N: int
     Tc: mpf
     V: Poly
@@ -58,11 +81,22 @@ class RecChain:
     beta: list             # beta_n, n = 0..n_max
     gsq: list              # gamma_n^2 (index n; gsq[0] = 0)
     hs: list               # h_n = exp(log_h[n])
+    ln_zeta: list          # ln zeta_n, n = 0..n_max+1 (zeta_0 = 1)
     beta_fx: list = field(repr=False)   # beta_n 2^F, F = prec + GUARD_BITS
     gsq_fx: list = field(repr=False)    # gamma_n^2 2^F
     xs: list = field(repr=False, default=None)
     gl_w: list = field(repr=False, default=None)
     wv: list = field(repr=False, default=None)     # weight at nodes
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def cached(self, key, compute):
+        """The value stored under key, from compute() on first use."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
 
     def h(self, n):
         return self.hs[n]
@@ -72,6 +106,237 @@ class RecChain:
 
     def weight(self, x):
         return mp.exp(-self.N / self.Tc * self.V(x))
+
+
+GUARD_BITS = 32        # fixed-point fraction bits beyond the working precision
+BAND_BITS = 8          # a node is rescaled when its integer leaves F +- 8 bits
+
+
+def _start_vector(ws, norm, F):
+    """v_0 = sqrt(ws[i]/norm) as per-node integers a_i and exponents
+    e_i >= 0 with a_i / 2^(F + e_i) = v_0(x_i) to F bits."""
+    a, e = [], []
+    with mp.workprec(F):
+        for w in ws:
+            man, ex = mp.sqrt(w / norm).man_exp
+            ei = max(0, -(ex + man.bit_length()))
+            a.append(man << (F + ei + ex))
+            e.append(ei)
+    return a, e
+
+
+def _sums(X, a, e, F):
+    """S = 2^F sum v^2 and T = 2^(2F) sum x v^2 of one node vector."""
+    S = T = 0
+    for xi, ai, ei in zip(X, a, e):
+        q = ai * ai >> (F + 2 * ei)
+        S += q
+        T += xi * q
+    return S, T
+
+
+def _advance(X, a, c, e, B, G, sh, F):
+    """One three-term step on every node: a' = ((x - beta) a - g c) / 2^sh
+    with B = beta 2^F and G = g 2^F, then each node whose a' has left
+    F +- BAND_BITS bits is rescaled together with its c' = a. Returns
+    (a', c', e', S', T') with the sums of `_sums` over a'."""
+    lo, hi = F - BAND_BITS, F + BAND_BITS
+    na, nc, ne = [], [], []
+    S = T = 0
+    for xi, ai, ci, ei in zip(X, a, c, e):
+        v = ((xi - B) * ai - G * ci) >> sh
+        bl = v.bit_length()
+        if bl < lo:
+            if v:
+                d = F - bl
+                v <<= d
+                ai <<= d
+                ei += d
+        elif bl > hi and ei:
+            d = min(bl - F, ei)
+            v >>= d
+            ai >>= d
+            ei -= d
+        na.append(v)
+        nc.append(ai)
+        ne.append(ei)
+        q = v * v >> (F + 2 * ei)
+        S += q
+        T += xi * q
+    return na, nc, ne, S, T
+
+
+def _nearest_shift(x):
+    """s with 2^s nearest to x > 0 on a log scale."""
+    return int(mp.nint(mp.log(x, 2)))
+
+
+def stieltjes_chain(xs, ws, n_steps):
+    """Recurrence data of the orthogonal polynomials of the discrete measure
+    sum_i ws[i] delta(x - xs[i]), at the working precision.
+
+    Returns (beta, gamma, ln_h), each of length n_steps, with gamma[0] = 0:
+    the monic recurrence is p_{k+1} = (x - beta_k) p_k - gamma_k^2 p_{k-1}
+    and h_k = h_{k-1} gamma_k^2 = sum_i ws[i] p_k(xs[i])^2.
+
+    Lanczos form on integer node vectors (module docstring). The vector
+    held at step k is alpha_k v_k, alpha_k = sqrt(S_k / 2^F); forming the
+    next one with an extra factor 2^-s_k keeps alpha near 1, so that
+    b_{k+1} = 2^s_k sqrt(S_{k+1}/S_k) and the coefficient of v_{k-1} in
+    step k is g_k = b_k alpha_k / alpha_{k-1} = 2^s_{k-1} S_k / S_{k-1}.
+    """
+    prec = mp.prec
+    F = prec + GUARD_BITS
+    betas, gammas, ln_hs = [], [], []
+    with mp.workprec(F + 16):
+        total = mp.fsum(ws)
+        ln_h = mp.log(total)
+        X = _to_fixed(xs, F)
+        a, e = _start_vector(ws, total, F)
+        c = [0] * len(a)
+        S, T = _sums(X, a, e, F)
+        S_prev = s_prev = G = 0
+        b = mpf(0)
+        for k in range(n_steps):
+            if S <= 0:
+                raise ArithmeticError(
+                    "norm collapsed at k = %d: more nodes or bits needed" % k)
+            if k:
+                b = mp.ldexp(mp.sqrt(mpf(S) / S_prev), s_prev)
+                ln_h += 2 * mp.log(b)
+                G = (S << (F + s_prev)) // S_prev
+            betas.append(mp.ldexp(mpf(T) / S, -F))
+            gammas.append(b)
+            ln_hs.append(ln_h)
+            if k + 1 < n_steps:
+                alpha = mp.sqrt(mp.ldexp(mpf(S), -F))
+                s = _nearest_shift(alpha * b if k else alpha)
+                a, c, e, S_next, T = _advance(X, a, c, e, T // S, G, F + s, F)
+                S_prev, S, s_prev = S, S_next, s
+    return ([+v for v in betas], [+v for v in gammas], [+v for v in ln_hs])
+
+
+def _to_fixed(values, F):
+    """Each value times 2^F, truncated toward 0 to an integer, as
+    int(mp.ldexp(v, F)) gives it, by shifting the mpf mantissa directly."""
+    out = []
+    for v in values:
+        sign, man, exp, _ = (v if isinstance(v, mpf) else mpf(v))._mpf_
+        shift = exp + F
+        # the magnitude is shifted, so a right shift truncates toward 0
+        n = man << shift if shift >= 0 else man >> -shift
+        out.append(-n if sign else n)
+    return out
+
+
+def _node_vectors(xs, ws, beta, gamma, ln_h0, count, F):
+    """The monic polynomials p_0..p_{count-1} of the recurrence data (beta,
+    gamma, ln_h0) on the grid (xs, ws), as the integer node vectors of
+    `stieltjes_chain` with the given coefficients in place of those formed
+    from the sums. Yields (a, e, S, alpha) for k = 0..count-1, where
+    a_i / 2^(F + e_i) = alpha v_k(x_i), v_k = sqrt(ws) p_k / sqrt(h_k), and
+    S = 2^F sum_i (alpha v_k(x_i))^2; alpha = prod_{j<k} 2^-s_j b_{j+1},
+    with s_j chosen to keep alpha near 1. The caller holds the working
+    precision at F + 16 while it iterates.
+    """
+    X = _to_fixed(xs, F)
+    a, e = _start_vector(ws, mp.exp(ln_h0), F)
+    c = [0] * len(a)
+    S, _ = _sums(X, a, e, F)
+    alpha = mpf(1)
+    s = 0
+    for k in range(count):
+        if k:
+            s_prev = s
+            s = _nearest_shift(alpha * gamma[k])
+            B = int(mp.ldexp(beta[k - 1], F))
+            G = int(mp.ldexp(gamma[k - 1] ** 2, F - s_prev))
+            a, c, e, S, _ = _advance(X, a, c, e, B, G, F + s, F)
+            alpha = mp.ldexp(alpha * gamma[k], -s)
+        yield a, e, S, alpha
+
+
+def gram_entries(xs, ws, beta, gamma, ln_h0, pairs):
+    """<psi_n, psi_m> = sum_i ws[i] p_n p_m / sqrt(h_n h_m) for each (n, m)
+    in pairs, where p_k are the monic polynomials of the recurrence data
+    (beta, gamma, ln_h0) evaluated on the grid (xs, ws); for a chain built on
+    another grid these are the identity up to that chain's error. ws may be
+    an iterator.
+
+    One sweep of `_node_vectors`; only the lower vector of each off-diagonal
+    pair is kept, until the step that completes the pair.
+    """
+    top = max(max(pq) for pq in pairs)
+    lower = {min(pq) for pq in pairs if pq[0] != pq[1]}
+    F = mp.prec + GUARD_BITS
+    gram = {}
+    with mp.workprec(F + 16):
+        alpha = []
+        kept = {}
+        for k, (a, e, S, al) in enumerate(
+                _node_vectors(xs, ws, beta, gamma, ln_h0, top + 1, F)):
+            alpha.append(al)
+            if k in lower:
+                kept[k] = (a, e)
+            for n, m_ in pairs:
+                if max(n, m_) != k:
+                    continue
+                if n == m_:
+                    P = S
+                else:
+                    a2, e2 = kept[min(n, m_)]
+                    P = sum(x * y >> (F + i + j)
+                            for x, y, i, j in zip(a, a2, e, e2))
+                gram[n, m_] = mp.ldexp(mpf(P), -F) / (alpha[n] * alpha[m_])
+    return [+gram[pq] for pq in pairs]
+
+
+def _monic_at(chain, n, x, deriv=False, every=False):
+    """(p_{n-1}(x), p_n(x)) of the chain's monic recurrence at one point,
+    followed by (p'_{n-1}(x), p'_n(x)) when deriv, as mpf at the working
+    precision; with every, the list p_0(x), ..., p_n(x) instead.
+
+    Integer fixed point on the chain's beta_fx, gsq_fx: all entries share
+    one block exponent E (value = integer 2^(E - F), F = chain.prec +
+    GUARD_BITS), and the block is shifted whenever p_n leaves F +- BAND_BITS
+    bits, the one-node version of `_advance`. Unlike a single fixed scale
+    this covers the e^{N V / 2 T_c}-sized growth of p_n at the domain ends.
+    """
+    F = chain.prec + GUARD_BITS
+    lo, hi = F - BAND_BITS, F + BAND_BITS
+    X = int(mp.ldexp(x, F))
+    bs, gs = chain.beta_fx, chain.gsq_fx
+    q, p = 0, 1 << F
+    dq = dp = 0
+    E = 0
+    ps = [(p, E)]
+    for j in range(n):
+        t = X - bs[j]
+        g = gs[j]
+        if deriv:
+            dq, dp = dp, p + ((t * dp - g * dq) >> F)
+        q, p = p, (t * p - g * q) >> F
+        bl = p.bit_length()
+        if bl > hi:
+            d = bl - F
+            p >>= d
+            q >>= d
+            dp >>= d
+            dq >>= d
+            E += d
+        elif bl < lo and p:
+            d = F - bl
+            p <<= d
+            q <<= d
+            dp <<= d
+            dq <<= d
+            E -= d
+        if every:
+            ps.append((p, E))
+    if every:
+        return [mp.ldexp(mpf(v), e - F) for v, e in ps]
+    vals = (q, p, dq, dp) if deriv else (q, p)
+    return tuple(mp.ldexp(mpf(v), E - F) for v in vals)
 
 
 def _domain(V: Poly, N: int, Tc, n_max: int, prec: int):
@@ -110,13 +375,16 @@ def build_rec_chain(V: Poly, N: int, Tc, n_max: int = None, bits: int = 320,
         wv = [mp.exp(-coupling * V(x)) for x in xs]
         ws = [g * w for g, w in zip(glw, wv)]
         betas, gammas, ln_hs = stieltjes_chain(xs, ws, n_max + 1)
+        ln_zeta = [mpf(0)]
+        for v in ln_hs:
+            ln_zeta.append(ln_zeta[-1] + v)
         gsq = [g * g for g in gammas]
         F = bits + GUARD_BITS
         chain = RecChain(N=N, Tc=Tc, V=V, n_max=n_max, prec=bits,
                          x_min=lo, x_max=hi, log_h=ln_hs, gamma=gammas,
                          beta=betas, gsq=gsq, hs=[mp.exp(v) for v in ln_hs],
-                         beta_fx=_to_fixed(betas, F), gsq_fx=_to_fixed(gsq, F),
-                         xs=xs, gl_w=glw, wv=wv)
+                         ln_zeta=ln_zeta, beta_fx=_to_fixed(betas, F),
+                         gsq_fx=_to_fixed(gsq, F), xs=xs, gl_w=glw, wv=wv)
         if check_orthogonality:
             resid = orthogonality_residual(chain, pairs=((0, 0), (1, 3), (4, 4)))
             if resid > mpf(10) ** (-15):
@@ -152,36 +420,74 @@ def eval_psi_exact(chain: RecChain, n: int, x):
         return p * mp.exp(ex)
 
 
+def _pv_nodes(chain: RecChain, n: int, F: int):
+    """The chain's nodes x_i, GL weights g_i and g_i w_i pi_n(x_i) / unit,
+    each times 2^F as integers, and unit.
+
+    pi_0 = 1, so at n = 0 unit is the power of 2 nearest h_0 and no sweep
+    is needed. Otherwise one sweep of `_node_vectors` to k = n: with
+    v_k = sqrt(g w) pi_k / sqrt(h_k), g_i w_i pi_n(x_i) =
+    sqrt(h_0 h_n) v_0(x_i) v_n(x_i), and the sweep holds alpha v_k, so
+    unit = sqrt(h_0 h_n) / alpha."""
+    ws = [g * w for g, w in zip(chain.gl_w, chain.wv)]
+    if n:
+        for k, (a, e, _, alpha) in enumerate(_node_vectors(
+                chain.xs, ws, chain.beta, chain.gamma, chain.log_h[0], n + 1,
+                F)):
+            if not k:
+                a0, e0 = a, e
+        P = [u * v >> (F + i + j) for u, v, i, j in zip(a0, a, e0, e)]
+        unit = mp.exp((chain.log_h[0] + chain.log_h[n]) / 2) / alpha
+    else:
+        s = _nearest_shift(mp.exp(chain.log_h[0]))
+        unit = mp.ldexp(1, s)
+        P = _to_fixed(ws, F - s)
+    return _to_fixed(chain.xs, F), _to_fixed(chain.gl_w, F), P, unit
+
+
 def pihat_direct(chain: RecChain, n: int, x):
-    """pihat_n(x) = int pi_n(x') w(x')/(x - x') dx' by direct (PV) quadrature.
+    """pihat_n(x) = int pi_n(x') w(x')/(x - x') dx' by direct (PV) quadrature
+    on the chain's grid.
 
     Unlike a seeded forward recurrence this is accurate at every n: outside
     the bulk support the hat solution decays like Lambda^{-n} while the
     recurrence's roundoff feeds the growing pi_n branch, which overtakes the
     true value near n ~ 45 at 320 bits.
+
+    One integer sweep over the nodes of `_pv_nodes` (kept on the chain per
+    n), in fixed point with F = prec + GUARD_BITS fraction bits: an absolute
+    error of about one unit of 2^-F per node, in units of sqrt(h_0 h_n).
+    Inside (x_min, x_max) each node's term subtracts f = pi_n w at x, and
+    f(x) ln((x - x_min)/(x_max - x)) adds the subtracted integral back.
     """
-    with mp.workprec(chain.prec):
+    F = chain.prec + GUARD_BITS
+    with mp.workprec(F + 16):
         x = mpf(x)
-        p = [_monic_at(chain, n, xi)[1] for xi in chain.xs]
+        X, G, P, unit = chain.cached(("pv nodes", n),
+                                     lambda: _pv_nodes(chain, n, F))
+        total = mpf(0)
+        FX = 0
         if chain.x_min < x < chain.x_max:
             fx = _monic_at(chain, n, x)[1] * chain.weight(x)
-            acc = mpf(0)
-            nodes = list(zip(chain.xs, chain.gl_w, chain.wv, p))
-            i = bisect.bisect_left(chain.xs, x)
-            if i < len(chain.xs) and chain.xs[i] == x:
-                # x is node i: its term has the finite limit -g_i (pi_n w)'(x_i)
-                # with (pi_n w)' = w (pi_n' - (N/T_c) V' pi_n)
-                _, pn, _, dn = _monic_at(chain, n, x, deriv=True)
-                slope = dn - mpf(chain.N) / chain.Tc * chain.V.deriv()(x) * pn
-                acc = -chain.gl_w[i] * chain.wv[i] * slope
-                del nodes[i]
-            for xi, g, w, pi in nodes:
-                acc += g * (pi * w - fx) / (x - xi)
-            return acc + fx * mp.log((x - chain.x_min) / (chain.x_max - x))
-        acc = mpf(0)
-        for xi, g, w, pi in zip(chain.xs, chain.gl_w, chain.wv, p):
-            acc += g * pi * w / (x - xi)
-        return acc
+            FX = int(mp.ldexp(fx / unit, F))
+            total = fx * mp.log((x - chain.x_min) / (chain.x_max - x))
+        Y = int(mp.ldexp(x, F))
+        terms = zip(X, G, P)
+        i = bisect.bisect_left(X, Y)
+        if i < len(X) and X[i] == Y:
+            # x is node i (to 2^-F): its term has the finite limit
+            # -g_i (pi_n w)'(x_i) with (pi_n w)' = w (pi_n' - (N/T_c) V' pi_n)
+            xi = chain.xs[i]
+            _, pn, _, dn = _monic_at(chain, n, xi, deriv=True)
+            slope = dn - chain.N / chain.Tc * chain.V.deriv()(xi) * pn
+            total -= chain.gl_w[i] * chain.wv[i] * slope
+            terms = zip(X[:i] + X[i + 1:], G[:i] + G[i + 1:], P[:i] + P[i + 1:])
+        acc = 0
+        for xj, g, p in terms:
+            acc += ((p - (g * FX >> F)) << F) // (Y - xj)
+        total += mp.ldexp(mpf(acc), -F) * unit
+    with mp.workprec(chain.prec):
+        return +total
 
 
 def eval_phi_exact(chain: RecChain, n: int, x):

@@ -331,7 +331,10 @@ def validate_critical(spec: CriticalSpec) -> ValidationReport:
     # same integral of M(-s)
     F_mirror = _cut_integral([_mirror(f) for f in M_factors])
 
-    floor = tol * max(scale, mpf(1))
+    # each sample is exact to about 2^-prec of itself (`_cut_integral`), so
+    # the sign floor scales with the integrals, not with 1: for nu = 4,
+    # e = 2.2 the scale is 1.5e-9 and the smallest sample 4.9e-32
+    floor = tol * scale
     left_pts = [-2 - mpf(10) ** k for k in range(-3, 3)]
     left_vals = [F_mirror(2, -x) for x in left_pts]
     left_ok = all(v > -floor and v != 0 for v in left_vals)

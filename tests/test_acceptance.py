@@ -34,8 +34,7 @@ from birthcut.critical import (g_scaling_poly, scaling_constant_C,
                                two_cut_guess)
 from birthcut.equilibrium import (abelian_objects, gamma_two_cut,
                                   solve_one_cut, solve_two_cut)
-from birthcut.modelchain import psi_model
-from birthcut.oracle import expected_count_exact, kernel_exact
+from birthcut.oracle import eval_psi_exact, expected_count_exact, kernel_exact
 from birthcut.poly import Poly
 from birthcut.potentials import build_critical_Q, quartic_etilde
 from birthcut.quadrature import integrate_doubling, panel_nodes
@@ -163,12 +162,12 @@ def test_A4_model_chain():
         z_dev = max(abs(ch1.ln_zeta[k] - ln_zeta_nu1_exact(k)) for k in range(51))
     ch2 = model_chain(2, 41)
     with mp.workprec(256):
-        xs, ws = panel_nodes(-ch2.R, ch2.R, 97, 64)
+        xs, ws = panel_nodes(ch2.x_min, ch2.x_max, 97, 64)
         ortho = mpf(0)
         for j, k in ((0, 0), (7, 7), (15, 15), (3, 11), (0, 14)):
             acc = mpf(0)
             for x, w in zip(xs, ws):
-                acc += w * psi_model(ch2, j, x) * psi_model(ch2, k, x)
+                acc += w * eval_psi_exact(ch2, j, x) * eval_psi_exact(ch2, k, x)
             ortho = max(ortho, abs(acc - (1 if j == k else 0)))
         # residual envelope: the appendix drops constant-level terms, so the
         # residual per k is bounded but not small (frozen empirical envelope)

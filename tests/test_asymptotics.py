@@ -9,7 +9,7 @@ from birthcut.asymptotics import (Psi_matrix, beta_full, beta_reduced,
                                   make_scaling_map, phi_reduced, psi_full,
                                   psi_reduced, sum_Z, _sum_terms)
 from birthcut import modelchain
-from birthcut.modelchain import kernel_model
+from birthcut.oracle import kernel_exact
 from conftest import model_chain, quartic
 
 
@@ -165,7 +165,7 @@ def test_kernel_reduced_is_scaled_model_kernel():
     smap = make_scaling_map(spec, 80)
     y1, y2 = mpf("0.3"), mpf("-0.9")
     lhs = kernel_reduced(spec, ch, rp, smap.x_of_y(y1), smap.x_of_y(y2))
-    rhs = kernel_model(ch, rp.ubar, y1, y2) * smap.dy_dx()
+    rhs = kernel_exact(ch, rp.ubar, y1, y2) * smap.dy_dx()
     assert abs(lhs - rhs) < mpf("1e-25") * max(abs(rhs), mpf("1e-10"))
 
 
@@ -211,9 +211,9 @@ def test_large_u_match_analytic():
 def test_psi_matrix_computes_one_seed_per_point(monkeypatch):
     # the four Hilbert partners of one Psi_matrix call share one seed
     seeds = []
-    seed = modelchain._phat_seed
-    monkeypatch.setattr(modelchain, "_phat_seed",
-                        lambda ch, y: seeds.append(y) or seed(ch, y))
+    seed = modelchain.pihat_direct
+    monkeypatch.setattr(modelchain, "pihat_direct",
+                        lambda ch, n, y: seeds.append(y) or seed(ch, n, y))
     spec = quartic("1.0")
     ch = model_chain(1, 30)
     rp = make_regime(spec, 80, 3)

@@ -1,8 +1,13 @@
 """CLI surface: exit codes, file formats, determinism."""
 
+import contextlib
+import io
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
+from birthcut import modelchain, oracle
 from birthcut.cli import main
 from birthcut.kvio import measure_from_kv, parse_kv, spec_to_kv
 from conftest import quartic
@@ -43,6 +48,8 @@ def test_no_spec_arguments_is_usage_error():
     ["validate", "--phi-e", "-1"],
     ["chain", "--kmax", "500"],
     ["scan-u", "--phi-e", "0.62", "--N", "2"],
+    ["psi", "--phi-e", "1.05", "--u", "-1"],
+    ["transition", "--phi-e", "1.0", "--t-grid", "1e400:1e400:1"],
 ])
 def test_out_of_domain_input_is_usage_error(argv, capsys):
     # the library's ValueError for such input ended in a traceback (exit 1)
@@ -173,3 +180,58 @@ def test_compare_malformed_row_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "line 4" in err
+
+
+# subcommand -> (an argv it accepts, the options a hostile value goes to)
+_CLI_CASES = {
+    "validate": (["--phi-e", "1.0"], ["--phi-e", "--nu", "--e", "--spec"]),
+    "equilibrium": (["--phi-e", "1.0"], ["--phi-e", "--t", "--nu", "--e"]),
+    "critical": (["--phi-e", "1.0"], ["--phi-e", "--t", "--nu"]),
+    "chain": (["--nu", "1", "--kmax", "8"], ["--nu", "--kmax", "--phi-e"]),
+    "scan-u": (["--phi-e", "0.62", "--N", "40"], ["--phi-e", "--N", "--u-grid"]),
+    "psi": (["--phi-e", "1.05"], ["--phi-e", "--N", "--u", "--y-grid"]),
+    "transition": (["--phi-e", "1.0", "--t-grid", "1e-4:1e-4:1"],
+                   ["--phi-e", "--t-grid", "--nu", "--e"]),
+    "compare": (["--phi-e", "0.62"], ["--phi-e", "--table"]),
+}
+_GLOBAL_OPTIONS = ["--bits", "--dps"]
+_HOSTILE = ["nan", "-1", "1e400", "abc", "", "0:0:0"]
+
+
+class _ChainBuilt(Exception):
+    """Raised in place of a chain build: the input got past every check."""
+
+
+def _no_chain(*args, **kwargs):
+    raise _ChainBuilt
+
+
+def _hostile_argv(cmd, opt, value):
+    base, _ = _CLI_CASES[cmd]
+    if opt in _GLOBAL_OPTIONS:
+        return [opt, value, cmd] + base
+    if opt in base:
+        i = base.index(opt)
+        return [cmd] + base[:i] + [opt, value] + base[i + 2:]
+    return [cmd] + base + [opt, value]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(_CLI_CASES)).flatmap(lambda cmd: st.tuples(
+    st.just(cmd), st.sampled_from(_CLI_CASES[cmd][1] + _GLOBAL_OPTIONS),
+    st.sampled_from(_HOSTILE))))
+@example(("critical", "--t", "1e400"))     # was a TypeError traceback
+def test_cli_exit_contract_on_hostile_values(case):
+    # whatever the value, main returns an exit code in 0..3 and raises
+    # nothing; no chain is built (a build ends the example as accepted input)
+    argv = _hostile_argv(*case)
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mpatch, mp.workdps(40), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        mpatch.setattr(modelchain, "build_chain", _no_chain)
+        mpatch.setattr(oracle, "build_rec_chain", _no_chain)
+        try:
+            code = main(argv)
+        except _ChainBuilt:
+            return
+    assert code in (0, 1, 2, 3), (argv, code)

@@ -10,12 +10,15 @@ from mpmath import mp, mpf
 
 from birthcut import modelchain
 from birthcut.modelchain import (A_constant, build_chain, chain_to_table,
-                                 kernel_model, ln_A_k, phat_values, psi_model,
-                                 psi_values, psihat_model, psihat_values,
-                                 GUARD_BITS, _monic_at, _phat_seed, _to_fixed)
+                                 ln_A_k, phat_values, psi_values,
+                                 psihat_model, psihat_values)
+from birthcut.oracle import (GUARD_BITS, _monic_at, _to_fixed,
+                             build_rec_chain, eval_psi_exact, kernel_exact,
+                             pihat_direct)
+from birthcut.poly import Poly
 from birthcut.quadrature import panel_nodes
 from birthcut.specialfn import ln_zeta_nu1_exact
-from conftest import model_chain, monic_reference, quartic
+from conftest import model_chain, monic_reference, oracle_chain, quartic
 
 
 def test_gaussian_recurrence_closed_form():
@@ -42,11 +45,11 @@ def test_monic_p2():
 def test_orthonormality_independent_grid():
     ch = model_chain(2, 25)
     with mp.workprec(256):
-        xs, ws = panel_nodes(-ch.R, ch.R, 97, 64)
+        xs, ws = panel_nodes(ch.x_min, ch.x_max, 97, 64)
         for j, k in ((0, 0), (3, 3), (11, 11), (2, 7), (0, 12), (5, 6)):
             acc = mpf(0)
             for x, w in zip(xs, ws):
-                acc += w * psi_model(ch, j, x) * psi_model(ch, k, x)
+                acc += w * eval_psi_exact(ch, j, x) * eval_psi_exact(ch, k, x)
             assert abs(acc - (1 if j == k else 0)) < mpf("1e-12")
 
 
@@ -61,7 +64,7 @@ def test_hat_recurrence_agrees_with_direct_transform():
                 acc = mpf(0)
                 for x, g, w in zip(ch.xs, ch.gl_w, ch.wv):
                     acc += g * (_monic_at(ch, k, x)[1] * w - fy) / (y - x)
-                acc += fy * mp.log((y + ch.R) / (ch.R - y))
+                acc += fy * mp.log((y - ch.x_min) / (ch.x_max - y))
                 assert abs(rec - acc) < mpf("1e-30") * max(abs(acc), mpf("1e-5"))
 
 
@@ -74,7 +77,7 @@ def test_hat_satisfies_inhomogeneous_recursion():
             vals = [q0]
             for k in range(1, 8):
                 vals.append(phat_values(ch, k, y)[1])
-            h0 = mp.exp(ch.ln_h[0])
+            h0 = mp.exp(ch.log_h[0])
             resid = y * vals[0] - (vals[1] + ch.beta[0] * vals[0] + h0)
             assert abs(resid) < mpf("1e-30")
             for k in range(1, 6):
@@ -89,7 +92,7 @@ def test_psihat_normalization_and_minus_one():
     with mp.workprec(256):
         v = psihat_model(ch, 2, y)
         _, q = phat_values(ch, 2, y)
-        expect = q * mp.exp(y * y / 4 - ch.ln_h[2] / 2)
+        expect = q * mp.exp(y * y / 4 - ch.log_h[2] / 2)
         assert abs(v - expect) < mpf("1e-35")
         assert abs(psihat_model(ch, -1, y) - mp.exp(y * y / 4)) < mpf("1e-35")
 
@@ -98,33 +101,34 @@ def test_kernel_identities():
     ch = model_chain(2, 25)
     with mp.workprec(256):
         y1, y2 = mpf("0.3"), mpf("-1.1")
-        cd = kernel_model(ch, 5, y1, y2)
-        direct = sum(psi_model(ch, j, y1) * psi_model(ch, j, y2) for j in range(5))
+        cd = kernel_exact(ch, 5, y1, y2)
+        direct = sum(eval_psi_exact(ch, j, y1) * eval_psi_exact(ch, j, y2)
+                     for j in range(5))
         assert abs(cd - direct) < mpf("1e-10")
         # antisymmetry of the numerator
-        assert abs(kernel_model(ch, 5, y2, y1) - cd) < mpf("1e-25")
+        assert abs(kernel_exact(ch, 5, y2, y1) - cd) < mpf("1e-25")
         # diagonal limit consistent with nearby off-diagonal
-        d1 = kernel_model(ch, 4, y1, y1)
-        d2 = kernel_model(ch, 4, y1, y1 + mpf("1e-6"))
+        d1 = kernel_exact(ch, 4, y1, y1)
+        d2 = kernel_exact(ch, 4, y1, y1 + mpf("1e-6"))
         assert abs(d1 - d2) < mpf("1e-4")
 
 
 def test_integer_evaluators_match_mpf_recurrence():
-    # psi_model and both kernel_model forms at k = 29 against a plain mpf
-    # recurrence at 640 bits, up to the domain ends
+    # eval_psi_exact and both kernel_exact forms at k = 29 against a plain
+    # mpf recurrence at 640 bits, up to the domain ends
     ch = model_chain(1, 55)
     k = 29
     with mp.workprec(256):
         pts = [(y, y + mpf(1) / 7) for y in (
-            -ch.R + mpf("0.1"), mpf("-1.7"), mpf("0.3"), ch.R - mpf("0.1"))]
-        got = [(psi_model(ch, k, y), kernel_model(ch, k, y, y),
-                kernel_model(ch, k, y, y2)) for y, y2 in pts]
+            ch.x_min + mpf("0.1"), mpf("-1.7"), mpf("0.3"), ch.x_max - mpf("0.1"))]
+        got = [(eval_psi_exact(ch, k, y), kernel_exact(ch, k, y, y),
+                kernel_exact(ch, k, y, y2)) for y, y2 in pts]
     with mp.workprec(640):
-        lh = (ch.ln_h[k] + ch.ln_h[k - 1]) / 2
+        lh = (ch.log_h[k] + ch.log_h[k - 1]) / 2
         for (y, y2), (psi, diag, off) in zip(pts, got):
             q, p, dq, dp = monic_reference(ch.beta, ch.gsq, k, y)
             q2, p2, _, _ = monic_reference(ch.beta, ch.gsq, k, y2)
-            refs = (p * mp.exp(-y * y / 4 - ch.ln_h[k] / 2),
+            refs = (p * mp.exp(-y * y / 4 - ch.log_h[k] / 2),
                     ch.gamma[k] * mp.exp(-y * y / 2 - lh)
                     * ((dp - y / 2 * p) * q - (dq - y / 2 * q) * p),
                     ch.gamma[k] * mp.exp(-(y * y + y2 * y2) / 4 - lh)
@@ -153,27 +157,27 @@ def test_monic_block_rescales_small_values():
 
 def test_kernel_index_past_chain_top_is_rejected():
     ch = model_chain(1, 55)
-    for k in (0, ch.k_max):
-        with pytest.raises(ValueError, match="k out of range"):
-            kernel_model(ch, k, mpf("0.3"), mpf("0.5"))
+    for k in (0, ch.n_max + 1):
+        with pytest.raises(ValueError, match="n out of range"):
+            kernel_exact(ch, k, mpf("0.3"), mpf("0.5"))
 
 
 def test_kernel_trace_counts_states():
     ch = model_chain(1, 55)
     with mp.workprec(256):
-        xs, ws = panel_nodes(-ch.R, ch.R, 70, 64)
+        xs, ws = panel_nodes(ch.x_min, ch.x_max, 70, 64)
         for k in (1, 6):
             tr = mpf(0)
             for x, w in zip(xs, ws):
-                tr += w * kernel_model(ch, k, x, x)
+                tr += w * kernel_exact(ch, k, x, x)
             assert abs(tr - k) < mpf("1e-8")
 
 
 def test_h_positive_and_log_convex_tail():
     ch = model_chain(1, 55)
-    assert all(mp.isfinite(v) for v in ch.ln_h)
+    assert all(mp.isfinite(v) for v in ch.log_h)
     for k in range(4, 50):
-        assert ch.ln_h[k] > ch.ln_h[k - 1]
+        assert ch.log_h[k] > ch.log_h[k - 1]
 
 
 def test_node_doubling_stability():
@@ -212,7 +216,7 @@ def test_table_export_format():
     spec = quartic("1.0")
     text = chain_to_table(ch, mp.log(A_constant(spec)))
     lines = [l for l in text.splitlines() if not l.startswith("#")]
-    assert len(lines) == ch.k_max
+    assert len(lines) == ch.n_max + 1
     toks = lines[5].split()
     assert toks[0] == "5" and len(toks) == 4
     assert abs(mpf(toks[1]) - ch.ln_zeta[5]) < mpf("1e-25") * max(abs(ch.ln_zeta[5]), 1)
@@ -224,54 +228,74 @@ def test_psi_and_psihat_pairs_match_single_values():
     with mp.workprec(256):
         psis = psi_values(ch, 12, y)
         assert len(psis) == 13
-        assert all(v == psi_model(ch, k, y) for k, v in enumerate(psis))
+        assert all(v == eval_psi_exact(ch, k, y) for k, v in enumerate(psis))
         for k in (0, 1, 4):
             assert psihat_values(ch, k, y) == (psihat_model(ch, k - 1, y),
                                                psihat_model(ch, k, y))
 
 
+def pihat_reference(ch, n, points):
+    """(pihat_n(x), sum_i |g_i w_i p_n(x_i)/(x - x_i)|) for each x in points:
+    the plain mpf principal-value sum over the chain's grid at the working
+    precision, with the singularity subtracted inside (x_min, x_max) and a
+    node's term at x = x_i taken as its limit -g_i w_i (p_n' - (N/T_c) V' p_n)
+    (then the scale counts that limit's size instead)."""
+    c = mpf(ch.N) / ch.Tc
+    dV = ch.V.deriv()
+    nodes = [(xi, g, g * w, monic_reference(ch.beta, ch.gsq, n, xi))
+             for xi, g, w in zip(ch.xs, ch.gl_w, ch.wv)]
+    out = []
+    for x in points:
+        inside = ch.x_min < x < ch.x_max
+        fx = (monic_reference(ch.beta, ch.gsq, n, x)[1] * mp.exp(-c * ch.V(x))
+              if inside else 0)
+        acc, scale = mpf(0), mpf(0)
+        for xi, g, gw, (_, p, _, dp) in nodes:
+            if xi == x:
+                limit = -gw * (dp - c * dV(xi) * p)
+                acc += limit
+                scale += abs(limit)
+            else:
+                acc += (gw * p - g * fx) / (x - xi)
+                scale += abs(gw * p / (x - xi))
+        if inside:
+            acc += fx * mp.log((x - ch.x_min) / (ch.x_max - x))
+        out.append((acc, scale))
+    return out
+
+
 def test_integer_seed_matches_mpf_sum():
-    # the principal-value seed against the plain mpf sum over the same grid
-    # at 640 bits: inside the support, next to a node, and outside it
-    ch = model_chain(1, 30)
-    node = min(x for x in ch.xs if x > mpf("0.7"))
-    ys = [mpf("-1.3"), mpf("0.4"), mpf("2.1"), node + mpf("1e-4"),
-          ch.R + mpf("0.5")]
-    with mp.workprec(256):
-        got = [_phat_seed(ch, y) for y in ys]
-    with mp.workprec(640):
-        for y, v in zip(ys, got):
-            wy = mp.exp(-y * y / 2) if abs(y) < ch.R else 0
-            ref = mp.fsum(g * (w - wy) / (y - x)
-                          for x, g, w in zip(ch.xs, ch.gl_w, ch.wv))
-            if abs(y) < ch.R:
-                ref += wy * mp.log((y + ch.R) / (ch.R - y))
-            assert abs(v - ref) <= mpf("1e-60") * abs(ref), y
-
-
-def test_seed_at_a_node_is_the_finite_limit():
-    # y equal to a grid node takes that node's principal-value limit: it is
-    # finite, and the seed is smooth through it, so it lies at the mean of
-    # the 640-bit mpf sums at node -+ 1e-30. Off the node, w(y) carries the
-    # working precision's 2^-256 relative error, which the difference
-    # quotient (w_i - w(y))/(y - x_i) magnifies by 1e30: hence 1e-45.
-    ch = build_chain(1, k_max=8, nodes=1024)
-    for node in (ch.xs[600], ch.xs[100]):
-        with mp.workprec(256):
-            ys = (node - mpf("1e-30"), node + mpf("1e-30"))
-            at = _phat_seed(ch, node)
-            sides = [_phat_seed(ch, y) for y in ys]
-            assert mp.isfinite(psihat_model(ch, 1, node))
+    # the integer principal-value sweep against the plain mpf sum over the
+    # same grid at 640 bits: a model chain at n = 0 (the Hilbert seed) and
+    # an N = 20 oracle at n = 0, 10, n_max; inside the support (bulk, next
+    # to a node, the newborn well), exactly at a node, and outside it
+    mc = model_chain(1, 30)
+    node = min(x for x in mc.xs if x > mpf("0.7"))
+    oc = oracle_chain("0.62", 20, nodes=1024)
+    e = quartic("0.62").e
+    cases = [(mc, 0, [mpf("-1.3"), mpf("0.4"), mpf("2.1"), node + mpf("1e-4"),
+                      node, mc.x_max + mpf("0.5")])]
+    cases += [(oc, n, [mpf("-1.3"), mpf("0.3"), e, oc.xs[500],
+                       oc.x_max + mpf("0.5")]) for n in (0, 10, oc.n_max)]
+    assert oc.n_max == 29
+    for ch, n, xs in cases:
+        with mp.workprec(ch.prec):
+            got = [pihat_direct(ch, n, x) for x in xs]
+            if n == 0:
+                assert got == [phat_values(ch, 0, x)[1] for x in xs]
         with mp.workprec(640):
-            refs = []
-            for y in ys:
-                wy = mp.exp(-y * y / 2)
-                refs.append(mp.fsum(g * (w - wy) / (y - x)
-                                    for x, g, w in zip(ch.xs, ch.gl_w, ch.wv))
-                            + wy * mp.log((y + ch.R) / (ch.R - y)))
-            for v, ref in zip(sides, refs):
-                assert abs(v - ref) <= mpf("1e-45") * abs(ref)
-            assert abs(at - (refs[0] + refs[1]) / 2) <= mpf("1e-45") * abs(at)
+            for x, v, (ref, scale) in zip(xs, got, pihat_reference(ch, n, xs)):
+                assert abs(v - ref) <= mpf("1e-60") * scale, (n, x)
+
+
+def test_build_chain_is_the_oracle_builder():
+    # the model chain is the oracle chain of y^4/4 at N = T_c = 1
+    mc = build_chain(2, k_max=25)
+    oc = build_rec_chain(Poly([0, 0, 0, 0, 1 / 4]), 1, 1, n_max=24,
+                         bits=256, nodes=4096)
+    for name in ("beta", "gamma", "log_h"):
+        assert ([v._mpf_ for v in getattr(mc, name)]
+                == [v._mpf_ for v in getattr(oc, name)]), name
 
 
 def test_to_fixed_truncates_toward_zero_like_int_ldexp():
@@ -289,9 +313,9 @@ def test_to_fixed_truncates_toward_zero_like_int_ldexp():
 def test_build_chain_shares_one_chain_per_argument_tuple(monkeypatch):
     monkeypatch.setattr(modelchain, "_chains", OrderedDict())
     checks = []
-    residual = modelchain._orthonormality_residual
-    monkeypatch.setattr(modelchain, "_orthonormality_residual",
-                        lambda ch: checks.append(ch) or residual(ch))
+    residual = modelchain.orthogonality_residual
+    monkeypatch.setattr(modelchain, "orthogonality_residual",
+                        lambda ch, pairs: checks.append(ch) or residual(ch, pairs))
     a = build_chain(1, k_max=4, nodes=128)
     assert len(checks) == 1                            # a fresh build checks
     assert build_chain(1, 4, 256, 128, True) is a      # defaults applied

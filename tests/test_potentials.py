@@ -97,7 +97,7 @@ def test_nu2_potential_degree_and_residue():
 
 
 def test_validate_critical_passes_on_valid_specs():
-    for s in (quartic("1.0"), spec_nu(2, "2.6")):
+    for s in (quartic("1.0"), spec_nu(2, "2.6"), spec_nu(4, "2.2")):
         report = validate_critical(s)
         assert report.ok, "\n" + str(report)
 
