@@ -288,6 +288,34 @@ def test_integer_seed_matches_mpf_sum():
                 assert abs(v - ref) <= mpf("1e-60") * scale, (n, x)
 
 
+def test_seed_at_a_node_is_the_finite_limit():
+    # y equal to a grid node takes that node's principal-value limit: it is
+    # finite, and the seed (pihat_0) is smooth through it, so it lies at the
+    # mean of the 640-bit mpf sums at node -+ 1e-30. Off the node, w(y)
+    # carries the working precision's 2^-256 relative error, which the
+    # difference quotient (w_i - w(y))/(y - x_i) magnifies by 1e30: hence
+    # 1e-45.
+    ch = build_chain(1, k_max=8, nodes=1024)
+    assert ch.x_min == -ch.x_max
+    R = ch.x_max
+    for node in (ch.xs[600], ch.xs[100]):
+        with mp.workprec(256):
+            ys = (node - mpf("1e-30"), node + mpf("1e-30"))
+            at = pihat_direct(ch, 0, node)
+            sides = [pihat_direct(ch, 0, y) for y in ys]
+            assert mp.isfinite(psihat_model(ch, 1, node))
+        with mp.workprec(640):
+            refs = []
+            for y in ys:
+                wy = mp.exp(-y * y / 2)
+                refs.append(mp.fsum(g * (w - wy) / (y - x)
+                                    for x, g, w in zip(ch.xs, ch.gl_w, ch.wv))
+                            + wy * mp.log((y + R) / (R - y)))
+            for v, ref in zip(sides, refs):
+                assert abs(v - ref) <= mpf("1e-45") * abs(ref)
+            assert abs(at - (refs[0] + refs[1]) / 2) <= mpf("1e-45") * abs(at)
+
+
 def test_build_chain_is_the_oracle_builder():
     # the model chain is the oracle chain of y^4/4 at N = T_c = 1
     mc = build_chain(2, k_max=25)
