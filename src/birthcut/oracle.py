@@ -420,16 +420,21 @@ def eval_psi_exact(chain: RecChain, n: int, x):
         return p * mp.exp(ex)
 
 
-def _pv_nodes(chain: RecChain, n: int, F: int):
-    """The chain's nodes x_i, GL weights g_i and g_i w_i pi_n(x_i) / unit,
-    each times 2^F as integers, and unit.
+def _pv_grid(chain: RecChain, F: int):
+    """The chain's nodes x_i and GL weights g_i times 2^F as integers, and
+    the mpf products g_i w_i."""
+    ws = [g * w for g, w in zip(chain.gl_w, chain.wv)]
+    return _to_fixed(chain.xs, F), _to_fixed(chain.gl_w, F), ws
+
+
+def _pv_values(chain: RecChain, n: int, F: int, ws):
+    """g_i w_i pi_n(x_i) / unit times 2^F as integers, and unit.
 
     pi_0 = 1, so at n = 0 unit is the power of 2 nearest h_0 and no sweep
     is needed. Otherwise one sweep of `_node_vectors` to k = n: with
     v_k = sqrt(g w) pi_k / sqrt(h_k), g_i w_i pi_n(x_i) =
     sqrt(h_0 h_n) v_0(x_i) v_n(x_i), and the sweep holds alpha v_k, so
     unit = sqrt(h_0 h_n) / alpha."""
-    ws = [g * w for g, w in zip(chain.gl_w, chain.wv)]
     if n:
         for k, (a, e, _, alpha) in enumerate(_node_vectors(
                 chain.xs, ws, chain.beta, chain.gamma, chain.log_h[0], n + 1,
@@ -442,7 +447,7 @@ def _pv_nodes(chain: RecChain, n: int, F: int):
         s = _nearest_shift(mp.exp(chain.log_h[0]))
         unit = mp.ldexp(1, s)
         P = _to_fixed(ws, F - s)
-    return _to_fixed(chain.xs, F), _to_fixed(chain.gl_w, F), P, unit
+    return P, unit
 
 
 def pihat_direct(chain: RecChain, n: int, x):
@@ -454,17 +459,19 @@ def pihat_direct(chain: RecChain, n: int, x):
     recurrence's roundoff feeds the growing pi_n branch, which overtakes the
     true value near n ~ 45 at 320 bits.
 
-    One integer sweep over the nodes of `_pv_nodes` (kept on the chain per
-    n), in fixed point with F = prec + GUARD_BITS fraction bits: an absolute
-    error of about one unit of 2^-F per node, in units of sqrt(h_0 h_n).
+    One integer sweep over the nodes of `_pv_grid` (kept on the chain) and
+    the values of `_pv_values` (kept per n), in fixed point with
+    F = prec + GUARD_BITS fraction bits: an absolute error of about one unit
+    of 2^-F per node, in units of sqrt(h_0 h_n).
     Inside (x_min, x_max) each node's term subtracts f = pi_n w at x, and
     f(x) ln((x - x_min)/(x_max - x)) adds the subtracted integral back.
     """
     F = chain.prec + GUARD_BITS
     with mp.workprec(F + 16):
         x = mpf(x)
-        X, G, P, unit = chain.cached(("pv nodes", n),
-                                     lambda: _pv_nodes(chain, n, F))
+        X, G, ws = chain.cached("pv grid", lambda: _pv_grid(chain, F))
+        P, unit = chain.cached(("pv values", n),
+                               lambda: _pv_values(chain, n, F, ws))
         total = mpf(0)
         FX = 0
         if chain.x_min < x < chain.x_max:

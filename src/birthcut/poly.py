@@ -43,11 +43,6 @@ class Poly:
         return self.c[k] if 0 <= k < len(self.c) else mpf(0)
 
     def __call__(self, x):
-        c = self.c
-        if len(c) > 2 and not any(c[:-1]):
-            # a monomial, such as the model potential y^{2 nu}/(2 nu): one
-            # power instead of a Horner step per vanishing coefficient
-            return c[-1] * x ** (len(c) - 1)
         acc = mpf(0)
         for ck in reversed(self.c):
             acc = acc * x + ck

@@ -266,26 +266,30 @@ def pihat_reference(ch, n, points):
 
 def test_integer_seed_matches_mpf_sum():
     # the integer principal-value sweep against the plain mpf sum over the
-    # same grid at 640 bits: a model chain at n = 0 (the Hilbert seed) and
-    # an N = 20 oracle at n = 0, 10, n_max; inside the support (bulk, next
-    # to a node, the newborn well), exactly at a node, and outside it
+    # same grid at 640 bits. The model chain's Hilbert seed (n = 0) inside
+    # the support, next to a node and outside it, to 1e-60 of the value; at a
+    # node, and an N = 20 oracle at n = 0, 10, n_max in the bulk, the newborn
+    # well, at a node and outside the support, to 1e-60 of the absolute sum
     mc = model_chain(1, 30)
     node = min(x for x in mc.xs if x > mpf("0.7"))
     oc = oracle_chain("0.62", 20, nodes=1024)
     e = quartic("0.62").e
     cases = [(mc, 0, [mpf("-1.3"), mpf("0.4"), mpf("2.1"), node + mpf("1e-4"),
-                      node, mc.x_max + mpf("0.5")])]
+                      mc.x_max + mpf("0.5")], False),
+             (mc, 0, [node], True)]
     cases += [(oc, n, [mpf("-1.3"), mpf("0.3"), e, oc.xs[500],
-                       oc.x_max + mpf("0.5")]) for n in (0, 10, oc.n_max)]
+                       oc.x_max + mpf("0.5")], True)
+              for n in (0, 10, oc.n_max)]
     assert oc.n_max == 29
-    for ch, n, xs in cases:
+    for ch, n, xs, by_scale in cases:
         with mp.workprec(ch.prec):
             got = [pihat_direct(ch, n, x) for x in xs]
             if n == 0:
                 assert got == [phat_values(ch, 0, x)[1] for x in xs]
         with mp.workprec(640):
             for x, v, (ref, scale) in zip(xs, got, pihat_reference(ch, n, xs)):
-                assert abs(v - ref) <= mpf("1e-60") * scale, (n, x)
+                bound = scale if by_scale else abs(ref)
+                assert abs(v - ref) <= mpf("1e-60") * bound, (n, x)
 
 
 def test_seed_at_a_node_is_the_finite_limit():
