@@ -50,6 +50,7 @@ class UsageError(Exception):
 
 
 MAX_GRID_POINTS = 10 ** 5        # a longer A:B:STEP grid is a usage error
+MIN_DPS = 15                     # working decimal digits at least
 
 # options that hold one real number (the commands convert them with mpf)
 _NUMBER_OPTIONS = ("phi_e", "e", "t", "u")
@@ -144,7 +145,7 @@ def cmd_critical(args):
 
 
 def cmd_chain(args):
-    nu = args.nu or 1
+    nu = 1 if args.nu is None else args.nu
     ch = modelchain.build_chain(nu, k_max=args.kmax, prec=max(args.bits, 256))
     lnA = None
     if args.phi_e is not None or args.spec:
@@ -371,8 +372,12 @@ def main(argv=None):
             sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    mp.dps = args.dps
     try:
+        if args.dps < MIN_DPS:
+            # the quadrature's default rel_tol is 10^(6 - dps)
+            raise UsageError("--dps %d: need at least %d digits"
+                             % (args.dps, MIN_DPS))
+        mp.dps = args.dps
         _check_numbers(args)
         return args.func(args)
     except (UsageError, ValueError) as exc:

@@ -142,8 +142,9 @@ def transition_curvature(spec: CriticalSpec, t):
     """d^2F/dt^2 near the transition: linear in t below, 4 nu phi_e^2/ln(t/T_c)
     above. Continuous (-> 0) from both sides; the third derivative jumps."""
     t = mpf(t)
-    if t == 0:
-        raise ValueError("t must be nonzero")
+    if not 0 < abs(t) < spec.Tc:
+        # at t = T_c, ln(t/T_c) = 0; below, t <= -T_c puts T at or below 0
+        raise ValueError("transition curvature needs 0 < |t| < T_c")
     if t < 0:
         wp, wm = _edge_weights(spec)
         return t / 2 * (1 / wp + 1 / wm)

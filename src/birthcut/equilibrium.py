@@ -168,6 +168,8 @@ def solve_one_cut(V: Poly, T, guess=(-2, 2)) -> EqMeasure:
     """Endpoints (a, b) with c_1 = 0 and c_2 = 2T; raises PhaseError if the
     resulting density is negative somewhere on [a, b]."""
     T = mpf(T)
+    if not T > 0:
+        raise ValueError("temperature T = %s: need T > 0" % mp.nstr(T, 10))
     Vp = V.deriv()
 
     def F(x):
@@ -189,6 +191,8 @@ def solve_two_cut(V: Poly, T, guess) -> EqMeasure:
     """Endpoints (a, b, c, d) with c_1 = c_2 = 0, c_3 = 2T and equal effective
     potential across the gap; populates x0, m, u_inf and the elliptic data."""
     T = mpf(T)
+    if not T > 0:
+        raise ValueError("temperature T = %s: need T > 0" % mp.nstr(T, 10))
     Vp = V.deriv()
 
     def F(x):

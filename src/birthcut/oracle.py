@@ -1,6 +1,9 @@
 """Recurrence chains of the weight exp(-(N/T_c) V): the exact finite-N
 oracle, the ground truth for every asymptotic law, and the effective model
-chain of exp(-y^{2 nu}/(2 nu)), which is the same object at N = T_c = 1.
+chain of exp(-y^{2 nu}/(2 nu)), which is the same object at N = T_c = 1
+(`modelchain.build_chain` fills it from the Freud string equation instead of
+the Stieltjes procedure below, and checks it with `orthogonality_residual`
+on its own grid).
 
 The n-dependent-temperature partition functions collapse to a single fixed
 weight: Z_n(T_c n/N, V) couples as n/T = N/T_c, so
@@ -394,15 +397,19 @@ def build_rec_chain(V: Poly, N: int, Tc, n_max: int = None, bits: int = 320,
     return chain
 
 
-def orthogonality_residual(chain: RecChain, pairs, panels=None):
-    """max over pairs of |<pi_n, pi_m>/sqrt(h_n h_m) - delta_nm| on an
-    independently panelized grid (1.37x nodes)."""
+def orthogonality_residual(chain: RecChain, pairs, grid=None):
+    """max over pairs of |<pi_n, pi_m>/sqrt(h_n h_m) - delta_nm| on a grid
+    the chain was not built on: grid = (nodes, GL weight times w at each
+    node), by default an independent panelization of [x_min, x_max] with
+    1.37x the chain's nodes."""
     with mp.workprec(chain.prec):
-        if panels is None:
+        if grid is None:
             panels = max(1, int(len(chain.xs) * mpf("1.37") / 64))
-        xs, glw = panel_nodes(chain.x_min, chain.x_max, panels, 64)
-        coupling = mpf(chain.N) / chain.Tc
-        ws = (g * mp.exp(-coupling * chain.V(x)) for x, g in zip(xs, glw))
+            xs, glw = panel_nodes(chain.x_min, chain.x_max, panels, 64)
+            coupling = mpf(chain.N) / chain.Tc
+            ws = (g * mp.exp(-coupling * chain.V(x)) for x, g in zip(xs, glw))
+        else:
+            xs, ws = grid
         gram = gram_entries(xs, ws, chain.beta, chain.gamma, chain.log_h[0],
                             pairs)
         return max(abs(v - (1 if n == m_ else 0))

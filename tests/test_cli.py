@@ -50,9 +50,19 @@ def test_no_spec_arguments_is_usage_error():
     ["scan-u", "--phi-e", "0.62", "--N", "2"],
     ["psi", "--phi-e", "1.05", "--u", "-1"],
     ["transition", "--phi-e", "1.0", "--t-grid", "1e400:1e400:1"],
+    ["transition", "--phi-e", "1.0", "--t-grid=1:1:1"],
+    ["transition", "--phi-e", "1.0", "--t-grid=-1:-1:1"],
+    ["equilibrium", "--phi-e", "1.0", "--t", "-1"],
+    ["equilibrium", "--phi-e", "1.0", "--t", "-2", "--two-cut"],
+    ["--dps", "14", "validate", "--phi-e", "1.0"],
+    ["--dps", "-1", "validate", "--phi-e", "1.0"],
+    ["chain", "--nu", "0"],
 ])
 def test_out_of_domain_input_is_usage_error(argv, capsys):
-    # the library's ValueError for such input ended in a traceback (exit 1)
+    # the library's ValueError for such input ended in a traceback (exit 1);
+    # t/T_c = +-1 divided by ln 1 = 0 (exit 3 with an empty message), T <= 0
+    # printed a measure, --dps < 15 ran with a tolerance looser than 1e-9,
+    # and --nu 0 built the nu = 1 chain
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

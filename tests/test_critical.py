@@ -154,8 +154,9 @@ def test_transition_curvature_sides():
     assert abs(above) < mpf("0.5")
     tiny = transition_curvature(spec, mpf("1e-30") * spec.Tc)
     assert abs(tiny) < abs(above)
-    with pytest.raises(ValueError):
-        transition_curvature(spec, 0)
+    for t in (0, 1, -1, 2):       # in units of T_c: ln(t/T_c) = 0 at t = T_c
+        with pytest.raises(ValueError):
+            transition_curvature(spec, t * spec.Tc)
 
 
 def test_two_cut_guess_is_drift_plus_newborn_cut():

@@ -10,8 +10,9 @@ from mpmath import mp, mpf
 
 from birthcut import modelchain
 from birthcut.modelchain import (A_constant, build_chain, chain_to_table,
-                                 ln_A_k, phat_values, psi_values,
-                                 psihat_model, psihat_values)
+                                 freud_gsq, ln_A_k, phat_values, psi_values,
+                                 psihat_model, psihat_values,
+                                 string_guard_bits)
 from birthcut.oracle import (GUARD_BITS, _monic_at, _to_fixed,
                              build_rec_chain, eval_psi_exact, kernel_exact,
                              pihat_direct)
@@ -320,14 +321,34 @@ def test_seed_at_a_node_is_the_finite_limit():
             assert abs(at - (refs[0] + refs[1]) / 2) <= mpf("1e-45") * abs(at)
 
 
-def test_build_chain_is_the_oracle_builder():
-    # the model chain is the oracle chain of y^4/4 at N = T_c = 1
+def test_string_chain_matches_stieltjes_chain():
+    # the string-equation chain against the oracle's Stieltjes chain of y^4/4
+    # at N = T_c = 1 on 4096 nodes
     mc = build_chain(2, k_max=25)
-    oc = build_rec_chain(Poly([0, 0, 0, 0, 1 / 4]), 1, 1, n_max=24,
-                         bits=256, nodes=4096)
-    for name in ("beta", "gamma", "log_h"):
-        assert ([v._mpf_ for v in getattr(mc, name)]
-                == [v._mpf_ for v in getattr(oc, name)]), name
+    with mp.workprec(256):
+        oc = build_rec_chain(Poly([0, 0, 0, 0, 1 / 4]), 1, 1, n_max=24,
+                             bits=256, nodes=4096)
+        for name in ("gamma", "log_h"):
+            for a, b in zip(getattr(mc, name), getattr(oc, name)):
+                assert abs(a - b) <= mpf("1e-70") * abs(b), name
+        assert max(abs(b) for b in oc.beta) < mpf("1e-70")
+    assert all(b == 0 for b in mc.beta)
+
+
+def test_string_recursion_guard_suffices():
+    # the forward string recursion loses about 2 bits per step; with the
+    # builder's guard, doubling it changes nothing at the working precision
+    prec, k_max = 256, 200
+    for nu in (2, 6):
+        runs = []
+        for guard in (string_guard_bits(k_max), 2 * string_guard_bits(k_max)):
+            with mp.workprec(prec + guard):
+                runs.append(freud_gsq(nu, k_max - 1))
+        a, b = runs
+        assert len(a) == k_max
+        with mp.workprec(prec + 2 * string_guard_bits(k_max)):
+            assert max(abs(x - y) / y for x, y in zip(a[1:], b[1:])) \
+                <= mpf(2) ** -prec, nu
 
 
 def test_to_fixed_truncates_toward_zero_like_int_ldexp():
@@ -347,7 +368,8 @@ def test_build_chain_shares_one_chain_per_argument_tuple(monkeypatch):
     checks = []
     residual = modelchain.orthogonality_residual
     monkeypatch.setattr(modelchain, "orthogonality_residual",
-                        lambda ch, pairs: checks.append(ch) or residual(ch, pairs))
+                        lambda ch, pairs, grid: checks.append(ch)
+                        or residual(ch, pairs, grid))
     a = build_chain(1, k_max=4, nodes=128)
     assert len(checks) == 1                            # a fresh build checks
     assert build_chain(1, 4, 256, 128, True) is a      # defaults applied

@@ -1,4 +1,5 @@
-"""Stopping rule and cap of the adaptive quadrature rules.
+"""The Gauss-Legendre rule, and the stopping rule and cap of the adaptive
+quadrature rules.
 
 They stop against sum |w f|, so an integral that cancels to zero converges
 like any other, and one that reaches its cap raises. Integrand evaluations
@@ -10,8 +11,8 @@ from mpmath import mp, mpf
 
 from birthcut import equilibrium
 from birthcut.potentials import quartic_etilde
-from birthcut.quadrature import (ConvergenceError, integrate_bracket,
-                                 integrate_doubling)
+from birthcut.quadrature import (ConvergenceError, gauss_legendre,
+                                 integrate_bracket, integrate_doubling)
 
 
 def test_vanishing_integral_converges_in_few_doublings():
@@ -40,3 +41,17 @@ def test_cap_raises_convergence_error():
     with pytest.raises(ConvergenceError):
         integrate_bracket(kink, -1, 1, max_n=128)
     assert equilibrium.ConvergenceError is ConvergenceError
+
+
+@pytest.mark.parametrize("prec", [136, 256, 320])
+def test_gauss_legendre_rule_is_symmetric_and_exact(prec):
+    # the 64-point rule integrates x^{2j}, j < 64, exactly: 2/(2j + 1), and
+    # j = 0 is sum w = 2; the sums are formed 64 bits above the rule's
+    with mp.workprec(prec):
+        xs, ws = gauss_legendre(64)
+        assert xs == sorted(xs) and len(xs) == 64
+        assert xs == [-x for x in reversed(xs)] and ws == ws[::-1]
+    with mp.workprec(prec + 64):
+        for j in range(64):
+            s = mp.fsum(w * x ** (2 * j) for x, w in zip(xs, ws))
+            assert abs(s - mpf(2) / (2 * j + 1)) <= mpf(2) ** (-prec + 4), j
