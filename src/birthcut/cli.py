@@ -160,25 +160,43 @@ def _oracle_chain(spec, N, bits, pmax):
     return oracle.build_rec_chain(spec.V, N, spec.Tc, n_max=n_max, bits=bits)
 
 
+def _regime_at_u(spec, N, u):
+    """The regime point of the index N + p nearest to u."""
+    p = int(mp.nint(u * mp.log(N) / (2 * spec.nu * spec.phi_e)))
+    return asymptotics.make_regime(spec, N, p)
+
+
+def _warn_outside_Z(regimes):
+    """One stderr line naming the u values outside the gamma/beta regime
+    (`valid_Z` false), as `cmd_psi` does for the psi regime."""
+    bad = ["%s (N = %d)" % (_fmt(rp.u, 6), rp.N)
+           for rp in regimes if not rp.valid_Z]
+    if bad:
+        band = _fmt(asymptotics.FORBIDDEN_BAND, 3)
+        print("warning: u = %s outside the gamma/beta regime (u > 0, more "
+              "than %s from an integer)" % (", ".join(bad), band),
+              file=sys.stderr)
+
+
 def cmd_scan_u(args):
     spec = _load_spec(args)
     us = _parse_grid(args.u_grid or "0.1:3.0:0.1")
     Ns = [int(v) for v in (args.N or "40").split(",")]
-    for N in Ns:        # the domain check (N >= 3), before the chain build
-        asymptotics.make_regime(spec, N, 0)
+    # every regime first: the domain check (N >= 3) precedes the chain builds
+    regimes = {N: [_regime_at_u(spec, N, u) for u in us] for N in Ns}
+    _warn_outside_Z(rp for N in Ns for rp in regimes[N])
     mc = modelchain.build_chain(spec.nu, k_max=30, prec=256)
     rows = ["N,p,u,ubar,eps_u,gamma_oracle,gamma_reduced,gamma_full,"
             "beta_oracle,beta_reduced,beta_full,rel_err_gamma,rel_err_beta"]
     for N in Ns:
-        pmax = max(int(mp.nint(u * mp.log(N) / (2 * spec.nu * spec.phi_e))) for u in us)
+        pmax = max(rp.p for rp in regimes[N])
         try:
             ch = _oracle_chain(spec, N, args.bits, pmax)
         except ArithmeticError as exc:
             rows.append("%d,,,ERROR %s,,,,,,," % (N, exc))
             continue
-        for u in us:
-            p = int(mp.nint(u * mp.log(N) / (2 * spec.nu * spec.phi_e)))
-            rp = asymptotics.make_regime(spec, N, p)
+        for rp in regimes[N]:
+            p = rp.p
             go, bo = ch.gamma[N + p], ch.beta[N + p]
             gr = asymptotics.gamma_reduced(spec, mc, rp)
             gf = asymptotics.gamma_full(spec, mc, rp)
@@ -196,9 +214,8 @@ def cmd_scan_u(args):
 def cmd_psi(args):
     spec = _load_spec(args)
     N = int((args.N or "80").split(",")[0])
-    u = mpf(args.u or "1.3")
-    p = int(mp.nint(u * mp.log(N) / (2 * spec.nu * spec.phi_e)))
-    rp = asymptotics.make_regime(spec, N, p)
+    rp = _regime_at_u(spec, N, mpf(args.u or "1.3"))
+    p = rp.p
     if rp.u < 0:
         raise UsageError("u = %s < 0 puts n = N + p below N; psi needs u > 1/2"
                          % _fmt(rp.u, 6))
@@ -275,15 +292,14 @@ def cmd_compare(args):
         except (IndexError, ValueError):
             raise UsageError("%s line %d: expected 'n ln_h gamma beta', got %r"
                              % (args.table, lineno, line))
+    regimes = [asymptotics.make_regime(spec, N, n - N)
+               for n in sorted(gam) if n >= N]
+    _warn_outside_Z(regimes)
     mc = modelchain.build_chain(spec.nu, k_max=30, prec=256)
     rows = ["N,p,u,gamma_oracle,gamma_reduced,gamma_full"]
-    for n in sorted(gam):
-        p = n - N
-        if p < 0:
-            continue
-        rp = asymptotics.make_regime(spec, N, p)
-        rows.append(",".join([str(N), str(p)] + [_fmt(v) for v in (
-            rp.u, gam[n], asymptotics.gamma_reduced(spec, mc, rp),
+    for rp in regimes:
+        rows.append(",".join([str(N), str(rp.p)] + [_fmt(v) for v in (
+            rp.u, gam[N + rp.p], asymptotics.gamma_reduced(spec, mc, rp),
             asymptotics.gamma_full(spec, mc, rp))]))
     _write(args.out, "\n".join(rows) + "\n")
     return EXIT_OK

@@ -10,8 +10,9 @@ equations", 1999; Van Assche, Orthogonal Polynomials and Painleve Equations,
 2018). `freud_gsq` takes the first nu - 1 values from the closed-form moments
 and solves the equation forward for the rest, which loses about 2 bits per
 step, hence the guard of 3 bits per step. The one grid a model chain has is
-the Gauss-Legendre grid of its orthonormality check, which the Hilbert seed
-reuses. The oracle keeps its Stieltjes builder: for exp(-(N/T_c) V) the
+the Gauss-Legendre grid of its orthonormality check, an integer
+`oracle.NodeGrid` of exp(-y^{2 nu}/(2 nu)), which the Hilbert seed reuses.
+The oracle keeps its Stieltjes builder: for exp(-(N/T_c) V) the
 forward string recursion loses 5-30 bits per step.
 
 What is specific to the model lives here. The k-eigenvalue partition
@@ -44,11 +45,11 @@ from collections import OrderedDict
 
 from mpmath import mp, mpf
 
-from .oracle import (GUARD_BITS, RecChain, _domain, _monic_at, _to_fixed,
-                     orthogonality_residual, pihat_direct)
+from .oracle import (GUARD_BITS, PANEL_POINTS, RecChain, _domain, _monic_at,
+                     _node_grid, _to_fixed, orthogonality_residual,
+                     pihat_direct)
 from .poly import Poly
 from .potentials import CriticalSpec
-from .quadrature import panel_nodes
 
 
 def A_constant(spec: CriticalSpec):
@@ -134,9 +135,10 @@ def build_chain(nu: int, k_max: int = 100, prec: int = 256, nodes: int = 4096,
     at prec + `string_guard_bits(k_max)` bits) instead of a Stieltjes sweep:
     beta_n = 0, h_0 = m_0 and h_n = h_{n-1} gamma_n^2.
 
-    The chain's grid (xs, gl_w, wv) is the composite 64-point GL rule that
-    the oracle would use to check a chain built on `nodes` nodes, 1.37x as
-    many. Every fresh build checks its orthonormality there when asked to:
+    The chain's grid (an `oracle.NodeGrid`, built in integers, with the mpf
+    views xs, gl_w, wv) is the composite 64-point GL rule that the oracle
+    would use to check a chain built on `nodes` nodes, 1.37x as many. Every
+    fresh build checks its orthonormality there when asked to:
     the re-integrated <psi_j, psi_k> at the highest (worst-resolved) index.
     The same grid serves `pihat_direct` for the Hilbert seed.
 
@@ -162,9 +164,8 @@ def build_chain(nu: int, k_max: int = 100, prec: int = 256, nodes: int = 4096,
     with mp.workprec(prec):
         V = Poly([0] * (2 * nu) + [mpf(1) / (2 * nu)])
         x_min, x_max = _domain(V, 1, 1, n_max, prec)
-        panels = int(max(1, nodes // 64) * mpf("1.37"))
-        xs, gl_w = panel_nodes(x_min, x_max, panels, 64)
-        wv = [mp.exp(-V(x)) for x in xs]
+        panels = int(max(1, nodes // PANEL_POINTS) * mpf("1.37"))
+        grid = _node_grid(x_min, x_max, panels, V, 1, prec + GUARD_BITS)
         gsq, gamma, log_h, ln_zeta = ([+v for v in vs] for vs in (
             gsq, gamma, log_h, ln_zeta))
         chain = RecChain(N=1, Tc=mpf(1), V=V, n_max=n_max, prec=prec,
@@ -173,11 +174,10 @@ def build_chain(nu: int, k_max: int = 100, prec: int = 256, nodes: int = 4096,
                          hs=[mp.exp(v) for v in log_h], ln_zeta=ln_zeta,
                          beta_fx=[0] * k_max,
                          gsq_fx=_to_fixed(gsq, prec + GUARD_BITS),
-                         xs=xs, gl_w=gl_w, wv=wv)
+                         grid=grid)
         if check_orthonormality:
-            ws = [g * w for g, w in zip(gl_w, wv)]
             resid = orthogonality_residual(
-                chain, ((n_max, n_max), (n_max, 0)), grid=(xs, ws))
+                chain, ((n_max, n_max), (n_max, 0)), grid=grid)
             if resid > mpf(10) ** (-20):
                 raise ArithmeticError(
                     "orthonormality residual %s > 1e-20 at k_max = %d: "

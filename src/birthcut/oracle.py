@@ -21,7 +21,18 @@ Chains are built at >= 256-bit precision on a composite Gauss-Legendre grid
 wide enough that the x^{2 n_max}-weighted tail is negligible at the target
 precision, by the discretized Stieltjes procedure (stable, unlike
 Hankel-determinant routes; Gautschi, Orthogonal Polynomials: Computation and
-Approximation, 2004, section 2.2).
+Approximation, 2004, section 2.2), which needs only sqrt(g_i w(x_i)) at each
+node to working precision.
+
+Every grid a chain sweep reads (the Stieltjes grid, both orthogonality
+checks' grids, the counting grid and the principal-value grid) is one
+`NodeGrid` from `_node_grid`, built once in integers: nodes in fixed point,
+rounded to prec significant bits so that each is an exact mpf, and
+sqrt(g_i w_i) as an integer of about F bits with its own power of 2, from an
+integer Horner pass on V, an ln 2 argument reduction and mpmath's
+fixed-point exp series. No mpf is formed per node but the node itself. A
+chain keeps its grid; the mpf views `gl_w` (GL weights) and `wv` (w at the
+nodes) are derived from it on demand.
 
 `stieltjes_chain` runs it in Lanczos form on the orthonormal node vectors
 v_k(x_i) = sqrt(w_i) P_k(x_i)/sqrt(h_k), in Python-integer fixed point with
@@ -42,11 +53,12 @@ Christoffel-Darboux kernel, come from `_monic_at`: the recurrence for one
 node, whose entries share one block exponent that follows p_k up and down
 the way e_i does (p_k grows like e^{+N V / 2 T_c} towards the domain ends,
 so a single fixed scale would not do). Sums over a grid come from one sweep
-of the node vectors with the chain's coefficients (`_node_vectors`):
-`gram_entries` re-integrates a finished chain on an independent grid for the
-orthogonality checks, `expected_count_exact` sums the diagonal entries of
-the same sweep over its counting grid, and `pihat_direct` sums
-g_i w_i pi_n(x_i)/(x - x_i) over the chain's own grid. Only the prefactors
+of the node vectors with the chain's coefficients (`_node_vectors`), which
+forms a step's sums only where they are read: `gram_entries` re-integrates
+a finished chain on an independent grid for the orthogonality checks,
+`expected_count_exact` sums the diagonal entries of the same sweep over its
+counting grid, and `pihat_direct` sums g_i w_i pi_n(x_i)/(x - x_i) over the
+chain's own grid. Only the prefactors
 e^{-NV/2T_c} / sqrt(h_n) are formed in mpf. The diagonal kernel keeps the
 Christoffel-Darboux derivative form, so that it stays an independent check
 of the count.
@@ -58,9 +70,96 @@ import bisect
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
+from mpmath.libmp.libelefun import exp_basecase, ln2_fixed
 
 from .poly import Poly
-from .quadrature import panel_nodes
+from .quadrature import gauss_legendre
+
+GUARD_BITS = 32        # fixed-point fraction bits beyond the working precision
+BAND_BITS = 8          # a node is rescaled when its integer leaves F +- 8 bits
+PANEL_POINTS = 64      # Gauss-Legendre points per panel of every chain grid
+
+
+@dataclass(frozen=True, eq=False)
+class NodeGrid:
+    """A composite Gauss-Legendre grid carrying a weight w, in integers over
+    2^F: node i is xs[i] = X[i] 2^-F exactly (an exact prec-bit mpf), and
+    sqrt(g_i w_i) = U[i] 2^-(F + K[i] + m) with K[i] >= 0 and U[i] of about
+    F bits, g_i the GL weight of the node. Every panel has the same width,
+    so the weights of one panel (`g`) serve them all. Built by `_node_grid`.
+    """
+    F: int
+    xs: list = field(repr=False)
+    X: list = field(repr=False)
+    U: list = field(repr=False)
+    K: list = field(repr=False)
+    m: int
+    g: list = field(repr=False)
+
+    def __len__(self):
+        return len(self.X)
+
+    def gw(self, i):
+        """g_i w_i as an mpf at the working precision."""
+        shift = 2 * (self.F + self.K[i] + self.m)
+        return mp.ldexp(mpf(self.U[i] ** 2), -shift)
+
+    def gl_w(self):
+        """The GL weights g_i of every node."""
+        return self.g * (len(self.X) // len(self.g))
+
+    def wv(self):
+        """The weights w(x_i) = g_i w_i / g_i of every node."""
+        return [self.gw(i) / g for i, g in enumerate(self.gl_w())]
+
+
+def _node_grid(lo, hi, panels, V: Poly, coupling, F):
+    """The `NodeGrid` of w = exp(-coupling V) on [lo, hi], `panels` panels
+    of the PANEL_POINTS-point Gauss-Legendre rule, with F fraction bits
+    (the rule at F - GUARD_BITS bits).
+
+    All in integers but 64 square roots of the panel's GL weights: node
+    X = LO + i H + H (t_j + 1)/2 rounded to prec significant bits, then
+    (coupling/2) V(x) 2^F by Horner, split as k ln 2 + r with 0 <= r < ln 2,
+    and sqrt(w) = 2^-k exp(-r) from mpmath's fixed-point exp series (argument
+    reduction as in Brent and Zimmermann, Modern Computer Arithmetic, 2010,
+    section 4.3). Each term is accurate to a few units of 2^-F.
+    """
+    prec = F - GUARD_BITS
+    with mp.workprec(prec):
+        ts, gs = gauss_legendre(PANEL_POINTS)
+    with mp.workprec(F + 16):
+        LO, HI = _to_fixed([mpf(lo), mpf(hi)], F)
+        H = (HI - LO) // panels
+        T = [t + (1 << F) for t in _to_fixed(ts, F)]
+        g = [mp.ldexp(mpf(H), -F - 1) * w for w in gs]
+        roots = []                   # sqrt(g_j) = S_j 2^-(F + s_j)
+        for gj in g:
+            man, ex = mp.sqrt(gj).man_exp
+            bl = man.bit_length()
+            roots.append((man << (F - bl) if bl < F else man >> (bl - F),
+                          -(ex + bl)))
+        C = _to_fixed([coupling * c / 2 for c in reversed(V.c)], F)
+    L = ln2_fixed(F)
+    xs, X, U, K = [], [], [], []
+    for i in range(panels):
+        base = LO + i * H
+        for tj, (Sj, sj) in zip(T, roots):
+            x = base + (H * tj >> (F + 1))
+            d = abs(x).bit_length() - prec
+            if d > 0:                # round to prec significant bits
+                x = ((x >> (d - 1)) + 1 >> 1) << d
+            acc = 0
+            for c in C:
+                acc = (acc * x >> F) + c
+            k, r = divmod(acc, L)
+            xs.append(mp.make_mpf(from_man_exp(x, -F)))
+            X.append(x)
+            U.append(exp_basecase(-r, F) * Sj >> F)
+            K.append(k + sj)
+    m = min(K)
+    return NodeGrid(F=F, xs=xs, X=X, U=U, K=[k - m for k in K], m=m, g=g)
 
 
 @dataclass
@@ -87,9 +186,7 @@ class RecChain:
     ln_zeta: list          # ln zeta_n, n = 0..n_max+1 (zeta_0 = 1)
     beta_fx: list = field(repr=False)   # beta_n 2^F, F = prec + GUARD_BITS
     gsq_fx: list = field(repr=False)    # gamma_n^2 2^F
-    xs: list = field(repr=False, default=None)
-    gl_w: list = field(repr=False, default=None)
-    wv: list = field(repr=False, default=None)     # weight at nodes
+    grid: NodeGrid = field(repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -110,21 +207,34 @@ class RecChain:
     def weight(self, x):
         return mp.exp(-self.N / self.Tc * self.V(x))
 
+    @property
+    def xs(self):
+        return self.grid.xs
 
-GUARD_BITS = 32        # fixed-point fraction bits beyond the working precision
-BAND_BITS = 8          # a node is rescaled when its integer leaves F +- 8 bits
+    @property
+    def gl_w(self):
+        return self.grid.gl_w()
+
+    @property
+    def wv(self):
+        return self.grid.wv()
 
 
-def _start_vector(ws, norm, F):
-    """v_0 = sqrt(ws[i]/norm) as per-node integers a_i and exponents
-    e_i >= 0 with a_i / 2^(F + e_i) = v_0(x_i) to F bits."""
+def _start_vector(grid, norm):
+    """v_0 = sqrt(g_i w_i / norm) on the grid as per-node integers a_i and
+    exponents e_i >= 0 with a_i / 2^(F + e_i) = v_0(x_i) to F = grid.F bits:
+    one integer product U_i M per node, with 2^-m / sqrt(norm) = M 2^(q - F).
+    """
+    F = grid.F
+    man, ex = mp.ldexp(1 / mp.sqrt(norm), -grid.m).man_exp
+    bl = man.bit_length()
+    M = man << (F - bl) if bl < F else man >> (bl - F)
+    q = ex + bl
     a, e = [], []
-    with mp.workprec(F):
-        for w in ws:
-            man, ex = mp.sqrt(w / norm).man_exp
-            ei = max(0, -(ex + man.bit_length()))
-            a.append(man << (F + ei + ex))
-            e.append(ei)
+    for u, k in zip(grid.U, grid.K):
+        ei = max(0, k - q)
+        a.append(u * M >> (F + k - q - ei))
+        e.append(ei)
     return a, e
 
 
@@ -138,11 +248,12 @@ def _sums(X, a, e, F):
     return S, T
 
 
-def _advance(X, a, c, e, B, G, sh, F):
+def _advance(X, a, c, e, B, G, sh, F, sums):
     """One three-term step on every node: a' = ((x - beta) a - g c) / 2^sh
     with B = beta 2^F and G = g 2^F, then each node whose a' has left
     F +- BAND_BITS bits is rescaled together with its c' = a. Returns
-    (a', c', e', S', T') with the sums of `_sums` over a'."""
+    (a', c', e', S', T') with the sums of `_sums` over a' if sums, else
+    S' = T' = None (the step then costs about 60% of one with sums)."""
     lo, hi = F - BAND_BITS, F + BAND_BITS
     na, nc, ne = [], [], []
     S = T = 0
@@ -163,9 +274,12 @@ def _advance(X, a, c, e, B, G, sh, F):
         na.append(v)
         nc.append(ai)
         ne.append(ei)
-        q = v * v >> (F + 2 * ei)
-        S += q
-        T += xi * q
+        if sums:
+            q = v * v >> (F + 2 * ei)
+            S += q
+            T += xi * q
+    if not sums:
+        S = T = None
     return na, nc, ne, S, T
 
 
@@ -174,28 +288,32 @@ def _nearest_shift(x):
     return int(mp.nint(mp.log(x, 2)))
 
 
-def stieltjes_chain(xs, ws, n_steps):
+def stieltjes_chain(xs, n_steps):
     """Recurrence data of the orthogonal polynomials of the discrete measure
-    sum_i ws[i] delta(x - xs[i]), at the working precision.
+    sum_i g_i w_i delta(x - x_i) of the `NodeGrid` xs, at the working
+    precision. (The grid is named xs after the nodes it holds:
+    `bench/tracer.py` counts node-steps as len(xs) * n_steps.)
 
     Returns (beta, gamma, ln_h), each of length n_steps, with gamma[0] = 0:
     the monic recurrence is p_{k+1} = (x - beta_k) p_k - gamma_k^2 p_{k-1}
-    and h_k = h_{k-1} gamma_k^2 = sum_i ws[i] p_k(xs[i])^2.
+    and h_k = h_{k-1} gamma_k^2 = sum_i g_i w_i p_k(x_i)^2.
 
     Lanczos form on integer node vectors (module docstring). The vector
     held at step k is alpha_k v_k, alpha_k = sqrt(S_k / 2^F); forming the
     next one with an extra factor 2^-s_k keeps alpha near 1, so that
     b_{k+1} = 2^s_k sqrt(S_{k+1}/S_k) and the coefficient of v_{k-1} in
     step k is g_k = b_k alpha_k / alpha_{k-1} = 2^s_{k-1} S_k / S_{k-1}.
+    h_0 is the integer sum of U_i^2 over the grid.
     """
-    prec = mp.prec
-    F = prec + GUARD_BITS
+    grid = xs
+    F, X = grid.F, grid.X
     betas, gammas, ln_hs = [], [], []
     with mp.workprec(F + 16):
-        total = mp.fsum(ws)
+        total = mp.ldexp(mpf(sum(u * u >> 2 * k
+                                 for u, k in zip(grid.U, grid.K))),
+                         -2 * (F + grid.m))
         ln_h = mp.log(total)
-        X = _to_fixed(xs, F)
-        a, e = _start_vector(ws, total, F)
+        a, e = _start_vector(grid, total)
         c = [0] * len(a)
         S, T = _sums(X, a, e, F)
         S_prev = s_prev = G = 0
@@ -214,7 +332,8 @@ def stieltjes_chain(xs, ws, n_steps):
             if k + 1 < n_steps:
                 alpha = mp.sqrt(mp.ldexp(mpf(S), -F))
                 s = _nearest_shift(alpha * b if k else alpha)
-                a, c, e, S_next, T = _advance(X, a, c, e, T // S, G, F + s, F)
+                a, c, e, S_next, T = _advance(X, a, c, e, T // S, G, F + s, F,
+                                              True)
                 S_prev, S, s_prev = S, S_next, s
     return ([+v for v in betas], [+v for v in gammas], [+v for v in ln_hs])
 
@@ -232,20 +351,20 @@ def _to_fixed(values, F):
     return out
 
 
-def _node_vectors(xs, ws, beta, gamma, ln_h0, count, F):
+def _node_vectors(grid, beta, gamma, ln_h0, count, sums=()):
     """The monic polynomials p_0..p_{count-1} of the recurrence data (beta,
-    gamma, ln_h0) on the grid (xs, ws), as the integer node vectors of
+    gamma, ln_h0) on the `NodeGrid` grid, as the integer node vectors of
     `stieltjes_chain` with the given coefficients in place of those formed
     from the sums. Yields (a, e, S, alpha) for k = 0..count-1, where
-    a_i / 2^(F + e_i) = alpha v_k(x_i), v_k = sqrt(ws) p_k / sqrt(h_k), and
-    S = 2^F sum_i (alpha v_k(x_i))^2; alpha = prod_{j<k} 2^-s_j b_{j+1},
-    with s_j chosen to keep alpha near 1. The caller holds the working
-    precision at F + 16 while it iterates.
+    a_i / 2^(F + e_i) = alpha v_k(x_i), v_k = sqrt(g w) p_k / sqrt(h_k), and
+    S = 2^F sum_i (alpha v_k(x_i))^2 for k in sums, else None;
+    alpha = prod_{j<k} 2^-s_j b_{j+1}, with s_j chosen to keep alpha near 1.
+    The caller holds the working precision at F + 16 while it iterates.
     """
-    X = _to_fixed(xs, F)
-    a, e = _start_vector(ws, mp.exp(ln_h0), F)
+    F, X = grid.F, grid.X
+    a, e = _start_vector(grid, mp.exp(ln_h0))
     c = [0] * len(a)
-    S, _ = _sums(X, a, e, F)
+    S = _sums(X, a, e, F)[0] if 0 in sums else None
     alpha = mpf(1)
     s = 0
     for k in range(count):
@@ -254,30 +373,31 @@ def _node_vectors(xs, ws, beta, gamma, ln_h0, count, F):
             s = _nearest_shift(alpha * gamma[k])
             B = int(mp.ldexp(beta[k - 1], F))
             G = int(mp.ldexp(gamma[k - 1] ** 2, F - s_prev))
-            a, c, e, S, _ = _advance(X, a, c, e, B, G, F + s, F)
+            a, c, e, S, _ = _advance(X, a, c, e, B, G, F + s, F, k in sums)
             alpha = mp.ldexp(alpha * gamma[k], -s)
         yield a, e, S, alpha
 
 
-def gram_entries(xs, ws, beta, gamma, ln_h0, pairs):
-    """<psi_n, psi_m> = sum_i ws[i] p_n p_m / sqrt(h_n h_m) for each (n, m)
+def gram_entries(grid, beta, gamma, ln_h0, pairs):
+    """<psi_n, psi_m> = sum_i g_i w_i p_n p_m / sqrt(h_n h_m) for each (n, m)
     in pairs, where p_k are the monic polynomials of the recurrence data
-    (beta, gamma, ln_h0) evaluated on the grid (xs, ws); for a chain built on
-    another grid these are the identity up to that chain's error. ws may be
-    an iterator.
+    (beta, gamma, ln_h0) evaluated on the `NodeGrid` grid; for a chain built
+    on another grid these are the identity up to that chain's error.
 
-    One sweep of `_node_vectors`; only the lower vector of each off-diagonal
-    pair is kept, until the step that completes the pair.
+    One sweep of `_node_vectors`, which forms its sums only at the diagonal
+    pairs' steps; only the lower vector of each off-diagonal pair is kept,
+    until the step that completes the pair.
     """
     top = max(max(pq) for pq in pairs)
     lower = {min(pq) for pq in pairs if pq[0] != pq[1]}
-    F = mp.prec + GUARD_BITS
+    diagonal = {n for n, m_ in pairs if n == m_}
+    F = grid.F
     gram = {}
     with mp.workprec(F + 16):
         alpha = []
         kept = {}
         for k, (a, e, S, al) in enumerate(
-                _node_vectors(xs, ws, beta, gamma, ln_h0, top + 1, F)):
+                _node_vectors(grid, beta, gamma, ln_h0, top + 1, diagonal)):
             alpha.append(al)
             if k in lower:
                 kept[k] = (a, e)
@@ -372,22 +492,19 @@ def build_rec_chain(V: Poly, N: int, Tc, n_max: int = None, bits: int = 320,
         n_max = N + int(mp.ceil(3 * mp.log(N)))
     with mp.workprec(bits):
         lo, hi = _domain(V, N, Tc, n_max, bits)
-        panels = max(1, nodes // 64)
-        xs, glw = panel_nodes(lo, hi, panels, 64)
-        coupling = mpf(N) / Tc
-        wv = [mp.exp(-coupling * V(x)) for x in xs]
-        ws = [g * w for g, w in zip(glw, wv)]
-        betas, gammas, ln_hs = stieltjes_chain(xs, ws, n_max + 1)
+        F = bits + GUARD_BITS
+        grid = _node_grid(lo, hi, max(1, nodes // PANEL_POINTS), V,
+                          mpf(N) / Tc, F)
+        betas, gammas, ln_hs = stieltjes_chain(grid, n_max + 1)
         ln_zeta = [mpf(0)]
         for v in ln_hs:
             ln_zeta.append(ln_zeta[-1] + v)
         gsq = [g * g for g in gammas]
-        F = bits + GUARD_BITS
         chain = RecChain(N=N, Tc=Tc, V=V, n_max=n_max, prec=bits,
                          x_min=lo, x_max=hi, log_h=ln_hs, gamma=gammas,
                          beta=betas, gsq=gsq, hs=[mp.exp(v) for v in ln_hs],
                          ln_zeta=ln_zeta, beta_fx=_to_fixed(betas, F),
-                         gsq_fx=_to_fixed(gsq, F), xs=xs, gl_w=glw, wv=wv)
+                         gsq_fx=_to_fixed(gsq, F), grid=grid)
         if check_orthogonality:
             resid = orthogonality_residual(chain, pairs=((0, 0), (1, 3), (4, 4)))
             if resid > mpf(10) ** (-15):
@@ -398,19 +515,16 @@ def build_rec_chain(V: Poly, N: int, Tc, n_max: int = None, bits: int = 320,
 
 
 def orthogonality_residual(chain: RecChain, pairs, grid=None):
-    """max over pairs of |<pi_n, pi_m>/sqrt(h_n h_m) - delta_nm| on a grid
-    the chain was not built on: grid = (nodes, GL weight times w at each
-    node), by default an independent panelization of [x_min, x_max] with
-    1.37x the chain's nodes."""
+    """max over pairs of |<pi_n, pi_m>/sqrt(h_n h_m) - delta_nm| on a
+    `NodeGrid` of the chain's weight that the chain was not built on, by
+    default an independent panelization of [x_min, x_max] with 1.37x the
+    chain's nodes."""
     with mp.workprec(chain.prec):
         if grid is None:
-            panels = max(1, int(len(chain.xs) * mpf("1.37") / 64))
-            xs, glw = panel_nodes(chain.x_min, chain.x_max, panels, 64)
-            coupling = mpf(chain.N) / chain.Tc
-            ws = (g * mp.exp(-coupling * chain.V(x)) for x, g in zip(xs, glw))
-        else:
-            xs, ws = grid
-        gram = gram_entries(xs, ws, chain.beta, chain.gamma, chain.log_h[0],
+            panels = max(1, int(len(chain.xs) * mpf("1.37") / PANEL_POINTS))
+            grid = _node_grid(chain.x_min, chain.x_max, panels, chain.V,
+                              mpf(chain.N) / chain.Tc, chain.grid.F)
+        gram = gram_entries(grid, chain.beta, chain.gamma, chain.log_h[0],
                             pairs)
         return max(abs(v - (1 if n == m_ else 0))
                    for v, (n, m_) in zip(gram, pairs))
@@ -427,25 +541,24 @@ def eval_psi_exact(chain: RecChain, n: int, x):
         return p * mp.exp(ex)
 
 
-def _pv_grid(chain: RecChain, F: int):
-    """The chain's nodes x_i and GL weights g_i times 2^F as integers, and
-    the mpf products g_i w_i."""
-    ws = [g * w for g, w in zip(chain.gl_w, chain.wv)]
-    return _to_fixed(chain.xs, F), _to_fixed(chain.gl_w, F), ws
+def _pv_weights(grid: NodeGrid):
+    """The GL weights g_i of the grid's nodes times 2^F, as integers."""
+    return _to_fixed(grid.g, grid.F) * (len(grid) // len(grid.g))
 
 
-def _pv_values(chain: RecChain, n: int, F: int, ws):
+def _pv_values(chain: RecChain, n: int):
     """g_i w_i pi_n(x_i) / unit times 2^F as integers, and unit.
 
-    pi_0 = 1, so at n = 0 unit is the power of 2 nearest h_0 and no sweep
-    is needed. Otherwise one sweep of `_node_vectors` to k = n: with
-    v_k = sqrt(g w) pi_k / sqrt(h_k), g_i w_i pi_n(x_i) =
-    sqrt(h_0 h_n) v_0(x_i) v_n(x_i), and the sweep holds alpha v_k, so
-    unit = sqrt(h_0 h_n) / alpha."""
+    pi_0 = 1, so at n = 0 unit is the power of 2 nearest h_0 and the values
+    are the grid's U_i^2, shifted. Otherwise one sweep of `_node_vectors` to
+    k = n, forming no sums: with v_k = sqrt(g w) pi_k / sqrt(h_k),
+    g_i w_i pi_n(x_i) = sqrt(h_0 h_n) v_0(x_i) v_n(x_i), and the sweep holds
+    alpha v_k, so unit = sqrt(h_0 h_n) / alpha."""
+    grid = chain.grid
+    F = grid.F
     if n:
         for k, (a, e, _, alpha) in enumerate(_node_vectors(
-                chain.xs, ws, chain.beta, chain.gamma, chain.log_h[0], n + 1,
-                F)):
+                grid, chain.beta, chain.gamma, chain.log_h[0], n + 1)):
             if not k:
                 a0, e0 = a, e
         P = [u * v >> (F + i + j) for u, v, i, j in zip(a0, a, e0, e)]
@@ -453,7 +566,10 @@ def _pv_values(chain: RecChain, n: int, F: int, ws):
     else:
         s = _nearest_shift(mp.exp(chain.log_h[0]))
         unit = mp.ldexp(1, s)
-        P = _to_fixed(ws, F - s)
+        # g_i w_i 2^(F - s) = U_i^2 2^-(F + 2 K_i + 2 m + s); F + 2 m + s > 0
+        # since the largest g_i w_i, about 2^-2m, is below 4 h_0
+        sh = F + 2 * grid.m + s
+        P = [u * u >> (sh + 2 * k) for u, k in zip(grid.U, grid.K)]
     return P, unit
 
 
@@ -466,19 +582,19 @@ def pihat_direct(chain: RecChain, n: int, x):
     recurrence's roundoff feeds the growing pi_n branch, which overtakes the
     true value near n ~ 45 at 320 bits.
 
-    One integer sweep over the nodes of `_pv_grid` (kept on the chain) and
-    the values of `_pv_values` (kept per n), in fixed point with
-    F = prec + GUARD_BITS fraction bits: an absolute error of about one unit
-    of 2^-F per node, in units of sqrt(h_0 h_n).
+    One integer sweep over the chain's `NodeGrid`, its GL weights (kept on
+    the chain by `_pv_weights`) and the values of `_pv_values` (kept per n),
+    in fixed point with F = prec + GUARD_BITS fraction bits: an absolute
+    error of about one unit of 2^-F per node, in units of sqrt(h_0 h_n).
     Inside (x_min, x_max) each node's term subtracts f = pi_n w at x, and
     f(x) ln((x - x_min)/(x_max - x)) adds the subtracted integral back.
     """
-    F = chain.prec + GUARD_BITS
+    F = chain.grid.F
     with mp.workprec(F + 16):
         x = mpf(x)
-        X, G, ws = chain.cached("pv grid", lambda: _pv_grid(chain, F))
-        P, unit = chain.cached(("pv values", n),
-                               lambda: _pv_values(chain, n, F, ws))
+        X = chain.grid.X
+        G = chain.cached("pv weights", lambda: _pv_weights(chain.grid))
+        P, unit = chain.cached(("pv values", n), lambda: _pv_values(chain, n))
         total = mpf(0)
         FX = 0
         if chain.x_min < x < chain.x_max:
@@ -494,7 +610,7 @@ def pihat_direct(chain: RecChain, n: int, x):
             xi = chain.xs[i]
             _, pn, _, dn = _monic_at(chain, n, xi, deriv=True)
             slope = dn - chain.N / chain.Tc * chain.V.deriv()(xi) * pn
-            total -= chain.gl_w[i] * chain.wv[i] * slope
+            total -= chain.grid.gw(i) * slope
             terms = zip(X[:i] + X[i + 1:], G[:i] + G[i + 1:], P[:i] + P[i + 1:])
         acc = 0
         for xj, g, p in terms:
@@ -538,19 +654,16 @@ def kernel_exact(chain: RecChain, n: int, x, x2):
 def expected_count_exact(chain: RecChain, n: int, lo, hi=None, panels=24):
     """integral_lo^hi K_n(x, x) dx = sum_{j<n} <psi_j, psi_j> on [lo, hi]:
     the diagonal Gram entries of one `_node_vectors` sweep over the
-    composite Gauss-Legendre grid of [lo, hi]."""
+    `NodeGrid` of [lo, hi] with `panels` panels."""
     F = chain.prec + GUARD_BITS
     with mp.workprec(chain.prec):
-        lo = mpf(lo)
-        hi = mpf(hi) if hi is not None else chain.x_max
-        xs, glw = panel_nodes(lo, hi, panels, 64)
-        coupling = mpf(chain.N) / chain.Tc
-        ws = [g * mp.exp(-coupling * chain.V(x)) for x, g in zip(xs, glw)]
+        hi = hi if hi is not None else chain.x_max
+        grid = _node_grid(lo, hi, panels, chain.V, mpf(chain.N) / chain.Tc, F)
         with mp.workprec(F + 16):
             total = mp.fsum(mp.ldexp(mpf(S), -F) / (alpha * alpha)
                             for _, _, S, alpha in _node_vectors(
-                                xs, ws, chain.beta, chain.gamma,
-                                chain.log_h[0], n, F))
+                                grid, chain.beta, chain.gamma,
+                                chain.log_h[0], n, range(n)))
         return +total
 
 

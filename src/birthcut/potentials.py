@@ -33,6 +33,9 @@ from .poly import Poly, count_real_roots, isolate_real_roots
 # extra bits for the first pass of a `_cut_integral`; later passes add the
 # bits that the measured cancellation costs
 CUT_GUARD_BITS = 32
+# the sign checks of `validate_critical` need a sample above this many units
+# of 2^-prec of the vanishing integral's scale
+SIGN_FLOOR_UNITS = 16
 
 
 @dataclass(frozen=True)
@@ -331,10 +334,13 @@ def validate_critical(spec: CriticalSpec) -> ValidationReport:
     # same integral of M(-s)
     F_mirror = _cut_integral([_mirror(f) for f in M_factors])
 
-    # each sample is exact to about 2^-prec of itself (`_cut_integral`), so
-    # the sign floor scales with the integrals, not with 1: for nu = 4,
-    # e = 2.2 the scale is 1.5e-9 and the smallest sample 4.9e-32
-    floor = tol * scale
+    # each sample is exact to about 2^-prec of itself (`_cut_integral`); a
+    # sample past e also carries the vanishing integral, zero only to a few
+    # units of 2^-prec of the scale. So the sign floor is SIGN_FLOOR_UNITS
+    # such units, not the vanishing tolerance (at 15 digits that one is 1e-5
+    # of the scale, above genuine samples: 4.9e-9 at phi_e = 0.5). For
+    # nu = 4, e = 2.2 the scale is 1.5e-9 and the smallest sample 4.9e-32.
+    floor = SIGN_FLOOR_UNITS * mp.ldexp(scale, -mp.prec)
     left_pts = [-2 - mpf(10) ** k for k in range(-3, 3)]
     left_vals = [F_mirror(2, -x) for x in left_pts]
     left_ok = all(v > -floor and v != 0 for v in left_vals)

@@ -35,6 +35,56 @@ def test_validate_failure_exit_code(tmp_path):
     assert run(["validate", "--spec", str(path)]) == 1
 
 
+@pytest.mark.parametrize("dps", [15, 16, 40])
+@pytest.mark.parametrize("spec_args", [
+    ["--phi-e", "0.5"], ["--phi-e", "1.0"], ["--phi-e", "1.5"],
+    ["--nu", "2", "--e", "2.6"]])
+def test_validate_passes_at_every_precision(dps, spec_args, capsys):
+    # the sign checks' floor follows the working precision: at 15 digits a
+    # floor of 1e-5 of the scale failed genuine samples of 4.9e-9 .. 3.2e-6
+    with mp.workdps(mp.dps):             # main sets the global precision
+        assert run(["--dps", str(dps), "validate"] + spec_args) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_scan_u_and_compare_warn_outside_the_Z_regime(monkeypatch, tmp_path,
+                                                        capsys):
+    # one stderr line names the u values with valid_Z false; the exit code
+    # and the CSV rows are those of a run inside the regime
+    from birthcut import asymptotics
+
+    def no_oracle(*args, **kwargs):
+        raise ArithmeticError("oracle not needed here")
+
+    monkeypatch.setattr(oracle, "build_rec_chain", no_oracle)
+    spec = quartic("0.62")
+    # u-grid 0:1.5:0.5 at N = 12 gives p = 0..3, the table's rows below
+    regimes = [asymptotics.make_regime(spec, 12, p) for p in range(4)]
+    bad = [rp.u for rp in regimes if not rp.valid_Z]
+    assert len(bad) == 2                  # u = 0 and u = 0.998
+    base = ["scan-u", "--phi-e", "0.62", "--N", "12"]
+    assert run(base + ["--u-grid", "0.5:0.5:1"]) == 0
+    assert capsys.readouterr().err == ""
+    assert run(base + ["--u-grid", "0:1.5:0.5"]) == 0
+    out, err = capsys.readouterr()
+    assert out.count("ERROR") == 1 and err.count("\n") == 1
+    assert err.startswith("warning: u = ")
+    named = err.split("u = ")[1].split(" outside")[0]
+    assert named == ", ".join("%s (N = 12)" % mp.nstr(u, 6) for u in bad)
+    table = tmp_path / "oracle.tsv"
+    table.write_text("# N=12 Tc=0.5 n_max=15 bits=256\n# n ln_h gamma beta\n"
+                     + "".join("%d 0.1 1.0 0.0\n" % n for n in range(12, 16)))
+    out_csv = tmp_path / "cmp.csv"
+    assert run(["compare", "--phi-e", "0.62", "--table", str(table),
+                "--out", str(out_csv)]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("warning: u = ")
+    assert err.split("u = ")[1].split(" outside")[0] == named
+    rows = out_csv.read_text().splitlines()
+    assert rows[0] == "N,p,u,gamma_oracle,gamma_reduced,gamma_full"
+    assert [r.split(",")[1] for r in rows[1:]] == ["0", "1", "2", "3"]
+
+
 def test_missing_file_is_usage_error():
     assert run(["validate", "--spec", "/nonexistent/spec.kv"]) == 2
 

@@ -2,18 +2,21 @@
 resolution independence, and the kernel/counting machinery."""
 
 import functools
+from collections import OrderedDict
 
 import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from birthcut.oracle import (build_rec_chain, chain_to_table, eval_phi_exact,
+from birthcut import modelchain, oracle, quadrature
+from birthcut.oracle import (GUARD_BITS, PANEL_POINTS, RecChain,
+                             build_rec_chain, chain_to_table, eval_phi_exact,
                              eval_psi_exact, expected_count_exact,
-                             kernel_exact, orthogonality_residual,
-                             pihat_direct)
+                             gram_entries, kernel_exact,
+                             orthogonality_residual, pihat_direct)
 from birthcut.poly import Poly
-from birthcut.quadrature import panel_nodes
-from conftest import monic_reference, oracle_chain, quartic
+from birthcut.quadrature import gauss_legendre, panel_nodes
+from conftest import model_chain, monic_reference, oracle_chain, quartic
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,3 +251,124 @@ def test_table_export():
     assert toks[0] == "3"
     with mp.workprec(256):
         assert abs(mpf(toks[2]) - ch.gamma[3]) < mpf("1e-25")
+
+
+def chain_grids(monkeypatch):
+    """(name, grid, V, coupling, lo, hi, panels) of the grids of the N = 80,
+    phi_e = 0.62 oracle (its build grid and its default check grid, caught
+    from `orthogonality_residual`) and of the model chains at nu = 1,
+    k_max = 30 and nu = 6."""
+    built = []
+    make = oracle._node_grid
+
+    def spy(lo, hi, panels, V, coupling, F):
+        grid = make(lo, hi, panels, V, coupling, F)
+        built.append((grid, V, coupling, lo, hi, panels))
+        return grid
+
+    ch = oracle_chain("0.62", 80)
+    with mp.workprec(ch.prec):        # the coupling as the builder forms it
+        c = mpf(ch.N) / ch.Tc
+    out = [("oracle build", ch.grid, ch.V, c, ch.x_min, ch.x_max,
+            len(ch.xs) // PANEL_POINTS)]
+    monkeypatch.setattr(oracle, "_node_grid", spy)
+    orthogonality_residual(ch, ((0, 0),))
+    out.append(("oracle check",) + built.pop())
+    for nu, k_max in ((1, 30), (6, 30)):
+        mc = model_chain(nu, k_max)
+        out.append(("model nu=%d" % nu, mc.grid, mc.V, 1, mc.x_min, mc.x_max,
+                    len(mc.xs) // PANEL_POINTS))
+    return out
+
+
+def test_node_grid_nodes_are_exact_prec_bit_values(monkeypatch):
+    for name, grid, V, c, lo, hi, panels in chain_grids(monkeypatch):
+        prec = grid.F - GUARD_BITS
+        assert len(grid.xs) == len(grid.X) == panels * PANEL_POINTS, name
+        assert all(x._mpf_[3] <= prec for x in grid.xs), name
+        with mp.workprec(2 * grid.F):
+            assert all(mp.ldexp(X, -grid.F) == x
+                       for x, X in zip(grid.xs, grid.X)), name
+        # the nodes of the composite rule, to their rounding
+        with mp.workprec(prec):
+            ts, _ = gauss_legendre(PANEL_POINTS)
+        with mp.workprec(640):
+            h = (mpf(hi) - mpf(lo)) / panels
+            for i in range(0, len(grid.xs), 61):
+                p, j = divmod(i, PANEL_POINTS)
+                x = lo + p * h + h * (ts[j] + 1) / 2
+                assert abs(grid.xs[i] - x) <= mp.ldexp(abs(x) + 1, 1 - prec), \
+                    (name, i)
+
+
+def test_node_grid_roots_match_mpf_weights(monkeypatch):
+    # sqrt(g_i w_i) = U_i 2^-(F + K_i + m) against sqrt(g exp(-c V(x_i))) at
+    # 640 bits, at both domain ends, in the newborn well (where w is about
+    # e^{-1.96 N} on the N = 80 oracle) and at every 41st node
+    e = quartic("0.62").e
+    for name, grid, V, c, lo, hi, panels in chain_grids(monkeypatch):
+        prec = grid.F - GUARD_BITS
+        n = len(grid)
+        well = sorted(range(n), key=lambda i: abs(grid.xs[i] - e))[:32]
+        picks = sorted(set(range(32)) | set(range(n - 32, n))
+                       | set(range(0, n, 41)) | set(well))
+        with mp.workprec(prec):
+            _, gs = gauss_legendre(PANEL_POINTS)
+        with mp.workprec(640):
+            h = (mpf(hi) - mpf(lo)) / (2 * panels)
+            for i in picks:
+                x = grid.xs[i]
+                ref = mp.sqrt(h * gs[i % PANEL_POINTS] * mp.exp(-c * V(x)))
+                got = mp.ldexp(grid.U[i], -(grid.F + grid.K[i] + grid.m))
+                assert abs(got - ref) <= mp.ldexp(ref, 4 - prec), (name, i)
+
+
+def test_sums_on_demand_match_a_sweep_that_forms_every_sum(monkeypatch):
+    # the Gram check forms S only at its diagonal pairs' steps and the PV
+    # values form none; with every sum formed the entries are bit for bit
+    # the same
+    ch = oracle_chain("0.62", 20, nodes=1024)
+    e_tilde = quartic("0.62").e_tilde
+    pairs = ((0, 0), (1, 3), (4, 4), (9, 2), (12, 12), (29, 0))
+
+    def run():
+        with mp.workprec(ch.prec):
+            return (gram_entries(ch.grid, ch.beta, ch.gamma, ch.log_h[0],
+                                 pairs),
+                    orthogonality_residual(ch, pairs),
+                    expected_count_exact(ch, ch.n_max, e_tilde, panels=2),
+                    oracle._pv_values(ch, 10))
+
+    lazy = run()
+    sweep = oracle._node_vectors
+    monkeypatch.setattr(
+        oracle, "_node_vectors",
+        lambda grid, beta, gamma, ln_h0, count, sums=():
+            sweep(grid, beta, gamma, ln_h0, count, range(count)))
+    assert run() == lazy
+
+
+def test_chain_sweeps_build_no_mpf_grid(monkeypatch):
+    # every chain grid comes from the integer builder: no composite rule
+    # from `quadrature.panel_nodes`, no mpf weight per node, and a count of
+    # mpf exp and sqrt calls that follows the steps, not the nodes
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-node mpf grid in a chain sweep")
+
+    calls = []
+    for fn in ("exp", "sqrt"):
+        real = getattr(mp, fn)
+        monkeypatch.setattr(mp, fn, lambda *a, real=real, **k:
+                            calls.append(1) or real(*a, **k))
+    monkeypatch.setattr(quadrature, "panel_nodes", refuse)
+    monkeypatch.setattr(RecChain, "weight", refuse)
+    monkeypatch.setattr(modelchain, "_chains", OrderedDict())
+    spec = quartic("0.62")
+    ch = build_rec_chain(spec.V, 12, spec.Tc, n_max=15, bits=256, nodes=512)
+    assert orthogonality_residual(ch, ((0, 0), (2, 5))) < mpf("1e-15")
+    assert 0 < expected_count_exact(ch, 12, spec.e_tilde, panels=2) < 12
+    mc = modelchain.build_chain(2, k_max=6, nodes=256)
+    assert len(ch.xs) == 512 and len(mc.xs) == 320
+    # one square root per GL weight of each of the four grids, and about two
+    # calls per step and chain entry; one call per node would make 1600
+    assert len(calls) < 4 * PANEL_POINTS + 150, len(calls)
