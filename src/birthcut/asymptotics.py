@@ -112,16 +112,20 @@ def _log_terms(spec, chain, rp, shift_exp=0, k_hi=None, half=False):
     return out
 
 
-def _sum_terms(spec, chain, rp, shift_exp=0, k_hi=None):
-    """sum_k N^{(2ku - k^2)/2nu} e^{shift_exp * k phi_e} A_k; computed once
-    per (spec, regime, arguments, working precision) and kept on the chain."""
-    def total():
-        acc = mpf(0)
-        for expo in _log_terms(spec, chain, rp, shift_exp, k_hi):
-            acc += mp.exp(expo)
-        return acc
+def _terms(spec, chain, rp, shift_exp=0, k_hi=None):
+    """The terms N^{(2ku - k^2)/2nu} e^{shift_exp * k phi_e} A_k of the k-sum;
+    computed once per (spec, regime, arguments, working precision) and kept
+    on the chain."""
+    if k_hi is None:
+        k_hi = _k_limit(chain, rp)
+    return chain.cached(
+        ("k-terms", spec, rp, shift_exp, k_hi, mp.prec),
+        lambda: [mp.exp(e) for e in _log_terms(spec, chain, rp, shift_exp, k_hi)])
 
-    return chain.cached(("k-sum", spec, rp, shift_exp, k_hi, mp.prec), total)
+
+def _sum_terms(spec, chain, rp, shift_exp=0, k_hi=None):
+    """sum_k of `_terms`, added in order."""
+    return sum(_terms(spec, chain, rp, shift_exp, k_hi), mpf(0))
 
 
 def sum_Z(spec: CriticalSpec, chain: RecChain, N: int, p: int):
@@ -173,25 +177,20 @@ def beta_reduced(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
 
 def beta_full(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
     """2 sinh(phi_e) [<k>_{p+1} - <k>_p] with <k>_p the weight-average of k
-    over the partition-function terms."""
-    phi = spec.phi_e
-    lnA = mp.log(A_constant(spec))
-    nu = spec.nu
-    lnN = mp.log(rp.N)
+    over the partition-function terms, both truncated at rp's k limit.
+
+    The terms of <k>_p are the unshifted k-sum terms at p, since
+    2k u ln N/(2 nu) = 2k p phi_e."""
     k_hi = _k_limit(chain, rp)
 
-    def mean_k(p_eff):
+    def mean_k(here):
         num = mpf(0)
-        den = mpf(0)
-        for k in range(k_hi + 1):
-            expo = (-k * k) / mpf(2 * nu) * lnN + 2 * p_eff * k * phi \
-                + ln_A_k(chain, lnA, k)
-            t = mp.exp(expo)
+        for k, t in enumerate(_terms(spec, chain, here, 0, k_hi)):
             num += k * t
-            den += t
-        return num / den
+        return num / _sum_terms(spec, chain, here, 0, k_hi)
 
-    return 2 * mp.sinh(phi) * (mean_k(rp.p + 1) - mean_k(rp.p))
+    up = make_regime(spec, rp.N, rp.p + 1)
+    return 2 * mp.sinh(spec.phi_e) * (mean_k(up) - mean_k(rp))
 
 
 # ----------------------------------------------------------------------------

@@ -12,6 +12,15 @@ and solves the equation forward for the rest, which loses about 2 bits per
 step, hence the guard of 3 bits per step. The one grid a model chain has is
 the Gauss-Legendre grid of its orthonormality check, an integer
 `oracle.NodeGrid` of exp(-y^{2 nu}/(2 nu)), which the Hilbert seed reuses.
+Its size is chosen by that check: a default build tries the rungs of
+PANEL_LADDER in turn and keeps the first on which the check has converged
+to 3/4 of the working precision (320 nodes at nu = 1, k_max = 8; 640 at
+nu = 1 or 2, k_max = 30; 2752 at nu = 6, k_max = 30); `nodes=` pins the
+grid instead. Gauss-Legendre rules converge geometrically on analytic
+integrands (Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?",
+SIAM Rev. 2008), so the check's residual falls fast from rung to rung, and
+their error bound tells which rungs are too coarse for psi_{k_max - 1}:
+the ladder starts above those (`first_rung`).
 The oracle keeps its Stieltjes builder: for exp(-(N/T_c) V) the
 forward string recursion loses 5-30 bits per step.
 
@@ -42,12 +51,14 @@ once per regime.
 from __future__ import annotations
 
 from collections import OrderedDict
+import math
+from functools import lru_cache
 
 from mpmath import mp, mpf
 
 from .oracle import (GUARD_BITS, PANEL_POINTS, RecChain, _domain, _monic_at,
-                     _node_grid, _to_fixed, orthogonality_residual,
-                     pihat_direct)
+                     _node_grid, _to_fixed, domain_budget,
+                     orthogonality_residual, pihat_direct)
 from .poly import Poly
 from .potentials import CriticalSpec
 
@@ -58,12 +69,19 @@ def A_constant(spec: CriticalSpec):
     return (2 * sh) ** 2 * (2 * sh * spec.Q(spec.e) / spec.Tc) ** (mpf(1) / (2 * spec.nu))
 
 
+@lru_cache(maxsize=None)
+def _ln_2pi(prec: int):
+    """ln(2 pi) at prec bits, formed once per precision."""
+    with mp.workprec(prec):
+        return mp.log(2 * mp.pi)
+
+
 def ln_A_k(chain: RecChain, lnA, k: int):
     """ln A_k = ln zeta_k - k^2 ln A - k ln(2 pi); A_{-1} follows the
     zeta_{-1} = 1 convention used by the shifted Hilbert sums."""
     if k == -1:
-        return -lnA + mp.log(2 * mp.pi)
-    return chain.ln_zeta[k] - k * k * lnA - k * mp.log(2 * mp.pi)
+        return -lnA + _ln_2pi(mp.prec)
+    return chain.ln_zeta[k] - k * k * lnA - k * _ln_2pi(mp.prec)
 
 
 def freud_moments(nu: int, count: int):
@@ -126,8 +144,59 @@ def freud_gsq(nu: int, count: int):
 CHAIN_CACHE_SIZE = 4   # chains kept by build_chain, least recently used dropped
 _chains = OrderedDict()
 
+# panel counts a default build tries in turn, from the one `first_rung`
+# picks: 320, 640, 1344, 2752 and 5568 nodes, the last the check grid of a
+# 4096-node chain
+PANEL_LADDER = (5, 10, 21, 43, 87)
 
-def build_chain(nu: int, k_max: int = 100, prec: int = 256, nodes: int = 4096,
+
+def converged_residual(prec: int):
+    """The orthonormality residual at which a rung of PANEL_LADDER has
+    converged: 2^(-3 prec/4) (1.6e-58 at 256 bits), or what the domain's
+    ends leave out, e^-`domain_budget(prec)`, where that is larger (above
+    289 bits; 3.9e-70 at 320)."""
+    return max(mp.ldexp(1, -(3 * prec) // 4), mp.exp(-domain_budget(prec)))
+
+
+def first_rung(nu: int, n_max: int, x_max, bits) -> int:
+    """Index of the PANEL_LADDER rung a default build checks first: the
+    first with as many panels as the Gauss-Legendre error bound asks for
+    to integrate psi_{n_max}^2 over [-x_max, x_max] to 2^-bits.
+
+    An m-point rule (m = PANEL_POINTS) on a panel of width h leaves about
+    s (e q h/4m)^{2m} of an integrand of size s that oscillates or decays
+    at rate 2q, so 2 x_max e q 2^{bits/2m}/4m panels reach 2^-bits. On
+    [-a, a], a the Mhaskar-Rakhmanov-Saff number of degree n_max, psi^2
+    oscillates with q = pi n_max rho/a, rho the largest value of the
+    Ullman density on [-1, 1]; past a it decays with 2q = V'(x) - 2n/x and
+    size s = (x/a)^{2n} e^{V(a) - V(x)}. Rungs below the first have fewer
+    panels than the bound asks for; for nu >= 2 the tail term can ask for
+    a rung more than the check needs."""
+    m, n, x_max = PANEL_POINTS, max(n_max, 1), float(x_max)
+    ln_a = (math.log(2 * n) + sum(math.log(2 * j / (2 * j - 1))
+                                  for j in range(1, nu + 1))) / (2 * nu)
+    a = math.exp(ln_a)
+    rho = max(2 * nu / math.pi * sum(    # binomial terms in logs
+        math.exp(math.lgamma(nu) - math.lgamma(j + 1) - math.lgamma(nu - j)
+                 + 2 * (nu - 1 - j) * math.log(t)
+                 + (j + 0.5) * math.log(1 - t * t)) / (2 * j + 1)
+        for j in range(nu)) for t in ((i + 0.5) / 128 for i in range(128)))
+    q = math.pi * n * rho / a
+    for i in range(1, 129):
+        x = a + (x_max - a) * i / 128
+        if 2 * nu * math.log(x) > 700:     # s underflows from here on
+            break
+        rate = x ** (2 * nu - 1) - 2 * n / x
+        if rate > 0:
+            ln_s = (a ** (2 * nu) - x ** (2 * nu)) / (2 * nu) \
+                + 2 * n * math.log(x / a)
+            q = max(q, rate / 2 * math.exp(ln_s / (2 * m)))
+    panels = 2 * x_max * math.e * q * 2 ** (float(bits) / (2 * m)) / (4 * m)
+    return next((i for i, p in enumerate(PANEL_LADDER) if p >= panels),
+                len(PANEL_LADDER) - 1)
+
+
+def build_chain(nu: int, k_max: int = 100, prec: int = 256, nodes: int = None,
                 check_orthonormality: bool = True) -> RecChain:
     """Chain of the y^{2 nu}/(2 nu) model up to k_max: the oracle chain of
     V = y^{2 nu}/(2 nu) at N = T_c = 1, n_max = k_max - 1, on the oracle's
@@ -136,11 +205,16 @@ def build_chain(nu: int, k_max: int = 100, prec: int = 256, nodes: int = 4096,
     beta_n = 0, h_0 = m_0 and h_n = h_{n-1} gamma_n^2.
 
     The chain's grid (an `oracle.NodeGrid`, built in integers, with the mpf
-    views xs, gl_w, wv) is the composite 64-point GL rule that the oracle
-    would use to check a chain built on `nodes` nodes, 1.37x as many. Every
-    fresh build checks its orthonormality there when asked to:
-    the re-integrated <psi_j, psi_k> at the highest (worst-resolved) index.
-    The same grid serves `pihat_direct` for the Hilbert seed.
+    views xs, gl_w, wv) is a composite 64-point GL rule on which the chain's
+    orthonormality is checked: the re-integrated <psi_j, psi_k> at the
+    highest (worst-resolved) index. The same grid serves `pihat_direct` for
+    the Hilbert seed. By default the grid is the first rung of PANEL_LADDER,
+    from `first_rung` up, whose check residual is at most
+    `converged_residual(prec)`; without the check it is the top rung.
+    `nodes` pins the grid to the one the oracle would use to check a chain
+    built on `nodes` nodes, 1.37x as many. Either way a residual above 1e-20
+    raises ArithmeticError. The chain records its check residual as `resid`
+    (None when unchecked).
 
     A call with the same arguments as one of the last CHAIN_CACHE_SIZE
     distinct calls returns the chain that call built (shared, read-only)."""
@@ -164,8 +238,13 @@ def build_chain(nu: int, k_max: int = 100, prec: int = 256, nodes: int = 4096,
     with mp.workprec(prec):
         V = Poly([0] * (2 * nu) + [mpf(1) / (2 * nu)])
         x_min, x_max = _domain(V, 1, 1, n_max, prec)
-        panels = int(max(1, nodes // PANEL_POINTS) * mpf("1.37"))
-        grid = _node_grid(x_min, x_max, panels, V, 1, prec + GUARD_BITS)
+        if nodes is not None:
+            ladder = (int(max(1, nodes // PANEL_POINTS) * mpf("1.37")),)
+        elif check_orthonormality:
+            bits = -mp.log(converged_residual(prec), 2)
+            ladder = PANEL_LADDER[first_rung(nu, n_max, x_max, bits):]
+        else:
+            ladder = PANEL_LADDER[-1:]
         gsq, gamma, log_h, ln_zeta = ([+v for v in vs] for vs in (
             gsq, gamma, log_h, ln_zeta))
         chain = RecChain(N=1, Tc=mpf(1), V=V, n_max=n_max, prec=prec,
@@ -173,15 +252,20 @@ def build_chain(nu: int, k_max: int = 100, prec: int = 256, nodes: int = 4096,
                          beta=[mpf(0)] * k_max, gsq=gsq,
                          hs=[mp.exp(v) for v in log_h], ln_zeta=ln_zeta,
                          beta_fx=[0] * k_max,
-                         gsq_fx=_to_fixed(gsq, prec + GUARD_BITS),
-                         grid=grid)
-        if check_orthonormality:
-            resid = orthogonality_residual(
-                chain, ((n_max, n_max), (n_max, 0)), grid=grid)
-            if resid > mpf(10) ** (-20):
-                raise ArithmeticError(
-                    "orthonormality residual %s > 1e-20 at k_max = %d: "
-                    "increase nodes or prec" % (mp.nstr(resid, 5), k_max))
+                         gsq_fx=_to_fixed(gsq, prec + GUARD_BITS), grid=None)
+        for panels in ladder:
+            chain.grid = _node_grid(x_min, x_max, panels, V, 1,
+                                    prec + GUARD_BITS)
+            if not check_orthonormality:
+                break
+            chain.resid = orthogonality_residual(
+                chain, ((n_max, n_max), (n_max, 0)), grid=chain.grid)
+            if chain.resid <= converged_residual(prec):
+                break
+        if check_orthonormality and chain.resid > mpf(10) ** (-20):
+            raise ArithmeticError(
+                "orthonormality residual %s > 1e-20 at k_max = %d: "
+                "increase nodes or prec" % (mp.nstr(chain.resid, 5), k_max))
     _chains[key] = chain
     if len(_chains) > CHAIN_CACHE_SIZE:
         _chains.popitem(last=False)
@@ -246,10 +330,12 @@ def psihat_model(chain: RecChain, k: int, y):
 
 def chain_to_table(chain: RecChain, lnA=None) -> str:
     """Columns k, ln_zeta, gamma, ln_A (ln_A only when lnA given), 30 digits;
-    the header's R is the domain end x_max."""
-    lines = ["# nu=%d k_max=%d prec=%d R=%s" % (
+    the header's R is the domain end x_max, nodes the size of the chain's
+    grid and resid its orthonormality check residual there."""
+    resid = "unchecked" if chain.resid is None else mp.nstr(chain.resid, 3)
+    lines = ["# nu=%d k_max=%d prec=%d R=%s nodes=%d resid=%s" % (
         chain.V.degree // 2, chain.n_max + 1, chain.prec,
-        mp.nstr(chain.x_max, 10))]
+        mp.nstr(chain.x_max, 10), len(chain.grid), resid)]
     lines.append("# k ln_zeta gamma ln_A")
     for k in range(chain.n_max + 1):
         g = chain.gamma[k] if k >= 1 else mpf(0)

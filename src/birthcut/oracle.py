@@ -187,6 +187,7 @@ class RecChain:
     beta_fx: list = field(repr=False)   # beta_n 2^F, F = prec + GUARD_BITS
     gsq_fx: list = field(repr=False)    # gamma_n^2 2^F
     grid: NodeGrid = field(repr=False)
+    resid: mpf = None      # residual of the build's orthogonality check
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -462,13 +463,19 @@ def _monic_at(chain, n, x, deriv=False, every=False):
     return tuple(mp.ldexp(mpf(v), E - F) for v in vals)
 
 
+def domain_budget(prec: int):
+    """The precision budget of `_domain`: ln of the factor by which the
+    weight times x^{2 n_max} has fallen at the domain's ends."""
+    return mpf(prec) * mp.log(2) * mpf("0.45") + 60
+
+
 def _domain(V: Poly, N: int, Tc, n_max: int, prec: int):
     """[x_min, x_max] with (N/Tc)(V - V_min) - 2 n_max ln(1+|x|) beyond the
     precision budget at both ends."""
     coupling = mpf(N) / Tc
     lo, hi = mpf(-3), mpf(3)
     vmin = min(V(lo + (hi - lo) * k / 400) for k in range(401))
-    budget = mpf(prec) * mp.log(2) * mpf("0.45") + 60
+    budget = domain_budget(prec)
 
     def deficit(x):
         return coupling * (V(x) - vmin) - 2 * n_max * mp.log(1 + abs(x)) - budget
@@ -506,11 +513,12 @@ def build_rec_chain(V: Poly, N: int, Tc, n_max: int = None, bits: int = 320,
                          ln_zeta=ln_zeta, beta_fx=_to_fixed(betas, F),
                          gsq_fx=_to_fixed(gsq, F), grid=grid)
         if check_orthogonality:
-            resid = orthogonality_residual(chain, pairs=((0, 0), (1, 3), (4, 4)))
-            if resid > mpf(10) ** (-15):
+            chain.resid = orthogonality_residual(
+                chain, pairs=((0, 0), (1, 3), (4, 4)))
+            if chain.resid > mpf(10) ** (-15):
                 raise ArithmeticError(
                     "orthogonality residual %s > 1e-15: increase bits or nodes"
-                    % mp.nstr(resid, 5))
+                    % mp.nstr(chain.resid, 5))
     return chain
 
 

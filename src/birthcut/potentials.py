@@ -356,9 +356,19 @@ def validate_critical(spec: CriticalSpec) -> ValidationReport:
         right_pts.append(e + step)
     right_pts += [e - (e - 2) * mpf(10) ** (-k) for k in range(1, 4)]
     right_vals = [F(2, x) for x in right_pts]
+    # a sample next to e is the vanishing integral plus O(|x - e|^{2 nu}),
+    # which can be below the floor (1.9e-26 at e + 1e-3 for nu = 4, e = 2.2,
+    # against a floor of 2.7e-24 at 15 digits). A sample within the floor of
+    # zero has an undecidable sign, not a violation; one below -floor fails.
+    decided = [v for v in right_vals if abs(v) > floor]
+    undecided = len(right_vals) - len(decided)
+    measured = "min sampled integral = %s" % mp.nstr(
+        min(decided or right_vals), 6)
+    if undecided:
+        measured += "; %d undecidable within %s" % (
+            undecided, mp.nstr(floor, 3))
     add("effective potential > 0 on (2, inf) away from e",
-        all(v > floor for v in right_vals),
-        "min sampled integral = %s" % mp.nstr(min(right_vals), 6))
+        decided and min(decided) > 0, measured)
 
     V2, Tc2 = None, None
     try:

@@ -20,7 +20,7 @@ def spec_nu(nu: int, e: str):
     return make_spec(nu, mpf(e))
 
 
-def model_chain(nu: int, k_max: int, prec: int = 256, nodes: int = 4096):
+def model_chain(nu: int, k_max: int, prec: int = 256, nodes: int = None):
     return build_chain(nu, k_max=k_max, prec=prec, nodes=nodes)
 
 

@@ -13,8 +13,9 @@ from birthcut.modelchain import (A_constant, build_chain, chain_to_table,
                                  freud_gsq, ln_A_k, phat_values, psi_values,
                                  psihat_model, psihat_values,
                                  string_guard_bits)
-from birthcut.oracle import (GUARD_BITS, _monic_at, _to_fixed,
-                             build_rec_chain, eval_psi_exact, kernel_exact,
+from birthcut.oracle import (GUARD_BITS, _monic_at, _node_grid, _to_fixed,
+                             build_rec_chain, domain_budget, eval_psi_exact,
+                             kernel_exact, orthogonality_residual,
                              pihat_direct)
 from birthcut.poly import Poly
 from birthcut.quadrature import panel_nodes
@@ -45,13 +46,16 @@ def test_monic_p2():
 
 def test_orthonormality_independent_grid():
     ch = model_chain(2, 25)
+    pairs = ((0, 0), (3, 3), (11, 11), (2, 7), (0, 12), (5, 6))
     with mp.workprec(256):
         xs, ws = panel_nodes(ch.x_min, ch.x_max, 97, 64)
-        for j, k in ((0, 0), (3, 3), (11, 11), (2, 7), (0, 12), (5, 6)):
-            acc = mpf(0)
-            for x, w in zip(xs, ws):
-                acc += w * eval_psi_exact(ch, j, x) * eval_psi_exact(ch, k, x)
-            assert abs(acc - (1 if j == k else 0)) < mpf("1e-12")
+        acc = [mpf(0)] * len(pairs)
+        for x, w in zip(xs, ws):
+            psi = psi_values(ch, 12, x)
+            for i, (j, k) in enumerate(pairs):
+                acc[i] += w * psi[j] * psi[k]
+        for v, (j, k) in zip(acc, pairs):
+            assert abs(v - (1 if j == k else 0)) < mpf("1e-12"), (j, k)
 
 
 def test_hat_recurrence_agrees_with_direct_transform():
@@ -385,3 +389,80 @@ def test_build_chain_shares_one_chain_per_argument_tuple(monkeypatch):
         build_chain(1, k_max=k, nodes=128)
     assert len(modelchain._chains) == modelchain.CHAIN_CACHE_SIZE
     assert build_chain(1, k_max=4, nodes=128) is not a
+
+
+@pytest.mark.parametrize("nu, k_max, prec", [
+    (1, 8, 256), (2, 30, 256), (1, 55, 256), (6, 30, 256), (1, 100, 320)])
+def test_default_grid_is_the_first_converged_rung(nu, k_max, prec):
+    # the default build checks PANEL_LADDER from `first_rung` up and keeps
+    # the first rung whose check residual is at most 2^(-3 prec/4) (at 320
+    # bits e^-domain_budget); here that is the rung it starts on, and the
+    # rung below fails. Its Hilbert seed agrees with the top rung's (the
+    # grid every default build used before) inside and outside the domain
+    ch = build_chain(nu, k_max=k_max, prec=prec)
+    top = build_chain(nu, k_max=k_max, prec=prec, nodes=4096)
+    panels = len(ch.grid) // 64
+    assert len(top.grid) == 64 * modelchain.PANEL_LADDER[-1]
+    rung = modelchain.PANEL_LADDER.index(panels)
+    bound = modelchain.converged_residual(prec)
+    with mp.workprec(prec):
+        assert rung == modelchain.first_rung(nu, ch.n_max, ch.x_max,
+                                             -mp.log(bound, 2))
+    pairs = ((ch.n_max, ch.n_max), (ch.n_max, 0))
+    with mp.workprec(ch.prec):
+        assert ch.resid == orthogonality_residual(ch, pairs, grid=ch.grid)
+        assert ch.resid <= bound
+        if rung:
+            below = _node_grid(ch.x_min, ch.x_max,
+                               modelchain.PANEL_LADDER[rung - 1], ch.V, 1,
+                               ch.grid.F)
+            assert orthogonality_residual(ch, pairs, grid=below) > bound
+        for y in (mpf("-1.3"), mpf("0.4"), mpf("2.1"), mpf("3.3"),
+                  top.x_max + 1):
+            ref = pihat_direct(top, 0, y)
+            assert abs(pihat_direct(ch, 0, y) - ref) <= mpf("1e-70") * abs(ref), y
+
+
+def test_converged_residual_is_capped_by_the_domain():
+    # 3/4 of the working precision, unless the domain's ends leave more out
+    assert modelchain.converged_residual(256) == mp.ldexp(1, -192)
+    for prec in (320, 512):
+        assert modelchain.converged_residual(prec) == \
+            mp.exp(-domain_budget(prec)) > mp.ldexp(1, -(3 * prec) // 4)
+
+
+def test_explicit_nodes_pin_the_grid():
+    # nodes=1024 keeps int(16 x 1.37) = 21 panels and the seed it always had
+    ch = build_chain(1, k_max=8, nodes=1024)
+    assert len(ch.grid) == 21 * 64
+    seeds = {"-1.3": (int("5551957551567341391809294541685922608073"
+                          "8186036975912015844642802888575416981"), -254),
+             "2.1": (int("2219325729753583210713296683167325179771"
+                         "9719665076544407147691359802351761285"), -253)}
+    with mp.workprec(256):
+        for y, man_exp in seeds.items():
+            assert pihat_direct(ch, 0, mpf(y)).man_exp == man_exp, y
+
+
+def test_unconverged_check_climbs_to_the_top_rung(monkeypatch):
+    monkeypatch.setattr(modelchain, "_chains", OrderedDict())
+    sizes = []
+    monkeypatch.setattr(modelchain, "orthogonality_residual",
+                        lambda ch, pairs, grid: sizes.append(len(grid)) or mpf(1))
+    with pytest.raises(ArithmeticError, match="orthonormality residual"):
+        build_chain(1, k_max=5)          # starts on the bottom rung
+    assert sizes == [64 * p for p in modelchain.PANEL_LADDER]
+    # without the check there is no evidence for a smaller grid
+    ch = build_chain(1, k_max=5, check_orthonormality=False)
+    assert len(ch.grid) == 64 * modelchain.PANEL_LADDER[-1]
+    assert ch.resid is None and sizes == [64 * p for p in modelchain.PANEL_LADDER]
+
+
+def test_table_header_records_grid_and_residual():
+    ch = build_chain(1, k_max=8)
+    head = chain_to_table(ch).splitlines()[0].split()
+    fields = dict(t.split("=") for t in head[1:])
+    assert int(fields["nodes"]) == len(ch.grid)
+    assert mpf(fields["resid"]) <= modelchain.converged_residual(ch.prec)
+    unchecked = build_chain(1, k_max=8, check_orthonormality=False)
+    assert "resid=unchecked" in chain_to_table(unchecked)

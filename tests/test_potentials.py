@@ -113,6 +113,36 @@ def test_validate_flags_sign_violation():
     assert any("Q(e) > 0" in name for name in failed)
 
 
+def test_validate_flags_negative_samples_past_e():
+    # e_tilde pulled below its critical value: the integral up to e is
+    # negative, and so are the samples next to e, far beyond the sign floor
+    spec = quartic("1.0")
+    bad = type(spec)(nu=1, e=spec.e, phi_e=spec.phi_e,
+                     Q=Poly([-(spec.e_tilde - mpf("0.1")), 1]),
+                     e_tilde=spec.e_tilde - mpf("0.1"), V=spec.V, Tc=spec.Tc, d=3)
+    report = validate_critical(bad)
+    failed = {c.name for c in report.failed()}
+    assert "effective potential > 0 on (2, inf) away from e" in failed
+    assert "undecidable" not in str(report)
+
+
+def test_validate_flags_negative_samples_within_vanishing_tolerance():
+    # at 15 digits the vanishing check accepts an integral up to e of 1e-5;
+    # e_tilde lowered so that it is -1e-12 passes that check, but the
+    # samples next to e are as negative, far below the sign floor (2.7e-24)
+    with mp.workdps(15):
+        spec = make_spec(4, "2.2")
+        slope = _cut_integral(_weight_factors(Poly([1]), spec.e, 4))(2, spec.e)
+        et = spec.e_tilde + mpf("1e-12") / slope
+        bad = type(spec)(nu=4, e=spec.e, phi_e=spec.phi_e, Q=Poly([-et, 1]),
+                         e_tilde=et, V=spec.V, Tc=spec.Tc, d=spec.d)
+        checks = {c.name: c for c in validate_critical(bad).checks}
+    assert checks["integral_2^e Q (x-e)^{2nu-1} sqrt(x^2-4) dx = 0"].passed
+    assert "value = -1.0e-12" in \
+        checks["integral_2^e Q (x-e)^{2nu-1} sqrt(x^2-4) dx = 0"].measured
+    assert not checks["effective potential > 0 on (2, inf) away from e"].passed
+
+
 def test_validate_flags_forced_vanishing_violation():
     spec = quartic("1.0")
     bad = type(spec)(nu=1, e=spec.e, phi_e=spec.phi_e,
