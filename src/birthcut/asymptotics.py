@@ -16,13 +16,16 @@ finite-N kernel reduces to the model kernel times dy/dx.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 from mpmath import mp, mpf
 
 from .critical import newborn_scaling
-from .modelchain import A_constant, ln_A_k, psi_values, psihat_values
-from .oracle import RecChain, eval_psi_exact, kernel_exact
+from .modelchain import (PSI_CACHE_SIZE, A_constant, ln_A_k, psi_values,
+                         psihat_values)
+from .oracle import RecChain, _recent, eval_psi_exact, kernel_exact
 from .potentials import CriticalSpec
 
 FORBIDDEN_BAND = mpf("0.02")     # guard band around integer / half-integer u
@@ -56,6 +59,13 @@ class ScalingMap:
 
 
 def make_scaling_map(spec: CriticalSpec, N: int) -> ScalingMap:
+    """The scaling map at N, formed once per (spec, N, working precision):
+    later calls return the same (frozen) map."""
+    return _scaling_map(spec, N, mp.prec)
+
+
+@lru_cache(maxsize=16)     # (spec, N, precision) triples kept
+def _scaling_map(spec: CriticalSpec, N: int, prec: int) -> ScalingMap:
     nu = spec.nu
     base = (2 * mp.sinh(spec.phi_e) * spec.Q(spec.e) / spec.Tc) ** (-mpf(1) / (2 * nu))
     return ScalingMap(spec=spec, N=N, scale=base * mpf(N) ** (-mpf(1) / (2 * nu)))
@@ -157,11 +167,15 @@ def gamma_reduced(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
 
 
 def gamma_full(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
-    """The ratio-of-sums form of gamma_{N+p}^2, truncated at ubar + 10."""
-    s_plus = _sum_terms(spec, chain, rp, shift_exp=2)
-    s_minus = _sum_terms(spec, chain, rp, shift_exp=-2)
-    s_0 = _sum_terms(spec, chain, rp, shift_exp=0)
-    return mp.sqrt(s_plus * s_minus) / s_0
+    """The ratio-of-sums form of gamma_{N+p}^2, truncated at ubar + 10;
+    computed once per (spec, regime, working precision) and kept on the
+    chain, as `_terms` keeps its terms."""
+    def compute():
+        s_plus = _sum_terms(spec, chain, rp, shift_exp=2)
+        s_minus = _sum_terms(spec, chain, rp, shift_exp=-2)
+        s_0 = _sum_terms(spec, chain, rp, shift_exp=0)
+        return mp.sqrt(s_plus * s_minus) / s_0
+    return chain.cached(("gamma_full", spec, rp, mp.prec), compute)
 
 
 def beta_reduced(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
@@ -211,40 +225,45 @@ def _amp_ratio(spec, chain, k_num, k_den):
     return mp.exp((ln_A_k(chain, lnA, k_num) - ln_A_k(chain, lnA, k_den)) / 2)
 
 
+def _reduced_parts(spec, chain, rp, index_offset):
+    """The y-independent parts of `psi_reduced` and `phi_reduced` at
+    index_offset: the prefactor sqrt(A / 2 sinh phi_e), the coefficients
+    N^{+-(u-ubar)/2nu} e^{+-sgn phi_e/2} sqrt(A_{ubar+-1}/A_ubar) of the
+    upper and lower terms, and the denominators 1 + `_corr` of psi (sign
+    sgn) and phi (sign -sgn); computed once per (spec, regime, offset,
+    working precision) and kept on the chain."""
+    if index_offset not in (0, -1):
+        raise ValueError("index_offset must be 0 or -1")
+
+    def compute():
+        nu, phi = spec.nu, spec.phi_e
+        ub = rp.ubar
+        pref = mp.sqrt(A_constant(spec) / (2 * mp.sinh(phi)))
+        pw = mpf(rp.N) ** ((rp.u - ub) / (2 * nu))
+        sgn = 1 if index_offset == 0 else -1
+        up = pw * mp.exp(sgn * phi / 2) * _amp_ratio(spec, chain, ub + 1, ub)
+        dn = (1 / pw) * mp.exp(-sgn * phi / 2) \
+            * _amp_ratio(spec, chain, ub - 1, ub)
+        return (pref, up, dn, 1 + _corr(spec, chain, rp, sign=sgn),
+                1 + _corr(spec, chain, rp, sign=-sgn))
+    return chain.cached(("reduced", spec, rp, index_offset, mp.prec), compute)
+
+
 def psi_reduced(spec, chain, rp: RegimePoint, y, index_offset=0):
     """Two-term reduction of psi_{N+p}(x) (index_offset 0) or psi_{N+p-1}
     (index_offset -1), evaluated at the rescaled coordinate y."""
-    if index_offset not in (0, -1):
-        raise ValueError("index_offset must be 0 or -1")
-    nu, phi = spec.nu, spec.phi_e
+    pref, up, dn, den, _ = _reduced_parts(spec, chain, rp, index_offset)
     ub = rp.ubar
-    pref = mp.sqrt(A_constant(spec) / (2 * mp.sinh(phi)))
-    pw = mpf(rp.N) ** ((rp.u - ub) / (2 * nu))
-    sgn = 1 if index_offset == 0 else -1
-    t_up = pw * mp.exp(sgn * phi / 2) * _amp_ratio(spec, chain, ub + 1, ub) \
-        * eval_psi_exact(chain, ub, y)
-    psi_dn = eval_psi_exact(chain, ub - 1, y) if ub >= 1 else mpf(0)
-    t_dn = (1 / pw) * mp.exp(-sgn * phi / 2) \
-        * (_amp_ratio(spec, chain, ub - 1, ub) if ub >= 1 else mpf(0)) * psi_dn
-    den = 1 + _corr(spec, chain, rp, sign=sgn)
+    t_up = up * eval_psi_exact(chain, ub, y)
+    t_dn = dn * eval_psi_exact(chain, ub - 1, y) if ub >= 1 else mpf(0)
     return pref * (t_up + t_dn) / den
 
 
 def phi_reduced(spec, chain, rp: RegimePoint, y, index_offset=0):
     """Hilbert-transform partner phi_{N+p} (offset 0) or phi_{N+p-1} (-1)."""
-    if index_offset not in (0, -1):
-        raise ValueError("index_offset must be 0 or -1")
-    nu, phi = spec.nu, spec.phi_e
-    ub = rp.ubar
-    pref = mp.sqrt(A_constant(spec) / (2 * mp.sinh(phi)))
-    pw = mpf(rp.N) ** ((rp.u - ub) / (2 * nu))
-    sgn = 1 if index_offset == 0 else -1
-    hat_dn, hat_up = psihat_values(chain, ub, y)
-    t_up = pw * mp.exp(sgn * phi / 2) * _amp_ratio(spec, chain, ub + 1, ub) * hat_up
-    t_dn = (1 / pw) * mp.exp(-sgn * phi / 2) \
-        * _amp_ratio(spec, chain, ub - 1, ub) * hat_dn
-    den = 1 + _corr(spec, chain, rp, sign=-sgn)
-    return pref * (t_up + t_dn) / den
+    pref, up, dn, _, den = _reduced_parts(spec, chain, rp, index_offset)
+    hat_dn, hat_up = psihat_values(chain, rp.ubar, y)
+    return pref * (up * hat_up + dn * hat_dn) / den
 
 
 def Psi_matrix(spec, chain, rp: RegimePoint, y):
@@ -274,14 +293,20 @@ def _psi_full_terms(spec, chain, rp, index_offset):
 def psi_full(spec, chain, rp: RegimePoint, y, index_offset=0):
     """Full half-shifted-sum form of psi_{N+p+index_offset}(x(y)), including
     the N^{1/(8 nu)} prefactor. Its y-independent parts are computed once
-    per (spec, regime, offset, working precision) and kept on the chain."""
-    pref, amps, norm = chain.cached(
+    per (spec, regime, offset, working precision) and kept on the chain,
+    with its values at the last PSI_CACHE_SIZE points y (keyed by y as
+    given): `kernel_full` asks for each point once per pair."""
+    pref, amps, norm, values = chain.cached(
         ("psi_full", spec, rp, index_offset, mp.prec),
-        lambda: _psi_full_terms(spec, chain, rp, index_offset))
-    num = mpf(0)
-    for amp, psi in zip(amps, psi_values(chain, len(amps) - 1, y)):
-        num += amp * psi
-    return pref * num / norm
+        lambda: (*_psi_full_terms(spec, chain, rp, index_offset),
+                 OrderedDict()))
+
+    def value():
+        num = mpf(0)
+        for amp, psi in zip(amps, psi_values(chain, len(amps) - 1, y)):
+            num += amp * psi
+        return pref * num / norm
+    return _recent(values, y, value, PSI_CACHE_SIZE)
 
 
 def kernel_reduced(spec, chain, rp: RegimePoint, x, x2):

@@ -147,6 +147,12 @@ def cmd_critical(args):
 def cmd_chain(args):
     nu = 1 if args.nu is None else args.nu
     ch = modelchain.build_chain(nu, k_max=args.kmax, prec=max(args.bits, 256))
+    if not ch.converged:
+        print("warning: orthonormality residual %s on %d nodes is above the "
+              "converged bound %s at %d bits" % (
+                  _fmt(ch.resid, 3), len(ch.grid),
+                  _fmt(modelchain.converged_residual(ch.prec), 3), ch.prec),
+              file=sys.stderr)
     lnA = None
     if args.phi_e is not None or args.spec:
         spec = _load_spec(args)

@@ -34,18 +34,24 @@ for the model constant A = (2 sinh phi_e)^2 (2 sinh(phi_e) Q(e)/T_c)^{1/2nu}.
 
 Wavefunctions: psi_k = P_k e^{-y^{2nu}/4nu} / sqrt(h_k), as
 `oracle.eval_psi_exact` gives them; `psi_values` returns psi_0..psi_n from
-one pass of the recurrence. The Hilbert-transform partners start from the
-principal-value Cauchy transform of the weight (`oracle.pihat_direct` at
-n = 0) and climb the same three-term recurrence with the delta_{k,0} h_0
-inhomogeneity. At 256-bit precision the forward recurrence keeps the hat
-solution clean for every k used here (contamination by the growing solution
-enters at the seed's relative accuracy, far below any tolerance in play).
+one pass of the recurrence and one exponential. The Hilbert-transform
+partners start from the principal-value Cauchy transform of the weight
+(`oracle.pihat_direct` at n = 0) and climb the same three-term recurrence
+with the delta_{k,0} h_0 inhomogeneity. At 256-bit precision the forward
+recurrence keeps the hat solution clean for every k used here
+(contamination by the growing solution enters at the seed's relative
+accuracy, far below any tolerance in play).
 
 No work is done twice. `build_chain` keeps the last few chains it built and
 returns the same object for the same arguments, so chains are shared and
-read-only. The Hilbert seed is computed once per point y and kept on the
-chain (`RecChain.cached`), as are the k-sum terms that `asymptotics` needs
-once per regime.
+read-only. What is derived from a chain is kept on it (`RecChain.cached`):
+the Hilbert seed per point y; the factors 1/sqrt(h_k), each formed on first
+use; the last PSI_CACHE_SIZE `psi_values` passes; and what `asymptotics`
+needs once per regime (the k-sum terms, gamma_full, the y-independent parts
+of the psi and phi sums, and psi_full at its last few points). `A_constant`
+is formed once per (spec, working precision). On the A10a kernel grid (25
+pairs, 10 distinct y) that is 10 recurrence passes for 100 psi_full requests
+and one gamma_full for 25.
 """
 
 from __future__ import annotations
@@ -57,14 +63,23 @@ from functools import lru_cache
 from mpmath import mp, mpf
 
 from .oracle import (GUARD_BITS, PANEL_POINTS, RecChain, _domain, _monic_at,
-                     _node_grid, _to_fixed, domain_budget,
-                     orthogonality_residual, pihat_direct)
+                     _node_grid, _psi_norm, _psi_weight, _recent, _to_fixed,
+                     domain_budget, orthogonality_residual, pihat_direct)
 from .poly import Poly
 from .potentials import CriticalSpec
 
+CHAIN_CACHE_SIZE = 4   # chains kept by build_chain, least recently used dropped
+PSI_CACHE_SIZE = 16    # psi_values passes, psi_full points kept, likewise
+
 
 def A_constant(spec: CriticalSpec):
-    """A = (2 sinh phi_e)^2 (2 sinh(phi_e) Q(e)/T_c)^{1/(2 nu)}."""
+    """A = (2 sinh phi_e)^2 (2 sinh(phi_e) Q(e)/T_c)^{1/(2 nu)}, formed once
+    per (spec, working precision): later calls return the same mpf."""
+    return _A_constant(spec, mp.prec)
+
+
+@lru_cache(maxsize=16)     # (spec, precision) pairs kept
+def _A_constant(spec: CriticalSpec, prec: int):
     sh = mp.sinh(spec.phi_e)
     return (2 * sh) ** 2 * (2 * sh * spec.Q(spec.e) / spec.Tc) ** (mpf(1) / (2 * spec.nu))
 
@@ -141,7 +156,6 @@ def freud_gsq(nu: int, count: int):
     return g
 
 
-CHAIN_CACHE_SIZE = 4   # chains kept by build_chain, least recently used dropped
 _chains = OrderedDict()
 
 # panel counts a default build tries in turn, from the one `first_rung`
@@ -214,17 +228,22 @@ def build_chain(nu: int, k_max: int = 100, prec: int = 256, nodes: int = None,
     `nodes` pins the grid to the one the oracle would use to check a chain
     built on `nodes` nodes, 1.37x as many. Either way a residual above 1e-20
     raises ArithmeticError. The chain records its check residual as `resid`
-    (None when unchecked).
+    (None when unchecked) and whether it met `converged_residual(prec)` as
+    `converged` (False when unchecked): a ladder can end on its top rung
+    short of that bound (residual 1.0e-92 at nu = 1, k_max = 200, 512 bits,
+    against 3.9e-96) and the build still returns.
 
     A call with the same arguments as one of the last CHAIN_CACHE_SIZE
     distinct calls returns the chain that call built (shared, read-only)."""
     if nu < 1 or not 1 <= k_max <= 200:
         raise ValueError("need nu >= 1 and 1 <= k_max <= 200")
-    key = (nu, k_max, prec, nodes, check_orthonormality)
-    chain = _chains.get(key)
-    if chain is not None:
-        _chains.move_to_end(key)
-        return chain
+    return _recent(_chains, (nu, k_max, prec, nodes, check_orthonormality),
+                   lambda: _build_chain(nu, k_max, prec, nodes,
+                                        check_orthonormality),
+                   CHAIN_CACHE_SIZE)
+
+
+def _build_chain(nu, k_max, prec, nodes, check_orthonormality):
     n_max = k_max - 1
     with mp.workprec(prec + string_guard_bits(k_max)):
         gsq = freud_gsq(nu, n_max)
@@ -253,6 +272,7 @@ def build_chain(nu: int, k_max: int = 100, prec: int = 256, nodes: int = None,
                          hs=[mp.exp(v) for v in log_h], ln_zeta=ln_zeta,
                          beta_fx=[0] * k_max,
                          gsq_fx=_to_fixed(gsq, prec + GUARD_BITS), grid=None)
+        chain.converged = False
         for panels in ladder:
             chain.grid = _node_grid(x_min, x_max, panels, V, 1,
                                     prec + GUARD_BITS)
@@ -260,28 +280,35 @@ def build_chain(nu: int, k_max: int = 100, prec: int = 256, nodes: int = None,
                 break
             chain.resid = orthogonality_residual(
                 chain, ((n_max, n_max), (n_max, 0)), grid=chain.grid)
-            if chain.resid <= converged_residual(prec):
+            chain.converged = chain.resid <= converged_residual(prec)
+            if chain.converged:
                 break
         if check_orthonormality and chain.resid > mpf(10) ** (-20):
             raise ArithmeticError(
                 "orthonormality residual %s > 1e-20 at k_max = %d: "
                 "increase nodes or prec" % (mp.nstr(chain.resid, 5), k_max))
-    _chains[key] = chain
-    if len(_chains) > CHAIN_CACHE_SIZE:
-        _chains.popitem(last=False)
     return chain
 
 
 def psi_values(chain: RecChain, n: int, y):
-    """[psi_0(y), ..., psi_n(y)], as `oracle.eval_psi_exact` gives them, from
-    one pass of the recurrence."""
+    """[psi_0(y), ..., psi_n(y)], bit for bit as `oracle.eval_psi_exact`
+    gives them, from one pass of the recurrence and one exponential: each
+    psi_k is (p_k(y) `_psi_weight`) `_psi_norm`(k).
+
+    The chain keeps the last PSI_CACHE_SIZE distinct passes, keyed by n and
+    y at the chain's precision; a repeated call returns a fresh list of the
+    kept values."""
     if not 0 <= n <= chain.n_max:
         raise ValueError("k out of range")
     with mp.workprec(chain.prec):
         y = mpf(y)
-        g = -chain.N / (2 * chain.Tc) * chain.V(y)
-        return [p * mp.exp(g - chain.log_h[k] / 2)
-                for k, p in enumerate(_monic_at(chain, n, y, every=True))]
+
+        def one_pass():
+            w = _psi_weight(chain, y)
+            return [p * w * _psi_norm(chain, k)
+                    for k, p in enumerate(_monic_at(chain, n, y, every=True))]
+        return list(_recent(chain.cached("psi passes", OrderedDict), (n, y),
+                            one_pass, PSI_CACHE_SIZE))
 
 
 def phat_values(chain: RecChain, k: int, y):
@@ -331,11 +358,13 @@ def psihat_model(chain: RecChain, k: int, y):
 def chain_to_table(chain: RecChain, lnA=None) -> str:
     """Columns k, ln_zeta, gamma, ln_A (ln_A only when lnA given), 30 digits;
     the header's R is the domain end x_max, nodes the size of the chain's
-    grid and resid its orthonormality check residual there."""
+    grid, resid its orthonormality check residual there and converged
+    whether that met `converged_residual(prec)` (yes or no)."""
     resid = "unchecked" if chain.resid is None else mp.nstr(chain.resid, 3)
-    lines = ["# nu=%d k_max=%d prec=%d R=%s nodes=%d resid=%s" % (
+    lines = ["# nu=%d k_max=%d prec=%d R=%s nodes=%d resid=%s converged=%s" % (
         chain.V.degree // 2, chain.n_max + 1, chain.prec,
-        mp.nstr(chain.x_max, 10), len(chain.grid), resid)]
+        mp.nstr(chain.x_max, 10), len(chain.grid), resid,
+        "yes" if chain.converged else "no")]
     lines.append("# k ln_zeta gamma ln_A")
     for k in range(chain.n_max + 1):
         g = chain.gamma[k] if k >= 1 else mpf(0)

@@ -67,6 +67,8 @@ of the count.
 from __future__ import annotations
 
 import bisect
+import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
@@ -162,6 +164,19 @@ def _node_grid(lo, hi, panels, V: Poly, coupling, F):
     return NodeGrid(F=F, xs=xs, X=X, U=U, K=[k - m for k in K], m=m, g=g)
 
 
+def _recent(store: OrderedDict, key, compute, size: int):
+    """The value stored under key in store, from compute() on first use;
+    store keeps the `size` keys used last."""
+    try:
+        store.move_to_end(key)
+        return store[key]
+    except KeyError:
+        value = store[key] = compute()
+        if len(store) > size:
+            store.popitem(last=False)
+        return value
+
+
 @dataclass
 class RecChain:
     """Recurrence data of w = exp(-(N/Tc) V) up to n_max on [x_min, x_max].
@@ -188,6 +203,7 @@ class RecChain:
     gsq_fx: list = field(repr=False)    # gamma_n^2 2^F
     grid: NodeGrid = field(repr=False)
     resid: mpf = None      # residual of the build's orthogonality check
+    converged: bool = None  # model chains: whether resid met its bound
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -469,12 +485,39 @@ def domain_budget(prec: int):
     return mpf(prec) * mp.log(2) * mpf("0.45") + 60
 
 
+def _scan_min(V: Poly, lo, hi, count=401):
+    """min of V over the points lo + (hi - lo) k/(count - 1), as the mpf
+    minimum of all of them at the working precision gives it.
+
+    V is scanned in floats; V is formed in mpf only at the float minimum
+    and at every point whose float value is within 1e-9 of the scan's
+    scale, max sum_j |c_j| |x|^j, above it. Horner in floats errs by about
+    1e-16 of that scale, so the mpf minimum is among those points. Where
+    V leaves the float range, every point is formed in mpf."""
+    c = [float(v) for v in reversed(V.c)]
+    f_lo, f_hi = float(lo), float(hi)
+    fs, scale = [], 0.0
+    for k in range(count):
+        x = f_lo + (f_hi - f_lo) * k / (count - 1)
+        acc = size = 0.0
+        for ck in c:
+            acc = acc * x + ck
+            size = size * abs(x) + abs(ck)
+        fs.append(acc)
+        scale = max(scale, size)
+    near = min(fs) + 1e-9 * scale
+    keep = [k for k, f in enumerate(fs) if f <= near] \
+        if math.isfinite(near) else range(count)
+    return min(V(lo + (hi - lo) * k / (count - 1)) for k in keep)
+
+
 def _domain(V: Poly, N: int, Tc, n_max: int, prec: int):
     """[x_min, x_max] with (N/Tc)(V - V_min) - 2 n_max ln(1+|x|) beyond the
-    precision budget at both ends."""
+    precision budget at both ends. V_min starts as the minimum of V over 401
+    points of [-3, 3] (`_scan_min`) and takes in every end tried."""
     coupling = mpf(N) / Tc
     lo, hi = mpf(-3), mpf(3)
-    vmin = min(V(lo + (hi - lo) * k / 400) for k in range(401))
+    vmin = _scan_min(V, lo, hi)
     budget = domain_budget(prec)
 
     def deficit(x):
@@ -538,15 +581,32 @@ def orthogonality_residual(chain: RecChain, pairs, grid=None):
                    for v, (n, m_) in zip(gram, pairs))
 
 
+def _psi_norm(chain: RecChain, n: int):
+    """1/sqrt(h_n) = e^{-ln h_n / 2} at the chain's precision, formed on
+    first use of n and kept on the chain."""
+    norms = chain.cached("psi norms", lambda: [None] * (chain.n_max + 1))
+    c = norms[n]
+    if c is None:
+        with mp.workprec(chain.prec):
+            c = norms[n] = mp.exp(-chain.log_h[n] / 2)
+    return c
+
+
+def _psi_weight(chain: RecChain, x):
+    """e^{-(N/2Tc) V(x)}, the weight factor of every psi_n at x."""
+    return mp.exp(-mpf(chain.N) / (2 * chain.Tc) * chain.V(x))
+
+
 def eval_psi_exact(chain: RecChain, n: int, x):
-    """psi_n(x) = pi_n(x) e^{-(N/2Tc) V(x)} / sqrt(h_n)."""
+    """psi_n(x) = pi_n(x) e^{-(N/2Tc) V(x)} / sqrt(h_n), formed as
+    (pi_n(x) `_psi_weight`) `_psi_norm`, as `modelchain.psi_values` forms
+    every psi_k."""
     if not 0 <= n <= chain.n_max:
         raise ValueError("n out of range")
     with mp.workprec(chain.prec):
         x = mpf(x)
         _, p = _monic_at(chain, n, x)
-        ex = -mpf(chain.N) / (2 * chain.Tc) * chain.V(x) - chain.log_h[n] / 2
-        return p * mp.exp(ex)
+        return p * _psi_weight(chain, x) * _psi_norm(chain, n)
 
 
 def _pv_weights(grid: NodeGrid):

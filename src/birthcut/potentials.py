@@ -340,7 +340,15 @@ def validate_critical(spec: CriticalSpec) -> ValidationReport:
     # such units, not the vanishing tolerance (at 15 digits that one is 1e-5
     # of the scale, above genuine samples: 4.9e-9 at phi_e = 0.5). For
     # nu = 4, e = 2.2 the scale is 1.5e-9 and the smallest sample 4.9e-32.
-    floor = SIGN_FLOOR_UNITS * mp.ldexp(scale, -mp.prec)
+    # The spec's coefficients are themselves rounded, each Q_j by up to
+    # 2^-prec |Q_j|, which moves the vanishing integral by up to that times
+    # integral_2^e x^j |x - e|^{2nu-1} sqrt(x^2-4) dx; the floor adds that
+    # sum (one cut integral, x^j > 0 on (2, e)). At nu = 5, e = 2.1 and 15
+    # digits the vanishing integral is -7.6e-29, the units' floor 2.3e-29
+    # and this term 7.7e-28.
+    rounding = Poly([mp.ldexp(abs(c), -mp.prec) for c in Q.c])
+    floor = SIGN_FLOOR_UNITS * mp.ldexp(scale, -mp.prec) \
+        - _cut_integral(_weight_factors(rounding, e, nu))(2, e)
     left_pts = [-2 - mpf(10) ** k for k in range(-3, 3)]
     left_vals = [F_mirror(2, -x) for x in left_pts]
     left_ok = all(v > -floor and v != 0 for v in left_vals)

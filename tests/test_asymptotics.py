@@ -289,3 +289,38 @@ def test_full_forms_match_reference_on_A10a_grid():
     for y, refs in zip((-1, 0, 1), A10A_PSI_MATRIX):
         flat = [v for row in Psi_matrix(spec, mc, rp, mpf(y)) for v in row]
         assert all(abs(v - mpf(r)) < tol for v, r in zip(flat, refs)), y
+
+
+def test_A10a_kernel_grid_makes_one_psi_pass_per_point(monkeypatch):
+    # kernel_full asks psi_full for both offsets at both points of each of
+    # the 25 pairs; the offsets share one k limit and the grid has 10
+    # distinct y, so 10 psi_values passes serve all 100 requests
+    spec = quartic("1.05")
+    mc = model_chain(1, 30)
+    N = 80
+    rp = make_regime(spec, N, 3)
+    smap = make_scaling_map(spec, N)
+    passes = []
+    monic = modelchain._monic_at
+    monkeypatch.setattr(modelchain, "_monic_at",
+                        lambda ch, n, y, **kw: passes.append(y)
+                        or monic(ch, n, y, **kw))
+    monkeypatch.setattr(mc, "_memo", {})      # nothing kept from other tests
+    for yi in (-2, -1, 0, 1, 2):
+        for yj in (-2, -1, 0, 1, 2):
+            kernel_full(spec, mc, rp, smap.x_of_y(mpf(yi)),
+                        smap.x_of_y(mpf(yj) + mpf(1) / 100))
+    assert len(passes) == len(set(passes)) == 10
+
+
+def test_gamma_full_and_A_constant_are_formed_once():
+    spec = quartic("1.05")
+    mc = model_chain(1, 30)
+    rp = make_regime(spec, 80, 4)
+    assert gamma_full(spec, mc, rp) is gamma_full(spec, mc, rp)
+    assert modelchain.A_constant(spec) is modelchain.A_constant(spec)
+    # one value per working precision
+    with mp.workprec(mp.prec + 64):
+        wide = modelchain.A_constant(spec)
+    gap = abs(wide - modelchain.A_constant(spec))
+    assert 0 < gap < mpf(10) ** (-mp.dps + 2)

@@ -464,5 +464,38 @@ def test_table_header_records_grid_and_residual():
     fields = dict(t.split("=") for t in head[1:])
     assert int(fields["nodes"]) == len(ch.grid)
     assert mpf(fields["resid"]) <= modelchain.converged_residual(ch.prec)
+    assert fields["converged"] == "yes" and ch.converged is True
     unchecked = build_chain(1, k_max=8, check_orthonormality=False)
-    assert "resid=unchecked" in chain_to_table(unchecked)
+    assert "resid=unchecked converged=no" in chain_to_table(unchecked)
+
+
+def test_psi_memo_is_bounded_and_returns_fresh_lists():
+    ch = model_chain(1, 55)
+    with mp.workprec(256):
+        first = psi_values(ch, 3, mpf("0.125"))
+        first.append(None)                       # the caller's own list
+        again = psi_values(ch, 3, mpf("0.125"))
+        assert again == first[:-1] and again is not first
+        for i in range(1000):
+            psi_values(ch, 3, mpf(i) / 997)
+        assert len(ch._memo["psi passes"]) == modelchain.PSI_CACHE_SIZE
+        assert psi_values(ch, 3, mpf("0.125")) == again
+
+
+def test_unconverged_ladder_is_recorded_and_reported(monkeypatch, capsys):
+    # a check that stays above converged_residual but below 1e-20 ends the
+    # ladder on its top rung: the chain says so, its table header says so,
+    # and `chain` warns once on stderr and still exits 0
+    from birthcut.cli import main
+    monkeypatch.setattr(modelchain, "_chains", OrderedDict())
+    resid = mp.ldexp(1, -100)
+    monkeypatch.setattr(modelchain, "orthogonality_residual",
+                        lambda ch, pairs, grid: resid)
+    with mp.workdps(mp.dps):             # main sets the global precision
+        assert main(["chain", "--nu", "1", "--kmax", "5"]) == 0
+    out, err = capsys.readouterr()
+    ch = build_chain(1, k_max=5, prec=320)
+    assert len(ch.grid) == 64 * modelchain.PANEL_LADDER[-1]
+    assert ch.converged is False and ch.resid == resid
+    assert "converged=no" in out.splitlines()[0]
+    assert len(err.splitlines()) == 1 and mp.nstr(resid, 3) in err

@@ -372,3 +372,43 @@ def test_chain_sweeps_build_no_mpf_grid(monkeypatch):
     # one square root per GL weight of each of the four grids, and about two
     # calls per step and chain entry; one call per node would make 1600
     assert len(calls) < 4 * PANEL_POINTS + 150, len(calls)
+
+
+# _domain's ends as the all-mpf scan of V over [-3, 3] gave them: quartic
+# oracles (phi_e, N, bits) and model chains y^{2 nu}/(2 nu) (nu, k_max,
+# bits), y^2/2 the symmetric case with its minimum on a scan point
+DOMAIN_ENDS = [
+    ("q", "0.3", 20, 256, -3.5, 5.5), ("q", "1.0", 40, 256, -3.0, 5.5),
+    ("q", "0.62", 80, 320, -3.0, 4.5), ("q", "1.3", 320, 512, -3.0, 3.0),
+    ("m", 1, 8, 256, -19.5, 19.5), ("m", 1, 200, 512, -61.5, 61.5),
+    ("m", 2, 100, 320, -7.0, 7.0), ("m", 4, 55, 320, -3.0, 3.0),
+    ("m", 6, 30, 256, -3.0, 3.0),
+]
+
+
+@pytest.mark.parametrize("kind, a, b, bits, lo, hi", DOMAIN_ENDS)
+def test_domain_ends_from_the_float_scan(kind, a, b, bits, lo, hi):
+    # V_min is scanned in floats and formed in mpf only near the float
+    # minimum; it is still the mpf minimum of all 401 points
+    if kind == "q":
+        spec = quartic(a)
+        V, N, Tc, n_max = spec.V, b, spec.Tc, b + int(mp.ceil(3 * mp.log(b)))
+    else:
+        V, N, Tc, n_max = Poly([0] * (2 * a) + [mpf(1) / (2 * a)]), 1, 1, b - 1
+    with mp.workprec(bits):
+        assert oracle._domain(V, N, Tc, n_max, bits) == (lo, hi)
+        left, right = mpf(-3), mpf(3)
+        assert oracle._scan_min(V, left, right) == min(
+            V(left + (right - left) * k / 400) for k in range(401))
+
+
+def test_scan_min_where_floats_cannot_decide():
+    # (x^2 - 9/4)^2 - 6e-19 x: both wells' floors are scan points and read
+    # 0 in floats, while in mpf the right one is 1.8e-18 lower; and a V
+    # whose coefficients overflow floats
+    V = Poly([mpf(81) / 16, mpf("-6e-19"), -mpf(9) / 2, 0, 1])
+    with mp.workprec(256):
+        three = mpf(3)
+        assert oracle._scan_min(V, -three, three) == V(three / 2) \
+            < V(-three / 2)
+        assert oracle._scan_min(Poly([0, 0, mpf("1e400")]), -three, three) == 0
