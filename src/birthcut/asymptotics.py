@@ -16,16 +16,14 @@ finite-N kernel reduces to the model kernel times dy/dx.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath import mp, mpf
 
 from .critical import newborn_scaling
-from .modelchain import (PSI_CACHE_SIZE, A_constant, ln_A_k, psi_values,
-                         psihat_values)
-from .oracle import RecChain, _recent, eval_psi_exact, kernel_exact
+from .modelchain import A_constant, ln_A_k, psi_values, psihat_values
+from .oracle import RecChain, eval_psi_exact, kernel_exact
 from .potentials import CriticalSpec
 
 FORBIDDEN_BAND = mpf("0.02")     # guard band around integer / half-integer u
@@ -156,14 +154,18 @@ def sum_Z(spec: CriticalSpec, chain: RecChain, N: int, p: int):
     }
 
 
-def gamma_reduced(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
-    """gamma_{N+p} ~ 1 + 2 sinh^2(phi_e) N^{(|u-ubar|-1/2)/nu} A_{ubar+eps}/A_ubar."""
+def _dominant_ratio(spec, chain, rp):
+    """N^{(2|u-ubar|-1)/2nu} A_{ubar+eps}/A_ubar: the runner-up term of the
+    k-sum over the dominant one, the one correction the reduced forms keep."""
     lnA = mp.log(A_constant(spec))
-    nu, phi = spec.nu, spec.phi_e
     ratio = mp.exp(ln_A_k(chain, lnA, rp.ubar + rp.eps_u)
                    - ln_A_k(chain, lnA, rp.ubar))
-    power = mpf(rp.N) ** ((abs(rp.u - rp.ubar) - mpf(1) / 2) / nu)
-    return 1 + 2 * mp.sinh(phi) ** 2 * power * ratio
+    return mpf(rp.N) ** ((2 * abs(rp.u - rp.ubar) - 1) / (2 * spec.nu)) * ratio
+
+
+def gamma_reduced(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
+    """gamma_{N+p} ~ 1 + 2 sinh^2(phi_e) N^{(2|u-ubar|-1)/2nu} A_{ubar+eps}/A_ubar."""
+    return 1 + 2 * mp.sinh(spec.phi_e) ** 2 * _dominant_ratio(spec, chain, rp)
 
 
 def gamma_full(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
@@ -181,12 +183,9 @@ def gamma_full(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
 def beta_reduced(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
     """beta_{N+p} ~ 4 sinh^2(phi_e) N^{(2|u-ubar|-1)/2nu} e^{eps phi_e}
     A_{ubar+eps}/A_ubar."""
-    lnA = mp.log(A_constant(spec))
-    nu, phi = spec.nu, spec.phi_e
-    ratio = mp.exp(ln_A_k(chain, lnA, rp.ubar + rp.eps_u)
-                   - ln_A_k(chain, lnA, rp.ubar))
-    power = mpf(rp.N) ** ((2 * abs(rp.u - rp.ubar) - 1) / (2 * nu))
-    return 4 * mp.sinh(phi) ** 2 * power * mp.exp(rp.eps_u * phi) * ratio
+    phi = spec.phi_e
+    return 4 * mp.sinh(phi) ** 2 * mp.exp(rp.eps_u * phi) \
+        * _dominant_ratio(spec, chain, rp)
 
 
 def beta_full(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
@@ -213,11 +212,8 @@ def beta_full(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
 
 def _corr(spec, chain, rp, sign):
     """cosh(phi_e) N^{(2|u-ubar|-1)/2nu} e^{sign*eps*phi_e} A_{ubar+eps}/A_ubar."""
-    lnA = mp.log(A_constant(spec))
-    ratio = mp.exp(ln_A_k(chain, lnA, rp.ubar + rp.eps_u)
-                   - ln_A_k(chain, lnA, rp.ubar))
-    power = mpf(rp.N) ** ((2 * abs(rp.u - rp.ubar) - 1) / (2 * spec.nu))
-    return mp.cosh(spec.phi_e) * power * mp.exp(sign * rp.eps_u * spec.phi_e) * ratio
+    return mp.cosh(spec.phi_e) * mp.exp(sign * rp.eps_u * spec.phi_e) \
+        * _dominant_ratio(spec, chain, rp)
 
 
 def _amp_ratio(spec, chain, k_num, k_den):
@@ -292,21 +288,20 @@ def _psi_full_terms(spec, chain, rp, index_offset):
 
 def psi_full(spec, chain, rp: RegimePoint, y, index_offset=0):
     """Full half-shifted-sum form of psi_{N+p+index_offset}(x(y)), including
-    the N^{1/(8 nu)} prefactor. Its y-independent parts are computed once
-    per (spec, regime, offset, working precision) and kept on the chain,
-    with its values at the last PSI_CACHE_SIZE points y (keyed by y as
-    given): `kernel_full` asks for each point once per pair."""
-    pref, amps, norm, values = chain.cached(
-        ("psi_full", spec, rp, index_offset, mp.prec),
-        lambda: (*_psi_full_terms(spec, chain, rp, index_offset),
-                 OrderedDict()))
+    the N^{1/(8 nu)} prefactor. Its y-independent parts and its value at
+    each point y (keyed by y as given) are kept in the chain's memo, per
+    (spec, regime, offset, working precision): `kernel_full` asks for each
+    point once per pair."""
+    key = ("psi_full", spec, rp, index_offset, mp.prec)
+    pref, amps, norm = chain.cached(
+        key, lambda: _psi_full_terms(spec, chain, rp, index_offset))
 
     def value():
         num = mpf(0)
         for amp, psi in zip(amps, psi_values(chain, len(amps) - 1, y)):
             num += amp * psi
         return pref * num / norm
-    return _recent(values, y, value, PSI_CACHE_SIZE)
+    return chain.cached(key + (y,), value)
 
 
 def kernel_reduced(spec, chain, rp: RegimePoint, x, x2):

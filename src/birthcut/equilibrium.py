@@ -86,12 +86,6 @@ class EqMeasure:
                 return i
         return None
 
-    def in_support(self, x):
-        eps = self.endpoints
-        if self.s == 1:
-            return eps[0] <= x <= eps[1]
-        return eps[0] <= x <= eps[1] or eps[2] <= x <= eps[3]
-
     def b_s(self):
         return self.endpoints[-1]
 

@@ -44,14 +44,15 @@ accuracy, far below any tolerance in play).
 
 No work is done twice. `build_chain` keeps the last few chains it built and
 returns the same object for the same arguments, so chains are shared and
-read-only. What is derived from a chain is kept on it (`RecChain.cached`):
-the Hilbert seed per point y; the factors 1/sqrt(h_k), each formed on first
-use; the last PSI_CACHE_SIZE `psi_values` passes; and what `asymptotics`
-needs once per regime (the k-sum terms, gamma_full, the y-independent parts
-of the psi and phi sums, and psi_full at its last few points). `A_constant`
-is formed once per (spec, working precision). On the A10a kernel grid (25
-pairs, 10 distinct y) that is 10 recurrence passes for 100 psi_full requests
-and one gamma_full for 25.
+read-only. What is derived from a chain is kept in its one memo
+(`RecChain.cached`, the last MEMO_SIZE values used, each under one flat
+key): the `psi_values` passes and the Hilbert seeds per point, and what
+`asymptotics` needs per regime (the k-sum terms, gamma_full, the
+y-independent parts of the psi and phi sums, and psi_full per point). The
+factors 1/sqrt(h_k) are formed with the chain. `A_constant` is formed once
+per (spec, working precision). On the A10a kernel grid (25 pairs, 10
+distinct y) that is 10 recurrence passes for 100 psi_full requests and one
+gamma_full for 25.
 """
 
 from __future__ import annotations
@@ -63,13 +64,12 @@ from functools import lru_cache
 from mpmath import mp, mpf
 
 from .oracle import (GUARD_BITS, PANEL_POINTS, RecChain, _domain, _monic_at,
-                     _node_grid, _psi_norm, _psi_weight, _recent, _to_fixed,
+                     _node_grid, _psi_weight, _recent, assemble_chain,
                      domain_budget, orthogonality_residual, pihat_direct)
 from .poly import Poly
 from .potentials import CriticalSpec
 
 CHAIN_CACHE_SIZE = 4   # chains kept by build_chain, least recently used dropped
-PSI_CACHE_SIZE = 16    # psi_values passes, psi_full points kept, likewise
 
 
 def A_constant(spec: CriticalSpec):
@@ -210,8 +210,8 @@ def first_rung(nu: int, n_max: int, x_max, bits) -> int:
                 len(PANEL_LADDER) - 1)
 
 
-def build_chain(nu: int, k_max: int = 100, prec: int = 256, nodes: int = None,
-                check_orthonormality: bool = True) -> RecChain:
+def build_chain(nu: int, k_max: int = 100, prec: int = 256,
+                nodes: int = None) -> RecChain:
     """Chain of the y^{2 nu}/(2 nu) model up to k_max: the oracle chain of
     V = y^{2 nu}/(2 nu) at N = T_c = 1, n_max = k_max - 1, on the oracle's
     domain, with its recurrence from the Freud string equation (`freud_gsq`,
@@ -224,66 +224,51 @@ def build_chain(nu: int, k_max: int = 100, prec: int = 256, nodes: int = None,
     highest (worst-resolved) index. The same grid serves `pihat_direct` for
     the Hilbert seed. By default the grid is the first rung of PANEL_LADDER,
     from `first_rung` up, whose check residual is at most
-    `converged_residual(prec)`; without the check it is the top rung.
-    `nodes` pins the grid to the one the oracle would use to check a chain
-    built on `nodes` nodes, 1.37x as many. Either way a residual above 1e-20
-    raises ArithmeticError. The chain records its check residual as `resid`
-    (None when unchecked) and whether it met `converged_residual(prec)` as
-    `converged` (False when unchecked): a ladder can end on its top rung
-    short of that bound (residual 1.0e-92 at nu = 1, k_max = 200, 512 bits,
-    against 3.9e-96) and the build still returns.
+    `converged_residual(prec)`. `nodes` pins the grid to the one the oracle
+    would use to check a chain built on `nodes` nodes, 1.37x as many. Either
+    way a residual above 1e-20 raises ArithmeticError. The chain records its
+    check residual as `resid` and whether it met `converged_residual(prec)`
+    as `converged`: a ladder can end on its top rung short of that bound
+    (residual 1.0e-92 at nu = 1, k_max = 200, 512 bits, against 3.9e-96) and
+    the build still returns.
 
     A call with the same arguments as one of the last CHAIN_CACHE_SIZE
     distinct calls returns the chain that call built (shared, read-only)."""
     if nu < 1 or not 1 <= k_max <= 200:
         raise ValueError("need nu >= 1 and 1 <= k_max <= 200")
-    return _recent(_chains, (nu, k_max, prec, nodes, check_orthonormality),
-                   lambda: _build_chain(nu, k_max, prec, nodes,
-                                        check_orthonormality),
+    return _recent(_chains, (nu, k_max, prec, nodes),
+                   lambda: _build_chain(nu, k_max, prec, nodes),
                    CHAIN_CACHE_SIZE)
 
 
-def _build_chain(nu, k_max, prec, nodes, check_orthonormality):
+def _build_chain(nu, k_max, prec, nodes):
     n_max = k_max - 1
+    with mp.workprec(prec):
+        V = Poly([0] * (2 * nu) + [mpf(1) / (2 * nu)])
+        x_min, x_max = _domain(V, 1, 1, n_max, prec)
     with mp.workprec(prec + string_guard_bits(k_max)):
         gsq = freud_gsq(nu, n_max)
         log_h = [mp.log(freud_moments(nu, 1)[0])]
         for g in gsq[1:]:
             log_h.append(log_h[-1] + mp.log(g))
-        ln_zeta = [mpf(0)]
-        for v in log_h:
-            ln_zeta.append(ln_zeta[-1] + v)
-        gamma = [mp.sqrt(g) for g in gsq]
+        chain = assemble_chain(V, 1, mpf(1), prec, x_min, x_max,
+                               [mpf(0)] * k_max, [mp.sqrt(g) for g in gsq],
+                               log_h, None)
     with mp.workprec(prec):
-        V = Poly([0] * (2 * nu) + [mpf(1) / (2 * nu)])
-        x_min, x_max = _domain(V, 1, 1, n_max, prec)
         if nodes is not None:
             ladder = (int(max(1, nodes // PANEL_POINTS) * mpf("1.37")),)
-        elif check_orthonormality:
+        else:
             bits = -mp.log(converged_residual(prec), 2)
             ladder = PANEL_LADDER[first_rung(nu, n_max, x_max, bits):]
-        else:
-            ladder = PANEL_LADDER[-1:]
-        gsq, gamma, log_h, ln_zeta = ([+v for v in vs] for vs in (
-            gsq, gamma, log_h, ln_zeta))
-        chain = RecChain(N=1, Tc=mpf(1), V=V, n_max=n_max, prec=prec,
-                         x_min=x_min, x_max=x_max, log_h=log_h, gamma=gamma,
-                         beta=[mpf(0)] * k_max, gsq=gsq,
-                         hs=[mp.exp(v) for v in log_h], ln_zeta=ln_zeta,
-                         beta_fx=[0] * k_max,
-                         gsq_fx=_to_fixed(gsq, prec + GUARD_BITS), grid=None)
-        chain.converged = False
         for panels in ladder:
             chain.grid = _node_grid(x_min, x_max, panels, V, 1,
                                     prec + GUARD_BITS)
-            if not check_orthonormality:
-                break
             chain.resid = orthogonality_residual(
                 chain, ((n_max, n_max), (n_max, 0)), grid=chain.grid)
             chain.converged = chain.resid <= converged_residual(prec)
             if chain.converged:
                 break
-        if check_orthonormality and chain.resid > mpf(10) ** (-20):
+        if chain.resid > mpf(10) ** (-20):
             raise ArithmeticError(
                 "orthonormality residual %s > 1e-20 at k_max = %d: "
                 "increase nodes or prec" % (mp.nstr(chain.resid, 5), k_max))
@@ -293,11 +278,11 @@ def _build_chain(nu, k_max, prec, nodes, check_orthonormality):
 def psi_values(chain: RecChain, n: int, y):
     """[psi_0(y), ..., psi_n(y)], bit for bit as `oracle.eval_psi_exact`
     gives them, from one pass of the recurrence and one exponential: each
-    psi_k is (p_k(y) `_psi_weight`) `_psi_norm`(k).
+    psi_k is (p_k(y) `_psi_weight`) inv_sqrt_h[k].
 
-    The chain keeps the last PSI_CACHE_SIZE distinct passes, keyed by n and
-    y at the chain's precision; a repeated call returns a fresh list of the
-    kept values."""
+    The pass is kept in the chain's memo under ("psi", n, y), y at the
+    chain's precision; a repeated call returns a fresh list of the kept
+    values."""
     if not 0 <= n <= chain.n_max:
         raise ValueError("k out of range")
     with mp.workprec(chain.prec):
@@ -305,10 +290,9 @@ def psi_values(chain: RecChain, n: int, y):
 
         def one_pass():
             w = _psi_weight(chain, y)
-            return [p * w * _psi_norm(chain, k)
-                    for k, p in enumerate(_monic_at(chain, n, y, every=True))]
-        return list(_recent(chain.cached("psi passes", OrderedDict), (n, y),
-                            one_pass, PSI_CACHE_SIZE))
+            return [p * w * c for p, c in zip(
+                _monic_at(chain, n, y, every=True), chain.inv_sqrt_h)]
+        return list(chain.cached(("psi", n, y), one_pass))
 
 
 def phat_values(chain: RecChain, k: int, y):
@@ -321,7 +305,7 @@ def phat_values(chain: RecChain, k: int, y):
         q = chain.cached(("phat seed", y), lambda: pihat_direct(chain, 0, y))
         for j in range(k):
             g = chain.gsq[j]
-            inhom = chain.hs[0] if j == 0 else 0
+            inhom = mp.exp(chain.log_h[0]) if j == 0 else 0
             q_prev, q = q, (y - chain.beta[j]) * q - g * q_prev - inhom
         return q_prev, q
 
@@ -341,16 +325,6 @@ def psihat_values(chain: RecChain, k: int, y):
         return down, up
 
 
-def psihat_model(chain: RecChain, k: int, y):
-    """psihat_k(y) = phat_k(y) e^{+y^{2nu}/(4nu)} / sqrt(h_k); k = -1 returns
-    the bare e^{+y^{2nu}/(4nu)} (empty-average convention)."""
-    if k == -1:
-        with mp.workprec(chain.prec):
-            y = mpf(y)
-            return mp.exp(chain.N / (2 * chain.Tc) * chain.V(y))
-    return psihat_values(chain, k, y)[1]
-
-
 # ----------------------------------------------------------------------------
 # plain-text cache
 # ----------------------------------------------------------------------------
@@ -360,10 +334,9 @@ def chain_to_table(chain: RecChain, lnA=None) -> str:
     the header's R is the domain end x_max, nodes the size of the chain's
     grid, resid its orthonormality check residual there and converged
     whether that met `converged_residual(prec)` (yes or no)."""
-    resid = "unchecked" if chain.resid is None else mp.nstr(chain.resid, 3)
     lines = ["# nu=%d k_max=%d prec=%d R=%s nodes=%d resid=%s converged=%s" % (
         chain.V.degree // 2, chain.n_max + 1, chain.prec,
-        mp.nstr(chain.x_max, 10), len(chain.grid), resid,
+        mp.nstr(chain.x_max, 10), len(chain.grid), mp.nstr(chain.resid, 3),
         "yes" if chain.converged else "no")]
     lines.append("# k ln_zeta gamma ln_A")
     for k in range(chain.n_max + 1):

@@ -24,6 +24,10 @@ Hankel-determinant routes; Gautschi, Orthogonal Polynomials: Computation and
 Approximation, 2004, section 2.2), which needs only sqrt(g_i w(x_i)) at each
 node to working precision.
 
+Whatever builds the recurrence (beta_n, gamma_n, ln h_n), `assemble_chain`
+derives the rest of a `RecChain` from it in one place: gamma_n^2, ln zeta_n,
+the fixed-point copies and the factors 1/sqrt(h_n).
+
 Every grid a chain sweep reads (the Stieltjes grid, both orthogonality
 checks' grids, the counting grid and the principal-value grid) is one
 `NodeGrid` from `_node_grid`, built once in integers: nodes in fixed point,
@@ -31,8 +35,8 @@ rounded to prec significant bits so that each is an exact mpf, and
 sqrt(g_i w_i) as an integer of about F bits with its own power of 2, from an
 integer Horner pass on V, an ln 2 argument reduction and mpmath's
 fixed-point exp series. No mpf is formed per node but the node itself. A
-chain keeps its grid; the mpf views `gl_w` (GL weights) and `wv` (w at the
-nodes) are derived from it on demand.
+chain keeps its grid; the grid's mpf views `gl_w` (GL weights) and `wv` (w
+at the nodes) are derived on demand.
 
 `stieltjes_chain` runs it in Lanczos form on the orthonormal node vectors
 v_k(x_i) = sqrt(w_i) P_k(x_i)/sqrt(h_k), in Python-integer fixed point with
@@ -81,6 +85,7 @@ from .quadrature import gauss_legendre
 GUARD_BITS = 32        # fixed-point fraction bits beyond the working precision
 BAND_BITS = 8          # a node is rescaled when its integer leaves F +- 8 bits
 PANEL_POINTS = 64      # Gauss-Legendre points per panel of every chain grid
+MEMO_SIZE = 64         # values a chain's memo keeps, least recently used dropped
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,12 +184,15 @@ def _recent(store: OrderedDict, key, compute, size: int):
 
 @dataclass
 class RecChain:
-    """Recurrence data of w = exp(-(N/Tc) V) up to n_max on [x_min, x_max].
+    """Recurrence data of w = exp(-(N/Tc) V) up to n_max on [x_min, x_max],
+    as `assemble_chain` forms it.
 
-    Read-only once built, so it can be shared. Its one mutable part is a
-    memo of values derived from the chain on first use (`cached`), such as
-    the principal-value node sums of `pihat_direct` and the k-sum terms that
-    `asymptotics` keys by spec, regime and working precision.
+    Read-only once built, so it can be shared. Its one mutable part is the
+    memo of values derived from the chain on first use (`cached`): one LRU
+    of MEMO_SIZE entries, each under one flat key, such as the principal-value
+    node sums of `pihat_direct`, the `modelchain.psi_values` passes and
+    Hilbert seeds per point, and the k-sum terms that `asymptotics` keys by
+    spec, regime and working precision.
     """
     N: int
     Tc: mpf
@@ -197,29 +205,20 @@ class RecChain:
     gamma: list            # gamma_n, n = 1..n_max (index n; gamma[0] = 0)
     beta: list             # beta_n, n = 0..n_max
     gsq: list              # gamma_n^2 (index n; gsq[0] = 0)
-    hs: list               # h_n = exp(log_h[n])
+    inv_sqrt_h: list       # 1/sqrt(h_n) = exp(-log_h[n]/2), the psi_n norms
     ln_zeta: list          # ln zeta_n, n = 0..n_max+1 (zeta_0 = 1)
     beta_fx: list = field(repr=False)   # beta_n 2^F, F = prec + GUARD_BITS
     gsq_fx: list = field(repr=False)    # gamma_n^2 2^F
     grid: NodeGrid = field(repr=False)
     resid: mpf = None      # residual of the build's orthogonality check
     converged: bool = None  # model chains: whether resid met its bound
-    _memo: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    _memo: OrderedDict = field(default_factory=OrderedDict, init=False,
+                               repr=False, compare=False)
 
     def cached(self, key, compute):
-        """The value stored under key, from compute() on first use."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = compute()
-            return value
-
-    def h(self, n):
-        return self.hs[n]
-
-    def gamma_sq(self, n):
-        return self.gsq[n]
+        """The value stored under key, from compute() on first use; the
+        memo keeps the MEMO_SIZE keys used last."""
+        return _recent(self._memo, key, compute, MEMO_SIZE)
 
     def weight(self, x):
         return mp.exp(-self.N / self.Tc * self.V(x))
@@ -228,13 +227,27 @@ class RecChain:
     def xs(self):
         return self.grid.xs
 
-    @property
-    def gl_w(self):
-        return self.grid.gl_w()
 
-    @property
-    def wv(self):
-        return self.grid.wv()
+def assemble_chain(V: Poly, N: int, Tc, prec: int, x_min, x_max, beta, gamma,
+                   log_h, grid) -> RecChain:
+    """The `RecChain` of the recurrence (beta_n, gamma_n, ln h_n), n = 0..n_max,
+    with gamma_0 = 0: gamma_n^2 and ln zeta_n at the working precision, then
+    everything rounded to prec, and from the rounded values the fixed-point
+    copies (F = prec + GUARD_BITS) and 1/sqrt(h_n) at prec."""
+    gsq = [g * g for g in gamma]
+    ln_zeta = [mpf(0)]
+    for v in log_h:
+        ln_zeta.append(ln_zeta[-1] + v)
+    with mp.workprec(prec):
+        beta, gamma, gsq, log_h, ln_zeta = ([+v for v in vs] for vs in (
+            beta, gamma, gsq, log_h, ln_zeta))
+        F = prec + GUARD_BITS
+        return RecChain(N=N, Tc=Tc, V=V, n_max=len(log_h) - 1, prec=prec,
+                        x_min=x_min, x_max=x_max, log_h=log_h, gamma=gamma,
+                        beta=beta, gsq=gsq,
+                        inv_sqrt_h=[mp.exp(-v / 2) for v in log_h],
+                        ln_zeta=ln_zeta, beta_fx=_to_fixed(beta, F),
+                        gsq_fx=_to_fixed(gsq, F), grid=grid)
 
 
 def _start_vector(grid, norm):
@@ -546,15 +559,8 @@ def build_rec_chain(V: Poly, N: int, Tc, n_max: int = None, bits: int = 320,
         grid = _node_grid(lo, hi, max(1, nodes // PANEL_POINTS), V,
                           mpf(N) / Tc, F)
         betas, gammas, ln_hs = stieltjes_chain(grid, n_max + 1)
-        ln_zeta = [mpf(0)]
-        for v in ln_hs:
-            ln_zeta.append(ln_zeta[-1] + v)
-        gsq = [g * g for g in gammas]
-        chain = RecChain(N=N, Tc=Tc, V=V, n_max=n_max, prec=bits,
-                         x_min=lo, x_max=hi, log_h=ln_hs, gamma=gammas,
-                         beta=betas, gsq=gsq, hs=[mp.exp(v) for v in ln_hs],
-                         ln_zeta=ln_zeta, beta_fx=_to_fixed(betas, F),
-                         gsq_fx=_to_fixed(gsq, F), grid=grid)
+        chain = assemble_chain(V, N, Tc, bits, lo, hi, betas, gammas, ln_hs,
+                               grid)
         if check_orthogonality:
             chain.resid = orthogonality_residual(
                 chain, pairs=((0, 0), (1, 3), (4, 4)))
@@ -581,17 +587,6 @@ def orthogonality_residual(chain: RecChain, pairs, grid=None):
                    for v, (n, m_) in zip(gram, pairs))
 
 
-def _psi_norm(chain: RecChain, n: int):
-    """1/sqrt(h_n) = e^{-ln h_n / 2} at the chain's precision, formed on
-    first use of n and kept on the chain."""
-    norms = chain.cached("psi norms", lambda: [None] * (chain.n_max + 1))
-    c = norms[n]
-    if c is None:
-        with mp.workprec(chain.prec):
-            c = norms[n] = mp.exp(-chain.log_h[n] / 2)
-    return c
-
-
 def _psi_weight(chain: RecChain, x):
     """e^{-(N/2Tc) V(x)}, the weight factor of every psi_n at x."""
     return mp.exp(-mpf(chain.N) / (2 * chain.Tc) * chain.V(x))
@@ -599,14 +594,14 @@ def _psi_weight(chain: RecChain, x):
 
 def eval_psi_exact(chain: RecChain, n: int, x):
     """psi_n(x) = pi_n(x) e^{-(N/2Tc) V(x)} / sqrt(h_n), formed as
-    (pi_n(x) `_psi_weight`) `_psi_norm`, as `modelchain.psi_values` forms
+    (pi_n(x) `_psi_weight`) inv_sqrt_h[n], as `modelchain.psi_values` forms
     every psi_k."""
     if not 0 <= n <= chain.n_max:
         raise ValueError("n out of range")
     with mp.workprec(chain.prec):
         x = mpf(x)
         _, p = _monic_at(chain, n, x)
-        return p * _psi_weight(chain, x) * _psi_norm(chain, n)
+        return p * _psi_weight(chain, x) * chain.inv_sqrt_h[n]
 
 
 def _pv_weights(grid: NodeGrid):
@@ -661,7 +656,7 @@ def pihat_direct(chain: RecChain, n: int, x):
     with mp.workprec(F + 16):
         x = mpf(x)
         X = chain.grid.X
-        G = chain.cached("pv weights", lambda: _pv_weights(chain.grid))
+        G = chain.cached(("pv weights",), lambda: _pv_weights(chain.grid))
         P, unit = chain.cached(("pv values", n), lambda: _pv_values(chain, n))
         total = mpf(0)
         FX = 0

@@ -38,8 +38,11 @@ CUT_GUARD_BITS = 32
 SIGN_FLOOR_UNITS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriticalSpec:
+    """A critical potential at its birth-of-a-cut point. Hashed and compared
+    by identity: memo keys hold the spec, and hashing every mpf of Q and V
+    on each lookup would cost more than the lookup saves."""
     nu: int
     e: mpf
     phi_e: mpf

@@ -108,10 +108,6 @@ def _gl_sums(f, a, b, panels, n):
     return acc, mass
 
 
-def integrate_gl(f, a, b, panels=1, n=64):
-    return _gl_sums(f, a, b, panels, n)[0]
-
-
 def _refine(rule, n, cap, rel_tol, name):
     """Double n until rule(n) = (value, sum |w f|) changes by at most
     rel_tol * sum |w f|; ConvergenceError if n would pass cap first."""

@@ -158,7 +158,7 @@ def test_A4_model_chain():
     t0 = time.time()
     ch1 = model_chain(1, 55)
     with mp.workprec(256):
-        g_dev = max(abs(ch1.gamma_sq(k) - k) for k in range(1, 51))
+        g_dev = max(abs(ch1.gsq[k] - k) for k in range(1, 51))
         z_dev = max(abs(ch1.ln_zeta[k] - ln_zeta_nu1_exact(k)) for k in range(51))
     ch2 = model_chain(2, 41)
     with mp.workprec(256):

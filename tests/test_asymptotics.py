@@ -1,5 +1,7 @@
 """Regime bookkeeping and the k-sum formulas (no oracle in this file)."""
 
+from collections import OrderedDict
+
 import pytest
 from mpmath import mp, mpf
 
@@ -9,7 +11,7 @@ from birthcut.asymptotics import (Psi_matrix, beta_full, beta_reduced,
                                   make_scaling_map, phi_reduced, psi_full,
                                   psi_reduced, sum_Z, _sum_terms)
 from birthcut import modelchain
-from birthcut.oracle import kernel_exact
+from birthcut.oracle import MEMO_SIZE, kernel_exact
 from conftest import model_chain, quartic
 
 
@@ -305,12 +307,32 @@ def test_A10a_kernel_grid_makes_one_psi_pass_per_point(monkeypatch):
     monkeypatch.setattr(modelchain, "_monic_at",
                         lambda ch, n, y, **kw: passes.append(y)
                         or monic(ch, n, y, **kw))
-    monkeypatch.setattr(mc, "_memo", {})      # nothing kept from other tests
+    monkeypatch.setattr(mc, "_memo", OrderedDict())  # none from other tests
     for yi in (-2, -1, 0, 1, 2):
         for yj in (-2, -1, 0, 1, 2):
             kernel_full(spec, mc, rp, smap.x_of_y(mpf(yi)),
                         smap.x_of_y(mpf(yj) + mpf(1) / 100))
     assert len(passes) == len(set(passes)) == 10
+
+
+def test_chain_memo_stays_bounded_over_every_kind_of_key(monkeypatch):
+    # what is kept per point y (psi pass, psi_full value, Hilbert seed) sits
+    # in the chain's one memo beside the per-regime values, and the memo
+    # keeps only the MEMO_SIZE keys used last
+    spec = quartic("1.05")
+    mc = model_chain(1, 30)
+    rp = make_regime(spec, 80, 3)
+    monkeypatch.setattr(mc, "_memo", OrderedDict())
+    for i in range(300):
+        y = mpf(i) / 100 - mpf("1.5")
+        Psi_matrix(spec, mc, rp, y)
+        psi_full(spec, mc, rp, y)
+        assert gamma_full(spec, mc, rp) > 0
+        assert len(mc._memo) <= MEMO_SIZE
+    assert len(mc._memo) == MEMO_SIZE
+    assert {key[0] for key in mc._memo} == {
+        "pv weights", "pv values", "phat seed", "reduced", "psi", "psi_full",
+        "gamma_full"}
 
 
 def test_gamma_full_and_A_constant_are_formed_once():

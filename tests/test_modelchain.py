@@ -11,12 +11,11 @@ from mpmath import mp, mpf
 from birthcut import modelchain
 from birthcut.modelchain import (A_constant, build_chain, chain_to_table,
                                  freud_gsq, ln_A_k, phat_values, psi_values,
-                                 psihat_model, psihat_values,
-                                 string_guard_bits)
-from birthcut.oracle import (GUARD_BITS, _monic_at, _node_grid, _to_fixed,
-                             build_rec_chain, domain_budget, eval_psi_exact,
-                             kernel_exact, orthogonality_residual,
-                             pihat_direct)
+                                 psihat_values, string_guard_bits)
+from birthcut.oracle import (GUARD_BITS, MEMO_SIZE, _monic_at, _node_grid,
+                             _to_fixed, build_rec_chain, domain_budget,
+                             eval_psi_exact, kernel_exact,
+                             orthogonality_residual, pihat_direct)
 from birthcut.poly import Poly
 from birthcut.quadrature import panel_nodes
 from birthcut.specialfn import ln_zeta_nu1_exact
@@ -26,7 +25,7 @@ from conftest import model_chain, monic_reference, oracle_chain, quartic
 def test_gaussian_recurrence_closed_form():
     ch = model_chain(1, 55)
     with mp.workprec(256):
-        assert max(abs(ch.gamma_sq(k) - k) for k in range(1, 51)) < mpf("1e-40")
+        assert max(abs(ch.gsq[k] - k) for k in range(1, 51)) < mpf("1e-40")
         assert max(abs(ch.ln_zeta[k] - ln_zeta_nu1_exact(k))
                    for k in range(51)) < mpf("1e-40")
 
@@ -67,7 +66,7 @@ def test_hat_recurrence_agrees_with_direct_transform():
                 _, rec = phat_values(ch, k, y)
                 fy = _monic_at(ch, k, y)[1] * mp.exp(-y ** 4 / 4)
                 acc = mpf(0)
-                for x, g, w in zip(ch.xs, ch.gl_w, ch.wv):
+                for x, g, w in zip(ch.xs, ch.grid.gl_w(), ch.grid.wv()):
                     acc += g * (_monic_at(ch, k, x)[1] * w - fy) / (y - x)
                 acc += fy * mp.log((y - ch.x_min) / (ch.x_max - y))
                 assert abs(rec - acc) < mpf("1e-30") * max(abs(acc), mpf("1e-5"))
@@ -87,7 +86,7 @@ def test_hat_satisfies_inhomogeneous_recursion():
             assert abs(resid) < mpf("1e-30")
             for k in range(1, 6):
                 resid = y * vals[k] - (vals[k + 1] + ch.beta[k] * vals[k]
-                                       + ch.gamma_sq(k) * vals[k - 1])
+                                       + ch.gsq[k] * vals[k - 1])
                 assert abs(resid) < mpf("1e-10") * max(abs(vals[k]), mpf("1e-6"))
 
 
@@ -95,11 +94,11 @@ def test_psihat_normalization_and_minus_one():
     ch = model_chain(1, 55)
     y = mpf("0.9")
     with mp.workprec(256):
-        v = psihat_model(ch, 2, y)
+        v = psihat_values(ch, 2, y)[1]
         _, q = phat_values(ch, 2, y)
         expect = q * mp.exp(y * y / 4 - ch.log_h[2] / 2)
         assert abs(v - expect) < mpf("1e-35")
-        assert abs(psihat_model(ch, -1, y) - mp.exp(y * y / 4)) < mpf("1e-35")
+        assert abs(psihat_values(ch, 0, y)[0] - mp.exp(y * y / 4)) < mpf("1e-35")
 
 
 def test_kernel_identities():
@@ -234,9 +233,8 @@ def test_psi_and_psihat_pairs_match_single_values():
         psis = psi_values(ch, 12, y)
         assert len(psis) == 13
         assert all(v == eval_psi_exact(ch, k, y) for k, v in enumerate(psis))
-        for k in (0, 1, 4):
-            assert psihat_values(ch, k, y) == (psihat_model(ch, k - 1, y),
-                                               psihat_model(ch, k, y))
+        for k in (1, 4):
+            assert psihat_values(ch, k, y)[0] == psihat_values(ch, k - 1, y)[1]
 
 
 def pihat_reference(ch, n, points):
@@ -248,7 +246,7 @@ def pihat_reference(ch, n, points):
     c = mpf(ch.N) / ch.Tc
     dV = ch.V.deriv()
     nodes = [(xi, g, g * w, monic_reference(ch.beta, ch.gsq, n, xi))
-             for xi, g, w in zip(ch.xs, ch.gl_w, ch.wv)]
+             for xi, g, w in zip(ch.xs, ch.grid.gl_w(), ch.grid.wv())]
     out = []
     for x in points:
         inside = ch.x_min < x < ch.x_max
@@ -312,14 +310,14 @@ def test_seed_at_a_node_is_the_finite_limit():
             ys = (node - mpf("1e-30"), node + mpf("1e-30"))
             at = pihat_direct(ch, 0, node)
             sides = [pihat_direct(ch, 0, y) for y in ys]
-            assert mp.isfinite(psihat_model(ch, 1, node))
+            assert mp.isfinite(psihat_values(ch, 1, node)[1])
         with mp.workprec(640):
             refs = []
             for y in ys:
                 wy = mp.exp(-y * y / 2)
-                refs.append(mp.fsum(g * (w - wy) / (y - x)
-                                    for x, g, w in zip(ch.xs, ch.gl_w, ch.wv))
-                            + wy * mp.log((y + R) / (R - y)))
+                refs.append(mp.fsum(g * (w - wy) / (y - x) for x, g, w in zip(
+                    ch.xs, ch.grid.gl_w(), ch.grid.wv()))
+                    + wy * mp.log((y + R) / (R - y)))
             for v, ref in zip(sides, refs):
                 assert abs(v - ref) <= mpf("1e-45") * abs(ref)
             assert abs(at - (refs[0] + refs[1]) / 2) <= mpf("1e-45") * abs(at)
@@ -376,13 +374,13 @@ def test_build_chain_shares_one_chain_per_argument_tuple(monkeypatch):
                         or residual(ch, pairs, grid))
     a = build_chain(1, k_max=4, nodes=128)
     assert len(checks) == 1                            # a fresh build checks
-    assert build_chain(1, 4, 256, 128, True) is a      # defaults applied
+    assert build_chain(1, 4, 256, 128) is a            # defaults applied
     assert len(checks) == 1
     others = [build_chain(1, k_max=4, nodes=256),
               build_chain(1, k_max=5, nodes=128),
-              build_chain(1, k_max=4, nodes=128, check_orthonormality=False)]
+              build_chain(1, k_max=4, prec=320, nodes=128)]
     assert len({id(c) for c in others + [a]}) == 4
-    assert len(checks) == 3
+    assert len(checks) == 4
     assert build_chain(1, k_max=4, nodes=128) is a
     # the cache is bounded: the least recently used chain is built again
     for k in range(6, 6 + modelchain.CHAIN_CACHE_SIZE):
@@ -452,10 +450,6 @@ def test_unconverged_check_climbs_to_the_top_rung(monkeypatch):
     with pytest.raises(ArithmeticError, match="orthonormality residual"):
         build_chain(1, k_max=5)          # starts on the bottom rung
     assert sizes == [64 * p for p in modelchain.PANEL_LADDER]
-    # without the check there is no evidence for a smaller grid
-    ch = build_chain(1, k_max=5, check_orthonormality=False)
-    assert len(ch.grid) == 64 * modelchain.PANEL_LADDER[-1]
-    assert ch.resid is None and sizes == [64 * p for p in modelchain.PANEL_LADDER]
 
 
 def test_table_header_records_grid_and_residual():
@@ -465,8 +459,6 @@ def test_table_header_records_grid_and_residual():
     assert int(fields["nodes"]) == len(ch.grid)
     assert mpf(fields["resid"]) <= modelchain.converged_residual(ch.prec)
     assert fields["converged"] == "yes" and ch.converged is True
-    unchecked = build_chain(1, k_max=8, check_orthonormality=False)
-    assert "resid=unchecked converged=no" in chain_to_table(unchecked)
 
 
 def test_psi_memo_is_bounded_and_returns_fresh_lists():
@@ -478,7 +470,8 @@ def test_psi_memo_is_bounded_and_returns_fresh_lists():
         assert again == first[:-1] and again is not first
         for i in range(1000):
             psi_values(ch, 3, mpf(i) / 997)
-        assert len(ch._memo["psi passes"]) == modelchain.PSI_CACHE_SIZE
+        assert len(ch._memo) == MEMO_SIZE
+        assert all(key[:2] == ("psi", 3) for key in ch._memo)
         assert psi_values(ch, 3, mpf("0.125")) == again
 
 

@@ -34,7 +34,7 @@ def small_quartic_chain(bits=320, nodes=3008):
 def test_gaussian_closed_form():
     ch = gaussian_chain()
     with mp.workprec(256):
-        assert max(abs(ch.gamma_sq(n) - n) for n in range(1, 21)) < mpf("1e-40")
+        assert max(abs(ch.gsq[n] - n) for n in range(1, 21)) < mpf("1e-40")
         assert max(abs(b) for b in ch.beta) < mpf("1e-40")
         assert abs(mp.exp(ch.log_h[0]) - mp.sqrt(2 * mp.pi)) < mpf("1e-40")
 
@@ -129,7 +129,7 @@ def test_pihat_inhomogeneous_recursion_residual():
             assert abs(r0) < mpf("1e-12") * h0
             for n in range(1, 7):
                 r = x * vals[n] - (vals[n + 1] + ch.beta[n] * vals[n]
-                                   + ch.gamma_sq(n) * vals[n - 1])
+                                   + ch.gsq[n] * vals[n - 1])
                 assert abs(r) < mpf("1e-12") * max(abs(vals[n]), abs(h0) * mpf("1e-12"))
 
 

@@ -163,6 +163,13 @@ def test_spec_kv_roundtrip():
     assert all(abs(a - b) < mpf("1e-28") for a, b in zip(back.V.c, spec.V.c))
 
 
+def test_spec_hashes_and_compares_by_identity():
+    # memo keys hold the spec: a lookup must not hash every mpf of Q and V
+    a, b = make_quartic_spec(mpf("0.8")), make_quartic_spec(mpf("0.8"))
+    assert a == a and a != b
+    assert hash(a) == object.__hash__(a)
+
+
 @pytest.mark.parametrize("nu, e, Q_tilde", [
     (1, "2.6", None), (2, "2.6", None), (3, "2.3", None), (4, "2.2", None),
     (2, "2.6", (5, -2, 0, 0, 3))])
