@@ -524,24 +524,68 @@ def _scan_min(V: Poly, lo, hi, count=401):
     return min(V(lo + (hi - lo) * k / (count - 1)) for k in keep)
 
 
+def _deficit(V: Poly, x, vmin, coupling, n_max: int, budget):
+    """(N/Tc)(V(x) - vmin) - 2 n_max ln(1+|x|) - budget in mpf; `_domain`
+    stops at the first end where it is >= 0."""
+    return coupling * (V(x) - vmin) - 2 * n_max * mp.log(1 + abs(x)) - budget
+
+
+def _walk_end(V: Poly, x, step, vmin, coupling, n_max: int, budget):
+    """(end, vmin): the first of x, x + step, x + 2 step, ... where
+    `_deficit` >= 0, with vmin lowered by V at each point after x up to it,
+    as an mpf walk gives them.
+
+    The walk runs in floats, Horner as in `_scan_min`. V is formed in mpf
+    only at points whose float value is within 1e-9 of its scale above
+    vmin, `_deficit` only where its float value is within 1e-9 of its scale
+    of 0, and at the chosen end and the step before it, which confirm the
+    float walk. Where V leaves the float range, or the confirmation fails,
+    the walk is redone in mpf from x."""
+    def mpf_walk(x, vmin):
+        while _deficit(V, x, vmin, coupling, n_max, budget) < 0:
+            x += step
+            vmin = min(vmin, V(x))
+        return x, vmin
+
+    c = [float(v) for v in reversed(V.c)]
+    f_coupling, f_budget = float(coupling), float(budget)
+    start, last = (x, vmin), None
+    while True:
+        fx = float(x)
+        acc = size = 0.0
+        for ck in c:
+            acc = acc * fx + ck
+            size = size * abs(fx) + abs(ck)
+        f_vmin, f_log = float(vmin), 2 * n_max * math.log1p(abs(fx))
+        tol = 1e-9 * (f_coupling * (size + abs(f_vmin)) + f_log + f_budget)
+        if not math.isfinite(tol + acc):
+            return mpf_walk(*start)
+        if last is not None and acc <= f_vmin + 1e-9 * (size + abs(f_vmin)):
+            vmin = min(vmin, V(x))
+            f_vmin = float(vmin)
+        f_def = f_coupling * (acc - f_vmin) - f_log - f_budget
+        if abs(f_def) <= tol:
+            f_def = _deficit(V, x, vmin, coupling, n_max, budget)
+        if f_def >= 0:
+            break
+        last = (x, vmin)
+        x += step
+    confirmed = _deficit(V, x, vmin, coupling, n_max, budget) >= 0 and (
+        last is None or _deficit(V, *last, coupling, n_max, budget) < 0)
+    return (x, vmin) if confirmed else mpf_walk(*start)
+
+
 def _domain(V: Poly, N: int, Tc, n_max: int, prec: int):
     """[x_min, x_max] with (N/Tc)(V - V_min) - 2 n_max ln(1+|x|) beyond the
     precision budget at both ends. V_min starts as the minimum of V over 401
-    points of [-3, 3] (`_scan_min`) and takes in every end tried."""
+    points of [-3, 3] (`_scan_min`) and takes in every end tried; each end
+    walks out from -3 or 3 in half-steps (`_walk_end`), the left one first."""
     coupling = mpf(N) / Tc
-    lo, hi = mpf(-3), mpf(3)
-    vmin = _scan_min(V, lo, hi)
+    vmin = _scan_min(V, mpf(-3), mpf(3))
     budget = domain_budget(prec)
-
-    def deficit(x):
-        return coupling * (V(x) - vmin) - 2 * n_max * mp.log(1 + abs(x)) - budget
-
-    while deficit(lo) < 0:
-        lo -= mpf(1) / 2
-        vmin = min(vmin, V(lo))
-    while deficit(hi) < 0:
-        hi += mpf(1) / 2
-        vmin = min(vmin, V(hi))
+    half = mpf(1) / 2
+    lo, vmin = _walk_end(V, mpf(-3), -half, vmin, coupling, n_max, budget)
+    hi, _ = _walk_end(V, mpf(3), half, vmin, coupling, n_max, budget)
     return lo, hi
 
 

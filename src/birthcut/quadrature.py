@@ -1,10 +1,11 @@
 """Gauss-Legendre quadrature at working precision.
 
-Nodes and weights are computed by Newton iteration on the Legendre recurrence,
-seeded with the double-precision rule, in Python-integer fixed point with 32
-guard bits, and cached per (order, precision). Measured on the 64-point rule
-at 136-320 bits, it integrates x^{2j}, j < 64, to 0.2-0.4 units of 2^-prec,
-where an mpf Newton iteration was off by 2-4 units.
+Nodes and weights are computed by Newton iteration on the Legendre recurrence
+in Python-integer fixed point with 32 guard bits, seeded with roots found in
+floats by the same recurrence (`legendre_seeds`, so no numpy is imported),
+and cached per (order, precision). Measured on the 64-point rule at 136-320
+bits, it integrates x^{2j}, j < 64, to 0.2-0.4 units of 2^-prec, where an mpf
+Newton iteration was off by 2-4 units.
 
 The adaptive rules double their node count until two successive values
 differ by at most rel_tol * sum |w f| (the finer rule applied to |f|), and
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 from mpmath import mp, mpf
 
 _CACHE = {}
@@ -44,12 +44,35 @@ def _legendre_slope(n, X, F):
     return p, (n * ((X * p >> F) - q) << F) // ((X * X >> F) - (1 << F))
 
 
+def legendre_seeds(n: int):
+    """The ceil(n/2) non-negative roots of P_n in floats, ascending; 0.0 is
+    among them when n is odd.
+
+    Each root starts from Tricomi's approximation cos(pi (i + 3/4)/(n + 1/2))
+    and is refined by float Newton on the recurrence of `_legendre`."""
+    roots = []
+    for i in range(n // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(60):
+            q, p = 1.0, x
+            for k in range(1, n):
+                q, p = p, ((2 * k + 1) * x * p - k * q) / (k + 1)
+            dx = p * (x * x - 1) / (n * (x * p - q))
+            x -= dx
+            if abs(dx) < 1e-15:
+                break
+        roots.append(x)
+    if n % 2:
+        roots.append(0.0)
+    return roots[::-1]
+
+
 def gauss_legendre(n: int):
     """Nodes and weights on [-1, 1] at the current precision, ascending.
 
     Newton runs on the ceil(n/2) non-negative roots only; the rule is
     symmetric, so the others are their mirror images. It starts from the
-    double-precision rule and runs in Python-integer fixed point with
+    float roots of `legendre_seeds` and runs in Python-integer fixed point with
     F = prec + GUARD_BITS fraction bits; the weights are
     2 / ((1 - x^2) P_n'(x)^2), formed in the same integers and rounded once.
     """
@@ -58,10 +81,9 @@ def gauss_legendre(n: int):
     if got is not None:
         return got
     F = mp.prec + GUARD_BITS
-    seeds, _ = np.polynomial.legendre.leggauss(n)
     half, hw = [], []
-    for s in seeds[n // 2:]:
-        X = (int(math.ldexp(float(s), 53)) << F) >> 53
+    for s in legendre_seeds(n):
+        X = (int(math.ldexp(s, 53)) << F) >> 53
         for _ in range(60):
             p, dp = _legendre_slope(n, X, F)
             dx = (p << F) // dp

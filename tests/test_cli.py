@@ -2,11 +2,15 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
+import birthcut
 from birthcut import modelchain, oracle
 from birthcut.cli import main
 from birthcut.kvio import measure_from_kv, parse_kv, spec_to_kv
@@ -15,6 +19,19 @@ from conftest import quartic
 
 def run(args):
     return main(args)
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    # every CLI run pays its imports; the package's numerics are mpmath and
+    # Python integers, so a fresh interpreter must not pull in numpy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(birthcut.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, birthcut.cli; print(sorted({m.split('.')[0] for m in "
+            "sys.modules} & {'numpy', 'scipy'}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path),
+                         check=True).stdout
+    assert out.strip() == "[]", out
 
 
 def test_validate_ok(capsys):

@@ -386,20 +386,75 @@ DOMAIN_ENDS = [
 ]
 
 
+def domain_args(kind, a, b):
+    """(V, N, Tc, n_max) of a `DOMAIN_ENDS` case."""
+    if kind == "q":
+        spec = quartic(a)
+        return spec.V, b, spec.Tc, b + int(mp.ceil(3 * mp.log(b)))
+    return Poly([0] * (2 * a) + [mpf(1) / (2 * a)]), 1, 1, b - 1
+
+
 @pytest.mark.parametrize("kind, a, b, bits, lo, hi", DOMAIN_ENDS)
 def test_domain_ends_from_the_float_scan(kind, a, b, bits, lo, hi):
     # V_min is scanned in floats and formed in mpf only near the float
     # minimum; it is still the mpf minimum of all 401 points
-    if kind == "q":
-        spec = quartic(a)
-        V, N, Tc, n_max = spec.V, b, spec.Tc, b + int(mp.ceil(3 * mp.log(b)))
-    else:
-        V, N, Tc, n_max = Poly([0] * (2 * a) + [mpf(1) / (2 * a)]), 1, 1, b - 1
+    V, N, Tc, n_max = domain_args(kind, a, b)
     with mp.workprec(bits):
         assert oracle._domain(V, N, Tc, n_max, bits) == (lo, hi)
         left, right = mpf(-3), mpf(3)
         assert oracle._scan_min(V, left, right) == min(
             V(left + (right - left) * k / 400) for k in range(401))
+
+
+def mpf_domain(V, N, Tc, n_max, bits):
+    """`oracle._domain` as a walk in mpf alone: the reference of the float
+    walk."""
+    coupling, budget = mpf(N) / Tc, oracle.domain_budget(bits)
+    lo, hi = mpf(-3), mpf(3)
+    vmin = oracle._scan_min(V, lo, hi)
+
+    def deficit(x):
+        return coupling * (V(x) - vmin) - 2 * n_max * mp.log(1 + abs(x)) - budget
+
+    while deficit(lo) < 0:
+        lo -= mpf(1) / 2
+        vmin = min(vmin, V(lo))
+    while deficit(hi) < 0:
+        hi += mpf(1) / 2
+        vmin = min(vmin, V(hi))
+    return lo, hi
+
+
+@pytest.mark.parametrize("kind, a, b, bits, lo, hi", DOMAIN_ENDS)
+def test_domain_walk_confirms_each_end_in_mpf(monkeypatch, kind, a, b, bits,
+                                              lo, hi):
+    # the half-steps are walked in floats; mpf `_deficit` runs at the chosen
+    # end and the step before it, where the all-mpf walk ran it at every
+    # step: 68 times for y^2/2 at k_max = 8, 236 at k_max = 200
+    V, N, Tc, n_max = domain_args(kind, a, b)
+    calls = []
+    deficit = oracle._deficit
+    monkeypatch.setattr(oracle, "_deficit",
+                        lambda *args: calls.append(args[1]) or deficit(*args))
+    with mp.workprec(bits):
+        assert oracle._domain(V, N, Tc, n_max, bits) == (lo, hi) \
+            == mpf_domain(V, N, Tc, n_max, bits)
+    assert sorted(calls) == sorted({lo, hi, lo + (lo < -3) / mpf(2),
+                                    hi - (hi > 3) / mpf(2)}), calls
+
+
+def test_domain_where_floats_cannot_decide():
+    # the all-mpf walk's ends where the float walk must hand over to mpf: V
+    # out of float range; wells beyond [-3, 3] that lower V_min on the way
+    # out; and a deficit that is 0 at 4.5 to within mpf rounding
+    bits, n_max = 256, 10
+    with mp.workprec(bits):
+        budget = oracle.domain_budget(bits)
+        tight = (2 * n_max * mp.log(mpf("5.5")) + budget) / mpf("4.5") ** 2
+        for V in (Poly([0, 0, mpf("1e400")]), Poly([0, 0, -18, 0, mpf(1) / 4]),
+                  Poly([0, mpf(1) / 10, -18, 0, mpf(1) / 4]), Poly([0, 0, tight])):
+            assert oracle._domain(V, 1, 1, n_max, bits) == mpf_domain(
+                V, 1, 1, n_max, bits), V
 
 
 def test_scan_min_where_floats_cannot_decide():

@@ -12,7 +12,8 @@ from mpmath import mp, mpf
 from birthcut import equilibrium
 from birthcut.potentials import quartic_etilde
 from birthcut.quadrature import (ConvergenceError, gauss_legendre,
-                                 integrate_bracket, integrate_doubling)
+                                 integrate_bracket, integrate_doubling,
+                                 legendre_seeds)
 
 
 def test_vanishing_integral_converges_in_few_doublings():
@@ -55,3 +56,34 @@ def test_gauss_legendre_rule_is_symmetric_and_exact(prec):
         for j in range(64):
             s = mp.fsum(w * x ** (2 * j) for x, w in zip(xs, ws))
             assert abs(s - mpf(2) / (2 * j + 1)) <= mpf(2) ** (-prec + 4), j
+
+
+ORDERS = [1, 2, 3, 16, 64, 65, 128]
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_legendre_seeds_are_the_non_negative_roots(n):
+    # ceil(n/2) roots, strictly ascending in [0, 1), 0 exactly when n is
+    # odd, and each a float root of P_n: within 1e-14 of the 256-bit node
+    seeds = legendre_seeds(n)
+    assert len(seeds) == (n + 1) // 2
+    assert all(a < b for a, b in zip(seeds, seeds[1:]))
+    assert 0 <= seeds[0] and seeds[-1] < 1
+    assert (seeds[0] == 0) == (n % 2 == 1)
+    with mp.workprec(256):
+        xs, _ = gauss_legendre(n)
+    assert all(abs(s - x) < 1e-14 for s, x in zip(seeds, xs[n // 2:]))
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_gauss_legendre_rule_is_exact_at_every_order(n):
+    # as for the 64-point rule above: x^{2j}, j < n, integrates to 2/(2j + 1)
+    prec = 256
+    with mp.workprec(prec):
+        xs, ws = gauss_legendre(n)
+        assert len(xs) == len(ws) == n and xs == sorted(xs)
+        assert xs == [-x for x in reversed(xs)] and ws == ws[::-1]
+    with mp.workprec(prec + 64):
+        for j in range(n):
+            s = mp.fsum(w * x ** (2 * j) for x, w in zip(xs, ws))
+            assert abs(s - mpf(2) / (2 * j + 1)) <= mpf(2) ** (-prec + 4), (n, j)
