@@ -93,7 +93,8 @@ def make_regime(spec: CriticalSpec, N: int, p: int) -> RegimePoint:
 # k-sums
 # ----------------------------------------------------------------------------
 
-def _k_limit(chain: RecChain, rp: RegimePoint, margin=10):
+def _k_limit(chain: RecChain, rp: RegimePoint):
+    margin = 10                        # k-sums run to ubar + 10 at most
     return min(rp.ubar + margin, chain.n_max, rp.N + rp.p - 1)
 
 

@@ -157,8 +157,13 @@ def cmd_chain(args):
     if args.phi_e is not None or args.spec:
         spec = _load_spec(args)
         lnA = mp.log(modelchain.A_constant(spec))
-    _write(args.out, modelchain.chain_to_table(ch, lnA))
+    _write(args.out, kvio.chain_to_table(ch, lnA))
     return EXIT_OK
+
+
+def _model_chain(spec):
+    """The model chain the asymptotic formulas read: k_max = 30, 256 bits."""
+    return modelchain.build_chain(spec.nu, k_max=30, prec=256)
 
 
 def _oracle_chain(spec, N, bits, pmax):
@@ -191,7 +196,7 @@ def cmd_scan_u(args):
     # every regime first: the domain check (N >= 3) precedes the chain builds
     regimes = {N: [_regime_at_u(spec, N, u) for u in us] for N in Ns}
     _warn_outside_Z(rp for N in Ns for rp in regimes[N])
-    mc = modelchain.build_chain(spec.nu, k_max=30, prec=256)
+    mc = _model_chain(spec)
     rows = ["N,p,u,ubar,eps_u,gamma_oracle,gamma_reduced,gamma_full,"
             "beta_oracle,beta_reduced,beta_full,rel_err_gamma,rel_err_beta"]
     for N in Ns:
@@ -230,7 +235,7 @@ def cmd_psi(args):
               "%s from a half-integer)" % (_fmt(rp.u, 6),
                                            _fmt(asymptotics.FORBIDDEN_BAND, 3)),
               file=sys.stderr)
-    mc = modelchain.build_chain(spec.nu, k_max=30, prec=256)
+    mc = _model_chain(spec)
     smap = asymptotics.make_scaling_map(spec, N)
     ys = _parse_grid(args.y_grid or "-2:2:0.5")
     ch = None
@@ -273,35 +278,21 @@ def cmd_transition(args):
 
 
 def cmd_compare(args):
-    """Compare an exported oracle chain table against the asymptotics."""
+    """Compare a chain table (`kvio.chain_to_table`) against the asymptotics."""
     spec = _load_spec(args)
     if not args.table:
         raise UsageError("compare needs --table FILE (oracle chain export)")
     try:
         with open(args.table) as fh:
-            lines = fh.read().splitlines()
+            fields, table = kvio.table_from_text(fh.read())
+        N = int(fields["N"])
     except OSError as exc:
         raise UsageError("cannot read table: %s" % exc)
-    header = lines[0] if lines else ""
-    try:
-        fields = dict(tok.split("=") for tok in header.lstrip("# ").split())
-        N = int(fields["N"])
-    except Exception:
-        raise UsageError("table missing '# N=... Tc=... n_max=...' header")
-    gam = {}
-    for lineno, line in enumerate(lines, 1):
-        if line.startswith("#") or not line.strip():
-            continue
-        toks = line.split()
-        try:
-            gam[int(toks[0])] = mpf(toks[2])
-        except (IndexError, ValueError):
-            raise UsageError("%s line %d: expected 'n ln_h gamma beta', got %r"
-                             % (args.table, lineno, line))
+    gam = {int(row[0]): row[2] for row in table}
     regimes = [asymptotics.make_regime(spec, N, n - N)
                for n in sorted(gam) if n >= N]
     _warn_outside_Z(regimes)
-    mc = modelchain.build_chain(spec.nu, k_max=30, prec=256)
+    mc = _model_chain(spec)
     rows = ["N,p,u,gamma_oracle,gamma_reduced,gamma_full"]
     for rp in regimes:
         rows.append(",".join([str(N), str(rp.p)] + [_fmt(v) for v in (

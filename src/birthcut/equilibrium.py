@@ -57,10 +57,7 @@ class EqMeasure:
     ell: Optional[EllipticParams] = None
 
     def sigma(self) -> Poly:
-        p = Poly([1])
-        for r in self.endpoints:
-            p = p * Poly([-r, 1])
-        return p
+        return monic_from_roots(self.endpoints)
 
     def cut_sign(self, i):
         """Branch sign of the density on cut i (0-based): +1 on the last cut,
@@ -96,27 +93,23 @@ class EqMeasure:
 
 def _moments(Vp: Poly, endpoints, jmax=6):
     """(M, c) for V'/sqrt(sigma) = M + sum c_j x^{-j} at these endpoints."""
-    sigma = Poly([1])
-    for r in endpoints:
-        sigma = sigma * Poly([-r, 1])
     s = len(endpoints) // 2
-    tail = sqrt_sigma_tail(sigma, jmax + Vp.degree + s, alpha=-mpf(1) / 2)
+    tail = sqrt_sigma_tail(monic_from_roots(endpoints), jmax + Vp.degree + s,
+                           alpha=-mpf(1) / 2)
     return laurent_split(Vp, tail, s, jmax)
 
 
-def _newton(F, x0, max_iter=100, tol=None, trust=None):
+def _newton(F, x0, max_iter=100, tol=None):
     """Damped Newton with forward-difference Jacobian on a tuple function.
 
-    `trust` caps each component of the step; near a degenerate critical point
-    the Jacobian is stiff and an uncapped step can jump into the basin of a
-    spurious (negative-density) root of the moment system.
+    Each step component is capped at 0.2 (1 + |x_j|); near a degenerate
+    critical point the Jacobian is stiff and an uncapped step can jump into
+    the basin of a spurious (negative-density) root of the moment system.
     """
     n = len(x0)
     x = [mpf(v) for v in x0]
     if tol is None:
         tol = mpf(10) ** (-mp.dps + 8)
-    if trust is None:
-        trust = mpf("0.2")
     r = F(x)
     rn = max(abs(v) for v in r)
     for _ in range(max_iter):
@@ -135,7 +128,7 @@ def _newton(F, x0, max_iter=100, tol=None, trust=None):
             dx = mpmath.lu_solve(mat, mpmath.matrix([-v for v in r]))
         except ZeroDivisionError as exc:
             raise ConvergenceError("singular Jacobian: %s" % exc)
-        big = max(abs(dx[j]) / (trust * (1 + abs(x[j]))) for j in range(n))
+        big = max(abs(dx[j]) / (mpf("0.2") * (1 + abs(x[j]))) for j in range(n))
         if big > 1:
             dx = [dx[j] / big for j in range(n)]
         lam = mpf(1)
@@ -253,7 +246,8 @@ def _gap_moments(endpoints, count):
     return moments[:count]
 
 
-def _check_density(mu: EqMeasure, samples=200):
+def _check_density(mu: EqMeasure):
+    samples = 200                      # points per cut where M's sign is checked
     eps = mu.endpoints
     mscale = max(abs(v) for v in mu.M.c) if mu.M else mpf(1)
     floor = -mscale * mpf(10) ** (-mp.dps + 8)
@@ -485,13 +479,14 @@ def prime_form_one_cut(mu: EqMeasure, x, xi):
     return H, E
 
 
-def veff_const_bs(mu: EqMeasure, tail_terms=40):
+def veff_const_bs(mu: EqMeasure):
     """Absolute V_eff(b_s) = V(b_s) - 2T ln(b_s) - 2 int_inf^{b_s} (W - T/x).
 
     The large-x tail of W - T/x is summed from the Laurent coefficients of
     V'/sqrt(sigma); the finite part is integrated with the w^2 substitution
     at b_s. Requires b_s > 0 (true for every critical model here).
     """
+    tail_terms = 40                    # Laurent terms of W - T/x past x = X
     bs = mu.b_s()
     if bs <= 0:
         raise ValueError("normalization constant needs b_s > 0")
@@ -500,8 +495,7 @@ def veff_const_bs(mu: EqMeasure, tail_terms=40):
     s = mu.s
     jmax = tail_terms + Vp.degree + s
     M, c = _moments(Vp, eps, jmax=jmax)
-    sigma = mu.sigma()
-    st = sqrt_sigma_tail(sigma, tail_terms, alpha=mpf(1) / 2)
+    st = sqrt_sigma_tail(mu.sigma(), tail_terms, alpha=mpf(1) / 2)
 
     # W - T/x = (1/2)(V' - M sqrt(sigma)) - T/x = (1/2) sqrt(sigma) * sum c_j x^-j - T/x
     # -> coefficients w_k of x^{-k}: (1/2) sum_{j} c_j st[k + s - j]... build product

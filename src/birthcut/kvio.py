@@ -11,6 +11,8 @@ from mpmath import mp, mpf
 from .poly import Poly
 from .potentials import CriticalSpec
 from .equilibrium import EqMeasure
+from .modelchain import ln_A_k
+from .oracle import RecChain
 
 DIGITS = 30
 
@@ -98,3 +100,47 @@ def measure_from_kv(text: str, V: Poly = None) -> EqMeasure:
         from .equilibrium import _fill_two_cut_data
         _fill_two_cut_data(mu)
     return mu
+
+
+def chain_to_table(chain: RecChain, lnA=None) -> str:
+    """The one table format of every chain, oracle or model, at the chain's
+    precision: a header of N, Tc, n_max, bits, the domain, the grid size and
+    the check's resid and converged (or none), then per n = 0..n_max the row
+    n, ln h_n, gamma_n (gamma_0 = 0), beta_n, ln zeta_n and, given lnA, ln A_n."""
+    with mp.workprec(chain.prec):
+        lines = ["# N=%d Tc=%s n_max=%d bits=%d x_min=%s x_max=%s nodes=%d "
+                 "resid=%s converged=%s" % (
+                     chain.N, _fmt(chain.Tc), chain.n_max, chain.prec,
+                     _fmt(chain.x_min), _fmt(chain.x_max), len(chain.grid),
+                     "none" if chain.resid is None else _fmt(chain.resid),
+                     {None: "none", True: "yes", False: "no"}[chain.converged]),
+                 "# n ln_h gamma beta ln_zeta" + (" ln_A" if lnA is not None else "")]
+        for n in range(chain.n_max + 1):
+            row = [chain.log_h[n], chain.gamma[n], chain.beta[n], chain.ln_zeta[n]]
+            row += [ln_A_k(chain, lnA, n)] if lnA is not None else []
+            lines.append("%d %s" % (n, _fmt_list(row)))
+    return "\n".join(lines) + "\n"
+
+
+def table_from_text(text: str):
+    """(fields, rows): the key=value fields of the first line, which must
+    give N, and as mpf each later row that is not blank or `#`: an integer n
+    and at least two more numbers. A ValueError names the line that is not."""
+    lines = text.splitlines() or [""]
+    fields = dict(t.split("=", 1) for t in lines[0].lstrip("#").split() if "=" in t)
+    if "N" not in fields:
+        raise ValueError("line 1: expected '# N=... Tc=... n_max=...', got %r"
+                         % lines[0])
+    rows = []
+    for ln, line in enumerate(lines[1:], 2):
+        toks = line.split()
+        if not toks or line.startswith("#"):
+            continue
+        try:
+            if len(toks) < 3:
+                raise ValueError
+            rows.append([mpf(int(toks[0]))] + [mpf(t) for t in toks[1:]])
+        except ValueError:
+            raise ValueError("line %d: expected 'n ln_h gamma ...', got %r"
+                             % (ln, line)) from None
+    return fields, rows

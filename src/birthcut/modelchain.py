@@ -159,9 +159,9 @@ def freud_gsq(nu: int, count: int):
 _chains = OrderedDict()
 
 # panel counts a default build tries in turn, from the one `first_rung`
-# picks: 320, 640, 1344, 2752 and 5568 nodes, the last the check grid of a
-# 4096-node chain
-PANEL_LADDER = (5, 10, 21, 43, 87)
+# picks: 320, 640, 1344, 2752, 5568 and 11200 nodes, the last the check grid
+# of an 8192-node chain (for k_max = 200 at 512 bits)
+PANEL_LADDER = (5, 10, 21, 43, 87, 175)
 
 
 def converged_residual(prec: int):
@@ -228,9 +228,8 @@ def build_chain(nu: int, k_max: int = 100, prec: int = 256,
     would use to check a chain built on `nodes` nodes, 1.37x as many. Either
     way a residual above 1e-20 raises ArithmeticError. The chain records its
     check residual as `resid` and whether it met `converged_residual(prec)`
-    as `converged`: a ladder can end on its top rung short of that bound
-    (residual 1.0e-92 at nu = 1, k_max = 200, 512 bits, against 3.9e-96) and
-    the build still returns.
+    as `converged`: a ladder can end on its top rung short of that bound,
+    and the build still returns.
 
     A call with the same arguments as one of the last CHAIN_CACHE_SIZE
     distinct calls returns the chain that call built (shared, read-only)."""
@@ -323,25 +322,3 @@ def psihat_values(chain: RecChain, k: int, y):
         up = q * mp.exp(g - chain.log_h[k] / 2)
         down = q_prev * mp.exp(g - chain.log_h[k - 1] / 2) if k else mp.exp(g)
         return down, up
-
-
-# ----------------------------------------------------------------------------
-# plain-text cache
-# ----------------------------------------------------------------------------
-
-def chain_to_table(chain: RecChain, lnA=None) -> str:
-    """Columns k, ln_zeta, gamma, ln_A (ln_A only when lnA given), 30 digits;
-    the header's R is the domain end x_max, nodes the size of the chain's
-    grid, resid its orthonormality check residual there and converged
-    whether that met `converged_residual(prec)` (yes or no)."""
-    lines = ["# nu=%d k_max=%d prec=%d R=%s nodes=%d resid=%s converged=%s" % (
-        chain.V.degree // 2, chain.n_max + 1, chain.prec,
-        mp.nstr(chain.x_max, 10), len(chain.grid), mp.nstr(chain.resid, 3),
-        "yes" if chain.converged else "no")]
-    lines.append("# k ln_zeta gamma ln_A")
-    for k in range(chain.n_max + 1):
-        g = chain.gamma[k] if k >= 1 else mpf(0)
-        la = ln_A_k(chain, lnA, k) if lnA is not None else mpf(0)
-        lines.append("%d %s %s %s" % (
-            k, mp.nstr(chain.ln_zeta[k], 30), mp.nstr(g, 30), mp.nstr(la, 30)))
-    return "\n".join(lines) + "\n"

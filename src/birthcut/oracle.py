@@ -498,8 +498,8 @@ def domain_budget(prec: int):
     return mpf(prec) * mp.log(2) * mpf("0.45") + 60
 
 
-def _scan_min(V: Poly, lo, hi, count=401):
-    """min of V over the points lo + (hi - lo) k/(count - 1), as the mpf
+def _scan_min(V: Poly, lo, hi):
+    """min of V over the 401 points lo + (hi - lo) k/400, as the mpf
     minimum of all of them at the working precision gives it.
 
     V is scanned in floats; V is formed in mpf only at the float minimum
@@ -507,6 +507,7 @@ def _scan_min(V: Poly, lo, hi, count=401):
     scale, max sum_j |c_j| |x|^j, above it. Horner in floats errs by about
     1e-16 of that scale, so the mpf minimum is among those points. Where
     V leaves the float range, every point is formed in mpf."""
+    count = 401
     c = [float(v) for v in reversed(V.c)]
     f_lo, f_hi = float(lo), float(hi)
     fs, scale = [], 0.0
@@ -772,16 +773,3 @@ def expected_count_exact(chain: RecChain, n: int, lo, hi=None, panels=24):
                                 grid, chain.beta, chain.gamma,
                                 chain.log_h[0], n, range(n)))
         return +total
-
-
-def chain_to_table(chain: RecChain) -> str:
-    """Plain-text export: n, ln h_n, gamma_n, beta_n at 30 significant digits."""
-    lines = ["# N=%d Tc=%s n_max=%d bits=%d" % (
-        chain.N, mp.nstr(chain.Tc, 30), chain.n_max, chain.prec)]
-    lines.append("# n ln_h gamma beta")
-    for n in range(chain.n_max + 1):
-        lines.append("%d %s %s %s" % (
-            n, mp.nstr(chain.log_h[n], 30),
-            mp.nstr(chain.gamma[n] if n >= 1 else mpf(0), 30),
-            mp.nstr(chain.beta[n], 30)))
-    return "\n".join(lines) + "\n"

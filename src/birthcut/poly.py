@@ -223,8 +223,9 @@ def count_real_roots(p: Poly, lo, hi):
     return _sign_changes(seq, mpf(lo)) - _sign_changes(seq, mpf(hi))
 
 
-def isolate_real_roots(p: Poly, lo, hi, max_depth=80):
+def isolate_real_roots(p: Poly, lo, hi):
     """Disjoint intervals (each containing exactly one root of p) in (lo, hi]."""
+    max_depth = 80                     # halvings of (lo, hi] at most
     seq = sturm_sequence(p)
 
     def count(a, b):

@@ -241,8 +241,22 @@ def test_transition_rows(tmp_path):
     assert abs(mpf(below[2]) - mpf(below[3])) < mpf("0.1") * abs(mpf(below[3]))
 
 
+def _former_oracle_table(ch):
+    """The oracle table format `compare` read before `kvio.chain_to_table`:
+    header N, Tc, n_max, bits and the columns n, ln_h, gamma, beta."""
+    lines = ["# N=%d Tc=%s n_max=%d bits=%d" % (
+        ch.N, mp.nstr(ch.Tc, 30), ch.n_max, ch.prec), "# n ln_h gamma beta"]
+    for n in range(ch.n_max + 1):
+        lines.append("%d %s %s %s" % (
+            n, mp.nstr(ch.log_h[n], 30),
+            mp.nstr(ch.gamma[n] if n >= 1 else mpf(0), 30),
+            mp.nstr(ch.beta[n], 30)))
+    return "\n".join(lines) + "\n"
+
+
 def test_compare_against_exported_table(tmp_path):
-    from birthcut.oracle import build_rec_chain, chain_to_table
+    from birthcut.kvio import chain_to_table
+    from birthcut.oracle import build_rec_chain
     spec = quartic("0.62")
     ch = build_rec_chain(spec.V, 12, spec.Tc, n_max=15, bits=256, nodes=3008)
     table = tmp_path / "oracle.tsv"
@@ -253,6 +267,12 @@ def test_compare_against_exported_table(tmp_path):
     rows = out.read_text().splitlines()
     assert rows[0].startswith("N,p,u,gamma_oracle")
     assert len(rows) == 1 + 4   # p = 0..3
+    # the same CSV as from the former oracle table of the same chain
+    table.write_text(_former_oracle_table(ch))
+    former = tmp_path / "former.csv"
+    assert run(["compare", "--phi-e", "0.62", "--table", str(table),
+                "--out", str(former)]) == 0
+    assert former.read_text() == out.read_text()
 
 
 def test_compare_malformed_row_is_usage_error(tmp_path, capsys):
@@ -263,6 +283,12 @@ def test_compare_malformed_row_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "line 4" in err
+    # a table without N= in its first line
+    table.write_text("# Tc=0.5 n_max=15 bits=256\n12 0.1 1.0 0.0\n")
+    assert run(["compare", "--phi-e", "0.62", "--table", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "line 1" in err
 
 
 # subcommand -> (an argv it accepts, the options a hostile value goes to)

@@ -9,9 +9,10 @@ import pytest
 from mpmath import mp, mpf
 
 from birthcut import modelchain
-from birthcut.modelchain import (A_constant, build_chain, chain_to_table,
-                                 freud_gsq, ln_A_k, phat_values, psi_values,
-                                 psihat_values, string_guard_bits)
+from birthcut.kvio import chain_to_table
+from birthcut.modelchain import (A_constant, build_chain, freud_gsq, ln_A_k,
+                                 phat_values, psi_values, psihat_values,
+                                 string_guard_bits)
 from birthcut.oracle import (GUARD_BITS, MEMO_SIZE, _monic_at, _node_grid,
                              _to_fixed, build_rec_chain, domain_budget,
                              eval_psi_exact, kernel_exact,
@@ -222,8 +223,8 @@ def test_table_export_format():
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     assert len(lines) == ch.n_max + 1
     toks = lines[5].split()
-    assert toks[0] == "5" and len(toks) == 4
-    assert abs(mpf(toks[1]) - ch.ln_zeta[5]) < mpf("1e-25") * max(abs(ch.ln_zeta[5]), 1)
+    assert toks[0] == "5" and len(toks) == 6
+    assert abs(mpf(toks[4]) - ch.ln_zeta[5]) < mpf("1e-25") * max(abs(ch.ln_zeta[5]), 1)
 
 
 def test_psi_and_psihat_pairs_match_single_values():
@@ -395,12 +396,13 @@ def test_default_grid_is_the_first_converged_rung(nu, k_max, prec):
     # the default build checks PANEL_LADDER from `first_rung` up and keeps
     # the first rung whose check residual is at most 2^(-3 prec/4) (at 320
     # bits e^-domain_budget); here that is the rung it starts on, and the
-    # rung below fails. Its Hilbert seed agrees with the top rung's (the
-    # grid every default build used before) inside and outside the domain
+    # rung below fails. Its Hilbert seed agrees with the 87-panel rung's
+    # (the grid every default build used before) inside and outside the
+    # domain
     ch = build_chain(nu, k_max=k_max, prec=prec)
     top = build_chain(nu, k_max=k_max, prec=prec, nodes=4096)
     panels = len(ch.grid) // 64
-    assert len(top.grid) == 64 * modelchain.PANEL_LADDER[-1]
+    assert len(top.grid) == 64 * 87 and 87 in modelchain.PANEL_LADDER
     rung = modelchain.PANEL_LADDER.index(panels)
     bound = modelchain.converged_residual(prec)
     with mp.workprec(prec):
@@ -450,6 +452,14 @@ def test_unconverged_check_climbs_to_the_top_rung(monkeypatch):
     with pytest.raises(ArithmeticError, match="orthonormality residual"):
         build_chain(1, k_max=5)          # starts on the bottom rung
     assert sizes == [64 * p for p in modelchain.PANEL_LADDER]
+
+
+def test_512_bit_chain_converges_on_the_top_rung():
+    # at k_max = 200 and 512 bits the 87-panel rung leaves a check residual
+    # of 1.0e-92, above converged_residual(512) = 3.9e-96
+    ch = build_chain(1, k_max=200, prec=512)
+    assert len(ch.grid) == 64 * modelchain.PANEL_LADDER[-1]
+    assert ch.converged is True
 
 
 def test_table_header_records_grid_and_residual():

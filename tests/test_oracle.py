@@ -9,10 +9,10 @@ import pytest
 from mpmath import mp, mpf
 
 from birthcut import modelchain, oracle, quadrature
+from birthcut.kvio import chain_to_table
 from birthcut.oracle import (GUARD_BITS, PANEL_POINTS, RecChain,
-                             build_rec_chain, chain_to_table, eval_phi_exact,
-                             eval_psi_exact, expected_count_exact,
-                             gram_entries, kernel_exact,
+                             build_rec_chain, eval_phi_exact, eval_psi_exact,
+                             expected_count_exact, gram_entries, kernel_exact,
                              orthogonality_residual, pihat_direct)
 from birthcut.poly import Poly
 from birthcut.quadrature import gauss_legendre, panel_nodes
@@ -248,7 +248,7 @@ def test_table_export():
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     assert len(lines) == ch.n_max + 1
     toks = lines[3].split()
-    assert toks[0] == "3"
+    assert toks[0] == "3" and len(toks) == 5
     with mp.workprec(256):
         assert abs(mpf(toks[2]) - ch.gamma[3]) < mpf("1e-25")
 
