@@ -19,11 +19,32 @@ the parameter 1 - m (`_gap_moments`). So is the image u_inf of infinity, an
 incomplete F, and E(u_inf). No step of the two-cut solve is an adaptive
 quadrature, and its cost does not grow as the newborn cut [c, d] shrinks.
 
+Newton's Jacobian is exact and comes from the same Laurent data. Write l_m
+for the x^m coefficient of V'/sqrt(sigma): M's coefficients for m >= 0 and
+c_{-m} for m < 0. Since d sigma^{-1/2}/d e_i = sigma^{-1/2} / (2 (x - e_i)),
+and 1/(x - e_i) = sum_{k>=0} e_i^k x^{-k-1},
+
+    dc_j/de_i = (1/2) sum_{k>=0} e_i^k l_{k+1-j}
+              = (1/2) (e_i^{j-1} M(e_i) + sum_{l<j} c_l e_i^{j-1-l}),
+    dM/de_i   = polynomial part of the same series
+              = (1/2) (M(x) - M(e_i)) / (x - e_i).
+
+The endpoints of [b, c] move with the e_i, but M sqrt(sigma) vanishes at b
+and c, so Leibniz's rule leaves no boundary terms, and
+
+    d/de_i integral_b^c M sqrt(sigma) = sum_k q_k I_k,
+    Q = (dM/de_i) sigma - (1/2) M sigma / (x - e_i)
+      = -(1/2) M(e_i) sigma / (x - e_i),
+
+over the moments I_k the gap condition has already formed. One evaluation of
+the conditions thus gives Newton its residual and its Jacobian.
+
 Density: rho(x) = M(x) sqrt(-sigma(x)) / (2 pi T) on the support.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,6 +76,8 @@ class EqMeasure:
     m: Optional[mpf] = None           # two-cut: biratio of the endpoints
     u_inf: Optional[mpc] = None       # two-cut: image of x = infinity
     ell: Optional[EllipticParams] = None
+    newton_steps: Optional[int] = None    # Newton steps the solve took
+    residual: Optional[mpf] = None        # max |residual| at the solution
 
     def sigma(self) -> Poly:
         return monic_from_roots(self.endpoints)
@@ -99,8 +122,24 @@ def _moments(Vp: Poly, endpoints, jmax=6):
     return laurent_split(Vp, tail, s, jmax)
 
 
+def _dc_de(Me, c, j, e):
+    """dc_j/de at the endpoint e, given Me = M(e) and the c_l:
+    (1/2) (e^{j-1} M(e) + sum_{l<j} c_l e^{j-1-l}), by Horner."""
+    acc = Me
+    for l in range(1, j):
+        acc = acc * e + c[l]
+    return acc / 2
+
+
 def _newton(F, x0, max_iter=100, tol=None):
-    """Damped Newton with forward-difference Jacobian on a tuple function.
+    """Damped Newton on F(x) -> (r, J, data), J[i][j] = dr_i/dx_j exactly.
+
+    F evaluates the residual and its Jacobian together, from one set of
+    Laurent data (see the module docstring), so a step whose full length is
+    accepted costs one evaluation, and each halving of the line search one
+    more; no evaluation is made for the Jacobian alone. Returns
+    (x, data, steps, residual): data from the evaluation at x, the number of
+    Newton steps taken and max |r| there.
 
     Each step component is capped at 0.2 (1 + |x_j|); near a degenerate
     critical point the Jacobian is stiff and an uncapped step can jump into
@@ -110,22 +149,13 @@ def _newton(F, x0, max_iter=100, tol=None):
     x = [mpf(v) for v in x0]
     if tol is None:
         tol = mpf(10) ** (-mp.dps + 8)
-    r = F(x)
+    r, J, data = F(x)
     rn = max(abs(v) for v in r)
-    for _ in range(max_iter):
+    for steps in range(max_iter):
         if rn <= tol:
-            return x
-        h = mpf(2) ** (-mp.prec // 2)
-        J = []
-        for j in range(n):
-            step = h * (1 + abs(x[j]))
-            xp = list(x)
-            xp[j] += step
-            rp = F(xp)
-            J.append([(rp[i] - r[i]) / step for i in range(n)])
-        mat = mpmath.matrix([[J[j][i] for j in range(n)] for i in range(n)])
+            return x, data, steps, rn
         try:
-            dx = mpmath.lu_solve(mat, mpmath.matrix([-v for v in r]))
+            dx = mpmath.lu_solve(mpmath.matrix(J), mpmath.matrix([-v for v in r]))
         except ZeroDivisionError as exc:
             raise ConvergenceError("singular Jacobian: %s" % exc)
         big = max(abs(dx[j]) / (mpf("0.2") * (1 + abs(x[j]))) for j in range(n))
@@ -135,20 +165,55 @@ def _newton(F, x0, max_iter=100, tol=None):
         for _ in range(30):
             xt = [x[j] + lam * dx[j] for j in range(n)]
             try:
-                rt = F(xt)
+                rt, Jt, data_t = F(xt)
                 rtn = max(abs(v) for v in rt)
             except (PhaseError, ValueError):
                 rtn = None
             if rtn is not None and rtn < rn:
-                x, r, rn = xt, rt, rtn
+                x, r, J, data, rn = xt, rt, Jt, data_t, rtn
                 break
             lam /= 2
         else:
             raise ConvergenceError("line search stalled at residual %s" % rn)
     if rn <= tol:
-        return x
+        return x, data, max_iter, rn
     raise ConvergenceError("no convergence after %d iterations (residual %s)"
                            % (max_iter, rn))
+
+
+def _one_cut_system(Vp: Poly, T, x):
+    """Residual (c_1, c_2 - 2T) at x = (a, b), its exact Jacobian and M."""
+    a, b = x
+    if not a < b:
+        raise PhaseError("endpoint ordering lost")
+    M, c = _moments(Vp, x)
+    Me = [M(e) for e in x]
+    J = [[_dc_de(Me[i], c, j, e) for i, e in enumerate(x)] for j in (1, 2)]
+    return (c[1], c[2] - 2 * T), J, M
+
+
+def _two_cut_system(Vp: Poly, T, x):
+    """Residual (c_1, c_2, c_3 - 2T, gap) at x = (a, b, c, d), its exact
+    Jacobian and M."""
+    a, b, c, d = x
+    if not (a < b < c < d):
+        raise PhaseError("cut collision: need a < b < c < d")
+    span = d - a
+    if (d - c) < mpf("1e-10") * span or (c - b) < mpf("1e-10") * span:
+        raise PhaseError("cut collision: a cut or the gap has closed")
+    M, cs = _moments(Vp, x)
+    Me = [M(e) for e in x]
+    J = [[_dc_de(Me[i], cs, j, e) for i, e in enumerate(x)] for j in (1, 2, 3)]
+    # integral_b^c M sqrt(sigma) = integral_b^c P / sqrt(sigma), P = M sigma;
+    # its e_i-derivative is -(M(e_i)/2) integral_b^c (sigma/(x - e_i)) / sqrt(sigma)
+    with mp.workprec(mp.prec + GAP_GUARD_BITS):
+        P = M * monic_from_roots(x)
+        I = _gap_moments(x, len(P))
+        gap = mp.fsum(p * Ik for p, Ik in zip(P.c, I))
+        J.append([-Me[i] / 2 * mp.fsum(
+            q * Ik for q, Ik in zip(monic_from_roots(x[:i] + x[i + 1:]).c, I))
+            for i in range(4)])
+    return (cs[1], cs[2], cs[3] - 2 * T, +gap), J, M
 
 
 def solve_one_cut(V: Poly, T, guess=(-2, 2)) -> EqMeasure:
@@ -158,18 +223,11 @@ def solve_one_cut(V: Poly, T, guess=(-2, 2)) -> EqMeasure:
     if not T > 0:
         raise ValueError("temperature T = %s: need T > 0" % mp.nstr(T, 10))
     Vp = V.deriv()
-
-    def F(x):
-        a, b = x
-        if not a < b:
-            raise PhaseError("endpoint ordering lost")
-        _, c = _moments(Vp, (a, b))
-        return (c[1], c[2] - 2 * T)
-
     # converge to working precision; this is far below the 1e-12 T contract
-    a, b = _newton(F, guess, tol=mpf(10) ** (-mp.dps + 8) * max(T, mpf(1)))
-    M, _ = _moments(Vp, (a, b))
-    mu = EqMeasure(s=1, endpoints=(mpf(a), mpf(b)), M=M, T=T, V=V)
+    (a, b), M, steps, rn = _newton(lambda x: _one_cut_system(Vp, T, x), guess,
+                                   tol=mpf(10) ** (-mp.dps + 8) * max(T, mpf(1)))
+    mu = EqMeasure(s=1, endpoints=(a, b), M=M, T=T, V=V,
+                   newton_steps=steps, residual=rn)
     _check_density(mu)
     return mu
 
@@ -181,24 +239,10 @@ def solve_two_cut(V: Poly, T, guess) -> EqMeasure:
     if not T > 0:
         raise ValueError("temperature T = %s: need T > 0" % mp.nstr(T, 10))
     Vp = V.deriv()
-
-    def F(x):
-        a, b, c, d = x
-        if not (a < b < c < d):
-            raise PhaseError("cut collision: need a < b < c < d")
-        span = d - a
-        if (d - c) < mpf("1e-10") * span or (c - b) < mpf("1e-10") * span:
-            raise PhaseError("cut collision: a cut or the gap has closed")
-        M, cs = _moments(Vp, (a, b, c, d))
-        # integral_b^c M sqrt(sigma) = integral_b^c P / sqrt(sigma), P = M sigma
-        with mp.workprec(mp.prec + GAP_GUARD_BITS):
-            P = M * monic_from_roots(x)
-            gap = mp.fsum(p * I for p, I in zip(P.c, _gap_moments(x, len(P))))
-        return (cs[1], cs[2], cs[3] - 2 * T, +gap)
-
-    a, b, c, d = _newton(F, guess, max_iter=40)
-    M, _ = _moments(Vp, (a, b, c, d))
-    mu = EqMeasure(s=2, endpoints=(mpf(a), mpf(b), mpf(c), mpf(d)), M=M, T=T, V=V)
+    ends, M, steps, rn = _newton(lambda x: _two_cut_system(Vp, T, x), guess,
+                                 max_iter=40)
+    mu = EqMeasure(s=2, endpoints=tuple(ends), M=M, T=T, V=V,
+                   newton_steps=steps, residual=rn)
     _check_density(mu)
     _fill_two_cut_data(mu)
     return mu
@@ -247,14 +291,34 @@ def _gap_moments(endpoints, count):
 
 
 def _check_density(mu: EqMeasure):
+    """Raise PhaseError at the first of 199 evenly spaced points per cut
+    where sgn M(x) < -10^(8 - dps) max_k |c_k| (1 + |x|)^deg M.
+
+    M is scanned in floats, Horner as in `oracle._scan_min`; the test is
+    formed in mpf only where sgn M_float <= 1e-9 of the scale
+    sum_k |c_k| |x|^k there. Horner in floats errs by about 1e-16 of that
+    scale, so every point skipped passes in mpf too. Where the coefficients
+    leave the float range, no point is skipped."""
     samples = 200                      # points per cut where M's sign is checked
     eps = mu.endpoints
     mscale = max(abs(v) for v in mu.M.c) if mu.M else mpf(1)
     floor = -mscale * mpf(10) ** (-mp.dps + 8)
+    coeffs = [float(v) for v in reversed(mu.M.c)]
+    in_range = all(v == 0 or 1e-290 < abs(ck) < math.inf
+                   for ck, v in zip(coeffs, reversed(mu.M.c)))
     for cut in range(mu.s):
         lo, hi = eps[2 * cut], eps[2 * cut + 1]
+        f_lo, f_hi = float(lo), float(hi)
         sgn = mu.cut_sign(cut)
         for i in range(1, samples):
+            if in_range:
+                fx = f_lo + (f_hi - f_lo) * i / samples
+                acc = size = 0.0
+                for ck in coeffs:
+                    acc = acc * fx + ck
+                    size = size * abs(fx) + abs(ck)
+                if sgn * acc > 1e-9 * size:
+                    continue
             x = lo + (hi - lo) * mpf(i) / samples
             if sgn * mu.M(x) < floor * (1 + abs(x)) ** mu.M.degree:
                 raise PhaseError("negative density at x = %s; wrong cut count "

@@ -70,8 +70,15 @@ def spec_from_kv(text: str) -> CriticalSpec:
 
 
 def measure_to_kv(mu: EqMeasure) -> str:
+    """The measure's key = value block. Its `#` header gives the Newton
+    steps and the final residual of the solve, where the measure records
+    them (a measure read back by `measure_from_kv` records none)."""
+    header = "# equilibrium measure"
+    if mu.newton_steps is not None:
+        header += " newton_steps=%d residual=%s" % (mu.newton_steps,
+                                                    mp.nstr(mu.residual, 3))
     lines = [
-        "# equilibrium measure",
+        header,
         "s = %d" % mu.s,
         "endpoints = %s" % _fmt_list(mu.endpoints),
         "M = %s" % _fmt_list(mu.M.c),

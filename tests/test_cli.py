@@ -13,7 +13,7 @@ from mpmath import mp, mpf
 import birthcut
 from birthcut import modelchain, oracle
 from birthcut.cli import main
-from birthcut.kvio import measure_from_kv, parse_kv, spec_to_kv
+from birthcut.kvio import measure_from_kv, measure_to_kv, parse_kv, spec_to_kv
 from conftest import quartic
 
 
@@ -344,3 +344,18 @@ def test_cli_exit_contract_on_hostile_values(case):
         except _ChainBuilt:
             return
     assert code in (0, 1, 2, 3), (argv, code)
+
+
+@pytest.mark.parametrize("extra", [[], ["--t", "1e-4", "--two-cut"]])
+def test_equilibrium_header_records_newton(tmp_path, extra):
+    out = tmp_path / "mu.kv"
+    assert run(["equilibrium", "--phi-e", "1.0", "--out", str(out)] + extra) == 0
+    head = out.read_text().splitlines()[0].split()
+    assert head[:3] == ["#", "equilibrium", "measure"]
+    fields = dict(tok.split("=") for tok in head[3:])
+    assert set(fields) == {"newton_steps", "residual"}
+    assert int(fields["newton_steps"]) >= 0
+    assert 0 <= mpf(fields["residual"]) < mpf("1e-30")
+    # a measure read back records no solve, and its header says none
+    again = measure_to_kv(measure_from_kv(out.read_text()))
+    assert again.splitlines()[0] == "# equilibrium measure"

@@ -292,3 +292,125 @@ def test_classical_bounds_two_cut():
     # degenerate c = d collapses the gamma band onto (b-a)/4
     width_hi = (d - a + c - b) / 4
     assert cl["gamma_hi"] == width_hi
+
+
+def _central_jacobian(system, x, h=mpf("1e-13")):
+    """J[i][j] = dr_i/dx_j by central differences of the residual alone."""
+    cols = []
+    for j in range(len(x)):
+        step = h * (1 + abs(x[j]))
+        xp, xm = list(x), list(x)
+        xp[j] += step
+        xm[j] -= step
+        rp, rm = system(xp)[0], system(xm)[0]
+        cols.append([(p - m) / (2 * step) for p, m in zip(rp, rm)])
+    return [list(row) for row in zip(*cols)]
+
+
+@pytest.mark.parametrize("case,that", [("quartic-below", "1e-5"),
+                                       ("nu2", None), ("two-cut", "1e-5"),
+                                       ("two-cut", "1e-3")])
+def test_jacobian_matches_central_differences(case, that):
+    # the Jacobian each system returns is exact: it must match central
+    # differences of its own residual, whose error is about h^2 ~ 1e-26
+    if case == "quartic-below":
+        spec = quartic("1.0")
+        T = spec.Tc * (1 - mpf(that))
+        x = solve_one_cut(spec.V, T, guess=(-2, 2)).endpoints
+        system = equilibrium._one_cut_system
+    elif case == "nu2":
+        spec = spec_nu(2, "2.6")
+        T, x = spec.Tc, (mpf("-2.01"), mpf("1.99"))
+        system = equilibrium._one_cut_system
+    else:
+        spec = quartic("1.0")
+        t = mpf(that) * spec.Tc
+        T, x = spec.Tc + t, two_cut_guess(spec, t)
+        system = equilibrium._two_cut_system
+    Vp = spec.V.deriv()
+    _, J, _ = system(Vp, T, list(x))
+    fd = _central_jacobian(lambda y: system(Vp, T, y), list(x))
+    for i, (row, ref) in enumerate(zip(J, fd)):
+        scale = max(abs(v) for v in ref)
+        assert max(abs(u - v) for u, v in zip(row, ref)) < mpf("1e-20") * scale, i
+
+
+def test_two_cut_solve_forms_one_moment_set_per_newton_step(monkeypatch):
+    # 5 Newton steps: the guess, one evaluation per accepted step and no
+    # separate M at the solution; forward differences made 27 calls
+    calls = []
+    split = equilibrium.laurent_split
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return split(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "laurent_split", counted)
+    spec = quartic("1.0")
+    t = mpf("3e-4") * spec.Tc
+    mu = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
+    assert len(calls) <= 7
+    assert mu.newton_steps == len(calls) - 1
+    assert mu.residual <= mpf(10) ** (-mp.dps + 8)
+
+
+def _density_verdict_mpf(mu):
+    """The all-mpf density scan: the message of the first point where
+    sgn M < floor (1 + |x|)^deg M, or None."""
+    eps = mu.endpoints
+    mscale = max(abs(v) for v in mu.M.c) if mu.M else mpf(1)
+    floor = -mscale * mpf(10) ** (-mp.dps + 8)
+    for cut in range(mu.s):
+        lo, hi = eps[2 * cut], eps[2 * cut + 1]
+        for i in range(1, 200):
+            x = lo + (hi - lo) * mpf(i) / 200
+            if mu.cut_sign(cut) * mu.M(x) < floor * (1 + abs(x)) ** mu.M.degree:
+                return ("negative density at x = %s; wrong cut count for this "
+                        "temperature" % mp.nstr(x, 10))
+    return None
+
+
+def _density_verdict(mu):
+    try:
+        equilibrium._check_density(mu)
+    except PhaseError as exc:
+        return str(exc)
+    return None
+
+
+def test_float_density_scan_matches_mpf_scan():
+    spec = quartic("1.0")
+    one = solve_one_cut(spec.V, spec.Tc * (1 - mpf("1e-5")), guess=(-2, 2))
+    t = mpf("1e-4") * spec.Tc
+    two = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
+    semicircle = (mpf(-2), mpf(2))
+    gauss = Poly([0, 0, mpf(1) / 2])
+
+    def measure(M, endpoints=semicircle, s=1):
+        return equilibrium.EqMeasure(s=s, endpoints=endpoints, M=M, T=mpf(1),
+                                     V=gauss)
+
+    def square_at_1(shift, scale=1):
+        # scale ((x - 1)^2 + shift): x = 1 is sample 150 of [-2, 2], where
+        # the float value is 0 whatever |shift| < 1e-16, so only mpf decides
+        return Poly([scale * (1 + mpf(shift)), -2 * scale, scale])
+
+    cases = {
+        "one-cut solve": one,
+        "two-cut solve": two,
+        "two-cut, M flipped": measure(-two.M, two.endpoints, 2),
+        "undecided in floats, negative": measure(square_at_1("-1e-30")),
+        "undecided in floats, positive": measure(square_at_1("1e-30")),
+        "undecided in floats, within the floor": measure(square_at_1("-1e-33")),
+        "beyond float range, negative": measure(square_at_1("-1e-30", mpf("1e400"))),
+        "beyond float range, positive": measure(square_at_1("1e-30", mpf("1e400"))),
+        "below float range, negative": measure(square_at_1("-1e-30", mpf("1e-400"))),
+        "zero M": measure(Poly()),
+    }
+    verdicts = {name: _density_verdict(mu) for name, mu in cases.items()}
+    assert verdicts == {name: _density_verdict_mpf(mu)
+                        for name, mu in cases.items()}
+    assert verdicts["undecided in floats, negative"] == (
+        "negative density at x = 1.0; wrong cut count for this temperature")
+    assert verdicts["one-cut solve"] is None and verdicts["two-cut solve"] is None
+    assert verdicts["two-cut, M flipped"] is not None
