@@ -15,9 +15,24 @@ which a damped Newton iteration solves for the endpoints. The gap condition
 for s = 2, integral_b^c M sqrt(sigma) = 0, is in closed form too: with
 P = M sigma it is sum_k p_k I_k over the moments I_k = integral_b^c t^k /
 sqrt(sigma), which reduce to the complete elliptic integrals K, E and Pi of
-the parameter 1 - m (`_gap_moments`). So is the image u_inf of infinity, an
-incomplete F, and E(u_inf). No step of the two-cut solve is an adaptive
-quadrature, and its cost does not grow as the newborn cut [c, d] shrinks.
+the parameter 1 - m (`_gap_moments`). No step of the two-cut solve is an
+adaptive quadrature, and its cost does not grow as the newborn cut [c, d]
+shrinks.
+
+The abelian map u(x) = u_inf + (i/2) sqrt((d-b)(c-a)) integral_x^inf dy /
+sqrt(sigma) is closed too. The substitution tan^2 theta = (d-b)(y-a) /
+((b-a)(y-d)) (Byrd & Friedman, section 258) turns it into one incomplete
+integral of the parameter 1 - m, for every x > d:
+
+    u(x) = i F(arctan rho(x) | 1-m),  rho(x)^2 = (d-b)(x-a) / ((b-a)(x-d)),
+
+with u(d) = i K' and u_inf = u(inf) = i v, v = F(phi | 1-m), at
+phi = arctan r, r = sqrt((d-b)/(b-a)). Since sn(u_inf) = i r, the Jacobi
+imaginary transformation gives E(u_inf) = i (v + sqrt((d-b)/(c-a))
+- E(phi | 1-m)), so the zero of Omega in the gap,
+x0 = d + i sqrt((c-a)(d-b)) (E(u_inf) - (1 - E'/K') u_inf), is real:
+
+    x0 = b + sqrt((c-a)(d-b)) (E(phi | 1-m) - (E'/K') v).
 
 Newton's Jacobian is exact and comes from the same Laurent data. Write l_m
 for the x^m coefficient of V'/sqrt(sigma): M's coefficients for m >= 0 and
@@ -51,10 +66,11 @@ from typing import Optional
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from .poly import Poly, laurent_split, monic_from_roots, sqrt_sigma_tail
+from .poly import (Poly, _float_horner, laurent_split, monic_from_roots,
+                   sqrt_sigma_tail)
 from .quadrature import ConvergenceError, integrate_bracket, integrate_doubling
 from .specialfn import (EllipticParams, complete_K_E_Pi, complete_integrals,
-                        incomplete_E, theta1, theta1_prime0)
+                        theta1, theta1_prime0)
 
 # extra bits for the gap condition: its terms p_k I_k are thousands of times
 # larger than their sum, which Newton drives to 0
@@ -294,11 +310,10 @@ def _check_density(mu: EqMeasure):
     """Raise PhaseError at the first of 199 evenly spaced points per cut
     where sgn M(x) < -10^(8 - dps) max_k |c_k| (1 + |x|)^deg M.
 
-    M is scanned in floats, Horner as in `oracle._scan_min`; the test is
-    formed in mpf only where sgn M_float <= 1e-9 of the scale
-    sum_k |c_k| |x|^k there. Horner in floats errs by about 1e-16 of that
-    scale, so every point skipped passes in mpf too. Where the coefficients
-    leave the float range, no point is skipped."""
+    M is scanned in floats (`poly._float_horner`); the test is formed in
+    mpf only where sgn M_float <= 1e-9 of the scale sum_k |c_k| |x|^k
+    there, so every point skipped passes in mpf too. Where the
+    coefficients leave the float range, no point is skipped."""
     samples = 200                      # points per cut where M's sign is checked
     eps = mu.endpoints
     mscale = max(abs(v) for v in mu.M.c) if mu.M else mpf(1)
@@ -312,11 +327,8 @@ def _check_density(mu: EqMeasure):
         sgn = mu.cut_sign(cut)
         for i in range(1, samples):
             if in_range:
-                fx = f_lo + (f_hi - f_lo) * i / samples
-                acc = size = 0.0
-                for ck in coeffs:
-                    acc = acc * fx + ck
-                    size = size * abs(fx) + abs(ck)
+                acc, size = _float_horner(coeffs,
+                                         f_lo + (f_hi - f_lo) * i / samples)
                 if sgn * acc > 1e-9 * size:
                     continue
             x = lo + (hi - lo) * mpf(i) / samples
@@ -325,24 +337,27 @@ def _check_density(mu: EqMeasure):
                                  "for this temperature" % mp.nstr(x, 10))
 
 
+def _abel_amplitude(endpoints, m, ratio):
+    """(phi, F(phi | 1-m)) at phi = arctan sqrt(ratio (d-b)/(b-a)), to 20
+    guard bits: u(x) = i F at ratio = (x-a)/(x-d), u_inf at ratio = 1."""
+    a, b, c, d = endpoints
+    with mp.workprec(mp.prec + 20):
+        phi = mp.atan(mp.sqrt(ratio * (d - b) / (b - a)))
+        return phi, mpmath.ellipf(phi, 1 - m)
+
+
 def _fill_two_cut_data(mu: EqMeasure):
     a, b, c, d = mu.endpoints
     m = (b - a) * (d - c) / ((c - a) * (d - b))
     ell = complete_integrals(m)
-    # u_inf = i integral_0^r dy / sqrt((1+y^2)(1+m y^2)); y = tan(theta)
-    # turns it into i F(arctan r | 1-m)
-    r = mp.sqrt((d - b) / (b - a))
+    phi, v = _abel_amplitude(mu.endpoints, m, 1)
     with mp.workprec(mp.prec + 20):
-        v = mpmath.ellipf(mp.atan(r), 1 - m)
-    u_inf = mpc(0, v)
-    Eu = incomplete_E(u_inf, m)
-    x0 = d + mpc(0, 1) * mp.sqrt((c - a) * (d - b)) * (
-        Eu - (1 - ell.Eprime / ell.Kprime) * u_inf)
+        x0 = b + mp.sqrt((c - a) * (d - b)) * (
+            mpmath.ellipe(phi, 1 - m) - ell.Eprime / ell.Kprime * v)
     mu.m = m
     mu.ell = ell
-    mu.u_inf = u_inf
-    mu.x0 = x0.real if abs(x0.imag) < mpf(10) ** (-mp.dps + 10) * (1 + abs(x0)) \
-        else x0
+    mu.u_inf = mpc(0, v)
+    mu.x0 = +x0
 
 
 def normalization(mu: EqMeasure):
@@ -432,40 +447,13 @@ def joukowski_lambda(mu: EqMeasure, x):
 
 
 def _u_of_x_two_cut(mu: EqMeasure, x):
-    """u(x) for real x > d, on the branch with u(d) = i K' and u(inf) = u_inf.
-
-    Computed as u_inf + (i/2) sqrt((d-b)(c-a)) integral_x^inf dy/sqrt(sigma);
-    the tail integral is regularized by y = 1/tau, which keeps full absolute
-    accuracy at large x (where u - u_inf ~ 1/x must be resolved).
-    """
+    """u(x) = i F(arctan rho(x) | 1-m) for real x > d (module docstring):
+    the branch with u(d) = i K' and u(inf) = u_inf."""
     a, b, c, d = mu.endpoints
     x = mpf(x)
     if x <= d:
         raise ValueError("need x > d")
-    pref = mp.sqrt((d - b) * (c - a)) / 2
-
-    def tail_integrand(tau):
-        # 1/sqrt(tau^4 sigma(1/tau)) = 1/sqrt(prod (1 - r tau))
-        acc = mpf(1)
-        for r in (a, b, c, d):
-            acc *= 1 - r * tau
-        return 1 / mp.sqrt(acc)
-
-    if x >= 2 * d + 1:
-        tail = integrate_doubling(tail_integrand, 0, 1 / x, max_panels=256)
-        return mu.u_inf + mpc(0, 1) * pref * tail
-    # moderate x: w^2 substitution anchored at the singular (lower) end,
-    # plus the exact tau-form tail beyond xfar
-    xfar = 2 * d + 1
-
-    def sig(t):
-        return (t - a) * (t - b) * (t - c) * (t - d)
-
-    w1 = mp.sqrt(xfar - x)
-    mid = integrate_doubling(
-        lambda w: 2 * w / mp.sqrt(sig(x + w * w)), 0, w1, max_panels=256)
-    tail = integrate_doubling(tail_integrand, 0, 1 / xfar, max_panels=256)
-    return mu.u_inf + mpc(0, 1) * pref * (tail + mid)
+    return mpc(0, _abel_amplitude(mu.endpoints, mu.m, (x - a) / (x - d))[1])
 
 
 def lambda_two_cut(mu: EqMeasure, x):

@@ -79,7 +79,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
 from mpmath.libmp.libelefun import exp_basecase, ln2_fixed
 
-from .poly import Poly
+from .poly import Poly, _float_horner
 from .quadrature import gauss_legendre
 
 GUARD_BITS = 32        # fixed-point fraction bits beyond the working precision
@@ -502,21 +502,17 @@ def _scan_min(V: Poly, lo, hi):
     """min of V over the 401 points lo + (hi - lo) k/400, as the mpf
     minimum of all of them at the working precision gives it.
 
-    V is scanned in floats; V is formed in mpf only at the float minimum
-    and at every point whose float value is within 1e-9 of the scan's
-    scale, max sum_j |c_j| |x|^j, above it. Horner in floats errs by about
-    1e-16 of that scale, so the mpf minimum is among those points. Where
-    V leaves the float range, every point is formed in mpf."""
+    V is scanned in floats (`poly._float_horner`); V is formed in mpf only
+    at the float minimum and at every point whose float value is within
+    1e-9 of the scan's scale, max sum_j |c_j| |x|^j, above it, so the mpf
+    minimum is among those points. Where V leaves the float range, every
+    point is formed in mpf."""
     count = 401
     c = [float(v) for v in reversed(V.c)]
     f_lo, f_hi = float(lo), float(hi)
     fs, scale = [], 0.0
     for k in range(count):
-        x = f_lo + (f_hi - f_lo) * k / (count - 1)
-        acc = size = 0.0
-        for ck in c:
-            acc = acc * x + ck
-            size = size * abs(x) + abs(ck)
+        acc, size = _float_horner(c, f_lo + (f_hi - f_lo) * k / (count - 1))
         fs.append(acc)
         scale = max(scale, size)
     near = min(fs) + 1e-9 * scale
@@ -536,7 +532,7 @@ def _walk_end(V: Poly, x, step, vmin, coupling, n_max: int, budget):
     `_deficit` >= 0, with vmin lowered by V at each point after x up to it,
     as an mpf walk gives them.
 
-    The walk runs in floats, Horner as in `_scan_min`. V is formed in mpf
+    The walk runs in floats (`poly._float_horner`). V is formed in mpf
     only at points whose float value is within 1e-9 of its scale above
     vmin, `_deficit` only where its float value is within 1e-9 of its scale
     of 0, and at the chosen end and the step before it, which confirm the
@@ -553,10 +549,7 @@ def _walk_end(V: Poly, x, step, vmin, coupling, n_max: int, budget):
     start, last = (x, vmin), None
     while True:
         fx = float(x)
-        acc = size = 0.0
-        for ck in c:
-            acc = acc * fx + ck
-            size = size * abs(fx) + abs(ck)
+        acc, size = _float_horner(c, fx)
         f_vmin, f_log = float(vmin), 2 * n_max * math.log1p(abs(fx))
         tol = 1e-9 * (f_coupling * (size + abs(f_vmin)) + f_log + f_budget)
         if not math.isfinite(tol + acc):

@@ -108,6 +108,20 @@ def _as_poly(x):
     return x if isinstance(x, Poly) else Poly([x])
 
 
+def _float_horner(coeffs, x):
+    """(p(x), sum_k |c_k| |x|^k) in floats, by Horner, for p's coefficients
+    as floats, highest degree first.
+
+    The float value errs from the exact one by about 1e-16 of the second
+    number, its scale. So a comparison that the float value passes by more
+    than 1e-9 of that scale is the one the mpf value gives."""
+    acc = size = 0.0
+    for ck in coeffs:
+        acc = acc * x + ck
+        size = size * abs(x) + abs(ck)
+    return acc, size
+
+
 def monic_from_roots(roots):
     p = Poly([1])
     for r in roots:

@@ -11,9 +11,10 @@ so that the two-cut gamma formula reads gamma = (i/4K) sqrt((d-b)(c-a))
 
 Complete integrals and Jacobi functions are delegated to mpmath (AGM/Landen
 based, valid at arbitrary precision); this module owns the conventions, the
-theta1 series, the incomplete second integral along straight paths, one AGM
-sequence for K, E and Pi together, and the Stirling-type asymptotics of the
-model partition functions.
+one theta1 series behind theta1 and theta1'(0), one AGM sequence for K, E and
+Pi together, and the Stirling-type asymptotics of the model partition
+functions. The incomplete integrals of the two-cut abelian map are mpmath's
+F and E of a real amplitude (see `equilibrium`).
 """
 
 from __future__ import annotations
@@ -117,43 +118,6 @@ def complete_K_E_Pi(mc, n):
     return +K, +E, +Pi
 
 
-def incomplete_E(u, m):
-    """E(u, m) = integral_0^{sn(u,m)} sqrt((1-m y^2)/(1-y^2)) dy, straight path.
-
-    Real u (|sn|<=1) uses the trigonometric form; purely imaginary u stays on
-    the imaginary axis, where the Jacobi imaginary transformation gives a
-    closed form. Other arguments are rejected rather than silently crossing a
-    branch cut.
-    """
-    m = mpf(m)
-    u = mpc(u)
-    if u == 0:
-        return mpf(0)
-    if abs(u.imag) <= mpf(10) ** (-mp.dps) * (1 + abs(u.real)):
-        # real path: y = sin(theta), E = int_0^phi sqrt(1 - m sin^2) dtheta
-        with mp.workprec(mp.prec + 20):
-            sn, _, _ = sn_cn_dn(u.real, m)
-            phi = mp.asin(sn)
-            val = mpmath.ellipe(phi, m)
-        return +val.real if abs(val.imag) < mpf(10) ** (-mp.dps + 4) else +val
-    if abs(u.real) <= mpf(10) ** (-mp.dps) * (1 + abs(u.imag)):
-        # imaginary path: sn = i s. With y = i tan(theta) and s = tan(phi),
-        # the integral is i int_0^phi sqrt(1 - (1-m) sin^2) sec^2 dtheta, which
-        # integrates by parts to the Jacobi imaginary transformation
-        #   E(iv|m) = i (v + tan(phi) sqrt(1 - (1-m) sin^2 phi) - E(phi|1-m)),
-        # v = F(phi|1-m); sqrt(1 - (1-m) sin^2 phi) = sqrt((1+m s^2)/(1+s^2))
-        with mp.workprec(mp.prec + 20):
-            sn, _, _ = sn_cn_dn(u, m)
-            s = sn.imag
-            phi = mp.atan(s)
-            mc = 1 - m
-            val = mpc(0, mpmath.ellipf(phi, mc) - mpmath.ellipe(phi, mc)
-                      + s * mp.sqrt((1 + m * s * s) / (1 + s * s)))
-        return +val
-    raise ValueError("incomplete_E: straight path would cross a branch cut "
-                     "for general complex u; only real or imaginary u supported")
-
-
 def _nome(tau):
     tau = mpc(tau)
     if tau.imag <= 0:
@@ -161,42 +125,39 @@ def _nome(tau):
     return mp.exp(mpc(0, 1) * mp.pi * tau)
 
 
-def theta1(z, tau):
-    """theta1(z, tau) with period-1 argument, truncated at relative 1e-30."""
+def _theta1_series(tau, weight):
+    """2 sum_{n>=0} (-1)^n q^{(n+1/2)^2} weight(n), truncated at relative
+    1e-30 of its largest term and partial sum; raises ConvergenceError if
+    200 terms do not reach that."""
     q = _nome(tau)
-    z = mpc(z)
     with mp.workprec(mp.prec + 20):
         tol = max(mpf(10) ** (-30), mpf(2) ** (-mp.prec + 8))
         acc = mpc(0)
         scale = mpf(0)
         for n in range(200):
-            term = (-1) ** n * q ** ((n + mpf(1) / 2) ** 2) \
-                * mp.sin((2 * n + 1) * mp.pi * z)
+            term = (-1) ** n * q ** ((n + mpf(1) / 2) ** 2) * weight(n)
             acc += term
             scale = max(scale, abs(term))
-            if n >= 1 and abs(term) < tol * max(scale, abs(acc)):
+            if n >= 1 and abs(term) <= tol * max(scale, abs(acc)):
                 break
+        else:
+            raise ConvergenceError("theta1 series: 200 terms at tau = %s"
+                                   % mp.nstr(tau, 8))
         out = 2 * acc
     if abs(out.imag) < mpf(10) ** (-mp.dps + 6) * abs(out):
         return +out.real
     return +out
 
 
+def theta1(z, tau):
+    """theta1(z, tau) with period-1 argument."""
+    z = mpc(z)
+    return _theta1_series(tau, lambda n: mp.sin((2 * n + 1) * mp.pi * z))
+
+
 def theta1_prime0(tau):
     """d theta1/dz at z = 0."""
-    q = _nome(tau)
-    with mp.workprec(mp.prec + 20):
-        tol = max(mpf(10) ** (-30), mpf(2) ** (-mp.prec + 8))
-        acc = mpc(0)
-        for n in range(200):
-            term = (-1) ** n * q ** ((n + mpf(1) / 2) ** 2) * (2 * n + 1)
-            acc += term
-            if n >= 1 and abs(term) < tol * abs(acc):
-                break
-        out = 2 * mp.pi * acc
-    if abs(out.imag) < mpf(10) ** (-mp.dps + 6) * abs(out):
-        return +out.real
-    return +out
+    return mp.pi * _theta1_series(tau, lambda n: 2 * n + 1)
 
 
 # ----------------------------------------------------------------------------

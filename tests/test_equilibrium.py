@@ -1,9 +1,9 @@
 """Equilibrium-measure solvers against closed forms and cross-route identities."""
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
-from birthcut import equilibrium, quadrature
+from birthcut import equilibrium, quadrature, specialfn
 from birthcut.equilibrium import (ConvergenceError, PhaseError, abelian_objects,
                                   classical_gamma_beta, dtrace_dr,
                                   effective_potential, gamma_from_lambda_limit,
@@ -12,7 +12,7 @@ from birthcut.equilibrium import (ConvergenceError, PhaseError, abelian_objects,
                                   solve_one_cut, solve_two_cut,
                                   thermo_derivatives, veff_const_bs)
 from birthcut.poly import Poly, monic_from_roots
-from birthcut.quadrature import integrate_bracket
+from birthcut.quadrature import integrate_bracket, integrate_doubling
 from birthcut.specialfn import sn_cn_dn
 from birthcut.critical import one_cut_drift, two_cut_guess
 from conftest import quartic, spec_nu
@@ -181,10 +181,87 @@ def test_two_cut_solve_runs_no_adaptive_quadrature(monkeypatch):
     for name in ("integrate_bracket", "integrate_doubling"):
         monkeypatch.setattr(equilibrium, name, refuse)
     monkeypatch.setattr(quadrature, "_refine", refuse)
+    monkeypatch.setattr(specialfn, "sn_cn_dn", refuse)
     spec = quartic("1.0")
     t = mpf("1e-5") * spec.Tc
     mu = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
     assert mu.x0 is not None and mu.u_inf is not None   # _fill_two_cut_data ran
+    # the abelian map behind Lambda is closed too, near d and far out
+    _, Lam, gamma = abelian_objects(mu)
+    d = mu.endpoints[3]
+    for x in (d * (1 + mpf("1e-8")), d + 1):
+        assert Lam(x) > 1
+    assert abs(gamma_from_lambda_limit(mu) - gamma) < mpf("1e-8") * gamma
+
+
+def _u_by_quadrature(mu, x):
+    """u(x) by the integral route u_inf + (i/2) sqrt((d-b)(c-a))
+    integral_x^inf dy / sqrt(sigma): beyond X = max(x, 2d + 1) by y = 1/tau,
+    on [x, X] by y = x + w^2."""
+    a, b, c, d = mu.endpoints
+    X = max(x, 2 * d + 1)
+
+    def tail(tau):
+        acc = mpf(1)
+        for r in (a, b, c, d):
+            acc *= 1 - r * tau
+        return 1 / mp.sqrt(acc)
+
+    total = integrate_doubling(tail, 0, 1 / X, max_panels=256)
+    if x < X:
+        total += integrate_doubling(lambda w: 2 * w / _sqrt_sigma(mu, x + w * w),
+                                    0, mp.sqrt(X - x), max_panels=256)
+    return mu.u_inf + mpc(0, 1) * mp.sqrt((d - b) * (c - a)) / 2 * total
+
+
+def _sqrt_sigma(mu, y):
+    # the product form keeps its relative accuracy next to d
+    acc = mpf(1)
+    for r in mu.endpoints:
+        acc *= y - r
+    return mp.sqrt(acc)
+
+
+@pytest.mark.parametrize("phi_e,that", [("1.0", "3e-4"), ("1.0", "1e-6"),
+                                        ("0.62", "1e-3")])
+def test_u_of_x_closed_form_matches_integral_route(phi_e, that):
+    spec = quartic(phi_e)
+    t = mpf(that) * spec.Tc
+    mu = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
+    a, b, c, d = mu.endpoints
+    for x in (d * (1 + mpf("1e-5")), d * mpf("1.0001"), 2 * d + 1, mpf(50),
+              mpf(10) ** 9 * d):
+        ref = _u_by_quadrature(mu, x)
+        got = equilibrium._u_of_x_two_cut(mu, x)
+        assert abs(got - ref) < mpf("1e-35") * abs(ref), x
+    # u_inf itself from u(d) = i K': i K' - (i/2) sqrt((d-b)(c-a)) times
+    # integral_d^inf dy / sqrt(sigma), with y = d + w^2 on [d, 2d + 1]
+    ref = mpc(0, mu.ell.Kprime) - (
+        _u_by_quadrature(mu, 2 * d + 1) - mu.u_inf
+        + mpc(0, 1) * mp.sqrt((d - b) * (c - a)) / 2 * integrate_doubling(
+            lambda w: 2 / mp.sqrt((d + w * w - a) * (d + w * w - b)
+                                  * (d + w * w - c)),
+            0, mp.sqrt(d + 1), max_panels=256))
+    assert abs(mu.u_inf - ref) < mpf("1e-35") * abs(ref)
+
+
+def test_u_of_x_at_the_branch_point():
+    # at x = d (1 + 1e-8) the integral route needs more than 256 panels;
+    # u - i K' = -(i/2) sqrt((d-b)(c-a)) integral_d^x dy / sqrt(sigma), and
+    # with g = ((y-a)(y-b)(y-c))^(-1/2) that integral is
+    # 2 g(d) sqrt(delta) (1 + (g'/g)(d) delta/3), to a relative
+    # O((delta/(d-c))^2), about 1e-13 here
+    spec = quartic("1.0")
+    t = mpf("3e-4") * spec.Tc
+    mu = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
+    a, b, c, d = mu.endpoints
+    delta = d * mpf("1e-8")
+    g = 1 / mp.sqrt((d - a) * (d - b) * (d - c))
+    dlng = -(1 / (d - a) + 1 / (d - b) + 1 / (d - c)) / 2
+    lead = mpc(0, -1) * mp.sqrt((d - b) * (c - a)) * g * mp.sqrt(delta) \
+        * (1 + dlng * delta / 3)
+    u = equilibrium._u_of_x_two_cut(mu, d + delta)
+    assert abs(u - mpc(0, mu.ell.Kprime) - lead) < mpf("1e-12") * abs(lead)
 
 
 def test_two_cut_collision_guard():

@@ -1,8 +1,9 @@
 import pytest
 from mpmath import mp, mpf
 
-from birthcut.poly import (Poly, count_real_roots, isolate_real_roots,
-                           laurent_split, monic_from_roots, sqrt_sigma_tail)
+from birthcut.poly import (Poly, _float_horner, count_real_roots,
+                           isolate_real_roots, laurent_split, monic_from_roots,
+                           sqrt_sigma_tail)
 
 
 def test_ring_operations():
@@ -30,6 +31,14 @@ def test_horner_matches_powers():
     x = mpf("1.37")
     direct = sum(c * x ** k for k, c in enumerate(p.c))
     assert abs(p(x) - direct) < mpf("1e-35")
+
+
+def test_float_horner_value_and_scale():
+    # 5x^4 - x^3 + 4x^2 - x + 3, highest degree first, exact in floats
+    coeffs = [5.0, -1.0, 4.0, -1.0, 3.0]
+    assert _float_horner(coeffs, 2.0) == (89.0, 109.0)
+    assert _float_horner(coeffs, -2.0) == (109.0, 109.0)
+    assert _float_horner([], 2.0) == (0.0, 0.0)
 
 
 def test_sqrt_sigma_tail_squares_back():

@@ -4,10 +4,9 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
-from birthcut.quadrature import integrate_doubling
+from birthcut.quadrature import ConvergenceError
 from birthcut.specialfn import (complete_K_E_Pi, complete_integrals,
-                                incomplete_E, ln_factorial,
-                                ln_Hn, ln_Hn_exact, ln_zeta_asymptotic,
+                                ln_factorial, ln_Hn, ln_Hn_exact, ln_zeta_asymptotic,
                                 ln_zeta_nu1_exact, small_m_E, small_m_Eprime,
                                 small_m_K, sn_cn_dn, theta1, theta1_prime0)
 
@@ -58,13 +57,6 @@ def test_legendre_relation_across_m():
         assert abs(legendre - mp.pi / 2) < mpf("1e-12")
 
 
-def test_incomplete_E_endpoints():
-    m = mpf("0.37")
-    ell = complete_integrals(m)
-    assert incomplete_E(0, m) == 0
-    assert abs(incomplete_E(ell.K, m) - ell.E) < mpf("1e-30")
-
-
 def test_complete_K_E_Pi_matches_mpmath():
     # one AGM sequence against mpmath's ellipk/ellipe/ellippi, including the
     # newborn-cut regime m -> 1 and a negative characteristic
@@ -80,32 +72,6 @@ def test_complete_K_E_Pi_matches_mpmath():
             assert abs(g - r) < mpf("1e-38") * abs(r), (mc, n)
     with pytest.raises(ValueError):
         complete_K_E_Pi(0, mpf("0.1"))
-
-
-def test_incomplete_E_imaginary_axis_closed_form():
-    # the Jacobi imaginary transformation against the straight-path
-    # quadrature i s int_0^1 sqrt((1 + m s^2 t^2)/(1 + s^2 t^2)) dt
-    for m, s in (("1e-6", "0.2"), ("0.027", "0.39"), ("0.3", "1.7"),
-                 ("0.8", "0.05")):
-        m, s = mpf(m), mpf(s)
-        u = mpc(0, mpmath.ellipf(mp.atan(s), 1 - m))     # sn(u|m) = i s
-        with mp.workprec(mp.prec + 20):
-            ref = mpc(0, 1) * s * integrate_doubling(
-                lambda t: mp.sqrt((1 + m * s * s * t * t) / (1 + s * s * t * t)),
-                0, 1)
-        assert abs(incomplete_E(u, m) - ref) < mpf("1e-35") * abs(ref), (m, s)
-
-
-def test_incomplete_E_imaginary_axis_small_m():
-    # E(u_inf) - u_inf ~ i m (sinh(phi) - phi)/4 in the two-cut m -> 0 limit
-    phi = mpf("1.1")
-    s = mp.sinh(phi / 2)
-    for m in (mpf("1e-5"), mpf("1e-7")):
-        u = mpc(0, 1) * integrate_doubling(
-            lambda y: 1 / mp.sqrt((1 + y * y) * (1 + m * y * y)), 0, s)
-        val = incomplete_E(u, m) - u
-        target = mpc(0, 1) * m * (mp.sinh(phi) - phi) / 4
-        assert abs(val - target) < 20 * m ** 2
 
 
 def test_theta1_odd_and_zero():
@@ -129,6 +95,16 @@ def test_theta1_prime_is_z_derivative():
     h = mpf("1e-12")
     fd = (theta1(h, tau) - theta1(-h, tau)) / (2 * h)
     assert abs(fd - theta1_prime0(tau)) < mpf("1e-20")
+
+
+def test_theta1_says_when_its_series_does_not_converge():
+    # at tau = 1e-5 i the nome is 1 - 3e-5 and the series needs thousands of
+    # terms; theta1(0.3, tau) is -2.5e-44 there, not the 200-term partial sum
+    tau = mpc(0, mpf("1e-5"))
+    with pytest.raises(ConvergenceError):
+        theta1(mpf("0.3"), tau)
+    with pytest.raises(ConvergenceError):
+        theta1_prime0(tau)
 
 
 def test_theta1_rejects_lower_half_plane():
