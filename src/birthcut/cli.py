@@ -387,7 +387,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         if args.dps < MIN_DPS:
-            # the quadrature's default rel_tol is 10^(6 - dps)
+            # the adaptive quadrature stops at 10^(TOL_DIGITS - dps)
             raise UsageError("--dps %d: need at least %d digits"
                              % (args.dps, MIN_DPS))
         mp.dps = args.dps

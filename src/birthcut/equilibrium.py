@@ -54,6 +54,10 @@ and c, so Leibniz's rule leaves no boundary terms, and
 over the moments I_k the gap condition has already formed. One evaluation of
 the conditions thus gives Newton its residual and its Jacobian.
 
+W's tail at infinity, summed by `veff_const_bs`, is split off the same kind
+of series: V' is a polynomial, so W's x^{-k} coefficient is -1/2 that of
+M sqrt(sigma).
+
 Density: rho(x) = M(x) sqrt(-sigma(x)) / (2 pi T) on the support.
 """
 
@@ -75,6 +79,7 @@ from .specialfn import (EllipticParams, complete_K_E_Pi, complete_integrals,
 # extra bits for the gap condition: its terms p_k I_k are thousands of times
 # larger than their sum, which Newton drives to 0
 GAP_GUARD_BITS = 32
+MOMENT_TERMS = 6       # c_j formed per evaluation; the conditions use j <= 3
 
 
 class PhaseError(RuntimeError):
@@ -130,12 +135,12 @@ class EqMeasure:
 # moment conditions via Laurent data
 # ----------------------------------------------------------------------------
 
-def _moments(Vp: Poly, endpoints, jmax=6):
-    """(M, c) for V'/sqrt(sigma) = M + sum c_j x^{-j} at these endpoints."""
+def _moments(Vp: Poly, endpoints):
+    """(M, c) for V'/sqrt(sigma) = M + sum_{j <= MOMENT_TERMS} c_j x^{-j}."""
     s = len(endpoints) // 2
-    tail = sqrt_sigma_tail(monic_from_roots(endpoints), jmax + Vp.degree + s,
-                           alpha=-mpf(1) / 2)
-    return laurent_split(Vp, tail, s, jmax)
+    tail = sqrt_sigma_tail(monic_from_roots(endpoints),
+                           MOMENT_TERMS + Vp.degree + s, alpha=-mpf(1) / 2)
+    return laurent_split(Vp, tail, s, MOMENT_TERMS)
 
 
 def _dc_de(Me, c, j, e):
@@ -534,45 +539,28 @@ def prime_form_one_cut(mu: EqMeasure, x, xi):
 def veff_const_bs(mu: EqMeasure):
     """Absolute V_eff(b_s) = V(b_s) - 2T ln(b_s) - 2 int_inf^{b_s} (W - T/x).
 
-    The large-x tail of W - T/x is summed from the Laurent coefficients of
-    V'/sqrt(sigma); the finite part is integrated with the w^2 substitution
-    at b_s. Requires b_s > 0 (true for every critical model here).
+    Past x = X the integral is summed from W's Laurent tail (module
+    docstring); the finite part is integrated with the w^2 substitution at
+    b_s. Requires b_s > 0 (true for every critical model here).
     """
     tail_terms = 40                    # Laurent terms of W - T/x past x = X
     bs = mu.b_s()
     if bs <= 0:
         raise ValueError("normalization constant needs b_s > 0")
-    T, Vp = mu.T, mu.V.deriv()
-    eps = mu.endpoints
-    s = mu.s
-    jmax = tail_terms + Vp.degree + s
-    M, c = _moments(Vp, eps, jmax=jmax)
-    st = sqrt_sigma_tail(mu.sigma(), tail_terms, alpha=mpf(1) / 2)
+    T, Vp, M, s = mu.T, mu.V.deriv(), mu.M, mu.s
+    root = sqrt_sigma_tail(mu.sigma(), tail_terms + M.degree + s)
+    _, n = laurent_split(M, root, -s, tail_terms)
 
-    # W - T/x = (1/2)(V' - M sqrt(sigma)) - T/x = (1/2) sqrt(sigma) * sum c_j x^-j - T/x
-    # -> coefficients w_k of x^{-k}: (1/2) sum_{j} c_j st[k + s - j]... build product
-    prod = [mpf(0)] * (tail_terms + 1)
-    for j in range(1, len(c)):
-        if c[j] == 0:
-            continue
-        for i, sti in enumerate(st):
-            k = j + i - s
-            if 0 <= k <= tail_terms:
-                prod[k] += c[j] * sti / 2
-    prod[1] -= T
-
-    X = 8 * max(abs(v) for v in eps) + 8
-    tail = mpf(0)
-    for k in range(2, tail_terms + 1):
-        tail += prod[k] * X ** (1 - k) / (k - 1)
-    # integral_X^inf (W - T/x) dx = tail (prod[0] = prod[1] = 0 identically)
+    # integral_X^inf (W - T/x) dx; W - T/x has no x^{-k} term at k <= 1
+    X = 8 * max(abs(v) for v in mu.endpoints) + 8
+    tail = -mp.fsum(n[k] * X ** (1 - k) / (k - 1)
+                    for k in range(2, tail_terms + 1)) / 2
 
     def integrand(w):
         x = bs + w * w
         return 2 * w * ((Vp(x) - M(x) * _sqrt_sigma_signed(mu, x)) / 2 - T / x)
 
     finite = integrate_doubling(integrand, 0, mp.sqrt(X - bs), max_panels=256)
-    # int_inf^{bs} = -(finite + tail)... careful: int_{bs}^inf = finite + tail
     return mu.V(bs) - 2 * T * mp.log(bs) + 2 * (finite + tail)
 
 

@@ -7,9 +7,9 @@ the measure polynomial M and the newborn-cut scaling polynomial G.
 Besides ring operations the module provides the two nonstandard pieces the
 solvers need:
 
-* Laurent data of f(x)/sqrt(sigma(x)) at infinity for monic even-degree sigma
-  (polynomial part and the x^{-j} coefficients), which encodes the contour
-  moment conditions of the equilibrium problem algebraically;
+* Laurent data of f(x) sigma(x)^{+-1/2} at infinity for monic even-degree
+  sigma (polynomial part and the x^{-j} coefficients), which encodes V', T_c
+  and the contour moment conditions algebraically;
 * Sturm-sequence root counting, used for the sign conditions on Q.
 """
 
@@ -137,6 +137,11 @@ def sqrt_sigma_tail(sigma, jmax, alpha=None):
     """Series t with sqrt(sigma(x)) = x^s * sum_j t[j] x^-j, sigma monic deg 2s.
 
     With ``alpha=-0.5`` returns instead the series of x^s/sqrt(sigma).
+
+    `laurent_split` splits it in three places: V' and T_c from M sqrt(x^2-4)
+    (`potentials.build_potential`), the moment conditions from V'/sqrt(sigma)
+    (`equilibrium._moments`) and W's tail from M sqrt(sigma)
+    (`equilibrium.veff_const_bs`).
 
     sigma / x^{2s} = 1 + sum_{k=1}^{2s} w_k x^-k, and J.C.P. Miller's
     recurrence for the power (1 + w)^alpha of a series,

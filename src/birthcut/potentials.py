@@ -9,6 +9,7 @@ polynomial Q with
     V'(x) = polynomial part at infinity of M(x) sqrt(x^2 - 4),
     T_c   = (1/2) Res_infinity M(x) sqrt(x^2 - 4) dx,
 
+both split off one `poly.sqrt_sigma_tail` series (`build_potential`),
 subject to the sign and vanishing conditions checked by `validate_critical`.
 `build_critical_Q` produces a valid Q = (x - e_tilde) Qtilde from any strictly
 positive even Qtilde by fixing e_tilde as a ratio of two cut integrals.
@@ -28,7 +29,8 @@ from math import comb
 
 from mpmath import mp, mpf
 
-from .poly import Poly, count_real_roots, isolate_real_roots
+from .poly import (Poly, count_real_roots, isolate_real_roots, laurent_split,
+                   sqrt_sigma_tail)
 
 # extra bits for the first pass of a `_cut_integral`; later passes add the
 # bits that the measured cancellation costs
@@ -222,32 +224,17 @@ def build_critical_Q(nu: int, e, Q_tilde: Poly):
 def build_potential(nu: int, e, Q: Poly):
     """V and T_c from Q via the expansion of M(x) sqrt(x^2-4) at infinity.
 
-    sqrt(x^2-4) = x sum_k binom(1/2,k) (-4)^k x^{-2k}; the polynomial part of
-    the product is V' and T_c = -(1/2) [x^{-1}-coefficient] (the residue at
-    infinity of f dx is minus the 1/x coefficient of f).
+    Split against sqrt(x^2-4)/x, whose coefficients are integers, the
+    polynomial part is V' and T_c = -(1/2) [x^{-1}-coefficient] (the residue
+    at infinity of f dx is minus the 1/x coefficient of f).
     """
-    e = mpf(e)
-    P = Poly([-e, 1]) ** (2 * nu - 1) * Q
-    # binomial coefficients binom(1/2, k) (-4)^k
-    nterms = P.degree // 2 + 3
-    b = [mpf(1)]
-    for k in range(nterms):
-        b.append(b[-1] * (mpf(1) / 2 - k) / (k + 1))
-    Vp = [mpf(0)] * (P.degree + 2)
-    c_m1 = mpf(0)
-    for k in range(nterms + 1):
-        coef = b[k] * (-4) ** k
-        # P(x) * x^{1-2k}: power m picks P_{m - 1 + 2k}
-        for m in range(P.degree + 2 - 2 * k):
-            Vp[m] += coef * P[m - 1 + 2 * k]
-        idx = 2 * k - 2
-        if 0 <= idx <= P.degree:
-            c_m1 += coef * P[idx]
-    Tc = -c_m1 / 2
+    P = Poly([-mpf(e), 1]) ** (2 * nu - 1) * Q
+    Vp, c = laurent_split(P, sqrt_sigma_tail(Poly([-4, 0, 1]), P.degree + 2),
+                          -1, 1)
+    Tc = -c[1] / 2
     if Tc <= 0:
         raise ValueError("residue gives non-positive T_c = %s" % Tc)
-    V = Poly(Vp).antideriv(0)
-    return V, Tc
+    return Vp.antideriv(0), Tc
 
 
 def quartic_etilde(phi_e):

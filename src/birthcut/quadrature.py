@@ -23,6 +23,7 @@ from mpmath import mp, mpf
 
 _CACHE = {}
 GUARD_BITS = 32        # fixed-point fraction bits beyond the working precision
+TOL_DIGITS = 6         # the adaptive rules' rel_tol is 10^(TOL_DIGITS - dps)
 
 
 class ConvergenceError(RuntimeError):
@@ -130,11 +131,10 @@ def _gl_sums(f, a, b, panels, n):
     return acc, mass
 
 
-def _refine(rule, n, cap, rel_tol, name):
+def _refine(rule, n, cap, name):
     """Double n until rule(n) = (value, sum |w f|) changes by at most
     rel_tol * sum |w f|; ConvergenceError if n would pass cap first."""
-    if rel_tol is None:
-        rel_tol = mpf(10) ** (-mp.dps + 6)
+    rel_tol = mpf(10) ** (TOL_DIGITS - mp.dps)
     prev, _ = rule(n)
     change = mass = mp.inf
     while n < cap:
@@ -149,15 +149,15 @@ def _refine(rule, n, cap, rel_tol, name):
                                           mp.nstr(mass, 3)))
 
 
-def integrate_doubling(f, a, b, n=64, rel_tol=None, max_panels=64):
+def integrate_doubling(f, a, b, n=64, max_panels=64):
     """Composite n-point GL on [a, b], doubling the panel count from 1 until
     the change is at most rel_tol * sum |w f|; ConvergenceError if
     max_panels is reached first."""
     return _refine(lambda panels: _gl_sums(f, a, b, panels, n), 1, max_panels,
-                   rel_tol, "integrate_doubling")
+                   "integrate_doubling")
 
 
-def integrate_bracket(f, a, b, n_start=32, rel_tol=None, max_n=4096):
+def integrate_bracket(f, a, b, n_start=32, max_n=4096):
     """integral_a^b f(x) / sqrt((x-a)(b-x)) dx by the cosine substitution.
 
     x = (a+b)/2 + ((b-a)/2) cos(theta) turns the weight into d(theta); the
@@ -177,4 +177,4 @@ def integrate_bracket(f, a, b, n_start=32, rel_tol=None, max_n=4096):
             mass += abs(fx)
         return acc * h, mass * h
 
-    return _refine(rule, n_start, max_n, rel_tol, "integrate_bracket")
+    return _refine(rule, n_start, max_n, "integrate_bracket")

@@ -126,12 +126,12 @@ def _nome(tau):
 
 
 def _theta1_series(tau, weight):
-    """2 sum_{n>=0} (-1)^n q^{(n+1/2)^2} weight(n), truncated at relative
-    1e-30 of its largest term and partial sum; raises ConvergenceError if
-    200 terms do not reach that."""
+    """2 sum_{n>=0} (-1)^n q^{(n+1/2)^2} weight(n), truncated once a term is
+    at most 2^(8-p) of the largest term and of the partial sum, p the working
+    precision plus 20 guard bits; ConvergenceError if 200 terms do not."""
     q = _nome(tau)
     with mp.workprec(mp.prec + 20):
-        tol = max(mpf(10) ** (-30), mpf(2) ** (-mp.prec + 8))
+        tol = mpf(2) ** (-mp.prec + 8)
         acc = mpc(0)
         scale = mpf(0)
         for n in range(200):

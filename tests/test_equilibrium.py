@@ -11,7 +11,8 @@ from birthcut.equilibrium import (ConvergenceError, PhaseError, abelian_objects,
                                   normalization, prime_form_one_cut,
                                   solve_one_cut, solve_two_cut,
                                   thermo_derivatives, veff_const_bs)
-from birthcut.poly import Poly, monic_from_roots
+from birthcut.poly import (Poly, laurent_split, monic_from_roots,
+                           sqrt_sigma_tail)
 from birthcut.quadrature import integrate_bracket, integrate_doubling
 from birthcut.specialfn import sn_cn_dn
 from birthcut.critical import one_cut_drift, two_cut_guess
@@ -325,6 +326,48 @@ def test_prime_form():
     assert abs(lim - 2 * mp.sinh(spec.phi_e) * mp.exp(-spec.phi_e)) < mpf("1e-3")
     with pytest.raises(ValueError):
         prime_form_one_cut(mu, mpf("0.0"), xi)
+
+
+def _veff_measures():
+    """The one-cut quartic at t/T_c = -1e-3, the two-cut quartic at 3e-4
+    and nu = 2 at T_c."""
+    spec = quartic("1.0")
+    t = mpf("-1e-3") * spec.Tc
+    drift = one_cut_drift(spec, t)
+    yield solve_one_cut(spec.V, spec.Tc + t, guess=(drift["a"], drift["b"]))
+    t = mpf("3e-4") * spec.Tc
+    yield solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
+    spec = spec_nu(2, "2.6")
+    yield solve_one_cut(spec.V, spec.Tc, guess=(-2, 2))
+
+
+def test_veff_const_bs_matches_the_product_route():
+    # values of the earlier route, which multiplied the series of sqrt(sigma)
+    # by the c_j of V'/sqrt(sigma) up to j = 46, at 40 digits
+    earlier = ["7.131030771325478962430792836668651711967087",
+               "7.130242759839804193191724826052795850974383",
+               "17.80119239550302720917259453609043298121796"]
+    for mu, ref in zip(_veff_measures(), earlier):
+        assert abs(veff_const_bs(mu) - mpf(ref)) <= mpf("1e-38") * mpf(ref)
+
+
+def test_w_tail_from_m_sqrt_sigma_is_sqrt_sigma_times_moments():
+    # W - T/x = -(1/2) [negative part of M sqrt(sigma)] = (1/2) sqrt(sigma)
+    # sum_j c_j x^{-j}, c_j from V'/sqrt(sigma): the x^{-k} coefficients of
+    # both, k <= 40, agree to 1e-38 of the sum of the product's |terms|
+    half = mpf(1) / 2
+    for mu in _veff_measures():
+        s, sigma, Vp = mu.s, mu.sigma(), mu.V.deriv()
+        _, n = laurent_split(mu.M, sqrt_sigma_tail(sigma, 40 + mu.M.degree + s,
+                                                   half), -s, 40)
+        _, c = laurent_split(Vp, sqrt_sigma_tail(sigma, 46 + Vp.degree + s,
+                                                 -half), s, 46)
+        root = sqrt_sigma_tail(sigma, 40 + s, half)
+        for k in range(2, 41):
+            terms = [c[j] * root[k + s - j] / 2
+                     for j in range(1, min(k + s, 46) + 1)]
+            assert abs(-n[k] / 2 - mp.fsum(terms)) <= \
+                mpf("1e-38") * mp.fsum(terms, absolute=True), k
 
 
 def test_dveff_dt_identity_two_cut():

@@ -96,6 +96,40 @@ def test_nu2_potential_degree_and_residue():
     assert abs(-c_m1 / 2 - spec.Tc) / spec.Tc < mpf("1e-20")
 
 
+def _binomial_potential(nu, e, Q):
+    """V and T_c from the binomial series sqrt(x^2-4) =
+    x sum_k binom(1/2, k) (-4)^k x^{-2k}, summed term by term."""
+    P = Poly([-e, 1]) ** (2 * nu - 1) * Q
+    nterms = P.degree // 2 + 3
+    b = [mpf(1)]
+    for k in range(nterms):
+        b.append(b[-1] * (mpf(1) / 2 - k) / (k + 1))
+    Vp = [mpf(0)] * (P.degree + 2)
+    c_m1 = mpf(0)
+    for k in range(nterms + 1):
+        coef = b[k] * (-4) ** k
+        for m in range(P.degree + 2 - 2 * k):
+            Vp[m] += coef * P[m - 1 + 2 * k]
+        if 0 <= 2 * k - 2 <= P.degree:
+            c_m1 += coef * P[2 * k - 2]
+    return Poly(Vp).antideriv(0), -c_m1 / 2
+
+
+@pytest.mark.parametrize("nu, e", [(1, "2.6"), (2, "2.6"), (3, "2.3"),
+                                   (4, "2.2"), (5, "2.1")])
+def test_build_potential_matches_binomial_series_bit_for_bit(nu, e):
+    # the Laurent split against sqrt_sigma_tail's integer coefficients adds
+    # the same products in the same order as the binomial series
+    spec = spec_nu(nu, e)
+    assert (spec.V, spec.Tc) == _binomial_potential(nu, spec.e, spec.Q)
+
+
+def test_quartic_spec_matches_binomial_series_bit_for_bit():
+    for phi in ("0.5", "1.0", "1.5"):
+        spec = quartic(phi)
+        assert (spec.V, spec.Tc) == _binomial_potential(1, spec.e, spec.Q)
+
+
 def test_validate_critical_passes_on_valid_specs():
     for s in (quartic("1.0"), spec_nu(2, "2.6"), spec_nu(4, "2.2")):
         report = validate_critical(s)

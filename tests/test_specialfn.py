@@ -97,6 +97,21 @@ def test_theta1_prime_is_z_derivative():
     assert abs(fd - theta1_prime0(tau)) < mpf("1e-20")
 
 
+@pytest.mark.parametrize("dps", [60, 100])
+def test_theta1_at_the_working_precision(dps):
+    # mpmath's jtheta(1, z, q) takes a period-2 pi argument
+    with mp.workdps(dps):
+        tol = mpf(2) ** (16 - mp.prec)
+        z = mpf("0.3")
+        for im in ("0.3", "1", "3"):
+            tau = mpc(0, mpf(im))
+            q = mp.exp(-mp.pi * tau.imag)
+            ref = mpmath.jtheta(1, mp.pi * z, q)
+            assert abs(theta1(z, tau) - ref) <= tol * abs(ref), im
+            ref = mp.pi * mpmath.jtheta(1, 0, q, 1)
+            assert abs(theta1_prime0(tau) - ref) <= tol * abs(ref), im
+
+
 def test_theta1_says_when_its_series_does_not_converge():
     # at tau = 1e-5 i the nome is 1 - 3e-5 and the series needs thousands of
     # terms; theta1(0.3, tau) is -2.5e-44 there, not the 200-term partial sum
