@@ -1,13 +1,28 @@
-"""Mean-field asymptotics near the transition: the k-eigenvalue sums and
-their dominant-term reductions.
+"""Mean-field asymptotics near the transition: the partition-function
+k-sum Z_N(p) and its dominant-term reductions.
 
 Everything is driven by the scaling variable u = 2 nu phi_e p / ln N of the
-index offset p = n - N. Each term k of the partition-function sum carries
-N^{(2ku - k^2)/(2 nu)} A_k; the dominant k is ubar (the nonnegative integer
-closest to u), the runner-up ubar + eps_u. Reduced formulas keep one
-correction term; the full forms keep the whole (truncated) sum - at
-desk-scale N both are exposed because their difference is itself O(1)
-near half-integer u.
+index offset p = n - N. At the index N + p the partition function is, up to
+factors that cancel from every ratio used here,
+
+    Z_N(p) = sum_k N^{(2ku - k^2)/2nu} A_k,
+
+a sum over the number k of eigenvalues in the newborn well. Since
+2ku ln N/(2nu) = 2kp phi_e, a factor e^{+-2k phi_e} in a term is the same
+as moving p by +-1, so one table of terms per (N, index) serves every sum
+(`_terms`, at half-integer indices too): the recurrence coefficients are
+
+    gamma_{N+p} = sqrt(Z_N(p+1) Z_N(p-1)) / Z_N(p),
+    beta_{N+p}  = 2 sinh(phi_e) (<k>_{p+1} - <k>_p),
+
+<k>_p the mean of k over the terms of Z_N(p), and the wavefunctions sum the
+model's psi_k against the terms at the half-integer index N + p + 1/2.
+`_k_limit` is the one place that decides where a sum is truncated.
+
+The dominant k is ubar (the nonnegative integer closest to u), the
+runner-up ubar + eps_u. Reduced formulas keep one correction term; the full
+forms keep the whole (truncated) sum - at desk-scale N both are exposed
+because their difference is itself O(1) near half-integer u.
 
 x-space and the model's y-space are linked by the scaling map
 x = e + N^{-1/(2 nu)} (2 sinh(phi_e) Q(e)/T_c)^{-1/(2 nu)} y, under which the
@@ -23,7 +38,7 @@ from mpmath import mp, mpf
 
 from .critical import newborn_scaling
 from .modelchain import A_constant, ln_A_k, psi_values, psihat_values
-from .oracle import RecChain, eval_psi_exact, kernel_exact
+from .oracle import RecChain, kernel_exact
 from .potentials import CriticalSpec
 
 FORBIDDEN_BAND = mpf("0.02")     # guard band around integer / half-integer u
@@ -72,6 +87,8 @@ def _scaling_map(spec: CriticalSpec, N: int, prec: int) -> ScalingMap:
 def make_regime(spec: CriticalSpec, N: int, p: int) -> RegimePoint:
     if N < 3:
         raise ValueError("need N >= 3")
+    if N + p < 1:
+        raise ValueError("index n = N + p = %d: need n >= 1" % (N + p))
     u = 2 * spec.nu * spec.phi_e * p / mp.log(N)
     if u >= 0:
         ubar = int(mp.floor(u + mpf(1) / 2))
@@ -94,47 +111,27 @@ def make_regime(spec: CriticalSpec, N: int, p: int) -> RegimePoint:
 # ----------------------------------------------------------------------------
 
 def _k_limit(chain: RecChain, rp: RegimePoint):
+    """The largest k of every k-sum at rp: the one truncation rule."""
     margin = 10                        # k-sums run to ubar + 10 at most
     return min(rp.ubar + margin, chain.n_max, rp.N + rp.p - 1)
 
 
-def _log_terms(spec, chain, rp, shift_exp=0, k_hi=None, half=False):
-    """ln of the terms k = 0..k_hi of the k-sum:
-    N^{(2ku - k^2)/2nu} e^{shift_exp * k phi_e} A_k, or the half-shifted
-    variant with k -> k + 1/2 in the N exponent and sqrt(A_k A_{k+1})
-    amplitudes (the psi sums)."""
-    lnA = mp.log(A_constant(spec))
-    nu, phi = spec.nu, spec.phi_e
-    lnN = mp.log(rp.N)
-    if k_hi is None:
-        k_hi = _k_limit(chain, rp)
-    out = []
-    for k in range(k_hi + 1):
-        if half:
-            kk = k + mpf(1) / 2
-            amp = (ln_A_k(chain, lnA, k) + ln_A_k(chain, lnA, k + 1)) / 2
-        else:
-            kk = mpf(k)
-            amp = ln_A_k(chain, lnA, k)
-        out.append((2 * kk * rp.u - kk * kk) / (2 * nu) * lnN
-                   + shift_exp * kk * phi + amp)
-    return out
+def _terms(spec, chain, N: int, m: int):
+    """The terms t_k = e^{k m phi_e} N^{-k^2/2nu} A_k, k = 0..chain.n_max + 1,
+    of Z_N at the index N + m/2 (where N^{2ku/2nu} = e^{k m phi_e}); formed
+    once per (spec, N, m, working precision) and kept on the chain. Every
+    k-sum reads its first `_k_limit` + 1 terms."""
+    def compute():
+        lnA = mp.log(A_constant(spec))
+        a, b = m * spec.phi_e, mp.log(N) / (2 * spec.nu)
+        return [mp.exp(k * a - k * k * b + ln_A_k(chain, lnA, k))
+                for k in range(chain.n_max + 2)]
+    return chain.cached(("k-terms", spec, N, m, mp.prec), compute)
 
 
-def _terms(spec, chain, rp, shift_exp=0, k_hi=None):
-    """The terms N^{(2ku - k^2)/2nu} e^{shift_exp * k phi_e} A_k of the k-sum;
-    computed once per (spec, regime, arguments, working precision) and kept
-    on the chain."""
-    if k_hi is None:
-        k_hi = _k_limit(chain, rp)
-    return chain.cached(
-        ("k-terms", spec, rp, shift_exp, k_hi, mp.prec),
-        lambda: [mp.exp(e) for e in _log_terms(spec, chain, rp, shift_exp, k_hi)])
-
-
-def _sum_terms(spec, chain, rp, shift_exp=0, k_hi=None):
-    """sum_k of `_terms`, added in order."""
-    return sum(_terms(spec, chain, rp, shift_exp, k_hi), mpf(0))
+def _Z(spec, chain, rp: RegimePoint, m: int):
+    """Z_N at the index N + m/2, truncated at rp's k limit."""
+    return sum(_terms(spec, chain, rp.N, m)[:_k_limit(chain, rp) + 1], mpf(0))
 
 
 def sum_Z(spec: CriticalSpec, chain: RecChain, N: int, p: int):
@@ -144,10 +141,9 @@ def sum_Z(spec: CriticalSpec, chain: RecChain, N: int, p: int):
     (they cancel from every ratio used downstream) and are reported as None.
     """
     rp = make_regime(spec, N, p)
-    ksum = _sum_terms(spec, chain, rp)
     return {
         "regime": rp,
-        "ln_k_sum": mp.log(ksum),
+        "ln_k_sum": mp.log(_Z(spec, chain, rp, 2 * p)),
         "ln_2pi_p": p * mp.log(2 * mp.pi),
         "Fbar": None,
         "Fbar1": None,
@@ -170,14 +166,13 @@ def gamma_reduced(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
 
 
 def gamma_full(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
-    """The ratio-of-sums form of gamma_{N+p}^2, truncated at ubar + 10;
-    computed once per (spec, regime, working precision) and kept on the
-    chain, as `_terms` keeps its terms."""
+    """gamma_{N+p} = sqrt(Z_N(p+1) Z_N(p-1)) / Z_N(p), each sum truncated at
+    rp's k limit; computed once per (spec, regime, working precision) and
+    kept on the chain, as `_terms` keeps its terms."""
     def compute():
-        s_plus = _sum_terms(spec, chain, rp, shift_exp=2)
-        s_minus = _sum_terms(spec, chain, rp, shift_exp=-2)
-        s_0 = _sum_terms(spec, chain, rp, shift_exp=0)
-        return mp.sqrt(s_plus * s_minus) / s_0
+        m = 2 * rp.p
+        return mp.sqrt(_Z(spec, chain, rp, m + 2) * _Z(spec, chain, rp, m - 2)) \
+            / _Z(spec, chain, rp, m)
     return chain.cached(("gamma_full", spec, rp, mp.prec), compute)
 
 
@@ -191,20 +186,14 @@ def beta_reduced(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
 
 def beta_full(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
     """2 sinh(phi_e) [<k>_{p+1} - <k>_p] with <k>_p the weight-average of k
-    over the partition-function terms, both truncated at rp's k limit.
-
-    The terms of <k>_p are the unshifted k-sum terms at p, since
-    2k u ln N/(2 nu) = 2k p phi_e."""
+    over the terms of Z_N(p), both truncated at rp's k limit."""
     k_hi = _k_limit(chain, rp)
 
-    def mean_k(here):
-        num = mpf(0)
-        for k, t in enumerate(_terms(spec, chain, here, 0, k_hi)):
-            num += k * t
-        return num / _sum_terms(spec, chain, here, 0, k_hi)
+    def mean_k(m):
+        ts = _terms(spec, chain, rp.N, m)[:k_hi + 1]
+        return sum((k * t for k, t in enumerate(ts)), mpf(0)) / sum(ts, mpf(0))
 
-    up = make_regime(spec, rp.N, rp.p + 1)
-    return 2 * mp.sinh(spec.phi_e) * (mean_k(up) - mean_k(rp))
+    return 2 * mp.sinh(spec.phi_e) * (mean_k(2 * rp.p + 2) - mean_k(2 * rp.p))
 
 
 # ----------------------------------------------------------------------------
@@ -248,12 +237,14 @@ def _reduced_parts(spec, chain, rp, index_offset):
 
 def psi_reduced(spec, chain, rp: RegimePoint, y, index_offset=0):
     """Two-term reduction of psi_{N+p}(x) (index_offset 0) or psi_{N+p-1}
-    (index_offset -1), evaluated at the rescaled coordinate y."""
-    pref, up, dn, den, _ = _reduced_parts(spec, chain, rp, index_offset)
+    (index_offset -1), evaluated at the rescaled coordinate y; psi_ubar and
+    psi_{ubar-1} come from the pass that `psi_full` reads at (rp, y), and
+    ubar > chain.n_max is a ValueError."""
     ub = rp.ubar
-    t_up = up * eval_psi_exact(chain, ub, y)
-    t_dn = dn * eval_psi_exact(chain, ub - 1, y) if ub >= 1 else mpf(0)
-    return pref * (t_up + t_dn) / den
+    psis = psi_values(chain, max(ub, _k_limit(chain, rp)), y)
+    pref, up, dn, den, _ = _reduced_parts(spec, chain, rp, index_offset)
+    t_dn = dn * psis[ub - 1] if ub >= 1 else mpf(0)
+    return pref * (up * psis[ub] + t_dn) / den
 
 
 def phi_reduced(spec, chain, rp: RegimePoint, y, index_offset=0):
@@ -274,25 +265,27 @@ def Psi_matrix(spec, chain, rp: RegimePoint, y):
 
 
 def _psi_full_terms(spec, chain, rp, index_offset):
-    """The y-independent parts of psi_full: its prefactor, the amplitudes of
-    psi_0..psi_{k_hi} (the half-shifted k-sum terms at p + index_offset)
-    and the normalizer sqrt(s_plus s_0)."""
-    rp_here = make_regime(spec, rp.N, rp.p + index_offset)
-    amps = [mp.exp(expo) for expo in _log_terms(
-        spec, chain, rp_here, shift_exp=1, k_hi=_k_limit(chain, rp), half=True)]
-    norm = mp.sqrt(_sum_terms(spec, chain, rp_here, shift_exp=2)
-                   * _sum_terms(spec, chain, rp_here, shift_exp=0))
-    pref = mpf(rp.N) ** (mpf(1) / (8 * spec.nu)) \
+    """The y-independent parts of psi_full at p' = p + index_offset: the
+    prefactor N^{1/4nu} sqrt(A / 2 sinh phi_e), the amplitudes
+    sqrt(t_k t_{k+1}) of psi_0..psi_{k_hi} from the terms at the odd index
+    N + p' + 1/2 (k_hi rp's k limit), and the normalizer
+    sqrt(Z_N(p'+1) Z_N(p')) at p''s own k limit."""
+    here = make_regime(spec, rp.N, rp.p + index_offset)
+    m = 2 * here.p
+    odd = _terms(spec, chain, rp.N, m + 1)
+    amps = [mp.sqrt(a * b)
+            for a, b in zip(odd, odd[1:_k_limit(chain, rp) + 2])]
+    norm = mp.sqrt(_Z(spec, chain, here, m + 2) * _Z(spec, chain, here, m))
+    pref = mpf(rp.N) ** (mpf(1) / (4 * spec.nu)) \
         * mp.sqrt(A_constant(spec) / (2 * mp.sinh(spec.phi_e)))
     return pref, amps, norm
 
 
 def psi_full(spec, chain, rp: RegimePoint, y, index_offset=0):
-    """Full half-shifted-sum form of psi_{N+p+index_offset}(x(y)), including
-    the N^{1/(8 nu)} prefactor. Its y-independent parts and its value at
-    each point y (keyed by y as given) are kept in the chain's memo, per
-    (spec, regime, offset, working precision): `kernel_full` asks for each
-    point once per pair."""
+    """Full half-shifted-sum form of psi_{N+p+index_offset}(x(y)). Its
+    y-independent parts and its value at each point y (keyed by y as given)
+    are kept in the chain's memo, per (spec, regime, offset, working
+    precision): `kernel_full` asks for each point once per pair."""
     key = ("psi_full", spec, rp, index_offset, mp.prec)
     pref, amps, norm = chain.cached(
         key, lambda: _psi_full_terms(spec, chain, rp, index_offset))

@@ -111,15 +111,11 @@ def cmd_validate(args):
 def cmd_equilibrium(args):
     spec = _load_spec(args)
     T = spec.Tc * (1 + mpf(args.t)) if args.t is not None else spec.Tc
-    try:
-        if args.two_cut:
-            mu = equilibrium.solve_two_cut(
-                spec.V, T, critical.two_cut_guess(spec, T - spec.Tc))
-        else:
-            mu = equilibrium.solve_one_cut(spec.V, T, guess=(-2, 2))
-    except (equilibrium.PhaseError, equilibrium.ConvergenceError) as exc:
-        print("solver failed: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERICAL
+    if args.two_cut:
+        mu = equilibrium.solve_two_cut(
+            spec.V, T, critical.two_cut_guess(spec, T - spec.Tc))
+    else:
+        mu = equilibrium.solve_one_cut(spec.V, T, guess=(-2, 2))
     _write(args.out, kvio.measure_to_kv(mu))
     return EXIT_OK
 

@@ -46,8 +46,9 @@ No work is done twice. `build_chain` keeps the last few chains it built and
 returns the same object for the same arguments, so chains are shared and
 read-only. What is derived from a chain is kept in its one memo
 (`RecChain.cached`, the last MEMO_SIZE values used, each under one flat
-key): the `psi_values` passes and the Hilbert seeds per point, and what
-`asymptotics` needs per regime (the k-sum terms, gamma_full, the
+key): the `psi_values` passes and the Hilbert seeds per point, the
+table of k-sum terms per (spec, N, index N + m/2) that every `asymptotics`
+sum reads, and what `asymptotics` needs per regime (gamma_full, the
 y-independent parts of the psi and phi sums, and psi_full per point). The
 factors 1/sqrt(h_k) are formed with the chain. `A_constant` is formed once
 per (spec, working precision). On the A10a kernel grid (25 pairs, 10

@@ -191,8 +191,9 @@ class RecChain:
     memo of values derived from the chain on first use (`cached`): one LRU
     of MEMO_SIZE entries, each under one flat key, such as the principal-value
     node sums of `pihat_direct`, the `modelchain.psi_values` passes and
-    Hilbert seeds per point, and the k-sum terms that `asymptotics` keys by
-    spec, regime and working precision.
+    Hilbert seeds per point, the k-sum term tables that `asymptotics` keys
+    by spec, N, index N + m/2 and working precision, and its values per
+    regime.
     """
     N: int
     Tc: mpf

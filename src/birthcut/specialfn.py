@@ -55,13 +55,13 @@ def complete_integrals(m) -> EllipticParams:
                           tau=+tau, q=+q)
 
 
-def sn_cn_dn(u, m, pole_tol=None):
-    """Jacobi sn, cn, dn at (possibly complex) u; fails close to a pole of sn."""
+def sn_cn_dn(u, m):
+    """Jacobi sn, cn, dn at (possibly complex) u; fails where |dn| or 1/|sn|
+    falls below 10^(8 - dps), close to a pole of sn."""
     m = mpf(m)
     if not (0 <= m < 1):
         raise ValueError("parameter m must lie in [0, 1)")
-    if pole_tol is None:
-        pole_tol = mpf(10) ** (-mp.dps + 8)
+    pole_tol = mpf(10) ** (-mp.dps + 8)
     with mp.workprec(mp.prec + 20):
         sn = mpmath.ellipfun("sn", u, m=m)
         cn = mpmath.ellipfun("cn", u, m=m)

@@ -9,10 +9,11 @@ from birthcut.asymptotics import (Psi_matrix, beta_full, beta_reduced,
                                   gamma_full, gamma_reduced, kernel_full,
                                   kernel_reduced, large_u_match, make_regime,
                                   make_scaling_map, phi_reduced, psi_full,
-                                  psi_reduced, sum_Z, _sum_terms)
-from birthcut import modelchain
+                                  psi_reduced, sum_Z, _k_limit, _terms)
+from birthcut import asymptotics, modelchain
+from birthcut.modelchain import A_constant, ln_A_k, psi_values
 from birthcut.oracle import MEMO_SIZE, kernel_exact
-from conftest import model_chain, quartic
+from conftest import model_chain, quartic, spec_nu
 
 
 def test_regime_bookkeeping():
@@ -32,6 +33,10 @@ def test_regime_bookkeeping():
 
     with pytest.raises(ValueError):
         make_regime(spec, 2, 1)
+    # an index n = N + p below 1 leaves every k-sum empty
+    make_regime(spec, 3, -2)
+    with pytest.raises(ValueError, match="n = N \\+ p = 0"):
+        make_regime(spec, 3, -3)
 
 
 def test_regime_distance_property():
@@ -64,9 +69,122 @@ def test_truncation_insensitivity():
     spec = quartic("1.0")
     ch = model_chain(1, 30)
     rp = make_regime(spec, 100, 3)
-    s_near = _sum_terms(spec, ch, rp, k_hi=rp.ubar + 10)
-    s_far = _sum_terms(spec, ch, rp, k_hi=rp.ubar + 20)
+    terms = _terms(spec, ch, 100, 2 * rp.p)
+    assert len(terms) == ch.n_max + 2
+    s_near = sum(terms[:rp.ubar + 11], mpf(0))
+    s_far = sum(terms[:rp.ubar + 21], mpf(0))
     assert abs(s_far - s_near) < mpf("1e-12") * s_far
+
+
+def _reference_log_terms(spec, chain, rp, shift_exp=0, k_hi=None, half=False):
+    """ln of the k-sum terms N^{(2ku - k^2)/2nu} e^{shift_exp k phi_e} A_k at
+    rp, k = 0..k_hi, or with half the k -> k + 1/2 variant with amplitudes
+    sqrt(A_k A_{k+1}): each sum's own formula, before one table served all."""
+    lnA = mp.log(A_constant(spec))
+    lnN = mp.log(rp.N)
+    if k_hi is None:
+        k_hi = _k_limit(chain, rp)
+    out = []
+    for k in range(k_hi + 1):
+        if half:
+            kk = k + mpf(1) / 2
+            amp = (ln_A_k(chain, lnA, k) + ln_A_k(chain, lnA, k + 1)) / 2
+        else:
+            kk = mpf(k)
+            amp = ln_A_k(chain, lnA, k)
+        out.append((2 * kk * rp.u - kk * kk) / (2 * spec.nu) * lnN
+                   + shift_exp * kk * spec.phi_e + amp)
+    return out
+
+
+def _reference_sum(spec, chain, rp, shift_exp=0, k_hi=None):
+    return sum((mp.exp(e) for e in _reference_log_terms(
+        spec, chain, rp, shift_exp, k_hi)), mpf(0))
+
+
+@pytest.mark.parametrize("spec, chain", [
+    (quartic("0.62"), model_chain(1, 30)),
+    (quartic("1.05"), model_chain(1, 30)),
+    (spec_nu(2, "2.6"), model_chain(2, 25)),
+], ids=["quartic-0.62", "quartic-1.05", "nu2-e2.6"])
+def test_k_sums_match_their_own_formulas(spec, chain):
+    # gamma = sqrt(Z(p+1) Z(p-1))/Z(p) and the rest read one table of terms
+    # per index; each must equal the sum written out with its own shift
+    rel, absolute = mpf("1e-36"), mpf("1e-38")
+    y = mpf("0.3")
+    for N in (3, 40, 80, 10 ** 6):
+        for p in range(-3, 10):
+            if N + p < 2:
+                continue
+            rp = make_regime(spec, N, p)
+            k_hi = _k_limit(chain, rp)
+            s0 = _reference_sum(spec, chain, rp)
+            gam = mp.sqrt(_reference_sum(spec, chain, rp, 2)
+                          * _reference_sum(spec, chain, rp, -2)) / s0
+            assert abs(gamma_full(spec, chain, rp) / gam - 1) < rel, (N, p)
+            ln_z = sum_Z(spec, chain, N, p)["ln_k_sum"]
+            assert abs(mp.exp(ln_z) / s0 - 1) < rel, (N, p)
+
+            def mean_k(here):
+                ts = [mp.exp(e) for e in _reference_log_terms(
+                    spec, chain, here, 0, k_hi)]
+                return sum(k * t for k, t in enumerate(ts)) / sum(ts)
+            beta = 2 * mp.sinh(spec.phi_e) * (
+                mean_k(make_regime(spec, N, p + 1)) - mean_k(rp))
+            assert abs(beta_full(spec, chain, rp) - beta) < absolute, (N, p)
+
+            psis = psi_values(chain, k_hi, y)
+            pref = mpf(N) ** (mpf(1) / (8 * spec.nu)) \
+                * mp.sqrt(A_constant(spec) / (2 * mp.sinh(spec.phi_e)))
+            for off in (0, -1):
+                here = make_regime(spec, N, p + off)
+                amps = [mp.exp(e) for e in _reference_log_terms(
+                    spec, chain, here, 1, k_hi, half=True)]
+                norm = mp.sqrt(_reference_sum(spec, chain, here, 2)
+                               * _reference_sum(spec, chain, here, 0))
+                psi = pref * sum(a * v for a, v in zip(amps, psis)) / norm
+                got = psi_full(spec, chain, rp, y, off)
+                assert abs(got / psi - 1) < rel, (N, p, off)
+
+
+def test_gamma_and_beta_share_one_table_per_index(monkeypatch):
+    # gamma at p reads the indices N + p - 1, N + p, N + p + 1 and beta
+    # N + p, N + p + 1: over p = 0..9 that is 12 tables, each built once
+    spec = quartic("1.05")
+    ch = model_chain(1, 30)
+    N = 57                                   # an N no other test evaluates
+    calls = []
+    monkeypatch.setattr(ch, "_memo", OrderedDict())
+    monkeypatch.setattr(asymptotics, "ln_A_k",
+                        lambda c, lnA, k: calls.append(k) or ln_A_k(c, lnA, k))
+    for p in range(10):
+        rp = make_regime(spec, N, p)
+        assert gamma_full(spec, ch, rp) > 0
+        beta_full(spec, ch, rp)
+    keys = [key for key in ch._memo if key[0] == "k-terms"]
+    assert sorted(key[3] for key in keys) == list(range(-2, 21, 2))
+    assert all(key[2] == N for key in keys)
+    assert len(calls) == len(keys) * (ch.n_max + 2)
+
+
+def test_psi_reduced_and_psi_full_share_one_pass(monkeypatch):
+    # psi_reduced reads psi_{ubar-1} and psi_ubar from the pass psi_full
+    # makes for its own sum at the same (regime, y)
+    spec = quartic("1.05")
+    ch = model_chain(1, 30)
+    rp = make_regime(spec, 80, 3)
+    y = mpf("0.1414213562")                  # a point no other test evaluates
+    passes = []
+    monic = modelchain._monic_at
+    monkeypatch.setattr(modelchain, "_monic_at",
+                        lambda c, n, x, **kw: passes.append(x)
+                        or monic(c, n, x, **kw))
+    for off in (0, -1):
+        psi_reduced(spec, ch, rp, y, off)
+        psi_full(spec, ch, rp, y, off)
+    assert len(passes) == 1
+    with pytest.raises(ValueError):
+        psi_reduced(spec, ch, make_regime(spec, 10 ** 6, 400), y)
 
 
 def test_reduced_positive_and_periodicity_structure():

@@ -122,6 +122,8 @@ def test_no_spec_arguments_is_usage_error():
     ["chain", "--kmax", "500"],
     ["scan-u", "--phi-e", "0.62", "--N", "2"],
     ["psi", "--phi-e", "1.05", "--u", "-1"],
+    ["psi", "--phi-e", "1.05", "--u", "40"],
+    ["scan-u", "--phi-e", "0.62", "--N", "3", "--u-grid=-3:-3:1"],
     ["transition", "--phi-e", "1.0", "--t-grid", "1e400:1e400:1"],
     ["transition", "--phi-e", "1.0", "--t-grid=1:1:1"],
     ["transition", "--phi-e", "1.0", "--t-grid=-1:-1:1"],
@@ -135,7 +137,9 @@ def test_out_of_domain_input_is_usage_error(argv, capsys):
     # the library's ValueError for such input ended in a traceback (exit 1);
     # t/T_c = +-1 divided by ln 1 = 0 (exit 3 with an empty message), T <= 0
     # printed a measure, --dps < 15 ran with a tolerance looser than 1e-9,
-    # and --nu 0 built the nu = 1 chain
+    # --nu 0 built the nu = 1 chain, u = 40 (ubar past the model chain's
+    # n_max) ended in an IndexError, and an index N + p < 1 emptied the
+    # k-sums (exit 3 with an empty message)
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -167,6 +171,15 @@ def test_scan_u_checks_every_N_before_building_the_chain(monkeypatch, capsys):
     monkeypatch.setattr(modelchain, "build_chain", no_build)
     assert run(["scan-u", "--phi-e", "0.62", "--N", "40,2"]) == 2
     assert capsys.readouterr().err == "error: need N >= 3\n"
+
+
+def test_equilibrium_solver_failure_is_numerical_failure(capsys):
+    # above T_c the one-cut solve does not converge; main reports it once
+    assert run(["equilibrium", "--phi-e", "1.0", "--t", "0.05"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_equilibrium_writes_parseable_measure(tmp_path):
