@@ -252,23 +252,20 @@ def cmd_transition(args):
     spec = _load_spec(args)
     ts = _parse_grid(args.t_grid or "1e-5:1e-3:1e-4")
     rows = ["t_over_Tc,side,d2F_solver,d2F_formula"]
+    sides = (("below", -1, lambda t: equilibrium.solve_one_cut(
+                 spec.V, spec.Tc - t, guess=(-2, 2))),
+             ("above", 1, lambda t: equilibrium.solve_two_cut(
+                 spec.V, spec.Tc + t, guess=critical.two_cut_guess(spec, t))))
     for that in ts:
         t = that * spec.Tc
-        law_m = critical.transition_curvature(spec, -t)
-        law_p = critical.transition_curvature(spec, t)
-        try:
-            mu1 = equilibrium.solve_one_cut(spec.V, spec.Tc - t, guess=(-2, 2))
-            _, _, g1 = equilibrium.abelian_objects(mu1)
-            rows.append(",".join([_fmt(that), "below", _fmt(-2 * mp.log(g1)), _fmt(law_m)]))
-        except (equilibrium.PhaseError, equilibrium.ConvergenceError) as exc:
-            rows.append("%s,below,ERROR %s," % (_fmt(that), exc))
-        try:
-            mu2 = equilibrium.solve_two_cut(spec.V, spec.Tc + t,
-                                            guess=critical.two_cut_guess(spec, t))
-            g2 = equilibrium.gamma_two_cut(mu2)
-            rows.append(",".join([_fmt(that), "above", _fmt(-2 * mp.log(g2)), _fmt(law_p)]))
-        except (equilibrium.PhaseError, equilibrium.ConvergenceError) as exc:
-            rows.append("%s,above,ERROR %s," % (_fmt(that), exc))
+        for side, sign, solve in sides:
+            law = critical.transition_curvature(spec, sign * t)
+            try:
+                _, _, gamma = equilibrium.abelian_objects(solve(t))
+                rows.append(",".join([_fmt(that), side, _fmt(-2 * mp.log(gamma)),
+                                      _fmt(law)]))
+            except (equilibrium.PhaseError, equilibrium.ConvergenceError) as exc:
+                rows.append("%s,%s,ERROR %s," % (_fmt(that), side, exc))
     _write(args.out, "\n".join(rows) + "\n")
     return EXIT_OK
 

@@ -76,6 +76,12 @@ def _edge_weights(spec: CriticalSpec):
             (e + 2) ** (2 * nu - 1) * Q(mpf(-2)))
 
 
+def _drifted_ends(spec: CriticalSpec, t):
+    """The old cut's ends to first order in t: (-2 + t/w_-, 2 - t/w_+)."""
+    wp, wm = _edge_weights(spec)
+    return -2 + t / wm, 2 - t / wp
+
+
 def one_cut_drift(spec: CriticalSpec, t):
     """First-order endpoint and recurrence-coefficient drift for t < 0.
 
@@ -86,9 +92,10 @@ def one_cut_drift(spec: CriticalSpec, t):
     if t >= 0:
         raise ValueError("one-cut drift needs t < 0")
     wp, wm = _edge_weights(spec)
+    a, b = _drifted_ends(spec, t)
     return {
-        "a": -2 + t / wm,
-        "b": 2 - t / wp,
+        "a": a,
+        "b": b,
         "gamma_n": 1 - t / 4 * (1 / wp + 1 / wm),
         "beta_n": -t / 2 * (1 / wp - 1 / wm),
     }
@@ -125,9 +132,7 @@ def two_cut_guess(spec: CriticalSpec, t):
     0 < t << T_c: the old cut's first-order drift (`one_cut_drift`'s a and b,
     continued to t > 0) and the newborn cut [c, d] of `newborn_scaling`."""
     ns = newborn_scaling(spec, t)
-    t = mpf(t)
-    wp, wm = _edge_weights(spec)
-    return (-2 + t / wm, 2 - t / wp, ns.c, ns.d)
+    return _drifted_ends(spec, mpf(t)) + (ns.c, ns.d)
 
 
 def expected_count(spec: CriticalSpec, N: int, n: int):

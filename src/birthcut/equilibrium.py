@@ -1,23 +1,25 @@
 """One- and two-cut equilibrium measures and their derivative objects.
 
-The resolvent is W = (V' - M sqrt(sigma))/2 with sigma one of
+The resolvent is W = (V' - M sqrt(sigma))/2, where sigma is the monic
+polynomial whose roots are the 2s endpoints of the s cuts:
 
-    s = 1:  (x-a)(x-b),          s = 2:  (x-a)(x-b)(x-c)(x-d),
+    s = 1:  (x-a)(x-b),          s = 2:  (x-a)(x-b)(x-c)(x-d).
 
-and the endpoint conditions W ~ T/x + O(1/x^2) at infinity (plus, for s = 2,
-equality of the effective potential across the gap). The moment conditions
-are read off algebraically from the Laurent series of V'/sqrt(sigma): writing
-V'/sqrt(sigma) = M + sum_j c_j x^{-j}, one needs
+Both phases solve one system (`_cut_system`). Writing the Laurent series at
+infinity as V'/sqrt(sigma) = M + sum_j c_j x^{-j}, the condition
+W ~ T/x + O(1/x^2) reads
 
-    s = 1:  c_1 = 0, c_2 = 2T;      s = 2:  c_1 = c_2 = 0, c_3 = 2T,
+    c_1 = ... = c_s = 0,  c_{s+1} = 2T,
 
-which a damped Newton iteration solves for the endpoints. The gap condition
-for s = 2, integral_b^c M sqrt(sigma) = 0, is in closed form too: with
-P = M sigma it is sum_k p_k I_k over the moments I_k = integral_b^c t^k /
-sqrt(sigma), which reduce to the complete elliptic integrals K, E and Pi of
-the parameter 1 - m (`_gap_moments`). No step of the two-cut solve is an
-adaptive quadrature, and its cost does not grow as the newborn cut [c, d]
-shrinks.
+and for s = 2 the effective potential must also be equal across the gap:
+integral_b^c M sqrt(sigma) = 0. A damped Newton iteration (`_solve`) solves
+the 2s conditions for the endpoints; `solve_one_cut` and `solve_two_cut`
+differ only in their Newton settings. The gap condition is in closed form
+too: with P = M sigma it is sum_k p_k I_k over the moments
+I_k = integral_b^c t^k / sqrt(sigma), which reduce to the complete elliptic
+integrals K, E and Pi of the parameter 1 - m (`_gap_moments`). No step of
+the two-cut solve is an adaptive quadrature, and its cost does not grow as
+the newborn cut [c, d] shrinks.
 
 The abelian map u(x) = u_inf + (i/2) sqrt((d-b)(c-a)) integral_x^inf dy /
 sqrt(sigma) is closed too. The substitution tan^2 theta = (d-b)(y-a) /
@@ -202,71 +204,62 @@ def _newton(F, x0, max_iter=100, tol=None):
                            % (max_iter, rn))
 
 
-def _one_cut_system(Vp: Poly, T, x):
-    """Residual (c_1, c_2 - 2T) at x = (a, b), its exact Jacobian and M."""
-    a, b = x
-    if not a < b:
-        raise PhaseError("endpoint ordering lost")
-    M, c = _moments(Vp, x)
-    Me = [M(e) for e in x]
-    J = [[_dc_de(Me[i], c, j, e) for i, e in enumerate(x)] for j in (1, 2)]
-    return (c[1], c[2] - 2 * T), J, M
-
-
-def _two_cut_system(Vp: Poly, T, x):
-    """Residual (c_1, c_2, c_3 - 2T, gap) at x = (a, b, c, d), its exact
-    Jacobian and M."""
-    a, b, c, d = x
-    if not (a < b < c < d):
-        raise PhaseError("cut collision: need a < b < c < d")
-    span = d - a
-    if (d - c) < mpf("1e-10") * span or (c - b) < mpf("1e-10") * span:
+def _cut_system(Vp: Poly, T, x):
+    """Residual (c_1, .., c_s, c_{s+1} - 2T), plus the gap row when s = 2, at
+    the endpoints x of s = len(x)//2 cuts, its exact Jacobian and M."""
+    s = len(x) // 2
+    if not all(lo < hi for lo, hi in zip(x, x[1:])):
+        raise PhaseError("cut collision: need %s" % " < ".join("abcd"[:2 * s]))
+    span = x[-1] - x[0]
+    if any(hi - lo < mpf("1e-10") * span for lo, hi in zip(x[1:], x[2:])):
         raise PhaseError("cut collision: a cut or the gap has closed")
     M, cs = _moments(Vp, x)
     Me = [M(e) for e in x]
-    J = [[_dc_de(Me[i], cs, j, e) for i, e in enumerate(x)] for j in (1, 2, 3)]
-    # integral_b^c M sqrt(sigma) = integral_b^c P / sqrt(sigma), P = M sigma;
-    # its e_i-derivative is -(M(e_i)/2) integral_b^c (sigma/(x - e_i)) / sqrt(sigma)
-    with mp.workprec(mp.prec + GAP_GUARD_BITS):
-        P = M * monic_from_roots(x)
-        I = _gap_moments(x, len(P))
-        gap = mp.fsum(p * Ik for p, Ik in zip(P.c, I))
-        J.append([-Me[i] / 2 * mp.fsum(
-            q * Ik for q, Ik in zip(monic_from_roots(x[:i] + x[i + 1:]).c, I))
-            for i in range(4)])
-    return (cs[1], cs[2], cs[3] - 2 * T, +gap), J, M
+    J = [[_dc_de(Me[i], cs, j, e) for i, e in enumerate(x)]
+         for j in range(1, s + 2)]
+    r = list(cs[1:s + 2])
+    r[s] -= 2 * T
+    if s == 2:
+        # integral_b^c M sqrt(sigma) = integral_b^c P / sqrt(sigma), P = M sigma;
+        # its e_i-derivative is -(M(e_i)/2) integral_b^c (sigma/(x - e_i)) / sqrt(sigma)
+        with mp.workprec(mp.prec + GAP_GUARD_BITS):
+            P = M * monic_from_roots(x)
+            I = _gap_moments(x, len(P))
+            gap = mp.fsum(p * Ik for p, Ik in zip(P.c, I))
+            J.append([-Me[i] / 2 * mp.fsum(
+                q * Ik for q, Ik in zip(monic_from_roots(x[:i] + x[i + 1:]).c, I))
+                for i in range(4)])
+        r.append(+gap)
+    return r, J, M
+
+
+def _solve(V: Poly, T, guess, **newton) -> EqMeasure:
+    """The s-cut measure, s = len(guess)//2, from Newton on `_cut_system`."""
+    T = mpf(T)
+    if not T > 0:
+        raise ValueError("temperature T = %s: need T > 0" % mp.nstr(T, 10))
+    Vp = V.deriv()
+    ends, M, steps, rn = _newton(lambda x: _cut_system(Vp, T, x), guess,
+                                 **newton)
+    mu = EqMeasure(s=len(ends) // 2, endpoints=tuple(ends), M=M, T=T, V=V,
+                   newton_steps=steps, residual=rn)
+    _check_density(mu)
+    if mu.s == 2:
+        _fill_two_cut_data(mu)
+    return mu
 
 
 def solve_one_cut(V: Poly, T, guess=(-2, 2)) -> EqMeasure:
     """Endpoints (a, b) with c_1 = 0 and c_2 = 2T; raises PhaseError if the
     resulting density is negative somewhere on [a, b]."""
-    T = mpf(T)
-    if not T > 0:
-        raise ValueError("temperature T = %s: need T > 0" % mp.nstr(T, 10))
-    Vp = V.deriv()
     # converge to working precision; this is far below the 1e-12 T contract
-    (a, b), M, steps, rn = _newton(lambda x: _one_cut_system(Vp, T, x), guess,
-                                   tol=mpf(10) ** (-mp.dps + 8) * max(T, mpf(1)))
-    mu = EqMeasure(s=1, endpoints=(a, b), M=M, T=T, V=V,
-                   newton_steps=steps, residual=rn)
-    _check_density(mu)
-    return mu
+    return _solve(V, T, guess, tol=mpf(10) ** (-mp.dps + 8) * max(mpf(T), mpf(1)))
 
 
 def solve_two_cut(V: Poly, T, guess) -> EqMeasure:
     """Endpoints (a, b, c, d) with c_1 = c_2 = 0, c_3 = 2T and equal effective
     potential across the gap; populates x0, m, u_inf and the elliptic data."""
-    T = mpf(T)
-    if not T > 0:
-        raise ValueError("temperature T = %s: need T > 0" % mp.nstr(T, 10))
-    Vp = V.deriv()
-    ends, M, steps, rn = _newton(lambda x: _two_cut_system(Vp, T, x), guess,
-                                 max_iter=40)
-    mu = EqMeasure(s=2, endpoints=tuple(ends), M=M, T=T, V=V,
-                   newton_steps=steps, residual=rn)
-    _check_density(mu)
-    _fill_two_cut_data(mu)
-    return mu
+    return _solve(V, T, guess, max_iter=40)
 
 
 def _gap_moments(endpoints, count):
@@ -392,48 +385,35 @@ def normalization(mu: EqMeasure):
 
 def _sqrt_sigma_signed(mu: EqMeasure, x):
     """sqrt(sigma) on the real axis off the support, with the branch that is
-    +|.| right of the support and flips sign across each cut."""
-    eps = mu.endpoints
-    val = abs(mu.sigma()(x))
-    root = mp.sqrt(val)
-    cuts_right = 0
-    if mu.s == 1:
-        if x < eps[0]:
-            cuts_right = 1
-    else:
-        if x < eps[2]:
-            cuts_right += 1
-        if x < eps[0]:
-            cuts_right += 1
+    +|.| right of the support and flips sign across each cut: its sign is
+    (-1)^(number of cut left ends right of x)."""
+    root = mp.sqrt(abs(mu.sigma()(x)))
+    cuts_right = sum(1 for e in mu.endpoints[0::2] if x < e)
     return -root if cuts_right % 2 else root
 
 
 def effective_potential(mu: EqMeasure, x):
     """V_eff(x) - V_eff(b_s) = integral_{b_s}^x M sqrt(sigma), x off the open
-    support. V_eff is flat on each cut, so the integral may be taken from the
-    nearest endpoint; the square-root vanishing there is absorbed by t = p + w^2.
+    support. V_eff equals V_eff(b_s) on every cut (flat on each, equal across
+    the gap), so the integral is taken from the next cut's left end right of
+    x, or from b_s right of the support; the square-root vanishing there is
+    absorbed by t = p + w^2.
     """
     x = mpf(x)
     eps = mu.endpoints
     for i in range(0, len(eps), 2):
         if eps[i] < x < eps[i + 1]:
             raise ValueError("x = %s lies inside the support" % x)
+    if x in eps:
+        return mpf(0)
+    p = next((e for e in eps[0::2] if x < e), eps[-1])
+    sign_dir = 1 if x > p else -1
 
-    def from_endpoint(p, x, sign_dir):
+    def f(w):
         # integral_p^x M sqrt(sigma) dt, with t = p + sign_dir * w^2
-        w1 = mp.sqrt(abs(x - p))
-        def f(w):
-            t = p + sign_dir * w * w
-            return 2 * w * sign_dir * mu.M(t) * _sqrt_sigma_signed(mu, t)
-        return integrate_doubling(f, 0, w1, max_panels=256)
-
-    if x >= eps[-1]:
-        return mpf(0) if x == eps[-1] else from_endpoint(eps[-1], x, 1)
-    if x <= eps[0]:
-        # V_eff(a_1) = V_eff(b_s): flat cuts plus the equal-potential gap rule
-        return mpf(0) if x == eps[0] else from_endpoint(eps[0], x, -1)
-    # s = 2 gap: V_eff(c) = V_eff(d) = V_eff(b_s)
-    return from_endpoint(eps[2], x, -1)
+        t = p + sign_dir * w * w
+        return 2 * w * sign_dir * mu.M(t) * _sqrt_sigma_signed(mu, t)
+    return integrate_doubling(f, 0, mp.sqrt(abs(x - p)), max_panels=256)
 
 
 # ----------------------------------------------------------------------------
@@ -490,26 +470,10 @@ def abelian_objects(mu: EqMeasure):
     exponentiated primitive from b_s, and gamma = lim x/Lambda(x)."""
     if mu.s == 1:
         a, b = mu.endpoints
-
-        def Omega(x):
-            return 1 / mp.sqrt((x - a) * (x - b))
-
-        gamma = (b - a) / 4
-
-        def Lambda(x):
-            return joukowski_lambda(mu, x)
-
-        return Omega, Lambda, gamma
-
-    x0 = mu.x0
-
-    def Omega(x):
-        return (x - x0) / mp.sqrt(mu.sigma()(x))
-
-    def Lambda(x):
-        return lambda_two_cut(mu, x)
-
-    return Omega, Lambda, gamma_two_cut(mu)
+        return (lambda x: 1 / mp.sqrt((x - a) * (x - b)),
+                lambda x: joukowski_lambda(mu, x), (b - a) / 4)
+    return (lambda x: (x - mu.x0) / mp.sqrt(mu.sigma()(x)),
+            lambda x: lambda_two_cut(mu, x), gamma_two_cut(mu))
 
 
 def gamma_from_lambda_limit(mu: EqMeasure, x=None):

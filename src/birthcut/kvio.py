@@ -10,7 +10,7 @@ from mpmath import mp, mpf
 
 from .poly import Poly
 from .potentials import CriticalSpec
-from .equilibrium import EqMeasure
+from .equilibrium import EqMeasure, _fill_two_cut_data
 from .modelchain import ln_A_k
 from .oracle import RecChain
 
@@ -104,7 +104,6 @@ def measure_from_kv(text: str, V: Poly = None) -> EqMeasure:
         V=V if V is not None else Poly([mpf(v) for v in kv["V"].split()]),
     )
     if mu.s == 2:
-        from .equilibrium import _fill_two_cut_data
         _fill_two_cut_data(mu)
     return mu
 

@@ -64,9 +64,10 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .oracle import (GUARD_BITS, PANEL_POINTS, RecChain, _domain, _monic_at,
-                     _node_grid, _psi_weight, _recent, assemble_chain,
-                     domain_budget, orthogonality_residual, pihat_direct)
+from .oracle import (GUARD_BITS, PANEL_POINTS, RecChain, _check_index, _domain,
+                     _monic_at, _node_grid, _psi_weight, _recent,
+                     assemble_chain, domain_budget, orthogonality_residual,
+                     pihat_direct)
 from .poly import Poly
 from .potentials import CriticalSpec
 
@@ -283,8 +284,7 @@ def psi_values(chain: RecChain, n: int, y):
     The pass is kept in the chain's memo under ("psi", n, y), y at the
     chain's precision; a repeated call returns a fresh list of the kept
     values."""
-    if not 0 <= n <= chain.n_max:
-        raise ValueError("k out of range")
+    _check_index("k", n, 0, chain)
     with mp.workprec(chain.prec):
         y = mpf(y)
 
@@ -314,8 +314,7 @@ def psihat_values(chain: RecChain, k: int, y):
     """(psihat_{k-1}(y), psihat_k(y)) from one phat_values call, with
     psihat_j = phat_j e^{+y^{2nu}/(4nu)} / sqrt(h_j) and psihat_{-1} the
     bare e^{+y^{2nu}/(4nu)} (empty-average convention)."""
-    if not 0 <= k <= chain.n_max:
-        raise ValueError("k out of range")
+    _check_index("k", k, 0, chain)
     with mp.workprec(chain.prec):
         y = mpf(y)
         g = chain.N / (2 * chain.Tc) * chain.V(y)

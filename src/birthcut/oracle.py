@@ -626,6 +626,13 @@ def orthogonality_residual(chain: RecChain, pairs, grid=None):
                    for v, (n, m_) in zip(gram, pairs))
 
 
+def _check_index(name, n, lo, chain: RecChain):
+    """ValueError naming n and the limits unless lo <= n <= chain.n_max."""
+    if not lo <= n <= chain.n_max:
+        raise ValueError("%s out of range: %s = %s not in %d..%d"
+                         % (name, name, n, lo, chain.n_max))
+
+
 def _psi_weight(chain: RecChain, x):
     """e^{-(N/2Tc) V(x)}, the weight factor of every psi_n at x."""
     return mp.exp(-mpf(chain.N) / (2 * chain.Tc) * chain.V(x))
@@ -635,8 +642,7 @@ def eval_psi_exact(chain: RecChain, n: int, x):
     """psi_n(x) = pi_n(x) e^{-(N/2Tc) V(x)} / sqrt(h_n), formed as
     (pi_n(x) `_psi_weight`) inv_sqrt_h[n], as `modelchain.psi_values` forms
     every psi_k."""
-    if not 0 <= n <= chain.n_max:
-        raise ValueError("n out of range")
+    _check_index("n", n, 0, chain)
     with mp.workprec(chain.prec):
         x = mpf(x)
         _, p = _monic_at(chain, n, x)
@@ -724,8 +730,7 @@ def pihat_direct(chain: RecChain, n: int, x):
 
 def eval_phi_exact(chain: RecChain, n: int, x):
     """phi_n(x) = pihat_n(x) e^{+(N/2Tc) V(x)} / sqrt(h_n)."""
-    if not 0 <= n <= chain.n_max:
-        raise ValueError("n out of range")
+    _check_index("n", n, 0, chain)
     with mp.workprec(chain.prec):
         x = mpf(x)
         q = pihat_direct(chain, n, x)
@@ -735,8 +740,7 @@ def eval_phi_exact(chain: RecChain, n: int, x):
 
 def kernel_exact(chain: RecChain, n: int, x, x2):
     """K_n(x, x') by Christoffel-Darboux; derivative form on the diagonal."""
-    if not 1 <= n <= chain.n_max:
-        raise ValueError("n out of range")
+    _check_index("n", n, 1, chain)
     with mp.workprec(chain.prec):
         x, x2 = mpf(x), mpf(x2)
         coupling = mpf(chain.N) / (2 * chain.Tc)

@@ -37,7 +37,6 @@ class EllipticParams:
     E: mpf
     Eprime: mpf
     tau: mpc        # i K'/K
-    q: mpf          # nome exp(i pi tau) = exp(-pi K'/K)
 
 
 def complete_integrals(m) -> EllipticParams:
@@ -50,9 +49,7 @@ def complete_integrals(m) -> EllipticParams:
         E = mpmath.ellipe(m)
         Ep = mpmath.ellipe(1 - m)
         tau = mpc(0, 1) * Kp / K
-        q = mp.exp(-mp.pi * Kp / K)
-    return EllipticParams(m=m, K=+K, Kprime=+Kp, E=+E, Eprime=+Ep,
-                          tau=+tau, q=+q)
+    return EllipticParams(m=m, K=+K, Kprime=+Kp, E=+E, Eprime=+Ep, tau=+tau)
 
 
 def sn_cn_dn(u, m):

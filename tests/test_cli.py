@@ -145,6 +145,14 @@ def test_out_of_domain_input_is_usage_error(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_range_error_names_the_index_and_the_limit(capsys):
+    # u = 40 asks the model chain (n_max = 29) for k = 40; the message said
+    # only "k out of range"
+    assert run(["psi", "--phi-e", "1.05", "--u", "40"]) == 2
+    err = capsys.readouterr().err
+    assert "40" in err and "29" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "--nu", "2", "--e", "nan"],
     ["validate", "--phi-e", "inf"],

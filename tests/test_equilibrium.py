@@ -437,22 +437,64 @@ def test_jacobian_matches_central_differences(case, that):
         spec = quartic("1.0")
         T = spec.Tc * (1 - mpf(that))
         x = solve_one_cut(spec.V, T, guess=(-2, 2)).endpoints
-        system = equilibrium._one_cut_system
     elif case == "nu2":
         spec = spec_nu(2, "2.6")
         T, x = spec.Tc, (mpf("-2.01"), mpf("1.99"))
-        system = equilibrium._one_cut_system
     else:
         spec = quartic("1.0")
         t = mpf(that) * spec.Tc
         T, x = spec.Tc + t, two_cut_guess(spec, t)
-        system = equilibrium._two_cut_system
+    system = equilibrium._cut_system
     Vp = spec.V.deriv()
     _, J, _ = system(Vp, T, list(x))
     fd = _central_jacobian(lambda y: system(Vp, T, y), list(x))
     for i, (row, ref) in enumerate(zip(J, fd)):
         scale = max(abs(v) for v in ref)
         assert max(abs(u - v) for u, v in zip(row, ref)) < mpf("1e-20") * scale, i
+
+
+@pytest.mark.parametrize("x,match", [
+    (("2", "-2"), "need a < b$"),
+    (("1", "1"), "need a < b$"),
+    (("-2", "2", "1", "3"), "need a < b < c < d"),
+    (("-2", "2", "3", "3"), "need a < b < c < d"),
+    (("-2", "2", "2.1", "2.1000000000001"), "a cut or the gap has closed"),
+    (("-2", "2", "2.0000000000001", "3"), "a cut or the gap has closed"),
+])
+def test_cut_system_rejects_collided_endpoints(x, match):
+    # one guard for both cut counts: ordering at s = 1 and 2, and at s = 2
+    # a newborn cut or gap narrower than 1e-10 of the span
+    Vp = quartic("1.0").V.deriv()
+    with pytest.raises(PhaseError, match=match):
+        equilibrium._cut_system(Vp, mpf(1), [mpf(v) for v in x])
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_sqrt_sigma_branch_flips_across_each_cut(s):
+    # +|sqrt(sigma)| right of the support, one sign flip per cut crossed
+    spec = quartic("1.0")
+    if s == 1:
+        mu = solve_one_cut(spec.V, spec.Tc * (1 - mpf("1e-3")), guess=(-2, 2))
+    else:
+        t = mpf("1e-3") * spec.Tc
+        mu = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
+    eps = mu.endpoints
+    probes = [(eps[0] - 1, (-1) ** s), (eps[-1] + 1, 1)]
+    if s == 2:
+        probes.append(((eps[1] + eps[2]) / 2, -1))
+    for x, sign in probes:
+        val = equilibrium._sqrt_sigma_signed(mu, x)
+        assert val * sign > 0, x
+        assert abs(val * val - abs(mu.sigma()(x))) < mpf("1e-30") * val * val
+
+
+def test_effective_potential_vanishes_at_every_endpoint():
+    # V_eff = V_eff(b_s) on the whole support; at x = b the integral from c
+    # did not converge
+    spec = quartic("1.0")
+    t = mpf("3e-4") * spec.Tc
+    mu = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
+    assert all(effective_potential(mu, e) == 0 for e in mu.endpoints)
 
 
 def test_two_cut_solve_forms_one_moment_set_per_newton_step(monkeypatch):
