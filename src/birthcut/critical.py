@@ -135,14 +135,6 @@ def two_cut_guess(spec: CriticalSpec, t):
     return _drifted_ends(spec, mpf(t)) + (ns.c, ns.d)
 
 
-def expected_count(spec: CriticalSpec, N: int, n: int):
-    """Mean number of eigenvalues in the newborn well at index n >= N:
-    k ~ 2 nu phi_e (n - N)/ln N."""
-    if n < N:
-        raise ValueError("need n >= N")
-    return 2 * spec.nu * spec.phi_e * (n - N) / mp.log(N)
-
-
 def transition_curvature(spec: CriticalSpec, t):
     """d^2F/dt^2 near the transition: linear in t below, 4 nu phi_e^2/ln(t/T_c)
     above. Continuous (-> 0) from both sides; the third derivative jumps."""

@@ -317,7 +317,7 @@ def psihat_values(chain: RecChain, k: int, y):
     _check_index("k", k, 0, chain)
     with mp.workprec(chain.prec):
         y = mpf(y)
-        g = chain.N / (2 * chain.Tc) * chain.V(y)
+        g = chain.constants[0] * chain.V(y)
         q_prev, q = phat_values(chain, k, y)
         up = q * mp.exp(g - chain.log_h[k] / 2)
         down = q_prev * mp.exp(g - chain.log_h[k - 1] / 2) if k else mp.exp(g)

@@ -61,8 +61,9 @@ of the node vectors with the chain's coefficients (`_node_vectors`), which
 forms a step's sums only where they are read: `gram_entries` re-integrates
 a finished chain on an independent grid for the orthogonality checks,
 `expected_count_exact` sums the diagonal entries of the same sweep over its
-counting grid, and `pihat_direct` sums g_i w_i pi_n(x_i)/(x - x_i) over the
-chain's own grid. Only the prefactors
+counting grid (one sweep per grid, kept in the chain's memo and resumed by
+the next count on that grid), and `pihat_direct` sums
+g_i w_i pi_n(x_i)/(x - x_i) over the chain's own grid. Only the prefactors
 e^{-NV/2T_c} / sqrt(h_n) are formed in mpf. The diagonal kernel keeps the
 Christoffel-Darboux derivative form, so that it stays an independent check
 of the count.
@@ -74,6 +75,8 @@ import bisect
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
@@ -187,13 +190,15 @@ class RecChain:
     """Recurrence data of w = exp(-(N/Tc) V) up to n_max on [x_min, x_max],
     as `assemble_chain` forms it.
 
-    Read-only once built, so it can be shared. Its one mutable part is the
-    memo of values derived from the chain on first use (`cached`): one LRU
-    of MEMO_SIZE entries, each under one flat key, such as the principal-value
-    node sums of `pihat_direct`, the `modelchain.psi_values` passes and
-    Hilbert seeds per point, the k-sum term tables that `asymptotics` keys
-    by spec, N, index N + m/2 and working precision, and its values per
-    regime.
+    Read-only once built, so it can be shared. Its mutable parts hold values
+    derived from the chain on first use. The evaluator constants
+    (`constants`) are formed once and never dropped. The memo (`cached`) is
+    one LRU of MEMO_SIZE entries, each under one flat key, such as the
+    principal-value node sums of `pihat_direct`, the resumable counting
+    sweep of `expected_count_exact` per counting grid, the
+    `modelchain.psi_values` passes and Hilbert seeds per point, the k-sum
+    term tables that `asymptotics` keys by spec, N, index N + m/2 and
+    working precision, and its values per regime.
     """
     N: int
     Tc: mpf
@@ -220,6 +225,20 @@ class RecChain:
         """The value stored under key, from compute() on first use; the
         memo keeps the MEMO_SIZE keys used last."""
         return _recent(self._memo, key, compute, MEMO_SIZE)
+
+    @cached_property
+    def constants(self):
+        """(N/(2 T_c), V', 10^-8) at the chain's precision: the coupling of
+        every psi and phi weight, the slope of the potential for the diagonal kernel
+        and `pihat_direct`'s node term, and `kernel_exact`'s diagonal
+        threshold. Kept outside the memo, so that the evaluators, which read
+        it on every call, take no memo entry from the sweeps and passes.
+        V' is exact wherever V's coefficients have a few bits fewer than
+        the chain's precision (136-bit coefficients at the default 40
+        digits), so `pihat_direct` may read it at its higher precision."""
+        with mp.workprec(self.prec):
+            return (mpf(self.N) / (2 * self.Tc), self.V.deriv(),
+                    mpf(10) ** (-8))
 
     def weight(self, x):
         return mp.exp(-self.N / self.Tc * self.V(x))
@@ -626,16 +645,18 @@ def orthogonality_residual(chain: RecChain, pairs, grid=None):
                    for v, (n, m_) in zip(gram, pairs))
 
 
-def _check_index(name, n, lo, chain: RecChain):
-    """ValueError naming n and the limits unless lo <= n <= chain.n_max."""
-    if not lo <= n <= chain.n_max:
+def _check_index(name, n, lo, chain: RecChain, hi=None):
+    """ValueError naming n and the limits unless lo <= n <= hi, by default
+    hi = chain.n_max."""
+    hi = chain.n_max if hi is None else hi
+    if not lo <= n <= hi:
         raise ValueError("%s out of range: %s = %s not in %d..%d"
-                         % (name, name, n, lo, chain.n_max))
+                         % (name, name, n, lo, hi))
 
 
 def _psi_weight(chain: RecChain, x):
     """e^{-(N/2Tc) V(x)}, the weight factor of every psi_n at x."""
-    return mp.exp(-mpf(chain.N) / (2 * chain.Tc) * chain.V(x))
+    return mp.exp(-chain.constants[0] * chain.V(x))
 
 
 def eval_psi_exact(chain: RecChain, n: int, x):
@@ -717,7 +738,7 @@ def pihat_direct(chain: RecChain, n: int, x):
             # -g_i (pi_n w)'(x_i) with (pi_n w)' = w (pi_n' - (N/T_c) V' pi_n)
             xi = chain.xs[i]
             _, pn, _, dn = _monic_at(chain, n, xi, deriv=True)
-            slope = dn - chain.N / chain.Tc * chain.V.deriv()(xi) * pn
+            slope = dn - chain.N / chain.Tc * chain.constants[1](xi) * pn
             total -= chain.grid.gw(i) * slope
             terms = zip(X[:i] + X[i + 1:], G[:i] + G[i + 1:], P[:i] + P[i + 1:])
         acc = 0
@@ -734,7 +755,7 @@ def eval_phi_exact(chain: RecChain, n: int, x):
     with mp.workprec(chain.prec):
         x = mpf(x)
         q = pihat_direct(chain, n, x)
-        ex = mpf(chain.N) / (2 * chain.Tc) * chain.V(x) - chain.log_h[n] / 2
+        ex = chain.constants[0] * chain.V(x) - chain.log_h[n] / 2
         return q * mp.exp(ex)
 
 
@@ -743,31 +764,56 @@ def kernel_exact(chain: RecChain, n: int, x, x2):
     _check_index("n", n, 1, chain)
     with mp.workprec(chain.prec):
         x, x2 = mpf(x), mpf(x2)
-        coupling = mpf(chain.N) / (2 * chain.Tc)
+        coupling, dV, tol = chain.constants
         gam = chain.gamma[n]
         lh = (chain.log_h[n] + chain.log_h[n - 1]) / 2
-        if abs(x - x2) > mpf(10) ** (-8) * (1 + abs(x)):
+        if abs(x - x2) > tol * (1 + abs(x)):
             pn1, pn = _monic_at(chain, n, x)
             qn1, qn = _monic_at(chain, n, x2)
             ex = mp.exp(-coupling * (chain.V(x) + chain.V(x2)) - lh)
             return gam * ex * (pn * qn1 - pn1 * qn) / (x - x2)
         pn1, pn, dn1, dn = _monic_at(chain, n, x, deriv=True)
-        s = coupling * chain.V.deriv()(x)
+        s = coupling * dV(x)
         ex = mp.exp(-2 * coupling * chain.V(x) - lh)
         return gam * ex * ((dn - s * pn) * pn1 - (dn1 - s * pn1) * pn)
 
 
+def _count_sweep(chain: RecChain, lo, hi, panels):
+    """The counting sweep of `expected_count_exact` on [lo, hi]: a
+    `_node_vectors` sweep over that `NodeGrid` to k = n_max with a sum at
+    every step, and the list of diagonal entries <psi_k, psi_k> it has
+    given so far."""
+    grid = _node_grid(lo, hi, panels, chain.V, mpf(chain.N) / chain.Tc,
+                      chain.prec + GUARD_BITS)
+    steps = chain.n_max + 1
+    return _node_vectors(grid, chain.beta, chain.gamma, chain.log_h[0], steps,
+                         range(steps)), []
+
+
 def expected_count_exact(chain: RecChain, n: int, lo, hi=None, panels=24):
-    """integral_lo^hi K_n(x, x) dx = sum_{j<n} <psi_j, psi_j> on [lo, hi]:
-    the diagonal Gram entries of one `_node_vectors` sweep over the
-    `NodeGrid` of [lo, hi] with `panels` panels."""
+    """integral_lo^hi K_n(x, x) dx = sum_{j<n} <psi_j, psi_j> on [lo, hi],
+    0 <= n <= n_max + 1: the diagonal Gram entries of one `_node_vectors`
+    sweep over the `NodeGrid` of [lo, hi] with `panels` panels.
+
+    The sweep and the entries it has given are kept in the chain's memo
+    under (lo, hi, panels), with hi = None read as x_max, so a later count
+    on the same grid sums the entries held and resumes the sweep only past
+    them. lo and hi reach `_node_grid` as given, and every entry is formed
+    at the same precision, so each count is the one a fresh chain gives."""
+    _check_index("n", n, 0, chain, chain.n_max + 1)
     F = chain.prec + GUARD_BITS
     with mp.workprec(chain.prec):
-        hi = hi if hi is not None else chain.x_max
-        grid = _node_grid(lo, hi, panels, chain.V, mpf(chain.N) / chain.Tc, F)
+        hi = chain.x_max if hi is None else hi
+        key = ("count sweep", lo, hi, panels)
+        sweep, terms = chain.cached(
+            key, lambda: _count_sweep(chain, lo, hi, panels))
         with mp.workprec(F + 16):
-            total = mp.fsum(mp.ldexp(mpf(S), -F) / (alpha * alpha)
-                            for _, _, S, alpha in _node_vectors(
-                                grid, chain.beta, chain.gamma,
-                                chain.log_h[0], n, range(n)))
+            try:
+                for _, _, S, alpha in islice(sweep, max(0, n - len(terms))):
+                    terms.append(mp.ldexp(mpf(S), -F) / (alpha * alpha))
+            except BaseException:
+                # a sweep stopped by an exception cannot resume: drop it
+                chain._memo.pop(key, None)
+                raise
+            total = mp.fsum(terms[:n])
         return +total

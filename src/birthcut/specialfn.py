@@ -173,22 +173,6 @@ def ln_factorial(n: int):
     return mpmath.loggamma(n + 1).real
 
 
-def ln_Hn(n: int):
-    """Asymptotic ln H_n ~ n ln(2 pi) - (ln n)/12 of the group-volume factor."""
-    if n <= 0:
-        raise ValueError("n must be >= 1")
-    return n * mp.log(2 * mp.pi) - mp.log(n) / 12
-
-
-def ln_Hn_exact(n: int):
-    """ln[(2 pi)^{n/2} n^{-n^2/2} e^{3n^2/4} prod_{k<n} k!]."""
-    acc = mpf(n) / 2 * mp.log(2 * mp.pi) - mpf(n) ** 2 / 2 * mp.log(n) \
-        + mpf(3) * n * n / 4
-    for k in range(n):
-        acc += ln_factorial(k)
-    return acc
-
-
 def ln_zeta_nu1_exact(k: int):
     """Closed form ln zeta_{k,1} = (k/2) ln(2 pi) + sum_{j<k} ln j!."""
     acc = mpf(k) / 2 * mp.log(2 * mp.pi)

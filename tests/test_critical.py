@@ -6,8 +6,8 @@ from math import comb, factorial
 import pytest
 from mpmath import mp, mpf
 
-from birthcut.critical import (expected_count, g_scaling_hyperbolic,
-                               g_scaling_poly, newborn_scaling, one_cut_drift,
+from birthcut.critical import (g_scaling_hyperbolic, g_scaling_poly,
+                               newborn_scaling, one_cut_drift,
                                scaling_constant_C, scaling_zeta,
                                transition_curvature, two_cut_guess)
 from birthcut.poly import Poly
@@ -133,15 +133,6 @@ def test_newborn_endpoints_bracket_solver():
         half_ansatz = (ns.d - ns.c) / 2
         gaps.append(abs(half_solver - half_ansatz) / half_ansatz)
     assert gaps[1] < gaps[0] < mpf("0.25")
-
-
-def test_expected_count():
-    spec = quartic("0.62")
-    assert expected_count(spec, 80, 80) == 0
-    n = 80 + int(mp.log(80) / (2 * spec.nu * spec.phi_e)) + 1
-    assert abs(expected_count(spec, 80, n) - 1) < mpf("0.3")
-    with pytest.raises(ValueError):
-        expected_count(spec, 80, 79)
 
 
 def test_transition_curvature_sides():

@@ -3,6 +3,7 @@ resolution independence, and the kernel/counting machinery."""
 
 import functools
 from collections import OrderedDict
+from dataclasses import replace
 
 import mpmath
 import pytest
@@ -346,6 +347,64 @@ def test_sums_on_demand_match_a_sweep_that_forms_every_sum(monkeypatch):
         lambda grid, beta, gamma, ln_h0, count, sums=():
             sweep(grid, beta, gamma, ln_h0, count, range(count)))
     assert run() == lazy
+
+
+def test_counts_resume_one_sweep_per_grid(monkeypatch):
+    # counts taken in any order on one chain equal those of a fresh chain;
+    # each counting grid keeps one sweep, which a count at a larger n
+    # resumes by exactly the missing steps and one at a smaller n leaves be
+    ch = replace(oracle_chain("0.62", 20, nodes=1024))
+    e_tilde = quartic("0.62").e_tilde
+    top = ch.n_max + 1
+    counts = [(n, e_tilde, None, 2) for n in (top - 2, top - 7, 1, top, 9)]
+    counts += [(n, e_tilde, None, 3) for n in (12, top, 4)]
+    counts += [(8, e_tilde, ch.x_max, 2), (0, e_tilde, None, 2),
+               (17, ch.x_min, None, 2)]
+    got = [expected_count_exact(ch, *c) for c in counts]
+    assert got == [expected_count_exact(replace(ch), *c) for c in counts]
+    steps = []
+    advance = oracle._advance
+    monkeypatch.setattr(oracle, "_advance",
+                        lambda *a: steps.append(1) or advance(*a))
+    assert expected_count_exact(ch, 9, e_tilde, ch.x_max, 2) == got[4]
+    assert expected_count_exact(ch, 3, e_tilde, panels=3) > 0
+    assert not steps
+    fresh = replace(ch)
+    expected_count_exact(fresh, 5, e_tilde, panels=2)
+    steps.clear()
+    expected_count_exact(fresh, 9, e_tilde, panels=2)
+    assert len(steps) == 4
+
+
+def test_count_stopped_mid_sweep_starts_over(monkeypatch):
+    # a sweep left by an exception cannot resume; the next count on that
+    # grid builds it again instead of summing the entries it had given
+    ch = replace(oracle_chain("0.62", 20, nodes=1024))
+    e_tilde = quartic("0.62").e_tilde
+    steps = []
+    advance = oracle._advance
+
+    def stop_at_third(*a):
+        steps.append(1)
+        if len(steps) == 3:
+            raise RuntimeError("stopped")
+        return advance(*a)
+    monkeypatch.setattr(oracle, "_advance", stop_at_third)
+    with pytest.raises(RuntimeError, match="stopped"):
+        expected_count_exact(ch, 9, e_tilde, panels=2)
+    assert expected_count_exact(ch, 9, e_tilde, panels=2) \
+        == expected_count_exact(replace(ch), 9, e_tilde, panels=2)
+
+
+def test_count_index_range():
+    ch = oracle_chain("0.62", 20, nodes=1024)
+    e_tilde = quartic("0.62").e_tilde
+    for n in (-1, ch.n_max + 2):
+        with pytest.raises(ValueError, match="n = %d not in 0..%d"
+                           % (n, ch.n_max + 1)):
+            expected_count_exact(ch, n, e_tilde, panels=2)
+    assert 0 < expected_count_exact(ch, ch.n_max + 1, e_tilde,
+                                    panels=2) < ch.n_max + 1
 
 
 def test_chain_sweeps_build_no_mpf_grid(monkeypatch):

@@ -6,7 +6,7 @@ from mpmath import mp, mpc, mpf
 
 from birthcut.quadrature import ConvergenceError
 from birthcut.specialfn import (complete_K_E_Pi, complete_integrals,
-                                ln_factorial, ln_Hn, ln_Hn_exact, ln_zeta_asymptotic,
+                                ln_factorial, ln_zeta_asymptotic,
                                 ln_zeta_nu1_exact, small_m_E, small_m_Eprime,
                                 small_m_K, sn_cn_dn, theta1, theta1_prime0)
 
@@ -142,12 +142,9 @@ def test_gamma_formula_small_m_reduction():
     assert abs(gam - lead) / lead < mpf("1e-5")
 
 
-def test_ln_factorial_and_Hn():
+def test_ln_factorial():
     assert abs(ln_factorial(5) - mp.log(120)) < mpf("1e-35")
     assert ln_factorial(0) == 0
-    # asymptotic ln H_n agrees with the exact product form to O(1)
-    for n in (50, 200):
-        assert abs(ln_Hn(n) - ln_Hn_exact(n)) < mpf("2.0")
 
 
 def test_ln_zeta_nu1_closed_form():
