@@ -20,9 +20,13 @@ model's psi_k against the terms at the half-integer index N + p + 1/2.
 `_k_limit` is the one place that decides where a sum is truncated.
 
 The dominant k is ubar (the nonnegative integer closest to u), the
-runner-up ubar + eps_u. Reduced formulas keep one correction term; the full
-forms keep the whole (truncated) sum - at desk-scale N both are exposed
-because their difference is itself O(1) near half-integer u.
+runner-up ubar + eps_u. The reduced forms are the dominant window of the
+same table: they read only the ratios t_k/t_ubar at k = ubar - 1, ubar + 1
+and ubar + eps_u (`_over_dominant`) and keep one correction term, while the
+full forms keep the whole (truncated) sum - at desk-scale N both are exposed
+because their difference is itself O(1) near half-integer u. Below threshold
+(u < 0, ubar = 0) the window's ratios vanish as u -> -inf, so the reduced
+gamma and beta fall to 1 and 0 with the full ones.
 
 x-space and the model's y-space are linked by the scaling map
 x = e + N^{-1/(2 nu)} (2 sinh(phi_e) Q(e)/T_c)^{-1/(2 nu)} y, under which the
@@ -36,7 +40,6 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .critical import newborn_scaling
 from .modelchain import A_constant, ln_A_k, psi_values, psihat_values
 from .oracle import RecChain, kernel_exact
 from .potentials import CriticalSpec
@@ -120,7 +123,8 @@ def _terms(spec, chain, N: int, m: int):
     """The terms t_k = e^{k m phi_e} N^{-k^2/2nu} A_k, k = 0..chain.n_max + 1,
     of Z_N at the index N + m/2 (where N^{2ku/2nu} = e^{k m phi_e}); formed
     once per (spec, N, m, working precision) and kept on the chain. Every
-    k-sum reads its first `_k_limit` + 1 terms."""
+    k-sum reads its first `_k_limit` + 1 terms, every reduced form the
+    window `_over_dominant`."""
     def compute():
         lnA = mp.log(A_constant(spec))
         a, b = m * spec.phi_e, mp.log(N) / (2 * spec.nu)
@@ -135,34 +139,31 @@ def _Z(spec, chain, rp: RegimePoint, m: int):
 
 
 def sum_Z(spec: CriticalSpec, chain: RecChain, N: int, p: int):
-    """ln of the k-sum of the partition function plus its reported prefactors.
-
-    The overall constants Fbar(T_c, V) and Fbar^(1)(T_c, V) are unknown here
-    (they cancel from every ratio used downstream) and are reported as None.
-    """
-    rp = make_regime(spec, N, p)
-    return {
-        "regime": rp,
-        "ln_k_sum": mp.log(_Z(spec, chain, rp, 2 * p)),
-        "ln_2pi_p": p * mp.log(2 * mp.pi),
-        "Fbar": None,
-        "Fbar1": None,
-        "veff_e_factor": "exp(-p N V_eff(e)/T_c), V_eff from equilibrium at T_c",
-    }
+    """ln Z_N(p), the k-sum at the index N + p truncated at its k limit,
+    without the factors that cancel from every ratio. Its k = 0 term is
+    A_0 = 1, so this is -ln P(0), P(0) the k-sum's weight of an empty
+    newborn well."""
+    return mp.log(_Z(spec, chain, make_regime(spec, N, p), 2 * p))
 
 
-def _dominant_ratio(spec, chain, rp):
-    """N^{(2|u-ubar|-1)/2nu} A_{ubar+eps}/A_ubar: the runner-up term of the
-    k-sum over the dominant one, the one correction the reduced forms keep."""
-    lnA = mp.log(A_constant(spec))
-    ratio = mp.exp(ln_A_k(chain, lnA, rp.ubar + rp.eps_u)
-                   - ln_A_k(chain, lnA, rp.ubar))
-    return mpf(rp.N) ** ((2 * abs(rp.u - rp.ubar) - 1) / (2 * spec.nu)) * ratio
+def _over_dominant(spec, chain, rp: RegimePoint, m: int, k: int):
+    """t_k/t_ubar in the terms at the index N + m/2: the window around the
+    dominant term of the table that every reduced form reads. k = -1, below
+    the table, takes A_{-1} = 2 pi/A (`ln_A_k`'s convention)."""
+    t = _terms(spec, chain, rp.N, m)
+    if k >= 0:
+        return t[k] / t[rp.ubar]
+    below = -m * spec.phi_e - mp.log(rp.N) / (2 * spec.nu) \
+        + ln_A_k(chain, mp.log(A_constant(spec)), -1)
+    return mp.exp(below) / t[rp.ubar]
 
 
 def gamma_reduced(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
-    """gamma_{N+p} ~ 1 + 2 sinh^2(phi_e) N^{(2|u-ubar|-1)/2nu} A_{ubar+eps}/A_ubar."""
-    return 1 + 2 * mp.sinh(spec.phi_e) ** 2 * _dominant_ratio(spec, chain, rp)
+    """gamma_{N+p} ~ 1 + 2 sinh^2(phi_e) t_{ubar+eps}/t_ubar at the index
+    N + p: the runner-up term of Z_N(p) over the dominant one, which is
+    N^{(2|u-ubar|-1)/2nu} A_{ubar+eps}/A_ubar for u >= 0."""
+    return 1 + 2 * mp.sinh(spec.phi_e) ** 2 \
+        * _over_dominant(spec, chain, rp, 2 * rp.p, rp.ubar + rp.eps_u)
 
 
 def gamma_full(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
@@ -177,11 +178,11 @@ def gamma_full(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
 
 
 def beta_reduced(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
-    """beta_{N+p} ~ 4 sinh^2(phi_e) N^{(2|u-ubar|-1)/2nu} e^{eps phi_e}
-    A_{ubar+eps}/A_ubar."""
+    """beta_{N+p} ~ 4 sinh^2(phi_e) e^{eps phi_e} t_{ubar+eps}/t_ubar, the
+    ratio of `gamma_reduced`."""
     phi = spec.phi_e
     return 4 * mp.sinh(phi) ** 2 * mp.exp(rp.eps_u * phi) \
-        * _dominant_ratio(spec, chain, rp)
+        * _over_dominant(spec, chain, rp, 2 * rp.p, rp.ubar + rp.eps_u)
 
 
 def beta_full(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
@@ -200,39 +201,30 @@ def beta_full(spec: CriticalSpec, chain: RecChain, rp: RegimePoint):
 # wavefunctions
 # ----------------------------------------------------------------------------
 
-def _corr(spec, chain, rp, sign):
-    """cosh(phi_e) N^{(2|u-ubar|-1)/2nu} e^{sign*eps*phi_e} A_{ubar+eps}/A_ubar."""
-    return mp.cosh(spec.phi_e) * mp.exp(sign * rp.eps_u * spec.phi_e) \
-        * _dominant_ratio(spec, chain, rp)
+def _psi_prefactor(spec, N: int):
+    """N^{1/4nu} sqrt(A / 2 sinh phi_e), the prefactor of every wavefunction
+    form."""
+    return mpf(N) ** (mpf(1) / (4 * spec.nu)) \
+        * mp.sqrt(A_constant(spec) / (2 * mp.sinh(spec.phi_e)))
 
 
-def _amp_ratio(spec, chain, k_num, k_den):
-    lnA = mp.log(A_constant(spec))
-    return mp.exp((ln_A_k(chain, lnA, k_num) - ln_A_k(chain, lnA, k_den)) / 2)
-
-
-def _reduced_parts(spec, chain, rp, index_offset):
-    """The y-independent parts of `psi_reduced` and `phi_reduced` at
-    index_offset: the prefactor sqrt(A / 2 sinh phi_e), the coefficients
-    N^{+-(u-ubar)/2nu} e^{+-sgn phi_e/2} sqrt(A_{ubar+-1}/A_ubar) of the
-    upper and lower terms, and the denominators 1 + `_corr` of psi (sign
-    sgn) and phi (sign -sgn); computed once per (spec, regime, offset,
-    working precision) and kept on the chain."""
+def _two_term(spec, chain, rp, index_offset, lower, upper, partner):
+    """The dominant window of `psi_full` at p' = p + index_offset, over the
+    values lower and upper at k = ubar - 1 and ubar: psi_full's prefactor
+    and amplitudes sqrt(t_k t_{k+1}), divided by t_ubar (1 + cosh(phi_e)
+    t_{ubar+eps}/t_ubar), all read at the odd index N + p' + 1/2 (m =
+    2p + sgn). The divisor is the two-term, first-order form of psi_full's
+    sqrt(Z_N(p'+1) Z_N(p')); a Hilbert partner takes its ratio at the other
+    odd index, 2p - sgn."""
     if index_offset not in (0, -1):
         raise ValueError("index_offset must be 0 or -1")
-
-    def compute():
-        nu, phi = spec.nu, spec.phi_e
-        ub = rp.ubar
-        pref = mp.sqrt(A_constant(spec) / (2 * mp.sinh(phi)))
-        pw = mpf(rp.N) ** ((rp.u - ub) / (2 * nu))
-        sgn = 1 if index_offset == 0 else -1
-        up = pw * mp.exp(sgn * phi / 2) * _amp_ratio(spec, chain, ub + 1, ub)
-        dn = (1 / pw) * mp.exp(-sgn * phi / 2) \
-            * _amp_ratio(spec, chain, ub - 1, ub)
-        return (pref, up, dn, 1 + _corr(spec, chain, rp, sign=sgn),
-                1 + _corr(spec, chain, rp, sign=-sgn))
-    return chain.cached(("reduced", spec, rp, index_offset, mp.prec), compute)
+    sgn = 1 if index_offset == 0 else -1
+    m, ub = 2 * rp.p + sgn, rp.ubar
+    num = mp.sqrt(_over_dominant(spec, chain, rp, m, ub + 1)) * upper \
+        + mp.sqrt(_over_dominant(spec, chain, rp, m, ub - 1)) * lower
+    r = _over_dominant(spec, chain, rp, m - 2 * sgn if partner else m,
+                       ub + rp.eps_u)
+    return _psi_prefactor(spec, rp.N) * num / (1 + mp.cosh(spec.phi_e) * r)
 
 
 def psi_reduced(spec, chain, rp: RegimePoint, y, index_offset=0):
@@ -242,16 +234,15 @@ def psi_reduced(spec, chain, rp: RegimePoint, y, index_offset=0):
     ubar > chain.n_max is a ValueError."""
     ub = rp.ubar
     psis = psi_values(chain, max(ub, _k_limit(chain, rp)), y)
-    pref, up, dn, den, _ = _reduced_parts(spec, chain, rp, index_offset)
-    t_dn = dn * psis[ub - 1] if ub >= 1 else mpf(0)
-    return pref * (up * psis[ub] + t_dn) / den
+    return _two_term(spec, chain, rp, index_offset,
+                     psis[ub - 1] if ub else mpf(0), psis[ub], partner=False)
 
 
 def phi_reduced(spec, chain, rp: RegimePoint, y, index_offset=0):
     """Hilbert-transform partner phi_{N+p} (offset 0) or phi_{N+p-1} (-1)."""
-    pref, up, dn, _, den = _reduced_parts(spec, chain, rp, index_offset)
     hat_dn, hat_up = psihat_values(chain, rp.ubar, y)
-    return pref * (up * hat_up + dn * hat_dn) / den
+    return _two_term(spec, chain, rp, index_offset, hat_dn, hat_up,
+                     partner=True)
 
 
 def Psi_matrix(spec, chain, rp: RegimePoint, y):
@@ -276,9 +267,7 @@ def _psi_full_terms(spec, chain, rp, index_offset):
     amps = [mp.sqrt(a * b)
             for a, b in zip(odd, odd[1:_k_limit(chain, rp) + 2])]
     norm = mp.sqrt(_Z(spec, chain, here, m + 2) * _Z(spec, chain, here, m))
-    pref = mpf(rp.N) ** (mpf(1) / (4 * spec.nu)) \
-        * mp.sqrt(A_constant(spec) / (2 * mp.sinh(spec.phi_e)))
-    return pref, amps, norm
+    return _psi_prefactor(spec, rp.N), amps, norm
 
 
 def psi_full(spec, chain, rp: RegimePoint, y, index_offset=0):
@@ -317,40 +306,3 @@ def kernel_full(spec, chain, rp: RegimePoint, x, x2):
     pn_y2 = psi_full(spec, chain, rp, y2, 0)
     pm_y2 = psi_full(spec, chain, rp, y2, -1)
     return gam * (pn_y * pm_y2 - pm_y * pn_y2) / (mpf(x) - mpf(x2))
-
-
-def large_u_match(spec, chain, rp: RegimePoint):
-    """Compare the asymptotic gamma/beta against the classical two-cut
-    envelope at the matched temperature t = T_c p/N (report, no assertion).
-
-    Near integer u the one-correction reduced forms dip below the envelope's
-    lower edge by construction (the discarded neighbor term carries the dip
-    floor), so the report carries both the reduced and the full-sum values.
-    """
-    if rp.u < 3:
-        raise ValueError("large-u check needs u >= 3")
-    t = spec.Tc * mpf(rp.p) / rp.N
-    ns = newborn_scaling(spec, t)
-    half = (ns.d - ns.c) / 2
-    g_lo, g_hi = 1 + half / 2, mp.cosh(spec.phi_e)
-    b_lo, b_hi = half, spec.e - 2
-    g_red = gamma_reduced(spec, chain, rp)
-    b_red = beta_reduced(spec, chain, rp)
-    g_full = gamma_full(spec, chain, rp)
-    b_full = beta_full(spec, chain, rp)
-    slack = mpf("0.25")
-
-    def in_band(v, lo, hi):
-        return bool(lo * (1 - slack) <= v <= hi * (1 + slack))
-
-    return {
-        "u": rp.u, "t": t,
-        "gamma_reduced": g_red, "gamma_full": g_full,
-        "gamma_lo": g_lo, "gamma_hi": g_hi,
-        "gamma_in_band": in_band(g_red, g_lo, g_hi),
-        "gamma_full_in_band": in_band(g_full, g_lo, g_hi),
-        "beta_reduced": b_red, "beta_full": b_full,
-        "beta_lo": b_lo, "beta_hi": b_hi,
-        "beta_in_band": in_band(b_red, b_lo, b_hi),
-        "beta_full_in_band": in_band(b_full, b_lo, b_hi),
-    }

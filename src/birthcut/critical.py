@@ -57,16 +57,6 @@ def g_scaling_poly(nu: int, zeta) -> Poly:
     return Poly(coeffs)
 
 
-def g_scaling_hyperbolic(nu: int, zeta, psi):
-    """Alternative form G(2 zeta cosh(psi)) = zeta^{2nu-2} *
-    sum_j binom(2nu-1, nu+j) sinh((2j+1) psi)/sinh(psi)."""
-    zeta, psi = mpf(zeta), mpf(psi)
-    acc = mpf(0)
-    for j in range(nu):
-        acc += comb(2 * nu - 1, nu + j) * mp.sinh((2 * j + 1) * psi) / mp.sinh(psi)
-    return zeta ** (2 * nu - 2) * acc
-
-
 def _edge_weights(spec: CriticalSpec):
     """(w_+, w_-) = ((e-2)^{2nu-1} Q(2), (e+2)^{2nu-1} Q(-2)), M's values at
     the cut ends 2 and -2: to first order in t the ends move to

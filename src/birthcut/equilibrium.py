@@ -476,14 +476,6 @@ def abelian_objects(mu: EqMeasure):
             lambda x: lambda_two_cut(mu, x), gamma_two_cut(mu))
 
 
-def gamma_from_lambda_limit(mu: EqMeasure, x=None):
-    """gamma as x/Lambda(x) at large finite x (O(1/x) away from the limit)."""
-    if x is None:
-        x = mpf(10) ** 9 * max(abs(v) for v in mu.endpoints)
-    _, Lambda, _ = abelian_objects(mu)
-    return mpf(x) / Lambda(mpf(x))
-
-
 def prime_form_one_cut(mu: EqMeasure, x, xi):
     """(H, E): H(x,xi) = phi'(x)/(e^{phi(x)+phi(xi)} - 1) and
     E(x,xi) = 1 - e^{-(phi(x)+phi(xi))}."""

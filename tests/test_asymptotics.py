@@ -7,12 +7,13 @@ from mpmath import mp, mpf
 
 from birthcut.asymptotics import (Psi_matrix, beta_full, beta_reduced,
                                   gamma_full, gamma_reduced, kernel_full,
-                                  kernel_reduced, large_u_match, make_regime,
-                                  make_scaling_map, phi_reduced, psi_full,
-                                  psi_reduced, sum_Z, _k_limit, _terms)
+                                  kernel_reduced, make_regime, make_scaling_map,
+                                  phi_reduced, psi_full, psi_reduced, sum_Z,
+                                  _k_limit, _terms)
 from birthcut import asymptotics, modelchain
 from birthcut.modelchain import A_constant, ln_A_k, psi_values
 from birthcut.oracle import MEMO_SIZE, kernel_exact
+from birthcut.potentials import make_quartic_spec
 from conftest import model_chain, quartic, spec_nu
 
 
@@ -52,9 +53,8 @@ def test_regime_distance_property():
 def test_sum_dominated_by_k0_below_threshold():
     spec = quartic("1.0")
     ch = model_chain(1, 30)
-    out = sum_Z(spec, ch, 80, -2)          # u < 0
-    assert abs(out["ln_k_sum"]) < mpf("0.1")   # ln A_0 = 0 dominates
-    assert out["Fbar"] is None and out["Fbar1"] is None
+    ln_z = sum_Z(spec, ch, 80, -2)         # u < 0
+    assert 0 < ln_z < mpf("0.1")           # ln A_0 = 0 dominates
 
 
 def test_half_integer_u_ties_neighbor_exponents():
@@ -122,7 +122,7 @@ def test_k_sums_match_their_own_formulas(spec, chain):
             gam = mp.sqrt(_reference_sum(spec, chain, rp, 2)
                           * _reference_sum(spec, chain, rp, -2)) / s0
             assert abs(gamma_full(spec, chain, rp) / gam - 1) < rel, (N, p)
-            ln_z = sum_Z(spec, chain, N, p)["ln_k_sum"]
+            ln_z = sum_Z(spec, chain, N, p)
             assert abs(mp.exp(ln_z) / s0 - 1) < rel, (N, p)
 
             def mean_k(here):
@@ -198,29 +198,96 @@ def test_reduced_positive_and_periodicity_structure():
 
 def test_gamma_near_periodicity_in_u():
     # u -> u + 1 shifts ubar by one and leaves the N power invariant; the
-    # correction changes only through the amplitude ratio
-    from birthcut.modelchain import A_constant, ln_A_k
-    spec = quartic("1.0")
+    # correction changes only through the amplitude ratio. At phi_e =
+    # ln(80)/6 and N = 80, u = p/3: p = 2 and p = 5 are one unit of u apart
+    N = 80
+    spec = make_quartic_spec(mp.log(N) / 6)
     ch = model_chain(1, 30)
     lnA = mp.log(A_constant(spec))
-    N = 80
-
-    class FakeRegime:
-        def __init__(self, rp, du):
-            self.N = rp.N
-            self.p = rp.p
-            self.u = rp.u + du
-            self.ubar = rp.ubar + du
-            self.eps_u = rp.eps_u
-            self.valid_Z = True
-            self.valid_psi = True
-
-    rp = make_regime(spec, N, 3)
+    rp, rp2 = make_regime(spec, N, 2), make_regime(spec, N, 5)
+    assert abs(rp2.u - rp.u - 1) < mpf("1e-30")
+    assert (rp2.ubar, rp2.eps_u) == (rp.ubar + 1, rp.eps_u)
     g1 = gamma_reduced(spec, ch, rp) - 1
-    g2 = gamma_reduced(spec, ch, FakeRegime(rp, 1)) - 1
+    g2 = gamma_reduced(spec, ch, rp2) - 1
     ratio = mp.exp(ln_A_k(ch, lnA, rp.ubar + 1 + rp.eps_u) - ln_A_k(ch, lnA, rp.ubar + 1)
                    - ln_A_k(ch, lnA, rp.ubar + rp.eps_u) + ln_A_k(ch, lnA, rp.ubar))
     assert abs(g2 / g1 - ratio) < mpf("1e-20") * ratio
+
+
+def _closed_form_reduced(spec, chain, rp, y, index_offset):
+    """(gamma, beta, psi, phi) reduced at rp, y and index_offset as closed
+    forms in N^{(u-ubar)/2nu} and ratios of A_k, each written out on its
+    own: the formulas of the reduced forms before they read the term table
+    (valid for u >= 0)."""
+    nu, phi, N, ub, eps = spec.nu, spec.phi_e, mpf(rp.N), rp.ubar, rp.eps_u
+    lnA = mp.log(A_constant(spec))
+
+    def amp(k_num, k_den):
+        return mp.exp(ln_A_k(chain, lnA, k_num) - ln_A_k(chain, lnA, k_den))
+
+    ratio = N ** ((2 * abs(rp.u - ub) - 1) / (2 * nu)) * amp(ub + eps, ub)
+    gamma = 1 + 2 * mp.sinh(phi) ** 2 * ratio
+    beta = 4 * mp.sinh(phi) ** 2 * mp.exp(eps * phi) * ratio
+    sgn = 1 if index_offset == 0 else -1
+    pref = mp.sqrt(A_constant(spec) / (2 * mp.sinh(phi)))
+    pw = N ** ((rp.u - ub) / (2 * nu))
+    up = pw * mp.exp(sgn * phi / 2) * mp.sqrt(amp(ub + 1, ub))
+    dn = mp.exp(-sgn * phi / 2) * mp.sqrt(amp(ub - 1, ub)) / pw
+    psis = psi_values(chain, ub, y)
+    lower = dn * psis[ub - 1] if ub >= 1 else mpf(0)
+    psi = pref * (up * psis[ub] + lower) \
+        / (1 + mp.cosh(phi) * mp.exp(sgn * eps * phi) * ratio)
+    hat_dn, hat_up = modelchain.psihat_values(chain, ub, y)
+    phi_val = pref * (up * hat_up + dn * hat_dn) \
+        / (1 + mp.cosh(phi) * mp.exp(-sgn * eps * phi) * ratio)
+    return gamma, beta, psi, phi_val
+
+
+@pytest.mark.parametrize("spec, chain", [
+    (quartic("0.62"), model_chain(1, 30)),
+    (quartic("1.05"), model_chain(1, 30)),
+    (spec_nu(2, "2.6"), model_chain(2, 25)),
+], ids=["quartic-0.62", "quartic-1.05", "nu2-e2.6"])
+def test_reduced_forms_match_their_closed_forms(spec, chain):
+    # for u >= 0 the dominant window of the term table is the paper's
+    # closed form; p = 0, 1 at N = 40 and 80 put ubar = 0, where phi's
+    # lower term takes A_{-1} = 2 pi/A
+    rel = mpf("1e-36")
+    y = mpf("0.3")
+    seen_ubar0 = False
+    for N in (40, 80, 10 ** 6):
+        for p in range(12):
+            rp = make_regime(spec, N, p)
+            seen_ubar0 |= rp.ubar == 0
+            for off in (0, -1):
+                ref = _closed_form_reduced(spec, chain, rp, y, off)
+                got = (gamma_reduced(spec, chain, rp),
+                       beta_reduced(spec, chain, rp),
+                       psi_reduced(spec, chain, rp, y, off),
+                       phi_reduced(spec, chain, rp, y, off))
+                for name, g, r in zip(("gamma", "beta", "psi", "phi"), got, ref):
+                    assert abs(g / r - 1) < rel, (name, N, p, off)
+    assert seen_ubar0
+
+
+def test_reduced_forms_fall_with_the_full_ones_below_threshold():
+    # at u < 0 (ubar = 0) the runner-up term t_1/t_0 vanishes as u -> -inf:
+    # gamma_reduced falls to 1 and beta_reduced to 0 with the full sums
+    spec = quartic("1.0")
+    ch = model_chain(1, 30)
+    gammas, betas = [], []
+    for p in range(-1, -7, -1):
+        rp = make_regime(spec, 80, p)
+        assert rp.u < 0 and rp.ubar == 0
+        g_r, g_f = gamma_reduced(spec, ch, rp), gamma_full(spec, ch, rp)
+        b_r, b_f = beta_reduced(spec, ch, rp), beta_full(spec, ch, rp)
+        assert abs(g_r - g_f) < mpf("0.01") * (g_f - 1), p
+        assert abs(b_r - b_f) < mpf("0.05") * b_f, p
+        gammas.append(g_r)
+        betas.append(b_r)
+    assert all(a > b > 1 for a, b in zip(gammas, gammas[1:]))
+    assert all(a > b > 0 for a, b in zip(betas, betas[1:]))
+    assert gammas[-1] - 1 < mpf("1e-6") and betas[-1] < mpf("1e-5")
 
 
 def test_full_approaches_reduced_at_large_N():
@@ -306,26 +373,6 @@ def test_scaling_map_roundtrip():
     x = spec.e + mpf("0.01")
     assert abs(smap.x_of_y(smap.y_of_x(x)) - x) < mpf("1e-30")
     assert abs(smap.dy_dx() - 1 / smap.scale) < mpf("1e-30")
-
-
-def test_large_u_match_analytic():
-    spec = quartic("1.0")
-    ch = model_chain(1, 30)
-    N = 10 ** 6
-    reports = []
-    for u_target in (3, 4, 5, 6):
-        # mid-band points: the quantized u sits away from the dip at integers
-        p = int(mp.nint((u_target + mpf("0.25")) * mp.log(N) / (2 * spec.phi_e)))
-        rp = make_regime(spec, N, p)
-        reports.append(large_u_match(spec, ch, rp))
-    assert all(r["gamma_full_in_band"] for r in reports)
-    assert all(r["beta_full_in_band"] for r in reports)
-    # envelope approaches the upper bound monotonically as u grows
-    fulls = [r["gamma_full"] for r in reports]
-    assert all(b > a for a, b in zip(fulls, fulls[1:])) or \
-        max(fulls) <= reports[0]["gamma_hi"] * mpf("1.25")
-    with pytest.raises(ValueError):
-        large_u_match(spec, ch, make_regime(spec, N, 1))
 
 
 def test_psi_matrix_computes_one_seed_per_point(monkeypatch):
@@ -435,7 +482,8 @@ def test_A10a_kernel_grid_makes_one_psi_pass_per_point(monkeypatch):
 
 def test_chain_memo_stays_bounded_over_every_kind_of_key(monkeypatch):
     # what is kept per point y (psi pass, psi_full value, Hilbert seed) sits
-    # in the chain's one memo beside the per-regime values, and the memo
+    # in the chain's one memo beside the per-regime values and the term
+    # tables, which the reduced forms read at every point; the memo
     # keeps only the MEMO_SIZE keys used last
     spec = quartic("1.05")
     mc = model_chain(1, 30)
@@ -449,7 +497,7 @@ def test_chain_memo_stays_bounded_over_every_kind_of_key(monkeypatch):
         assert len(mc._memo) <= MEMO_SIZE
     assert len(mc._memo) == MEMO_SIZE
     assert {key[0] for key in mc._memo} == {
-        "pv weights", "pv values", "phat seed", "reduced", "psi", "psi_full",
+        "pv weights", "pv values", "phat seed", "k-terms", "psi", "psi_full",
         "gamma_full"}
 
 

@@ -250,6 +250,22 @@ def test_scan_u_rows_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_scan_u_reduced_forms_follow_the_full_ones_below_threshold(tmp_path):
+    # at u < 0 the reduced gamma and beta read the same terms as the full
+    # sums and fall to 1 and 0 with them (they grew like N^{-u/nu} before)
+    out = tmp_path / "scan.csv"
+    assert run(["scan-u", "--phi-e", "1.0", "--N", "40",
+                "--u-grid=-2:-0.5:0.5", "--out", str(out)]) == 0
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert [r[1] for r in rows] == ["-4", "-3", "-2", "-1"]
+    for r in rows:
+        g_red, g_full = mpf(r[6]), mpf(r[7])
+        b_red, b_full = mpf(r[9]), mpf(r[10])
+        assert abs(g_red - g_full) < mpf("0.01") * g_full, r[1]
+        assert abs(b_red - b_full) < mpf("0.05") * b_full, r[1]
+        assert 1 < g_red < mpf("1.011") and 0 < b_red < mpf("0.06"), r[1]
+
+
 def test_transition_rows(tmp_path):
     out = tmp_path / "trans.csv"
     assert run(["transition", "--phi-e", "1.0", "--t-grid", "1e-4:1e-4:1",

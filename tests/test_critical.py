@@ -6,8 +6,7 @@ from math import comb, factorial
 import pytest
 from mpmath import mp, mpf
 
-from birthcut.critical import (g_scaling_hyperbolic, g_scaling_poly,
-                               newborn_scaling, one_cut_drift,
+from birthcut.critical import (g_scaling_poly, newborn_scaling, one_cut_drift,
                                scaling_constant_C, scaling_zeta,
                                transition_curvature, two_cut_guess)
 from birthcut.poly import Poly
@@ -78,6 +77,15 @@ def test_g_small_nu_forms():
     G2 = g_scaling_poly(2, z)
     expect = Poly([2 * z * z, 0, 1])
     assert all(abs(a - b) < mpf("1e-30") for a, b in zip(G2.c, expect.c))
+
+
+def g_scaling_hyperbolic(nu, zeta, psi):
+    """The second form of G: G(2 zeta cosh(psi)) = zeta^{2nu-2} *
+    sum_j binom(2nu-1, nu+j) sinh((2j+1) psi)/sinh(psi)."""
+    acc = mpf(0)
+    for j in range(nu):
+        acc += comb(2 * nu - 1, nu + j) * mp.sinh((2 * j + 1) * psi) / mp.sinh(psi)
+    return zeta ** (2 * nu - 2) * acc
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3, 4])

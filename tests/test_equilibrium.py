@@ -6,17 +6,26 @@ from mpmath import mp, mpc, mpf
 from birthcut import equilibrium, quadrature, specialfn
 from birthcut.equilibrium import (ConvergenceError, PhaseError, abelian_objects,
                                   classical_gamma_beta, dtrace_dr,
-                                  effective_potential, gamma_from_lambda_limit,
-                                  gamma_two_cut, joukowski_lambda,
-                                  normalization, prime_form_one_cut,
-                                  solve_one_cut, solve_two_cut,
-                                  thermo_derivatives, veff_const_bs)
+                                  effective_potential, gamma_two_cut,
+                                  joukowski_lambda, normalization,
+                                  prime_form_one_cut, solve_one_cut,
+                                  solve_two_cut, thermo_derivatives,
+                                  veff_const_bs)
 from birthcut.poly import (Poly, laurent_split, monic_from_roots,
                            sqrt_sigma_tail)
 from birthcut.quadrature import integrate_bracket, integrate_doubling
 from birthcut.specialfn import sn_cn_dn
 from birthcut.critical import one_cut_drift, two_cut_guess
 from conftest import quartic, spec_nu
+
+
+def gamma_from_lambda_limit(mu, x=None):
+    """gamma as x/Lambda(x) at large finite x (O(1/x) away from the limit):
+    the numeric limit that checks `gamma_two_cut`."""
+    if x is None:
+        x = mpf(10) ** 9 * max(abs(v) for v in mu.endpoints)
+    _, Lambda, _ = abelian_objects(mu)
+    return mpf(x) / Lambda(mpf(x))
 
 
 def test_gaussian_semicircle():
