@@ -65,7 +65,7 @@ from functools import lru_cache
 from mpmath import mp, mpf
 
 from .oracle import (GUARD_BITS, PANEL_POINTS, RecChain, _check_index, _domain,
-                     _monic_at, _node_grid, _psi_weight, _recent,
+                     _monic_at, _node_grid, _recent,
                      assemble_chain, domain_budget, orthogonality_residual,
                      pihat_direct)
 from .poly import Poly
@@ -278,8 +278,8 @@ def _build_chain(nu, k_max, prec, nodes):
 
 def psi_values(chain: RecChain, n: int, y):
     """[psi_0(y), ..., psi_n(y)], bit for bit as `oracle.eval_psi_exact`
-    gives them, from one pass of the recurrence and one exponential: each
-    psi_k is (p_k(y) `_psi_weight`) inv_sqrt_h[k].
+    gives them, from one pass of the recurrence and the psi weight of y's
+    point (`RecChain.point`): each psi_k is (p_k(y) w) inv_sqrt_h[k].
 
     The pass is kept in the chain's memo under ("psi", n, y), y at the
     chain's precision; a repeated call returns a fresh list of the kept
@@ -289,7 +289,7 @@ def psi_values(chain: RecChain, n: int, y):
         y = mpf(y)
 
         def one_pass():
-            w = _psi_weight(chain, y)
+            w = chain.point(y).w
             return [p * w * c for p, c in zip(
                 _monic_at(chain, n, y, every=True), chain.inv_sqrt_h)]
         return list(chain.cached(("psi", n, y), one_pass))

@@ -53,13 +53,19 @@ ln h_{k+1} = ln h_k + 2 ln b_{k+1}) are formed in mpf.
 The evaluators run on the same integers. A finished chain stores beta_k and
 gamma_k^2 as integers over 2^F (`beta_fx`, `gsq_fx`). Point values
 p_{k-1}(x), p_k(x), and their x-derivatives for the diagonal
-Christoffel-Darboux kernel, come from `_monic_at`: the recurrence for one
+Christoffel-Darboux kernel, come from `_monic_steps`: the recurrence for one
 node, whose entries share one block exponent that follows p_k up and down
 the way e_i does (p_k grows like e^{+N V / 2 T_c} towards the domain ends,
-so a single fixed scale would not do). Sums over a grid come from one sweep
-of the node vectors with the chain's coefficients (`_node_vectors`), which
-forms a step's sums only where they are read: `gram_entries` re-integrates
-a finished chain on an independent grid for the orthogonality checks,
+so a single fixed scale would not do). `eval_psi_exact`, `kernel_exact`,
+`pihat_direct` and `eval_phi_exact` read a point from the chain's point
+store (`RecChain.point`): V(x), e^{-(N/2T_c) V(x)} and the recurrence state
+the point's last call reached, which a call at the same or a higher index
+resumes, so a grid evaluated at increasing n costs each point max(n) steps.
+The kernel forms its Christoffel-Darboux numerators from the integer states,
+exactly, and rounds once. Sums over a grid come from one sweep of the node
+vectors with the chain's coefficients (`_node_vectors`), which forms a
+step's sums only where they are read: `gram_entries` re-integrates a
+finished chain on an independent grid for the orthogonality checks,
 `expected_count_exact` sums the diagonal entries of the same sweep over its
 counting grid (one sweep per grid, kept in the chain's memo and resumed by
 the next count on that grid), and `pihat_direct` sums
@@ -89,6 +95,7 @@ GUARD_BITS = 32        # fixed-point fraction bits beyond the working precision
 BAND_BITS = 8          # a node is rescaled when its integer leaves F +- 8 bits
 PANEL_POINTS = 64      # Gauss-Legendre points per panel of every chain grid
 MEMO_SIZE = 64         # values a chain's memo keeps, least recently used dropped
+POINT_STORE_SIZE = 2048  # points a chain's point store keeps, the same way
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,20 +192,41 @@ def _recent(store: OrderedDict, key, compute, size: int):
         return value
 
 
+class _Point:
+    """What a chain keeps of one evaluation point x (an mpf at the chain's
+    precision): X = x 2^F truncated to an integer, V(x) and the psi weight
+    w = e^{-(N/2 T_c) V(x)} at the chain's precision, and the `_monic_steps`
+    state its last call reached."""
+    __slots__ = ("X", "V", "w", "state")
+
+    def __init__(self, chain, x):
+        F = chain.prec + GUARD_BITS
+        self.X = int(mp.ldexp(x, F))
+        with mp.workprec(chain.prec):
+            self.V = chain.V(x)
+            self.w = mp.exp(-chain.constants[0] * self.V)
+        self.state = _monic_start(F)
+
+
 @dataclass
 class RecChain:
     """Recurrence data of w = exp(-(N/Tc) V) up to n_max on [x_min, x_max],
     as `assemble_chain` forms it.
 
     Read-only once built, so it can be shared. Its mutable parts hold values
-    derived from the chain on first use. The evaluator constants
-    (`constants`) are formed once and never dropped. The memo (`cached`) is
-    one LRU of MEMO_SIZE entries, each under one flat key, such as the
-    principal-value node sums of `pihat_direct`, the resumable counting
-    sweep of `expected_count_exact` per counting grid, the
-    `modelchain.psi_values` passes and Hilbert seeds per point, the k-sum
-    term tables that `asymptotics` keys by spec, N, index N + m/2 and
-    working precision, and its values per regime.
+    derived from the chain on first use, in three places:
+    - the evaluator constants (`constants`), formed once and never dropped;
+    - the point store (`point`), one LRU of POINT_STORE_SIZE entries, one
+      per evaluation point and derivative flag: V(x), the psi weight and the
+      one-point recurrence state of `_monic_steps` that the next call at x
+      resumes (about 1.3 KB each with its key at 320 bits, so under 3 MB
+      when full; 2048 holds A10b's 24 x 64-node counting grid);
+    - the memo (`cached`), one LRU of MEMO_SIZE entries, each under one flat
+      key, such as the principal-value node sums of `pihat_direct`, the
+      resumable counting sweep of `expected_count_exact` per counting grid,
+      the `modelchain.psi_values` passes and Hilbert seeds per point, the
+      k-sum term tables that `asymptotics` keys by spec, N, index N + m/2
+      and working precision, and its values per regime.
     """
     N: int
     Tc: mpf
@@ -220,17 +248,26 @@ class RecChain:
     converged: bool = None  # model chains: whether resid met its bound
     _memo: OrderedDict = field(default_factory=OrderedDict, init=False,
                                repr=False, compare=False)
+    _points: OrderedDict = field(default_factory=OrderedDict, init=False,
+                                 repr=False, compare=False)
 
     def cached(self, key, compute):
         """The value stored under key, from compute() on first use; the
         memo keeps the MEMO_SIZE keys used last."""
         return _recent(self._memo, key, compute, MEMO_SIZE)
 
+    def point(self, x, deriv=False):
+        """The `_Point` of x, an mpf at the chain's precision, whose state
+        tracks derivatives if deriv; the store keeps the POINT_STORE_SIZE
+        (x, deriv) keys used last."""
+        return _recent(self._points, (x, deriv), lambda: _Point(self, x),
+                       POINT_STORE_SIZE)
+
     @cached_property
     def constants(self):
         """(N/(2 T_c), V', 10^-8) at the chain's precision: the coupling of
-        every psi and phi weight, the slope of the potential for the diagonal kernel
-        and `pihat_direct`'s node term, and `kernel_exact`'s diagonal
+        every psi and phi weight, the slope of the potential for
+        `pihat_direct`'s node term, and `kernel_exact`'s diagonal
         threshold. Kept outside the memo, so that the evaluators, which read
         it on every call, take no memo entry from the sweeps and passes.
         V' is exact wherever V's coefficients have a few bits fewer than
@@ -239,9 +276,6 @@ class RecChain:
         with mp.workprec(self.prec):
             return (mpf(self.N) / (2 * self.Tc), self.V.deriv(),
                     mpf(10) ** (-8))
-
-    def weight(self, x):
-        return mp.exp(-self.N / self.Tc * self.V(x))
 
     @property
     def xs(self):
@@ -464,28 +498,32 @@ def gram_entries(grid, beta, gamma, ln_h0, pairs):
     return [+gram[pq] for pq in pairs]
 
 
-def _monic_at(chain, n, x, deriv=False, every=False):
-    """(p_{n-1}(x), p_n(x)) of the chain's monic recurrence at one point,
-    followed by (p'_{n-1}(x), p'_n(x)) when deriv, as mpf at the working
-    precision; with every, the list p_0(x), ..., p_n(x) instead.
+def _monic_start(F):
+    """The `_monic_steps` state at index 0: p_{-1} = 0, p_0 = 1."""
+    return 0, 0, 1 << F, 0, 0, 0
+
+
+def _monic_steps(chain, X, state, n, deriv=False, every=None):
+    """The one-point state (j, q, p, dq, dp, E) of the chain's monic
+    recurrence at x = X 2^-F advanced from index j to n >= j: q, p and dq,
+    dp are p_{n-1}(x), p_n(x) and their x-derivatives (kept only if deriv,
+    else 0), each the integer times 2^(E - F), F = chain.prec + GUARD_BITS.
+    With every, a list, (p, E) of each step is appended to it.
 
     Integer fixed point on the chain's beta_fx, gsq_fx: all entries share
-    one block exponent E (value = integer 2^(E - F), F = chain.prec +
-    GUARD_BITS), and the block is shifted whenever p_n leaves F +- BAND_BITS
-    bits, the one-node version of `_advance`. Unlike a single fixed scale
-    this covers the e^{N V / 2 T_c}-sized growth of p_n at the domain ends.
+    one block exponent E, and the block is shifted whenever p_n leaves
+    F +- BAND_BITS bits, the one-node version of `_advance`. Unlike a single
+    fixed scale this covers the e^{N V / 2 T_c}-sized growth of p_n at the
+    domain ends. The steps depend on x and the chain only, so a state
+    advanced in parts is the state of one pass.
     """
     F = chain.prec + GUARD_BITS
     lo, hi = F - BAND_BITS, F + BAND_BITS
-    X = int(mp.ldexp(x, F))
     bs, gs = chain.beta_fx, chain.gsq_fx
-    q, p = 0, 1 << F
-    dq = dp = 0
-    E = 0
-    ps = [(p, E)]
-    for j in range(n):
-        t = X - bs[j]
-        g = gs[j]
+    j, q, p, dq, dp, E = state
+    for k in range(j, n):
+        t = X - bs[k]
+        g = gs[k]
         if deriv:
             dq, dp = dp, p + ((t * dp - g * dq) >> F)
         q, p = p, (t * p - g * q) >> F
@@ -504,12 +542,36 @@ def _monic_at(chain, n, x, deriv=False, every=False):
             dp <<= d
             dq <<= d
             E -= d
-        if every:
-            ps.append((p, E))
+        if every is not None:
+            every.append((p, E))
+    return n, q, p, dq, dp, E
+
+
+def _monic_at(chain, n, x, deriv=False, every=False):
+    """(p_{n-1}(x), p_n(x)) of the chain's monic recurrence at one point,
+    followed by (p'_{n-1}(x), p'_n(x)) when deriv, as mpf at the working
+    precision; with every, the list p_0(x), ..., p_n(x) instead. One fresh
+    `_monic_steps` pass from index 0."""
+    F = chain.prec + GUARD_BITS
+    start = _monic_start(F)
+    ps = [(1 << F, 0)] if every else None
+    _, q, p, dq, dp, E = _monic_steps(chain, int(mp.ldexp(x, F)), start, n,
+                                      deriv, ps)
     if every:
         return [mp.ldexp(mpf(v), e - F) for v, e in ps]
     vals = (q, p, dq, dp) if deriv else (q, p)
     return tuple(mp.ldexp(mpf(v), E - F) for v in vals)
+
+
+def _monic_point(chain, n, x, deriv=False):
+    """The chain's `_Point` of x with its state at index n: resumed from the
+    state held if that is at index n or below, else from index 0."""
+    pt = chain.point(x, deriv)
+    state = pt.state
+    if state[0] > n:
+        state = _monic_start(chain.prec + GUARD_BITS)
+    pt.state = _monic_steps(chain, pt.X, state, n, deriv)
+    return pt
 
 
 def domain_budget(prec: int):
@@ -654,20 +716,16 @@ def _check_index(name, n, lo, chain: RecChain, hi=None):
                          % (name, name, n, lo, hi))
 
 
-def _psi_weight(chain: RecChain, x):
-    """e^{-(N/2Tc) V(x)}, the weight factor of every psi_n at x."""
-    return mp.exp(-chain.constants[0] * chain.V(x))
-
-
 def eval_psi_exact(chain: RecChain, n: int, x):
     """psi_n(x) = pi_n(x) e^{-(N/2Tc) V(x)} / sqrt(h_n), formed as
-    (pi_n(x) `_psi_weight`) inv_sqrt_h[n], as `modelchain.psi_values` forms
-    every psi_k."""
+    (pi_n(x) w) inv_sqrt_h[n] with w the psi weight of x's `_Point`, as
+    `modelchain.psi_values` forms every psi_k."""
     _check_index("n", n, 0, chain)
     with mp.workprec(chain.prec):
-        x = mpf(x)
-        _, p = _monic_at(chain, n, x)
-        return p * _psi_weight(chain, x) * chain.inv_sqrt_h[n]
+        pt = _monic_point(chain, n, mpf(x))
+        _, _, p, _, _, E = pt.state
+        p = mp.ldexp(mpf(p), E - chain.prec - GUARD_BITS)
+        return p * pt.w * chain.inv_sqrt_h[n]
 
 
 def _pv_weights(grid: NodeGrid):
@@ -704,7 +762,7 @@ def _pv_values(chain: RecChain, n: int):
 
 def pihat_direct(chain: RecChain, n: int, x):
     """pihat_n(x) = int pi_n(x') w(x')/(x - x') dx' by direct (PV) quadrature
-    on the chain's grid.
+    on the chain's grid, x taken at the chain's precision.
 
     Unlike a seeded forward recurrence this is accurate at every n: outside
     the bulk support the hat solution decays like Lambda^{-n} while the
@@ -715,19 +773,24 @@ def pihat_direct(chain: RecChain, n: int, x):
     the chain by `_pv_weights`) and the values of `_pv_values` (kept per n),
     in fixed point with F = prec + GUARD_BITS fraction bits: an absolute
     error of about one unit of 2^-F per node, in units of sqrt(h_0 h_n).
-    Inside (x_min, x_max) each node's term subtracts f = pi_n w at x, and
+    Inside (x_min, x_max) each node's term subtracts f = pi_n w at x, with
+    pi_n(x) from x's `_Point` and w at the sweep's precision (the point's
+    psi weight squared would move the last bit), and
     f(x) ln((x - x_min)/(x_max - x)) adds the subtracted integral back.
     """
     F = chain.grid.F
-    with mp.workprec(F + 16):
+    with mp.workprec(chain.prec):
         x = mpf(x)
+    with mp.workprec(F + 16):
         X = chain.grid.X
         G = chain.cached(("pv weights",), lambda: _pv_weights(chain.grid))
         P, unit = chain.cached(("pv values", n), lambda: _pv_values(chain, n))
         total = mpf(0)
         FX = 0
         if chain.x_min < x < chain.x_max:
-            fx = _monic_at(chain, n, x)[1] * chain.weight(x)
+            _, _, p, _, _, E = _monic_point(chain, n, x).state
+            fx = mp.ldexp(mpf(p), E - F) * mp.exp(-chain.N / chain.Tc
+                                                  * chain.V(x))
             FX = int(mp.ldexp(fx / unit, F))
             total = fx * mp.log((x - chain.x_min) / (chain.x_max - x))
         Y = int(mp.ldexp(x, F))
@@ -750,32 +813,40 @@ def pihat_direct(chain: RecChain, n: int, x):
 
 
 def eval_phi_exact(chain: RecChain, n: int, x):
-    """phi_n(x) = pihat_n(x) e^{+(N/2Tc) V(x)} / sqrt(h_n)."""
+    """phi_n(x) = pihat_n(x) e^{+(N/2Tc) V(x)} / sqrt(h_n), V(x) from x's
+    `_Point`."""
     _check_index("n", n, 0, chain)
     with mp.workprec(chain.prec):
         x = mpf(x)
         q = pihat_direct(chain, n, x)
-        ex = chain.constants[0] * chain.V(x) - chain.log_h[n] / 2
+        ex = chain.constants[0] * chain.point(x).V - chain.log_h[n] / 2
         return q * mp.exp(ex)
 
 
 def kernel_exact(chain: RecChain, n: int, x, x2):
-    """K_n(x, x') by Christoffel-Darboux; derivative form on the diagonal."""
+    """K_n(x, x') by Christoffel-Darboux: gamma_n w(x) w(x') times
+    (p_n(x) p_{n-1}(x') - p_{n-1}(x) p_n(x')) / ((x - x') sqrt(h_n h_{n-1})),
+    w the psi weights and p the states of the two points' `_Point`s. On the
+    diagonal (|x - x'| <= 10^-8 (1 + |x|)) it takes the derivative form
+    gamma_n w(x)^2 (p_n' p_{n-1} - p_{n-1}' p_n) / sqrt(h_n h_{n-1}) at x:
+    the V' terms of (p_n w)' cancel there. Each numerator is formed exactly
+    from the integer states and rounded once."""
     _check_index("n", n, 1, chain)
+    F = chain.prec + GUARD_BITS
     with mp.workprec(chain.prec):
         x, x2 = mpf(x), mpf(x2)
-        coupling, dV, tol = chain.constants
-        gam = chain.gamma[n]
-        lh = (chain.log_h[n] + chain.log_h[n - 1]) / 2
-        if abs(x - x2) > tol * (1 + abs(x)):
-            pn1, pn = _monic_at(chain, n, x)
-            qn1, qn = _monic_at(chain, n, x2)
-            ex = mp.exp(-coupling * (chain.V(x) + chain.V(x2)) - lh)
-            return gam * ex * (pn * qn1 - pn1 * qn) / (x - x2)
-        pn1, pn, dn1, dn = _monic_at(chain, n, x, deriv=True)
-        s = coupling * dV(x)
-        ex = mp.exp(-2 * coupling * chain.V(x) - lh)
-        return gam * ex * ((dn - s * pn) * pn1 - (dn1 - s * pn1) * pn)
+        scale = chain.gamma[n] * chain.inv_sqrt_h[n] * chain.inv_sqrt_h[n - 1]
+        if abs(x - x2) > chain.constants[2] * (1 + abs(x)):
+            a = _monic_point(chain, n, x)
+            b = _monic_point(chain, n, x2)
+            _, q1, p1, _, _, E1 = a.state
+            _, q2, p2, _, _, E2 = b.state
+            cd = mp.ldexp(mpf(p1 * q2 - q1 * p2), E1 + E2 - 2 * F)
+            return scale * a.w * b.w * cd / (x - x2)
+        a = _monic_point(chain, n, x, deriv=True)
+        _, q, p, dq, dp, E = a.state
+        cd = mp.ldexp(mpf(dp * q - dq * p), 2 * (E - F))
+        return scale * a.w ** 2 * cd
 
 
 def _count_sweep(chain: RecChain, lo, hi, panels):

@@ -11,9 +11,11 @@ from mpmath import mp, mpf
 
 from birthcut import modelchain, oracle, quadrature
 from birthcut.kvio import chain_to_table
-from birthcut.oracle import (GUARD_BITS, PANEL_POINTS, RecChain,
-                             build_rec_chain, eval_phi_exact, eval_psi_exact,
-                             expected_count_exact, gram_entries, kernel_exact,
+from birthcut.modelchain import psi_values
+from birthcut.oracle import (GUARD_BITS, PANEL_POINTS, POINT_STORE_SIZE,
+                             RecChain, build_rec_chain, eval_phi_exact,
+                             eval_psi_exact, expected_count_exact,
+                             gram_entries, kernel_exact,
                              orthogonality_residual, pihat_direct)
 from birthcut.poly import Poly
 from birthcut.quadrature import gauss_legendre, panel_nodes
@@ -407,6 +409,79 @@ def test_count_index_range():
                                     panels=2) < ch.n_max + 1
 
 
+
+def test_resumed_point_states_change_no_bits():
+    # psi and both kernel forms from states resumed in the point store equal
+    # those of a chain with an empty store, with n rising, repeated and
+    # falling; next to x_min and x_max the block exponent shifts at every
+    # step. psi_values then still matches eval_psi_exact bit for bit.
+    ch = replace(oracle_chain("0.62", 20, nodes=1024))
+    with mp.workprec(ch.prec):
+        pts = [ch.x_min + mpf("0.05"), mpf("-0.7"),
+               quartic("0.62").e_tilde + mpf("0.1"), ch.x_max - mpf("0.05")]
+        for n in (3, 11, 11, ch.n_max, 7, 1, 2):
+            for x in pts:
+                x2 = x - mpf(1) / 7
+                calls = [(eval_psi_exact, n, x), (kernel_exact, n, x, x),
+                         (kernel_exact, n, x, x2), (kernel_exact, n, x2, x)]
+                got = [f(ch, *args) for f, *args in calls]
+                assert got == [f(replace(ch), *args) for f, *args in calls]
+            if n == ch.n_max:            # the block exponent E has risen
+                assert all(ch.point(x).state[5] > 0 for x in pts[::3])
+        for x in pts:
+            psis = psi_values(ch, ch.n_max, x)
+            assert all(v == eval_psi_exact(ch, k, x)
+                       for k, v in enumerate(psis))
+
+
+def test_point_store_keeps_its_cap():
+    ch = replace(model_chain(1, 8))
+    with mp.workprec(ch.prec):
+        xs = [mpf(i) / 1000 for i in range(POINT_STORE_SIZE + 50)]
+        for x in xs:
+            eval_psi_exact(ch, 1, x)
+        kernel_exact(ch, 1, xs[-1], xs[-1])
+    assert len(ch._points) == POINT_STORE_SIZE
+    assert (xs[-1], True) in ch._points and (xs[0], False) not in ch._points
+
+
+def test_grid_at_rising_n_costs_each_point_its_largest_n(monkeypatch):
+    # A10b's pattern: the diagonal kernel over one counting grid at three
+    # rising n resumes each point, so a point takes max(n) recurrence steps
+    # in all, not the sum of the three n
+    ch = replace(oracle_chain("0.62", 20, nodes=1024))
+    spec = quartic("0.62")
+    xs, ws = panel_nodes(spec.e_tilde, ch.x_max, 2, 64)
+    ns = (ch.N + 1, ch.N + 4, ch.N + 9)
+    steps = []
+    run = oracle._monic_steps
+    monkeypatch.setattr(oracle, "_monic_steps", lambda c, X, state, n, *a:
+                        steps.append(n - state[0]) or run(c, X, state, n, *a))
+    diag = [mp.fsum(w * kernel_exact(ch, n, x, x) for x, w in zip(xs, ws))
+            for n in ns]
+    assert sum(steps) == len(xs) * max(ns)
+    monkeypatch.setattr(oracle, "_monic_steps", run)
+    for n, d in zip(ns, diag):
+        assert d == mp.fsum(w * kernel_exact(replace(ch), n, x, x)
+                            for x, w in zip(xs, ws))
+        count = expected_count_exact(ch, n, spec.e_tilde, panels=2)
+        assert abs(d - count) < mpf("1e-20") * count
+
+
+def test_diagonal_kernel_is_the_sum_of_psi_squares():
+    # the derivative form leaves out the V' terms of (pi_n w)', which cancel
+    # exactly; on the N = 80 oracle it is sum_{k<n} psi_k^2 on the cut and
+    # in the newborn well
+    spec = quartic("0.5")
+    ch = oracle_chain("0.5", 80)
+    n = ch.N + 4
+    with mp.workprec(ch.prec):
+        for x in (mpf("-1.0"), mpf("0.5"), spec.e_tilde + mpf("0.1"), spec.e):
+            direct = mp.fsum(eval_psi_exact(ch, k, x) ** 2 for k in range(n))
+            diag = kernel_exact(ch, n, x, x)
+            assert abs(diag - direct) <= mpf("1e-60") * direct, x
+
+
 def test_chain_sweeps_build_no_mpf_grid(monkeypatch):
     # every chain grid comes from the integer builder: no composite rule
     # from `quadrature.panel_nodes`, no mpf weight per node, and a count of
@@ -420,7 +495,7 @@ def test_chain_sweeps_build_no_mpf_grid(monkeypatch):
         monkeypatch.setattr(mp, fn, lambda *a, real=real, **k:
                             calls.append(1) or real(*a, **k))
     monkeypatch.setattr(quadrature, "panel_nodes", refuse)
-    monkeypatch.setattr(RecChain, "weight", refuse)
+    monkeypatch.setattr(RecChain, "point", refuse)
     monkeypatch.setattr(modelchain, "_chains", OrderedDict())
     spec = quartic("0.62")
     ch = build_rec_chain(spec.V, 12, spec.Tc, n_max=15, bits=256, nodes=512)
