@@ -34,9 +34,9 @@ checks' grids, the counting grid and the principal-value grid) is one
 rounded to prec significant bits so that each is an exact mpf, and
 sqrt(g_i w_i) as an integer of about F bits with its own power of 2, from an
 integer Horner pass on V, an ln 2 argument reduction and mpmath's
-fixed-point exp series. No mpf is formed per node but the node itself. A
-chain keeps its grid; the grid's mpf views `gl_w` (GL weights) and `wv` (w
-at the nodes) are derived on demand.
+fixed-point exp series. No mpf is formed per node: the grid's mpf views,
+the nodes `xs`, the GL weights `gl_w` and w at the nodes `wv`, are derived
+on demand, and no chain sweep reads them. A chain keeps its grid.
 
 `stieltjes_chain` runs it in Lanczos form on the orthonormal node vectors
 v_k(x_i) = sqrt(w_i) P_k(x_i)/sqrt(h_k), in Python-integer fixed point with
@@ -48,7 +48,9 @@ and the well's entries grow by as much as n nears N. A single fixed-point
 scale would flush them to zero and lose the accuracy they carry into later
 steps (1e-25 at n = 94); the per-node exponent keeps every node at F
 significant bits. Only the per-step scalars (beta_k, b_{k+1} = gamma_{k+1},
-ln h_{k+1} = ln h_k + 2 ln b_{k+1}) are formed in mpf.
+ln h_{k+1} = ln h_k + 2 ln b_{k+1}) are formed in mpf; the power of 2 that
+keeps the vectors near unit norm comes from an integer compare
+(`_nearest_shift`).
 
 The evaluators run on the same integers. A finished chain stores beta_k and
 gamma_k^2 as integers over 2^F (`beta_fx`, `gsq_fx`). Point values
@@ -58,21 +60,24 @@ node, whose entries share one block exponent that follows p_k up and down
 the way e_i does (p_k grows like e^{+N V / 2 T_c} towards the domain ends,
 so a single fixed scale would not do). `eval_psi_exact`, `kernel_exact`,
 `pihat_direct` and `eval_phi_exact` read a point from the chain's point
-store (`RecChain.point`): V(x), e^{-(N/2T_c) V(x)} and the recurrence state
-the point's last call reached, which a call at the same or a higher index
-resumes, so a grid evaluated at increasing n costs each point max(n) steps.
-The kernel forms its Christoffel-Darboux numerators from the integer states,
-exactly, and rounds once. Sums over a grid come from one sweep of the node
-vectors with the chain's coefficients (`_node_vectors`), which forms a
-step's sums only where they are read: `gram_entries` re-integrates a
+store (`RecChain.point`), a `_Point` formed in integers the way a grid node
+is: (N/2T_c) V(x) in fixed point, the psi weight e^{-(N/2T_c) V(x)} and its
+square, each rounded once, and the recurrence states the point's last call
+reached and one index below it, which a call at the same, the next lower
+or a higher index resumes, so a grid evaluated at increasing n costs each
+point max(n) steps. The kernel forms its Christoffel-Darboux numerators
+from the integer states, exactly, rounds them once, and scales them by
+gamma_n / sqrt(h_n h_{n-1}), formed once per chain and n. Sums over a grid
+come from one sweep of the node vectors with the chain's coefficients
+(`_node_vectors`), which forms a step's sums only where they are read and
+its per-step scalars without mpf log or exp: `gram_entries` re-integrates a
 finished chain on an independent grid for the orthogonality checks,
 `expected_count_exact` sums the diagonal entries of the same sweep over its
 counting grid (one sweep per grid, kept in the chain's memo and resumed by
 the next count on that grid), and `pihat_direct` sums
-g_i w_i pi_n(x_i)/(x - x_i) over the chain's own grid. Only the prefactors
-e^{-NV/2T_c} / sqrt(h_n) are formed in mpf. The diagonal kernel keeps the
-Christoffel-Darboux derivative form, so that it stays an independent check
-of the count.
+g_i w_i pi_n(x_i)/(x - x_i) over the chain's own grid. The diagonal kernel
+keeps the Christoffel-Darboux derivative form, so that it stays an
+independent check of the count.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ from functools import cached_property
 from itertools import islice
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, round_nearest
 from mpmath.libmp.libelefun import exp_basecase, ln2_fixed
 
 from .poly import Poly, _float_horner
@@ -101,13 +106,12 @@ POINT_STORE_SIZE = 2048  # points a chain's point store keeps, the same way
 @dataclass(frozen=True, eq=False)
 class NodeGrid:
     """A composite Gauss-Legendre grid carrying a weight w, in integers over
-    2^F: node i is xs[i] = X[i] 2^-F exactly (an exact prec-bit mpf), and
+    2^F: node i is X[i] 2^-F exactly (a prec-bit value, the mpf xs[i]), and
     sqrt(g_i w_i) = U[i] 2^-(F + K[i] + m) with K[i] >= 0 and U[i] of about
     F bits, g_i the GL weight of the node. Every panel has the same width,
     so the weights of one panel (`g`) serve them all. Built by `_node_grid`.
     """
     F: int
-    xs: list = field(repr=False)
     X: list = field(repr=False)
     U: list = field(repr=False)
     K: list = field(repr=False)
@@ -116,6 +120,12 @@ class NodeGrid:
 
     def __len__(self):
         return len(self.X)
+
+    @cached_property
+    def xs(self):
+        """The nodes as exact mpf, formed on first read: no chain sweep
+        reads them."""
+        return [mp.make_mpf(from_man_exp(x, -self.F)) for x in self.X]
 
     def gw(self, i):
         """g_i w_i as an mpf at the working precision."""
@@ -157,9 +167,8 @@ def _node_grid(lo, hi, panels, V: Poly, coupling, F):
             bl = man.bit_length()
             roots.append((man << (F - bl) if bl < F else man >> (bl - F),
                           -(ex + bl)))
-        C = _to_fixed([coupling * c / 2 for c in reversed(V.c)], F)
-    L = ln2_fixed(F)
-    xs, X, U, K = [], [], [], []
+    C = _weight_poly(V, coupling, F)
+    X, U, K = [], [], []
     for i in range(panels):
         base = LO + i * H
         for tj, (Sj, sj) in zip(T, roots):
@@ -167,16 +176,32 @@ def _node_grid(lo, hi, panels, V: Poly, coupling, F):
             d = abs(x).bit_length() - prec
             if d > 0:                # round to prec significant bits
                 x = ((x >> (d - 1)) + 1 >> 1) << d
-            acc = 0
-            for c in C:
-                acc = (acc * x >> F) + c
-            k, r = divmod(acc, L)
-            xs.append(mp.make_mpf(from_man_exp(x, -F)))
+            _, k, W = _root_weight(C, x, F)
             X.append(x)
-            U.append(exp_basecase(-r, F) * Sj >> F)
+            U.append(W * Sj >> F)
             K.append(k + sj)
     m = min(K)
-    return NodeGrid(F=F, xs=xs, X=X, U=U, K=[k - m for k in K], m=m, g=g)
+    return NodeGrid(F=F, X=X, U=U, K=[k - m for k in K], m=m, g=g)
+
+
+def _weight_poly(V: Poly, coupling, F):
+    """The coefficients of (coupling/2) V times 2^F as integers, highest
+    degree first, each product formed at F + 16 bits: the Horner
+    coefficients of `_root_weight`."""
+    with mp.workprec(F + 16):
+        return _to_fixed([coupling * c / 2 for c in reversed(V.c)], F)
+
+
+def _root_weight(C, X, F):
+    """(G, k, W) at x = X 2^-F for the `_weight_poly` coefficients C of
+    (coupling/2) V: G = (coupling/2) V(x) 2^F by Horner, and
+    sqrt(w(x)) = W 2^-(F + k), W = 2^F e^{-r 2^-F} from mpmath's fixed-point
+    exp series, where G = k L + r with L = 2^F ln 2 and 0 <= r < L."""
+    G = 0
+    for c in C:
+        G = (G * X >> F) + c
+    k, r = divmod(G, ln2_fixed(F))
+    return G, k, exp_basecase(-r, F)
 
 
 def _recent(store: OrderedDict, key, compute, size: int):
@@ -194,18 +219,31 @@ def _recent(store: OrderedDict, key, compute, size: int):
 
 class _Point:
     """What a chain keeps of one evaluation point x (an mpf at the chain's
-    precision): X = x 2^F truncated to an integer, V(x) and the psi weight
-    w = e^{-(N/2 T_c) V(x)} at the chain's precision, and the `_monic_steps`
-    state its last call reached."""
-    __slots__ = ("X", "V", "w", "state")
+    precision), with F = prec + GUARD_BITS:
+    - X = x 2^F truncated to an integer;
+    - G = (N/2 T_c) V(x) 2^F as an integer and the psi weight
+      w = e^{-(N/2 T_c) V(x)} = W 2^-(F + k), W good to a few units, both
+      from `_root_weight` on the chain's `weight_poly`, as a grid node's
+      are; w and its square w2 are each rounded once to the chain's
+      precision from these integers;
+    - state, the `_monic_steps` state its last call reached, and below,
+      the state one index lower from the same pass (None at index 0).
+    """
+    __slots__ = ("X", "G", "w", "w2", "state", "below")
 
     def __init__(self, chain, x):
         F = chain.prec + GUARD_BITS
-        self.X = int(mp.ldexp(x, F))
-        with mp.workprec(chain.prec):
-            self.V = chain.V(x)
-            self.w = mp.exp(-chain.constants[0] * self.V)
+        self.X = _fixed(x, F)
+        self.G, k, W = _root_weight(chain.weight_poly, self.X, F)
+        self.w = _rounded(W, -F - k, chain.prec)
+        self.w2 = _rounded(W * W, -2 * (F + k), chain.prec)
         self.state = _monic_start(F)
+        self.below = None
+
+
+def _rounded(man, exp, prec):
+    """man 2^exp as an mpf rounded to nearest at prec bits."""
+    return mp.make_mpf(from_man_exp(man, exp, prec, round_nearest))
 
 
 @dataclass
@@ -215,12 +253,15 @@ class RecChain:
 
     Read-only once built, so it can be shared. Its mutable parts hold values
     derived from the chain on first use, in three places:
-    - the evaluator constants (`constants`), formed once and never dropped;
+    - the evaluator constants (`constants`, `weight_poly` and the
+      `kernel_scale` of each n), formed once and never dropped;
     - the point store (`point`), one LRU of POINT_STORE_SIZE entries, one
-      per evaluation point and derivative flag: V(x), the psi weight and the
-      one-point recurrence state of `_monic_steps` that the next call at x
-      resumes (about 1.3 KB each with its key at 320 bits, so under 3 MB
-      when full; 2048 holds A10b's 24 x 64-node counting grid);
+      per evaluation point and derivative flag, each a `_Point`: the
+      point's (N/2 T_c) V(x) in fixed point, its psi weight and square,
+      and the one-point recurrence states of `_monic_steps` that the next
+      call at x resumes (about 1.7 KB each with its key at 320 bits, so
+      under 3.5 MB when full; 2048 holds A10b's 24 x 64-node counting
+      grid);
     - the memo (`cached`), one LRU of MEMO_SIZE entries, each under one flat
       key, such as the principal-value node sums of `pihat_direct`, the
       resumable counting sweep of `expected_count_exact` per counting grid,
@@ -250,6 +291,8 @@ class RecChain:
                                repr=False, compare=False)
     _points: OrderedDict = field(default_factory=OrderedDict, init=False,
                                  repr=False, compare=False)
+    _kernel_scales: dict = field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
 
     def cached(self, key, compute):
         """The value stored under key, from compute() on first use; the
@@ -266,16 +309,37 @@ class RecChain:
     @cached_property
     def constants(self):
         """(N/(2 T_c), V', 10^-8) at the chain's precision: the coupling of
-        every psi and phi weight, the slope of the potential for
-        `pihat_direct`'s node term, and `kernel_exact`'s diagonal
-        threshold. Kept outside the memo, so that the evaluators, which read
-        it on every call, take no memo entry from the sweeps and passes.
-        V' is exact wherever V's coefficients have a few bits fewer than
-        the chain's precision (136-bit coefficients at the default 40
-        digits), so `pihat_direct` may read it at its higher precision."""
+        the model's Hilbert weights (`modelchain.psihat_values`), the slope
+        of the potential for `pihat_direct`'s node term, and
+        `kernel_exact`'s diagonal threshold. Kept outside the memo, so that
+        the evaluators, which read it on every call, take no memo entry
+        from the sweeps and passes. V' is exact wherever V's coefficients
+        have a few bits fewer than the chain's precision (136-bit
+        coefficients at the default 40 digits), so `pihat_direct` may read
+        it at its higher precision."""
         with mp.workprec(self.prec):
             return (mpf(self.N) / (2 * self.Tc), self.V.deriv(),
                     mpf(10) ** (-8))
+
+    @cached_property
+    def weight_poly(self):
+        """The `_weight_poly` coefficients of (N/2 T_c) V at F bits, with
+        N/T_c formed at the chain's precision as the chain's grids form
+        it: the Horner coefficients of every `_Point`."""
+        with mp.workprec(self.prec):
+            coupling = mpf(self.N) / self.Tc
+        return _weight_poly(self.V, coupling, self.prec + GUARD_BITS)
+
+    def kernel_scale(self, n):
+        """gamma_n / sqrt(h_n h_{n-1}) at the chain's precision, the
+        prefactor of `kernel_exact`, formed on first use of n."""
+        try:
+            return self._kernel_scales[n]
+        except KeyError:
+            with mp.workprec(self.prec):
+                v = self._kernel_scales[n] = (self.gamma[n] * self.inv_sqrt_h[n]
+                                              * self.inv_sqrt_h[n - 1])
+            return v
 
     @property
     def xs(self):
@@ -332,12 +396,14 @@ def _sums(X, a, e, F):
     return S, T
 
 
-def _advance(X, a, c, e, B, G, sh, F, sums):
+def _advance(X, a, c, e, B, G, sh, F, sums, moment=False):
     """One three-term step on every node: a' = ((x - beta) a - g c) / 2^sh
     with B = beta 2^F and G = g 2^F, then each node whose a' has left
     F +- BAND_BITS bits is rescaled together with its c' = a. Returns
-    (a', c', e', S', T') with the sums of `_sums` over a' if sums, else
-    S' = T' = None (the step then costs about 60% of one with sums)."""
+    (a', c', e', S', T'): S' the sum of `_sums` over a' if sums, else None,
+    and T' that sum if moment too (Stieltjes steps only), else None. A node
+    with 2 bit_length(a') <= F + 2 e' adds 0 to both, and its square is
+    skipped."""
     lo, hi = F - BAND_BITS, F + BAND_BITS
     na, nc, ne = [], [], []
     S = T = 0
@@ -350,26 +416,30 @@ def _advance(X, a, c, e, B, G, sh, F, sums):
                 v <<= d
                 ai <<= d
                 ei += d
+                bl = F
         elif bl > hi and ei:
             d = min(bl - F, ei)
             v >>= d
             ai >>= d
             ei -= d
+            bl -= d
         na.append(v)
         nc.append(ai)
         ne.append(ei)
-        if sums:
+        if sums and 2 * bl > F + 2 * ei:
             q = v * v >> (F + 2 * ei)
             S += q
-            T += xi * q
-    if not sums:
-        S = T = None
-    return na, nc, ne, S, T
+            if moment:
+                T += xi * q
+    return na, nc, ne, S if sums else None, T if moment else None
 
 
 def _nearest_shift(x):
-    """s with 2^s nearest to x > 0 on a log scale."""
-    return int(mp.nint(mp.log(x, 2)))
+    """s with 2^s nearest to the mpf x > 0 on a log scale, nint(log2 x),
+    exactly in integers: x = m 2^e with m of bl bits is nearer 2^(e + bl - 1)
+    than 2^(e + bl) iff m^2 < 2^(2 bl - 1) (never equal: the power is odd)."""
+    _, m, e, bl = x._mpf_
+    return e + bl - (m * m < 1 << (2 * bl - 1))
 
 
 def stieltjes_chain(xs, n_steps):
@@ -417,22 +487,24 @@ def stieltjes_chain(xs, n_steps):
                 alpha = mp.sqrt(mp.ldexp(mpf(S), -F))
                 s = _nearest_shift(alpha * b if k else alpha)
                 a, c, e, S_next, T = _advance(X, a, c, e, T // S, G, F + s, F,
-                                              True)
+                                              True, True)
                 S_prev, S, s_prev = S, S_next, s
     return ([+v for v in betas], [+v for v in gammas], [+v for v in ln_hs])
 
 
+def _fixed(v, F):
+    """v times 2^F, truncated toward 0 to an integer, as int(mp.ldexp(v, F))
+    gives it, by shifting the mpf mantissa directly."""
+    sign, man, exp, _ = (v if isinstance(v, mpf) else mpf(v))._mpf_
+    shift = exp + F
+    # the magnitude is shifted, so a right shift truncates toward 0
+    n = man << shift if shift >= 0 else man >> -shift
+    return -n if sign else n
+
+
 def _to_fixed(values, F):
-    """Each value times 2^F, truncated toward 0 to an integer, as
-    int(mp.ldexp(v, F)) gives it, by shifting the mpf mantissa directly."""
-    out = []
-    for v in values:
-        sign, man, exp, _ = (v if isinstance(v, mpf) else mpf(v))._mpf_
-        shift = exp + F
-        # the magnitude is shifted, so a right shift truncates toward 0
-        n = man << shift if shift >= 0 else man >> -shift
-        out.append(-n if sign else n)
-    return out
+    """`_fixed` of each value."""
+    return [_fixed(v, F) for v in values]
 
 
 def _node_vectors(grid, beta, gamma, ln_h0, count, sums=()):
@@ -454,11 +526,12 @@ def _node_vectors(grid, beta, gamma, ln_h0, count, sums=()):
     for k in range(count):
         if k:
             s_prev = s
-            s = _nearest_shift(alpha * gamma[k])
-            B = int(mp.ldexp(beta[k - 1], F))
-            G = int(mp.ldexp(gamma[k - 1] ** 2, F - s_prev))
+            t = alpha * gamma[k]
+            s = _nearest_shift(t)
+            B = _fixed(beta[k - 1], F)
+            G = _fixed(gamma[k - 1] ** 2, F - s_prev)
             a, c, e, S, _ = _advance(X, a, c, e, B, G, F + s, F, k in sums)
-            alpha = mp.ldexp(alpha * gamma[k], -s)
+            alpha = mp.ldexp(t, -s)
         yield a, e, S, alpha
 
 
@@ -555,7 +628,7 @@ def _monic_at(chain, n, x, deriv=False, every=False):
     F = chain.prec + GUARD_BITS
     start = _monic_start(F)
     ps = [(1 << F, 0)] if every else None
-    _, q, p, dq, dp, E = _monic_steps(chain, int(mp.ldexp(x, F)), start, n,
+    _, q, p, dq, dp, E = _monic_steps(chain, _fixed(x, F), start, n,
                                       deriv, ps)
     if every:
         return [mp.ldexp(mpf(v), e - F) for v, e in ps]
@@ -564,14 +637,24 @@ def _monic_at(chain, n, x, deriv=False, every=False):
 
 
 def _monic_point(chain, n, x, deriv=False):
-    """The chain's `_Point` of x with its state at index n: resumed from the
-    state held if that is at index n or below, else from index 0."""
+    """(pt, state): the chain's `_Point` of x and the `_monic_steps` state at
+    index n. That is the point's state or the one below it if either is at
+    index n; else the state is advanced from the point's state if that is
+    below n, or from index 0, and the point keeps it and the state one
+    index lower."""
     pt = chain.point(x, deriv)
-    state = pt.state
-    if state[0] > n:
-        state = _monic_start(chain.prec + GUARD_BITS)
-    pt.state = _monic_steps(chain, pt.X, state, n, deriv)
-    return pt
+    j = pt.state[0]
+    if n == j - 1:
+        return pt, pt.below
+    if n != j:
+        state = pt.state if n > j else _monic_start(chain.prec + GUARD_BITS)
+        if n:
+            pt.below = _monic_steps(chain, pt.X, state, n - 1, deriv)
+            state = _monic_steps(chain, pt.X, pt.below, n, deriv)
+        else:
+            pt.below = None
+        pt.state = state
+    return pt, pt.state
 
 
 def domain_budget(prec: int):
@@ -698,7 +781,7 @@ def orthogonality_residual(chain: RecChain, pairs, grid=None):
     chain's nodes."""
     with mp.workprec(chain.prec):
         if grid is None:
-            panels = max(1, int(len(chain.xs) * mpf("1.37") / PANEL_POINTS))
+            panels = max(1, int(len(chain.grid) * mpf("1.37") / PANEL_POINTS))
             grid = _node_grid(chain.x_min, chain.x_max, panels, chain.V,
                               mpf(chain.N) / chain.Tc, chain.grid.F)
         gram = gram_entries(grid, chain.beta, chain.gamma, chain.log_h[0],
@@ -722,9 +805,8 @@ def eval_psi_exact(chain: RecChain, n: int, x):
     `modelchain.psi_values` forms every psi_k."""
     _check_index("n", n, 0, chain)
     with mp.workprec(chain.prec):
-        pt = _monic_point(chain, n, mpf(x))
-        _, _, p, _, _, E = pt.state
-        p = mp.ldexp(mpf(p), E - chain.prec - GUARD_BITS)
+        pt, (_, _, p, _, _, E) = _monic_point(chain, n, mpf(x))
+        p = _rounded(p, E - chain.prec - GUARD_BITS, chain.prec)
         return p * pt.w * chain.inv_sqrt_h[n]
 
 
@@ -788,7 +870,7 @@ def pihat_direct(chain: RecChain, n: int, x):
         total = mpf(0)
         FX = 0
         if chain.x_min < x < chain.x_max:
-            _, _, p, _, _, E = _monic_point(chain, n, x).state
+            _, _, p, _, _, E = _monic_point(chain, n, x)[1]
             fx = mp.ldexp(mpf(p), E - F) * mp.exp(-chain.N / chain.Tc
                                                   * chain.V(x))
             FX = int(mp.ldexp(fx / unit, F))
@@ -813,40 +895,40 @@ def pihat_direct(chain: RecChain, n: int, x):
 
 
 def eval_phi_exact(chain: RecChain, n: int, x):
-    """phi_n(x) = pihat_n(x) e^{+(N/2Tc) V(x)} / sqrt(h_n), V(x) from x's
-    `_Point`."""
+    """phi_n(x) = pihat_n(x) e^{+(N/2Tc) V(x)} / sqrt(h_n), (N/2Tc) V(x)
+    from the fixed-point G of x's `_Point`."""
     _check_index("n", n, 0, chain)
     with mp.workprec(chain.prec):
         x = mpf(x)
         q = pihat_direct(chain, n, x)
-        ex = chain.constants[0] * chain.point(x).V - chain.log_h[n] / 2
+        G = chain.point(x).G
+        ex = _rounded(G, -chain.prec - GUARD_BITS, chain.prec) \
+            - chain.log_h[n] / 2
         return q * mp.exp(ex)
 
 
 def kernel_exact(chain: RecChain, n: int, x, x2):
     """K_n(x, x') by Christoffel-Darboux: gamma_n w(x) w(x') times
     (p_n(x) p_{n-1}(x') - p_{n-1}(x) p_n(x')) / ((x - x') sqrt(h_n h_{n-1})),
-    w the psi weights and p the states of the two points' `_Point`s. On the
-    diagonal (|x - x'| <= 10^-8 (1 + |x|)) it takes the derivative form
-    gamma_n w(x)^2 (p_n' p_{n-1} - p_{n-1}' p_n) / sqrt(h_n h_{n-1}) at x:
-    the V' terms of (p_n w)' cancel there. Each numerator is formed exactly
-    from the integer states and rounded once."""
+    w the psi weights and p the states of the two points' `_Point`s. At
+    x' = x, and wherever |x - x'| <= 10^-8 (1 + |x|), it takes the derivative
+    form gamma_n w(x)^2 (p_n' p_{n-1} - p_{n-1}' p_n) / sqrt(h_n h_{n-1}) at
+    x: the V' terms of (p_n w)' cancel there. Each numerator is formed
+    exactly from the integer states and rounded once; the prefactor is the
+    chain's `kernel_scale` of n."""
     _check_index("n", n, 1, chain)
     F = chain.prec + GUARD_BITS
     with mp.workprec(chain.prec):
         x, x2 = mpf(x), mpf(x2)
-        scale = chain.gamma[n] * chain.inv_sqrt_h[n] * chain.inv_sqrt_h[n - 1]
-        if abs(x - x2) > chain.constants[2] * (1 + abs(x)):
-            a = _monic_point(chain, n, x)
-            b = _monic_point(chain, n, x2)
-            _, q1, p1, _, _, E1 = a.state
-            _, q2, p2, _, _, E2 = b.state
-            cd = mp.ldexp(mpf(p1 * q2 - q1 * p2), E1 + E2 - 2 * F)
+        scale = chain.kernel_scale(n)
+        if x2 != x and abs(x - x2) > chain.constants[2] * (1 + abs(x)):
+            a, (_, q1, p1, _, _, E1) = _monic_point(chain, n, x)
+            b, (_, q2, p2, _, _, E2) = _monic_point(chain, n, x2)
+            cd = _rounded(p1 * q2 - q1 * p2, E1 + E2 - 2 * F, chain.prec)
             return scale * a.w * b.w * cd / (x - x2)
-        a = _monic_point(chain, n, x, deriv=True)
-        _, q, p, dq, dp, E = a.state
-        cd = mp.ldexp(mpf(dp * q - dq * p), 2 * (E - F))
-        return scale * a.w ** 2 * cd
+        a, (_, q, p, dq, dp, E) = _monic_point(chain, n, x, deriv=True)
+        return scale * a.w2 * _rounded(dp * q - dq * p, 2 * (E - F),
+                                       chain.prec)
 
 
 def _count_sweep(chain: RecChain, lo, hi, panels):

@@ -2,6 +2,7 @@
 resolution independence, and the kernel/counting machinery."""
 
 import functools
+import random
 from collections import OrderedDict
 from dataclasses import replace
 
@@ -484,28 +485,190 @@ def test_diagonal_kernel_is_the_sum_of_psi_squares():
 
 def test_chain_sweeps_build_no_mpf_grid(monkeypatch):
     # every chain grid comes from the integer builder: no composite rule
-    # from `quadrature.panel_nodes`, no mpf weight per node, and a count of
-    # mpf exp and sqrt calls that follows the steps, not the nodes
+    # from `quadrature.panel_nodes`, no mpf weight or node per node, and a
+    # count of mpf exp and sqrt calls that follows the steps, not the nodes;
+    # a counting sweep forms no mpf log at all, nor a warm diagonal kernel
+    # pass an mpf exp
     def refuse(*args, **kwargs):
         raise AssertionError("per-node mpf grid in a chain sweep")
 
-    calls = []
-    for fn in ("exp", "sqrt"):
+    calls = {"exp": [], "sqrt": [], "log": []}
+    for fn in calls:
         real = getattr(mp, fn)
-        monkeypatch.setattr(mp, fn, lambda *a, real=real, **k:
-                            calls.append(1) or real(*a, **k))
+        monkeypatch.setattr(mp, fn, lambda *a, real=real, fn=fn, **k:
+                            calls[fn].append(1) or real(*a, **k))
+    xs = oracle.NodeGrid.__dict__["xs"]
     monkeypatch.setattr(quadrature, "panel_nodes", refuse)
     monkeypatch.setattr(RecChain, "point", refuse)
+    monkeypatch.setattr(oracle.NodeGrid, "xs", property(refuse))
     monkeypatch.setattr(modelchain, "_chains", OrderedDict())
     spec = quartic("0.62")
     ch = build_rec_chain(spec.V, 12, spec.Tc, n_max=15, bits=256, nodes=512)
     assert orthogonality_residual(ch, ((0, 0), (2, 5))) < mpf("1e-15")
+    calls["log"].clear()
     assert 0 < expected_count_exact(ch, 12, spec.e_tilde, panels=2) < 12
+    assert not calls["log"]
     mc = modelchain.build_chain(2, k_max=6, nodes=256)
+    monkeypatch.setattr(oracle.NodeGrid, "xs", xs)
     assert len(ch.xs) == 512 and len(mc.xs) == 320
     # one square root per GL weight of each of the four grids, and about two
     # calls per step and chain entry; one call per node would make 1600
-    assert len(calls) < 4 * PANEL_POINTS + 150, len(calls)
+    assert len(calls["exp"] + calls["sqrt"]) < 4 * PANEL_POINTS + 150, \
+        len(calls["exp"] + calls["sqrt"])
+    monkeypatch.undo()
+    with mp.workprec(ch.prec):
+        pts = [spec.e_tilde + mpf(k) / 10 for k in range(8)]
+        cold = [kernel_exact(ch, 12, x, x) for x in pts]
+        exps = []
+        monkeypatch.setattr(mp, "exp", lambda *a, **k: exps.append(1))
+        assert [kernel_exact(ch, 12, x, x) for x in pts] == cold
+    assert not exps
+
+
+def reference_counts(ch, ns, lo, panels):
+    """expected_count_exact(ch, n, lo, panels=panels) for each n in ns from
+    a sweep written out with mpf per-step scalars: the shift from mp.log,
+    beta 2^F and gamma^2 2^(F - s) from mp.ldexp, and every node's square
+    summed."""
+    F = ch.prec + GUARD_BITS
+    lo_, hi_ = F - oracle.BAND_BITS, F + oracle.BAND_BITS
+    with mp.workprec(ch.prec):
+        grid = oracle._node_grid(lo, ch.x_max, panels, ch.V,
+                                 mpf(ch.N) / ch.Tc, F)
+    with mp.workprec(F + 16):
+        a, e = oracle._start_vector(grid, mp.exp(ch.log_h[0]))
+        c = [0] * len(a)
+        alpha, s, terms = mpf(1), 0, []
+        for k in range(max(ns)):
+            if k:
+                s_prev, s = s, int(mp.nint(mp.log(alpha * ch.gamma[k], 2)))
+                B = int(mp.ldexp(ch.beta[k - 1], F))
+                G = int(mp.ldexp(ch.gamma[k - 1] ** 2, F - s_prev))
+                na, nc, ne = [], [], []
+                for xi, ai, ci, ei in zip(grid.X, a, c, e):
+                    v = ((xi - B) * ai - G * ci) >> (F + s)
+                    bl = v.bit_length()
+                    if bl < lo_ and v:
+                        v, ai, ei = v << F - bl, ai << F - bl, ei + F - bl
+                    elif bl > hi_ and ei:
+                        d = min(bl - F, ei)
+                        v, ai, ei = v >> d, ai >> d, ei - d
+                    na.append(v)
+                    nc.append(ai)
+                    ne.append(ei)
+                a, c, e = na, nc, ne
+                alpha = mp.ldexp(alpha * ch.gamma[k], -s)
+            S = sum(v * v >> (F + 2 * ei) for v, ei in zip(a, e))
+            terms.append(mp.ldexp(mpf(S), -F) / (alpha * alpha))
+        counts = [mp.fsum(terms[:n]) for n in ns]
+    with mp.workprec(ch.prec):
+        return [+v for v in counts]
+
+
+def test_counts_match_a_sweep_with_mpf_scalars():
+    # the A8 counts (N = 80, phi_e = 0.5, 24 panels on [e_tilde, x_max]),
+    # and a 2-panel grid taken to n_max + 1, bit for bit as the sweep with
+    # mpf per-step scalars gives them
+    spec = quartic("0.5")
+    ch = oracle_chain("0.5", 80)
+    ns = [80 + int(mp.nint(mpf(u) * mp.log(80) / (2 * spec.nu * spec.phi_e)))
+          for u in ("0.8", "1.3", "1.8")]
+    assert [expected_count_exact(ch, n, spec.e_tilde) for n in ns] \
+        == reference_counts(ch, ns, spec.e_tilde, 24)
+    small = oracle_chain("0.62", 20, nodes=1024)
+    ns = [1, 9, small.n_max + 1]
+    lo = quartic("0.62").e_tilde
+    assert [expected_count_exact(replace(small), n, lo, panels=2)
+            for n in ns] == reference_counts(small, ns, lo, 2)
+
+
+def test_nearest_shift_is_nint_log2():
+    # on random mpfs of every precision and size, on exact powers of 2 and
+    # within 2^-100 of 2^(k + 1/2), where the rounding of log2 turns
+    rng = random.Random(5)
+    with mp.workprec(368):
+        xs = [mp.ldexp(mpf(rng.random()) + mpf(rng.getrandbits(300)) / 2 ** 300,
+                       rng.randint(-400, 400)) for _ in range(400)]
+        xs += [mp.ldexp(1, k) for k in range(-300, 300, 7)]
+        for k in range(-40, 40, 3):
+            mid = mp.ldexp(mp.sqrt(2), k)
+            xs += [mid * (1 + d * mp.ldexp(1, -100)) for d in (-1, 1)]
+            xs += [mid * (1 + d * mp.ldexp(1, -300)) for d in (-1, 1)]
+        for x in xs:
+            assert oracle._nearest_shift(x) == int(mp.nint(mp.log(x, 2))), x
+
+
+def test_point_weights_are_good_to_a_few_ulp():
+    # w and w^2 of a point against exp(-(N/2T_c) V(x)) at twice the chain's
+    # precision (N/T_c as the chain forms it), on the cut, in the newborn
+    # well, next to both domain ends and outside the domain; G is
+    # (N/2T_c) V(x) in fixed point, which phi reads
+    spec = quartic("0.5")
+    ch = replace(oracle_chain("0.5", 80))
+    prec, F = ch.prec, ch.prec + GUARD_BITS
+    with mp.workprec(prec):
+        coupling = mpf(ch.N) / ch.Tc
+        pts = [mpf("-1.0"), mpf("0.5"), spec.e_tilde + mpf("0.1"), spec.e,
+               ch.x_min + mpf("0.001"), ch.x_max - mpf("0.001"),
+               ch.x_min - mpf("0.5"), ch.x_max + 1]
+        got = [ch.point(x) for x in pts]
+    with mp.workprec(2 * prec):
+        for x, pt in zip(pts, got):
+            arg = coupling / 2 * spec.V(x)
+            ref = mp.exp(-arg)
+            for v, r in ((pt.w, ref), (pt.w2, ref * ref)):
+                ulp = mp.ldexp(1, v._mpf_[2] + v._mpf_[3] - prec)
+                assert abs(v - r) <= 4 * ulp, (x, abs(v - r) / ulp)
+            assert abs(mp.ldexp(pt.G, -F) - arg) <= mp.ldexp(1 + abs(arg), 16 - F)
+
+
+def test_diagonal_shortcut_is_the_derivative_form(monkeypatch):
+    # x' = x takes the derivative form without the threshold test; a pair
+    # 1e-9 apart takes it too, and one 1e-6 apart the CD quotient. The form
+    # agrees with gamma_n w^2 (p_n' p_{n-1} - p_{n-1}' p_n)/sqrt(h_n h_{n-1})
+    # in mpf at 640 bits
+    spec = quartic("0.62")
+    ch = replace(oracle_chain("0.62", 20, nodes=1024))
+    n = ch.N + 3
+    flags = []
+    point = oracle._monic_point
+    monkeypatch.setattr(oracle, "_monic_point", lambda c, n, x, deriv=False:
+                        flags.append(deriv) or point(c, n, x, deriv))
+    with mp.workprec(ch.prec):
+        for x in (mpf("-0.7"), spec.e_tilde + mpf("0.1"), spec.e):
+            flags.clear()
+            diag = kernel_exact(ch, n, x, x)
+            assert kernel_exact(ch, n, x, x + mpf("1e-9")) == diag
+            assert flags == [True, True]
+            kernel_exact(ch, n, x, x + mpf("1e-6"))
+            assert flags[2:] == [False, False]
+            with mp.workprec(640):
+                q, p, dq, dp = monic_reference(ch.beta, ch.gsq, n, x)
+                with mp.workprec(ch.prec):
+                    c = mpf(ch.N) / ch.Tc
+                ref = ch.gamma[n] * mp.exp(-c * ch.V(x) - (ch.log_h[n] + ch.log_h[n - 1]) / 2) \
+                    * (dp * q - dq * p)
+                assert abs(diag - ref) <= mpf("1e-90") * abs(ref), x
+
+
+def test_a_request_one_index_down_resumes(monkeypatch):
+    # psi_n then psi_{n-1} at one point, n = 1..20: the lower index is the
+    # state kept one below the point's state, so the pairs take one step
+    # each; the values are those of a chain with an empty store
+    ch = replace(oracle_chain("0.62", 20, nodes=1024))
+    steps = []
+    run = oracle._monic_steps
+    monkeypatch.setattr(oracle, "_monic_steps", lambda c, X, state, n, *a:
+                        steps.append(n - state[0]) or run(c, X, state, n, *a))
+    with mp.workprec(ch.prec):
+        x = quartic("0.62").e_tilde + mpf("0.1")
+        got = [(eval_psi_exact(ch, n, x), eval_psi_exact(ch, n - 1, x))
+               for n in range(1, 21)]
+        assert sum(steps) <= 2 * 20
+        monkeypatch.setattr(oracle, "_monic_steps", run)
+        assert got == [(eval_psi_exact(replace(ch), n, x),
+                        eval_psi_exact(replace(ch), n - 1, x))
+                       for n in range(1, 21)]
 
 
 # _domain's ends as the all-mpf scan of V over [-3, 3] gave them: quartic

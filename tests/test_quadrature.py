@@ -87,3 +87,34 @@ def test_gauss_legendre_rule_is_exact_at_every_order(n):
         for j in range(n):
             s = mp.fsum(w * x ** (2 * j) for x, w in zip(xs, ws))
             assert abs(s - mpf(2) / (2 * j + 1)) <= mpf(2) ** (-prec + 4), (n, j)
+
+
+def test_rules_derived_across_precisions_equal_fresh_builds(monkeypatch):
+    # a rule rounded from a finer cached rule, or refined by Newton from a
+    # coarser one, equals the rule built from the float seeds bit for bit;
+    # from 256 to 320 bits Newton takes 2 steps per root, not 4
+    from birthcut import quadrature
+    slopes = []
+    slope = quadrature._legendre_slope
+    monkeypatch.setattr(quadrature, "_legendre_slope",
+                        lambda *a: slopes.append(1) or slope(*a))
+
+    def rule(prec, cached=()):
+        monkeypatch.setattr(quadrature, "_CACHE", {})
+        for p in cached:
+            with mp.workprec(p):
+                gauss_legendre(64)
+        slopes.clear()
+        with mp.workprec(prec):
+            xs, ws = gauss_legendre(64)
+        return [v._mpf_ for v in xs + ws], len(slopes)
+
+    fresh = {p: rule(p) for p in (136, 256, 320)}
+    assert fresh[320][1] == 32 * (4 + 1)
+    for prec, cached in ((136, (320,)), (256, (320,)), (136, (256, 320)),
+                         (320, (256,)), (320, (136,))):
+        got, steps = rule(prec, cached)
+        assert got == fresh[prec][0], (prec, cached)
+        if min(cached) > prec:
+            assert steps == 0
+    assert rule(320, (256,))[1] == 32 * (2 + 1)
