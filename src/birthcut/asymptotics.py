@@ -10,7 +10,10 @@ factors that cancel from every ratio used here,
 a sum over the number k of eigenvalues in the newborn well. Since
 2ku ln N/(2nu) = 2kp phi_e, a factor e^{+-2k phi_e} in a term is the same
 as moving p by +-1, so one table of terms per (N, index) serves every sum
-(`_terms`, at half-integer indices too): the recurrence coefficients are
+(`_terms`, at half-integer indices too). A term depends on the index only
+through e^{k m phi_e}, so each table is one base E_k = N^{-k^2/2nu} A_k per
+(spec, N) (`_base`, the only place that reads ln A_k) times the powers of
+r = e^{m phi_e}: one exponential per table. The recurrence coefficients are
 
     gamma_{N+p} = sqrt(Z_N(p+1) Z_N(p-1)) / Z_N(p),
     beta_{N+p}  = 2 sinh(phi_e) (<k>_{p+1} - <k>_p),
@@ -119,17 +122,31 @@ def _k_limit(chain: RecChain, rp: RegimePoint):
     return min(rp.ubar + margin, chain.n_max, rp.N + rp.p - 1)
 
 
-def _terms(spec, chain, N: int, m: int):
-    """The terms t_k = e^{k m phi_e} N^{-k^2/2nu} A_k, k = 0..chain.n_max + 1,
-    of Z_N at the index N + m/2 (where N^{2ku/2nu} = e^{k m phi_e}); formed
-    once per (spec, N, m, working precision) and kept on the chain. Every
-    k-sum reads its first `_k_limit` + 1 terms, every reduced form the
-    window `_over_dominant`."""
+def _base(spec, chain, N: int):
+    """E_k = N^{-k^2/2nu} A_k, k = 0..chain.n_max + 1: the part of every
+    term table at N that does not depend on the index, formed once per
+    (spec, N, working precision) and kept on the chain."""
     def compute():
         lnA = mp.log(A_constant(spec))
-        a, b = m * spec.phi_e, mp.log(N) / (2 * spec.nu)
-        return [mp.exp(k * a - k * k * b + ln_A_k(chain, lnA, k))
+        b = mp.log(N) / (2 * spec.nu)
+        return [mp.exp(ln_A_k(chain, lnA, k) - k * k * b)
                 for k in range(chain.n_max + 2)]
+    return chain.cached(("k-base", spec, N, mp.prec), compute)
+
+
+def _terms(spec, chain, N: int, m: int):
+    """The terms t_k = E_k r^k, r = e^{m phi_e}, k = 0..chain.n_max + 1, of
+    Z_N at the index N + m/2 (where N^{2ku/2nu} = e^{k m phi_e}), E_k the
+    `_base` at N: one exponential per table, the powers of r by products.
+    Formed once per (spec, N, m, working precision) and kept on the chain.
+    Every k-sum reads its first `_k_limit` + 1 terms, every reduced form the
+    window `_over_dominant`."""
+    def compute():
+        r, rk, out = mp.exp(m * spec.phi_e), mpf(1), []
+        for E in _base(spec, chain, N):
+            out.append(E * rk)
+            rk *= r
+        return out
     return chain.cached(("k-terms", spec, N, m, mp.prec), compute)
 
 

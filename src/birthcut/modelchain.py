@@ -12,6 +12,10 @@ and solves the equation forward for the rest, which loses about 2 bits per
 step, hence the guard of 3 bits per step. The one grid a model chain has is
 the Gauss-Legendre grid of its orthonormality check, an integer
 `oracle.NodeGrid` of exp(-y^{2 nu}/(2 nu)), which the Hilbert seed reuses.
+The weight is even and the domain symmetric, so the grid is mirrored: only
+its upper half is formed, and the check sweeps only that half, by the
+parity of psi_k (`oracle._node_grid`, `oracle.gram_entries`); both cost
+half of what they cost on an oracle grid of the same size.
 Its size is chosen by that check: a default build tries the rungs of
 PANEL_LADDER in turn and keeps the first on which the check has converged
 to 3/4 of the working precision (320 nodes at nu = 1, k_max = 8; 640 at
@@ -48,8 +52,9 @@ read-only. What is derived from a chain is kept in its one memo
 (`RecChain.cached`, the last MEMO_SIZE values used, each under one flat
 key): the `psi_values` passes and the Hilbert seeds per point, the
 table of k-sum terms per (spec, N, index N + m/2) that every `asymptotics`
-sum reads, and what `asymptotics` needs per regime (gamma_full, the
-y-independent parts of the psi and phi sums, and psi_full per point). The
+sum reads, the one base per (spec, N) every such table is formed from,
+and what `asymptotics` needs per regime (gamma_full, the y-independent
+parts of the psi and phi sums, and psi_full per point). The
 factors 1/sqrt(h_k) are formed with the chain. `A_constant` is formed once
 per (spec, working precision). On the A10a kernel grid (25 pairs, 10
 distinct y) that is 10 recurrence passes for 100 psi_full requests and one

@@ -36,7 +36,10 @@ sqrt(g_i w_i) as an integer of about F bits with its own power of 2, from an
 integer Horner pass on V, an ln 2 argument reduction and mpmath's
 fixed-point exp series. No mpf is formed per node: the grid's mpf views,
 the nodes `xs`, the GL weights `gl_w` and w at the nodes `wv`, are derived
-on demand, and no chain sweep reads them. A chain keeps its grid.
+on demand, and no chain sweep reads them. A chain keeps its grid. Where
+the weight is even on a symmetric interval (V with no odd coefficients,
+ends -a and a: every model chain, never an oracle), only the upper half of
+the grid is formed and the lower half is its mirror (`NodeGrid.mirrored`).
 
 `stieltjes_chain` runs it in Lanczos form on the orthonormal node vectors
 v_k(x_i) = sqrt(w_i) P_k(x_i)/sqrt(h_k), in Python-integer fixed point with
@@ -71,7 +74,10 @@ gamma_n / sqrt(h_n h_{n-1}), formed once per chain and n. Sums over a grid
 come from one sweep of the node vectors with the chain's coefficients
 (`_node_vectors`), which forms a step's sums only where they are read and
 its per-step scalars without mpf log or exp: `gram_entries` re-integrates a
-finished chain on an independent grid for the orthogonality checks,
+finished chain on an independent grid for the orthogonality checks (on a
+mirrored grid of a chain with every beta_k = 0 it folds the sweep by
+parity, p_k(-x) = (-1)^k p_k(x): the upper half only, each even pair twice
+its half-sum and each odd pair exactly 0),
 `expected_count_exact` sums the diagonal entries of the same sweep over its
 counting grid (one sweep per grid, kept in the chain's memo and resumed by
 the next count on that grid), and `pihat_direct` sums
@@ -117,9 +123,19 @@ class NodeGrid:
     K: list = field(repr=False)
     m: int
     g: list = field(repr=False)
+    mirrored: bool = False   # node n-1-j is -X[j] with U[j] and K[j]
 
     def __len__(self):
         return len(self.X)
+
+    @cached_property
+    def upper(self):
+        """The nodes n/2..n-1 as a grid of their own, for the sweeps of
+        `gram_entries` on a mirrored grid (which read only F, X, U, K and
+        m: its `gl_w` and `wv` are not its nodes' when panels is odd)."""
+        h = len(self.X) // 2
+        return NodeGrid(F=self.F, X=self.X[h:], U=self.U[h:], K=self.K[h:],
+                        m=self.m, g=self.g)
 
     @cached_property
     def xs(self):
@@ -152,6 +168,12 @@ def _node_grid(lo, hi, panels, V: Poly, coupling, F):
     and sqrt(w) = 2^-k exp(-r) from mpmath's fixed-point exp series (argument
     reduction as in Brent and Zimmermann, Modern Computer Arithmetic, 2010,
     section 4.3). Each term is accurate to a few units of 2^-F.
+
+    Where V has no odd coefficients and the fixed-point ends meet LO == -HI
+    (every model chain's grid), w is even on a symmetric interval: only the
+    upper half, nodes n/2..n-1, is formed as above, and node n-1-j is its
+    mirror, -X[j] with U[j] and K[j] (`NodeGrid.mirrored`). No oracle
+    potential is even, so oracle grids are formed node by node as before.
     """
     prec = F - GUARD_BITS
     with mp.workprec(prec):
@@ -168,20 +190,27 @@ def _node_grid(lo, hi, panels, V: Poly, coupling, F):
             roots.append((man << (F - bl) if bl < F else man >> (bl - F),
                           -(ex + bl)))
     C = _weight_poly(V, coupling, F)
+    n = panels * PANEL_POINTS
+    mirrored = LO == -HI and not any(V.c[1::2])
     X, U, K = [], [], []
-    for i in range(panels):
-        base = LO + i * H
-        for tj, (Sj, sj) in zip(T, roots):
-            x = base + (H * tj >> (F + 1))
-            d = abs(x).bit_length() - prec
-            if d > 0:                # round to prec significant bits
-                x = ((x >> (d - 1)) + 1 >> 1) << d
-            _, k, W = _root_weight(C, x, F)
-            X.append(x)
-            U.append(W * Sj >> F)
-            K.append(k + sj)
+    for node in range(n // 2 if mirrored else 0, n):
+        i, j = divmod(node, PANEL_POINTS)
+        x = LO + i * H + (H * T[j] >> (F + 1))
+        d = abs(x).bit_length() - prec
+        if d > 0:                    # round to prec significant bits
+            x = ((x >> (d - 1)) + 1 >> 1) << d
+        _, k, W = _root_weight(C, x, F)
+        Sj, sj = roots[j]
+        X.append(x)
+        U.append(W * Sj >> F)
+        K.append(k + sj)
+    if mirrored:
+        X = [-x for x in reversed(X)] + X
+        U = U[::-1] + U
+        K = K[::-1] + K
     m = min(K)
-    return NodeGrid(F=F, X=X, U=U, K=[k - m for k in K], m=m, g=g)
+    return NodeGrid(F=F, X=X, U=U, K=[k - m for k in K], m=m, g=g,
+                    mirrored=mirrored)
 
 
 def _weight_poly(V: Poly, coupling, F):
@@ -267,7 +296,8 @@ class RecChain:
       resumable counting sweep of `expected_count_exact` per counting grid,
       the `modelchain.psi_values` passes and Hilbert seeds per point, the
       k-sum term tables that `asymptotics` keys by spec, N, index N + m/2
-      and working precision, and its values per regime.
+      and working precision, the base they share per (spec, N, working
+      precision), and its values per regime.
     """
     N: int
     Tc: mpf
@@ -302,9 +332,10 @@ class RecChain:
     def point(self, x, deriv=False):
         """The `_Point` of x, an mpf at the chain's precision, whose state
         tracks derivatives if deriv; the store keeps the POINT_STORE_SIZE
-        (x, deriv) keys used last."""
-        return _recent(self._points, (x, deriv), lambda: _Point(self, x),
-                       POINT_STORE_SIZE)
+        (x._mpf_, deriv) keys used last (a tuple of ints hashes in C, an
+        mpf in Python)."""
+        return _recent(self._points, (x._mpf_, deriv),
+                       lambda: _Point(self, x), POINT_STORE_SIZE)
 
     @cached_property
     def constants(self):
@@ -544,21 +575,29 @@ def gram_entries(grid, beta, gamma, ln_h0, pairs):
     One sweep of `_node_vectors`, which forms its sums only at the diagonal
     pairs' steps; only the lower vector of each off-diagonal pair is kept,
     until the step that completes the pair.
+
+    On a mirrored grid with beta_k = 0 for every k the sweep reads (every
+    model chain), p_k(-x) = (-1)^k p_k(x), so the sweep folds: it runs over
+    the upper half only (`NodeGrid.upper`), each pair n + m even is twice
+    its half-sum, and each pair n + m odd is exactly 0.
     """
     top = max(max(pq) for pq in pairs)
-    lower = {min(pq) for pq in pairs if pq[0] != pq[1]}
-    diagonal = {n for n, m_ in pairs if n == m_}
+    fold = grid.mirrored and not any(beta[:top])
+    summed = [pq for pq in pairs if not fold or sum(pq) % 2 == 0]
+    lower = {min(pq) for pq in summed if pq[0] != pq[1]}
+    diagonal = {n for n, m_ in summed if n == m_}
     F = grid.F
-    gram = {}
+    gram = {pq: mpf(0) for pq in pairs}
     with mp.workprec(F + 16):
         alpha = []
         kept = {}
-        for k, (a, e, S, al) in enumerate(
-                _node_vectors(grid, beta, gamma, ln_h0, top + 1, diagonal)):
+        for k, (a, e, S, al) in enumerate(_node_vectors(
+                grid.upper if fold else grid, beta, gamma, ln_h0, top + 1,
+                diagonal)):
             alpha.append(al)
             if k in lower:
                 kept[k] = (a, e)
-            for n, m_ in pairs:
+            for n, m_ in summed:
                 if max(n, m_) != k:
                     continue
                 if n == m_:
@@ -567,7 +606,9 @@ def gram_entries(grid, beta, gamma, ln_h0, pairs):
                     a2, e2 = kept[min(n, m_)]
                     P = sum(x * y >> (F + i + j)
                             for x, y, i, j in zip(a, a2, e, e2))
-                gram[n, m_] = mp.ldexp(mpf(P), -F) / (alpha[n] * alpha[m_])
+                # folded, P is the upper half's sum: both halves give 2 P
+                gram[n, m_] = mp.ldexp(mpf(P), int(fold) - F) \
+                    / (alpha[n] * alpha[m_])
     return [+gram[pq] for pq in pairs]
 
 
@@ -895,16 +936,21 @@ def pihat_direct(chain: RecChain, n: int, x):
 
 
 def eval_phi_exact(chain: RecChain, n: int, x):
-    """phi_n(x) = pihat_n(x) e^{+(N/2Tc) V(x)} / sqrt(h_n), (N/2Tc) V(x)
-    from the fixed-point G of x's `_Point`."""
+    """phi_n(x) = pihat_n(x) e^{+(N/2Tc) V(x)} / sqrt(h_n). The exponent
+    E 2^-F = (N/2Tc) V(x) - ln h_n / 2 is formed in fixed point, from the
+    integer G of x's `_Point` and ln h_n 2^(F-1) (exact at every |ln h_n|
+    above 2^-31), and exponentiated as `_root_weight` does: E = k L + r,
+    e^{E 2^-F} = 2^k e^{r 2^-F} from mpmath's fixed-point exp series, then
+    rounded once. So the factor carries no rounding of its argument, which
+    at prec bits would cost about log2 |E 2^-F| bits."""
     _check_index("n", n, 0, chain)
+    F = chain.prec + GUARD_BITS
     with mp.workprec(chain.prec):
         x = mpf(x)
         q = pihat_direct(chain, n, x)
-        G = chain.point(x).G
-        ex = _rounded(G, -chain.prec - GUARD_BITS, chain.prec) \
-            - chain.log_h[n] / 2
-        return q * mp.exp(ex)
+        E = chain.point(x).G - _fixed(chain.log_h[n], F - 1)
+        k, r = divmod(E, ln2_fixed(F))
+        return q * _rounded(exp_basecase(r, F), k - F, chain.prec)
 
 
 def kernel_exact(chain: RecChain, n: int, x, x2):

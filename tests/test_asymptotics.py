@@ -149,7 +149,8 @@ def test_k_sums_match_their_own_formulas(spec, chain):
 
 def test_gamma_and_beta_share_one_table_per_index(monkeypatch):
     # gamma at p reads the indices N + p - 1, N + p, N + p + 1 and beta
-    # N + p, N + p + 1: over p = 0..9 that is 12 tables, each built once
+    # N + p, N + p + 1: over p = 0..9 that is 12 tables, each built once,
+    # all from one base E_k, whose n_max + 2 amplitudes are the only ln A_k
     spec = quartic("1.05")
     ch = model_chain(1, 30)
     N = 57                                   # an N no other test evaluates
@@ -164,7 +165,30 @@ def test_gamma_and_beta_share_one_table_per_index(monkeypatch):
     keys = [key for key in ch._memo if key[0] == "k-terms"]
     assert sorted(key[3] for key in keys) == list(range(-2, 21, 2))
     assert all(key[2] == N for key in keys)
-    assert len(calls) == len(keys) * (ch.n_max + 2)
+    assert len(calls) == ch.n_max + 2
+    assert [key for key in ch._memo if key[0] == "k-base"] == \
+        [("k-base", spec, N, mp.prec)]
+
+
+def test_scan_forms_each_base_once_per_N(monkeypatch):
+    # the `oracle-scan` benchmark's asymptotic calls on its model chain: at
+    # N = 40 and 80, four forms at each of 29 u in (0.1, 3.0). Each new
+    # table reads the base at its N, which keeps it in the chain's memo, so
+    # no eviction from the MEMO_SIZE entries makes a base twice
+    spec = quartic("0.62")
+    ch = model_chain(1, 30, nodes=1024)
+    calls = []
+    monkeypatch.setattr(ch, "_memo", OrderedDict())
+    monkeypatch.setattr(asymptotics, "ln_A_k",
+                        lambda c, lnA, k: calls.append(k) or ln_A_k(c, lnA, k))
+    for N in (40, 80):
+        for j in range(29):
+            u = mpf("0.15") + mpf(j) / 10
+            p = int(mp.nint(u * mp.log(N) / (2 * spec.nu * spec.phi_e)))
+            rp = make_regime(spec, N, p)
+            for form in (gamma_reduced, gamma_full, beta_reduced, beta_full):
+                assert mp.isfinite(form(spec, ch, rp))
+    assert calls == 2 * list(range(ch.n_max + 2))
 
 
 def test_psi_reduced_and_psi_full_share_one_pass(monkeypatch):

@@ -390,8 +390,13 @@ def test_build_chain_shares_one_chain_per_argument_tuple(monkeypatch):
     assert build_chain(1, k_max=4, nodes=128) is not a
 
 
-@pytest.mark.parametrize("nu, k_max, prec", [
-    (1, 8, 256), (2, 30, 256), (1, 55, 256), (6, 30, 256), (1, 100, 320)])
+# the node count of each default build's rung
+FIRST_CONVERGED_NODES = {(1, 8, 256): 320, (2, 30, 256): 640,
+                         (1, 55, 256): 1344, (6, 30, 256): 2752,
+                         (1, 100, 320): 2752}
+
+
+@pytest.mark.parametrize("nu, k_max, prec", list(FIRST_CONVERGED_NODES))
 def test_default_grid_is_the_first_converged_rung(nu, k_max, prec):
     # the default build checks PANEL_LADDER from `first_rung` up and keeps
     # the first rung whose check residual is at most 2^(-3 prec/4) (at 320
@@ -401,6 +406,7 @@ def test_default_grid_is_the_first_converged_rung(nu, k_max, prec):
     # domain
     ch = build_chain(nu, k_max=k_max, prec=prec)
     top = build_chain(nu, k_max=k_max, prec=prec, nodes=4096)
+    assert len(ch.grid) == FIRST_CONVERGED_NODES[nu, k_max, prec]
     panels = len(ch.grid) // 64
     assert len(top.grid) == 64 * 87 and 87 in modelchain.PANEL_LADDER
     rung = modelchain.PANEL_LADDER.index(panels)

@@ -166,6 +166,28 @@ def test_phi_wronskian_with_psi():
         assert abs(vals[0] - vals[1]) < mpf("1e-12") * abs(vals[0])
 
 
+def test_phi_factor_is_good_to_a_few_ulp():
+    # phi_n = pihat_n e^{(N/2T_c) V(x) - ln h_n / 2} against pihat_n times
+    # that factor at twice the chain's precision (N/T_c as the chain forms
+    # it), at 15 points across the domain: the exponent is formed in fixed
+    # point, so its size (up to about 40 here) costs no bits
+    ch = oracle_chain("0.62", 20, nodes=1024)
+    prec = ch.prec
+    with mp.workprec(prec):
+        coupling = mpf(ch.N) / ch.Tc
+        pts = [ch.x_min + (ch.x_max - ch.x_min) * (3 * i + 1) / 45
+               for i in range(15)]
+    for n in (1, 7, 15):
+        for x in pts:
+            with mp.workprec(prec):
+                got = eval_phi_exact(ch, n, x)
+                q = pihat_direct(ch, n, x)
+            with mp.workprec(2 * prec):
+                ref = q * mp.exp(coupling / 2 * ch.V(x) - ch.log_h[n] / 2)
+                ulp = mp.ldexp(1, got._mpf_[2] + got._mpf_[3] - prec)
+                assert abs(got - ref) <= 4 * ulp, (n, x, abs(got - ref) / ulp)
+
+
 def test_one_cut_gamma_limit_below_tc():
     # for T well below T_c, gamma_n -> (b-a)/4 of the equilibrium measure
     from birthcut.equilibrium import solve_one_cut
@@ -327,6 +349,112 @@ def test_node_grid_roots_match_mpf_weights(monkeypatch):
                 assert abs(got - ref) <= mp.ldexp(ref, 4 - prec), (name, i)
 
 
+def reference_grid(lo, hi, panels, V, coupling, F):
+    """(X, U, K + m) of every node of `oracle._node_grid`'s grid, each node
+    formed on its own as the builder forms an oracle grid: the reference for
+    its mirrored grids."""
+    prec = F - GUARD_BITS
+    with mp.workprec(prec):
+        ts, gs = gauss_legendre(PANEL_POINTS)
+    with mp.workprec(F + 16):
+        LO, HI = oracle._to_fixed([mpf(lo), mpf(hi)], F)
+        H = (HI - LO) // panels
+        T = [t + (1 << F) for t in oracle._to_fixed(ts, F)]
+        roots = []
+        for w in gs:
+            man, ex = mp.sqrt(mp.ldexp(mpf(H), -F - 1) * w).man_exp
+            bl = man.bit_length()
+            roots.append((man << (F - bl) if bl < F else man >> (bl - F),
+                          -(ex + bl)))
+    C = oracle._weight_poly(V, coupling, F)
+    X, U, K = [], [], []
+    for i in range(panels):
+        for tj, (Sj, sj) in zip(T, roots):
+            x = LO + i * H + (H * tj >> (F + 1))
+            d = abs(x).bit_length() - prec
+            if d > 0:
+                x = ((x >> (d - 1)) + 1 >> 1) << d
+            _, k, W = oracle._root_weight(C, x, F)
+            X.append(x)
+            U.append(W * Sj >> F)
+            K.append(k + sj)
+    return X, U, K
+
+
+def test_even_weight_grids_are_mirrored(monkeypatch):
+    # an even V on [-a, a] forms the upper half node by node and mirrors
+    # it: X[n-1-j] = -X[j] with the same U and K, the upper half bit for bit
+    # the reference's, for odd and even panel counts (the middle panel of an
+    # odd count is split); an odd coefficient or unequal ends form every
+    # node, and the oracle's grids are the reference's throughout
+    F = 256 + GUARD_BITS
+    with mp.workprec(256):
+        even = Poly([1, 0, mpf("0.3"), 0, mpf(1) / 4])
+        odd = Poly([1, mpf("1e-30"), mpf("0.3"), 0, mpf(1) / 4])
+        cases = [(even, -4, 4, 5, True), (even, -4, 4, 10, True),
+                 (model_chain(2, 30).V, -7, 7, 3, True),
+                 (odd, -4, 4, 5, False), (even, -4, mpf("4.5"), 5, False)]
+    for V, lo, hi, panels, mirrored in cases:
+        with mp.workprec(256):
+            grid = oracle._node_grid(lo, hi, panels, V, 3, F)
+        X, U, K = reference_grid(lo, hi, panels, V, 3, F)
+        n, h = len(X), len(X) // 2
+        assert grid.mirrored == mirrored and len(grid) == n
+        K_abs = [k + grid.m for k in grid.K]
+        if mirrored:
+            assert all(grid.X[n - 1 - j] == -grid.X[j] for j in range(n))
+            assert grid.U == grid.U[::-1] and grid.K == grid.K[::-1]
+            assert (grid.X[h:], grid.U[h:], K_abs[h:]) == (X[h:], U[h:], K[h:])
+        else:
+            assert (grid.X, grid.U, K_abs) == (X, U, K)
+    for name, grid, V, c, lo, hi, panels in chain_grids(monkeypatch):
+        if name.startswith("oracle"):
+            X, U, K = reference_grid(lo, hi, panels, V, c, grid.F)
+            assert not grid.mirrored, name
+            assert (grid.X, grid.U, [k + grid.m for k in grid.K]) == \
+                (X, U, K), name
+        else:
+            assert grid.mirrored, name
+
+
+def unfolded_gram(grid, beta, gamma, ln_h0, pairs):
+    """`gram_entries` summed over every node of the grid, both halves."""
+    top = max(max(pq) for pq in pairs)
+    F = grid.F
+    vecs, alpha, out = [], [], []
+    with mp.workprec(F + 16):
+        for a, e, _, al in oracle._node_vectors(grid, beta, gamma, ln_h0,
+                                                top + 1):
+            vecs.append((a, e))
+            alpha.append(al)
+        for n, m_ in pairs:
+            (a, e), (b, f) = vecs[n], vecs[m_]
+            P = sum(x * y >> (F + i + j) for x, y, i, j in zip(a, b, e, f))
+            out.append(mp.ldexp(mpf(P), -F) / (alpha[n] * alpha[m_]))
+    return [+v for v in out]
+
+
+@pytest.mark.parametrize("nu, k_max, prec", [(1, 8, 320), (1, 9, 320),
+                                             (2, 30, 256)])
+def test_folded_gram_entries_match_an_unfolded_sweep(nu, k_max, prec):
+    # every pair up to n_max on the chain's own (mirrored) grid: the even
+    # pairs to the last unit of the working precision (9.3e-97 at 320 bits,
+    # 1.7e-77 at 256), the odd ones exactly 0 where the unfolded sweep
+    # leaves its rounding asymmetry
+    ch = model_chain(nu, k_max, prec)
+    n = ch.n_max
+    pairs = [(j, k) for j in range(n + 1) for k in range(j, n + 1)]
+    with mp.workprec(ch.prec):
+        got = gram_entries(ch.grid, ch.beta, ch.gamma, ch.log_h[0], pairs)
+        ref = unfolded_gram(ch.grid, ch.beta, ch.gamma, ch.log_h[0], pairs)
+    assert ch.grid.mirrored
+    for v, r, (j, k) in zip(got, ref, pairs):
+        if (j + k) % 2:
+            assert v == 0 and abs(r) < mpf("1e-80"), (j, k)
+        else:
+            assert abs(v - r) <= mp.ldexp(1, 1 - prec), (j, k)
+
+
 def test_sums_on_demand_match_a_sweep_that_forms_every_sum(monkeypatch):
     # the Gram check forms S only at its diagonal pairs' steps and the PV
     # values form none; with every sum formed the entries are bit for bit
@@ -443,7 +571,8 @@ def test_point_store_keeps_its_cap():
             eval_psi_exact(ch, 1, x)
         kernel_exact(ch, 1, xs[-1], xs[-1])
     assert len(ch._points) == POINT_STORE_SIZE
-    assert (xs[-1], True) in ch._points and (xs[0], False) not in ch._points
+    assert (xs[-1]._mpf_, True) in ch._points \
+        and (xs[0]._mpf_, False) not in ch._points
 
 
 def test_grid_at_rising_n_costs_each_point_its_largest_n(monkeypatch):
