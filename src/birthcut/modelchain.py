@@ -38,11 +38,14 @@ for the model constant A = (2 sinh phi_e)^2 (2 sinh(phi_e) Q(e)/T_c)^{1/2nu}.
 
 Wavefunctions: psi_k = P_k e^{-y^{2nu}/4nu} / sqrt(h_k), as
 `oracle.eval_psi_exact` gives them; `psi_values` returns psi_0..psi_n from
-one pass of the recurrence and one exponential. The Hilbert-transform
-partners start from the principal-value Cauchy transform of the weight
-(`oracle.pihat_direct` at n = 0) and climb the same three-term recurrence
-with the delta_{k,0} h_0 inhomogeneity. At 256-bit precision the forward
-recurrence keeps the hat solution clean for every k used here
+one integer pass of the recurrence and the psi weight of y's point
+(`RecChain.point`). The Hilbert-transform partners start from the
+principal-value Cauchy transform of the weight (`oracle.pihat_direct` at
+n = 0) and climb the same three-term recurrence with the delta_{k,0} h_0
+inhomogeneity; `psihat_values` scales them by the factor
+e^{y^{2nu}/4nu - ln h_k/2} that `oracle.eval_phi_exact` uses, formed in
+fixed point from the same point and rounded once. At 256-bit precision
+the forward recurrence keeps the hat solution clean for every k used here
 (contamination by the growing solution enters at the seed's relative
 accuracy, far below any tolerance in play).
 
@@ -69,10 +72,10 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .oracle import (GUARD_BITS, PANEL_POINTS, RecChain, _check_index, _domain,
-                     _monic_at, _node_grid, _recent,
-                     assemble_chain, domain_budget, orthogonality_residual,
-                     pihat_direct)
+from .oracle import (GUARD_BITS, PANEL_POINTS, RecChain, _antiweight,
+                     _check_index, _domain, _monic_start, _monic_steps,
+                     _node_grid, _recent, _rounded, assemble_chain,
+                     domain_budget, orthogonality_residual, pihat_direct)
 from .poly import Poly
 from .potentials import CriticalSpec
 
@@ -283,8 +286,9 @@ def _build_chain(nu, k_max, prec, nodes):
 
 def psi_values(chain: RecChain, n: int, y):
     """[psi_0(y), ..., psi_n(y)], bit for bit as `oracle.eval_psi_exact`
-    gives them, from one pass of the recurrence and the psi weight of y's
-    point (`RecChain.point`): each psi_k is (p_k(y) w) inv_sqrt_h[k].
+    gives them, from one `_monic_steps` pass from index 0 at y's point
+    (`RecChain.point`) that lists every step, and the point's psi weight:
+    each psi_k is (p_k(y) w) inv_sqrt_h[k].
 
     The pass is kept in the chain's memo under ("psi", n, y), y at the
     chain's precision; a repeated call returns a fresh list of the kept
@@ -294,9 +298,12 @@ def psi_values(chain: RecChain, n: int, y):
         y = mpf(y)
 
         def one_pass():
-            w = chain.point(y).w
-            return [p * w * c for p, c in zip(
-                _monic_at(chain, n, y, every=True), chain.inv_sqrt_h)]
+            pt = chain.point(y)
+            F = chain.prec + GUARD_BITS
+            ps = [(1 << F, 0)]                 # (p_k, E_k), p_0 = 1
+            _monic_steps(chain, pt.X, _monic_start(F), n, every=ps)
+            return [_rounded(p, E - F, chain.prec) * pt.w * c
+                    for (p, E), c in zip(ps, chain.inv_sqrt_h)]
         return list(chain.cached(("psi", n, y), one_pass))
 
 
@@ -304,6 +311,7 @@ def phat_values(chain: RecChain, k: int, y):
     """(phat_{k-1}, phat_k) where phat_j(y) = int P_j(x) w(x)/(y-x) dx,
     built from the seed phat_0 (computed once per y) and the inhomogeneous
     three-term recurrence."""
+    _check_index("k", k, 0, chain)
     with mp.workprec(chain.prec):
         y = mpf(y)
         q_prev = mpf(0)
@@ -318,12 +326,10 @@ def phat_values(chain: RecChain, k: int, y):
 def psihat_values(chain: RecChain, k: int, y):
     """(psihat_{k-1}(y), psihat_k(y)) from one phat_values call, with
     psihat_j = phat_j e^{+y^{2nu}/(4nu)} / sqrt(h_j) and psihat_{-1} the
-    bare e^{+y^{2nu}/(4nu)} (empty-average convention)."""
-    _check_index("k", k, 0, chain)
+    bare e^{+y^{2nu}/(4nu)} (empty-average convention); the factors are
+    `oracle._antiweight`'s, as `oracle.eval_phi_exact` forms them."""
     with mp.workprec(chain.prec):
         y = mpf(y)
-        g = chain.constants[0] * chain.V(y)
         q_prev, q = phat_values(chain, k, y)
-        up = q * mp.exp(g - chain.log_h[k] / 2)
-        down = q_prev * mp.exp(g - chain.log_h[k - 1] / 2) if k else mp.exp(g)
-        return down, up
+        return ((q_prev if k else 1) * _antiweight(chain, k - 1, y),
+                q * _antiweight(chain, k, y))

@@ -61,16 +61,22 @@ p_{k-1}(x), p_k(x), and their x-derivatives for the diagonal
 Christoffel-Darboux kernel, come from `_monic_steps`: the recurrence for one
 node, whose entries share one block exponent that follows p_k up and down
 the way e_i does (p_k grows like e^{+N V / 2 T_c} towards the domain ends,
-so a single fixed scale would not do). `eval_psi_exact`, `kernel_exact`,
-`pihat_direct` and `eval_phi_exact` read a point from the chain's point
-store (`RecChain.point`), a `_Point` formed in integers the way a grid node
-is: (N/2T_c) V(x) in fixed point, the psi weight e^{-(N/2T_c) V(x)} and its
+so a single fixed scale would not do). Every point evaluator, here and in
+`modelchain`, reads its point from the chain's point store
+(`RecChain.point`), a `_Point` formed in integers the way a grid node is:
+(N/2T_c) V(x) in fixed point, the psi weight e^{-(N/2T_c) V(x)} and its
 square, each rounded once, and the recurrence states the point's last call
-reached and one index below it, which a call at the same, the next lower
-or a higher index resumes, so a grid evaluated at increasing n costs each
-point max(n) steps. The kernel forms its Christoffel-Darboux numerators
-from the integer states, exactly, rounds them once, and scales them by
-gamma_n / sqrt(h_n h_{n-1}), formed once per chain and n. Sums over a grid
+reached and one index below it. `eval_psi_exact`, `kernel_exact` and
+`pihat_direct` (at a node, with derivatives) take their states through
+`_monic_point`, which a call at the same, the next lower or a higher index
+resumes, so a grid evaluated at increasing n costs each point max(n)
+steps; `modelchain.psi_values` runs one `_monic_steps` pass from the point
+that lists every step. `eval_phi_exact` and `modelchain.psihat_values`
+take their factor e^{(N/2T_c) V(x) - ln h_n/2} from the point's fixed-point
+exponent (`_antiweight`), rounded once. The kernel forms its
+Christoffel-Darboux numerators from the integer states, exactly, rounds
+them once, and scales them by gamma_n / sqrt(h_n h_{n-1}), formed once per
+chain and n. Sums over a grid
 come from one sweep of the node vectors with the chain's coefficients
 (`_node_vectors`), which forms a step's sums only where they are read and
 its per-step scalars without mpf log or exp: `gram_entries` re-integrates a
@@ -107,6 +113,7 @@ BAND_BITS = 8          # a node is rescaled when its integer leaves F +- 8 bits
 PANEL_POINTS = 64      # Gauss-Legendre points per panel of every chain grid
 MEMO_SIZE = 64         # values a chain's memo keeps, least recently used dropped
 POINT_STORE_SIZE = 2048  # points a chain's point store keeps, the same way
+DIAGONAL_GAP = 1e-8    # kernel_exact's relative |x - x'| of the derivative form
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,8 +289,8 @@ class RecChain:
 
     Read-only once built, so it can be shared. Its mutable parts hold values
     derived from the chain on first use, in three places:
-    - the evaluator constants (`constants`, `weight_poly` and the
-      `kernel_scale` of each n), formed once and never dropped;
+    - the fixed-point coefficients of (N/2 T_c) V (`weight_poly`) and the
+      `kernel_scale` of each n, formed once and never dropped;
     - the point store (`point`), one LRU of POINT_STORE_SIZE entries, one
       per evaluation point and derivative flag, each a `_Point`: the
       point's (N/2 T_c) V(x) in fixed point, its psi weight and square,
@@ -336,21 +343,6 @@ class RecChain:
         mpf in Python)."""
         return _recent(self._points, (x._mpf_, deriv),
                        lambda: _Point(self, x), POINT_STORE_SIZE)
-
-    @cached_property
-    def constants(self):
-        """(N/(2 T_c), V', 10^-8) at the chain's precision: the coupling of
-        the model's Hilbert weights (`modelchain.psihat_values`), the slope
-        of the potential for `pihat_direct`'s node term, and
-        `kernel_exact`'s diagonal threshold. Kept outside the memo, so that
-        the evaluators, which read it on every call, take no memo entry
-        from the sweeps and passes. V' is exact wherever V's coefficients
-        have a few bits fewer than the chain's precision (136-bit
-        coefficients at the default 40 digits), so `pihat_direct` may read
-        it at its higher precision."""
-        with mp.workprec(self.prec):
-            return (mpf(self.N) / (2 * self.Tc), self.V.deriv(),
-                    mpf(10) ** (-8))
 
     @cached_property
     def weight_poly(self):
@@ -661,22 +653,6 @@ def _monic_steps(chain, X, state, n, deriv=False, every=None):
     return n, q, p, dq, dp, E
 
 
-def _monic_at(chain, n, x, deriv=False, every=False):
-    """(p_{n-1}(x), p_n(x)) of the chain's monic recurrence at one point,
-    followed by (p'_{n-1}(x), p'_n(x)) when deriv, as mpf at the working
-    precision; with every, the list p_0(x), ..., p_n(x) instead. One fresh
-    `_monic_steps` pass from index 0."""
-    F = chain.prec + GUARD_BITS
-    start = _monic_start(F)
-    ps = [(1 << F, 0)] if every else None
-    _, q, p, dq, dp, E = _monic_steps(chain, _fixed(x, F), start, n,
-                                      deriv, ps)
-    if every:
-        return [mp.ldexp(mpf(v), e - F) for v, e in ps]
-    vals = (q, p, dq, dp) if deriv else (q, p)
-    return tuple(mp.ldexp(mpf(v), E - F) for v in vals)
-
-
 def _monic_point(chain, n, x, deriv=False):
     """(pt, state): the chain's `_Point` of x and the `_monic_steps` state at
     index n. That is the point's state or the one below it if either is at
@@ -857,30 +833,18 @@ def _pv_weights(grid: NodeGrid):
 
 
 def _pv_values(chain: RecChain, n: int):
-    """g_i w_i pi_n(x_i) / unit times 2^F as integers, and unit.
-
-    pi_0 = 1, so at n = 0 unit is the power of 2 nearest h_0 and the values
-    are the grid's U_i^2, shifted. Otherwise one sweep of `_node_vectors` to
-    k = n, forming no sums: with v_k = sqrt(g w) pi_k / sqrt(h_k),
-    g_i w_i pi_n(x_i) = sqrt(h_0 h_n) v_0(x_i) v_n(x_i), and the sweep holds
-    alpha v_k, so unit = sqrt(h_0 h_n) / alpha."""
-    grid = chain.grid
-    F = grid.F
-    if n:
-        for k, (a, e, _, alpha) in enumerate(_node_vectors(
-                grid, chain.beta, chain.gamma, chain.log_h[0], n + 1)):
-            if not k:
-                a0, e0 = a, e
-        P = [u * v >> (F + i + j) for u, v, i, j in zip(a0, a, e0, e)]
-        unit = mp.exp((chain.log_h[0] + chain.log_h[n]) / 2) / alpha
-    else:
-        s = _nearest_shift(mp.exp(chain.log_h[0]))
-        unit = mp.ldexp(1, s)
-        # g_i w_i 2^(F - s) = U_i^2 2^-(F + 2 K_i + 2 m + s); F + 2 m + s > 0
-        # since the largest g_i w_i, about 2^-2m, is below 4 h_0
-        sh = F + 2 * grid.m + s
-        P = [u * u >> (sh + 2 * k) for u, k in zip(grid.U, grid.K)]
-    return P, unit
+    """g_i w_i pi_n(x_i) / unit times 2^F as integers, and unit, from one
+    sweep of `_node_vectors` to k = n, forming no sums: with
+    v_k = sqrt(g w) pi_k / sqrt(h_k), g_i w_i pi_n(x_i) =
+    sqrt(h_0 h_n) v_0(x_i) v_n(x_i), and the sweep holds alpha v_k, so
+    unit = sqrt(h_0 h_n) / alpha."""
+    F = chain.grid.F
+    for k, (a, e, _, alpha) in enumerate(_node_vectors(
+            chain.grid, chain.beta, chain.gamma, chain.log_h[0], n + 1)):
+        if not k:
+            a0, e0 = a, e
+    P = [u * v >> (F + i + j) for u, v, i, j in zip(a0, a, e0, e)]
+    return P, mp.exp((chain.log_h[0] + chain.log_h[n]) / 2) / alpha
 
 
 def pihat_direct(chain: RecChain, n: int, x):
@@ -901,6 +865,7 @@ def pihat_direct(chain: RecChain, n: int, x):
     psi weight squared would move the last bit), and
     f(x) ln((x - x_min)/(x_max - x)) adds the subtracted integral back.
     """
+    _check_index("n", n, 0, chain)
     F = chain.grid.F
     with mp.workprec(chain.prec):
         x = mpf(x)
@@ -922,9 +887,10 @@ def pihat_direct(chain: RecChain, n: int, x):
         if i < len(X) and X[i] == Y:
             # x is node i (to 2^-F): its term has the finite limit
             # -g_i (pi_n w)'(x_i) with (pi_n w)' = w (pi_n' - (N/T_c) V' pi_n)
-            xi = chain.xs[i]
-            _, pn, _, dn = _monic_at(chain, n, xi, deriv=True)
-            slope = dn - chain.N / chain.Tc * chain.constants[1](xi) * pn
+            xi = mp.make_mpf(from_man_exp(X[i], -F))
+            _, (_, _, p, _, dp, E) = _monic_point(chain, n, xi, deriv=True)
+            pn, dn = (mp.ldexp(mpf(v), E - F) for v in (p, dp))
+            slope = dn - chain.N / chain.Tc * chain.V.deriv()(xi) * pn
             total -= chain.grid.gw(i) * slope
             terms = zip(X[:i] + X[i + 1:], G[:i] + G[i + 1:], P[:i] + P[i + 1:])
         acc = 0
@@ -935,39 +901,47 @@ def pihat_direct(chain: RecChain, n: int, x):
         return +total
 
 
-def eval_phi_exact(chain: RecChain, n: int, x):
-    """phi_n(x) = pihat_n(x) e^{+(N/2Tc) V(x)} / sqrt(h_n). The exponent
-    E 2^-F = (N/2Tc) V(x) - ln h_n / 2 is formed in fixed point, from the
-    integer G of x's `_Point` and ln h_n 2^(F-1) (exact at every |ln h_n|
-    above 2^-31), and exponentiated as `_root_weight` does: E = k L + r,
-    e^{E 2^-F} = 2^k e^{r 2^-F} from mpmath's fixed-point exp series, then
-    rounded once. So the factor carries no rounding of its argument, which
-    at prec bits would cost about log2 |E 2^-F| bits."""
-    _check_index("n", n, 0, chain)
+def _antiweight(chain: RecChain, n: int, x):
+    """e^{(N/2Tc) V(x) - ln h_n / 2} at the chain's precision, x an mpf at
+    that precision; n = -1 gives the bare e^{(N/2Tc) V(x)}. The exponent
+    E 2^-F is formed in fixed point, from the integer G of x's `_Point` and
+    ln h_n 2^(F-1) (exact at every |ln h_n| above 2^-31), and exponentiated
+    as `_root_weight` does: E = k L + r, e^{E 2^-F} = 2^k e^{r 2^-F} from
+    mpmath's fixed-point exp series, then rounded once. So the factor
+    carries no rounding of its argument, which at prec bits would cost
+    about log2 |E 2^-F| bits."""
     F = chain.prec + GUARD_BITS
+    E = chain.point(x).G
+    if n >= 0:
+        E -= _fixed(chain.log_h[n], F - 1)
+    k, r = divmod(E, ln2_fixed(F))
+    return _rounded(exp_basecase(r, F), k - F, chain.prec)
+
+
+def eval_phi_exact(chain: RecChain, n: int, x):
+    """phi_n(x) = pihat_n(x) e^{+(N/2Tc) V(x)} / sqrt(h_n), the factor from
+    `_antiweight`."""
+    _check_index("n", n, 0, chain)
     with mp.workprec(chain.prec):
         x = mpf(x)
-        q = pihat_direct(chain, n, x)
-        E = chain.point(x).G - _fixed(chain.log_h[n], F - 1)
-        k, r = divmod(E, ln2_fixed(F))
-        return q * _rounded(exp_basecase(r, F), k - F, chain.prec)
+        return pihat_direct(chain, n, x) * _antiweight(chain, n, x)
 
 
 def kernel_exact(chain: RecChain, n: int, x, x2):
     """K_n(x, x') by Christoffel-Darboux: gamma_n w(x) w(x') times
     (p_n(x) p_{n-1}(x') - p_{n-1}(x) p_n(x')) / ((x - x') sqrt(h_n h_{n-1})),
     w the psi weights and p the states of the two points' `_Point`s. At
-    x' = x, and wherever |x - x'| <= 10^-8 (1 + |x|), it takes the derivative
-    form gamma_n w(x)^2 (p_n' p_{n-1} - p_{n-1}' p_n) / sqrt(h_n h_{n-1}) at
-    x: the V' terms of (p_n w)' cancel there. Each numerator is formed
-    exactly from the integer states and rounded once; the prefactor is the
-    chain's `kernel_scale` of n."""
+    x' = x, and wherever |x - x'| <= DIAGONAL_GAP (1 + |x|), it takes the
+    derivative form gamma_n w(x)^2 (p_n' p_{n-1} - p_{n-1}' p_n) /
+    sqrt(h_n h_{n-1}) at x: the V' terms of (p_n w)' cancel there. Each
+    numerator is formed exactly from the integer states and rounded once;
+    the prefactor is the chain's `kernel_scale` of n."""
     _check_index("n", n, 1, chain)
     F = chain.prec + GUARD_BITS
     with mp.workprec(chain.prec):
         x, x2 = mpf(x), mpf(x2)
         scale = chain.kernel_scale(n)
-        if x2 != x and abs(x - x2) > chain.constants[2] * (1 + abs(x)):
+        if x2 != x and abs(x - x2) > DIAGONAL_GAP * (1 + abs(x)):
             a, (_, q1, p1, _, _, E1) = _monic_point(chain, n, x)
             b, (_, q2, p2, _, _, E2) = _monic_point(chain, n, x2)
             cd = _rounded(p1 * q2 - q1 * p2, E1 + E2 - 2 * F, chain.prec)

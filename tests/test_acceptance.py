@@ -1,7 +1,11 @@
 """Acceptance criteria A1-A10.
 
 Each test prints one PASS/FAIL line (run with `pytest tests/test_acceptance.py -sv`
-to see them all). Criteria are pinned at their stated tolerances. The quartic
+to see them all) and appends it to the ledger, one JSON line per criterion
+in `.pytest_cache/d/acceptance/ledger.jsonl`, written afresh by each pytest
+session: the criterion, pass/fail, seconds and detail, and where the test
+holds them, the measured value, the bound and N. Criteria are pinned at
+their stated tolerances. The quartic
 family member (phi_e) is chosen per criterion where the criterion itself does
 not pin one; the choices are recorded next to each test.
 
@@ -21,6 +25,7 @@ are implemented verbatim anyway:
   N = 160 (rounding p gives u = 1.24) and 0.087 at N = 320.
 """
 
+import json
 import time
 
 import pytest
@@ -46,9 +51,47 @@ from conftest import model_chain, oracle_chain, quartic
 import mpmath
 
 
-def report(name, ok, detail=""):
+LEDGER = {}    # the session's ledger file and the running test's start
+
+
+@pytest.fixture(scope="module", autouse=True)
+def ledger_file(request):
+    """Empty the ledger before the first criterion of the session; no
+    ledger when pytest runs without its cache."""
+    cache = getattr(request.config, "cache", None)
+    path = cache.mkdir("acceptance") / "ledger.jsonl" if cache else None
+    if path:
+        path.write_text("")
+    LEDGER["path"] = path
+
+
+@pytest.fixture(autouse=True)
+def criterion_clock():
+    LEDGER["start"] = time.perf_counter()
+
+
+def _plain(v):
+    """v for JSON: a list item by item, an int as it is, else a float."""
+    if isinstance(v, list):
+        return [_plain(x) for x in v]
+    return v if isinstance(v, int) else float(v)
+
+
+def report(name, ok, detail="", value=None, bound=None, N=None):
+    """Print the criterion's PASS/FAIL line and append it to the ledger with
+    the seconds since its test started; returns ok. value, bound and N go
+    in where given, each number as an int or a float."""
+    seconds = time.perf_counter() - LEDGER["start"]
     print("%s: %s%s" % (name, "PASS" if ok else "FAIL",
                         " - " + detail if detail else ""))
+    row = {"criterion": name, "pass": bool(ok), "seconds": round(seconds, 3),
+           "detail": detail}
+    for key, v in (("value", value), ("bound", bound), ("N", N)):
+        if v is not None:
+            row[key] = _plain(v)
+    if LEDGER["path"]:
+        with open(LEDGER["path"], "a") as f:
+            f.write(json.dumps(row) + "\n")
     return ok
 
 
@@ -252,7 +295,8 @@ def test_A5b_amplitude_ratio():
     ok = all(r >= 3 for r in ratios)
     report("A5b (amplitude ratio >= 3)", ok,
            "measured %.2fx (N=40), %.2fx (N=80)" %
-           (float(ratios[0]), float(ratios[1])))
+           (float(ratios[0]), float(ratios[1])),
+           value=ratios, bound=3, N=[40, 80])
     assert ok, "saw-tooth contrast is not yet formed at N <= 80 (see ledger)"
 
 
@@ -270,7 +314,8 @@ def test_A5c_reduced_deviation_trend():
     ok = maxdev[80] < maxdev[40] and maxdev[80] < mpf("0.25")
     report("A5c (reduced-gamma deviation)", ok,
            "max dev N=40: %.2f, N=80: %.2f (bound 0.25)" %
-           (float(maxdev[40]), float(maxdev[80])))
+           (float(maxdev[40]), float(maxdev[80])),
+           value=[maxdev[40], maxdev[80]], bound=mpf("0.25"), N=[40, 80])
     assert ok, ("the one-correction reduced form carries O(1) amplitude-ratio "
                 "error at desk scale (see ledger)")
 
@@ -305,7 +350,8 @@ def test_A6_beta_sawtooth():
 
     report("A6 (beta saw-tooth)", sign_ok and power_ok and trend_ok,
            "sign %s, dip N-power meas/pred %.2f, max dev %.2f -> %.2f" %
-           (sign_ok, float(pow_meas / pow_pred), float(devs[40]), float(devs[80])))
+           (sign_ok, float(pow_meas / pow_pred), float(devs[40]), float(devs[80])),
+           value=[devs[40], devs[80]], N=[40, 80])
     assert sign_ok and power_ok, "beta sign or N-power scaling broken"
     assert trend_ok, ("reduced-beta deviation did not shrink with N at desk "
                       "scale (see ledger)")
@@ -431,7 +477,7 @@ def test_A10a_kernel_reduction():
     ok = dev < mpf("0.2")
     report("A10a (kernel reduction)", bool(ok),
            "sup-norm rel deviation %.3f (bound 0.2; O(N^-1/2) floor ~0.27 "
-           "at N=80)" % float(dev))
+           "at N=80)" % float(dev), value=dev, bound=mpf("0.2"), N=N)
     assert ok, "kernel reduction error is the genuine O(N^{-1/2nu}) term (ledger)"
 
 

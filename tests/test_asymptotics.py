@@ -191,6 +191,20 @@ def test_scan_forms_each_base_once_per_N(monkeypatch):
     assert calls == 2 * list(range(ch.n_max + 2))
 
 
+def count_psi_passes(monkeypatch):
+    """The list to which each `psi_values` pass, a `modelchain._monic_steps`
+    call with `every`, appends its point's X from now on."""
+    passes = []
+    steps = modelchain._monic_steps
+
+    def counted(ch, X, state, n, deriv=False, every=None):
+        if every is not None:
+            passes.append(X)
+        return steps(ch, X, state, n, deriv, every)
+    monkeypatch.setattr(modelchain, "_monic_steps", counted)
+    return passes
+
+
 def test_psi_reduced_and_psi_full_share_one_pass(monkeypatch):
     # psi_reduced reads psi_{ubar-1} and psi_ubar from the pass psi_full
     # makes for its own sum at the same (regime, y)
@@ -198,11 +212,7 @@ def test_psi_reduced_and_psi_full_share_one_pass(monkeypatch):
     ch = model_chain(1, 30)
     rp = make_regime(spec, 80, 3)
     y = mpf("0.1414213562")                  # a point no other test evaluates
-    passes = []
-    monic = modelchain._monic_at
-    monkeypatch.setattr(modelchain, "_monic_at",
-                        lambda c, n, x, **kw: passes.append(x)
-                        or monic(c, n, x, **kw))
+    passes = count_psi_passes(monkeypatch)
     for off in (0, -1):
         psi_reduced(spec, ch, rp, y, off)
         psi_full(spec, ch, rp, y, off)
@@ -491,11 +501,7 @@ def test_A10a_kernel_grid_makes_one_psi_pass_per_point(monkeypatch):
     N = 80
     rp = make_regime(spec, N, 3)
     smap = make_scaling_map(spec, N)
-    passes = []
-    monic = modelchain._monic_at
-    monkeypatch.setattr(modelchain, "_monic_at",
-                        lambda ch, n, y, **kw: passes.append(y)
-                        or monic(ch, n, y, **kw))
+    passes = count_psi_passes(monkeypatch)
     monkeypatch.setattr(mc, "_memo", OrderedDict())  # none from other tests
     for yi in (-2, -1, 0, 1, 2):
         for yj in (-2, -1, 0, 1, 2):

@@ -13,9 +13,10 @@ from birthcut.kvio import chain_to_table
 from birthcut.modelchain import (A_constant, build_chain, freud_gsq, ln_A_k,
                                  phat_values, psi_values, psihat_values,
                                  string_guard_bits)
-from birthcut.oracle import (GUARD_BITS, MEMO_SIZE, _monic_at, _node_grid,
+from birthcut.oracle import (GUARD_BITS, MEMO_SIZE, _fixed, _monic_point,
+                             _monic_start, _monic_steps, _node_grid,
                              _to_fixed, build_rec_chain, domain_budget,
-                             eval_psi_exact, kernel_exact,
+                             eval_phi_exact, eval_psi_exact, kernel_exact,
                              orthogonality_residual, pihat_direct)
 from birthcut.poly import Poly
 from birthcut.quadrature import panel_nodes
@@ -40,7 +41,8 @@ def test_beta_vanishes_by_parity():
 def test_monic_p2():
     ch = model_chain(1, 55)
     y = mpf("0.7")
-    _, p2 = _monic_at(ch, 2, y)
+    _, (_, _, p2, _, _, E) = _monic_point(ch, 2, y)
+    p2 = mp.ldexp(mpf(p2), E - ch.prec - GUARD_BITS)
     assert abs(p2 - (y * y - 1)) < mpf("1e-40")
 
 
@@ -65,10 +67,12 @@ def test_hat_recurrence_agrees_with_direct_transform():
         for y in (mpf("-1.3"), mpf("0.4"), mpf("2.1")):
             for k in (1, 3, 6):
                 _, rec = phat_values(ch, k, y)
-                fy = _monic_at(ch, k, y)[1] * mp.exp(-y ** 4 / 4)
+                fy = monic_reference(ch.beta, ch.gsq, k, y)[1] \
+                    * mp.exp(-y ** 4 / 4)
                 acc = mpf(0)
                 for x, g, w in zip(ch.xs, ch.grid.gl_w(), ch.grid.wv()):
-                    acc += g * (_monic_at(ch, k, x)[1] * w - fy) / (y - x)
+                    pk = monic_reference(ch.beta, ch.gsq, k, x)[1]
+                    acc += g * (pk * w - fy) / (y - x)
                 acc += fy * mp.log((y - ch.x_min) / (ch.x_max - y))
                 assert abs(rec - acc) < mpf("1e-30") * max(abs(acc), mpf("1e-5"))
 
@@ -100,6 +104,37 @@ def test_psihat_normalization_and_minus_one():
         expect = q * mp.exp(y * y / 4 - ch.log_h[2] / 2)
         assert abs(v - expect) < mpf("1e-35")
         assert abs(psihat_values(ch, 0, y)[0] - mp.exp(y * y / 4)) < mpf("1e-35")
+
+
+def test_hilbert_factors_are_within_one_ulp():
+    # psihat_{k-1}, psihat_k and phi_k are their numerators (phat, pihat)
+    # times e^{y^2/4 - ln h_j/2}, to 1 ulp of that product at 600 bits: the
+    # factor's exponent is formed in fixed point and the factor rounded once
+    ch = model_chain(1, 30)
+    for ys in ("-1.3", "0.05", "0.4", "2.1", "3.7"):
+        for k in (1, 3, 17, 29):
+            with mp.workprec(ch.prec):
+                y = mpf(ys)
+                got = psihat_values(ch, k, y) + (eval_phi_exact(ch, k, y),)
+                nums = phat_values(ch, k, y) + (pihat_direct(ch, k, y),)
+            for v, q, j in zip(got, nums, (k - 1, k, k)):
+                _, _, ex, bc = v._mpf_
+                with mp.workprec(600):
+                    ref = q * mp.exp(y * y / 4 - ch.log_h[j] / 2)
+                    assert abs(v - ref) <= mp.ldexp(1, ex + bc - ch.prec), \
+                        (ys, k, j)
+
+
+def test_hilbert_evaluators_reject_indices_off_the_chain():
+    # pihat_direct and phat_values check their index as every chain
+    # evaluator does: below 0 and past n_max are ValueErrors
+    ch = model_chain(1, 30)
+    y = mpf("0.4")
+    for call in (lambda: pihat_direct(ch, -1, y),
+                 lambda: pihat_direct(ch, ch.n_max + 1, y),
+                 lambda: phat_values(ch, -2, y)):
+        with pytest.raises(ValueError, match="out of range"):
+            call()
 
 
 def test_kernel_identities():
@@ -153,7 +188,9 @@ def test_monic_block_rescales_small_values():
         ch = SimpleNamespace(prec=256, beta_fx=_to_fixed(beta, F),
                              gsq_fx=_to_fixed(gsq, F))
         x = mpf("0.0013")
-        got = _monic_at(ch, 40, x, deriv=True)
+        _, q, p, dq, dp, E = _monic_steps(ch, _fixed(x, F), _monic_start(F),
+                                          40, deriv=True)
+        got = [mp.ldexp(mpf(v), E - F) for v in (q, p, dq, dp)]
     with mp.workprec(640):
         ref = monic_reference(beta, gsq, 40, x)
         for v, r in zip(got, ref):
