@@ -140,15 +140,20 @@ def cmd_critical(args):
     return EXIT_OK
 
 
-def cmd_chain(args):
-    nu = 1 if args.nu is None else args.nu
-    ch = modelchain.build_chain(nu, k_max=args.kmax, prec=max(args.bits, 256))
+def _warn_unconverged(ch):
+    """One stderr line if the chain's node ladder ended unconverged."""
     if not ch.converged:
         print("warning: orthonormality residual %s on %d nodes is above the "
               "converged bound %s at %d bits" % (
                   _fmt(ch.resid, 3), len(ch.grid),
-                  _fmt(modelchain.converged_residual(ch.prec), 3), ch.prec),
+                  _fmt(oracle.converged_residual(ch.prec), 3), ch.prec),
               file=sys.stderr)
+
+
+def cmd_chain(args):
+    nu = 1 if args.nu is None else args.nu
+    ch = modelchain.build_chain(nu, k_max=args.kmax, prec=max(args.bits, 256))
+    _warn_unconverged(ch)
     lnA = None
     if args.phi_e is not None or args.spec:
         spec = _load_spec(args)
@@ -202,6 +207,7 @@ def cmd_scan_u(args):
         except ArithmeticError as exc:
             rows.append("%d,,,ERROR %s,,,,,,," % (N, exc))
             continue
+        _warn_unconverged(ch)
         for rp in regimes[N]:
             p = rp.p
             go, bo = ch.gamma[N + p], ch.beta[N + p]
@@ -237,6 +243,7 @@ def cmd_psi(args):
     ch = None
     if args.with_oracle:
         ch = _oracle_chain(spec, N, args.bits, p)
+        _warn_unconverged(ch)
     rows = ["y,x,psi_reduced,psi_full,psi_oracle"]
     for y in ys:
         x = smap.x_of_y(y)

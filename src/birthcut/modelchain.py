@@ -16,15 +16,8 @@ The weight is even and the domain symmetric, so the grid is mirrored: only
 its upper half is formed, and the check sweeps only that half, by the
 parity of psi_k (`oracle._node_grid`, `oracle.gram_entries`); both cost
 half of what they cost on an oracle grid of the same size.
-Its size is chosen by that check: a default build tries the rungs of
-PANEL_LADDER in turn and keeps the first on which the check has converged
-to 3/4 of the working precision (320 nodes at nu = 1, k_max = 8; 640 at
-nu = 1 or 2, k_max = 30; 2752 at nu = 6, k_max = 30); `nodes=` pins the
-grid instead. Gauss-Legendre rules converge geometrically on analytic
-integrands (Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?",
-SIAM Rev. 2008), so the check's residual falls fast from rung to rung, and
-their error bound tells which rungs are too coarse for psi_{k_max - 1}:
-the ladder starts above those (`first_rung`).
+Its size is that of the first rung of the oracle's node ladder on which
+the check converges (`oracle._first_converged`); `nodes=` pins it.
 The oracle keeps its Stieltjes builder: for exp(-(N/T_c) V) the
 forward string recursion loses 5-30 bits per step.
 
@@ -37,45 +30,35 @@ amplitudes are
 for the model constant A = (2 sinh phi_e)^2 (2 sinh(phi_e) Q(e)/T_c)^{1/2nu}.
 
 Wavefunctions: psi_k = P_k e^{-y^{2nu}/4nu} / sqrt(h_k), as
-`oracle.eval_psi_exact` gives them; `psi_values` returns psi_0..psi_n from
-one integer pass of the recurrence and the psi weight of y's point
-(`RecChain.point`). The Hilbert-transform partners start from the
+`oracle.eval_psi_exact` gives them, from one integer pass of the recurrence
+per point (`psi_values`). The Hilbert-transform partners start from the
 principal-value Cauchy transform of the weight (`oracle.pihat_direct` at
-n = 0) and climb the same three-term recurrence with the delta_{k,0} h_0
-inhomogeneity; `psihat_values` scales them by the factor
-e^{y^{2nu}/4nu - ln h_k/2} that `oracle.eval_phi_exact` uses, formed in
-fixed point from the same point and rounded once. At 256-bit precision
-the forward recurrence keeps the hat solution clean for every k used here
-(contamination by the growing solution enters at the seed's relative
-accuracy, far below any tolerance in play).
+n = 0) and climb the same recurrence with the delta_{k,0} h_0
+inhomogeneity; at 256 bits the forward recurrence keeps the hat solution
+clean for every k used here (the growing solution enters at the seed's
+relative accuracy).
 
-No work is done twice. `build_chain` keeps the last few chains it built and
-returns the same object for the same arguments, so chains are shared and
-read-only. What is derived from a chain is kept in its one memo
-(`RecChain.cached`, the last MEMO_SIZE values used, each under one flat
-key): the `psi_values` passes and the Hilbert seeds per point, the
-table of k-sum terms per (spec, N, index N + m/2) that every `asymptotics`
-sum reads, the one base per (spec, N) every such table is formed from,
-and what `asymptotics` needs per regime (gamma_full, the y-independent
-parts of the psi and phi sums, and psi_full per point). The
-factors 1/sqrt(h_k) are formed with the chain. `A_constant` is formed once
-per (spec, working precision). On the A10a kernel grid (25 pairs, 10
-distinct y) that is 10 recurrence passes for 100 psi_full requests and one
-gamma_full for 25.
+No work is done twice. `build_chain` returns the same, read-only chain for
+the same arguments; what is derived from it is kept in its one memo
+(`RecChain.cached`): the `psi_values` passes and Hilbert seeds per point,
+the k-sum term tables per (spec, N, index N + m/2) and their one base per
+(spec, N), and what `asymptotics` needs per regime. On the A10a kernel grid
+(25 pairs, 10 distinct y) that is 10 recurrence passes for 100 psi_full
+requests and one gamma_full for 25.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-import math
 from functools import lru_cache
 
 from mpmath import mp, mpf
 
 from .oracle import (GUARD_BITS, PANEL_POINTS, RecChain, _antiweight,
-                     _check_index, _domain, _monic_start, _monic_steps,
-                     _node_grid, _recent, _rounded, assemble_chain,
-                     domain_budget, orthogonality_residual, pihat_direct)
+                     _check_index, _domain, _first_converged, _ladder,
+                     _monic_start, _monic_steps, _node_grid, _recent,
+                     _rounded, assemble_chain, orthogonality_residual,
+                     pihat_direct)
 from .poly import Poly
 from .potentials import CriticalSpec
 
@@ -168,58 +151,6 @@ def freud_gsq(nu: int, count: int):
 
 _chains = OrderedDict()
 
-# panel counts a default build tries in turn, from the one `first_rung`
-# picks: 320, 640, 1344, 2752, 5568 and 11200 nodes, the last the check grid
-# of an 8192-node chain (for k_max = 200 at 512 bits)
-PANEL_LADDER = (5, 10, 21, 43, 87, 175)
-
-
-def converged_residual(prec: int):
-    """The orthonormality residual at which a rung of PANEL_LADDER has
-    converged: 2^(-3 prec/4) (1.6e-58 at 256 bits), or what the domain's
-    ends leave out, e^-`domain_budget(prec)`, where that is larger (above
-    289 bits; 3.9e-70 at 320)."""
-    return max(mp.ldexp(1, -(3 * prec) // 4), mp.exp(-domain_budget(prec)))
-
-
-def first_rung(nu: int, n_max: int, x_max, bits) -> int:
-    """Index of the PANEL_LADDER rung a default build checks first: the
-    first with as many panels as the Gauss-Legendre error bound asks for
-    to integrate psi_{n_max}^2 over [-x_max, x_max] to 2^-bits.
-
-    An m-point rule (m = PANEL_POINTS) on a panel of width h leaves about
-    s (e q h/4m)^{2m} of an integrand of size s that oscillates or decays
-    at rate 2q, so 2 x_max e q 2^{bits/2m}/4m panels reach 2^-bits. On
-    [-a, a], a the Mhaskar-Rakhmanov-Saff number of degree n_max, psi^2
-    oscillates with q = pi n_max rho/a, rho the largest value of the
-    Ullman density on [-1, 1]; past a it decays with 2q = V'(x) - 2n/x and
-    size s = (x/a)^{2n} e^{V(a) - V(x)}. Rungs below the first have fewer
-    panels than the bound asks for; for nu >= 2 the tail term can ask for
-    a rung more than the check needs."""
-    m, n, x_max = PANEL_POINTS, max(n_max, 1), float(x_max)
-    ln_a = (math.log(2 * n) + sum(math.log(2 * j / (2 * j - 1))
-                                  for j in range(1, nu + 1))) / (2 * nu)
-    a = math.exp(ln_a)
-    rho = max(2 * nu / math.pi * sum(    # binomial terms in logs
-        math.exp(math.lgamma(nu) - math.lgamma(j + 1) - math.lgamma(nu - j)
-                 + 2 * (nu - 1 - j) * math.log(t)
-                 + (j + 0.5) * math.log(1 - t * t)) / (2 * j + 1)
-        for j in range(nu)) for t in ((i + 0.5) / 128 for i in range(128)))
-    q = math.pi * n * rho / a
-    for i in range(1, 129):
-        x = a + (x_max - a) * i / 128
-        if 2 * nu * math.log(x) > 700:     # s underflows from here on
-            break
-        rate = x ** (2 * nu - 1) - 2 * n / x
-        if rate > 0:
-            ln_s = (a ** (2 * nu) - x ** (2 * nu)) / (2 * nu) \
-                + 2 * n * math.log(x / a)
-            q = max(q, rate / 2 * math.exp(ln_s / (2 * m)))
-    panels = 2 * x_max * math.e * q * 2 ** (float(bits) / (2 * m)) / (4 * m)
-    return next((i for i, p in enumerate(PANEL_LADDER) if p >= panels),
-                len(PANEL_LADDER) - 1)
-
-
 def build_chain(nu: int, k_max: int = 100, prec: int = 256,
                 nodes: int = None) -> RecChain:
     """Chain of the y^{2 nu}/(2 nu) model up to k_max: the oracle chain of
@@ -232,14 +163,9 @@ def build_chain(nu: int, k_max: int = 100, prec: int = 256,
     views xs, gl_w, wv) is a composite 64-point GL rule on which the chain's
     orthonormality is checked: the re-integrated <psi_j, psi_k> at the
     highest (worst-resolved) index. The same grid serves `pihat_direct` for
-    the Hilbert seed. By default the grid is the first rung of PANEL_LADDER,
-    from `first_rung` up, whose check residual is at most
-    `converged_residual(prec)`. `nodes` pins the grid to the one the oracle
-    would use to check a chain built on `nodes` nodes, 1.37x as many. Either
-    way a residual above 1e-20 raises ArithmeticError. The chain records its
-    check residual as `resid` and whether it met `converged_residual(prec)`
-    as `converged`: a ladder can end on its top rung short of that bound,
-    and the build still returns.
+    the Hilbert seed. By default it is the first converged rung of the
+    oracle's ladder (`oracle._first_converged`); `nodes` pins it to the
+    grid the oracle checks a `nodes`-node chain on, 1.37x as many.
 
     A call with the same arguments as one of the last CHAIN_CACHE_SIZE
     distinct calls returns the chain that call built (shared, read-only)."""
@@ -265,23 +191,17 @@ def _build_chain(nu, k_max, prec, nodes):
                                log_h, None)
     with mp.workprec(prec):
         if nodes is not None:
-            ladder = (int(max(1, nodes // PANEL_POINTS) * mpf("1.37")),)
+            rungs = (int(max(1, nodes // PANEL_POINTS) * mpf("1.37")),)
         else:
-            bits = -mp.log(converged_residual(prec), 2)
-            ladder = PANEL_LADDER[first_rung(nu, n_max, x_max, bits):]
-        for panels in ladder:
+            rungs = _ladder(nu, n_max, x_max, prec)
+
+        def chain_on(panels):
             chain.grid = _node_grid(x_min, x_max, panels, V, 1,
                                     prec + GUARD_BITS)
-            chain.resid = orthogonality_residual(
-                chain, ((n_max, n_max), (n_max, 0)), grid=chain.grid)
-            chain.converged = chain.resid <= converged_residual(prec)
-            if chain.converged:
-                break
-        if chain.resid > mpf(10) ** (-20):
-            raise ArithmeticError(
-                "orthonormality residual %s > 1e-20 at k_max = %d: "
-                "increase nodes or prec" % (mp.nstr(chain.resid, 5), k_max))
-    return chain
+            return chain
+        return _first_converged(
+            rungs, chain_on, lambda ch, pairs: orthogonality_residual(
+                ch, pairs, grid=ch.grid), prec)
 
 
 def psi_values(chain: RecChain, n: int, y):

@@ -22,7 +22,10 @@ wide enough that the x^{2 n_max}-weighted tail is negligible at the target
 precision, by the discretized Stieltjes procedure (stable, unlike
 Hankel-determinant routes; Gautschi, Orthogonal Polynomials: Computation and
 Approximation, 2004, section 2.2), which needs only sqrt(g_i w(x_i)) at each
-node to working precision.
+node to working precision. Both chain builders climb one node ladder
+(`_first_converged`) until the check at the top index converges;
+Gauss-Legendre rules converge geometrically on analytic integrands
+(Trefethen, SIAM Rev. 50, 2008).
 
 Whatever builds the recurrence (beta_n, gamma_n, ln h_n), `assemble_chain`
 derives the rest of a `RecChain` from it in one place: gamma_n^2, ln zeta_n,
@@ -30,16 +33,10 @@ the fixed-point copies and the factors 1/sqrt(h_n).
 
 Every grid a chain sweep reads (the Stieltjes grid, both orthogonality
 checks' grids, the counting grid and the principal-value grid) is one
-`NodeGrid` from `_node_grid`, built once in integers: nodes in fixed point,
-rounded to prec significant bits so that each is an exact mpf, and
-sqrt(g_i w_i) as an integer of about F bits with its own power of 2, from an
-integer Horner pass on V, an ln 2 argument reduction and mpmath's
-fixed-point exp series. No mpf is formed per node: the grid's mpf views,
-the nodes `xs`, the GL weights `gl_w` and w at the nodes `wv`, are derived
-on demand, and no chain sweep reads them. A chain keeps its grid. Where
-the weight is even on a symmetric interval (V with no odd coefficients,
-ends -a and a: every model chain, never an oracle), only the upper half of
-the grid is formed and the lower half is its mirror (`NodeGrid.mirrored`).
+`NodeGrid` from `_node_grid`, built once in integers, with no mpf formed
+per node. A chain keeps its grid. Where the weight is even on a symmetric
+interval (every model chain, never an oracle), only the upper half of the
+grid is formed and the lower half is its mirror (`NodeGrid.mirrored`).
 
 `stieltjes_chain` runs it in Lanczos form on the orthonormal node vectors
 v_k(x_i) = sqrt(w_i) P_k(x_i)/sqrt(h_k), in Python-integer fixed point with
@@ -57,39 +54,24 @@ keeps the vectors near unit norm comes from an integer compare
 
 The evaluators run on the same integers. A finished chain stores beta_k and
 gamma_k^2 as integers over 2^F (`beta_fx`, `gsq_fx`). Point values
-p_{k-1}(x), p_k(x), and their x-derivatives for the diagonal
-Christoffel-Darboux kernel, come from `_monic_steps`: the recurrence for one
-node, whose entries share one block exponent that follows p_k up and down
-the way e_i does (p_k grows like e^{+N V / 2 T_c} towards the domain ends,
-so a single fixed scale would not do). Every point evaluator, here and in
-`modelchain`, reads its point from the chain's point store
-(`RecChain.point`), a `_Point` formed in integers the way a grid node is:
-(N/2T_c) V(x) in fixed point, the psi weight e^{-(N/2T_c) V(x)} and its
-square, each rounded once, and the recurrence states the point's last call
-reached and one index below it. `eval_psi_exact`, `kernel_exact` and
-`pihat_direct` (at a node, with derivatives) take their states through
-`_monic_point`, which a call at the same, the next lower or a higher index
-resumes, so a grid evaluated at increasing n costs each point max(n)
-steps; `modelchain.psi_values` runs one `_monic_steps` pass from the point
-that lists every step. `eval_phi_exact` and `modelchain.psihat_values`
-take their factor e^{(N/2T_c) V(x) - ln h_n/2} from the point's fixed-point
-exponent (`_antiweight`), rounded once. The kernel forms its
-Christoffel-Darboux numerators from the integer states, exactly, rounds
-them once, and scales them by gamma_n / sqrt(h_n h_{n-1}), formed once per
-chain and n. Sums over a grid
-come from one sweep of the node vectors with the chain's coefficients
-(`_node_vectors`), which forms a step's sums only where they are read and
-its per-step scalars without mpf log or exp: `gram_entries` re-integrates a
-finished chain on an independent grid for the orthogonality checks (on a
-mirrored grid of a chain with every beta_k = 0 it folds the sweep by
-parity, p_k(-x) = (-1)^k p_k(x): the upper half only, each even pair twice
-its half-sum and each odd pair exactly 0),
-`expected_count_exact` sums the diagonal entries of the same sweep over its
-counting grid (one sweep per grid, kept in the chain's memo and resumed by
-the next count on that grid), and `pihat_direct` sums
-g_i w_i pi_n(x_i)/(x - x_i) over the chain's own grid. The diagonal kernel
-keeps the Christoffel-Darboux derivative form, so that it stays an
-independent check of the count.
+p_{k-1}(x), p_k(x) and their x-derivatives come from `_monic_steps`, the
+recurrence for one point under one block exponent that follows p_k up and
+down the way e_i does. Every point evaluator, here and in `modelchain`,
+reads its point from the chain's point store (`RecChain.point`): a `_Point`
+formed in integers the way a grid node is, which keeps the recurrence
+states its last call reached, so a grid evaluated at increasing n costs
+each point max(n) steps (`_monic_point`). The Hilbert factor
+e^{(N/2T_c) V(x) - ln h_n/2} comes from the point's fixed-point exponent
+(`_antiweight`), and the kernel's Christoffel-Darboux numerators from the
+integer states, each rounded once. Sums over a grid come from one sweep of
+the node vectors (`_node_vectors`): `gram_entries` re-integrates a finished
+chain on an independent grid for the orthogonality checks (folded by
+parity, p_k(-x) = (-1)^k p_k(x), on a mirrored grid of a chain with every
+beta_k = 0), `expected_count_exact` sums its diagonal entries over a
+counting grid (one sweep per grid, kept in the chain's memo and resumed),
+and `pihat_direct` sums g_i w_i pi_n(x_i)/(x - x_i) over the chain's own
+grid. The diagonal kernel keeps the Christoffel-Darboux derivative form, so
+that it stays an independent check of the count.
 """
 
 from __future__ import annotations
@@ -323,7 +305,7 @@ class RecChain:
     gsq_fx: list = field(repr=False)    # gamma_n^2 2^F
     grid: NodeGrid = field(repr=False)
     resid: mpf = None      # residual of the build's orthogonality check
-    converged: bool = None  # model chains: whether resid met its bound
+    converged: bool = None  # whether resid met converged_residual(prec)
     _memo: OrderedDict = field(default_factory=OrderedDict, init=False,
                                repr=False, compare=False)
     _points: OrderedDict = field(default_factory=OrderedDict, init=False,
@@ -765,9 +747,101 @@ def _domain(V: Poly, N: int, Tc, n_max: int, prec: int):
     return lo, hi
 
 
+# the node ladder's panel counts: 320, 640, 1344, 2752, 5568 and 11200 nodes,
+# the last the check grid of an 8192-node chain (k_max = 200 at 512 bits)
+PANEL_LADDER = (5, 10, 21, 43, 87, 175)
+
+
+def converged_residual(prec: int):
+    """The orthonormality residual at which a rung of PANEL_LADDER has
+    converged: 2^(-3 prec/4) (1.6e-58 at 256 bits), or what the domain's
+    ends leave out, e^-`domain_budget(prec)`, where that is larger (above
+    289 bits; 3.9e-70 at 320)."""
+    return max(mp.ldexp(1, -(3 * prec) // 4), mp.exp(-domain_budget(prec)))
+
+
+def first_rung(nu: int, n_max: int, x_max, bits) -> int:
+    """Index of the first PANEL_LADDER rung with the panels the
+    Gauss-Legendre error bound asks for to integrate psi_{n_max}^2 of
+    exp(-y^{2 nu}/(2 nu)) over [-x_max, x_max] to 2^-bits.
+
+    An m-point rule (m = PANEL_POINTS) on a panel of width h leaves about
+    (h/4)^{2m} f^(2m)/(2m)! of an integrand f, s (e q h/4m)^{2m} for f of
+    size s oscillating or decaying at rate 2q: 2 x_max e q 2^{bits/2m}/4m
+    panels reach 2^-bits. On [-a, a] (a the Mhaskar-Rakhmanov-Saff number)
+    psi^2 oscillates with q = pi n_max rho/a, rho the Ullman density's top.
+    Past a it is about s(x) = (x/a)^{2n} e^{V(a) - V(x)}, decaying at rate
+    2q = V'(x) - 2n/x, or by Cauchy's bound f^(2m)/(2m)! <= max_{|z - x| = r}
+    |s(z)| r^{-2m} where that is smaller: the rate falls within the distance
+    m/q (at nu = 7, k_max = 200, 87 panels, not 175)."""
+    m, n, x_max = PANEL_POINTS, max(n_max, 1), float(x_max)
+    ln_a = (math.log(2 * n) + sum(math.log(2 * j / (2 * j - 1))
+                                  for j in range(1, nu + 1))) / (2 * nu)
+    a = math.exp(ln_a)
+    rho = max(2 * nu / math.pi * sum(    # binomial terms in logs
+        math.exp(math.lgamma(nu) - math.lgamma(j + 1) - math.lgamma(nu - j)
+                 + 2 * (nu - 1 - j) * math.log(t)
+                 + (j + 0.5) * math.log(1 - t * t)) / (2 * j + 1)
+        for j in range(nu)) for t in ((i + 0.5) / 128 for i in range(128)))
+    q = math.pi * n * rho / a
+
+    def rung(q):
+        panels = 2 * x_max * math.e * q * 2 ** (float(bits) / (2 * m)) / (4 * m)
+        return min(bisect.bisect_left(PANEL_LADDER, panels), len(PANEL_LADDER) - 1)
+
+    def ln_s(z):
+        return (2 * n * (math.log(abs(z)) - ln_a)
+                - ((z ** (2 * nu)).real - a ** (2 * nu)) / (2 * nu))
+
+    turns = [complex(math.cos(t), math.sin(t))
+             for t in (math.pi * (j + 0.5) / 8 for j in range(8))]
+    tail = sorted(((x ** (2 * nu - 1) - 2 * n / x) / 2
+                   * math.exp(ln_s(x) / (2 * m)), x)
+                  for x in (a + (x_max - a) * i / 128 for i in range(1, 129))
+                  if 2 * nu * math.log(1.5 * x) <= 700)   # else s underflows
+    for v, x in reversed(tail):          # (rate/2) s^{1/2m}, largest first
+        if rung(v) <= rung(q):
+            break
+        cauchy = m / math.e * math.exp(min(   # over r = x/2 down to 0.013 x
+            max(ln_s(x + r * t) for t in turns) / (2 * m) - math.log(r)
+            for r in (x / 2 * 1.5 ** -k for k in range(10))))
+        q = max(q, min(v, cauchy))
+    return rung(q)
+
+
+def _ladder(nu: int, n_max: int, x_max, prec: int):
+    """PANEL_LADDER from `first_rung`'s rung, to `converged_residual(prec)`."""
+    bits = -mp.log(converged_residual(prec), 2)
+    return PANEL_LADDER[first_rung(nu, n_max, x_max, bits):]
+
+
+def _first_converged(rungs, chain_on, residual, prec: int) -> RecChain:
+    """chain_on(panels) of the first of rungs whose residual(chain, pairs)
+    at (n_max, n_max), (n_max, 0) is at most `converged_residual(prec)`,
+    else of the last, with that `resid` and `converged` recorded;
+    ArithmeticError above 1e-20."""
+    bound = converged_residual(prec)
+    for panels in rungs:
+        chain = chain_on(panels)
+        n = chain.n_max
+        chain.resid = residual(chain, ((n, n), (n, 0)))
+        chain.converged = chain.resid <= bound
+        if chain.converged:
+            break
+    if chain.resid > mpf(10) ** -20:
+        raise ArithmeticError("orthonormality residual %s > 1e-20 on %d nodes: "
+                              "increase nodes or prec"
+                              % (mp.nstr(chain.resid, 5), len(chain.grid)))
+    return chain
+
+
 def build_rec_chain(V: Poly, N: int, Tc, n_max: int = None, bits: int = 320,
-                    nodes: int = 6000, check_orthogonality: bool = True) -> RecChain:
-    """Stieltjes chain of w = exp(-(N/Tc) V) up to n_max (default N + 3 ln N)."""
+                    nodes: int = None, check_orthogonality: bool = True) -> RecChain:
+    """Stieltjes chain of w = exp(-(N/Tc) V) up to n_max (default N + 3 ln N).
+    Its grid climbs PANEL_LADDER from the rung of exp(-y^2/2) at n_max, whose
+    top polynomial has as many zeros, checked on an independent 1.37x grid
+    (its own orthogonalises it exactly); `nodes` pins one grid, and
+    check_orthogonality False builds one rung unchecked."""
     if bits < 256:
         raise ValueError("bits must be >= 256")
     Tc = mpf(Tc)
@@ -775,20 +849,19 @@ def build_rec_chain(V: Poly, N: int, Tc, n_max: int = None, bits: int = 320,
         n_max = N + int(mp.ceil(3 * mp.log(N)))
     with mp.workprec(bits):
         lo, hi = _domain(V, N, Tc, n_max, bits)
-        F = bits + GUARD_BITS
-        grid = _node_grid(lo, hi, max(1, nodes // PANEL_POINTS), V,
-                          mpf(N) / Tc, F)
-        betas, gammas, ln_hs = stieltjes_chain(grid, n_max + 1)
-        chain = assemble_chain(V, N, Tc, bits, lo, hi, betas, gammas, ln_hs,
-                               grid)
-        if check_orthogonality:
-            chain.resid = orthogonality_residual(
-                chain, pairs=((0, 0), (1, 3), (4, 4)))
-            if chain.resid > mpf(10) ** (-15):
-                raise ArithmeticError(
-                    "orthogonality residual %s > 1e-15: increase bits or nodes"
-                    % mp.nstr(chain.resid, 5))
-    return chain
+        if nodes is not None:
+            rungs = (max(1, nodes // PANEL_POINTS),)
+        else:
+            gauss = _domain(Poly([0, 0, mpf(1) / 2]), 1, 1, n_max, bits)[1]
+            rungs = _ladder(1, n_max, gauss, bits)
+
+        def chain_on(panels):
+            grid = _node_grid(lo, hi, panels, V, mpf(N) / Tc, bits + GUARD_BITS)
+            return assemble_chain(V, N, Tc, bits, lo, hi,
+                                  *stieltjes_chain(grid, n_max + 1), grid)
+        if not check_orthogonality:
+            return chain_on(rungs[0])
+        return _first_converged(rungs, chain_on, orthogonality_residual, bits)
 
 
 def orthogonality_residual(chain: RecChain, pairs, grid=None):

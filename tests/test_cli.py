@@ -250,6 +250,36 @@ def test_scan_u_rows_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_unconverged_oracle_ladder_warns_once(monkeypatch, capsys):
+    # an oracle check that stays above converged_residual but below 1e-20
+    # ends the ladder on its top rung: scan-u and psi --with-oracle warn once
+    # per oracle chain on stderr, and print and exit as they do otherwise
+    commands = (["scan-u", "--phi-e", "0.62", "--N", "8,12",
+                 "--u-grid", "0.4:0.8:0.4"],
+                ["psi", "--phi-e", "1.05", "--N", "8", "--u", "1.3",
+                 "--with-oracle"])
+    plain = []
+    with mp.workdps(mp.dps):             # main sets the global precision
+        for argv in commands:
+            assert run(argv) == 0
+            plain.append(capsys.readouterr())
+        resid = mp.ldexp(1, -100)
+        monkeypatch.setattr(oracle, "orthogonality_residual",
+                            lambda ch, pairs, grid=None: resid)
+        monkeypatch.setattr(oracle, "PANEL_LADDER", (5, 10))   # a short climb
+        for argv, before, chains in zip(commands, plain, (2, 1)):
+            assert run(argv) == 0
+            out, err = capsys.readouterr()
+            assert out == before.out
+            lines = err.splitlines()
+            warned = [l for l in lines if "orthonormality residual" in l]
+            assert [l for l in lines if l not in warned] \
+                == before.err.splitlines()
+            assert len(warned) == chains
+            assert all(mp.nstr(resid, 3) in l and "%d nodes" % (
+                64 * oracle.PANEL_LADDER[-1]) in l for l in warned)
+
+
 def test_scan_u_reduced_forms_follow_the_full_ones_below_threshold(tmp_path):
     # at u < 0 the reduced gamma and beta read the same terms as the full
     # sums and fall to 1 and 0 with them (they grew like N^{-u/nu} before)

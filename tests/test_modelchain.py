@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from mpmath import mp, mpf
 
-from birthcut import modelchain
+from birthcut import modelchain, oracle
 from birthcut.kvio import chain_to_table
 from birthcut.modelchain import (A_constant, build_chain, freud_gsq, ln_A_k,
                                  phat_values, psi_values, psihat_values,
@@ -427,10 +427,12 @@ def test_build_chain_shares_one_chain_per_argument_tuple(monkeypatch):
     assert build_chain(1, k_max=4, nodes=128) is not a
 
 
-# the node count of each default build's rung
+# the node count of each default build's rung; (1, 30, 256) is the chain of
+# scan-u and psi, and (7, 200, 320) one the tail term once sent to 11200
 FIRST_CONVERGED_NODES = {(1, 8, 256): 320, (2, 30, 256): 640,
                          (1, 55, 256): 1344, (6, 30, 256): 2752,
-                         (1, 100, 320): 2752}
+                         (1, 100, 320): 2752, (1, 30, 256): 640,
+                         (7, 200, 320): 5568}
 
 
 @pytest.mark.parametrize("nu, k_max, prec", list(FIRST_CONVERGED_NODES))
@@ -445,11 +447,11 @@ def test_default_grid_is_the_first_converged_rung(nu, k_max, prec):
     top = build_chain(nu, k_max=k_max, prec=prec, nodes=4096)
     assert len(ch.grid) == FIRST_CONVERGED_NODES[nu, k_max, prec]
     panels = len(ch.grid) // 64
-    assert len(top.grid) == 64 * 87 and 87 in modelchain.PANEL_LADDER
-    rung = modelchain.PANEL_LADDER.index(panels)
-    bound = modelchain.converged_residual(prec)
+    assert len(top.grid) == 64 * 87 and 87 in oracle.PANEL_LADDER
+    rung = oracle.PANEL_LADDER.index(panels)
+    bound = oracle.converged_residual(prec)
     with mp.workprec(prec):
-        assert rung == modelchain.first_rung(nu, ch.n_max, ch.x_max,
+        assert rung == oracle.first_rung(nu, ch.n_max, ch.x_max,
                                              -mp.log(bound, 2))
     pairs = ((ch.n_max, ch.n_max), (ch.n_max, 0))
     with mp.workprec(ch.prec):
@@ -457,7 +459,7 @@ def test_default_grid_is_the_first_converged_rung(nu, k_max, prec):
         assert ch.resid <= bound
         if rung:
             below = _node_grid(ch.x_min, ch.x_max,
-                               modelchain.PANEL_LADDER[rung - 1], ch.V, 1,
+                               oracle.PANEL_LADDER[rung - 1], ch.V, 1,
                                ch.grid.F)
             assert orthogonality_residual(ch, pairs, grid=below) > bound
         for y in (mpf("-1.3"), mpf("0.4"), mpf("2.1"), mpf("3.3"),
@@ -468,9 +470,9 @@ def test_default_grid_is_the_first_converged_rung(nu, k_max, prec):
 
 def test_converged_residual_is_capped_by_the_domain():
     # 3/4 of the working precision, unless the domain's ends leave more out
-    assert modelchain.converged_residual(256) == mp.ldexp(1, -192)
+    assert oracle.converged_residual(256) == mp.ldexp(1, -192)
     for prec in (320, 512):
-        assert modelchain.converged_residual(prec) == \
+        assert oracle.converged_residual(prec) == \
             mp.exp(-domain_budget(prec)) > mp.ldexp(1, -(3 * prec) // 4)
 
 
@@ -494,14 +496,14 @@ def test_unconverged_check_climbs_to_the_top_rung(monkeypatch):
                         lambda ch, pairs, grid: sizes.append(len(grid)) or mpf(1))
     with pytest.raises(ArithmeticError, match="orthonormality residual"):
         build_chain(1, k_max=5)          # starts on the bottom rung
-    assert sizes == [64 * p for p in modelchain.PANEL_LADDER]
+    assert sizes == [64 * p for p in oracle.PANEL_LADDER]
 
 
 def test_512_bit_chain_converges_on_the_top_rung():
     # at k_max = 200 and 512 bits the 87-panel rung leaves a check residual
     # of 1.0e-92, above converged_residual(512) = 3.9e-96
     ch = build_chain(1, k_max=200, prec=512)
-    assert len(ch.grid) == 64 * modelchain.PANEL_LADDER[-1]
+    assert len(ch.grid) == 64 * oracle.PANEL_LADDER[-1]
     assert ch.converged is True
 
 
@@ -510,7 +512,7 @@ def test_table_header_records_grid_and_residual():
     head = chain_to_table(ch).splitlines()[0].split()
     fields = dict(t.split("=") for t in head[1:])
     assert int(fields["nodes"]) == len(ch.grid)
-    assert mpf(fields["resid"]) <= modelchain.converged_residual(ch.prec)
+    assert mpf(fields["resid"]) <= oracle.converged_residual(ch.prec)
     assert fields["converged"] == "yes" and ch.converged is True
 
 
@@ -541,7 +543,7 @@ def test_unconverged_ladder_is_recorded_and_reported(monkeypatch, capsys):
         assert main(["chain", "--nu", "1", "--kmax", "5"]) == 0
     out, err = capsys.readouterr()
     ch = build_chain(1, k_max=5, prec=320)
-    assert len(ch.grid) == 64 * modelchain.PANEL_LADDER[-1]
+    assert len(ch.grid) == 64 * oracle.PANEL_LADDER[-1]
     assert ch.converged is False and ch.resid == resid
     assert "converged=no" in out.splitlines()[0]
     assert len(err.splitlines()) == 1 and mp.nstr(resid, 3) in err

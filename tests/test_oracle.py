@@ -268,6 +268,44 @@ def test_rejects_low_precision():
         build_rec_chain(Poly([0, 0, 1]), 4, 1, bits=128)
 
 
+def test_coarse_pinned_grid_fails_the_top_check():
+    # 320 nodes resolve the low pairs (0,0), (1,3), (4,4) to 2.9e-21 but
+    # leave gamma_n up to 35% off; the top pairs say so
+    spec = quartic("0.62")
+    with pytest.raises(ArithmeticError, match="orthonormality residual"):
+        build_rec_chain(spec.V, 80, spec.Tc, n_max=94, bits=320, nodes=320)
+
+
+@pytest.mark.parametrize("N", [40, 80])
+def test_default_build_climbs_to_the_first_converged_rung(N, monkeypatch):
+    # the ladder starts where the Gaussian of the same n_max would (21 panels
+    # at n_max = 52, 43 at 94) and keeps the 43-panel rung, whose chain
+    # agrees with the pinned 6000-node one to the converged bound
+    spec = quartic("0.62")
+    ref = oracle_chain("0.62", N)
+    bound = oracle.converged_residual(320)
+    checked = []
+    residual = oracle.orthogonality_residual
+    monkeypatch.setattr(oracle, "orthogonality_residual",
+                        lambda ch, pairs, grid=None: checked.append(
+                            (len(ch.grid), residual(ch, pairs, grid)))
+                        or checked[-1][1])
+    ch = build_rec_chain(spec.V, N, spec.Tc, n_max=ref.n_max, bits=320)
+    assert [n for n, _ in checked] == {40: [21 * 64, 43 * 64],
+                                       80: [43 * 64]}[N]
+    assert len(ch.grid) == 43 * 64 and ch.converged is True
+    assert ch.resid == checked[-1][1] <= bound
+    n = ch.n_max
+    coarse = build_rec_chain(spec.V, N, spec.Tc, n_max=n, bits=320,
+                             nodes=21 * 64, check_orthogonality=False)
+    assert coarse.resid is None and coarse.converged is None
+    with mp.workprec(320):
+        assert residual(coarse, ((n, n), (n, 0))) > bound
+        pairs = list(zip(ch.gamma[1:], ref.gamma[1:])) \
+            + list(zip(ch.beta, ref.beta))          # gamma_0 = 0 by convention
+        assert all(abs(a - b) <= bound * abs(b) for a, b in pairs)
+
+
 def test_table_export():
     ch = gaussian_chain()
     text = chain_to_table(ch)
