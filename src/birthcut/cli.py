@@ -334,29 +334,24 @@ def build_parser():
 
     p = sub.add_parser("validate", help="check the critical-model conditions")
     common(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("equilibrium", help="solve the equilibrium measure")
     common(p)
     p.add_argument("--t", help="(T - Tc)/Tc, signed")
     p.add_argument("--two-cut", action="store_true")
-    p.set_defaults(func=cmd_equilibrium)
 
     p = sub.add_parser("critical", help="near-critical scaling data")
     common(p)
     p.add_argument("--t", help="t/Tc > 0 for the newborn side")
-    p.set_defaults(func=cmd_critical)
 
     p = sub.add_parser("chain", help="build and export the model chain")
     common(p)
     p.add_argument("--kmax", type=int, default=100)
-    p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("scan-u", help="oracle vs asymptotics over a u grid")
     common(p)
     p.add_argument("--N", help="comma list of N values")
     p.add_argument("--u-grid", dest="u_grid", help="A:B:STEP")
-    p.set_defaults(func=cmd_scan_u)
 
     p = sub.add_parser("psi", help="wavefunction profiles near the newborn cut")
     common(p)
@@ -364,24 +359,33 @@ def build_parser():
     p.add_argument("--u")
     p.add_argument("--y-grid", dest="y_grid")
     p.add_argument("--with-oracle", action="store_true")
-    p.set_defaults(func=cmd_psi)
 
     p = sub.add_parser("transition", help="second derivative of F on both sides")
     common(p)
     p.add_argument("--t-grid", dest="t_grid", help="A:B:STEP in t/Tc")
-    p.set_defaults(func=cmd_transition)
 
     p = sub.add_parser("compare", help="compare an oracle export to asymptotics")
     common(p)
     p.add_argument("--table", help="oracle chain table file")
-    p.set_defaults(func=cmd_compare)
     return ap
 
 
+_parser = None
+
+
 def main(argv=None):
-    ap = build_parser()
+    """Run one command line; returns its exit code.
+
+    The parser is built on the first call and reused: each `parse_args`
+    makes a fresh namespace, so no call sees another's arguments. The
+    command runs through the module's current `cmd_*` binding, so one
+    replaced after import (a wrapper or a test double) is the one called.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = ap.parse_args(_attach_negative_values(
+        args = _parser.parse_args(_attach_negative_values(
             sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
@@ -392,7 +396,7 @@ def main(argv=None):
                              % (args.dps, MIN_DPS))
         mp.dps = args.dps
         _check_numbers(args)
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (UsageError, ValueError) as exc:
         # ValueError here is an argument outside a function's domain, such as
         # mpf('abc'), phi_e <= 0 or k_max > 200

@@ -154,6 +154,54 @@ def _dc_de(Me, c, j, e):
     return acc / 2
 
 
+def _lu_solve(A, b):
+    """x with A x = b for a small square A, as `mpmath.lu_solve` gives it,
+    bit for bit, on lists instead of its sparse matrix type.
+
+    It takes mpmath's steps in the same order, 10 bits above the working
+    precision: the singularity tolerance |A|_1 eps, `LU_decomp`'s pivot (the
+    largest |A[k][j]| over the row's absolute sum), the elimination, then
+    `L_solve` and `U_solve`. ZeroDivisionError if A is numerically singular,
+    also where a column below the diagonal is all zero (no pivot), where
+    `LU_decomp` itself fails with a TypeError.
+    """
+    n = len(A)
+    with mp.extraprec(10):
+        A = [list(row) for row in A]
+        b = list(b)
+        tol = max(mp.fsum((row[j] for row in A), absolute=True)
+                  for j in range(n)) * mp.eps
+        for j in range(n - 1):
+            biggest, piv = 0, None
+            for k in range(j, n):
+                s = mp.fsum([abs(A[k][l]) for l in range(j, n)])
+                if s <= tol:
+                    raise ZeroDivisionError("matrix is numerically singular")
+                current = 1 / s * abs(A[k][j])
+                if current > biggest:
+                    biggest, piv = current, k
+            if piv is None:
+                raise ZeroDivisionError("matrix is numerically singular")
+            A[j], A[piv] = A[piv], A[j]
+            b[j], b[piv] = b[piv], b[j]
+            if abs(A[j][j]) <= tol:
+                raise ZeroDivisionError("matrix is numerically singular")
+            for i in range(j + 1, n):
+                A[i][j] /= A[j][j]
+                for k in range(j + 1, n):
+                    A[i][k] -= A[i][j] * A[j][k]
+        if abs(A[n - 1][n - 1]) <= tol:
+            raise ZeroDivisionError("matrix is numerically singular")
+        for i in range(1, n):
+            for j in range(i):
+                b[i] -= A[i][j] * b[j]
+        for i in range(n - 1, -1, -1):
+            for j in range(i + 1, n):
+                b[i] -= A[i][j] * b[j]
+            b[i] /= A[i][i]
+    return b
+
+
 def _newton(F, x0, max_iter=100, tol=None):
     """Damped Newton on F(x) -> (r, J, data), J[i][j] = dr_i/dx_j exactly.
 
@@ -163,6 +211,10 @@ def _newton(F, x0, max_iter=100, tol=None):
     more; no evaluation is made for the Jacobian alone. Returns
     (x, data, steps, residual): data from the evaluation at x, the number of
     Newton steps taken and max |r| there.
+
+    Each step solves J dx = -r by `_lu_solve`, which gives what
+    `mpmath.lu_solve` gives without building mpmath's matrix type; a
+    numerically singular J raises ConvergenceError.
 
     Each step component is capped at 0.2 (1 + |x_j|); near a degenerate
     critical point the Jacobian is stiff and an uncapped step can jump into
@@ -178,7 +230,7 @@ def _newton(F, x0, max_iter=100, tol=None):
         if rn <= tol:
             return x, data, steps, rn
         try:
-            dx = mpmath.lu_solve(mpmath.matrix(J), mpmath.matrix([-v for v in r]))
+            dx = _lu_solve(J, [-v for v in r])
         except ZeroDivisionError as exc:
             raise ConvergenceError("singular Jacobian: %s" % exc)
         big = max(abs(dx[j]) / (mpf("0.2") * (1 + abs(x[j]))) for j in range(n))

@@ -25,8 +25,10 @@ def model_chain(nu: int, k_max: int, prec: int = 256, nodes: int = None):
 
 
 @functools.lru_cache(maxsize=None)
-def oracle_chain(phi_e: str, N: int, bits: int = 320, nodes: int = 6000,
+def oracle_chain(phi_e: str, N: int, bits: int = 320, nodes: int = None,
                  n_extra: int = 0):
+    """The quartic oracle at (phi_e, N); by default on the first converged
+    rung of the node ladder, or on `nodes` nodes where given."""
     spec = quartic(phi_e)
     n_max = N + int(mp.ceil(3 * mp.log(N))) + n_extra
     return build_rec_chain(spec.V, N, spec.Tc, n_max=n_max, bits=bits, nodes=nodes)

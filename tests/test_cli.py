@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 import birthcut
-from birthcut import modelchain, oracle
+from birthcut import cli, modelchain, oracle
 from birthcut.cli import main
 from birthcut.kvio import measure_from_kv, measure_to_kv, parse_kv, spec_to_kv
 from conftest import quartic
@@ -188,6 +188,43 @@ def test_equilibrium_solver_failure_is_numerical_failure(capsys):
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    # the first call builds the parser, the second reuses it
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or build())
+    for _ in range(2):
+        assert run(["validate", "--phi-e", "1.0"]) == 0
+    assert len(builds) == 1
+
+
+def test_usage_error_between_calls_leaves_the_next_call_unchanged(capsys):
+    # the failed parse sets no precision and leaves no option behind: the
+    # one-cut call after it prints what the one before it printed
+    argv = ["equilibrium", "--phi-e", "1.0", "--t", "-1e-4"]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    assert run(["--dps", "20", "equilibrium", "--phi-e", "1.0", "--t", "1e-4",
+                "--two-cut", "--bogus"]) == 2
+    assert capsys.readouterr().out == ""
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("command", ["validate", "scan-u"])
+def test_command_replaced_after_the_first_call_is_the_one_run(
+        command, monkeypatch, capsys):
+    assert run(["validate", "--phi-e", "1.0"]) == 0
+    capsys.readouterr()
+    name = "cmd_" + command.replace("-", "_")
+    monkeypatch.setattr(cli, name,
+                        lambda args: print("replaced", args.phi_e) or 0)
+    assert run([command, "--phi-e", "1.0"]) == 0
+    assert capsys.readouterr().out == "replaced 1.0\n"
 
 
 def test_equilibrium_writes_parseable_measure(tmp_path):

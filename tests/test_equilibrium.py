@@ -1,5 +1,6 @@
 """Equilibrium-measure solvers against closed forms and cross-route identities."""
 
+import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
@@ -125,7 +126,7 @@ def test_two_cut_near_critical_objects():
 
 def test_gap_period_bracket_converges_in_few_doublings():
     # the x0 gap period vanishes; running to max_n = 4096 would cost
-    # 32 + 64 + ... + 4096 = 8160 evaluations
+    # 4096 + 1 evaluations
     spec = quartic("1.0")
     t = mpf("1e-4") * spec.Tc
     mu = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
@@ -460,6 +461,52 @@ def test_jacobian_matches_central_differences(case, that):
     for i, (row, ref) in enumerate(zip(J, fd)):
         scale = max(abs(v) for v in ref)
         assert max(abs(u - v) for u, v in zip(row, ref)) < mpf("1e-20") * scale, i
+
+
+def _systems():
+    """(name, A, b): the one- and two-cut Jacobians Newton solves (the
+    two-cut gap row carries 32 extra bits), one that needs a row swap and
+    one with a row 1e30 larger than the others, at 2x2 and 4x4."""
+    spec = quartic("1.0")
+    Vp = spec.V.deriv()
+    t = mpf("1e-4") * spec.Tc
+    out = []
+    for name, T, x in (("one-cut", spec.Tc - t, [mpf("-2.01"), mpf("1.99")]),
+                       ("two-cut", spec.Tc + t, list(two_cut_guess(spec, t)))):
+        r, J, _ = equilibrium._cut_system(Vp, T, x)
+        out.append((name, J, [-v for v in r]))
+    tiny = mpf(2) ** -200
+    for n in (2, 4):
+        A = [[mpf(3 * i + j + 1) / (i + 2 * j + 7) for j in range(n)]
+             for i in range(n)]
+        swap = [list(row) for row in A]
+        swap[0][0] = tiny
+        scaled = [list(row) for row in A]
+        scaled[1] = [v * mpf("1e30") for v in scaled[1]]
+        b = [mpf(1) / (k + 3) for k in range(n)]
+        out += [("swap %d" % n, swap, b), ("scaled %d" % n, scaled, b)]
+    return out
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_list_solve_is_mpmath_lu_solve_bit_for_bit(case):
+    name, A, b = _systems()[case]
+    ref = mpmath.lu_solve(mpmath.matrix(A), mpmath.matrix(b))
+    got = equilibrium._lu_solve(A, b)
+    assert [v._mpf_ for v in got] == [ref[i]._mpf_ for i in range(len(b))], name
+
+
+@pytest.mark.parametrize("J", [[[1, 2], [2, 4]], [[0, 1], [0, 3]]])
+def test_singular_jacobian_is_a_convergence_error(J):
+    # a rank-deficient Jacobian, and one with a zero column (no pivot at
+    # all), reach Newton's caller as ConvergenceError
+    J = [[mpf(v) for v in row] for row in J]
+
+    def system(x):
+        return [x[0] - 1, x[1] + 1], J, None
+
+    with pytest.raises(ConvergenceError, match="singular Jacobian"):
+        equilibrium._newton(system, [0, 0])
 
 
 @pytest.mark.parametrize("x,match", [

@@ -282,7 +282,7 @@ def test_default_build_climbs_to_the_first_converged_rung(N, monkeypatch):
     # at n_max = 52, 43 at 94) and keeps the 43-panel rung, whose chain
     # agrees with the pinned 6000-node one to the converged bound
     spec = quartic("0.62")
-    ref = oracle_chain("0.62", N)
+    ref = oracle_chain("0.62", N, nodes=6000)
     bound = oracle.converged_residual(320)
     checked = []
     residual = oracle.orthogonality_residual

@@ -10,10 +10,12 @@ import pytest
 from mpmath import mp, mpf
 
 from birthcut import equilibrium
+from birthcut.critical import two_cut_guess
 from birthcut.potentials import quartic_etilde
-from birthcut.quadrature import (ConvergenceError, gauss_legendre,
-                                 integrate_bracket, integrate_doubling,
-                                 legendre_seeds)
+from birthcut.quadrature import (TOL_DIGITS, ConvergenceError,
+                                 gauss_legendre, integrate_bracket,
+                                 integrate_doubling, legendre_seeds)
+from conftest import quartic
 
 
 def test_vanishing_integral_converges_in_few_doublings():
@@ -42,6 +44,72 @@ def test_cap_raises_convergence_error():
     with pytest.raises(ConvergenceError):
         integrate_bracket(kink, -1, 1, max_n=128)
     assert equilibrium.ConvergenceError is ConvergenceError
+
+
+def counted(f):
+    """f and a list whose length is the number of calls made to it."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def test_nested_bracket_run_that_ends_at_n_calls_f_n_plus_one_times():
+    # the trapezoid nodes i pi/n of each level are nodes of the next: a
+    # cubic is exact at n = 4 and 8, so the run ends at n = 8 (the midpoint
+    # rule called f 4 + 8 times); a kink runs to the cap, 128 + 1 calls
+    # where the midpoint rule made 32 + 64 + 128
+    f, calls = counted(lambda x: x ** 3 - 2 * x + 1)
+    integrate_bracket(f, -1, 2, n_start=4)
+    assert len(calls) == 8 + 1 and len(set(calls)) == len(calls)
+    f, calls = counted(lambda x: abs(x - mpf(1) / 3))
+    with pytest.raises(ConvergenceError):
+        integrate_bracket(f, -1, 1, max_n=128)
+    assert len(calls) == 128 + 1
+
+
+def test_normalization_of_a_two_cut_measure_calls_f_129_and_65_times(
+        monkeypatch):
+    # each cut's run ends where the midpoint rule's did (n = 128 and 64),
+    # with n + 1 calls each; the midpoint rule made 224 and 96
+    spec = quartic("1.0")
+    t = mpf("1e-4") * spec.Tc
+    mu = equilibrium.solve_two_cut(spec.V, spec.Tc + t, two_cut_guess(spec, t))
+    runs = []
+
+    def spy(f, a, b, **kwargs):
+        g, calls = counted(f)
+        runs.append(calls)
+        return integrate_bracket(g, a, b, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "integrate_bracket", spy)
+    assert abs(equilibrium.normalization(mu) - 1) < mpf("1e-35")
+    assert [len(calls) for calls in runs] == [129, 65]
+
+
+def midpoint_bracket(f, a, b, n):
+    """The cosine-substituted midpoint rule of n nodes: the bracket rule
+    before its nodes nested."""
+    mid, half, h = (mpf(a) + b) / 2, (mpf(b) - a) / 2, mp.pi / n
+    return h * mp.fsum(f(mid + half * mp.cos((i + mpf(1) / 2) * h))
+                       for i in range(n))
+
+
+@pytest.mark.parametrize("f", [lambda x: mp.exp(x) * mp.cos(3 * x),
+                               lambda x: 1 / (x * x + 4),
+                               lambda x: mp.sqrt(x + 3) * (x - mpf(1) / 7)])
+def test_nested_bracket_agrees_with_the_midpoint_rule(f):
+    # both rules are spectrally accurate for smooth f: the adaptive nested
+    # value agrees with a converged 512-node midpoint value to rel_tol
+    # times sum |w f|
+    a, b = mpf("-1.5"), mpf("2.25")
+    scale = midpoint_bracket(lambda x: abs(f(x)), a, b, 512)
+    rel_tol = mpf(10) ** (TOL_DIGITS - mp.dps)
+    assert abs(integrate_bracket(f, a, b) - midpoint_bracket(f, a, b, 512)) \
+        <= rel_tol * scale
 
 
 @pytest.mark.parametrize("prec", [136, 256, 320])
