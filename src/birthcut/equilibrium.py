@@ -36,6 +36,11 @@ x0 = d + i sqrt((c-a)(d-b)) (E(u_inf) - (1 - E'/K') u_inf), is real:
 
     x0 = b + sqrt((c-a)(d-b)) (E(phi | 1-m) - (E'/K') v).
 
+One AGM pass at the parameter 1 - m (`specialfn.agm_integrals`) gives K',
+E', F(phi | 1-m) and E(phi | 1-m) together, and the gap moments below take
+K, E and Pi from the same kind of pass: every elliptic integral of the
+two-cut measure comes from that one AGM, none from mpmath.
+
 Newton's Jacobian is exact and comes from the same Laurent data. Write l_m
 for the x^m coefficient of V'/sqrt(sigma): M's coefficients for m >= 0 and
 c_{-m} for m < 0. Since d sigma^{-1/2}/d e_i = sigma^{-1/2} / (2 (x - e_i)),
@@ -66,22 +71,20 @@ Density: rho(x) = M(x) sqrt(-sigma(x)) / (2 pi T) on the support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-import mpmath
 from mpmath import mp, mpc, mpf
 
-from .poly import (Poly, _float_horner, laurent_split, monic_from_roots,
-                   sqrt_sigma_tail)
+from .poly import (Poly, _float_horner, deflate, laurent_split,
+                   monic_from_roots, sqrt_sigma_tail)
 from .quadrature import ConvergenceError, integrate_bracket, integrate_doubling
-from .specialfn import (EllipticParams, complete_K_E_Pi, complete_integrals,
+from .specialfn import (EllipticParams, agm_integrals, complete_integrals,
                         theta1, theta1_prime0)
 
 # extra bits for the gap condition: its terms p_k I_k are thousands of times
 # larger than their sum, which Newton drives to 0
 GAP_GUARD_BITS = 32
-MOMENT_TERMS = 6       # c_j formed per evaluation; the conditions use j <= 3
 
 
 class PhaseError(RuntimeError):
@@ -101,9 +104,17 @@ class EqMeasure:
     ell: Optional[EllipticParams] = None
     newton_steps: Optional[int] = None    # Newton steps the solve took
     residual: Optional[mpf] = None        # max |residual| at the solution
+    _sigmas: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def sigma(self) -> Poly:
-        return monic_from_roots(self.endpoints)
+        """The monic polynomial with the endpoints as roots, at the working
+        precision; formed once per precision, since the endpoints do not
+        change after construction."""
+        sigma = self._sigmas.get(mp.prec)
+        if sigma is None:
+            sigma = self._sigmas[mp.prec] = monic_from_roots(self.endpoints)
+        return sigma
 
     def cut_sign(self, i):
         """Branch sign of the density on cut i (0-based): +1 on the last cut,
@@ -138,11 +149,13 @@ class EqMeasure:
 # ----------------------------------------------------------------------------
 
 def _moments(Vp: Poly, endpoints):
-    """(M, c) for V'/sqrt(sigma) = M + sum_{j <= MOMENT_TERMS} c_j x^{-j}."""
+    """(M, c) for V'/sqrt(sigma) = M + sum_{j <= s+1} c_j x^{-j}, the terms
+    `_cut_system` reads. c_j takes the series of x^s/sqrt(sigma) up to
+    x^{-(j - s + deg V')}, so deg V' + 1 terms past the first reach c_{s+1}."""
     s = len(endpoints) // 2
-    tail = sqrt_sigma_tail(monic_from_roots(endpoints),
-                           MOMENT_TERMS + Vp.degree + s, alpha=-mpf(1) / 2)
-    return laurent_split(Vp, tail, s, MOMENT_TERMS)
+    tail = sqrt_sigma_tail(monic_from_roots(endpoints), Vp.degree + 1,
+                           alpha=-mpf(1) / 2)
+    return laurent_split(Vp, tail, s, s + 1)
 
 
 def _dc_de(Me, c, j, e):
@@ -275,12 +288,13 @@ def _cut_system(Vp: Poly, T, x):
         # integral_b^c M sqrt(sigma) = integral_b^c P / sqrt(sigma), P = M sigma;
         # its e_i-derivative is -(M(e_i)/2) integral_b^c (sigma/(x - e_i)) / sqrt(sigma)
         with mp.workprec(mp.prec + GAP_GUARD_BITS):
-            P = M * monic_from_roots(x)
-            I = _gap_moments(x, len(P))
+            sigma = monic_from_roots(x)
+            P = M * sigma
+            I = _gap_moments(x, sigma, len(P))
             gap = mp.fsum(p * Ik for p, Ik in zip(P.c, I))
             J.append([-Me[i] / 2 * mp.fsum(
-                q * Ik for q, Ik in zip(monic_from_roots(x[:i] + x[i + 1:]).c, I))
-                for i in range(4)])
+                q * Ik for q, Ik in zip(deflate(sigma, e).c, I))
+                for i, e in enumerate(x)])
         r.append(+gap)
     return r, J, M
 
@@ -314,9 +328,10 @@ def solve_two_cut(V: Poly, T, guess) -> EqMeasure:
     return _solve(V, T, guess, max_iter=40)
 
 
-def _gap_moments(endpoints, count):
+def _gap_moments(endpoints, sigma, count):
     """[I_0, ..., I_{count-1}], I_k = integral_b^c t^k dt / sqrt(sigma(t)),
-    in closed form at the working precision, for a < b < c < d.
+    in closed form at the working precision, for a < b < c < d and sigma
+    their monic polynomial.
 
     The substitution sn^2(u|k^2) = (c-a)(t-b) / ((c-b)(t-a)) maps [b, c] onto
     [0, K] and gives t - a = (b-a) / (1 - alpha^2 sn^2), with
@@ -340,7 +355,7 @@ def _gap_moments(endpoints, count):
     k2 = (c - b) * (d - a) / (ca * db)
     n = (c - b) / ca
     # m = 1 - k^2 as a product keeps its relative accuracy as the new cut closes
-    K, E, Pi = complete_K_E_Pi(ba * (d - c) / (ca * db), n)
+    K, E, Pi = agm_integrals(ba * (d - c) / (ca * db), n)[:3]
     g = 2 / mp.sqrt(ca * db)
     J0 = g * K
     J1 = g * ba * Pi
@@ -348,7 +363,7 @@ def _gap_moments(endpoints, count):
                         + (2 * n * k2 + 2 * n - n * n - 3 * k2) * Pi) \
         / (2 * (n - 1) * (k2 - n))
     moments = [J0, J1 + a * J0, J2 + 2 * a * J1 + a * a * J0]
-    s = monic_from_roots(endpoints).c
+    s = sigma.c
     for j in range(count - 3):
         acc = mp.fsum((j + mpf(i) / 2) * s[i] * moments[i + j - 1]
                       for i in range(0 if j else 1, 4))
@@ -387,26 +402,19 @@ def _check_density(mu: EqMeasure):
                                  "for this temperature" % mp.nstr(x, 10))
 
 
-def _abel_amplitude(endpoints, m, ratio):
-    """(phi, F(phi | 1-m)) at phi = arctan sqrt(ratio (d-b)/(b-a)), to 20
-    guard bits: u(x) = i F at ratio = (x-a)/(x-d), u_inf at ratio = 1."""
-    a, b, c, d = endpoints
-    with mp.workprec(mp.prec + 20):
-        phi = mp.atan(mp.sqrt(ratio * (d - b) / (b - a)))
-        return phi, mpmath.ellipf(phi, 1 - m)
-
-
 def _fill_two_cut_data(mu: EqMeasure):
+    """m, the elliptic data, u_inf = i F(phi | 1-m) and x0 (module
+    docstring). One AGM pass at 1 - m, with the amplitude tan phi =
+    sqrt((d-b)/(b-a)), gives K', E', F(phi | 1-m) and E(phi | 1-m)."""
     a, b, c, d = mu.endpoints
     m = (b - a) * (d - c) / ((c - a) * (d - b))
-    ell = complete_integrals(m)
-    phi, v = _abel_amplitude(mu.endpoints, m, 1)
     with mp.workprec(mp.prec + 20):
+        prime = agm_integrals(m, amplitude=(mp.sqrt(b - a), mp.sqrt(d - b)))
         x0 = b + mp.sqrt((c - a) * (d - b)) * (
-            mpmath.ellipe(phi, 1 - m) - ell.Eprime / ell.Kprime * v)
+            prime.E_phi - prime.E / prime.K * prime.F)
     mu.m = m
-    mu.ell = ell
-    mu.u_inf = mpc(0, v)
+    mu.ell = complete_integrals(m, prime)
+    mu.u_inf = mpc(0, prime.F)
     mu.x0 = +x0
 
 
@@ -485,12 +493,17 @@ def joukowski_lambda(mu: EqMeasure, x):
 
 def _u_of_x_two_cut(mu: EqMeasure, x):
     """u(x) = i F(arctan rho(x) | 1-m) for real x > d (module docstring):
-    the branch with u(d) = i K' and u(inf) = u_inf."""
+    the branch with u(d) = i K' and u(inf) = u_inf. The amplitude goes to
+    the AGM as (sqrt((b-a)(x-d)), sqrt((d-b)(x-a))), whose ratio is rho(x),
+    so that x - d is kept as it is when x nears d, where arctan rho -> pi/2."""
     a, b, c, d = mu.endpoints
     x = mpf(x)
     if x <= d:
         raise ValueError("need x > d")
-    return mpc(0, _abel_amplitude(mu.endpoints, mu.m, (x - a) / (x - d))[1])
+    with mp.workprec(mp.prec + 20):
+        F = agm_integrals(mu.m, amplitude=(mp.sqrt((b - a) * (x - d)),
+                                           mp.sqrt((d - b) * (x - a)))).F
+    return mpc(0, F)
 
 
 def lambda_two_cut(mu: EqMeasure, x):

@@ -129,6 +129,15 @@ def monic_from_roots(roots):
     return p
 
 
+def deflate(p: Poly, root):
+    """The quotient p(x) / (x - root) by synthetic division, the remainder
+    p(root) dropped: for a root of p, the product of its other factors."""
+    q = [p.c[-1]]
+    for ck in reversed(p.c[1:-1]):
+        q.append(ck + root * q[-1])
+    return Poly(reversed(q))
+
+
 # ----------------------------------------------------------------------------
 # Laurent expansions of f/sqrt(sigma) at infinity
 # ----------------------------------------------------------------------------

@@ -9,17 +9,19 @@ integral_0^sn dy / sqrt((1-y^2)(1-m y^2)); theta1 takes a period-1 argument,
 so that the two-cut gamma formula reads gamma = (i/4K) sqrt((d-b)(c-a))
   * exp(-pi u_inf^2/(K K')) * theta1'(0)/theta1(u_inf/K).
 
-Complete integrals and Jacobi functions are delegated to mpmath (AGM/Landen
-based, valid at arbitrary precision); this module owns the conventions, the
-one theta1 series behind theta1 and theta1'(0), one AGM sequence for K, E and
-Pi together, and the Stirling-type asymptotics of the model partition
-functions. The incomplete integrals of the two-cut abelian map are mpmath's
-F and E of a real amplitude (see `equilibrium`).
+Every elliptic integral here comes from one arithmetic-geometric mean
+(`agm_integrals`): the complete K, E and Pi, and, through the descending
+Landen amplitude that rides on the same sequence, the incomplete F and E of
+the two-cut abelian map (see `equilibrium`). No Carlson-form or other
+second route is used. The module also owns the conventions, the one theta1
+series behind theta1 and theta1'(0), and the Stirling-type asymptotics of the
+model partition functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -39,80 +41,112 @@ class EllipticParams:
     tau: mpc        # i K'/K
 
 
-def complete_integrals(m) -> EllipticParams:
+def complete_integrals(m, prime=None) -> EllipticParams:
+    """K, K', E, E' and tau at parameter m in [0, 1), from two AGM passes:
+    one at m, one at 1 - m. `prime` is the `agm_integrals` result at
+    mc = m, the pass at 1 - m, where the caller has already formed it at
+    20 guard bits. At m = 0, K' = +inf and E' = 1."""
     m = mpf(m)
     if not (0 <= m < 1):
         raise ValueError("parameter m must lie in [0, 1)")
     with mp.workprec(mp.prec + 20):
-        K = mpmath.ellipk(m)
-        Kp = mpmath.ellipk(1 - m)
-        E = mpmath.ellipe(m)
-        Ep = mpmath.ellipe(1 - m)
+        K, E = agm_integrals(1 - m)[:2]
+        if m == 0:
+            Kp, Ep = mpf("inf"), mpf(1)
+        else:
+            Kp, Ep = (prime or agm_integrals(m))[:2]
         tau = mpc(0, 1) * Kp / K
     return EllipticParams(m=m, K=+K, Kprime=+Kp, E=+E, Eprime=+Ep, tau=+tau)
 
 
-def sn_cn_dn(u, m):
-    """Jacobi sn, cn, dn at (possibly complex) u; fails where |dn| or 1/|sn|
-    falls below 10^(8 - dps), close to a pole of sn."""
-    m = mpf(m)
-    if not (0 <= m < 1):
-        raise ValueError("parameter m must lie in [0, 1)")
-    pole_tol = mpf(10) ** (-mp.dps + 8)
-    with mp.workprec(mp.prec + 20):
-        sn = mpmath.ellipfun("sn", u, m=m)
-        cn = mpmath.ellipfun("cn", u, m=m)
-        dn = mpmath.ellipfun("dn", u, m=m)
-        if abs(dn) < pole_tol or (abs(sn) > 1 / pole_tol):
-            raise ValueError("u is too close to a lattice pole of sn")
-    return +sn, +cn, +dn
+class AGMIntegrals(NamedTuple):
+    K: mpf
+    E: mpf
+    Pi: Optional[mpf]       # Pi(n|m), where n is given
+    F: Optional[mpf]        # F(phi|m), where the amplitude is given
+    E_phi: Optional[mpf]    # E(phi|m), where the amplitude is given
 
 
-def complete_K_E_Pi(mc, n):
-    """(K, E, Pi(n|.)) at parameter m = 1 - mc, for 0 < mc <= 1 and n < 1.
+def agm_integrals(mc, n=None, amplitude=None) -> AGMIntegrals:
+    """K and E at parameter m = 1 - mc, for 0 < mc <= 1; with n < 1 also
+    Pi(n|m), and with amplitude = (x, y), x, y >= 0 not both 0, also
+    F(phi|m) and E(phi|m) at phi = atan2(y, x) in [0, pi/2].
 
     One arithmetic-geometric mean sequence a_j, g_j from (1, sqrt(mc)) gives
-    all three (DLMF 19.8.1, 19.8.6; Abramowitz & Stegun 17.6.3):
+    them all (DLMF 19.8.1, 19.8.6 and section 19.8(ii); Abramowitz & Stegun
+    17.6.3 and section 17.6):
 
         K = pi / (2 M),  E = K (1 - sum_j 2^(j-1) c_j^2),  c_0^2 = m,
         Pi(n|m) = pi/(4 M) (2 + n/(1-n) sum_j Q_j),
+        F(phi|m) = lim phi_j / (2^j a_j),
+        E(phi|m) = (E/K) F(phi|m) + sum_{j>=1} c_j sin phi_j,
 
     with c_{j+1} = (a_j - g_j)/2 and p_0^2 = 1 - n, Q_0 = 1,
     p_{j+1} = (p_j^2 + a_j g_j)/(2 p_j), Q_{j+1} = Q_j (p_j^2 - a_j g_j)
-    / (2 (p_j^2 + a_j g_j)). Taking the complementary parameter keeps full
-    relative accuracy as m -> 1, where K is log-singular. Each sum converges
-    quadratically, in about log2(prec) steps.
+    / (2 (p_j^2 + a_j g_j)), and the descending Landen amplitude
+    phi_{j+1} = phi_j + arctan((g_j/a_j) tan phi_j), phi_0 = phi, on the
+    branch within pi/2 of phi_j. That step multiplies e^{i phi_j} by
+    a_j cos phi_j + i g_j sin phi_j, so phi_j is carried as the unnormalised
+    vector (x_j, y_j) = |.| e^{i phi_j}, folded into x_j >= 0 with a count
+    of half-turns, and no tangent is formed: an amplitude near pi/2 comes in
+    as a small x and keeps its accuracy. Taking the complementary parameter
+    keeps full relative accuracy as m -> 1, where K is log-singular. Each
+    sum converges quadratically, in about log2(prec) steps.
     """
-    mc, n = mpf(mc), mpf(n)
-    if not (0 < mc <= 1 and n < 1):
+    mc = mpf(mc)
+    n = None if n is None else mpf(n)
+    if not (0 < mc <= 1 and (n is None or n < 1)):
         raise ValueError("need 0 < mc <= 1 and n < 1")
     with mp.workprec(mp.prec + 20):
         tol = mp.ldexp(1, -mp.prec)
         a, g = mpf(1), mp.sqrt(mc)
-        p2 = 1 - n
-        p = mp.sqrt(p2)
-        q = qsum = mpf(1)
+        if n is not None:
+            p2 = 1 - n
+            p = mp.sqrt(p2)
+            q = qsum = mpf(1)
+        if amplitude is not None:
+            x, y = (mpf(v) for v in amplitude)
+            if x < 0 or y < 0 or not (x or y):
+                raise ValueError("amplitude needs x, y >= 0, not both 0")
+            xx, yy = x * x, y * y
+            turns = 0               # phi_j = atan2(y, x) + turns pi
+            e_sum = mpf(0)
         csum = (1 - mc) / 2
         weight = mpf(1) / 2
-        for _ in range(mp.prec):
+        for steps in range(1, mp.prec + 1):
             ag = a * g
-            q *= (p2 - ag) / (2 * (p2 + ag))
-            p = (p2 + ag) / (2 * p)
-            p2 = p * p
-            qsum += q
+            if n is not None:
+                q *= (p2 - ag) / (2 * (p2 + ag))
+                p = (p2 + ag) / (2 * p)
+                p2 = p * p
+                qsum += q
             c = (a - g) / 2
+            if amplitude is not None:
+                x, y, rising = a * xx - g * yy, (a + g) * x * y, y > 0
+                turns *= 2
+                if x < 0:           # phi_j passed an odd multiple of pi/2
+                    x, y = -x, -y
+                    turns += 1 if rising else -1
+                xx, yy = x * x, y * y
+                sin_phi = y / mp.sqrt(xx + yy)
+                e_sum += c * sin_phi if turns % 2 == 0 else -c * sin_phi
             a, g = (a + g) / 2, mp.sqrt(ag)
             weight *= 2
             csum += weight * c * c
-            if abs(c) <= tol and abs(q) <= tol:
+            if abs(c) <= tol and (n is None or abs(q) <= tol):
                 break
         else:
-            raise ConvergenceError("AGM did not converge for mc = %s, n = %s"
-                                   % (mp.nstr(mc, 8), mp.nstr(n, 8)))
+            raise ConvergenceError("AGM did not converge for mc = %s"
+                                   % mp.nstr(mc, 8))
         K = mp.pi / (2 * a)
         E = K * (1 - csum)
-        Pi = mp.pi / (4 * a) * (2 + n / (1 - n) * qsum)
-    return +K, +E, +Pi
+        Pi = F = E_phi = None
+        if n is not None:
+            Pi = mp.pi / (4 * a) * (2 + n / (1 - n) * qsum)
+        if amplitude is not None:
+            F = mp.ldexp(mp.atan2(y, x) + turns * mp.pi, -steps) / a
+            E_phi = E / K * F + e_sum
+    return AGMIntegrals(*(v if v is None else +v for v in (K, E, Pi, F, E_phi)))
 
 
 def _nome(tau):

@@ -1,5 +1,6 @@
 import functools
 
+import mpmath
 import pytest
 from mpmath import mp, mpf
 
@@ -44,6 +45,24 @@ def monic_reference(beta, gsq, n, x):
         dq, dp = dp, p + t * dp - gsq[j] * dq
         q, p = p, t * p - gsq[j] * q
     return q, p, dq, dp
+
+
+def sn_cn_dn(u, m):
+    """Jacobi sn, cn, dn at (possibly complex) u by mpmath's `ellipfun`, at
+    20 guard bits: the reference for the elliptic data of the two-cut
+    measure. Fails where |dn| or 1/|sn| falls below 10^(8 - dps), close to
+    a pole of sn."""
+    m = mpf(m)
+    if not (0 <= m < 1):
+        raise ValueError("parameter m must lie in [0, 1)")
+    pole_tol = mpf(10) ** (-mp.dps + 8)
+    with mp.workprec(mp.prec + 20):
+        sn = mpmath.ellipfun("sn", u, m=m)
+        cn = mpmath.ellipfun("cn", u, m=m)
+        dn = mpmath.ellipfun("dn", u, m=m)
+        if abs(dn) < pole_tol or (abs(sn) > 1 / pole_tol):
+            raise ValueError("u is too close to a lattice pole of sn")
+    return +sn, +cn, +dn
 
 
 @pytest.fixture(scope="session")

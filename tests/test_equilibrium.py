@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
-from birthcut import equilibrium, quadrature, specialfn
+from birthcut import equilibrium, kvio, quadrature
 from birthcut.equilibrium import (ConvergenceError, PhaseError, abelian_objects,
                                   classical_gamma_beta, dtrace_dr,
                                   effective_potential, gamma_two_cut,
@@ -12,12 +12,11 @@ from birthcut.equilibrium import (ConvergenceError, PhaseError, abelian_objects,
                                   prime_form_one_cut, solve_one_cut,
                                   solve_two_cut, thermo_derivatives,
                                   veff_const_bs)
-from birthcut.poly import (Poly, laurent_split, monic_from_roots,
+from birthcut.poly import (Poly, deflate, laurent_split, monic_from_roots,
                            sqrt_sigma_tail)
 from birthcut.quadrature import integrate_bracket, integrate_doubling
-from birthcut.specialfn import sn_cn_dn
 from birthcut.critical import one_cut_drift, two_cut_guess
-from conftest import quartic, spec_nu
+from conftest import quartic, sn_cn_dn, spec_nu
 
 
 def gamma_from_lambda_limit(mu, x=None):
@@ -151,15 +150,56 @@ def test_gap_moments_match_bracket_quadrature():
         a, b, c, d = ends
         M, _ = equilibrium._moments(spec.V.deriv(), ends)
         with mp.workprec(mp.prec + equilibrium.GAP_GUARD_BITS):
-            P = M * monic_from_roots(ends)
+            sigma = monic_from_roots(ends)
+            P = M * sigma
             terms = [p * I for p, I in
-                     zip(P.c, equilibrium._gap_moments(ends, len(P)))]
+                     zip(P.c, equilibrium._gap_moments(ends, sigma, len(P)))]
             gap, scale = mp.fsum(terms), mp.fsum(terms, absolute=True)
         with mp.workdps(50):
             ref = integrate_bracket(
                 lambda x: M(x) * mp.sqrt((x - a) * (d - x)) * (x - b) * (c - x),
                 b, c, max_n=2 ** 13)
         assert abs(gap - ref) <= mpf("1e-35") * scale, that
+
+
+def _endpoint_sets():
+    """Three two-cut endpoint sets: the guesses at phi_e = 1.0, t/T_c = 1e-3
+    and 1e-6, and at phi_e = 0.62, t/T_c = 1e-4."""
+    for phi_e, that in (("1.0", "1e-3"), ("1.0", "1e-6"), ("0.62", "1e-4")):
+        spec = quartic(phi_e)
+        yield spec, list(two_cut_guess(spec, mpf(that) * spec.Tc))
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_moments_equal_a_long_tail_split(s):
+    # _moments expands V'/sqrt(sigma) only to the c_{s+1} the cut system
+    # reads; a tail six terms longer, split to c_6, gives the same M and
+    # c_1..c_{s+1} bit for bit
+    for spec, ends in _endpoint_sets():
+        ends = ends if s == 2 else ends[:2]
+        Vp = spec.V.deriv()
+        tail = sqrt_sigma_tail(monic_from_roots(ends), 6 + Vp.degree + s,
+                               alpha=-mpf(1) / 2)
+        M_ref, c_ref = laurent_split(Vp, tail, s, 6)
+        M, c = equilibrium._moments(Vp, ends)
+        assert M == M_ref
+        assert c[1:s + 2] == c_ref[1:s + 2]
+
+
+def test_gap_row_cofactors_by_synthetic_division():
+    # sigma/(x - e_i) by deflation against the product of the other three
+    # factors, at the gap row's precision
+    tol = mpf(2) ** -(mp.prec + 28)
+    for _, ends in _endpoint_sets():
+        with mp.workprec(mp.prec + equilibrium.GAP_GUARD_BITS):
+            sigma = monic_from_roots(ends)
+            for i, e in enumerate(ends):
+                ref = monic_from_roots(ends[:i] + ends[i + 1:])
+                got = deflate(sigma, e)
+                assert len(got) == len(ref) == 4
+                scale = max(abs(v) for v in ref.c)
+                assert max(abs(g - r) for g, r in zip(got.c, ref.c)) \
+                    <= tol * scale, (ends, i)
 
 
 # endpoints of the A9 solves (phi_e = 1.0, t/Tc = 1e-3 and 1e-4) as the
@@ -186,13 +226,18 @@ def test_two_cut_endpoints_unchanged():
 
 
 def test_two_cut_solve_runs_no_adaptive_quadrature(monkeypatch):
+    # nor any mpmath elliptic function: every elliptic integral comes from
+    # specialfn's AGM, through the solve, Lambda and a measure read back
     def refuse(*args, **kwargs):
-        raise AssertionError("adaptive quadrature inside the two-cut solve")
+        raise AssertionError("adaptive quadrature or mpmath elliptic "
+                             "function inside the two-cut solve")
 
     for name in ("integrate_bracket", "integrate_doubling"):
         monkeypatch.setattr(equilibrium, name, refuse)
     monkeypatch.setattr(quadrature, "_refine", refuse)
-    monkeypatch.setattr(specialfn, "sn_cn_dn", refuse)
+    for name in ("ellipk", "ellipe", "ellipf", "ellippi", "ellipfun"):
+        monkeypatch.setattr(mpmath, name, refuse)
+        monkeypatch.setattr(mp, name, refuse)
     spec = quartic("1.0")
     t = mpf("1e-5") * spec.Tc
     mu = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
@@ -203,6 +248,8 @@ def test_two_cut_solve_runs_no_adaptive_quadrature(monkeypatch):
     for x in (d * (1 + mpf("1e-8")), d + 1):
         assert Lam(x) > 1
     assert abs(gamma_from_lambda_limit(mu) - gamma) < mpf("1e-8") * gamma
+    back = kvio.measure_from_kv(kvio.measure_to_kv(mu), spec.V)
+    assert abs(back.x0 - mu.x0) < mpf("1e-25")
 
 
 def _u_by_quadrature(mu, x):
@@ -359,6 +406,31 @@ def test_veff_const_bs_matches_the_product_route():
                "17.80119239550302720917259453609043298121796"]
     for mu, ref in zip(_veff_measures(), earlier):
         assert abs(veff_const_bs(mu) - mpf(ref)) <= mpf("1e-38") * mpf(ref)
+
+
+def test_sigma_is_formed_once_per_precision():
+    # the measure keeps sigma per working precision; the values that read it
+    # per point are those of a sigma formed afresh at every call
+    mus = list(_veff_measures())
+    for mu in mus:
+        assert mu.sigma() is mu.sigma()
+        with mp.workprec(2 * mp.prec):
+            wide = mu.sigma()
+            assert wide == monic_from_roots(mu.endpoints)
+        assert mu.sigma() is not wide
+
+    def values(mu):
+        a, b = mu.endpoints[0], mu.endpoints[-1]
+        out = [mu.density((a + b) / 2), mu.density(a + (b - a) / 7),
+               effective_potential(mu, b + 1), veff_const_bs(mu)]
+        return [v._mpf_ for v in out]
+
+    cached = [values(mu) for mu in mus]
+    fresh = [equilibrium.EqMeasure(s=mu.s, endpoints=mu.endpoints, M=mu.M,
+                                   T=mu.T, V=mu.V) for mu in mus]
+    for mu in fresh:
+        mu.sigma = lambda mu=mu: monic_from_roots(mu.endpoints)
+    assert cached == [values(mu) for mu in fresh]
 
 
 def test_w_tail_from_m_sqrt_sigma_is_sqrt_sigma_times_moments():

@@ -5,10 +5,11 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from birthcut.quadrature import ConvergenceError
-from birthcut.specialfn import (complete_K_E_Pi, complete_integrals,
+from birthcut.specialfn import (agm_integrals, complete_integrals,
                                 ln_factorial, ln_zeta_asymptotic,
                                 ln_zeta_nu1_exact, small_m_E, small_m_Eprime,
-                                small_m_K, sn_cn_dn, theta1, theta1_prime0)
+                                small_m_K, theta1, theta1_prime0)
+from conftest import sn_cn_dn
 
 
 def test_m_zero_degeneration():
@@ -48,6 +49,8 @@ def test_complete_integral_values():
     ell = complete_integrals(0)
     assert abs(ell.K - mp.pi / 2) < mpf("1e-35")
     assert abs(ell.E - mp.pi / 2) < mpf("1e-35")
+    # the pass at 1 - m = 1 is the limit, not an AGM from (1, 0)
+    assert ell.Kprime == mpf("inf") and ell.Eprime == 1
 
 
 def test_legendre_relation_across_m():
@@ -64,14 +67,33 @@ def test_complete_K_E_Pi_matches_mpmath():
                   ("0.3", "0.5"), ("0.9", "0.05"), ("1", "0.2"),
                   ("0.5", "-0.7")):
         mc, n = mpf(mc), mpf(n)
-        got = complete_K_E_Pi(mc, n)
+        got = agm_integrals(mc, n)[:3]
         with mp.workprec(mp.prec + 40):
             m = 1 - mc
             ref = (mpmath.ellipk(m), mpmath.ellipe(m), mpmath.ellippi(n, m))
         for g, r in zip(got, ref):
             assert abs(g - r) < mpf("1e-38") * abs(r), (mc, n)
     with pytest.raises(ValueError):
-        complete_K_E_Pi(0, mpf("0.1"))
+        agm_integrals(0, mpf("0.1"))
+
+
+@pytest.mark.parametrize("m", ["1e-12", "0.3", "0.9", "0.999999999999"])
+def test_incomplete_F_E_from_the_agm_match_mpmath(m):
+    # the Landen amplitude on the AGM sequence, against mpmath's F and E at
+    # 40 more bits; the amplitude goes in as (cos phi, sin phi), so that
+    # phi = pi/2 - 1e-15 enters as cos phi = sin(1e-15), not as a rounded phi
+    m = mpf(m)
+    cases = [(mp.cos(mpf(v)), mp.sin(mpf(v))) for v in ("1e-20", "0.3", "1.2")]
+    cases.append((mp.sin(mpf("1e-15")), mp.cos(mpf("1e-15"))))
+    for x, y in cases:
+        got = agm_integrals(1 - m, amplitude=(x, y))
+        with mp.workprec(mp.prec + 40):
+            phi = mp.atan2(y, x)
+            ref_F, ref_E = mpmath.ellipf(phi, m), mpmath.ellipe(phi, m)
+        assert abs(got.F - ref_F) <= mpf("1e-38") * abs(ref_F), (m, phi)
+        assert abs(got.E_phi - ref_E) <= mpf("1e-38") * abs(ref_E), (m, phi)
+    with pytest.raises(ValueError):
+        agm_integrals(mpf("0.5"), amplitude=(mpf(-1), mpf(1)))
 
 
 def test_theta1_odd_and_zero():
