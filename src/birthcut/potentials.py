@@ -19,7 +19,9 @@ of [2, inf) (for x < -2, of the mirrored polynomial), so it has an exact
 antiderivative: in x = 2 cosh(t) the integrand is a cosine polynomial in t
 (`_cut_integral`). No quadrature runs; near a high-order zero of M the
 antiderivative's terms cancel, and guard bits sized from the measured
-cancellation keep the result at working precision.
+cancellation keep the result at working precision. An end at x = 2 (t = 0)
+adds nothing and is not evaluated, and the first pass carries enough guard
+bits for the usual cancellation, so most integrals take one pass.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from mpmath import mp, mpf
 from .poly import (Poly, count_real_roots, isolate_real_roots, laurent_split,
                    sqrt_sigma_tail)
 
-# extra bits for the first pass of a `_cut_integral`; later passes add the
-# bits that the measured cancellation costs
+# the step of a `_cut_integral`'s guard bits: its first pass takes twice
+# this, later passes add the bits that the measured cancellation costs
 CUT_GUARD_BITS = 32
 # the sign checks of `validate_critical` need a sample above this many units
 # of 2^-prec of the vanishing integral's scale
@@ -113,41 +115,53 @@ def _sinh_terms(x, K):
 
 
 def _cut_integral(factors):
-    """The function (lo, hi) -> integral_lo^hi P(x) sqrt(x^2-4) dx for
-    2 <= lo <= hi, P the product of the Polys `factors`, in closed form.
+    """The function (lo, hi, mirrored=False) -> integral_lo^hi P(x)
+    sqrt(x^2-4) dx for 2 <= lo <= hi, P the product of the Polys `factors`
+    (with mirrored=True, of P(-x)), in closed form.
 
     x = 2 cosh(t) turns the integrand into P(x)(x^2-4) dt = (c_0 + sum_k c_k
-    cosh(k t)) dt, with antiderivative c_0 t + sum_k c_k sinh(k t)/k. The
-    terms can be far larger than their sum (near a high-order zero of P, or
-    on a short interval next to x = 2), so P is expanded and the terms are
-    summed with guard bits: CUT_GUARD_BITS first, then again with the bits
-    that the measured cancellation sum |terms| / |value| costs, until the
-    guard covers it. The absolute terms come from the product of the
-    factors' absolute coefficients, so they bound the rounding of the
-    expansion too. Expansions are kept per precision and shared by all
-    intervals.
+    cosh(k t)) dt, with antiderivative c_0 t + sum_k c_k sinh(k t)/k. An end
+    at x = 2 is t = 0, where every term is 0, so it is skipped. The terms
+    can be far larger than their sum (near a high-order zero of P, or on a
+    short interval next to x = 2), so P is expanded and the terms are summed
+    with guard bits: 2 CUT_GUARD_BITS first, which covers a loss of up to
+    CUT_GUARD_BITS in one pass, then again with the bits that the measured
+    cancellation sum |terms| / |value| costs, until the guard covers it.
+    The absolute terms come from the product of the factors' absolute
+    coefficients, so they bound the rounding of the expansion too.
+    Expansions are kept per precision and shared by all intervals. P(-x)
+    has the coefficients (-1)^k c_k: c_k collects only x^n with n = k mod 2,
+    and mirroring negates all of the products that make up such a
+    coefficient together, so the signs flip exactly and the absolute
+    coefficients stay.
     """
     expansions = {}
 
-    def expansion():
-        got = expansions.get(mp.prec)
+    def expansion(mirrored):
+        got = expansions.get((mp.prec, mirrored))
         if got is None:
-            P, A = Poly([-4, 0, 1]), Poly([4, 0, 1])
-            for f in factors:
-                P = P * f
-                A = A * Poly([abs(a) for a in f.c])
-            got = expansions[mp.prec] = (_cosh_coefficients(P),
-                                         _cosh_coefficients(A))
+            if mirrored:
+                c, ca = expansion(False)
+                got = ([-v if k % 2 else v for k, v in enumerate(c)], ca)
+            else:
+                P, A = Poly([-4, 0, 1]), Poly([4, 0, 1])
+                for f in factors:
+                    P = P * f
+                    A = A * Poly([abs(a) for a in f.c])
+                got = (_cosh_coefficients(P), _cosh_coefficients(A))
+            expansions[mp.prec, mirrored] = got
         return got
 
-    def integral(lo, hi):
+    def integral(lo, hi, mirrored=False):
         prec = mp.prec
-        guard = CUT_GUARD_BITS
+        guard = 2 * CUT_GUARD_BITS
         while True:
             with mp.workprec(prec + guard):
-                c, ca = expansion()
+                c, ca = expansion(mirrored)
                 value = mass = mpf(0)
                 for x, sign in ((mpf(hi), 1), (mpf(lo), -1)):
+                    if x == 2:
+                        continue
                     for ck, ak, T in zip(c, ca, _sinh_terms(x, len(c) - 1)):
                         value += sign * ck * T
                         mass += ak * T
@@ -157,11 +171,6 @@ def _cut_integral(factors):
             guard = CUT_GUARD_BITS * (lost // CUT_GUARD_BITS + 2)
 
     return integral
-
-
-def _mirror(p: Poly) -> Poly:
-    """p(-x)."""
-    return Poly([-a if k % 2 else a for k, a in enumerate(p.c)])
 
 
 def _weight_factors(g: Poly, e, nu):
@@ -320,10 +329,6 @@ def validate_critical(spec: CriticalSpec) -> ValidationReport:
         abs(vanish) <= tol * max(scale, mpf(1)),
         "value = %s (scale %s)" % (mp.nstr(vanish, 6), mp.nstr(scale, 4)))
 
-    # for x < -2: integral_x^{-2} M sqrt(s^2-4) ds = F_mirror(2, -x), the
-    # same integral of M(-s)
-    F_mirror = _cut_integral([_mirror(f) for f in M_factors])
-
     # each sample is exact to about 2^-prec of itself (`_cut_integral`); a
     # sample past e also carries the vanishing integral, zero only to a few
     # units of 2^-prec of the scale. So the sign floor is SIGN_FLOOR_UNITS
@@ -339,8 +344,10 @@ def validate_critical(spec: CriticalSpec) -> ValidationReport:
     rounding = Poly([mp.ldexp(abs(c), -mp.prec) for c in Q.c])
     floor = SIGN_FLOOR_UNITS * mp.ldexp(scale, -mp.prec) \
         - _cut_integral(_weight_factors(rounding, e, nu))(2, e)
+    # for x < -2: integral_x^{-2} M sqrt(s^2-4) ds = F(2, -x, mirrored=True),
+    # the same integral of M(-s)
     left_pts = [-2 - mpf(10) ** k for k in range(-3, 3)]
-    left_vals = [F_mirror(2, -x) for x in left_pts]
+    left_vals = [F(2, -x, mirrored=True) for x in left_pts]
     left_ok = all(v > -floor and v != 0 for v in left_vals)
     left_min = min(left_vals)
     add("effective potential rises for x < -2", left_ok and left_min > floor,

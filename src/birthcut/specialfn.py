@@ -13,7 +13,10 @@ Every elliptic integral here comes from one arithmetic-geometric mean
 (`agm_integrals`): the complete K, E and Pi, and, through the descending
 Landen amplitude that rides on the same sequence, the incomplete F and E of
 the two-cut abelian map (see `equilibrium`). No Carlson-form or other
-second route is used. The module also owns the conventions, the one theta1
+second route is used. The sequence runs in fixed point on Python integers,
+with guard bits sized from the inputs so that each result rounds as the
+same sequence in mpf at 20 guard bits does; only its closing formulas are
+mpf operations. The module also owns the conventions, the one theta1
 series behind theta1 and theta1'(0), and the Stirling-type asymptotics of the
 model partition functions.
 """
@@ -21,10 +24,12 @@ model partition functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import NamedTuple, Optional
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import to_fixed
 
 from .quadrature import ConvergenceError
 
@@ -92,61 +97,87 @@ def agm_integrals(mc, n=None, amplitude=None) -> AGMIntegrals:
     as a small x and keeps its accuracy. Taking the complementary parameter
     keeps full relative accuracy as m -> 1, where K is log-singular. Each
     sum converges quadratically, in about log2(prec) steps.
+
+    The sequence runs on Python integers in W-bit fixed point (Brent &
+    Zimmermann, Modern Computer Arithmetic, section 4.8): products shifted
+    down by W, quotients by floor division, square roots by `math.isqrt`.
+    The vector (x_j, y_j) is scaled by a power of 2 after each step so that
+    its larger coordinate keeps W bits; its direction is all that is read.
+    W is the working precision (20 guard bits) plus 32, plus the bits that
+    an absolute error of 2^-W costs where a quantity is small: -mag(mc) for
+    sqrt(mc), -mag(1 - n) for the sum that n/(1-n) multiplies, and
+    mag(x) - mag(y) for y_j and sin phi_j when phi is small. Only K = pi/(2 a), the sums' closing
+    products, the atan2 of the vector and the rounding to the caller's
+    precision are mpf operations.
     """
     mc = mpf(mc)
     n = None if n is None else mpf(n)
     if not (0 < mc <= 1 and (n is None or n < 1)):
         raise ValueError("need 0 < mc <= 1 and n < 1")
     with mp.workprec(mp.prec + 20):
-        tol = mp.ldexp(1, -mp.prec)
-        a, g = mpf(1), mp.sqrt(mc)
+        W = mp.prec + 32 + max(0, -mp.mag(mc))
         if n is not None:
-            p2 = 1 - n
-            p = mp.sqrt(p2)
-            q = qsum = mpf(1)
+            W += max(0, -mp.mag(1 - n))
         if amplitude is not None:
             x, y = (mpf(v) for v in amplitude)
             if x < 0 or y < 0 or not (x or y):
                 raise ValueError("amplitude needs x, y >= 0, not both 0")
-            xx, yy = x * x, y * y
+            if x and y:
+                W += max(0, mp.mag(x) - mp.mag(y))
+            # a shared power of 2 puts the larger coordinate at W bits
+            scale = W - max(mp.mag(x), mp.mag(y))
+            x, y = to_fixed(x._mpf_, scale), to_fixed(y._mpf_, scale)
             turns = 0               # phi_j = atan2(y, x) + turns pi
-            e_sum = mpf(0)
-        csum = (1 - mc) / 2
-        weight = mpf(1) / 2
+            e_sum = 0
+        one = 1 << W
+        tol = 1 << (W - mp.prec)
+        a, g = one, isqrt(to_fixed(mc._mpf_, 2 * W))
+        if n is not None:
+            p2 = one - to_fixed(n._mpf_, W)
+            p = isqrt(p2 << W)
+            q = qsum = one
+        csum = (one - to_fixed(mc._mpf_, W)) >> 1
         for steps in range(1, mp.prec + 1):
-            ag = a * g
+            ag = a * g >> W
             if n is not None:
-                q *= (p2 - ag) / (2 * (p2 + ag))
-                p = (p2 + ag) / (2 * p)
-                p2 = p * p
+                q = q * (p2 - ag) // (2 * (p2 + ag))
+                p = ((p2 + ag) << W) // (2 * p)
+                p2 = p * p >> W
                 qsum += q
-            c = (a - g) / 2
+            c = (a - g) >> 1
             if amplitude is not None:
-                x, y, rising = a * xx - g * yy, (a + g) * x * y, y > 0
+                x, y, rising = a * x * x - g * y * y, (a + g) * x * y, y > 0
                 turns *= 2
                 if x < 0:           # phi_j passed an odd multiple of pi/2
                     x, y = -x, -y
                     turns += 1 if rising else -1
-                xx, yy = x * x, y * y
-                sin_phi = y / mp.sqrt(xx + yy)
-                e_sum += c * sin_phi if turns % 2 == 0 else -c * sin_phi
-            a, g = (a + g) / 2, mp.sqrt(ag)
-            weight *= 2
-            csum += weight * c * c
+                shift = max(x.bit_length(), y.bit_length()) - W
+                x, y = x >> shift, y >> shift
+                c_sin = c * ((y << W) // isqrt(x * x + y * y)) >> W
+                e_sum += c_sin if turns % 2 == 0 else -c_sin
+            a, g = (a + g) >> 1, isqrt(a * g)
+            csum += c * c << (steps - 1) >> W
             if abs(c) <= tol and (n is None or abs(q) <= tol):
                 break
         else:
             raise ConvergenceError("AGM did not converge for mc = %s"
                                    % mp.nstr(mc, 8))
+        a = _from_fixed(a, W)
         K = mp.pi / (2 * a)
-        E = K * (1 - csum)
+        E = K * _from_fixed(one - csum, W)
         Pi = F = E_phi = None
         if n is not None:
-            Pi = mp.pi / (4 * a) * (2 + n / (1 - n) * qsum)
+            Pi = mp.pi / (4 * a) * (2 + n / (1 - n) * _from_fixed(qsum, W))
         if amplitude is not None:
             F = mp.ldexp(mp.atan2(y, x) + turns * mp.pi, -steps) / a
-            E_phi = E / K * F + e_sum
+            E_phi = E / K * F + _from_fixed(e_sum, W)
     return AGMIntegrals(*(v if v is None else +v for v in (K, E, Pi, F, E_phi)))
+
+
+def _from_fixed(v, W):
+    """The W-bit fixed-point integer v as an mpf, rounded to nearest at the
+    working precision."""
+    return mp.ldexp(mpf(v), -W)
 
 
 def _nome(tau):

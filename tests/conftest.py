@@ -9,6 +9,7 @@ mp.dps = 40
 from birthcut.modelchain import build_chain
 from birthcut.oracle import build_rec_chain
 from birthcut.potentials import make_quartic_spec, make_spec
+from birthcut.quadrature import ConvergenceError
 
 
 @functools.lru_cache(maxsize=None)
@@ -63,6 +64,61 @@ def sn_cn_dn(u, m):
         if abs(dn) < pole_tol or (abs(sn) > 1 / pole_tol):
             raise ValueError("u is too close to a lattice pole of sn")
     return +sn, +cn, +dn
+
+
+def agm_reference(mc, n=None, amplitude=None):
+    """(K, E, Pi, F, E_phi) of `specialfn.agm_integrals` by the same AGM
+    sequence in plain mpf arithmetic at 20 guard bits: the reference for
+    its fixed-point loop."""
+    mc = mpf(mc)
+    n = None if n is None else mpf(n)
+    with mp.workprec(mp.prec + 20):
+        tol = mp.ldexp(1, -mp.prec)
+        a, g = mpf(1), mp.sqrt(mc)
+        if n is not None:
+            p2 = 1 - n
+            p = mp.sqrt(p2)
+            q = qsum = mpf(1)
+        if amplitude is not None:
+            x, y = (mpf(v) for v in amplitude)
+            xx, yy = x * x, y * y
+            turns = 0               # phi_j = atan2(y, x) + turns pi
+            e_sum = mpf(0)
+        csum = (1 - mc) / 2
+        weight = mpf(1) / 2
+        for steps in range(1, mp.prec + 1):
+            ag = a * g
+            if n is not None:
+                q *= (p2 - ag) / (2 * (p2 + ag))
+                p = (p2 + ag) / (2 * p)
+                p2 = p * p
+                qsum += q
+            c = (a - g) / 2
+            if amplitude is not None:
+                x, y, rising = a * xx - g * yy, (a + g) * x * y, y > 0
+                turns *= 2
+                if x < 0:
+                    x, y = -x, -y
+                    turns += 1 if rising else -1
+                xx, yy = x * x, y * y
+                sin_phi = y / mp.sqrt(xx + yy)
+                e_sum += c * sin_phi if turns % 2 == 0 else -c * sin_phi
+            a, g = (a + g) / 2, mp.sqrt(ag)
+            weight *= 2
+            csum += weight * c * c
+            if abs(c) <= tol and (n is None or abs(q) <= tol):
+                break
+        else:
+            raise ConvergenceError("AGM did not converge")
+        K = mp.pi / (2 * a)
+        E = K * (1 - csum)
+        Pi = F = E_phi = None
+        if n is not None:
+            Pi = mp.pi / (4 * a) * (2 + n / (1 - n) * qsum)
+        if amplitude is not None:
+            F = mp.ldexp(mp.atan2(y, x) + turns * mp.pi, -steps) / a
+            E_phi = E / K * F + e_sum
+    return tuple(v if v is None else +v for v in (K, E, Pi, F, E_phi))
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,10 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from birthcut import quadrature
+from birthcut import potentials, quadrature
 from birthcut.poly import Poly
-from birthcut.potentials import (_cut_integral, _mirror, _weight_factors,
+from birthcut.potentials import (CUT_GUARD_BITS, _cosh_coefficients,
+                                 _cut_integral, _sinh_terms, _weight_factors,
                                  build_critical_Q, build_potential,
                                  make_quartic_spec, make_spec, quartic_etilde,
                                  validate_critical)
@@ -216,12 +217,13 @@ def test_cut_integrals_match_quadrature(nu, e, Q_tilde):
     factors = _weight_factors(spec.Q, e, nu)
     xs = [2 + mpf("1e-3"), (2 + e) / 2, e - mpf("1e-3"), e + mpf("1e-3"),
           e + 1, e + 100]
-    for side in (factors, [_mirror(f) for f in factors]):
-        F = _cut_integral(side)
+    F = _cut_integral(factors)
+    for mirrored in (False, True):
         for x in xs:
-            got = F(2, x)
+            got = F(2, x, mirrored)
             with mp.workdps(90):
-                M = lambda s: mp.fprod(f(s) for f in side)
+                M = lambda s: mp.fprod(f(-s if mirrored else s)
+                                       for f in factors)
                 pts = [mpf(2)] + ([e] if e < x else []) + [x]
                 ref = mpmath.quad(lambda s: M(s) * mp.sqrt((s - 2) * (s + 2)),
                                   pts)
@@ -232,6 +234,73 @@ def test_cut_integral_of_zero_and_empty_interval():
     x = mpf("2.5")
     assert _cut_integral([Poly()])(2, x) == 0
     assert _cut_integral([Poly([1])])(x, x) == 0
+
+
+def two_pass_cut_integral(factors):
+    """Each integral in full: both ends evaluated, x = 2 too, the first
+    pass at CUT_GUARD_BITS, the mirrored integral from mirrored factors and
+    nothing cached. The reference for `_cut_integral`."""
+    def integral(lo, hi, mirrored=False):
+        side = factors
+        if mirrored:
+            side = [Poly([-a if k % 2 else a for k, a in enumerate(f.c)])
+                    for f in factors]
+        prec = mp.prec
+        guard = CUT_GUARD_BITS
+        while True:
+            with mp.workprec(prec + guard):
+                P, A = Poly([-4, 0, 1]), Poly([4, 0, 1])
+                for f in side:
+                    P = P * f
+                    A = A * Poly([abs(a) for a in f.c])
+                c, ca = _cosh_coefficients(P), _cosh_coefficients(A)
+                value = mass = mpf(0)
+                for x, sign in ((mpf(hi), 1), (mpf(lo), -1)):
+                    for ck, ak, T in zip(c, ca, _sinh_terms(x, len(c) - 1)):
+                        value += sign * ck * T
+                        mass += ak * T
+            lost = mp.mag(mass) - mp.mag(value) if value else prec + guard
+            if lost + CUT_GUARD_BITS <= guard or guard >= 4 * prec:
+                return +value
+            guard = CUT_GUARD_BITS * (lost // CUT_GUARD_BITS + 2)
+    return integral
+
+
+@pytest.mark.parametrize("dps", [15, 40])
+@pytest.mark.parametrize("nu, e", [(1, "2.6"), (2, "2.6"), (4, "2.2")])
+def test_cut_integral_equals_the_two_pass_loop(nu, e, dps):
+    # the one-pass form with no t = 0 end, bit for bit, on intervals from
+    # x = 2, next to e (where up to 2 nu + 1 orders cancel) and inside (2, e)
+    with mp.workdps(dps):
+        spec = make_spec(nu, mpf(e))
+        e = spec.e
+        factors = _weight_factors(spec.Q, e, nu)
+        F, ref = _cut_integral(factors), two_pass_cut_integral(factors)
+        xs = [2 + mpf(10) ** k for k in range(-6, 0)] + [(2 + e) / 2, e] \
+            + [e + s * mpf(10) ** k for k in range(-6, 3) for s in (-1, 1)]
+        for mirrored in (False, True):
+            for x in xs:
+                assert F(2, x, mirrored) == ref(2, x, mirrored), (x, mirrored)
+        for lo, hi in ((2 + mpf("0.01"), e), ((2 + e) / 2, e + 1),
+                       (e - mpf("1e-3"), e + mpf("1e-3"))):
+            assert F(lo, hi) == ref(lo, hi), (lo, hi)
+
+
+def test_validate_nu2_makes_no_sinh_terms_call_at_two(monkeypatch):
+    # a t = 0 end is skipped, and a cancellation of up to CUT_GUARD_BITS
+    # takes one pass: 28 sets of antiderivative terms, where evaluating
+    # x = 2 and starting at CUT_GUARD_BITS took 86
+    ends = []
+
+    def counted(x, K):
+        ends.append(x)
+        return _sinh_terms(x, K)
+
+    monkeypatch.setattr(potentials, "_sinh_terms", counted)
+    with mp.workdps(40):
+        assert validate_critical(make_spec(2, mpf("2.6"))).ok
+    assert 2 not in ends
+    assert len(ends) <= 28
 
 
 def test_critical_spec_runs_no_adaptive_quadrature(monkeypatch):

@@ -9,7 +9,7 @@ from birthcut.specialfn import (agm_integrals, complete_integrals,
                                 ln_factorial, ln_zeta_asymptotic,
                                 ln_zeta_nu1_exact, small_m_E, small_m_Eprime,
                                 small_m_K, theta1, theta1_prime0)
-from conftest import sn_cn_dn
+from conftest import agm_reference, sn_cn_dn
 
 
 def test_m_zero_degeneration():
@@ -94,6 +94,25 @@ def test_incomplete_F_E_from_the_agm_match_mpmath(m):
         assert abs(got.E_phi - ref_E) <= mpf("1e-38") * abs(ref_E), (m, phi)
     with pytest.raises(ValueError):
         agm_integrals(mpf("0.5"), amplitude=(mpf(-1), mpf(1)))
+
+
+@pytest.mark.parametrize("dps", [15, 40, 60])
+def test_fixed_point_agm_equals_the_mpf_loop(dps):
+    # the integer loop against the same sequence in mpf at 20 guard bits,
+    # bit for bit: mc down to 1e-30, n up to 1 - 1e-8 (and negative), and
+    # amplitude coordinates from 1e-6 to 1e3
+    rng = random.Random(dps)
+    with mp.workdps(dps):
+        for i in range(1200):
+            mc = mpf(10) ** mpf(rng.uniform(-30, 0))
+            n = amplitude = None
+            if i % 2:
+                n = 1 - mpf(10) ** mpf(rng.uniform(-8, 0.5))
+            else:
+                amplitude = tuple(mpf(10) ** mpf(rng.uniform(-6, 3))
+                                  for _ in range(2))
+            got = tuple(agm_integrals(mc, n, amplitude))
+            assert got == agm_reference(mc, n, amplitude), (mc, n, amplitude)
 
 
 def test_theta1_odd_and_zero():
