@@ -75,10 +75,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import to_fixed
 
 from .poly import (Poly, _float_horner, deflate, laurent_split,
                    monic_from_roots, sqrt_sigma_tail)
-from .quadrature import ConvergenceError, integrate_bracket, integrate_doubling
+from .quadrature import (GUARD_BITS, ConvergenceError, integrate_bracket,
+                         integrate_doubling)
 from .specialfn import (EllipticParams, agm_integrals, complete_integrals,
                         theta1, theta1_prime0)
 
@@ -419,23 +421,38 @@ def _fill_two_cut_data(mu: EqMeasure):
 
 
 def normalization(mu: EqMeasure):
-    """integral of the density over the support (should be 1)."""
+    """integral of the density over the support (should be 1).
+
+    Each cut [lo, hi] is one `integrate_bracket` run on
+    M(x) sqrt|sigma_other(x)| (x - lo)(hi - x), sigma_other the product of
+    x - r over the other cut's ends. The integrand is formed in
+    Python-integer fixed point at W = prec + GUARD_BITS fraction bits: x is
+    converted once, M by Horner on coefficients converted once per call,
+    the root by `math.isqrt`, and the value is rounded once."""
     eps = mu.endpoints
+    W = mp.prec + GUARD_BITS
+    M = [to_fixed(c._mpf_, W) for c in reversed(mu.M.c)]
     total = mpf(0)
     for cut in range(mu.s):
         lo, hi = eps[2 * cut], eps[2 * cut + 1]
         sgn = mu.cut_sign(cut)
-        others = [r for r in eps if r < lo or r > hi]
+        LO, HI = to_fixed(lo._mpf_, W), to_fixed(hi._mpf_, W)
+        others = [to_fixed(r._mpf_, W) for r in eps if r < lo or r > hi]
 
-        def rest(x):
-            acc = mpf(1)
-            for r in others:
-                acc *= abs(x - r)
-            return mp.sqrt(acc)
+        def integrand(x):
+            X = to_fixed(x._mpf_, W)
+            m = 0
+            for c in M:
+                m = (m * X >> W) + c
+            rest = 1 << W
+            for R in others:
+                rest = rest * abs(X - R) >> W
+            v = m * math.isqrt(rest << W) >> W
+            v = v * (X - LO) >> W
+            return mpf((v * (HI - X) >> W, -W))
 
-        total += sgn * integrate_bracket(
-            lambda x: mu.M(x) * rest(x) * (x - lo) * (hi - x),
-            lo, hi) / (2 * mp.pi * mu.T)
+        total += (sgn * integrate_bracket(integrand, lo, hi)
+                  / (2 * mp.pi * mu.T))
     return total
 
 

@@ -21,15 +21,19 @@ antiderivative: in x = 2 cosh(t) the integrand is a cosine polynomial in t
 antiderivative's terms cancel, and guard bits sized from the measured
 cancellation keep the result at working precision. An end at x = 2 (t = 0)
 adds nothing and is not evaluated, and the first pass carries enough guard
-bits for the usual cancellation, so most integrals take one pass.
+bits for the usual cancellation, so most integrals take one pass. The
+cosine polynomial is expanded exactly in Python integers, the
+antiderivative's terms are formed in fixed point and summed exactly, and
+the result is rounded once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
 from .poly import (Poly, count_real_roots, isolate_real_roots, laurent_split,
                    sqrt_sigma_tail)
@@ -89,85 +93,127 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _cosh_coefficients(P: Poly):
-    """c with P(2 cosh t) = c[0] + sum_k c[k] cosh(k t), from
-    (2 cosh t)^n = (e^t + e^-t)^n = sum_j binom(n, j) e^{(n - 2j) t}."""
-    c = [mpf(0)] * (P.degree + 1)
-    for n, r in enumerate(P.c):
+def _cosh_coefficients(p):
+    """c with P(2 cosh t) = c[0] + sum_k c[k] cosh(k t), for P with the
+    ascending coefficients p (mpf, or integers for an exact expansion),
+    from (2 cosh t)^n = (e^t + e^-t)^n = sum_j binom(n, j) e^{(n - 2j) t}."""
+    c = [0] * len(p)
+    for n, r in enumerate(p):
         for j in range(n // 2 + 1):
             k = n - 2 * j
             c[k] += r * comb(n, j) * (2 if k else 1)
     return c
 
 
-def _sinh_terms(x, K):
-    """[t, sinh(t), sinh(2t)/2, ..., sinh(K t)/K] at x = 2 cosh(t) >= 2:
-    the antiderivatives of 1, cosh(t), ..., cosh(K t). The addition
-    formulas add only positive terms, so nothing cancels as t -> 0."""
-    s1 = mp.sqrt((x - 2) * (x + 2)) / 2
-    c1 = x / 2
-    out = [mp.asinh(s1)]
-    s, c = mpf(0), mpf(1)       # sinh(k t), cosh(k t)
-    for k in range(1, K + 1):
-        s, c = s * c1 + c * s1, c * c1 + s * s1
-        out.append(s / k)
+def _exact(f: Poly):
+    """(S, a) with f(x) = 2^-S sum_k a[k] x^k exactly, a Python integers."""
+    S = max([0] + [-v._mpf_[2] for v in f.c])
+    return S, [to_fixed(v._mpf_, S) for v in f.c]
+
+
+def _int_product(p, q):
+    """The coefficients of the product of two integer polynomials."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
     return out
+
+
+def _sinh_terms(x, K):
+    """(F, [t, sinh(t), sinh(2t)/2, ..., sinh(K t)/K] 2^F) at x = 2 cosh(t)
+    > 2, an mpf: the antiderivatives of 1, cosh(t), ..., cosh(K t) as
+    Python integers with F fraction bits.
+
+    F is the working precision plus the bits by which t falls below 1 near
+    x = 2, plus 8, so every term carries the working precision relative to
+    itself. x, of at most the working precision, is taken exactly,
+    2 sinh(t) = isqrt((x - 2)(x + 2)), and t is one mpf asinh. The addition
+    formulas add only positive terms, so nothing cancels as t -> 0."""
+    F = mp.prec + max(0, -mp.mag(x - 2)) // 2 + 8
+    X = to_fixed(x._mpf_, F)                    # 2 cosh(t)
+    R = isqrt((X - (2 << F)) * (X + (2 << F)))  # 2 sinh(t)
+    out = [to_fixed(mp.asinh(mpf((R, -F - 1)))._mpf_, F)]
+    s, c = 0, 1 << F            # sinh(k t), cosh(k t)
+    for k in range(1, K + 1):
+        s, c = (s * X + c * R) >> (F + 1), (c * X + s * R) >> (F + 1)
+        out.append(s // k)
+    return F, out
 
 
 def _cut_integral(factors):
     """The function (lo, hi, mirrored=False) -> integral_lo^hi P(x)
     sqrt(x^2-4) dx for 2 <= lo <= hi, P the product of the Polys `factors`
-    (with mirrored=True, of P(-x)), in closed form.
+    (with mirrored=True, of P(-x)), in closed form; ValueError for an end
+    below 2.
 
     x = 2 cosh(t) turns the integrand into P(x)(x^2-4) dt = (c_0 + sum_k c_k
     cosh(k t)) dt, with antiderivative c_0 t + sum_k c_k sinh(k t)/k. An end
-    at x = 2 is t = 0, where every term is 0, so it is skipped. The terms
-    can be far larger than their sum (near a high-order zero of P, or on a
-    short interval next to x = 2), so P is expanded and the terms are summed
-    with guard bits: 2 CUT_GUARD_BITS first, which covers a loss of up to
-    CUT_GUARD_BITS in one pass, then again with the bits that the measured
-    cancellation sum |terms| / |value| costs, until the guard covers it.
-    The absolute terms come from the product of the factors' absolute
-    coefficients, so they bound the rounding of the expansion too.
-    Expansions are kept per precision and shared by all intervals. P(-x)
-    has the coefficients (-1)^k c_k: c_k collects only x^n with n = k mod 2,
-    and mirroring negates all of the products that make up such a
-    coefficient together, so the signs flip exactly and the absolute
-    coefficients stay.
+    at x = 2 is t = 0, where every term is 0, so it is skipped; an empty
+    interval or P = 0 gives 0 at once. The terms can be far larger than
+    their sum (near a high-order zero of P, or on a short interval next to
+    x = 2), so the antiderivative terms are formed with guard bits:
+    2 CUT_GUARD_BITS first, which covers a loss of up to CUT_GUARD_BITS in
+    one pass, then again with the bits that the measured cancellation
+    sum |terms| / |value| costs, until the guard covers it.
+
+    P and the product A of (x^2 + 4) and the factors with their absolute
+    coefficients are expanded exactly, in Python integers over one power
+    of 2 (every mpf coefficient is such a ratio), once per closure and
+    mirror side, and shared by all intervals and precisions. A's terms
+    sum to the scale against which the cancellation is measured. P(-x)
+    has the coefficients (-1)^k c_k: c_k collects only x^n with
+    n = k mod 2. A pass sums both ends' terms (`_sinh_terms`) against these
+    integers exactly, reads the cancellation from the bit lengths of the two
+    sums and rounds the value once.
     """
     expansions = {}
 
     def expansion(mirrored):
-        got = expansions.get((mp.prec, mirrored))
+        """(S, c 2^S, c_A 2^S), c_A the expansion of A."""
+        got = expansions.get(mirrored)
         if got is None:
             if mirrored:
-                c, ca = expansion(False)
-                got = ([-v if k % 2 else v for k, v in enumerate(c)], ca)
+                S, c, ca = expansion(False)
+                got = (S, [-v if k % 2 else v for k, v in enumerate(c)], ca)
             else:
-                P, A = Poly([-4, 0, 1]), Poly([4, 0, 1])
+                S, P, A = 0, [-4, 0, 1], [4, 0, 1]
                 for f in factors:
-                    P = P * f
-                    A = A * Poly([abs(a) for a in f.c])
-                got = (_cosh_coefficients(P), _cosh_coefficients(A))
-            expansions[mp.prec, mirrored] = got
+                    Sf, a = _exact(f)
+                    S += Sf
+                    P = _int_product(P, a)
+                    A = _int_product(A, [abs(v) for v in a])
+                got = (S, _cosh_coefficients(P), _cosh_coefficients(A))
+            expansions[mirrored] = got
         return got
 
     def integral(lo, hi, mirrored=False):
+        lo, hi = mpf(lo), mpf(hi)
+        if lo < 2 or hi < 2:
+            raise ValueError("cut integral from %s to %s: need ends >= 2"
+                             % (mp.nstr(lo, 8), mp.nstr(hi, 8)))
+        S, c, ca = expansion(mirrored)
+        if lo == hi or not any(c):
+            return mpf(0)
         prec = mp.prec
         guard = 2 * CUT_GUARD_BITS
         while True:
-            with mp.workprec(prec + guard):
-                c, ca = expansion(mirrored)
-                value = mass = mpf(0)
-                for x, sign in ((mpf(hi), 1), (mpf(lo), -1)):
-                    if x == 2:
-                        continue
-                    for ck, ak, T in zip(c, ca, _sinh_terms(x, len(c) - 1)):
-                        value += sign * ck * T
-                        mass += ak * T
-            lost = mp.mag(mass) - mp.mag(value) if value else prec + guard
+            value = mass = F = 0        # the two sums, times 2^(S + F)
+            for x, sign in ((hi, 1), (lo, -1)):
+                if x == 2:
+                    continue
+                with mp.workprec(prec + guard):
+                    Fx, terms = _sinh_terms(x, len(c) - 1)
+                v = sum(ck * T for ck, T in zip(c, terms))
+                m = sum(ak * T for ak, T in zip(ca, terms))
+                if Fx > F:
+                    value, mass, F = value << Fx - F, mass << Fx - F, Fx
+                value += sign * v << F - Fx
+                mass += m << F - Fx
+            lost = (mass.bit_length() - abs(value).bit_length() if value
+                    else prec + guard)
             if lost + CUT_GUARD_BITS <= guard or guard >= 4 * prec:
-                return +value
+                return mpf((value, -S - F))
             guard = CUT_GUARD_BITS * (lost // CUT_GUARD_BITS + 2)
 
     return integral

@@ -4,16 +4,21 @@ Nodes and weights are computed by Newton iteration on the Legendre recurrence
 in Python-integer fixed point with 32 guard bits, seeded with roots found in
 floats by the same recurrence (`legendre_seeds`, so no numpy is imported),
 and cached per (order, precision); a rule at a new precision is rounded from
-a finer cached rule of its order, or refined by Newton from a coarser one. Measured on the 64-point rule at 136-320
-bits, it integrates x^{2j}, j < 64, to 0.2-0.4 units of 2^-prec, where an mpf
-Newton iteration was off by 2-4 units.
+a finer cached rule of its order, or refined by Newton from a coarser one.
+Measured on the 64-point rule at 136-320 bits, it integrates x^{2j}, j < 64,
+to 0.2-0.4 units of 2^-prec, where an mpf Newton iteration was off by 2-4
+units. Both Newton loops, the float one and the integer one, raise
+ConvergenceError where a root takes more than NEWTON_CAP steps.
 
 The adaptive rules double their node count until two successive values
 differ by at most rel_tol * sum |w f| (the finer rule applied to |f|), and
 raise ConvergenceError at their cap. Unlike |I|, that scale does not shrink
 when the integral cancels to zero, as vanishing and gap conditions do.
 Integrands with square-root endpoint behavior should be fed through a
-substitution first (the callers in this package do).
+substitution first (the callers in this package do). The bracket rule forms
+its cosine nodes in the same fixed point, one `cos_sin_fixed` per level and
+an integer rotation per node, and rounds each node once; it calls no
+`mp.cos`.
 """
 
 from __future__ import annotations
@@ -21,10 +26,13 @@ from __future__ import annotations
 import math
 
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, pi_fixed
 
 _CACHE = {}
 GUARD_BITS = 32        # fixed-point fraction bits beyond the working precision
 TOL_DIGITS = 6         # the adaptive rules' rel_tol is 10^(TOL_DIGITS - dps)
+NEWTON_CAP = 60        # Newton steps per Legendre root before ConvergenceError
 
 
 class ConvergenceError(RuntimeError):
@@ -51,11 +59,12 @@ def legendre_seeds(n: int):
     among them when n is odd.
 
     Each root starts from Tricomi's approximation cos(pi (i + 3/4)/(n + 1/2))
-    and is refined by float Newton on the recurrence of `_legendre`."""
+    and is refined by float Newton on the recurrence of `_legendre`;
+    ConvergenceError if a root takes more than NEWTON_CAP steps."""
     roots = []
     for i in range(n // 2):
         x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-        for _ in range(60):
+        for _ in range(NEWTON_CAP):
             q, p = 1.0, x
             for k in range(1, n):
                 q, p = p, ((2 * k + 1) * x * p - k * q) / (k + 1)
@@ -63,6 +72,10 @@ def legendre_seeds(n: int):
             x -= dx
             if abs(dx) < 1e-15:
                 break
+        else:
+            raise ConvergenceError("legendre_seeds: root %d of P_%d not found "
+                                   "in %d float Newton steps (last %r)"
+                                   % (i, n, NEWTON_CAP, x))
         roots.append(x)
     if n % 2:
         roots.append(0.0)
@@ -95,7 +108,8 @@ def gauss_legendre(n: int):
 
 def _build_rule(n: int):
     """The `gauss_legendre` rule of order n at the working precision, from
-    the cached rules of order n where there are any."""
+    the cached rules of order n where there are any; ConvergenceError if a
+    root takes more than NEWTON_CAP steps."""
     held = sorted(p for m, p in _CACHE if m == n)
     finer = [p for p in held if p > mp.prec]
     if finer:
@@ -110,7 +124,7 @@ def _build_rule(n: int):
                   for s in legendre_seeds(n)]
     half, hw = [], []
     for X in starts:
-        for _ in range(60):
+        for _ in range(NEWTON_CAP):
             p, dp = _legendre_slope(n, X, F)
             dx = (p << F) // dp
             X -= dx
@@ -118,6 +132,11 @@ def _build_rule(n: int):
             # one unit of 2^-F
             if abs(dx) < 1 << (GUARD_BITS // 2):
                 break
+        else:
+            raise ConvergenceError(
+                "gauss_legendre: a root of P_%d near %s not found in %d "
+                "Newton steps at %d bits" % (
+                    n, mp.nstr(mp.ldexp(mpf(X), -F), 17), NEWTON_CAP, mp.prec))
         _, dp = _legendre_slope(n, X, F)
         half.append(mp.ldexp(mpf(X), -F))
         w = (2 << (4 * F)) // (((1 << F) - (X * X >> F)) * dp * dp)
@@ -193,9 +212,19 @@ def integrate_bracket(f, a, b, n_start=32, max_n=4096):
     smooth on [a, b]). The node count doubles from n_start until the change
     is at most rel_tol * sum |w f|; ConvergenceError if max_n is reached
     first.
+
+    The nodes are formed in Python-integer fixed point: a and b exactly,
+    the cosines at W = prec + GUARD_BITS fraction bits. A level takes one
+    `cos_sin_fixed` for its step angle and walks its new nodes by integer
+    rotation, so with max_n = 4096 the cosines stay within about 2^11 units
+    of 2^-W. Each node reaches f as an mpf rounded once.
     """
     a, b = mpf(a), mpf(b)
-    mid, half = (a + b) / 2, (b - a) / 2
+    W = mp.prec + GUARD_BITS
+    # x = (MID + HALF cos 2^W) 2^-(E + W + 1), with a and b exact
+    E = max(0, -a._mpf_[2], -b._mpf_[2])
+    A, B = to_fixed(a._mpf_, E), to_fixed(b._mpf_, E)
+    MID, HALF, scale = A + B << W, B - A, -(E + W + 1)
     held = []     # [sum f, sum |f|] over the last rule's nodes, ends halved
 
     def rule(nn):
@@ -207,12 +236,19 @@ def integrate_bracket(f, a, b, n_start=32, max_n=4096):
             fa, fb = f(a), f(b)
             acc, mass = (fa + fb) / 2, (abs(fa) + abs(fb)) / 2
             new = range(1, nn)
-        h = mp.pi / nn
-        for i in new:
-            fx = f(mid + half * mp.cos(i * h))
+        # the node at i pi/nn, then rotations by the step between new nodes
+        cos, sin = cos_sin_fixed(pi_fixed(W) // nn, W)
+        step_c, step_s = cos, sin
+        if new.step == 2:
+            step_c, step_s = (cos * cos - sin * sin) >> W, (2 * cos * sin) >> W
+        for _ in new:
+            fx = f(mpf((MID + HALF * cos, scale)))
             acc += fx
             mass += abs(fx)
+            cos, sin = ((cos * step_c - sin * step_s) >> W,
+                        (sin * step_c + cos * step_s) >> W)
         held[:] = acc, mass
+        h = mp.pi / nn
         return acc * h, mass * h
 
     return _refine(rule, n_start, max_n, "integrate_bracket")

@@ -4,10 +4,10 @@ Each test prints one PASS/FAIL line (run with `pytest tests/test_acceptance.py -
 to see them all) and appends it to the ledger, one JSON line per criterion
 in `.pytest_cache/d/acceptance/ledger.jsonl`, written afresh by each pytest
 session: the criterion, pass/fail, seconds and detail, and where the test
-holds them, the measured value, the bound and N. Criteria are pinned at
-their stated tolerances. The quartic
-family member (phi_e) is chosen per criterion where the criterion itself does
-not pin one; the choices are recorded next to each test.
+holds them, the measured value, the bound, N and the quartic member phi_e.
+Criteria are pinned at their stated tolerances. The quartic family member
+(phi_e) is chosen per criterion where the criterion itself does not pin one;
+the choices are recorded next to each test and in its ledger row.
 
 Three sub-criteria are expected to fail honestly at desk scale (N <= 80) and
 are implemented verbatim anyway:
@@ -77,16 +77,18 @@ def _plain(v):
     return v if isinstance(v, int) else float(v)
 
 
-def report(name, ok, detail="", value=None, bound=None, N=None):
+def report(name, ok, detail="", value=None, bound=None, N=None, phi_e=None):
     """Print the criterion's PASS/FAIL line and append it to the ledger with
-    the seconds since its test started; returns ok. value, bound and N go
-    in where given, each number as an int or a float."""
+    the seconds since its test started; returns ok. value, bound, N and the
+    quartic member(s) phi_e go in where given, each number as an int or a
+    float."""
     seconds = time.perf_counter() - LEDGER["start"]
     print("%s: %s%s" % (name, "PASS" if ok else "FAIL",
                         " - " + detail if detail else ""))
     row = {"criterion": name, "pass": bool(ok), "seconds": round(seconds, 3),
            "detail": detail}
-    for key, v in (("value", value), ("bound", bound), ("N", N)):
+    for key, v in (("value", value), ("bound", bound), ("N", N),
+                   ("phi_e", phi_e)):
         if v is not None:
             row[key] = _plain(v)
     if LEDGER["path"]:
@@ -115,7 +117,8 @@ def test_A1_quartic_consistency():
     dt = time.time() - t0
     ok = worst_rel < mpf("1e-10") and worst_int < mpf("1e-10") and dt < 1
     assert report("A1", ok, "closed-form vs quadrature rel %.2e, integral %.2e, %.2fs"
-                  % (float(worst_rel), float(worst_int), dt))
+                  % (float(worst_rel), float(worst_int), dt),
+                  phi_e=["0.5", "1.0", "1.5"])
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +158,8 @@ def test_A2_scaling_identities():
     ok &= abs(4 * z * z * G(2 * z) - C) < mpf("1e-12") * C
     ok &= abs(G(2 * z) / z ** 0 - 1) < mpf("1e-12")
     dt = time.time() - t0
-    assert report("A2", bool(ok) and dt < 1, "exact identities nu=1..6, %.2fs" % dt)
+    assert report("A2", bool(ok) and dt < 1,
+                  "exact identities nu=1..6, %.2fs" % dt, phi_e="1.0")
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +277,8 @@ def test_A5a_sawtooth_minima_location():
                                                               float(dist)))
     dt = time.time() - t0
     assert report("A5a (minima location)", bool(ok),
-                  "; ".join(detail) + ", scan %.0fs" % dt)
+                  "; ".join(detail) + ", scan %.0fs" % dt, N=[40, 80],
+                  phi_e=SCAN_PHI)
 
 
 def test_A5b_amplitude_ratio():
@@ -296,7 +301,7 @@ def test_A5b_amplitude_ratio():
     report("A5b (amplitude ratio >= 3)", ok,
            "measured %.2fx (N=40), %.2fx (N=80)" %
            (float(ratios[0]), float(ratios[1])),
-           value=ratios, bound=3, N=[40, 80])
+           value=ratios, bound=3, N=[40, 80], phi_e=SCAN_PHI)
     assert ok, "saw-tooth contrast is not yet formed at N <= 80 (see ledger)"
 
 
@@ -315,7 +320,8 @@ def test_A5c_reduced_deviation_trend():
     report("A5c (reduced-gamma deviation)", ok,
            "max dev N=40: %.2f, N=80: %.2f (bound 0.25)" %
            (float(maxdev[40]), float(maxdev[80])),
-           value=[maxdev[40], maxdev[80]], bound=mpf("0.25"), N=[40, 80])
+           value=[maxdev[40], maxdev[80]], bound=mpf("0.25"), N=[40, 80],
+           phi_e=SCAN_PHI)
     assert ok, ("the one-correction reduced form carries O(1) amplitude-ratio "
                 "error at desk scale (see ledger)")
 
@@ -351,7 +357,7 @@ def test_A6_beta_sawtooth():
     report("A6 (beta saw-tooth)", sign_ok and power_ok and trend_ok,
            "sign %s, dip N-power meas/pred %.2f, max dev %.2f -> %.2f" %
            (sign_ok, float(pow_meas / pow_pred), float(devs[40]), float(devs[80])),
-           value=[devs[40], devs[80]], N=[40, 80])
+           value=[devs[40], devs[80]], N=[40, 80], phi_e=SCAN_PHI)
     assert sign_ok and power_ok, "beta sign or N-power scaling broken"
     assert trend_ok, ("reduced-beta deviation did not shrink with N at desk "
                       "scale (see ledger)")
@@ -394,7 +400,8 @@ def test_A7_transition_order():
     assert report("A7", ok, "below-Tc worst ratio dev %.3f (<= 0.10), "
                   "above-Tc fit a = %.4f vs 4 nu phi^2 = %.4f (%.1f%%), %.0fs"
                   % (float(worst), float(a_fit), float(target),
-                     float(abs(a_fit - target) / target * 100), dt))
+                     float(abs(a_fit - target) / target * 100), dt),
+                  phi_e=["1.0", "0.6"])
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +436,8 @@ def test_A8_expected_count():
                       (target, p, float(rp.u), float(cnt), rp.ubar))
     dt = time.time() - t0
     ok &= dt < 600
-    assert report("A8", bool(ok), "; ".join(detail) + ", %.0fs" % dt)
+    assert report("A8", bool(ok), "; ".join(detail) + ", %.0fs" % dt, N=80,
+                  phi_e=COUNT_PHI)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +458,7 @@ def test_A9_newborn_endpoints():
     dt = time.time() - t0
     ok = rels[0] < mpf("0.25") and rels[1] < rels[0] and dt < 120
     assert report("A9", bool(ok), "rel dev %.3f (1e-3) -> %.3f (1e-4), %.0fs"
-                  % (float(rels[0]), float(rels[1]), dt))
+                  % (float(rels[0]), float(rels[1]), dt), phi_e="1.0")
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +466,11 @@ def test_A9_newborn_endpoints():
 # = 3 puts u at 1.44) and the count route
 # ---------------------------------------------------------------------------
 
+A10_PHI = "1.05"
+
+
 def test_A10a_kernel_reduction():
-    spec = quartic("1.05")
+    spec = quartic(A10_PHI)
     mc = model_chain(1, 30)
     N = 80
     p = int(mp.nint(mpf("1.3") * mp.log(N) / (2 * spec.phi_e)))
@@ -477,7 +488,8 @@ def test_A10a_kernel_reduction():
     ok = dev < mpf("0.2")
     report("A10a (kernel reduction)", bool(ok),
            "sup-norm rel deviation %.3f (bound 0.2; O(N^-1/2) floor ~0.27 "
-           "at N=80)" % float(dev), value=dev, bound=mpf("0.2"), N=N)
+           "at N=80)" % float(dev), value=dev, bound=mpf("0.2"), N=N,
+           phi_e=A10_PHI)
     assert ok, "kernel reduction error is the genuine O(N^{-1/2nu}) term (ledger)"
 
 
@@ -497,4 +509,5 @@ def test_A10b_kernel_diagonal_count():
         detail.append("u*=%s diag=%.3f" % (target, float(diag)))
     dt = time.time() - t0
     ok &= dt < 600
-    assert report("A10b (diagonal count)", bool(ok), "; ".join(detail) + ", %.0fs" % dt)
+    assert report("A10b (diagonal count)", bool(ok),
+                  "; ".join(detail) + ", %.0fs" % dt, N=80, phi_e=COUNT_PHI)

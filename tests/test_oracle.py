@@ -197,7 +197,6 @@ def test_one_cut_gamma_limit_below_tc():
     for N, tol in tols.items():
         n = int(N * frac)
         ch = build_rec_chain(spec.V, N, spec.Tc, n_max=n + 1, bits=256, nodes=3008)
-        mu = solve_one_cut(spec.V, spec.Tc * frac * n / (N * frac), guess=(-1.5, 1.5))
         mu = solve_one_cut(spec.V, spec.Tc * n / N, guess=(-1.5, 1.5))
         target = (mu.endpoints[1] - mu.endpoints[0]) / 4
         assert abs(ch.gamma[n] / target - 1) < tol

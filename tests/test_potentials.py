@@ -230,16 +230,53 @@ def test_cut_integrals_match_quadrature(nu, e, Q_tilde):
                 assert abs(got - ref) <= mpf("1e-36") * abs(ref), (nu, x)
 
 
-def test_cut_integral_of_zero_and_empty_interval():
+def test_cut_integral_of_zero_and_empty_interval(monkeypatch):
+    # both are 0 at once, before any antiderivative term is formed
+    ends = []
+
+    def counted(x, K):
+        ends.append(x)
+        return _sinh_terms(x, K)
+
+    monkeypatch.setattr(potentials, "_sinh_terms", counted)
     x = mpf("2.5")
     assert _cut_integral([Poly()])(2, x) == 0
+    assert _cut_integral([Poly([1]), Poly()])(x, 2 * x, mirrored=True) == 0
     assert _cut_integral([Poly([1])])(x, x) == 0
+    assert _cut_integral([Poly([-3, 1])])(x, x, mirrored=True) == 0
+    assert ends == []
+
+
+def test_cut_integral_rejects_an_end_below_two():
+    # below x = 2, sqrt(x^2 - 4) is imaginary (or, past -2, belongs to the
+    # mirrored integral): an end there is outside the closed form
+    F = _cut_integral(_weight_factors(Poly([1]), mpf("2.6"), 1))
+    for lo, hi in ((2, mpf("1.6")), (2, mpf("-7.4")), (mpf("1.99"), 3),
+                   (mpf("-3"), mpf("-2"))):
+        with pytest.raises(ValueError):
+            F(lo, hi)
+        with pytest.raises(ValueError):
+            F(lo, hi, mirrored=True)
+    assert F(2, 2) == 0 and F(2, mpf("2.6")) < 0
+
+
+def mpf_sinh_terms(x, K):
+    """[t, sinh(t), sinh(2t)/2, ..., sinh(K t)/K] at x = 2 cosh(t) >= 2 in
+    mpf at the working precision, by the same addition formulas."""
+    s1 = mp.sqrt((x - 2) * (x + 2)) / 2
+    c1 = x / 2
+    out = [mp.asinh(s1)]
+    s, c = mpf(0), mpf(1)       # sinh(k t), cosh(k t)
+    for k in range(1, K + 1):
+        s, c = s * c1 + c * s1, c * c1 + s * s1
+        out.append(s / k)
+    return out
 
 
 def two_pass_cut_integral(factors):
-    """Each integral in full: both ends evaluated, x = 2 too, the first
-    pass at CUT_GUARD_BITS, the mirrored integral from mirrored factors and
-    nothing cached. The reference for `_cut_integral`."""
+    """Each integral in full and in mpf: both ends evaluated, x = 2 too,
+    the first pass at CUT_GUARD_BITS, the mirrored integral from mirrored
+    factors and nothing cached. The reference for `_cut_integral`."""
     def integral(lo, hi, mirrored=False):
         side = factors
         if mirrored:
@@ -253,10 +290,10 @@ def two_pass_cut_integral(factors):
                 for f in side:
                     P = P * f
                     A = A * Poly([abs(a) for a in f.c])
-                c, ca = _cosh_coefficients(P), _cosh_coefficients(A)
+                c, ca = _cosh_coefficients(P.c), _cosh_coefficients(A.c)
                 value = mass = mpf(0)
                 for x, sign in ((mpf(hi), 1), (mpf(lo), -1)):
-                    for ck, ak, T in zip(c, ca, _sinh_terms(x, len(c) - 1)):
+                    for ck, ak, T in zip(c, ca, mpf_sinh_terms(x, len(c) - 1)):
                         value += sign * ck * T
                         mass += ak * T
             lost = mp.mag(mass) - mp.mag(value) if value else prec + guard
@@ -269,8 +306,9 @@ def two_pass_cut_integral(factors):
 @pytest.mark.parametrize("dps", [15, 40])
 @pytest.mark.parametrize("nu, e", [(1, "2.6"), (2, "2.6"), (4, "2.2")])
 def test_cut_integral_equals_the_two_pass_loop(nu, e, dps):
-    # the one-pass form with no t = 0 end, bit for bit, on intervals from
-    # x = 2, next to e (where up to 2 nu + 1 orders cancel) and inside (2, e)
+    # the one-pass integer form with no t = 0 end, bit for bit, on
+    # intervals from x = 2, next to e (where up to 2 nu + 1 orders cancel)
+    # and inside (2, e); an end below 2 (e - 1, e - 10, e - 100) raises
     with mp.workdps(dps):
         spec = make_spec(nu, mpf(e))
         e = spec.e
@@ -280,6 +318,10 @@ def test_cut_integral_equals_the_two_pass_loop(nu, e, dps):
             + [e + s * mpf(10) ** k for k in range(-6, 3) for s in (-1, 1)]
         for mirrored in (False, True):
             for x in xs:
+                if x < 2:
+                    with pytest.raises(ValueError):
+                        F(2, x, mirrored)
+                    continue
                 assert F(2, x, mirrored) == ref(2, x, mirrored), (x, mirrored)
         for lo, hi in ((2 + mpf("0.01"), e), ((2 + e) / 2, e + 1),
                        (e - mpf("1e-3"), e + mpf("1e-3"))):

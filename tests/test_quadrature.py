@@ -9,7 +9,7 @@ are counted, not timed.
 import pytest
 from mpmath import mp, mpf
 
-from birthcut import equilibrium
+from birthcut import equilibrium, quadrature
 from birthcut.critical import two_cut_guess
 from birthcut.potentials import quartic_etilde
 from birthcut.quadrature import (TOL_DIGITS, ConvergenceError,
@@ -88,6 +88,43 @@ def test_normalization_of_a_two_cut_measure_calls_f_129_and_65_times(
     monkeypatch.setattr(equilibrium, "integrate_bracket", spy)
     assert abs(equilibrium.normalization(mu) - 1) < mpf("1e-35")
     assert [len(calls) for calls in runs] == [129, 65]
+
+
+def test_bracket_nodes_take_no_mp_cos(monkeypatch):
+    # the cosine nodes come from one integer rotation per level, not from
+    # mp.cos: the ends first, then i pi/32 for 0 < i < 32, then the odd i
+    # of each doubled level, each node within 2^-prec (b - a) of
+    # mid + half cos(i pi/n) formed at twice the precision
+    a, b = mpf("-1.5"), mpf("2.25")
+    f, nodes = counted(lambda x: mp.exp(x) * mp.sin(3 * x))
+    with monkeypatch.context() as m:
+        m.setattr(mp, "cos", None)
+        integrate_bracket(f, a, b)
+    angles = [(i, 32) for i in range(1, 32)]
+    while len(angles) < len(nodes) - 2:
+        n = 2 * angles[-1][1]
+        angles += [(i, n) for i in range(1, n, 2)]
+    assert nodes[:2] == [a, b] and len(angles) == len(nodes) - 2 > 31
+    with mp.workprec(2 * mp.prec):
+        worst = max(abs(x - (a + b) / 2 - (b - a) / 2 * mp.cos(i * mp.pi / n))
+                    for x, (i, n) in zip(nodes[2:], angles))
+    assert worst <= mp.ldexp(b - a, -mp.prec)
+
+
+@pytest.mark.parametrize("n", [5, 37])
+def test_legendre_newton_raises_at_its_cap(monkeypatch, n):
+    # a root that needs more than NEWTON_CAP steps raises, in the float
+    # seeds (Tricomi's start is not a root to 1e-15) and in the integer
+    # Newton from those seeds (4 steps at 320 bits)
+    seeds = legendre_seeds(n)
+    monkeypatch.setattr(quadrature, "NEWTON_CAP", 1)
+    with pytest.raises(ConvergenceError, match="P_%d" % n):
+        legendre_seeds(n)
+    monkeypatch.setattr(quadrature, "legendre_seeds", lambda order: seeds)
+    monkeypatch.setattr(quadrature, "_CACHE", {})
+    with mp.workprec(320):
+        with pytest.raises(ConvergenceError, match="P_%d" % n):
+            gauss_legendre(n)
 
 
 def midpoint_bracket(f, a, b, n):
