@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from .poly import Poly
 from .potentials import CriticalSpec
@@ -31,7 +31,6 @@ class NewbornScaling:
     d: mpf
     delta_x0: mpf     # x0 - d ~ 4 nu phi_e sinh(phi_e)/ln(t/Tc)
     m_asym: mpf
-    tau_asym: mpc     # -i ln(t/Tc) / (2 nu pi)
     epsilon: mpf      # filling fraction of the newborn cut
 
 
@@ -112,7 +111,6 @@ def newborn_scaling(spec: CriticalSpec, t) -> NewbornScaling:
         d=spec.e + half,
         delta_x0=4 * nu * phi * mp.sinh(phi) / lnt,
         m_asym=4 * zeta / mp.sinh(phi) ** 2 * tau_pow,
-        tau_asym=mpc(0, -1) * lnt / (2 * nu * mp.pi),
         epsilon=-2 * nu * phi * that / lnt,
     )
 

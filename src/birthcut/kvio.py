@@ -113,11 +113,12 @@ def chain_to_table(chain: RecChain, lnA=None) -> str:
     precision: a header of N, Tc, n_max, bits, the domain, the grid size and
     the check's resid and converged (or none), then per n = 0..n_max the row
     n, ln h_n, gamma_n (gamma_0 = 0), beta_n, ln zeta_n and, given lnA, ln A_n."""
+    w = chain.weight
     with mp.workprec(chain.prec):
         lines = ["# N=%d Tc=%s n_max=%d bits=%d x_min=%s x_max=%s nodes=%d "
                  "resid=%s converged=%s" % (
-                     chain.N, _fmt(chain.Tc), chain.n_max, chain.prec,
-                     _fmt(chain.x_min), _fmt(chain.x_max), len(chain.grid),
+                     w.N, _fmt(w.Tc), chain.n_max, chain.prec,
+                     _fmt(w.lo), _fmt(w.hi), len(chain.grid),
                      "none" if chain.resid is None else _fmt(chain.resid),
                      {None: "none", True: "yes", False: "no"}[chain.converged]),
                  "# n ln_h gamma beta ln_zeta" + (" ln_A" if lnA is not None else "")]

@@ -1,7 +1,8 @@
 """The effective matrix model in the potential y^{2 nu}/(2 nu).
 
 Its chain is the recurrence chain of the weight w(y) = exp(-y^{2 nu}/(2 nu)):
-an `oracle.RecChain` with V = y^{2 nu}/(2 nu), N = T_c = 1 and
+an `oracle.RecChain` of the `oracle.Weight` with V = y^{2 nu}/(2 nu),
+N = T_c = 1 on the oracle's domain (`Weight.default`), and
 n_max = k_max - 1. w is a Freud weight, so its recurrence needs no
 quadrature: beta_n = 0 by parity, and gamma_n^2 solves the Freud string
 equation n = a_n [J^{2 nu - 1}]_{n,n-1}, a discrete Painleve I at nu = 2
@@ -10,11 +11,11 @@ equations", 1999; Van Assche, Orthogonal Polynomials and Painleve Equations,
 2018). `freud_gsq` takes the first nu - 1 values from the closed-form moments
 and solves the equation forward for the rest, which loses about 2 bits per
 step, hence the guard of 3 bits per step. The one grid a model chain has is
-the Gauss-Legendre grid of its orthonormality check, an integer
-`oracle.NodeGrid` of exp(-y^{2 nu}/(2 nu)), which the Hilbert seed reuses.
+the Gauss-Legendre grid of its orthonormality check, the weight's integer
+`oracle.NodeGrid` (`Weight.grid`), which the Hilbert seed reuses.
 The weight is even and the domain symmetric, so the grid is mirrored: only
 its upper half is formed, and the check sweeps only that half, by the
-parity of psi_k (`oracle._node_grid`, `oracle.gram_entries`); both cost
+parity of psi_k (`oracle.Weight.grid`, `oracle.gram_entries`); both cost
 half of what they cost on an oracle grid of the same size.
 Its size is that of the first rung of the oracle's node ladder on which
 the check converges (`oracle._first_converged`); `nodes=` pins it.
@@ -54,11 +55,10 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .oracle import (GUARD_BITS, PANEL_POINTS, RecChain, _antiweight,
-                     _check_index, _domain, _first_converged, _ladder,
-                     _monic_start, _monic_steps, _node_grid, _recent,
-                     _rounded, assemble_chain, orthogonality_residual,
-                     pihat_direct)
+from .oracle import (GUARD_BITS, PANEL_POINTS, RecChain, Weight, _antiweight,
+                     _check_index, _first_converged, _ladder, _monic_start,
+                     _monic_steps, _recent, _rounded, assemble_chain,
+                     orthogonality_residual, pihat_direct)
 from .poly import Poly
 from .potentials import CriticalSpec
 
@@ -179,25 +179,23 @@ def build_chain(nu: int, k_max: int = 100, prec: int = 256,
 def _build_chain(nu, k_max, prec, nodes):
     n_max = k_max - 1
     with mp.workprec(prec):
-        V = Poly([0] * (2 * nu) + [mpf(1) / (2 * nu)])
-        x_min, x_max = _domain(V, 1, 1, n_max, prec)
+        weight = Weight.default(Poly([0] * (2 * nu) + [mpf(1) / (2 * nu)]),
+                                1, mpf(1), n_max, prec)
     with mp.workprec(prec + string_guard_bits(k_max)):
         gsq = freud_gsq(nu, n_max)
         log_h = [mp.log(freud_moments(nu, 1)[0])]
         for g in gsq[1:]:
             log_h.append(log_h[-1] + mp.log(g))
-        chain = assemble_chain(V, 1, mpf(1), prec, x_min, x_max,
-                               [mpf(0)] * k_max, [mp.sqrt(g) for g in gsq],
-                               log_h, None)
+        chain = assemble_chain(weight, prec, [mpf(0)] * k_max,
+                               [mp.sqrt(g) for g in gsq], log_h, None)
     with mp.workprec(prec):
         if nodes is not None:
             rungs = (int(max(1, nodes // PANEL_POINTS) * mpf("1.37")),)
         else:
-            rungs = _ladder(nu, n_max, x_max, prec)
+            rungs = _ladder(nu, n_max, weight.hi, prec)
 
         def chain_on(panels):
-            chain.grid = _node_grid(x_min, x_max, panels, V, 1,
-                                    prec + GUARD_BITS)
+            chain.grid = weight.grid(panels, prec + GUARD_BITS)
             return chain
         return _first_converged(
             rungs, chain_on, lambda ch, pairs: orthogonality_residual(

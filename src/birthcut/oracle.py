@@ -27,16 +27,18 @@ node to working precision. Both chain builders climb one node ladder
 Gauss-Legendre rules converge geometrically on analytic integrands
 (Trefethen, SIAM Rev. 50, 2008).
 
+A chain is the recurrence chain of one `Weight` (V, N, T_c and the ends
+lo, hi that `Weight.default` chooses), the one place N/T_c is formed.
 Whatever builds the recurrence (beta_n, gamma_n, ln h_n), `assemble_chain`
 derives the rest of a `RecChain` from it in one place: gamma_n^2, ln zeta_n,
 the fixed-point copies and the factors 1/sqrt(h_n).
 
 Every grid a chain sweep reads (the Stieltjes grid, both orthogonality
 checks' grids, the counting grid and the principal-value grid) is one
-`NodeGrid` from `_node_grid`, built once in integers, with no mpf formed
-per node. A chain keeps its grid. Where the weight is even on a symmetric
-interval (every model chain, never an oracle), only the upper half of the
-grid is formed and the lower half is its mirror (`NodeGrid.mirrored`).
+`NodeGrid` of the weight (`Weight.grid`), built in integers, with no mpf
+formed per node. A chain keeps its grid. Where the weight is even on a
+symmetric interval (every model chain, never an oracle), only the upper
+half of the grid is formed and the lower half is its mirror.
 
 `stieltjes_chain` runs it in Lanczos form on the orthonormal node vectors
 v_k(x_i) = sqrt(w_i) P_k(x_i)/sqrt(h_k), in Python-integer fixed point with
@@ -79,7 +81,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
 
@@ -104,7 +106,7 @@ class NodeGrid:
     2^F: node i is X[i] 2^-F exactly (a prec-bit value, the mpf xs[i]), and
     sqrt(g_i w_i) = U[i] 2^-(F + K[i] + m) with K[i] >= 0 and U[i] of about
     F bits, g_i the GL weight of the node. Every panel has the same width,
-    so the weights of one panel (`g`) serve them all. Built by `_node_grid`.
+    so the weights of one panel (`g`) serve them all. Built by `Weight.grid`.
     """
     F: int
     X: list = field(repr=False)
@@ -146,73 +148,109 @@ class NodeGrid:
         return [self.gw(i) / g for i, g in enumerate(self.gl_w())]
 
 
-def _node_grid(lo, hi, panels, V: Poly, coupling, F):
-    """The `NodeGrid` of w = exp(-coupling V) on [lo, hi], `panels` panels
-    of the PANEL_POINTS-point Gauss-Legendre rule, with F fraction bits
-    (the rule at F - GUARD_BITS bits).
+@dataclass(frozen=True, eq=False)
+class Weight:
+    """w = exp(-(N/T_c) V) on [lo, hi], the weight of a `RecChain`, and the
+    one place N/T_c is formed (`coupling`); a counting grid is the same
+    weight with other ends (`dataclasses.replace`)."""
+    V: Poly
+    N: int
+    Tc: mpf
+    lo: mpf
+    hi: mpf
+    _polys: dict = field(default_factory=dict, init=False, repr=False)
 
-    All in integers but 64 square roots of the panel's GL weights: node
-    X = LO + i H + H (t_j + 1)/2 rounded to prec significant bits, then
-    (coupling/2) V(x) 2^F by Horner, split as k ln 2 + r with 0 <= r < ln 2,
-    and sqrt(w) = 2^-k exp(-r) from mpmath's fixed-point exp series (argument
-    reduction as in Brent and Zimmermann, Modern Computer Arithmetic, 2010,
-    section 4.3). Each term is accurate to a few units of 2^-F.
+    @classmethod
+    def default(cls, V: Poly, N: int, Tc, n_max: int, prec: int):
+        """The weight on [lo, hi] with (N/Tc)(V - V_min) - 2 n_max ln(1+|x|)
+        beyond the precision budget at both ends. V_min starts as the
+        minimum of V over 401 points of [-3, 3] (`_scan_min`) and takes in
+        every end tried; each end walks out from -3 or 3 in half-steps
+        (`_walk_end`), the left one first."""
+        w = cls(V, N, Tc, mpf(-3), mpf(3))
+        coupling = w.coupling
+        vmin = _scan_min(V, w.lo, w.hi)
+        budget = domain_budget(prec)
+        half = mpf(1) / 2
+        lo, vmin = _walk_end(V, w.lo, -half, vmin, coupling, n_max, budget)
+        hi, _ = _walk_end(V, w.hi, half, vmin, coupling, n_max, budget)
+        return replace(w, lo=lo, hi=hi)
 
-    Where V has no odd coefficients and the fixed-point ends meet LO == -HI
-    (every model chain's grid), w is even on a symmetric interval: only the
-    upper half, nodes n/2..n-1, is formed as above, and node n-1-j is its
-    mirror, -X[j] with U[j] and K[j] (`NodeGrid.mirrored`). No oracle
-    potential is even, so oracle grids are formed node by node as before.
-    """
-    prec = F - GUARD_BITS
-    with mp.workprec(prec):
-        ts, gs = gauss_legendre(PANEL_POINTS)
-    with mp.workprec(F + 16):
-        LO, HI = _to_fixed([mpf(lo), mpf(hi)], F)
-        H = (HI - LO) // panels
-        T = [t + (1 << F) for t in _to_fixed(ts, F)]
-        g = [mp.ldexp(mpf(H), -F - 1) * w for w in gs]
-        roots = []                   # sqrt(g_j) = S_j 2^-(F + s_j)
-        for gj in g:
-            man, ex = mp.sqrt(gj).man_exp
-            bl = man.bit_length()
-            roots.append((man << (F - bl) if bl < F else man >> (bl - F),
-                          -(ex + bl)))
-    C = _weight_poly(V, coupling, F)
-    n = panels * PANEL_POINTS
-    mirrored = LO == -HI and not any(V.c[1::2])
-    X, U, K = [], [], []
-    for node in range(n // 2 if mirrored else 0, n):
-        i, j = divmod(node, PANEL_POINTS)
-        x = LO + i * H + (H * T[j] >> (F + 1))
-        d = abs(x).bit_length() - prec
-        if d > 0:                    # round to prec significant bits
-            x = ((x >> (d - 1)) + 1 >> 1) << d
-        _, k, W = _root_weight(C, x, F)
-        Sj, sj = roots[j]
-        X.append(x)
-        U.append(W * Sj >> F)
-        K.append(k + sj)
-    if mirrored:
-        X = [-x for x in reversed(X)] + X
-        U = U[::-1] + U
-        K = K[::-1] + K
-    m = min(K)
-    return NodeGrid(F=F, X=X, U=U, K=[k - m for k in K], m=m, g=g,
-                    mirrored=mirrored)
+    @property
+    def coupling(self):
+        """N/T_c at the working precision."""
+        return mpf(self.N) / self.Tc
 
+    def poly(self, F):
+        """(N/2 T_c) V's coefficients times 2^F as integers, highest degree
+        first (N/T_c at F - GUARD_BITS bits, each product at F + 16): the
+        Horner coefficients of `_root_weight`, formed once per F."""
+        if F not in self._polys:
+            with mp.workprec(F - GUARD_BITS):
+                coupling = self.coupling
+            with mp.workprec(F + 16):
+                self._polys[F] = _to_fixed(
+                    [coupling * c / 2 for c in reversed(self.V.c)], F)
+        return self._polys[F]
 
-def _weight_poly(V: Poly, coupling, F):
-    """The coefficients of (coupling/2) V times 2^F as integers, highest
-    degree first, each product formed at F + 16 bits: the Horner
-    coefficients of `_root_weight`."""
-    with mp.workprec(F + 16):
-        return _to_fixed([coupling * c / 2 for c in reversed(V.c)], F)
+    def grid(self, panels, F):
+        """The weight's `NodeGrid`, `panels` panels of the PANEL_POINTS-point
+        Gauss-Legendre rule, with F fraction bits (the rule at F - GUARD_BITS).
+
+        All in integers but 64 square roots of the panel's GL weights: node
+        X = LO + i H + H (t_j + 1)/2 rounded to prec significant bits, then
+        (N/2 T_c) V(x) 2^F by Horner, split as k ln 2 + r, 0 <= r < ln 2, and
+        sqrt(w) = 2^-k exp(-r) from mpmath's fixed-point exp series (argument
+        reduction as in Brent and Zimmermann, Modern Computer Arithmetic,
+        2010, section 4.3). Each term is accurate to a few units of 2^-F.
+
+        Where V has no odd coefficients and the fixed-point ends meet
+        LO == -HI (every model chain's grid), w is even on a symmetric
+        interval: only the upper half, nodes n/2..n-1, is formed as above,
+        and node n-1-j is its mirror, -X[j] with U[j] and K[j]
+        (`NodeGrid.mirrored`). No oracle potential is even.
+        """
+        prec = F - GUARD_BITS
+        with mp.workprec(prec):
+            ts, gs = gauss_legendre(PANEL_POINTS)
+        with mp.workprec(F + 16):
+            LO, HI = _to_fixed([mpf(self.lo), mpf(self.hi)], F)
+            H = (HI - LO) // panels
+            T = [t + (1 << F) for t in _to_fixed(ts, F)]
+            g = [mp.ldexp(mpf(H), -F - 1) * w for w in gs]
+            roots = []                   # sqrt(g_j) = S_j 2^-(F + s_j)
+            for gj in g:
+                man, ex = mp.sqrt(gj).man_exp
+                bl = man.bit_length()
+                roots.append((man << (F - bl) if bl < F else man >> (bl - F),
+                              -(ex + bl)))
+        C = self.poly(F)
+        n = panels * PANEL_POINTS
+        mirrored = LO == -HI and not any(self.V.c[1::2])
+        X, U, K = [], [], []
+        for node in range(n // 2 if mirrored else 0, n):
+            i, j = divmod(node, PANEL_POINTS)
+            x = LO + i * H + (H * T[j] >> (F + 1))
+            d = abs(x).bit_length() - prec
+            if d > 0:                    # round to prec significant bits
+                x = ((x >> (d - 1)) + 1 >> 1) << d
+            _, k, W = _root_weight(C, x, F)
+            Sj, sj = roots[j]
+            X.append(x)
+            U.append(W * Sj >> F)
+            K.append(k + sj)
+        if mirrored:
+            X = [-x for x in reversed(X)] + X
+            U = U[::-1] + U
+            K = K[::-1] + K
+        m = min(K)
+        return NodeGrid(F=F, X=X, U=U, K=[k - m for k in K], m=m, g=g,
+                        mirrored=mirrored)
 
 
 def _root_weight(C, X, F):
-    """(G, k, W) at x = X 2^-F for the `_weight_poly` coefficients C of
-    (coupling/2) V: G = (coupling/2) V(x) 2^F by Horner, and
+    """(G, k, W) at x = X 2^-F for the `Weight.poly` coefficients C of
+    (N/2 T_c) V: G = (N/2 T_c) V(x) 2^F by Horner, and
     sqrt(w(x)) = W 2^-(F + k), W = 2^F e^{-r 2^-F} from mpmath's fixed-point
     exp series, where G = k L + r with L = 2^F ln 2 and 0 <= r < L."""
     G = 0
@@ -241,7 +279,7 @@ class _Point:
     - X = x 2^F truncated to an integer;
     - G = (N/2 T_c) V(x) 2^F as an integer and the psi weight
       w = e^{-(N/2 T_c) V(x)} = W 2^-(F + k), W good to a few units, both
-      from `_root_weight` on the chain's `weight_poly`, as a grid node's
+      from `_root_weight` on the chain's `Weight.poly`, as a grid node's
       are; w and its square w2 are each rounded once to the chain's
       precision from these integers;
     - state, the `_monic_steps` state its last call reached, and below,
@@ -252,7 +290,7 @@ class _Point:
     def __init__(self, chain, x):
         F = chain.prec + GUARD_BITS
         self.X = _fixed(x, F)
-        self.G, k, W = _root_weight(chain.weight_poly, self.X, F)
+        self.G, k, W = _root_weight(chain.weight.poly(F), self.X, F)
         self.w = _rounded(W, -F - k, chain.prec)
         self.w2 = _rounded(W * W, -2 * (F + k), chain.prec)
         self.state = _monic_start(F)
@@ -266,13 +304,12 @@ def _rounded(man, exp, prec):
 
 @dataclass
 class RecChain:
-    """Recurrence data of w = exp(-(N/Tc) V) up to n_max on [x_min, x_max],
-    as `assemble_chain` forms it.
+    """Recurrence data of its `Weight` w = exp(-(N/Tc) V) on [x_min, x_max]
+    up to n_max, as `assemble_chain` forms it.
 
     Read-only once built, so it can be shared. Its mutable parts hold values
     derived from the chain on first use, in three places:
-    - the fixed-point coefficients of (N/2 T_c) V (`weight_poly`) and the
-      `kernel_scale` of each n, formed once and never dropped;
+    - the `kernel_scale` of each n, formed once and never dropped;
     - the point store (`point`), one LRU of POINT_STORE_SIZE entries, one
       per evaluation point and derivative flag, each a `_Point`: the
       point's (N/2 T_c) V(x) in fixed point, its psi weight and square,
@@ -288,13 +325,9 @@ class RecChain:
       and working precision, the base they share per (spec, N, working
       precision), and its values per regime.
     """
-    N: int
-    Tc: mpf
-    V: Poly
+    weight: Weight
     n_max: int
     prec: int
-    x_min: mpf
-    x_max: mpf
     log_h: list            # ln h_n, n = 0..n_max
     gamma: list            # gamma_n, n = 1..n_max (index n; gamma[0] = 0)
     beta: list             # beta_n, n = 0..n_max
@@ -326,15 +359,6 @@ class RecChain:
         return _recent(self._points, (x._mpf_, deriv),
                        lambda: _Point(self, x), POINT_STORE_SIZE)
 
-    @cached_property
-    def weight_poly(self):
-        """The `_weight_poly` coefficients of (N/2 T_c) V at F bits, with
-        N/T_c formed at the chain's precision as the chain's grids form
-        it: the Horner coefficients of every `_Point`."""
-        with mp.workprec(self.prec):
-            coupling = mpf(self.N) / self.Tc
-        return _weight_poly(self.V, coupling, self.prec + GUARD_BITS)
-
     def kernel_scale(self, n):
         """gamma_n / sqrt(h_n h_{n-1}) at the chain's precision, the
         prefactor of `kernel_exact`, formed on first use of n."""
@@ -350,10 +374,14 @@ class RecChain:
     def xs(self):
         return self.grid.xs
 
+    x_min = property(lambda self: self.weight.lo)   # the weight's ends
+    x_max = property(lambda self: self.weight.hi)
 
-def assemble_chain(V: Poly, N: int, Tc, prec: int, x_min, x_max, beta, gamma,
-                   log_h, grid) -> RecChain:
-    """The `RecChain` of the recurrence (beta_n, gamma_n, ln h_n), n = 0..n_max,
+
+def assemble_chain(weight: Weight, prec: int, beta, gamma, log_h,
+                   grid) -> RecChain:
+    """The `RecChain` of the weight's recurrence (beta_n, gamma_n, ln h_n),
+    n = 0..n_max,
     with gamma_0 = 0: gamma_n^2 and ln zeta_n at the working precision, then
     everything rounded to prec, and from the rounded values the fixed-point
     copies (F = prec + GUARD_BITS) and 1/sqrt(h_n) at prec."""
@@ -365,9 +393,8 @@ def assemble_chain(V: Poly, N: int, Tc, prec: int, x_min, x_max, beta, gamma,
         beta, gamma, gsq, log_h, ln_zeta = ([+v for v in vs] for vs in (
             beta, gamma, gsq, log_h, ln_zeta))
         F = prec + GUARD_BITS
-        return RecChain(N=N, Tc=Tc, V=V, n_max=len(log_h) - 1, prec=prec,
-                        x_min=x_min, x_max=x_max, log_h=log_h, gamma=gamma,
-                        beta=beta, gsq=gsq,
+        return RecChain(weight=weight, n_max=len(log_h) - 1, prec=prec,
+                        log_h=log_h, gamma=gamma, beta=beta, gsq=gsq,
                         inv_sqrt_h=[mp.exp(-v / 2) for v in log_h],
                         ln_zeta=ln_zeta, beta_fx=_to_fixed(beta, F),
                         gsq_fx=_to_fixed(gsq, F), grid=grid)
@@ -657,7 +684,7 @@ def _monic_point(chain, n, x, deriv=False):
 
 
 def domain_budget(prec: int):
-    """The precision budget of `_domain`: ln of the factor by which the
+    """The precision budget of `Weight.default`: ln of the factor by which the
     weight times x^{2 n_max} has fallen at the domain's ends."""
     return mpf(prec) * mp.log(2) * mpf("0.45") + 60
 
@@ -686,8 +713,8 @@ def _scan_min(V: Poly, lo, hi):
 
 
 def _deficit(V: Poly, x, vmin, coupling, n_max: int, budget):
-    """(N/Tc)(V(x) - vmin) - 2 n_max ln(1+|x|) - budget in mpf; `_domain`
-    stops at the first end where it is >= 0."""
+    """(N/Tc)(V(x) - vmin) - 2 n_max ln(1+|x|) - budget in mpf;
+    `Weight.default` stops at the first end where it is >= 0."""
     return coupling * (V(x) - vmin) - 2 * n_max * mp.log(1 + abs(x)) - budget
 
 
@@ -731,20 +758,6 @@ def _walk_end(V: Poly, x, step, vmin, coupling, n_max: int, budget):
     confirmed = _deficit(V, x, vmin, coupling, n_max, budget) >= 0 and (
         last is None or _deficit(V, *last, coupling, n_max, budget) < 0)
     return (x, vmin) if confirmed else mpf_walk(*start)
-
-
-def _domain(V: Poly, N: int, Tc, n_max: int, prec: int):
-    """[x_min, x_max] with (N/Tc)(V - V_min) - 2 n_max ln(1+|x|) beyond the
-    precision budget at both ends. V_min starts as the minimum of V over 401
-    points of [-3, 3] (`_scan_min`) and takes in every end tried; each end
-    walks out from -3 or 3 in half-steps (`_walk_end`), the left one first."""
-    coupling = mpf(N) / Tc
-    vmin = _scan_min(V, mpf(-3), mpf(3))
-    budget = domain_budget(prec)
-    half = mpf(1) / 2
-    lo, vmin = _walk_end(V, mpf(-3), -half, vmin, coupling, n_max, budget)
-    hi, _ = _walk_end(V, mpf(3), half, vmin, coupling, n_max, budget)
-    return lo, hi
 
 
 # the node ladder's panel counts: 320, 640, 1344, 2752, 5568 and 11200 nodes,
@@ -848,16 +861,16 @@ def build_rec_chain(V: Poly, N: int, Tc, n_max: int = None, bits: int = 320,
     if n_max is None:
         n_max = N + int(mp.ceil(3 * mp.log(N)))
     with mp.workprec(bits):
-        lo, hi = _domain(V, N, Tc, n_max, bits)
+        weight = Weight.default(V, N, Tc, n_max, bits)
         if nodes is not None:
             rungs = (max(1, nodes // PANEL_POINTS),)
         else:
-            gauss = _domain(Poly([0, 0, mpf(1) / 2]), 1, 1, n_max, bits)[1]
-            rungs = _ladder(1, n_max, gauss, bits)
+            gauss = Weight.default(Poly([0, 0, mpf(1) / 2]), 1, 1, n_max, bits)
+            rungs = _ladder(1, n_max, gauss.hi, bits)
 
         def chain_on(panels):
-            grid = _node_grid(lo, hi, panels, V, mpf(N) / Tc, bits + GUARD_BITS)
-            return assemble_chain(V, N, Tc, bits, lo, hi,
+            grid = weight.grid(panels, bits + GUARD_BITS)
+            return assemble_chain(weight, bits,
                                   *stieltjes_chain(grid, n_max + 1), grid)
         if not check_orthogonality:
             return chain_on(rungs[0])
@@ -872,8 +885,7 @@ def orthogonality_residual(chain: RecChain, pairs, grid=None):
     with mp.workprec(chain.prec):
         if grid is None:
             panels = max(1, int(len(chain.grid) * mpf("1.37") / PANEL_POINTS))
-            grid = _node_grid(chain.x_min, chain.x_max, panels, chain.V,
-                              mpf(chain.N) / chain.Tc, chain.grid.F)
+            grid = chain.weight.grid(panels, chain.grid.F)
         gram = gram_entries(grid, chain.beta, chain.gamma, chain.log_h[0],
                             pairs)
         return max(abs(v - (1 if n == m_ else 0))
@@ -939,7 +951,7 @@ def pihat_direct(chain: RecChain, n: int, x):
     f(x) ln((x - x_min)/(x_max - x)) adds the subtracted integral back.
     """
     _check_index("n", n, 0, chain)
-    F = chain.grid.F
+    F, w = chain.grid.F, chain.weight
     with mp.workprec(chain.prec):
         x = mpf(x)
     with mp.workprec(F + 16):
@@ -950,8 +962,7 @@ def pihat_direct(chain: RecChain, n: int, x):
         FX = 0
         if chain.x_min < x < chain.x_max:
             _, _, p, _, _, E = _monic_point(chain, n, x)[1]
-            fx = mp.ldexp(mpf(p), E - F) * mp.exp(-chain.N / chain.Tc
-                                                  * chain.V(x))
+            fx = mp.ldexp(mpf(p), E - F) * mp.exp(-w.coupling * w.V(x))
             FX = int(mp.ldexp(fx / unit, F))
             total = fx * mp.log((x - chain.x_min) / (chain.x_max - x))
         Y = int(mp.ldexp(x, F))
@@ -963,7 +974,7 @@ def pihat_direct(chain: RecChain, n: int, x):
             xi = mp.make_mpf(from_man_exp(X[i], -F))
             _, (_, _, p, _, dp, E) = _monic_point(chain, n, xi, deriv=True)
             pn, dn = (mp.ldexp(mpf(v), E - F) for v in (p, dp))
-            slope = dn - chain.N / chain.Tc * chain.V.deriv()(xi) * pn
+            slope = dn - w.coupling * w.V.deriv()(xi) * pn
             total -= chain.grid.gw(i) * slope
             terms = zip(X[:i] + X[i + 1:], G[:i] + G[i + 1:], P[:i] + P[i + 1:])
         acc = 0
@@ -1029,8 +1040,8 @@ def _count_sweep(chain: RecChain, lo, hi, panels):
     `_node_vectors` sweep over that `NodeGrid` to k = n_max with a sum at
     every step, and the list of diagonal entries <psi_k, psi_k> it has
     given so far."""
-    grid = _node_grid(lo, hi, panels, chain.V, mpf(chain.N) / chain.Tc,
-                      chain.prec + GUARD_BITS)
+    grid = replace(chain.weight, lo=lo, hi=hi).grid(
+        panels, chain.prec + GUARD_BITS)
     steps = chain.n_max + 1
     return _node_vectors(grid, chain.beta, chain.gamma, chain.log_h[0], steps,
                          range(steps)), []
@@ -1044,7 +1055,7 @@ def expected_count_exact(chain: RecChain, n: int, lo, hi=None, panels=24):
     The sweep and the entries it has given are kept in the chain's memo
     under (lo, hi, panels), with hi = None read as x_max, so a later count
     on the same grid sums the entries held and resumes the sweep only past
-    them. lo and hi reach `_node_grid` as given, and every entry is formed
+    them. lo and hi reach `Weight.grid` as given, and every entry is formed
     at the same precision, so each count is the one a fresh chain gives."""
     _check_index("n", n, 0, chain, chain.n_max + 1)
     F = chain.prec + GUARD_BITS

@@ -37,6 +37,7 @@ from mpmath.libmp import to_fixed
 
 from .poly import (Poly, count_real_roots, isolate_real_roots, laurent_split,
                    sqrt_sigma_tail)
+from .quadrature import ConvergenceError
 
 # the step of a `_cut_integral`'s guard bits: its first pass takes twice
 # this, later passes add the bits that the measured cancellation costs
@@ -155,7 +156,9 @@ def _cut_integral(factors):
     x = 2), so the antiderivative terms are formed with guard bits:
     2 CUT_GUARD_BITS first, which covers a loss of up to CUT_GUARD_BITS in
     one pass, then again with the bits that the measured cancellation
-    sum |terms| / |value| costs, until the guard covers it.
+    sum |terms| / |value| costs, until the guard covers it. Where that
+    would take more than 4 prec guard bits, ConvergenceError names the
+    interval and the bits lost.
 
     P and the product A of (x^2 + 4) and the factors with their absolute
     coefficients are expanded exactly, in Python integers over one power
@@ -212,8 +215,14 @@ def _cut_integral(factors):
                 mass += m << F - Fx
             lost = (mass.bit_length() - abs(value).bit_length() if value
                     else prec + guard)
-            if lost + CUT_GUARD_BITS <= guard or guard >= 4 * prec:
+            if lost + CUT_GUARD_BITS <= guard:
                 return mpf((value, -S - F))
+            if guard >= 4 * prec:
+                raise ConvergenceError(
+                    "cut integral from %s to %s%s: %d bits lost to "
+                    "cancellation, past the guard cap of %d bits" % (
+                        mp.nstr(lo, 20), mp.nstr(hi, 20),
+                        " (mirrored)" if mirrored else "", lost, guard))
             guard = CUT_GUARD_BITS * (lost // CUT_GUARD_BITS + 2)
 
     return integral
@@ -337,7 +346,10 @@ def make_spec(nu: int, e, Q_tilde=None) -> CriticalSpec:
 
 
 def validate_critical(spec: CriticalSpec) -> ValidationReport:
-    """Check every defining condition of a critical model; nothing raises."""
+    """Check every defining condition of a critical model. A failed check
+    is reported, not raised; only a cut integral whose cancellation passes
+    its guard cap raises ConvergenceError (`_cut_integral`; no spec tested
+    reaches it)."""
     checks = []
     nu, e, Q = spec.nu, spec.e, spec.Q
 

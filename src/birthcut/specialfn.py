@@ -16,9 +16,8 @@ the two-cut abelian map (see `equilibrium`). No Carlson-form or other
 second route is used. The sequence runs in fixed point on Python integers,
 with guard bits sized from the inputs so that each result rounds as the
 same sequence in mpf at 20 guard bits does; only its closing formulas are
-mpf operations. The module also owns the conventions, the one theta1
-series behind theta1 and theta1'(0), and the Stirling-type asymptotics of the
-model partition functions.
+mpf operations. The module also owns the conventions and the one theta1
+series behind theta1 and theta1'(0).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple, Optional
 
-import mpmath
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import to_fixed
 
@@ -220,54 +218,3 @@ def theta1(z, tau):
 def theta1_prime0(tau):
     """d theta1/dz at z = 0."""
     return mp.pi * _theta1_series(tau, lambda n: 2 * n + 1)
-
-
-# ----------------------------------------------------------------------------
-# Stirling-type asymptotics (model partition functions)
-# ----------------------------------------------------------------------------
-
-def ln_factorial(n: int):
-    """ln n!, by direct summation up to n = 10^4."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n <= 10_000:
-        acc = mpf(0)
-        for k in range(2, n + 1):
-            acc += mp.log(k)
-        return acc
-    return mpmath.loggamma(n + 1).real
-
-
-def ln_zeta_nu1_exact(k: int):
-    """Closed form ln zeta_{k,1} = (k/2) ln(2 pi) + sum_{j<k} ln j!."""
-    acc = mpf(k) / 2 * mp.log(2 * mp.pi)
-    for j in range(k):
-        acc += ln_factorial(j)
-    return acc
-
-
-def ln_zeta_asymptotic(k: int, nu: int):
-    """Large-k law (k^2/2nu) ln k - 3k^2/4nu + (k/nu) ln k."""
-    if k <= 0:
-        raise ValueError("k must be >= 1")
-    k = mpf(k)
-    return k * k / (2 * nu) * mp.log(k) - 3 * k * k / (4 * nu) \
-        + k / nu * mp.log(k)
-
-
-def small_m_K(m):
-    """K to O(m^3): (pi/2)(1 + m/4 + 9 m^2/64)."""
-    m = mpf(m)
-    return mp.pi / 2 * (1 + m / 4 + 9 * m * m / 64)
-
-
-def small_m_E(m):
-    """E to O(m^3): (pi/2)(1 - m/4 - 3 m^2/64)."""
-    m = mpf(m)
-    return mp.pi / 2 * (1 - m / 4 - 3 * m * m / 64)
-
-
-def small_m_Eprime(m):
-    """E' to O(m^2 log m): 1 + (m/2)(ln(4/sqrt(m)) - 1/2)."""
-    m = mpf(m)
-    return 1 + m / 2 * (mp.log(4 / mp.sqrt(m)) - mpf(1) / 2)

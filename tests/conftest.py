@@ -121,6 +121,55 @@ def agm_reference(mc, n=None, amplitude=None):
     return tuple(v if v is None else +v for v in (K, E, Pi, F, E_phi))
 
 
+def ln_factorial(n: int):
+    """ln n!, by direct summation up to n = 10^4."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n <= 10_000:
+        acc = mpf(0)
+        for k in range(2, n + 1):
+            acc += mp.log(k)
+        return acc
+    return mpmath.loggamma(n + 1).real
+
+
+def ln_zeta_nu1_exact(k: int):
+    """Closed form ln zeta_{k,1} = (k/2) ln(2 pi) + sum_{j<k} ln j!: the
+    reference for the nu = 1 model chain (A4)."""
+    acc = mpf(k) / 2 * mp.log(2 * mp.pi)
+    for j in range(k):
+        acc += ln_factorial(j)
+    return acc
+
+
+def ln_zeta_asymptotic(k: int, nu: int):
+    """Large-k law (k^2/2nu) ln k - 3k^2/4nu + (k/nu) ln k of the model
+    partition functions: the envelope of A4's residual."""
+    if k <= 0:
+        raise ValueError("k must be >= 1")
+    k = mpf(k)
+    return k * k / (2 * nu) * mp.log(k) - 3 * k * k / (4 * nu) \
+        + k / nu * mp.log(k)
+
+
+def small_m_K(m):
+    """K to O(m^3): (pi/2)(1 + m/4 + 9 m^2/64), A3's expansion."""
+    m = mpf(m)
+    return mp.pi / 2 * (1 + m / 4 + 9 * m * m / 64)
+
+
+def small_m_E(m):
+    """E to O(m^3): (pi/2)(1 - m/4 - 3 m^2/64), A3's expansion."""
+    m = mpf(m)
+    return mp.pi / 2 * (1 - m / 4 - 3 * m * m / 64)
+
+
+def small_m_Eprime(m):
+    """E' to O(m^2 log m): 1 + (m/2)(ln(4/sqrt(m)) - 1/2), A3's expansion."""
+    m = mpf(m)
+    return 1 + m / 2 * (mp.log(4 / mp.sqrt(m)) - mpf(1) / 2)
+
+
 @pytest.fixture(scope="session")
 def quartic_phi1():
     return quartic("1.0")

@@ -43,10 +43,10 @@ from birthcut.oracle import eval_psi_exact, expected_count_exact, kernel_exact
 from birthcut.poly import Poly
 from birthcut.potentials import build_critical_Q, quartic_etilde
 from birthcut.quadrature import integrate_doubling, panel_nodes
-from birthcut.specialfn import (complete_integrals, ln_zeta_asymptotic,
-                                ln_zeta_nu1_exact, small_m_E, small_m_Eprime,
-                                small_m_K)
-from conftest import model_chain, oracle_chain, quartic, sn_cn_dn
+from birthcut.specialfn import complete_integrals
+from conftest import (ln_zeta_asymptotic, ln_zeta_nu1_exact, model_chain,
+                      oracle_chain, quartic, small_m_E, small_m_Eprime,
+                      small_m_K, sn_cn_dn)
 
 import mpmath
 

@@ -349,7 +349,7 @@ def _former_oracle_table(ch):
     """The oracle table format `compare` read before `kvio.chain_to_table`:
     header N, Tc, n_max, bits and the columns n, ln_h, gamma, beta."""
     lines = ["# N=%d Tc=%s n_max=%d bits=%d" % (
-        ch.N, mp.nstr(ch.Tc, 30), ch.n_max, ch.prec), "# n ln_h gamma beta"]
+        ch.weight.N, mp.nstr(ch.weight.Tc, 30), ch.n_max, ch.prec), "# n ln_h gamma beta"]
     for n in range(ch.n_max + 1):
         lines.append("%d %s %s %s" % (
             n, mp.nstr(ch.log_h[n], 30),

@@ -121,7 +121,6 @@ def test_newborn_constants():
     assert ns.c < spec.e < ns.d
     assert ns.delta_x0 < 0                  # x0 sits left of d (ln t < 0)
     assert ns.m_asym > 0 and ns.epsilon > 0
-    assert ns.tau_asym.imag > 0
     with pytest.raises(ValueError):
         newborn_scaling(spec, mpf("-1e-4"))
 

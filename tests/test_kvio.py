@@ -26,10 +26,10 @@ def test_chain_table_round_trip(kind):
             assert [mp.nstr(v, 30) for v in row] == \
                 [mp.nstr(mpf(v), 30) for v in want], n
         for key in ("Tc", "x_min", "x_max", "resid"):
-            assert mp.nstr(mpf(fields[key]), 30) == \
-                mp.nstr(getattr(ch, key), 30), key
+            assert mp.nstr(mpf(fields[key]), 30) == mp.nstr(getattr(
+                ch.weight if key == "Tc" else ch, key), 30), key
     assert (int(fields["N"]), int(fields["n_max"]), int(fields["bits"]),
-            int(fields["nodes"])) == (ch.N, ch.n_max, ch.prec, len(ch.grid))
+            int(fields["nodes"])) == (ch.weight.N, ch.n_max, ch.prec, len(ch.grid))
     assert fields["converged"] == {None: "none", True: "yes"}[ch.converged]
 
 

@@ -14,14 +14,14 @@ from birthcut.modelchain import (A_constant, build_chain, freud_gsq, ln_A_k,
                                  phat_values, psi_values, psihat_values,
                                  string_guard_bits)
 from birthcut.oracle import (GUARD_BITS, MEMO_SIZE, _fixed, _monic_point,
-                             _monic_start, _monic_steps, _node_grid,
+                             _monic_start, _monic_steps,
                              _to_fixed, build_rec_chain, domain_budget,
                              eval_phi_exact, eval_psi_exact, kernel_exact,
                              orthogonality_residual, pihat_direct)
 from birthcut.poly import Poly
 from birthcut.quadrature import panel_nodes
-from birthcut.specialfn import ln_zeta_nu1_exact
-from conftest import model_chain, monic_reference, oracle_chain, quartic
+from conftest import (ln_zeta_nu1_exact, model_chain, monic_reference,
+                      oracle_chain, quartic)
 
 
 def test_gaussian_recurrence_closed_form():
@@ -281,14 +281,14 @@ def pihat_reference(ch, n, points):
     precision, with the singularity subtracted inside (x_min, x_max) and a
     node's term at x = x_i taken as its limit -g_i w_i (p_n' - (N/T_c) V' p_n)
     (then the scale counts that limit's size instead)."""
-    c = mpf(ch.N) / ch.Tc
-    dV = ch.V.deriv()
+    c = ch.weight.coupling
+    dV = ch.weight.V.deriv()
     nodes = [(xi, g, g * w, monic_reference(ch.beta, ch.gsq, n, xi))
              for xi, g, w in zip(ch.xs, ch.grid.gl_w(), ch.grid.wv())]
     out = []
     for x in points:
         inside = ch.x_min < x < ch.x_max
-        fx = (monic_reference(ch.beta, ch.gsq, n, x)[1] * mp.exp(-c * ch.V(x))
+        fx = (monic_reference(ch.beta, ch.gsq, n, x)[1] * mp.exp(-c * ch.weight.V(x))
               if inside else 0)
         acc, scale = mpf(0), mpf(0)
         for xi, g, gw, (_, p, _, dp) in nodes:
@@ -458,9 +458,7 @@ def test_default_grid_is_the_first_converged_rung(nu, k_max, prec):
         assert ch.resid == orthogonality_residual(ch, pairs, grid=ch.grid)
         assert ch.resid <= bound
         if rung:
-            below = _node_grid(ch.x_min, ch.x_max,
-                               oracle.PANEL_LADDER[rung - 1], ch.V, 1,
-                               ch.grid.F)
+            below = ch.weight.grid(oracle.PANEL_LADDER[rung - 1], ch.grid.F)
             assert orthogonality_residual(ch, pairs, grid=below) > bound
         for y in (mpf("-1.3"), mpf("0.4"), mpf("2.1"), mpf("3.3"),
                   top.x_max + 1):

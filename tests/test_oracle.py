@@ -174,7 +174,7 @@ def test_phi_factor_is_good_to_a_few_ulp():
     ch = oracle_chain("0.62", 20, nodes=1024)
     prec = ch.prec
     with mp.workprec(prec):
-        coupling = mpf(ch.N) / ch.Tc
+        coupling = ch.weight.coupling
         pts = [ch.x_min + (ch.x_max - ch.x_min) * (3 * i + 1) / 45
                for i in range(15)]
     for n in (1, 7, 15):
@@ -183,23 +183,28 @@ def test_phi_factor_is_good_to_a_few_ulp():
                 got = eval_phi_exact(ch, n, x)
                 q = pihat_direct(ch, n, x)
             with mp.workprec(2 * prec):
-                ref = q * mp.exp(coupling / 2 * ch.V(x) - ch.log_h[n] / 2)
+                ref = q * mp.exp(coupling / 2 * ch.weight.V(x) - ch.log_h[n] / 2)
                 ulp = mp.ldexp(1, got._mpf_[2] + got._mpf_[3] - prec)
                 assert abs(got - ref) <= 4 * ulp, (n, x, abs(got - ref) / ulp)
 
 
 def test_one_cut_gamma_limit_below_tc():
     # for T well below T_c, gamma_n -> (b-a)/4 of the equilibrium measure
+    # at T = T_c n/N, with an error falling like N^-2: 2.29e-4, 5.67e-5 and
+    # 1.42e-5 at N = 20, 40, 80, a ratio of 4.0 per doubling
     from birthcut.equilibrium import solve_one_cut
     spec = quartic("1.0")
     frac = mpf("0.6")
-    tols = {20: mpf("0.2"), 40: mpf("0.1"), 80: mpf("0.05")}
+    tols = {20: mpf("1e-3"), 40: mpf("2.5e-4"), 80: mpf("6e-5")}
+    devs = []
     for N, tol in tols.items():
         n = int(N * frac)
         ch = build_rec_chain(spec.V, N, spec.Tc, n_max=n + 1, bits=256, nodes=3008)
         mu = solve_one_cut(spec.V, spec.Tc * n / N, guess=(-1.5, 1.5))
         target = (mu.endpoints[1] - mu.endpoints[0]) / 4
-        assert abs(ch.gamma[n] / target - 1) < tol
+        devs.append(abs(ch.gamma[n] / target - 1))
+        assert devs[-1] < tol, (N, devs[-1])
+    assert all(a >= 3 * b for a, b in zip(devs, devs[1:])), devs
 
 
 def test_kernel_precision_at_n_near_N():
@@ -238,7 +243,7 @@ def test_integer_evaluators_match_mpf_recurrence():
         xs, gw = panel_nodes(spec.e_tilde, ch.x_max, 2, 64)
         count = expected_count_exact(ch, n, spec.e_tilde, panels=2)
     with mp.workprec(640):
-        c = mpf(ch.N) / ch.Tc
+        c = ch.weight.coupling
         lh = (ch.log_h[n] + ch.log_h[n - 1]) / 2
         dV = spec.V.deriv()
         for (x, x2), (psi, diag, off) in zip(pts, got):
@@ -317,35 +322,69 @@ def test_table_export():
 
 
 def chain_grids(monkeypatch):
-    """(name, grid, V, coupling, lo, hi, panels) of the grids of the N = 80,
-    phi_e = 0.62 oracle (its build grid and its default check grid, caught
-    from `orthogonality_residual`) and of the model chains at nu = 1,
-    k_max = 30 and nu = 6."""
+    """(name, grid, weight, panels) of the grids of the N = 80, phi_e = 0.62
+    oracle (its build grid and its default check grid, caught from
+    `orthogonality_residual`) and of the model chains at nu = 1, k_max = 30
+    and nu = 6."""
     built = []
-    make = oracle._node_grid
+    make = oracle.Weight.grid
 
-    def spy(lo, hi, panels, V, coupling, F):
-        grid = make(lo, hi, panels, V, coupling, F)
-        built.append((grid, V, coupling, lo, hi, panels))
+    def spy(weight, panels, F):
+        grid = make(weight, panels, F)
+        built.append((grid, weight, panels))
         return grid
 
     ch = oracle_chain("0.62", 80)
-    with mp.workprec(ch.prec):        # the coupling as the builder forms it
-        c = mpf(ch.N) / ch.Tc
-    out = [("oracle build", ch.grid, ch.V, c, ch.x_min, ch.x_max,
-            len(ch.xs) // PANEL_POINTS)]
-    monkeypatch.setattr(oracle, "_node_grid", spy)
+    out = [("oracle build", ch.grid, ch.weight, len(ch.xs) // PANEL_POINTS)]
+    monkeypatch.setattr(oracle.Weight, "grid", spy)
     orthogonality_residual(ch, ((0, 0),))
     out.append(("oracle check",) + built.pop())
     for nu, k_max in ((1, 30), (6, 30)):
         mc = model_chain(nu, k_max)
-        out.append(("model nu=%d" % nu, mc.grid, mc.V, 1, mc.x_min, mc.x_max,
+        out.append(("model nu=%d" % nu, mc.grid, mc.weight,
                     len(mc.xs) // PANEL_POINTS))
     return out
 
 
+def test_chain_grids_are_their_weights_grids(monkeypatch):
+    # the build and check grids of an oracle and of model chains are
+    # Weight.grid of the chain's weight at their panel count, bit for bit;
+    # the check grid's weight is the chain's own
+    ch = oracle_chain("0.62", 80)
+    for name, grid, w, panels in chain_grids(monkeypatch):
+        monkeypatch.undo()
+        again = w.grid(panels, grid.F)
+        assert (again.X, again.U, again.K, again.m, again.mirrored) == \
+            (grid.X, grid.U, grid.K, grid.m, grid.mirrored), name
+        if name.startswith("oracle"):
+            assert w is ch.weight, name
+
+
+def test_counting_grid_is_the_weight_with_other_ends(monkeypatch):
+    # expected_count_exact's grid is the chain's weight with the counting
+    # interval's ends: the same V, N and T_c, bit for bit the replaced
+    # weight's grid and the node-by-node reference
+    spec = quartic("0.62")
+    ch = replace(oracle_chain("0.62", 20, nodes=1024))
+    built = []
+    make = oracle.Weight.grid
+    monkeypatch.setattr(oracle.Weight, "grid", lambda w, panels, F:
+                        built.append((w, panels, F)) or make(w, panels, F))
+    for lo, hi in ((spec.e_tilde, None), (ch.x_min, spec.e_tilde)):
+        with mp.workprec(ch.prec):
+            expected_count_exact(ch, 12, lo, hi, panels=3)
+        w, panels, F = built.pop()
+        assert (w.V, w.N, w.Tc) == (ch.weight.V, ch.weight.N, ch.weight.Tc)
+        assert (w.lo, w.hi) == (lo, ch.x_max if hi is None else hi)
+        assert (panels, F) == (3, ch.grid.F)
+        grid = make(replace(ch.weight, lo=w.lo, hi=w.hi), panels, F)
+        assert (grid.X, grid.U, [k + grid.m for k in grid.K]) == \
+            reference_grid(w, panels, F)
+
+
 def test_node_grid_nodes_are_exact_prec_bit_values(monkeypatch):
-    for name, grid, V, c, lo, hi, panels in chain_grids(monkeypatch):
+    for name, grid, w, panels in chain_grids(monkeypatch):
+        lo, hi = w.lo, w.hi
         prec = grid.F - GUARD_BITS
         assert len(grid.xs) == len(grid.X) == panels * PANEL_POINTS, name
         assert all(x._mpf_[3] <= prec for x in grid.xs), name
@@ -369,8 +408,11 @@ def test_node_grid_roots_match_mpf_weights(monkeypatch):
     # 640 bits, at both domain ends, in the newborn well (where w is about
     # e^{-1.96 N} on the N = 80 oracle) and at every 41st node
     e = quartic("0.62").e
-    for name, grid, V, c, lo, hi, panels in chain_grids(monkeypatch):
+    for name, grid, w, panels in chain_grids(monkeypatch):
+        V, lo, hi = w.V, w.lo, w.hi
         prec = grid.F - GUARD_BITS
+        with mp.workprec(prec):          # the coupling as the grid forms it
+            c = w.coupling
         n = len(grid)
         well = sorted(range(n), key=lambda i: abs(grid.xs[i] - e))[:32]
         picks = sorted(set(range(32)) | set(range(n - 32, n))
@@ -386,15 +428,15 @@ def test_node_grid_roots_match_mpf_weights(monkeypatch):
                 assert abs(got - ref) <= mp.ldexp(ref, 4 - prec), (name, i)
 
 
-def reference_grid(lo, hi, panels, V, coupling, F):
-    """(X, U, K + m) of every node of `oracle._node_grid`'s grid, each node
+def reference_grid(weight, panels, F):
+    """(X, U, K + m) of every node of the weight's `Weight.grid`, each node
     formed on its own as the builder forms an oracle grid: the reference for
     its mirrored grids."""
     prec = F - GUARD_BITS
     with mp.workprec(prec):
         ts, gs = gauss_legendre(PANEL_POINTS)
     with mp.workprec(F + 16):
-        LO, HI = oracle._to_fixed([mpf(lo), mpf(hi)], F)
+        LO, HI = oracle._to_fixed([mpf(weight.lo), mpf(weight.hi)], F)
         H = (HI - LO) // panels
         T = [t + (1 << F) for t in oracle._to_fixed(ts, F)]
         roots = []
@@ -403,7 +445,7 @@ def reference_grid(lo, hi, panels, V, coupling, F):
             bl = man.bit_length()
             roots.append((man << (F - bl) if bl < F else man >> (bl - F),
                           -(ex + bl)))
-    C = oracle._weight_poly(V, coupling, F)
+    C = weight.poly(F)
     X, U, K = [], [], []
     for i in range(panels):
         for tj, (Sj, sj) in zip(T, roots):
@@ -429,12 +471,13 @@ def test_even_weight_grids_are_mirrored(monkeypatch):
         even = Poly([1, 0, mpf("0.3"), 0, mpf(1) / 4])
         odd = Poly([1, mpf("1e-30"), mpf("0.3"), 0, mpf(1) / 4])
         cases = [(even, -4, 4, 5, True), (even, -4, 4, 10, True),
-                 (model_chain(2, 30).V, -7, 7, 3, True),
+                 (model_chain(2, 30).weight.V, -7, 7, 3, True),
                  (odd, -4, 4, 5, False), (even, -4, mpf("4.5"), 5, False)]
     for V, lo, hi, panels, mirrored in cases:
+        w = oracle.Weight(V, 3, 1, lo, hi)
         with mp.workprec(256):
-            grid = oracle._node_grid(lo, hi, panels, V, 3, F)
-        X, U, K = reference_grid(lo, hi, panels, V, 3, F)
+            grid = w.grid(panels, F)
+        X, U, K = reference_grid(w, panels, F)
         n, h = len(X), len(X) // 2
         assert grid.mirrored == mirrored and len(grid) == n
         K_abs = [k + grid.m for k in grid.K]
@@ -444,9 +487,9 @@ def test_even_weight_grids_are_mirrored(monkeypatch):
             assert (grid.X[h:], grid.U[h:], K_abs[h:]) == (X[h:], U[h:], K[h:])
         else:
             assert (grid.X, grid.U, K_abs) == (X, U, K)
-    for name, grid, V, c, lo, hi, panels in chain_grids(monkeypatch):
+    for name, grid, w, panels in chain_grids(monkeypatch):
         if name.startswith("oracle"):
-            X, U, K = reference_grid(lo, hi, panels, V, c, grid.F)
+            X, U, K = reference_grid(w, panels, grid.F)
             assert not grid.mirrored, name
             assert (grid.X, grid.U, [k + grid.m for k in grid.K]) == \
                 (X, U, K), name
@@ -619,7 +662,7 @@ def test_grid_at_rising_n_costs_each_point_its_largest_n(monkeypatch):
     ch = replace(oracle_chain("0.62", 20, nodes=1024))
     spec = quartic("0.62")
     xs, ws = panel_nodes(spec.e_tilde, ch.x_max, 2, 64)
-    ns = (ch.N + 1, ch.N + 4, ch.N + 9)
+    ns = (ch.weight.N + 1, ch.weight.N + 4, ch.weight.N + 9)
     steps = []
     run = oracle._monic_steps
     monkeypatch.setattr(oracle, "_monic_steps", lambda c, X, state, n, *a:
@@ -641,7 +684,7 @@ def test_diagonal_kernel_is_the_sum_of_psi_squares():
     # in the newborn well
     spec = quartic("0.5")
     ch = oracle_chain("0.5", 80)
-    n = ch.N + 4
+    n = ch.weight.N + 4
     with mp.workprec(ch.prec):
         for x in (mpf("-1.0"), mpf("0.5"), spec.e_tilde + mpf("0.1"), spec.e):
             direct = mp.fsum(eval_psi_exact(ch, k, x) ** 2 for k in range(n))
@@ -699,8 +742,7 @@ def reference_counts(ch, ns, lo, panels):
     F = ch.prec + GUARD_BITS
     lo_, hi_ = F - oracle.BAND_BITS, F + oracle.BAND_BITS
     with mp.workprec(ch.prec):
-        grid = oracle._node_grid(lo, ch.x_max, panels, ch.V,
-                                 mpf(ch.N) / ch.Tc, F)
+        grid = replace(ch.weight, lo=lo).grid(panels, F)
     with mp.workprec(F + 16):
         a, e = oracle._start_vector(grid, mp.exp(ch.log_h[0]))
         c = [0] * len(a)
@@ -773,7 +815,7 @@ def test_point_weights_are_good_to_a_few_ulp():
     ch = replace(oracle_chain("0.5", 80))
     prec, F = ch.prec, ch.prec + GUARD_BITS
     with mp.workprec(prec):
-        coupling = mpf(ch.N) / ch.Tc
+        coupling = ch.weight.coupling
         pts = [mpf("-1.0"), mpf("0.5"), spec.e_tilde + mpf("0.1"), spec.e,
                ch.x_min + mpf("0.001"), ch.x_max - mpf("0.001"),
                ch.x_min - mpf("0.5"), ch.x_max + 1]
@@ -795,7 +837,7 @@ def test_diagonal_shortcut_is_the_derivative_form(monkeypatch):
     # in mpf at 640 bits
     spec = quartic("0.62")
     ch = replace(oracle_chain("0.62", 20, nodes=1024))
-    n = ch.N + 3
+    n = ch.weight.N + 3
     flags = []
     point = oracle._monic_point
     monkeypatch.setattr(oracle, "_monic_point", lambda c, n, x, deriv=False:
@@ -811,8 +853,8 @@ def test_diagonal_shortcut_is_the_derivative_form(monkeypatch):
             with mp.workprec(640):
                 q, p, dq, dp = monic_reference(ch.beta, ch.gsq, n, x)
                 with mp.workprec(ch.prec):
-                    c = mpf(ch.N) / ch.Tc
-                ref = ch.gamma[n] * mp.exp(-c * ch.V(x) - (ch.log_h[n] + ch.log_h[n - 1]) / 2) \
+                    c = ch.weight.coupling
+                ref = ch.gamma[n] * mp.exp(-c * ch.weight.V(x) - (ch.log_h[n] + ch.log_h[n - 1]) / 2) \
                     * (dp * q - dq * p)
                 assert abs(diag - ref) <= mpf("1e-90") * abs(ref), x
 
@@ -837,9 +879,9 @@ def test_a_request_one_index_down_resumes(monkeypatch):
                        for n in range(1, 21)]
 
 
-# _domain's ends as the all-mpf scan of V over [-3, 3] gave them: quartic
-# oracles (phi_e, N, bits) and model chains y^{2 nu}/(2 nu) (nu, k_max,
-# bits), y^2/2 the symmetric case with its minimum on a scan point
+# Weight.default's ends as the all-mpf scan of V over [-3, 3] gave them:
+# quartic oracles (phi_e, N, bits) and model chains y^{2 nu}/(2 nu) (nu,
+# k_max, bits), y^2/2 the symmetric case with its minimum on a scan point
 DOMAIN_ENDS = [
     ("q", "0.3", 20, 256, -3.5, 5.5), ("q", "1.0", 40, 256, -3.0, 5.5),
     ("q", "0.62", 80, 320, -3.0, 4.5), ("q", "1.3", 320, 512, -3.0, 3.0),
@@ -847,6 +889,12 @@ DOMAIN_ENDS = [
     ("m", 2, 100, 320, -7.0, 7.0), ("m", 4, 55, 320, -3.0, 3.0),
     ("m", 6, 30, 256, -3.0, 3.0),
 ]
+
+
+def domain(V, N, Tc, n_max, bits):
+    """The ends (lo, hi) of `oracle.Weight.default`."""
+    w = oracle.Weight.default(V, N, Tc, n_max, bits)
+    return w.lo, w.hi
 
 
 def domain_args(kind, a, b):
@@ -863,15 +911,14 @@ def test_domain_ends_from_the_float_scan(kind, a, b, bits, lo, hi):
     # minimum; it is still the mpf minimum of all 401 points
     V, N, Tc, n_max = domain_args(kind, a, b)
     with mp.workprec(bits):
-        assert oracle._domain(V, N, Tc, n_max, bits) == (lo, hi)
+        assert domain(V, N, Tc, n_max, bits) == (lo, hi)
         left, right = mpf(-3), mpf(3)
         assert oracle._scan_min(V, left, right) == min(
             V(left + (right - left) * k / 400) for k in range(401))
 
 
 def mpf_domain(V, N, Tc, n_max, bits):
-    """`oracle._domain` as a walk in mpf alone: the reference of the float
-    walk."""
+    """`domain` as a walk in mpf alone: the reference of the float walk."""
     coupling, budget = mpf(N) / Tc, oracle.domain_budget(bits)
     lo, hi = mpf(-3), mpf(3)
     vmin = oracle._scan_min(V, lo, hi)
@@ -900,7 +947,7 @@ def test_domain_walk_confirms_each_end_in_mpf(monkeypatch, kind, a, b, bits,
     monkeypatch.setattr(oracle, "_deficit",
                         lambda *args: calls.append(args[1]) or deficit(*args))
     with mp.workprec(bits):
-        assert oracle._domain(V, N, Tc, n_max, bits) == (lo, hi) \
+        assert domain(V, N, Tc, n_max, bits) == (lo, hi) \
             == mpf_domain(V, N, Tc, n_max, bits)
     assert sorted(calls) == sorted({lo, hi, lo + (lo < -3) / mpf(2),
                                     hi - (hi > 3) / mpf(2)}), calls
@@ -916,7 +963,7 @@ def test_domain_where_floats_cannot_decide():
         tight = (2 * n_max * mp.log(mpf("5.5")) + budget) / mpf("4.5") ** 2
         for V in (Poly([0, 0, mpf("1e400")]), Poly([0, 0, -18, 0, mpf(1) / 4]),
                   Poly([0, mpf(1) / 10, -18, 0, mpf(1) / 4]), Poly([0, 0, tight])):
-            assert oracle._domain(V, 1, 1, n_max, bits) == mpf_domain(
+            assert domain(V, 1, 1, n_max, bits) == mpf_domain(
                 V, 1, 1, n_max, bits), V
 
 

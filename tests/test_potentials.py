@@ -260,6 +260,30 @@ def test_cut_integral_rejects_an_end_below_two():
     assert F(2, 2) == 0 and F(2, mpf("2.6")) < 0
 
 
+def test_cut_integral_past_its_guard_cap_raises():
+    # at 15 digits, nu = 5, e = 2.1, F(e - 1e-8, e + 1e-8) is 1.68e-89
+    # (mpmath.quad at 150 digits) against antiderivative terms of size 1:
+    # the cancellation passes the cap of 4 prec guard bits, where the last
+    # pass read -3.6e-89, so the integral raises, naming its interval and
+    # the bits lost; the same interval at 40 digits is within the cap
+    with mp.workdps(15):
+        spec = make_spec(5, mpf("2.1"))
+        e, d = spec.e, mpf("1e-8")
+        F = _cut_integral(_weight_factors(spec.Q, e, 5))
+        with pytest.raises(quadrature.ConvergenceError,
+                           match=r"from 2\.09999999.* to 2\.10000001.*: "
+                                 r"\d+ bits lost"):
+            F(e - d, e + d)
+    with mp.workdps(40):
+        got = F(e - d, e + d)
+    with mp.workdps(150):
+        M = lambda s: mp.fprod(f(s) for f in _weight_factors(spec.Q, e, 5))
+        ref = mpmath.quad(lambda s: M(s) * mp.sqrt((s - 2) * (s + 2)),
+                          [e - d, e, e + d])
+    assert mpf("1e-89") < ref < mpf("2e-89")
+    assert abs(got - ref) <= mpf("1e-30") * ref
+
+
 def mpf_sinh_terms(x, K):
     """[t, sinh(t), sinh(2t)/2, ..., sinh(K t)/K] at x = 2 cosh(t) >= 2 in
     mpf at the working precision, by the same addition formulas."""

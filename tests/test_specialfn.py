@@ -5,11 +5,11 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from birthcut.quadrature import ConvergenceError
-from birthcut.specialfn import (agm_integrals, complete_integrals,
-                                ln_factorial, ln_zeta_asymptotic,
-                                ln_zeta_nu1_exact, small_m_E, small_m_Eprime,
-                                small_m_K, theta1, theta1_prime0)
-from conftest import agm_reference, sn_cn_dn
+from birthcut.specialfn import (agm_integrals, complete_integrals, theta1,
+                                theta1_prime0)
+from conftest import (agm_reference, ln_factorial, ln_zeta_asymptotic,
+                      ln_zeta_nu1_exact, small_m_E, small_m_Eprime, small_m_K,
+                      sn_cn_dn)
 
 
 def test_m_zero_degeneration():
