@@ -34,6 +34,13 @@ gamma and beta fall to 1 and 0 with the full ones.
 x-space and the model's y-space are linked by the scaling map
 x = e + N^{-1/(2 nu)} (2 sinh(phi_e) Q(e)/T_c)^{-1/(2 nu)} y, under which the
 finite-N kernel reduces to the model kernel times dy/dx.
+
+No work is done twice: what the sums derive from a model chain is kept in
+its one memo (`RecChain.cached`), the `oracle.psi_values` passes and Hilbert
+seeds per point, the term tables per (spec, N, index N + m/2) and their one
+base per (spec, N), and what is needed per regime. On the A10a kernel grid
+(25 pairs, 10 distinct y) that is 10 recurrence passes for 100 psi_full
+requests and one gamma_full for 25.
 """
 
 from __future__ import annotations
@@ -43,8 +50,8 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .modelchain import A_constant, ln_A_k, psi_values, psihat_values
-from .oracle import RecChain, kernel_exact
+from .modelchain import A_constant, ln_A_k
+from .oracle import RecChain, kernel_exact, psi_values, psihat_values
 from .potentials import CriticalSpec
 
 FORBIDDEN_BAND = mpf("0.02")     # guard band around integer / half-integer u

@@ -30,22 +30,13 @@ amplitudes are
 
 for the model constant A = (2 sinh phi_e)^2 (2 sinh(phi_e) Q(e)/T_c)^{1/2nu}.
 
-Wavefunctions: psi_k = P_k e^{-y^{2nu}/4nu} / sqrt(h_k), as
-`oracle.eval_psi_exact` gives them, from one integer pass of the recurrence
-per point (`psi_values`). The Hilbert-transform partners start from the
-principal-value Cauchy transform of the weight (`oracle.pihat_direct` at
-n = 0) and climb the same recurrence with the delta_{k,0} h_0
-inhomogeneity; at 256 bits the forward recurrence keeps the hat solution
-clean for every k used here (the growing solution enters at the seed's
-relative accuracy).
+Its wavefunctions psi_k and their Hilbert-transform partners are the
+chain's, from the oracle's evaluators (`oracle.psi_values`,
+`oracle.phat_values`, `oracle.psihat_values`).
 
 No work is done twice. `build_chain` returns the same, read-only chain for
-the same arguments; what is derived from it is kept in its one memo
-(`RecChain.cached`): the `psi_values` passes and Hilbert seeds per point,
-the k-sum term tables per (spec, N, index N + m/2) and their one base per
-(spec, N), and what `asymptotics` needs per regime. On the A10a kernel grid
-(25 pairs, 10 distinct y) that is 10 recurrence passes for 100 psi_full
-requests and one gamma_full for 25.
+the same arguments, and what is derived from it is kept in its one memo
+(`RecChain.cached`).
 """
 
 from __future__ import annotations
@@ -55,10 +46,9 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .oracle import (GUARD_BITS, PANEL_POINTS, RecChain, Weight, _antiweight,
-                     _check_index, _first_converged, _ladder, _monic_start,
-                     _monic_steps, _recent, _rounded, assemble_chain,
-                     orthogonality_residual, pihat_direct)
+from .oracle import (GUARD_BITS, PANEL_POINTS, RecChain, Weight,
+                     _first_converged, _ladder, _recent, assemble_chain,
+                     orthogonality_residual)
 from .poly import Poly
 from .potentials import CriticalSpec
 
@@ -162,8 +152,8 @@ def build_chain(nu: int, k_max: int = 100, prec: int = 256,
     The chain's grid (an `oracle.NodeGrid`, built in integers, with the mpf
     views xs, gl_w, wv) is a composite 64-point GL rule on which the chain's
     orthonormality is checked: the re-integrated <psi_j, psi_k> at the
-    highest (worst-resolved) index. The same grid serves `pihat_direct` for
-    the Hilbert seed. By default it is the first converged rung of the
+    highest (worst-resolved) index. The same grid serves
+    `oracle.pihat_direct` for the Hilbert seed. By default it is the first converged rung of the
     oracle's ladder (`oracle._first_converged`); `nodes` pins it to the
     grid the oracle checks a `nodes`-node chain on, 1.37x as many.
 
@@ -200,54 +190,3 @@ def _build_chain(nu, k_max, prec, nodes):
         return _first_converged(
             rungs, chain_on, lambda ch, pairs: orthogonality_residual(
                 ch, pairs, grid=ch.grid), prec)
-
-
-def psi_values(chain: RecChain, n: int, y):
-    """[psi_0(y), ..., psi_n(y)], bit for bit as `oracle.eval_psi_exact`
-    gives them, from one `_monic_steps` pass from index 0 at y's point
-    (`RecChain.point`) that lists every step, and the point's psi weight:
-    each psi_k is (p_k(y) w) inv_sqrt_h[k].
-
-    The pass is kept in the chain's memo under ("psi", n, y), y at the
-    chain's precision; a repeated call returns a fresh list of the kept
-    values."""
-    _check_index("k", n, 0, chain)
-    with mp.workprec(chain.prec):
-        y = mpf(y)
-
-        def one_pass():
-            pt = chain.point(y)
-            F = chain.prec + GUARD_BITS
-            ps = [(1 << F, 0)]                 # (p_k, E_k), p_0 = 1
-            _monic_steps(chain, pt.X, _monic_start(F), n, every=ps)
-            return [_rounded(p, E - F, chain.prec) * pt.w * c
-                    for (p, E), c in zip(ps, chain.inv_sqrt_h)]
-        return list(chain.cached(("psi", n, y), one_pass))
-
-
-def phat_values(chain: RecChain, k: int, y):
-    """(phat_{k-1}, phat_k) where phat_j(y) = int P_j(x) w(x)/(y-x) dx,
-    built from the seed phat_0 (computed once per y) and the inhomogeneous
-    three-term recurrence."""
-    _check_index("k", k, 0, chain)
-    with mp.workprec(chain.prec):
-        y = mpf(y)
-        q_prev = mpf(0)
-        q = chain.cached(("phat seed", y), lambda: pihat_direct(chain, 0, y))
-        for j in range(k):
-            g = chain.gsq[j]
-            inhom = mp.exp(chain.log_h[0]) if j == 0 else 0
-            q_prev, q = q, (y - chain.beta[j]) * q - g * q_prev - inhom
-        return q_prev, q
-
-
-def psihat_values(chain: RecChain, k: int, y):
-    """(psihat_{k-1}(y), psihat_k(y)) from one phat_values call, with
-    psihat_j = phat_j e^{+y^{2nu}/(4nu)} / sqrt(h_j) and psihat_{-1} the
-    bare e^{+y^{2nu}/(4nu)} (empty-average convention); the factors are
-    `oracle._antiweight`'s, as `oracle.eval_phi_exact` forms them."""
-    with mp.workprec(chain.prec):
-        y = mpf(y)
-        q_prev, q = phat_values(chain, k, y)
-        return ((q_prev if k else 1) * _antiweight(chain, k - 1, y),
-                q * _antiweight(chain, k, y))

@@ -58,11 +58,15 @@ The evaluators run on the same integers. A finished chain stores beta_k and
 gamma_k^2 as integers over 2^F (`beta_fx`, `gsq_fx`). Point values
 p_{k-1}(x), p_k(x) and their x-derivatives come from `_monic_steps`, the
 recurrence for one point under one block exponent that follows p_k up and
-down the way e_i does. Every point evaluator, here and in `modelchain`,
-reads its point from the chain's point store (`RecChain.point`): a `_Point`
-formed in integers the way a grid node is, which keeps the recurrence
-states its last call reached, so a grid evaluated at increasing n costs
-each point max(n) steps (`_monic_point`). The Hilbert factor
+down the way e_i does. Every point evaluator reads its point from the
+chain's point store (`RecChain.point`): a `_Point` formed in integers the
+way a grid node is, which keeps the recurrence state its last call reached,
+so a grid evaluated at increasing n costs each point max(n) steps
+(`_monic_point`); a lower n starts again from index 0. `psi_values` lists
+psi_0..psi_n at a point from one such pass, and `phat_values` and
+`psihat_values` climb the recurrence from a `pihat_direct` seed: the
+k-sums of `asymptotics` read a model chain's psi_k and their Hilbert
+partners through these three. The Hilbert factor
 e^{(N/2T_c) V(x) - ln h_n/2} comes from the point's fixed-point exponent
 (`_antiweight`), and the kernel's Christoffel-Darboux numerators from the
 integer states, each rounded once. Sums over a grid come from one sweep of
@@ -282,10 +286,9 @@ class _Point:
       from `_root_weight` on the chain's `Weight.poly`, as a grid node's
       are; w and its square w2 are each rounded once to the chain's
       precision from these integers;
-    - state, the `_monic_steps` state its last call reached, and below,
-      the state one index lower from the same pass (None at index 0).
+    - state, the `_monic_steps` state its last call reached.
     """
-    __slots__ = ("X", "G", "w", "w2", "state", "below")
+    __slots__ = ("X", "G", "w", "w2", "state")
 
     def __init__(self, chain, x):
         F = chain.prec + GUARD_BITS
@@ -294,7 +297,6 @@ class _Point:
         self.w = _rounded(W, -F - k, chain.prec)
         self.w2 = _rounded(W * W, -2 * (F + k), chain.prec)
         self.state = _monic_start(F)
-        self.below = None
 
 
 def _rounded(man, exp, prec):
@@ -308,22 +310,20 @@ class RecChain:
     up to n_max, as `assemble_chain` forms it.
 
     Read-only once built, so it can be shared. Its mutable parts hold values
-    derived from the chain on first use, in three places:
-    - the `kernel_scale` of each n, formed once and never dropped;
+    derived from the chain on first use, in two places:
     - the point store (`point`), one LRU of POINT_STORE_SIZE entries, one
       per evaluation point and derivative flag, each a `_Point`: the
       point's (N/2 T_c) V(x) in fixed point, its psi weight and square,
-      and the one-point recurrence states of `_monic_steps` that the next
-      call at x resumes (about 1.7 KB each with its key at 320 bits, so
-      under 3.5 MB when full; 2048 holds A10b's 24 x 64-node counting
-      grid);
+      and the one-point recurrence state of `_monic_steps` that the next
+      call at x resumes (about 1.5 KB each with its key at 320 bits, so
+      about 3 MB when full; 2048 holds A10b's 24 x 64-node counting grid);
     - the memo (`cached`), one LRU of MEMO_SIZE entries, each under one flat
       key, such as the principal-value node sums of `pihat_direct`, the
       resumable counting sweep of `expected_count_exact` per counting grid,
-      the `modelchain.psi_values` passes and Hilbert seeds per point, the
-      k-sum term tables that `asymptotics` keys by spec, N, index N + m/2
-      and working precision, the base they share per (spec, N, working
-      precision), and its values per regime.
+      the `kernel_exact` prefactor per n, the `psi_values` passes and
+      Hilbert seeds per point, the k-sum term tables that `asymptotics`
+      keys by spec, N, index N + m/2 and working precision, the base they
+      share per (spec, N, working precision), and its values per regime.
     """
     weight: Weight
     n_max: int
@@ -343,8 +343,6 @@ class RecChain:
                                repr=False, compare=False)
     _points: OrderedDict = field(default_factory=OrderedDict, init=False,
                                  repr=False, compare=False)
-    _kernel_scales: dict = field(default_factory=dict, init=False,
-                                 repr=False, compare=False)
 
     def cached(self, key, compute):
         """The value stored under key, from compute() on first use; the
@@ -358,17 +356,6 @@ class RecChain:
         mpf in Python)."""
         return _recent(self._points, (x._mpf_, deriv),
                        lambda: _Point(self, x), POINT_STORE_SIZE)
-
-    def kernel_scale(self, n):
-        """gamma_n / sqrt(h_n h_{n-1}) at the chain's precision, the
-        prefactor of `kernel_exact`, formed on first use of n."""
-        try:
-            return self._kernel_scales[n]
-        except KeyError:
-            with mp.workprec(self.prec):
-                v = self._kernel_scales[n] = (self.gamma[n] * self.inv_sqrt_h[n]
-                                              * self.inv_sqrt_h[n - 1])
-            return v
 
     @property
     def xs(self):
@@ -664,22 +651,12 @@ def _monic_steps(chain, X, state, n, deriv=False, every=None):
 
 def _monic_point(chain, n, x, deriv=False):
     """(pt, state): the chain's `_Point` of x and the `_monic_steps` state at
-    index n. That is the point's state or the one below it if either is at
-    index n; else the state is advanced from the point's state if that is
-    below n, or from index 0, and the point keeps it and the state one
-    index lower."""
+    index n, which the point keeps: its state advanced to n, or from index 0
+    if its state is past n."""
     pt = chain.point(x, deriv)
-    j = pt.state[0]
-    if n == j - 1:
-        return pt, pt.below
-    if n != j:
-        state = pt.state if n > j else _monic_start(chain.prec + GUARD_BITS)
-        if n:
-            pt.below = _monic_steps(chain, pt.X, state, n - 1, deriv)
-            state = _monic_steps(chain, pt.X, pt.below, n, deriv)
-        else:
-            pt.below = None
-        pt.state = state
+    if n < pt.state[0]:
+        pt.state = _monic_start(chain.prec + GUARD_BITS)
+    pt.state = _monic_steps(chain, pt.X, pt.state, n, deriv)
     return pt, pt.state
 
 
@@ -904,12 +881,35 @@ def _check_index(name, n, lo, chain: RecChain, hi=None):
 def eval_psi_exact(chain: RecChain, n: int, x):
     """psi_n(x) = pi_n(x) e^{-(N/2Tc) V(x)} / sqrt(h_n), formed as
     (pi_n(x) w) inv_sqrt_h[n] with w the psi weight of x's `_Point`, as
-    `modelchain.psi_values` forms every psi_k."""
+    `psi_values` forms every psi_k."""
     _check_index("n", n, 0, chain)
     with mp.workprec(chain.prec):
         pt, (_, _, p, _, _, E) = _monic_point(chain, n, mpf(x))
         p = _rounded(p, E - chain.prec - GUARD_BITS, chain.prec)
         return p * pt.w * chain.inv_sqrt_h[n]
+
+
+def psi_values(chain: RecChain, n: int, y):
+    """[psi_0(y), ..., psi_n(y)], bit for bit as `eval_psi_exact` gives
+    them, from one `_monic_steps` pass from index 0 at y's point
+    (`RecChain.point`) that lists every step, and the point's psi weight:
+    each psi_k is (p_k(y) w) inv_sqrt_h[k].
+
+    The pass is kept in the chain's memo under ("psi", n, y), y at the
+    chain's precision; a repeated call returns a fresh list of the kept
+    values."""
+    _check_index("k", n, 0, chain)
+    with mp.workprec(chain.prec):
+        y = mpf(y)
+
+        def one_pass():
+            pt = chain.point(y)
+            F = chain.prec + GUARD_BITS
+            ps = [(1 << F, 0)]                 # (p_k, E_k), p_0 = 1
+            _monic_steps(chain, pt.X, _monic_start(F), n, every=ps)
+            return [_rounded(p, E - F, chain.prec) * pt.w * c
+                    for (p, E), c in zip(ps, chain.inv_sqrt_h)]
+        return list(chain.cached(("psi", n, y), one_pass))
 
 
 def _pv_weights(grid: NodeGrid):
@@ -1011,6 +1011,38 @@ def eval_phi_exact(chain: RecChain, n: int, x):
         return pihat_direct(chain, n, x) * _antiweight(chain, n, x)
 
 
+def phat_values(chain: RecChain, k: int, y):
+    """(phat_{k-1}, phat_k) where phat_j(y) = int P_j(x) w(x)/(y-x) dx,
+    built from the seed phat_0 (`pihat_direct` at n = 0, kept in the
+    chain's memo per y) and the three-term recurrence with the
+    delta_{j,0} h_0 inhomogeneity. Unlike `pihat_direct` it is not
+    accurate at every k (the growing solution enters at the seed's relative
+    accuracy); on the model chains at 256 bits it keeps the hat solution
+    clean for every k the k-sums use."""
+    _check_index("k", k, 0, chain)
+    with mp.workprec(chain.prec):
+        y = mpf(y)
+        q_prev = mpf(0)
+        q = chain.cached(("phat seed", y), lambda: pihat_direct(chain, 0, y))
+        for j in range(k):
+            g = chain.gsq[j]
+            inhom = mp.exp(chain.log_h[0]) if j == 0 else 0
+            q_prev, q = q, (y - chain.beta[j]) * q - g * q_prev - inhom
+        return q_prev, q
+
+
+def psihat_values(chain: RecChain, k: int, y):
+    """(psihat_{k-1}(y), psihat_k(y)) from one phat_values call, with
+    psihat_j = phat_j e^{+y^{2nu}/(4nu)} / sqrt(h_j) and psihat_{-1} the
+    bare e^{+y^{2nu}/(4nu)} (empty-average convention); the factors are
+    `_antiweight`'s, as `eval_phi_exact` forms them."""
+    with mp.workprec(chain.prec):
+        y = mpf(y)
+        q_prev, q = phat_values(chain, k, y)
+        return ((q_prev if k else 1) * _antiweight(chain, k - 1, y),
+                q * _antiweight(chain, k, y))
+
+
 def kernel_exact(chain: RecChain, n: int, x, x2):
     """K_n(x, x') by Christoffel-Darboux: gamma_n w(x) w(x') times
     (p_n(x) p_{n-1}(x') - p_{n-1}(x) p_n(x')) / ((x - x') sqrt(h_n h_{n-1})),
@@ -1019,12 +1051,13 @@ def kernel_exact(chain: RecChain, n: int, x, x2):
     derivative form gamma_n w(x)^2 (p_n' p_{n-1} - p_{n-1}' p_n) /
     sqrt(h_n h_{n-1}) at x: the V' terms of (p_n w)' cancel there. Each
     numerator is formed exactly from the integer states and rounded once;
-    the prefactor is the chain's `kernel_scale` of n."""
+    the prefactor gamma_n / sqrt(h_n h_{n-1}) is kept in the chain's memo."""
     _check_index("n", n, 1, chain)
     F = chain.prec + GUARD_BITS
     with mp.workprec(chain.prec):
         x, x2 = mpf(x), mpf(x2)
-        scale = chain.kernel_scale(n)
+        scale = chain.cached(("kernel scale", n), lambda: chain.gamma[n]
+                             * chain.inv_sqrt_h[n] * chain.inv_sqrt_h[n - 1])
         if x2 != x and abs(x - x2) > DIAGONAL_GAP * (1 + abs(x)):
             a, (_, q1, p1, _, _, E1) = _monic_point(chain, n, x)
             b, (_, q2, p2, _, _, E2) = _monic_point(chain, n, x2)

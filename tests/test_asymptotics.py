@@ -10,9 +10,9 @@ from birthcut.asymptotics import (Psi_matrix, beta_full, beta_reduced,
                                   kernel_reduced, make_regime, make_scaling_map,
                                   phi_reduced, psi_full, psi_reduced, sum_Z,
                                   _k_limit, _terms)
-from birthcut import asymptotics, modelchain
-from birthcut.modelchain import A_constant, ln_A_k, psi_values
-from birthcut.oracle import MEMO_SIZE, kernel_exact
+from birthcut import asymptotics, modelchain, oracle
+from birthcut.modelchain import A_constant, ln_A_k
+from birthcut.oracle import MEMO_SIZE, kernel_exact, psi_values
 from birthcut.potentials import make_quartic_spec
 from conftest import model_chain, quartic, spec_nu
 
@@ -192,16 +192,16 @@ def test_scan_forms_each_base_once_per_N(monkeypatch):
 
 
 def count_psi_passes(monkeypatch):
-    """The list to which each `psi_values` pass, a `modelchain._monic_steps`
+    """The list to which each `psi_values` pass, an `oracle._monic_steps`
     call with `every`, appends its point's X from now on."""
     passes = []
-    steps = modelchain._monic_steps
+    steps = oracle._monic_steps
 
     def counted(ch, X, state, n, deriv=False, every=None):
         if every is not None:
             passes.append(X)
         return steps(ch, X, state, n, deriv, every)
-    monkeypatch.setattr(modelchain, "_monic_steps", counted)
+    monkeypatch.setattr(oracle, "_monic_steps", counted)
     return passes
 
 
@@ -271,7 +271,7 @@ def _closed_form_reduced(spec, chain, rp, y, index_offset):
     lower = dn * psis[ub - 1] if ub >= 1 else mpf(0)
     psi = pref * (up * psis[ub] + lower) \
         / (1 + mp.cosh(phi) * mp.exp(sgn * eps * phi) * ratio)
-    hat_dn, hat_up = modelchain.psihat_values(chain, ub, y)
+    hat_dn, hat_up = oracle.psihat_values(chain, ub, y)
     phi_val = pref * (up * hat_up + dn * hat_dn) \
         / (1 + mp.cosh(phi) * mp.exp(-sgn * eps * phi) * ratio)
     return gamma, beta, psi, phi_val
@@ -412,8 +412,8 @@ def test_scaling_map_roundtrip():
 def test_psi_matrix_computes_one_seed_per_point(monkeypatch):
     # the four Hilbert partners of one Psi_matrix call share one seed
     seeds = []
-    seed = modelchain.pihat_direct
-    monkeypatch.setattr(modelchain, "pihat_direct",
+    seed = oracle.pihat_direct
+    monkeypatch.setattr(oracle, "pihat_direct",
                         lambda ch, n, y: seeds.append(y) or seed(ch, n, y))
     spec = quartic("1.0")
     ch = model_chain(1, 30)

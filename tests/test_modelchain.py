@@ -11,13 +11,13 @@ from mpmath import mp, mpf
 from birthcut import modelchain, oracle
 from birthcut.kvio import chain_to_table
 from birthcut.modelchain import (A_constant, build_chain, freud_gsq, ln_A_k,
-                                 phat_values, psi_values, psihat_values,
                                  string_guard_bits)
 from birthcut.oracle import (GUARD_BITS, MEMO_SIZE, _fixed, _monic_point,
                              _monic_start, _monic_steps,
                              _to_fixed, build_rec_chain, domain_budget,
                              eval_phi_exact, eval_psi_exact, kernel_exact,
-                             orthogonality_residual, pihat_direct)
+                             orthogonality_residual, phat_values, pihat_direct,
+                             psi_values, psihat_values)
 from birthcut.poly import Poly
 from birthcut.quadrature import panel_nodes
 from conftest import (ln_zeta_nu1_exact, model_chain, monic_reference,

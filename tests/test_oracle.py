@@ -12,12 +12,12 @@ from mpmath import mp, mpf
 
 from birthcut import modelchain, oracle, quadrature
 from birthcut.kvio import chain_to_table
-from birthcut.modelchain import psi_values
 from birthcut.oracle import (GUARD_BITS, PANEL_POINTS, POINT_STORE_SIZE,
                              RecChain, build_rec_chain, eval_phi_exact,
                              eval_psi_exact, expected_count_exact,
                              gram_entries, kernel_exact,
-                             orthogonality_residual, pihat_direct)
+                             orthogonality_residual, pihat_direct,
+                             psi_values)
 from birthcut.poly import Poly
 from birthcut.quadrature import gauss_legendre, panel_nodes
 from conftest import model_chain, monic_reference, oracle_chain, quartic
@@ -321,9 +321,10 @@ def test_table_export():
         assert abs(mpf(toks[2]) - ch.gamma[3]) < mpf("1e-25")
 
 
-def chain_grids(monkeypatch):
+@pytest.fixture(scope="module")
+def chain_grids():
     """(name, grid, weight, panels) of the grids of the N = 80, phi_e = 0.62
-    oracle (its build grid and its default check grid, caught from
+    oracle (its build grid and its default check grid, caught once from
     `orthogonality_residual`) and of the model chains at nu = 1, k_max = 30
     and nu = 6."""
     built = []
@@ -336,8 +337,9 @@ def chain_grids(monkeypatch):
 
     ch = oracle_chain("0.62", 80)
     out = [("oracle build", ch.grid, ch.weight, len(ch.xs) // PANEL_POINTS)]
-    monkeypatch.setattr(oracle.Weight, "grid", spy)
-    orthogonality_residual(ch, ((0, 0),))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle.Weight, "grid", spy)
+        orthogonality_residual(ch, ((0, 0),))
     out.append(("oracle check",) + built.pop())
     for nu, k_max in ((1, 30), (6, 30)):
         mc = model_chain(nu, k_max)
@@ -346,13 +348,12 @@ def chain_grids(monkeypatch):
     return out
 
 
-def test_chain_grids_are_their_weights_grids(monkeypatch):
+def test_chain_grids_are_their_weights_grids(chain_grids):
     # the build and check grids of an oracle and of model chains are
     # Weight.grid of the chain's weight at their panel count, bit for bit;
     # the check grid's weight is the chain's own
     ch = oracle_chain("0.62", 80)
-    for name, grid, w, panels in chain_grids(monkeypatch):
-        monkeypatch.undo()
+    for name, grid, w, panels in chain_grids:
         again = w.grid(panels, grid.F)
         assert (again.X, again.U, again.K, again.m, again.mirrored) == \
             (grid.X, grid.U, grid.K, grid.m, grid.mirrored), name
@@ -382,8 +383,8 @@ def test_counting_grid_is_the_weight_with_other_ends(monkeypatch):
             reference_grid(w, panels, F)
 
 
-def test_node_grid_nodes_are_exact_prec_bit_values(monkeypatch):
-    for name, grid, w, panels in chain_grids(monkeypatch):
+def test_node_grid_nodes_are_exact_prec_bit_values(chain_grids):
+    for name, grid, w, panels in chain_grids:
         lo, hi = w.lo, w.hi
         prec = grid.F - GUARD_BITS
         assert len(grid.xs) == len(grid.X) == panels * PANEL_POINTS, name
@@ -403,12 +404,12 @@ def test_node_grid_nodes_are_exact_prec_bit_values(monkeypatch):
                     (name, i)
 
 
-def test_node_grid_roots_match_mpf_weights(monkeypatch):
+def test_node_grid_roots_match_mpf_weights(chain_grids):
     # sqrt(g_i w_i) = U_i 2^-(F + K_i + m) against sqrt(g exp(-c V(x_i))) at
     # 640 bits, at both domain ends, in the newborn well (where w is about
     # e^{-1.96 N} on the N = 80 oracle) and at every 41st node
     e = quartic("0.62").e
-    for name, grid, w, panels in chain_grids(monkeypatch):
+    for name, grid, w, panels in chain_grids:
         V, lo, hi = w.V, w.lo, w.hi
         prec = grid.F - GUARD_BITS
         with mp.workprec(prec):          # the coupling as the grid forms it
@@ -460,7 +461,7 @@ def reference_grid(weight, panels, F):
     return X, U, K
 
 
-def test_even_weight_grids_are_mirrored(monkeypatch):
+def test_even_weight_grids_are_mirrored(chain_grids):
     # an even V on [-a, a] forms the upper half node by node and mirrors
     # it: X[n-1-j] = -X[j] with the same U and K, the upper half bit for bit
     # the reference's, for odd and even panel counts (the middle panel of an
@@ -487,7 +488,7 @@ def test_even_weight_grids_are_mirrored(monkeypatch):
             assert (grid.X[h:], grid.U[h:], K_abs[h:]) == (X[h:], U[h:], K[h:])
         else:
             assert (grid.X, grid.U, K_abs) == (X, U, K)
-    for name, grid, w, panels in chain_grids(monkeypatch):
+    for name, grid, w, panels in chain_grids:
         if name.startswith("oracle"):
             X, U, K = reference_grid(w, panels, grid.F)
             assert not grid.mirrored, name
@@ -859,24 +860,20 @@ def test_diagonal_shortcut_is_the_derivative_form(monkeypatch):
                 assert abs(diag - ref) <= mpf("1e-90") * abs(ref), x
 
 
-def test_a_request_one_index_down_resumes(monkeypatch):
-    # psi_n then psi_{n-1} at one point, n = 1..20: the lower index is the
-    # state kept one below the point's state, so the pairs take one step
-    # each; the values are those of a chain with an empty store
+def test_kernel_prefactor_dropped_from_the_memo_changes_no_bits():
+    # gamma_n / sqrt(h_n h_{n-1}) is kept in the chain's memo: both kernel
+    # forms formed after the memo has dropped it equal a fresh chain's
     ch = replace(oracle_chain("0.62", 20, nodes=1024))
-    steps = []
-    run = oracle._monic_steps
-    monkeypatch.setattr(oracle, "_monic_steps", lambda c, X, state, n, *a:
-                        steps.append(n - state[0]) or run(c, X, state, n, *a))
     with mp.workprec(ch.prec):
-        x = quartic("0.62").e_tilde + mpf("0.1")
-        got = [(eval_psi_exact(ch, n, x), eval_psi_exact(ch, n - 1, x))
-               for n in range(1, 21)]
-        assert sum(steps) <= 2 * 20
-        monkeypatch.setattr(oracle, "_monic_steps", run)
-        assert got == [(eval_psi_exact(replace(ch), n, x),
-                        eval_psi_exact(replace(ch), n - 1, x))
-                       for n in range(1, 21)]
+        x, x2 = quartic("0.62").e_tilde + mpf("0.1"), mpf("-0.7")
+        calls = [(n, a, b) for n in (3, ch.weight.N + 3)
+                 for a, b in ((x, x), (x, x2), (x2, x))]
+        first = [kernel_exact(ch, *args) for args in calls]
+        assert ("kernel scale", 3) in ch._memo
+        ch._memo.clear()
+        again = [kernel_exact(ch, *args) for args in calls]
+        assert again == [kernel_exact(replace(ch), *args) for args in calls]
+        assert again == first
 
 
 # Weight.default's ends as the all-mpf scan of V over [-3, 3] gave them:
