@@ -3,7 +3,7 @@
 Subpackages by role:
 
 * ``potentials``   critical potential construction and validation
-* ``specialfn``    elliptic integrals (one AGM), theta1
+* ``specialfn``    elliptic integrals (one AGM), theta1 on the imaginary axis
 * ``equilibrium``  one- and two-cut equilibrium measures and derivatives
 * ``critical``     near-critical expansions (endpoint drift, newborn scaling)
 * ``modelchain``   the effective y^{2 nu}/(2 nu) matrix model on the oracle chain

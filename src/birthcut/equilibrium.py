@@ -82,7 +82,7 @@ from .poly import (Poly, _float_horner, deflate, laurent_split,
 from .quadrature import (GUARD_BITS, ConvergenceError, integrate_bracket,
                          integrate_doubling)
 from .specialfn import (EllipticParams, agm_integrals, complete_integrals,
-                        theta1, theta1_prime0)
+                        theta1_axis, theta1_prime0)
 
 # extra bits for the gap condition: its terms p_k I_k are thousands of times
 # larger than their sum, which Newton drives to 0
@@ -170,51 +170,29 @@ def _dc_de(Me, c, j, e):
 
 
 def _lu_solve(A, b):
-    """x with A x = b for a small square A, as `mpmath.lu_solve` gives it,
-    bit for bit, on lists instead of its sparse matrix type.
-
-    It takes mpmath's steps in the same order, 10 bits above the working
-    precision: the singularity tolerance |A|_1 eps, `LU_decomp`'s pivot (the
-    largest |A[k][j]| over the row's absolute sum), the elimination, then
-    `L_solve` and `U_solve`. ZeroDivisionError if A is numerically singular,
-    also where a column below the diagonal is all zero (no pivot), where
-    `LU_decomp` itself fails with a TypeError.
-    """
+    """x with A x = b for a small square A: Gaussian elimination with
+    partial pivoting and back substitution by `fsum`, 10 bits above the
+    working precision. ZeroDivisionError where a pivot is at most
+    n eps max |A_ij|: A is numerically singular."""
     n = len(A)
     with mp.extraprec(10):
-        A = [list(row) for row in A]
-        b = list(b)
-        tol = max(mp.fsum((row[j] for row in A), absolute=True)
-                  for j in range(n)) * mp.eps
-        for j in range(n - 1):
-            biggest, piv = 0, None
-            for k in range(j, n):
-                s = mp.fsum([abs(A[k][l]) for l in range(j, n)])
-                if s <= tol:
-                    raise ZeroDivisionError("matrix is numerically singular")
-                current = 1 / s * abs(A[k][j])
-                if current > biggest:
-                    biggest, piv = current, k
-            if piv is None:
+        rows = [list(row) + [v] for row, v in zip(A, b)]
+        tol = n * mp.eps * max(abs(v) for row in A for v in row)
+        for j in range(n):
+            piv = max(range(j, n), key=lambda k: abs(rows[k][j]))
+            rows[j], rows[piv] = rows[piv], rows[j]
+            pivot = rows[j]
+            if abs(pivot[j]) <= tol:
                 raise ZeroDivisionError("matrix is numerically singular")
-            A[j], A[piv] = A[piv], A[j]
-            b[j], b[piv] = b[piv], b[j]
-            if abs(A[j][j]) <= tol:
-                raise ZeroDivisionError("matrix is numerically singular")
-            for i in range(j + 1, n):
-                A[i][j] /= A[j][j]
-                for k in range(j + 1, n):
-                    A[i][k] -= A[i][j] * A[j][k]
-        if abs(A[n - 1][n - 1]) <= tol:
-            raise ZeroDivisionError("matrix is numerically singular")
-        for i in range(1, n):
-            for j in range(i):
-                b[i] -= A[i][j] * b[j]
+            for row in rows[j + 1:]:
+                f = row[j] / pivot[j]
+                for k in range(j + 1, n + 1):
+                    row[k] -= f * pivot[k]
+        x = [mpf(0)] * n
         for i in range(n - 1, -1, -1):
-            for j in range(i + 1, n):
-                b[i] -= A[i][j] * b[j]
-            b[i] /= A[i][i]
-    return b
+            tail = mp.fsum(rows[i][k] * x[k] for k in range(i + 1, n))
+            x[i] = (rows[i][n] - tail) / rows[i][i]
+    return x
 
 
 def _newton(F, x0, max_iter=100, tol=None):
@@ -227,9 +205,9 @@ def _newton(F, x0, max_iter=100, tol=None):
     (x, data, steps, residual): data from the evaluation at x, the number of
     Newton steps taken and max |r| there.
 
-    Each step solves J dx = -r by `_lu_solve`, which gives what
-    `mpmath.lu_solve` gives without building mpmath's matrix type; a
-    numerically singular J raises ConvergenceError.
+    Each step solves J dx = -r by `_lu_solve`, Gaussian elimination with
+    partial pivoting on lists; a numerically singular J raises
+    ConvergenceError.
 
     Each step component is capped at 0.2 (1 + |x_j|); near a degenerate
     critical point the Jacobian is stiff and an uncapped step can jump into
@@ -524,27 +502,26 @@ def _u_of_x_two_cut(mu: EqMeasure, x):
 
 
 def lambda_two_cut(mu: EqMeasure, x):
-    """Lambda(x) = e^{pi u u_inf/(K K')} theta1((u+u_inf)/2K) / theta1((u-u_inf)/2K),
-    real x > d."""
-    ell = mu.ell
-    u = _u_of_x_two_cut(mu, x)
-    K, Kp, tau = ell.K, ell.Kprime, ell.tau
-    num = theta1((u + mu.u_inf) / (2 * K), tau)
-    den = theta1((u - mu.u_inf) / (2 * K), tau)
-    val = mp.exp((mp.pi * u * mu.u_inf / (K * Kp)).real) * num / den
-    return val.real if abs(mpc(val).imag) < mpf(10) ** (-mp.dps + 8) * abs(val) \
-        else val
+    """Lambda(x) = e^{pi u u_inf/(K K')} theta1((u+u_inf)/2K) / theta1((u-u_inf)/2K)
+    for real x > d, a real formula in F = Im u and F_inf = Im u_inf on the
+    imaginary axis (`specialfn` conventions, tau = K'/K)."""
+    K, Kp = mu.ell.K, mu.ell.Kprime
+    F, F_inf, tau = _u_of_x_two_cut(mu, x).imag, mu.u_inf.imag, Kp / K
+    return mp.exp(-(mp.pi * F * F_inf) / (K * Kp)) \
+        * theta1_axis((F + F_inf) / (2 * K), tau) \
+        / theta1_axis((F - F_inf) / (2 * K), tau)
 
 
 def gamma_two_cut(mu: EqMeasure):
-    """gamma = (i/4K) sqrt((d-b)(c-a)) e^{-pi u_inf^2/(K K')}
-               theta1'(0, tau) / theta1(u_inf/K, tau)."""
+    """gamma = (i/4K) sqrt((d-b)(c-a)) e^{-pi u_inf^2/(K K')} theta1'(0) /
+    theta1(u_inf/K), a real formula in F_inf = Im u_inf on the imaginary
+    axis (`specialfn` conventions, tau = K'/K)."""
     a, b, c, d = mu.endpoints
-    ell = mu.ell
-    pref = mpc(0, 1) / (4 * ell.K) * mp.sqrt((d - b) * (c - a))
-    expf = mp.exp((-mp.pi * mu.u_inf ** 2 / (ell.K * ell.Kprime)).real)
-    val = pref * expf * theta1_prime0(ell.tau) / theta1(mu.u_inf / ell.K, ell.tau)
-    return val.real
+    K, Kp = mu.ell.K, mu.ell.Kprime
+    F_inf, tau = mu.u_inf.imag, Kp / K
+    return mp.sqrt((d - b) * (c - a)) / (4 * K) \
+        * mp.exp(mp.pi * F_inf ** 2 / (K * Kp)) \
+        * theta1_prime0(tau) / theta1_axis(F_inf / K, tau)
 
 
 def abelian_objects(mu: EqMeasure):

@@ -1,13 +1,15 @@
 """High-precision special functions for the two-cut parametrization.
 
 Conventions: the elliptic parameter m is the squared modulus, i.e. the m in
-integral_0^sn dy / sqrt((1-y^2)(1-m y^2)); theta1 takes a period-1 argument,
+integral_0^sn dy / sqrt((1-y^2)(1-m y^2)). theta1 has a period-1 argument
+and is only needed at z = iv with nome parameter i tau, tau = K'/K > 0:
 
-    theta1(z, tau) = 2 sum_{n>=0} (-1)^n q^{(n+1/2)^2} sin((2n+1) pi z),
-    q = exp(i pi tau),
+    theta1(iv | i tau)/i = 2 sum_{n>=0} (-1)^n q^{(n+1/2)^2} sinh((2n+1) pi v),
+    q = e^{-pi tau},
 
-so that the two-cut gamma formula reads gamma = (i/4K) sqrt((d-b)(c-a))
-  * exp(-pi u_inf^2/(K K')) * theta1'(0)/theta1(u_inf/K).
+so that with u_inf = i F_inf the two-cut gamma formula reads
+gamma = sqrt((d-b)(c-a))/(4K) e^{pi F_inf^2/(K K')}
+  * theta1'(0) / (theta1(i F_inf/K)/i).
 
 Every elliptic integral here comes from one arithmetic-geometric mean
 (`agm_integrals`): the complete K, E and Pi, and, through the descending
@@ -16,8 +18,8 @@ the two-cut abelian map (see `equilibrium`). No Carlson-form or other
 second route is used. The sequence runs in fixed point on Python integers,
 with guard bits sized from the inputs so that each result rounds as the
 same sequence in mpf at 20 guard bits does; only its closing formulas are
-mpf operations. The module also owns the conventions and the one theta1
-series behind theta1 and theta1'(0).
+mpf operations. The module also owns the conventions and the one real
+theta1 series behind `theta1_axis` and `theta1_prime0`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple, Optional
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
 from .quadrature import ConvergenceError
@@ -41,11 +43,10 @@ class EllipticParams:
     Kprime: mpf
     E: mpf
     Eprime: mpf
-    tau: mpc        # i K'/K
 
 
 def complete_integrals(m, prime=None) -> EllipticParams:
-    """K, K', E, E' and tau at parameter m in [0, 1), from two AGM passes:
+    """K, K', E and E' at parameter m in [0, 1), from two AGM passes:
     one at m, one at 1 - m. `prime` is the `agm_integrals` result at
     mc = m, the pass at 1 - m, where the caller has already formed it at
     20 guard bits. At m = 0, K' = +inf and E' = 1."""
@@ -58,8 +59,7 @@ def complete_integrals(m, prime=None) -> EllipticParams:
             Kp, Ep = mpf("inf"), mpf(1)
         else:
             Kp, Ep = (prime or agm_integrals(m))[:2]
-        tau = mpc(0, 1) * Kp / K
-    return EllipticParams(m=m, K=+K, Kprime=+Kp, E=+E, Eprime=+Ep, tau=+tau)
+    return EllipticParams(m=m, K=+K, Kprime=+Kp, E=+E, Eprime=+Ep)
 
 
 class AGMIntegrals(NamedTuple):
@@ -178,43 +178,46 @@ def _from_fixed(v, W):
     return mp.ldexp(mpf(v), -W)
 
 
-def _nome(tau):
-    tau = mpc(tau)
-    if tau.imag <= 0:
-        raise ValueError("theta1 requires Im tau > 0")
-    return mp.exp(mpc(0, 1) * mp.pi * tau)
-
-
-def _theta1_series(tau, weight):
-    """2 sum_{n>=0} (-1)^n q^{(n+1/2)^2} weight(n), truncated once a term is
-    at most 2^(8-p) of the largest term and of the partial sum, p the working
-    precision plus 20 guard bits; ConvergenceError if 200 terms do not."""
-    q = _nome(tau)
+def _theta1_axis_series(tau, c, w0):
+    """2 sum_{n>=0} (-1)^n q^{(n+1/2)^2} w_n, q = e^{-pi tau}, for weights
+    w_{n+1} = 2 c w_n - w_{n-1}, w_{-1} = -w_0; every factor by recurrence.
+    Truncated once a term is at most 2^(8-p) of the largest term and of the
+    partial sum, p the working precision plus 20 guard bits;
+    ConvergenceError if 200 terms do not."""
+    tau = mpf(tau)
+    if tau <= 0:
+        raise ValueError("theta1 on the imaginary axis requires tau > 0")
     with mp.workprec(mp.prec + 20):
         tol = mpf(2) ** (-mp.prec + 8)
-        acc = mpc(0)
-        scale = mpf(0)
+        power = mp.exp(-mp.pi * tau / 4)                # q^{1/4}
+        q2 = step = power ** 8                          # q^2
+        w_prev, w = -w0, w0
+        acc = scale = mpf(0)
         for n in range(200):
-            term = (-1) ** n * q ** ((n + mpf(1) / 2) ** 2) * weight(n)
-            acc += term
+            term = power * w
+            acc += -term if n % 2 else term
             scale = max(scale, abs(term))
             if n >= 1 and abs(term) <= tol * max(scale, abs(acc)):
                 break
+            power *= step           # q^{(n+3/2)^2} = q^{(n+1/2)^2} q^{2n+2}
+            step *= q2
+            w_prev, w = w, 2 * c * w - w_prev
         else:
             raise ConvergenceError("theta1 series: 200 terms at tau = %s"
                                    % mp.nstr(tau, 8))
-        out = 2 * acc
-    if abs(out.imag) < mpf(10) ** (-mp.dps + 6) * abs(out):
-        return +out.real
-    return +out
+    return 2 * acc                  # rounds once to the working precision
 
 
-def theta1(z, tau):
-    """theta1(z, tau) with period-1 argument."""
-    z = mpc(z)
-    return _theta1_series(tau, lambda n: mp.sin((2 * n + 1) * mp.pi * z))
+def theta1_axis(v, tau):
+    """theta1(iv | i tau)/i for real v and tau > 0 (module conventions),
+    with sinh((2n+1) pi v) by the recurrence of cosh(2 pi v)."""
+    with mp.workprec(mp.prec + 20):
+        x = mp.pi * mpf(v)
+        c, w0 = mp.cosh(2 * x), mp.sinh(x)
+    return _theta1_axis_series(tau, c, w0)
 
 
 def theta1_prime0(tau):
-    """d theta1/dz at z = 0."""
-    return mp.pi * _theta1_series(tau, lambda n: 2 * n + 1)
+    """theta1'(0 | i tau) = 2 pi sum_{n>=0} (-1)^n (2n+1) q^{(n+1/2)^2}, the
+    v-derivative of `theta1_axis` at 0."""
+    return mp.pi * _theta1_axis_series(tau, 1, mpf(1))

@@ -66,6 +66,25 @@ def sn_cn_dn(u, m):
     return +sn, +cn, +dn
 
 
+def gamma_jtheta(mu):
+    """gamma of a two-cut measure by mpmath's `jtheta`, at 60 guard bits
+    from the measure's K, K', F_inf = Im u_inf and endpoints:
+    sqrt((d-b)(c-a))/(4K) e^{pi F_inf^2/(K K')} theta1'(0)/theta1(i F_inf/K)
+    times i, with the nome q = e^{-pi K'/K}. jtheta(1, z, q) takes a
+    period-2 pi argument, so theta1(iv) = jtheta(1, i pi v, q) and
+    theta1'(0) = pi jtheta(1, 0, q, 1): the reference for
+    `equilibrium.gamma_two_cut`."""
+    a, b, c, d = mu.endpoints
+    K, Kp, F_inf = mu.ell.K, mu.ell.Kprime, mu.u_inf.imag
+    with mp.workprec(mp.prec + 60):
+        q = mp.exp(-mp.pi * Kp / K)
+        theta = mpmath.jtheta(1, mpmath.mpc(0, mp.pi * F_inf / K), q)
+        gamma = mp.sqrt((d - b) * (c - a)) / (4 * K) \
+            * mp.exp(mp.pi * F_inf ** 2 / (K * Kp)) \
+            * mp.pi * mpmath.jtheta(1, 0, q, 1) / theta.imag
+    return +gamma
+
+
 def agm_reference(mc, n=None, amplitude=None):
     """(K, E, Pi, F, E_phi) of `specialfn.agm_integrals` by the same AGM
     sequence in plain mpf arithmetic at 20 guard bits: the reference for

@@ -16,7 +16,7 @@ from birthcut.poly import (Poly, deflate, laurent_split, monic_from_roots,
                            sqrt_sigma_tail)
 from birthcut.quadrature import integrate_bracket, integrate_doubling
 from birthcut.critical import one_cut_drift, two_cut_guess
-from conftest import quartic, sn_cn_dn, spec_nu
+from conftest import gamma_jtheta, quartic, sn_cn_dn, spec_nu
 
 
 def gamma_from_lambda_limit(mu, x=None):
@@ -368,6 +368,18 @@ def test_gamma_two_routes_agree():
     assert abs(g1 - g2) < mpf("1e-8") * g1
 
 
+@pytest.mark.parametrize("that", ["1e-5", "1e-4", "1e-3"])
+@pytest.mark.parametrize("phi_e", ["1.0", "0.62", "1.3"])
+def test_gamma_two_cut_matches_jtheta(phi_e, that):
+    # the real series on the imaginary axis against mpmath's jtheta, to 4
+    # units of the working precision
+    spec = quartic(phi_e)
+    t = mpf(that) * spec.Tc
+    mu = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
+    ref = gamma_jtheta(mu)
+    assert abs(gamma_two_cut(mu) - ref) <= 4 * mpf(2) ** -mp.prec * ref
+
+
 def test_prime_form():
     spec = quartic("1.0")
     mu = solve_one_cut(spec.V, spec.Tc, guess=(-2, 2))
@@ -561,11 +573,15 @@ def _systems():
 
 
 @pytest.mark.parametrize("case", range(6))
-def test_list_solve_is_mpmath_lu_solve_bit_for_bit(case):
+def test_list_solve_matches_mpmath_lu_solve(case):
+    # plain elimination against mpmath's LU, to 16 units of 2^-prec
+    # relative in every component
     name, A, b = _systems()[case]
     ref = mpmath.lu_solve(mpmath.matrix(A), mpmath.matrix(b))
     got = equilibrium._lu_solve(A, b)
-    assert [v._mpf_ for v in got] == [ref[i]._mpf_ for i in range(len(b))], name
+    tol = 16 * mpf(2) ** -mp.prec
+    for i, v in enumerate(got):
+        assert abs(v - ref[i]) <= tol * abs(ref[i]), (name, i)
 
 
 @pytest.mark.parametrize("J", [[[1, 2], [2, 4]], [[0, 1], [0, 3]]])

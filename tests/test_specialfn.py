@@ -5,8 +5,8 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from birthcut.quadrature import ConvergenceError
-from birthcut.specialfn import (agm_integrals, complete_integrals, theta1,
-                                theta1_prime0)
+from birthcut.specialfn import (agm_integrals, complete_integrals,
+                                theta1_axis, theta1_prime0)
 from conftest import (agm_reference, ln_factorial, ln_zeta_asymptotic,
                       ln_zeta_nu1_exact, small_m_E, small_m_Eprime, small_m_K,
                       sn_cn_dn)
@@ -116,56 +116,62 @@ def test_fixed_point_agm_equals_the_mpf_loop(dps):
 
 
 def test_theta1_odd_and_zero():
-    tau = mpc(0, mpf("0.8"))
-    assert theta1(0, tau) == 0
-    z = mpf("0.3")
-    assert abs(theta1(-z, tau) + theta1(z, tau)) < mpf("1e-30")
+    tau = mpf("0.8")
+    assert theta1_axis(0, tau) == 0
+    v = mpf("0.3")
+    assert abs(theta1_axis(-v, tau) + theta1_axis(v, tau)) < mpf("1e-30")
 
 
 def test_theta1_quasi_periodicity():
-    tau = mpc(mpf("0.1"), mpf("0.9"))
-    q = mp.exp(mpc(0, 1) * mp.pi * tau)
-    for z in (mpf("0.21"), mpc(mpf("0.1"), mpf("0.2"))):
-        lhs = theta1(z + tau, tau)
-        rhs = -theta1(z, tau) / q / mp.exp(2j * mp.pi * z)
+    # theta1(z + T | T) = -q^{-1} e^{-2 pi i z} theta1(z | T) at z = iv,
+    # T = i tau: a shift of v by tau multiplies by -e^{pi (tau + 2 v)}
+    tau = mpf("0.9")
+    for v in (mpf("0.21"), mpf("-0.35")):
+        lhs = theta1_axis(v + tau, tau)
+        rhs = -mp.exp(mp.pi * (tau + 2 * v)) * theta1_axis(v, tau)
         assert abs(lhs - rhs) < mpf("1e-25") * abs(rhs)
 
 
 def test_theta1_prime_is_z_derivative():
-    tau = mpc(0, mpf("1.2"))
+    tau = mpf("1.2")
     h = mpf("1e-12")
-    fd = (theta1(h, tau) - theta1(-h, tau)) / (2 * h)
+    fd = (theta1_axis(h, tau) - theta1_axis(-h, tau)) / (2 * h)
     assert abs(fd - theta1_prime0(tau)) < mpf("1e-20")
 
 
 @pytest.mark.parametrize("dps", [60, 100])
 def test_theta1_at_the_working_precision(dps):
-    # mpmath's jtheta(1, z, q) takes a period-2 pi argument
+    # mpmath's jtheta(1, z, q) takes a period-2 pi argument; v = 0.2 keeps
+    # off the zeros of theta1_axis at the multiples of tau
     with mp.workdps(dps):
         tol = mpf(2) ** (16 - mp.prec)
-        z = mpf("0.3")
-        for im in ("0.3", "1", "3"):
-            tau = mpc(0, mpf(im))
-            q = mp.exp(-mp.pi * tau.imag)
-            ref = mpmath.jtheta(1, mp.pi * z, q)
-            assert abs(theta1(z, tau) - ref) <= tol * abs(ref), im
+        v = mpf("0.2")
+        for tau in ("0.3", "1", "3"):
+            tau = mpf(tau)
+            q = mp.exp(-mp.pi * tau)
+            ref = (mpmath.jtheta(1, mpc(0, mp.pi * v), q) / mpc(0, 1)).real
+            assert abs(theta1_axis(v, tau) - ref) <= tol * abs(ref), tau
             ref = mp.pi * mpmath.jtheta(1, 0, q, 1)
-            assert abs(theta1_prime0(tau) - ref) <= tol * abs(ref), im
+            assert abs(theta1_prime0(tau) - ref) <= tol * abs(ref), tau
 
 
 def test_theta1_says_when_its_series_does_not_converge():
-    # at tau = 1e-5 i the nome is 1 - 3e-5 and the series needs thousands of
-    # terms; theta1(0.3, tau) is -2.5e-44 there, not the 200-term partial sum
-    tau = mpc(0, mpf("1e-5"))
+    # at tau = 1e-5 the nome is 1 - 3e-5 and the series needs thousands of
+    # terms; the 200-term partial sum is not returned
+    tau = mpf("1e-5")
     with pytest.raises(ConvergenceError):
-        theta1(mpf("0.3"), tau)
+        theta1_axis(mpf("0.3"), tau)
     with pytest.raises(ConvergenceError):
         theta1_prime0(tau)
 
 
 def test_theta1_rejects_lower_half_plane():
-    with pytest.raises(ValueError):
-        theta1(mpf("0.2"), mpc(0, -1))
+    # T = i tau with tau <= 0 is not in the upper half plane
+    for tau in (-1, 0):
+        with pytest.raises(ValueError):
+            theta1_axis(mpf("0.2"), tau)
+        with pytest.raises(ValueError):
+            theta1_prime0(tau)
 
 
 def test_gamma_formula_small_m_reduction():

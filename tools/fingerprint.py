@@ -11,9 +11,7 @@ n rising, repeated and falling, both kernel forms, phi and the count) and
 the model chain's psi lists and Hilbert pairs; the `asymptotics` forms on
 the A10a grid; and the stdout of six CLI commands run through `cli.main`.
 Values are hashed by their exact mpf tuples, tables and stdout as text.
-Names that have moved between modules are looked up in `oracle` first,
-then in `modelchain`, so one file serves checkouts on both sides of the
-move. Uses the standard library and birthcut only; under 10 s on one core.
+Uses the standard library and birthcut only; under 10 s on one core.
 """
 
 from __future__ import annotations
@@ -30,12 +28,6 @@ from mpmath import mp, mpf  # noqa: E402  (mpmath is birthcut's one dependency)
 
 from birthcut import asymptotics, cli, kvio, modelchain, oracle  # noqa: E402
 from birthcut.potentials import make_quartic_spec  # noqa: E402
-
-
-def moved(name):
-    """A function that lives in `oracle` or, on older checkouts, in
-    `modelchain`."""
-    return getattr(oracle, name, None) or getattr(modelchain, name)
 
 
 def exact(v):
@@ -106,15 +98,13 @@ def evaluators():
             oracle.expected_count_exact(ch, n, spec.e_tilde, panels=4)
             for n in (41, 44, 49, 12)])
     mc = modelchain.build_chain(1, k_max=30, prec=256)
-    psi_values, phat_values, psihat_values = (
-        moved(n) for n in ("psi_values", "phat_values", "psihat_values"))
     with mp.workprec(mc.prec):
         ys = [mpf(-2), mpf("-0.37"), mpf(0), mpf("1.25"), mpf(3)]
-        emit("model psi_values", [psi_values(mc, n, y)
+        emit("model psi_values", [oracle.psi_values(mc, n, y)
                                   for n in (29, 5) for y in ys])
-        emit("model phat_values", [phat_values(mc, k, y)
+        emit("model phat_values", [oracle.phat_values(mc, k, y)
                                    for k in (0, 1, 4, 12) for y in ys])
-        emit("model psihat_values", [psihat_values(mc, k, y)
+        emit("model psihat_values", [oracle.psihat_values(mc, k, y)
                                      for k in (0, 1, 4, 12) for y in ys])
 
 
