@@ -37,9 +37,11 @@ x0 = d + i sqrt((c-a)(d-b)) (E(u_inf) - (1 - E'/K') u_inf), is real:
     x0 = b + sqrt((c-a)(d-b)) (E(phi | 1-m) - (E'/K') v).
 
 One AGM pass at the parameter 1 - m (`specialfn.agm_integrals`) gives K',
-E', F(phi | 1-m) and E(phi | 1-m) together, and the gap moments below take
-K, E and Pi from the same kind of pass: every elliptic integral of the
-two-cut measure comes from that one AGM, none from mpmath.
+E', F(phi | 1-m) and E(phi | 1-m) together, a pass at m gives K, and the
+gap moments below take K, E and Pi from the same kind of pass: every
+elliptic integral of the two-cut measure comes from that one AGM, none from
+mpmath. u is imaginary for x > d, so the measure keeps the reals K, K' and
+F_inf = Im u_inf = v, and no value in this module is complex.
 
 Newton's Jacobian is exact and comes from the same Laurent data. Write l_m
 for the x^m coefficient of V'/sqrt(sigma): M's coefficients for m >= 0 and
@@ -74,15 +76,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
 from .poly import (Poly, _float_horner, deflate, laurent_split,
                    monic_from_roots, sqrt_sigma_tail)
 from .quadrature import (GUARD_BITS, ConvergenceError, integrate_bracket,
                          integrate_doubling)
-from .specialfn import (EllipticParams, agm_integrals, complete_integrals,
-                        theta1_axis, theta1_prime0)
+from .specialfn import agm_integrals, theta1_axis, theta1_prime0
 
 # extra bits for the gap condition: its terms p_k I_k are thousands of times
 # larger than their sum, which Newton drives to 0
@@ -95,6 +96,8 @@ class PhaseError(RuntimeError):
 
 @dataclass
 class EqMeasure:
+    """An s-cut equilibrium measure; every field is real, the two-cut ones
+    from `_fill_two_cut_data`."""
     s: int
     endpoints: tuple          # (a, b) or (a, b, c, d), increasing
     M: Poly
@@ -102,8 +105,9 @@ class EqMeasure:
     V: Poly
     x0: Optional[mpf] = None          # two-cut: zero of Omega in the gap
     m: Optional[mpf] = None           # two-cut: biratio of the endpoints
-    u_inf: Optional[mpc] = None       # two-cut: image of x = infinity
-    ell: Optional[EllipticParams] = None
+    F_inf: Optional[mpf] = None       # two-cut: Im u_inf, u_inf = u(infinity)
+    K: Optional[mpf] = None           # two-cut: K at parameter m
+    Kprime: Optional[mpf] = None      # two-cut: K' = K at parameter 1 - m
     newton_steps: Optional[int] = None    # Newton steps the solve took
     residual: Optional[mpf] = None        # max |residual| at the solution
     _sigmas: dict = field(default_factory=dict, init=False, repr=False,
@@ -304,7 +308,7 @@ def solve_one_cut(V: Poly, T, guess=(-2, 2)) -> EqMeasure:
 
 def solve_two_cut(V: Poly, T, guess) -> EqMeasure:
     """Endpoints (a, b, c, d) with c_1 = c_2 = 0, c_3 = 2T and equal effective
-    potential across the gap; populates x0, m, u_inf and the elliptic data."""
+    potential across the gap; populates x0, m, K, K' and F_inf."""
     return _solve(V, T, guess, max_iter=40)
 
 
@@ -383,19 +387,19 @@ def _check_density(mu: EqMeasure):
 
 
 def _fill_two_cut_data(mu: EqMeasure):
-    """m, the elliptic data, u_inf = i F(phi | 1-m) and x0 (module
-    docstring). One AGM pass at 1 - m, with the amplitude tan phi =
-    sqrt((d-b)/(b-a)), gives K', E', F(phi | 1-m) and E(phi | 1-m)."""
+    """m, K, K', F_inf = Im u_inf = F(phi | 1-m) and x0 (module docstring),
+    each rounded once from 20 guard bits. One AGM pass at 1 - m, with the
+    amplitude tan phi = sqrt((d-b)/(b-a)), gives K', E', F(phi | 1-m) and
+    E(phi | 1-m); one pass at m gives K."""
     a, b, c, d = mu.endpoints
     m = (b - a) * (d - c) / ((c - a) * (d - b))
     with mp.workprec(mp.prec + 20):
         prime = agm_integrals(m, amplitude=(mp.sqrt(b - a), mp.sqrt(d - b)))
         x0 = b + mp.sqrt((c - a) * (d - b)) * (
             prime.E_phi - prime.E / prime.K * prime.F)
+        K = agm_integrals(1 - m).K
     mu.m = m
-    mu.ell = complete_integrals(m, prime)
-    mu.u_inf = mpc(0, prime.F)
-    mu.x0 = +x0
+    mu.K, mu.Kprime, mu.F_inf, mu.x0 = +K, +prime.K, +prime.F, +x0
 
 
 def normalization(mu: EqMeasure):
@@ -487,10 +491,11 @@ def joukowski_lambda(mu: EqMeasure, x):
 
 
 def _u_of_x_two_cut(mu: EqMeasure, x):
-    """u(x) = i F(arctan rho(x) | 1-m) for real x > d (module docstring):
-    the branch with u(d) = i K' and u(inf) = u_inf. The amplitude goes to
-    the AGM as (sqrt((b-a)(x-d)), sqrt((d-b)(x-a))), whose ratio is rho(x),
-    so that x - d is kept as it is when x nears d, where arctan rho -> pi/2."""
+    """F(x) = Im u(x) = F(arctan rho(x) | 1-m) for real x > d (module
+    docstring), on the branch with F(d) = K' and F(inf) = F_inf; u(x) = i F(x)
+    lies on the imaginary axis. The amplitude goes to the AGM as
+    (sqrt((b-a)(x-d)), sqrt((d-b)(x-a))), whose ratio is rho(x), so that
+    x - d is kept as it is when x nears d, where arctan rho -> pi/2."""
     a, b, c, d = mu.endpoints
     x = mpf(x)
     if x <= d:
@@ -498,15 +503,15 @@ def _u_of_x_two_cut(mu: EqMeasure, x):
     with mp.workprec(mp.prec + 20):
         F = agm_integrals(mu.m, amplitude=(mp.sqrt((b - a) * (x - d)),
                                            mp.sqrt((d - b) * (x - a)))).F
-    return mpc(0, F)
+    return +F
 
 
 def lambda_two_cut(mu: EqMeasure, x):
     """Lambda(x) = e^{pi u u_inf/(K K')} theta1((u+u_inf)/2K) / theta1((u-u_inf)/2K)
-    for real x > d, a real formula in F = Im u and F_inf = Im u_inf on the
-    imaginary axis (`specialfn` conventions, tau = K'/K)."""
-    K, Kp = mu.ell.K, mu.ell.Kprime
-    F, F_inf, tau = _u_of_x_two_cut(mu, x).imag, mu.u_inf.imag, Kp / K
+    for real x > d, a real formula in F = Im u(x) and F_inf = Im u_inf on
+    the imaginary axis (`specialfn` conventions, tau = K'/K)."""
+    K, Kp, F_inf, tau = mu.K, mu.Kprime, mu.F_inf, mu.Kprime / mu.K
+    F = _u_of_x_two_cut(mu, x)
     return mp.exp(-(mp.pi * F * F_inf) / (K * Kp)) \
         * theta1_axis((F + F_inf) / (2 * K), tau) \
         / theta1_axis((F - F_inf) / (2 * K), tau)
@@ -517,8 +522,8 @@ def gamma_two_cut(mu: EqMeasure):
     theta1(u_inf/K), a real formula in F_inf = Im u_inf on the imaginary
     axis (`specialfn` conventions, tau = K'/K)."""
     a, b, c, d = mu.endpoints
-    K, Kp = mu.ell.K, mu.ell.Kprime
-    F_inf, tau = mu.u_inf.imag, Kp / K
+    K, Kp, F_inf = mu.K, mu.Kprime, mu.F_inf
+    tau = Kp / K
     return mp.sqrt((d - b) * (c - a)) / (4 * K) \
         * mp.exp(mp.pi * F_inf ** 2 / (K * Kp)) \
         * theta1_prime0(tau) / theta1_axis(F_inf / K, tau)

@@ -89,7 +89,7 @@ def measure_to_kv(mu: EqMeasure) -> str:
         lines += [
             "x0 = %s" % _fmt(mu.x0),
             "m = %s" % _fmt(mu.m),
-            "u_inf_imag = %s" % _fmt(mu.u_inf.imag),
+            "u_inf_imag = %s" % _fmt(mu.F_inf),
         ]
     return "\n".join(lines) + "\n"
 

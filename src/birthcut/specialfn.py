@@ -24,7 +24,6 @@ theta1 series behind `theta1_axis` and `theta1_prime0`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple, Optional
 
@@ -32,34 +31,6 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
 from .quadrature import ConvergenceError
-
-
-@dataclass(frozen=True)
-class EllipticParams:
-    """Complete-integral data at parameter m (squared-modulus convention)."""
-
-    m: mpf
-    K: mpf
-    Kprime: mpf
-    E: mpf
-    Eprime: mpf
-
-
-def complete_integrals(m, prime=None) -> EllipticParams:
-    """K, K', E and E' at parameter m in [0, 1), from two AGM passes:
-    one at m, one at 1 - m. `prime` is the `agm_integrals` result at
-    mc = m, the pass at 1 - m, where the caller has already formed it at
-    20 guard bits. At m = 0, K' = +inf and E' = 1."""
-    m = mpf(m)
-    if not (0 <= m < 1):
-        raise ValueError("parameter m must lie in [0, 1)")
-    with mp.workprec(mp.prec + 20):
-        K, E = agm_integrals(1 - m)[:2]
-        if m == 0:
-            Kp, Ep = mpf("inf"), mpf(1)
-        else:
-            Kp, Ep = (prime or agm_integrals(m))[:2]
-    return EllipticParams(m=m, K=+K, Kprime=+Kp, E=+E, Eprime=+Ep)
 
 
 class AGMIntegrals(NamedTuple):

@@ -75,7 +75,7 @@ def gamma_jtheta(mu):
     theta1'(0) = pi jtheta(1, 0, q, 1): the reference for
     `equilibrium.gamma_two_cut`."""
     a, b, c, d = mu.endpoints
-    K, Kp, F_inf = mu.ell.K, mu.ell.Kprime, mu.u_inf.imag
+    K, Kp, F_inf = mu.K, mu.Kprime, mu.F_inf
     with mp.workprec(mp.prec + 60):
         q = mp.exp(-mp.pi * Kp / K)
         theta = mpmath.jtheta(1, mpmath.mpc(0, mp.pi * F_inf / K), q)

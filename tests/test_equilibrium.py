@@ -1,5 +1,7 @@
 """Equilibrium-measure solvers against closed forms and cross-route identities."""
 
+import dataclasses
+
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
@@ -113,7 +115,7 @@ def test_two_cut_near_critical_objects():
         lambda x: (abs(x) + abs(mu.x0)) / mp.sqrt((x - a) * (d - x)), b, c)
     assert abs(val) < mpf("1e-12") * scale
     # u_inf satisfies the sn identity
-    sn, cn, dn = sn_cn_dn(mu.u_inf, mu.m)
+    sn, cn, dn = sn_cn_dn(mpc(0, mu.F_inf), mu.m)
     assert abs(sn - mp.mpc(0, 1) * mp.sqrt((d - b) / (b - a))) < mpf("1e-25")
     assert abs(cn - mp.sqrt((d - a) / (b - a))) < mpf("1e-25")
     assert abs(dn - mp.sqrt((d - a) / (c - a))) < mpf("1e-25")
@@ -241,7 +243,7 @@ def test_two_cut_solve_runs_no_adaptive_quadrature(monkeypatch):
     spec = quartic("1.0")
     t = mpf("1e-5") * spec.Tc
     mu = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
-    assert mu.x0 is not None and mu.u_inf is not None   # _fill_two_cut_data ran
+    assert mu.x0 is not None and mu.F_inf is not None   # _fill_two_cut_data ran
     # the abelian map behind Lambda is closed too, near d and far out
     _, Lam, gamma = abelian_objects(mu)
     d = mu.endpoints[3]
@@ -253,9 +255,9 @@ def test_two_cut_solve_runs_no_adaptive_quadrature(monkeypatch):
 
 
 def _u_by_quadrature(mu, x):
-    """u(x) by the integral route u_inf + (i/2) sqrt((d-b)(c-a))
-    integral_x^inf dy / sqrt(sigma): beyond X = max(x, 2d + 1) by y = 1/tau,
-    on [x, X] by y = x + w^2."""
+    """F(x) = Im u(x) by the integral route u = u_inf + (i/2)
+    sqrt((d-b)(c-a)) integral_x^inf dy / sqrt(sigma): beyond
+    X = max(x, 2d + 1) by y = 1/tau, on [x, X] by y = x + w^2."""
     a, b, c, d = mu.endpoints
     X = max(x, 2 * d + 1)
 
@@ -269,7 +271,7 @@ def _u_by_quadrature(mu, x):
     if x < X:
         total += integrate_doubling(lambda w: 2 * w / _sqrt_sigma(mu, x + w * w),
                                     0, mp.sqrt(X - x), max_panels=256)
-    return mu.u_inf + mpc(0, 1) * mp.sqrt((d - b) * (c - a)) / 2 * total
+    return mu.F_inf + mp.sqrt((d - b) * (c - a)) / 2 * total
 
 
 def _sqrt_sigma(mu, y):
@@ -292,20 +294,20 @@ def test_u_of_x_closed_form_matches_integral_route(phi_e, that):
         ref = _u_by_quadrature(mu, x)
         got = equilibrium._u_of_x_two_cut(mu, x)
         assert abs(got - ref) < mpf("1e-35") * abs(ref), x
-    # u_inf itself from u(d) = i K': i K' - (i/2) sqrt((d-b)(c-a)) times
+    # F_inf itself from F(d) = K': K' - (1/2) sqrt((d-b)(c-a)) times
     # integral_d^inf dy / sqrt(sigma), with y = d + w^2 on [d, 2d + 1]
-    ref = mpc(0, mu.ell.Kprime) - (
-        _u_by_quadrature(mu, 2 * d + 1) - mu.u_inf
-        + mpc(0, 1) * mp.sqrt((d - b) * (c - a)) / 2 * integrate_doubling(
+    ref = mu.Kprime - (
+        _u_by_quadrature(mu, 2 * d + 1) - mu.F_inf
+        + mp.sqrt((d - b) * (c - a)) / 2 * integrate_doubling(
             lambda w: 2 / mp.sqrt((d + w * w - a) * (d + w * w - b)
                                   * (d + w * w - c)),
             0, mp.sqrt(d + 1), max_panels=256))
-    assert abs(mu.u_inf - ref) < mpf("1e-35") * abs(ref)
+    assert abs(mu.F_inf - ref) < mpf("1e-35") * abs(ref)
 
 
 def test_u_of_x_at_the_branch_point():
     # at x = d (1 + 1e-8) the integral route needs more than 256 panels;
-    # u - i K' = -(i/2) sqrt((d-b)(c-a)) integral_d^x dy / sqrt(sigma), and
+    # F - K' = -(1/2) sqrt((d-b)(c-a)) integral_d^x dy / sqrt(sigma), and
     # with g = ((y-a)(y-b)(y-c))^(-1/2) that integral is
     # 2 g(d) sqrt(delta) (1 + (g'/g)(d) delta/3), to a relative
     # O((delta/(d-c))^2), about 1e-13 here
@@ -316,10 +318,29 @@ def test_u_of_x_at_the_branch_point():
     delta = d * mpf("1e-8")
     g = 1 / mp.sqrt((d - a) * (d - b) * (d - c))
     dlng = -(1 / (d - a) + 1 / (d - b) + 1 / (d - c)) / 2
-    lead = mpc(0, -1) * mp.sqrt((d - b) * (c - a)) * g * mp.sqrt(delta) \
+    lead = -mp.sqrt((d - b) * (c - a)) * g * mp.sqrt(delta) \
         * (1 + dlng * delta / 3)
-    u = equilibrium._u_of_x_two_cut(mu, d + delta)
-    assert abs(u - mpc(0, mu.ell.Kprime) - lead) < mpf("1e-12") * abs(lead)
+    F = equilibrium._u_of_x_two_cut(mu, d + delta)
+    assert abs(F - mu.Kprime - lead) < mpf("1e-12") * abs(lead)
+
+
+def test_two_cut_measure_is_real():
+    # the two-cut data are K, K', F_inf = Im u_inf and Im u(x): no field of
+    # the measure, and no value the module forms, is complex
+    spec = quartic("1.0")
+    t = mpf("3e-4") * spec.Tc
+    mu = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
+    for f in dataclasses.fields(mu):
+        if not f.init:                  # the per-precision sigma cache
+            continue
+        v = getattr(mu, f.name)
+        ok = (v is None or isinstance(v, (mpf, int, Poly))
+              or (isinstance(v, tuple) and all(isinstance(e, mpf) for e in v)))
+        assert ok, (f.name, type(v))
+    assert None not in (mu.K, mu.Kprime, mu.F_inf)
+    assert type(equilibrium._u_of_x_two_cut(mu, mu.endpoints[3] + 1)) is mpf
+    assert mpc not in vars(equilibrium).values()
+    assert "mpc" not in vars(equilibrium)
 
 
 def test_two_cut_collision_guard():

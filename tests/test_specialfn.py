@@ -5,8 +5,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from birthcut.quadrature import ConvergenceError
-from birthcut.specialfn import (agm_integrals, complete_integrals,
-                                theta1_axis, theta1_prime0)
+from birthcut.specialfn import agm_integrals, theta1_axis, theta1_prime0
 from conftest import (agm_reference, ln_factorial, ln_zeta_asymptotic,
                       ln_zeta_nu1_exact, small_m_E, small_m_Eprime, small_m_K,
                       sn_cn_dn)
@@ -22,8 +21,8 @@ def test_m_zero_degeneration():
 
 def test_sn_at_complete_integral():
     for m in ("0.3", "0.8"):
-        ell = complete_integrals(mpf(m))
-        sn, _, _ = sn_cn_dn(ell.K, mpf(m))
+        K = agm_integrals(1 - mpf(m)).K
+        sn, _, _ = sn_cn_dn(K, mpf(m))
         assert abs(sn - 1) < mpf("1e-30")
 
 
@@ -40,23 +39,22 @@ def test_pythagorean_identities_random():
 
 
 def test_pole_rejection():
-    ell = complete_integrals(mpf("0.5"))
+    Kprime = agm_integrals(mpf("0.5")).K
     with pytest.raises(ValueError):
-        sn_cn_dn(mpc(0, 1) * ell.Kprime, mpf("0.5"))
+        sn_cn_dn(mpc(0, 1) * Kprime, mpf("0.5"))
 
 
 def test_complete_integral_values():
-    ell = complete_integrals(0)
-    assert abs(ell.K - mp.pi / 2) < mpf("1e-35")
-    assert abs(ell.E - mp.pi / 2) < mpf("1e-35")
-    # the pass at 1 - m = 1 is the limit, not an AGM from (1, 0)
-    assert ell.Kprime == mpf("inf") and ell.Eprime == 1
+    K, E = agm_integrals(1)[:2]          # m = 0
+    assert abs(K - mp.pi / 2) < mpf("1e-35")
+    assert abs(E - mp.pi / 2) < mpf("1e-35")
 
 
 def test_legendre_relation_across_m():
     for m in ("1e-8", "1e-4", "0.01", "0.25", "0.5", "0.75", "0.99"):
-        ell = complete_integrals(mpf(m))
-        legendre = ell.E * ell.Kprime + ell.Eprime * ell.K - ell.K * ell.Kprime
+        K, E = agm_integrals(1 - mpf(m))[:2]
+        Kp, Ep = agm_integrals(mpf(m))[:2]
+        legendre = E * Kp + Ep * K - K * Kp
         assert abs(legendre - mp.pi / 2) < mpf("1e-12")
 
 
@@ -175,7 +173,8 @@ def test_theta1_rejects_lower_half_plane():
 
 
 def test_gamma_formula_small_m_reduction():
-    # gamma from theta1 tends to exp(-pi u_inf^2/(K K')) as m -> 0 (E1 anchor)
+    # gamma from theta1 tends to exp(-pi u_inf^2/(K K')) = exp(pi F_inf^2/(K K'))
+    # as m -> 0 (E1 anchor)
     from birthcut.equilibrium import EqMeasure, _fill_two_cut_data, gamma_two_cut
     from birthcut.poly import Poly
     a, b, c = mpf(-2), mpf(2), mpf(3)
@@ -185,7 +184,7 @@ def test_gamma_formula_small_m_reduction():
     _fill_two_cut_data(mu)
     assert mu.m < mpf("2e-6")
     gam = gamma_two_cut(mu)
-    lead = mp.exp((-mp.pi * mu.u_inf ** 2 / (mu.ell.K * mu.ell.Kprime)).real)
+    lead = mp.exp(mp.pi * mu.F_inf ** 2 / (mu.K * mu.Kprime))
     assert abs(gam - lead) / lead < mpf("1e-5")
 
 

@@ -9,7 +9,8 @@ of three quartic oracles on 1024 nodes, of one on the node ladder and of
 three model chains; the oracle's point evaluators at fixed points (psi with
 n rising, repeated and falling, both kernel forms, phi and the count) and
 the model chain's psi lists and Hilbert pairs; the `asymptotics` forms on
-the A10a grid; and the stdout of six CLI commands run through `cli.main`.
+the A10a grid; three two-cut quartic measures with their gamma, Lambda and
+`kvio` text; and the stdout of six CLI commands run through `cli.main`.
 Values are hashed by their exact mpf tuples, tables and stdout as text.
 Uses the standard library and birthcut only; under 10 s on one core.
 """
@@ -26,7 +27,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mpmath import mp, mpf  # noqa: E402  (mpmath is birthcut's one dependency)
 
-from birthcut import asymptotics, cli, kvio, modelchain, oracle  # noqa: E402
+from birthcut import (asymptotics, cli, critical, equilibrium,  # noqa: E402
+                      kvio, modelchain, oracle)
 from birthcut.potentials import make_quartic_spec  # noqa: E402
 
 
@@ -134,6 +136,24 @@ def a10a():
         asymptotics.beta_full, asymptotics.beta_reduced)])
 
 
+def two_cut():
+    """Two-cut quartic measures at (phi_e, t/T_c): the endpoints, m, x0,
+    gamma, Lambda at five x > d and the `kvio` text, in one line."""
+    values = []
+    for phi_e, that in (("1.0", "3e-4"), ("0.62", "1e-3"), ("1.3", "1e-5")):
+        spec = make_quartic_spec(mpf(phi_e))
+        t = mpf(that) * spec.Tc
+        mu = equilibrium.solve_two_cut(spec.V, spec.Tc + t,
+                                       critical.two_cut_guess(spec, t))
+        d = mu.endpoints[3]
+        xs = (d + mpf("1e-20"), d + mpf("1e-3"), d + 1, 10 * d, mpf(10) ** 12)
+        values += [exact([mu.endpoints, mu.m, mu.x0,
+                          equilibrium.gamma_two_cut(mu)]
+                         + [equilibrium.lambda_two_cut(mu, x) for x in xs]),
+                   kvio.measure_to_kv(mu)]
+    emit("two-cut", "\n".join(values))
+
+
 COMMANDS = (
     ["chain", "--kmax", "8"],
     ["psi", "--phi-e", "1.05", "--N", "80", "--u", "1.3", "--with-oracle"],
@@ -157,6 +177,7 @@ def main():
     chains()
     evaluators()
     a10a()
+    two_cut()
     commands()
 
 
