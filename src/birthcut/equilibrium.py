@@ -509,24 +509,31 @@ def _u_of_x_two_cut(mu: EqMeasure, x):
 def lambda_two_cut(mu: EqMeasure, x):
     """Lambda(x) = e^{pi u u_inf/(K K')} theta1((u+u_inf)/2K) / theta1((u-u_inf)/2K)
     for real x > d, a real formula in F = Im u(x) and F_inf = Im u_inf on
-    the imaginary axis (`specialfn` conventions, tau = K'/K)."""
-    K, Kp, F_inf, tau = mu.K, mu.Kprime, mu.F_inf, mu.Kprime / mu.K
+    the imaginary axis (`specialfn` conventions, tau = K'/K), formed at 20
+    guard bits and rounded once."""
+    K, Kp, F_inf = mu.K, mu.Kprime, mu.F_inf
     F = _u_of_x_two_cut(mu, x)
-    return mp.exp(-(mp.pi * F * F_inf) / (K * Kp)) \
-        * theta1_axis((F + F_inf) / (2 * K), tau) \
-        / theta1_axis((F - F_inf) / (2 * K), tau)
+    with mp.workprec(mp.prec + 20):
+        tau = Kp / K
+        lam = mp.exp(-(mp.pi * F * F_inf) / (K * Kp)) \
+            * theta1_axis((F + F_inf) / (2 * K), tau) \
+            / theta1_axis((F - F_inf) / (2 * K), tau)
+    return +lam
 
 
 def gamma_two_cut(mu: EqMeasure):
     """gamma = (i/4K) sqrt((d-b)(c-a)) e^{-pi u_inf^2/(K K')} theta1'(0) /
     theta1(u_inf/K), a real formula in F_inf = Im u_inf on the imaginary
-    axis (`specialfn` conventions, tau = K'/K)."""
+    axis (`specialfn` conventions, tau = K'/K), formed at 20 guard bits and
+    rounded once."""
     a, b, c, d = mu.endpoints
     K, Kp, F_inf = mu.K, mu.Kprime, mu.F_inf
-    tau = Kp / K
-    return mp.sqrt((d - b) * (c - a)) / (4 * K) \
-        * mp.exp(mp.pi * F_inf ** 2 / (K * Kp)) \
-        * theta1_prime0(tau) / theta1_axis(F_inf / K, tau)
+    with mp.workprec(mp.prec + 20):
+        tau = Kp / K
+        gamma = mp.sqrt((d - b) * (c - a)) / (4 * K) \
+            * mp.exp(mp.pi * F_inf ** 2 / (K * Kp)) \
+            * theta1_prime0(tau) / theta1_axis(F_inf / K, tau)
+    return +gamma
 
 
 def abelian_objects(mu: EqMeasure):

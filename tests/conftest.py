@@ -85,6 +85,26 @@ def gamma_jtheta(mu):
     return +gamma
 
 
+def lambda_jtheta(mu, x):
+    """Lambda(x) of a two-cut measure by mpmath's `jtheta`, at 60 guard bits
+    from the measure's K, K', F_inf and F = Im u(x) of
+    `equilibrium._u_of_x_two_cut`: e^{-pi F F_inf/(K K')}
+    theta1(i(F + F_inf)/2K) / theta1(i(F - F_inf)/2K), with the nome and
+    argument conventions of `gamma_jtheta`: the reference for
+    `equilibrium.lambda_two_cut`."""
+    from birthcut.equilibrium import _u_of_x_two_cut
+    K, Kp, F_inf = mu.K, mu.Kprime, mu.F_inf
+    F = _u_of_x_two_cut(mu, x)
+    with mp.workprec(mp.prec + 60):
+        q = mp.exp(-mp.pi * Kp / K)
+
+        def theta(v):
+            return mpmath.jtheta(1, mpmath.mpc(0, mp.pi * v), q).imag
+        lam = mp.exp(-mp.pi * F * F_inf / (K * Kp)) \
+            * theta((F + F_inf) / (2 * K)) / theta((F - F_inf) / (2 * K))
+    return +lam
+
+
 def agm_reference(mc, n=None, amplitude=None):
     """(K, E, Pi, F, E_phi) of `specialfn.agm_integrals` by the same AGM
     sequence in plain mpf arithmetic at 20 guard bits: the reference for

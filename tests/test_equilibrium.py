@@ -10,7 +10,8 @@ from birthcut import equilibrium, kvio, quadrature
 from birthcut.equilibrium import (ConvergenceError, PhaseError, abelian_objects,
                                   classical_gamma_beta, dtrace_dr,
                                   effective_potential, gamma_two_cut,
-                                  joukowski_lambda, normalization,
+                                  joukowski_lambda, lambda_two_cut,
+                                  normalization,
                                   prime_form_one_cut, solve_one_cut,
                                   solve_two_cut, thermo_derivatives,
                                   veff_const_bs)
@@ -18,7 +19,7 @@ from birthcut.poly import (Poly, deflate, laurent_split, monic_from_roots,
                            sqrt_sigma_tail)
 from birthcut.quadrature import integrate_bracket, integrate_doubling
 from birthcut.critical import one_cut_drift, two_cut_guess
-from conftest import gamma_jtheta, quartic, sn_cn_dn, spec_nu
+from conftest import gamma_jtheta, lambda_jtheta, quartic, sn_cn_dn, spec_nu
 
 
 def gamma_from_lambda_limit(mu, x=None):
@@ -392,13 +393,27 @@ def test_gamma_two_routes_agree():
 @pytest.mark.parametrize("that", ["1e-5", "1e-4", "1e-3"])
 @pytest.mark.parametrize("phi_e", ["1.0", "0.62", "1.3"])
 def test_gamma_two_cut_matches_jtheta(phi_e, that):
-    # the real series on the imaginary axis against mpmath's jtheta, to 4
-    # units of the working precision
+    # the real series on the imaginary axis against mpmath's jtheta, to 1
+    # unit of the working precision
     spec = quartic(phi_e)
     t = mpf(that) * spec.Tc
     mu = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
     ref = gamma_jtheta(mu)
-    assert abs(gamma_two_cut(mu) - ref) <= 4 * mpf(2) ** -mp.prec * ref
+    assert abs(gamma_two_cut(mu) - ref) <= mpf(2) ** -mp.prec * ref
+
+
+@pytest.mark.parametrize("that", ["1e-5", "1e-4", "1e-3"])
+@pytest.mark.parametrize("phi_e", ["1.0", "0.62", "1.3"])
+def test_lambda_two_cut_matches_jtheta(phi_e, that):
+    # at x from just right of d out to 1e12, to 2 units of the working
+    # precision
+    spec = quartic(phi_e)
+    t = mpf(that) * spec.Tc
+    mu = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
+    d = mu.endpoints[3]
+    for x in (d + mpf("1e-20"), d + mpf("1e-3"), d + 1, 10 * d, mpf(10) ** 12):
+        ref = lambda_jtheta(mu, x)
+        assert abs(lambda_two_cut(mu, x) - ref) <= 2 * mpf(2) ** -mp.prec * ref, x
 
 
 def test_prime_form():
