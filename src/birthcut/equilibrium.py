@@ -37,11 +37,9 @@ x0 = d + i sqrt((c-a)(d-b)) (E(u_inf) - (1 - E'/K') u_inf), is real:
     x0 = b + sqrt((c-a)(d-b)) (E(phi | 1-m) - (E'/K') v).
 
 One AGM pass at the parameter 1 - m (`specialfn.agm_integrals`) gives K',
-E', F(phi | 1-m) and E(phi | 1-m) together, a pass at m gives K, and the
-gap moments below take K, E and Pi from the same kind of pass: every
-elliptic integral of the two-cut measure comes from that one AGM, none from
-mpmath. u is imaginary for x > d, so the measure keeps the reals K, K' and
-F_inf = Im u_inf = v, and no value in this module is complex.
+E', F(phi | 1-m) and E(phi | 1-m) together, one at m gives K, and the gap
+moments take K, E and Pi from the same kind of pass; none comes from mpmath.
+The measure keeps the reals K, K' and F_inf = Im u_inf = v.
 
 Newton's Jacobian is exact and comes from the same Laurent data. Write l_m
 for the x^m coefficient of V'/sqrt(sigma): M's coefficients for m >= 0 and
@@ -387,10 +385,9 @@ def _check_density(mu: EqMeasure):
 
 
 def _fill_two_cut_data(mu: EqMeasure):
-    """m, K, K', F_inf = Im u_inf = F(phi | 1-m) and x0 (module docstring),
-    each rounded once from 20 guard bits. One AGM pass at 1 - m, with the
-    amplitude tan phi = sqrt((d-b)/(b-a)), gives K', E', F(phi | 1-m) and
-    E(phi | 1-m); one pass at m gives K."""
+    """m, K, K', F_inf = F(phi | 1-m) and x0 (module docstring), each rounded
+    once from 20 guard bits: one AGM pass at 1 - m, with the amplitude
+    tan phi = sqrt((d-b)/(b-a)), gives K', E', F and E(phi | 1-m)."""
     a, b, c, d = mu.endpoints
     m = (b - a) * (d - c) / ((c - a) * (d - b))
     with mp.workprec(mp.prec + 20):
@@ -398,8 +395,7 @@ def _fill_two_cut_data(mu: EqMeasure):
         x0 = b + mp.sqrt((c - a) * (d - b)) * (
             prime.E_phi - prime.E / prime.K * prime.F)
         K = agm_integrals(1 - m).K
-    mu.m = m
-    mu.K, mu.Kprime, mu.F_inf, mu.x0 = +K, +prime.K, +prime.F, +x0
+    mu.m, mu.K, mu.Kprime, mu.F_inf, mu.x0 = m, +K, +prime.K, +prime.F, +x0
 
 
 def normalization(mu: EqMeasure):
@@ -508,11 +504,9 @@ def _u_of_x_two_cut(mu: EqMeasure, x):
 
 def lambda_two_cut(mu: EqMeasure, x):
     """Lambda(x) = e^{pi u u_inf/(K K')} theta1((u+u_inf)/2K) / theta1((u-u_inf)/2K)
-    for real x > d, a real formula in F = Im u(x) and F_inf = Im u_inf on
-    the imaginary axis (`specialfn` conventions, tau = K'/K), formed at 20
-    guard bits and rounded once."""
-    K, Kp, F_inf = mu.K, mu.Kprime, mu.F_inf
-    F = _u_of_x_two_cut(mu, x)
+    for real x > d, a real formula in F = Im u(x) and F_inf = Im u_inf
+    (`specialfn` conventions, tau = K'/K) at 20 guard bits, rounded once."""
+    K, Kp, F_inf, F = mu.K, mu.Kprime, mu.F_inf, _u_of_x_two_cut(mu, x)
     with mp.workprec(mp.prec + 20):
         tau = Kp / K
         lam = mp.exp(-(mp.pi * F * F_inf) / (K * Kp)) \
@@ -523,9 +517,8 @@ def lambda_two_cut(mu: EqMeasure, x):
 
 def gamma_two_cut(mu: EqMeasure):
     """gamma = (i/4K) sqrt((d-b)(c-a)) e^{-pi u_inf^2/(K K')} theta1'(0) /
-    theta1(u_inf/K), a real formula in F_inf = Im u_inf on the imaginary
-    axis (`specialfn` conventions, tau = K'/K), formed at 20 guard bits and
-    rounded once."""
+    theta1(u_inf/K), a real formula in F_inf = Im u_inf (`specialfn`
+    conventions, tau = K'/K) at 20 guard bits, rounded once."""
     a, b, c, d = mu.endpoints
     K, Kp, F_inf = mu.K, mu.Kprime, mu.F_inf
     with mp.workprec(mp.prec + 20):

@@ -6,6 +6,7 @@ from mpmath import mp, mpf
 
 mp.dps = 40
 
+from birthcut.equilibrium import _u_of_x_two_cut
 from birthcut.modelchain import build_chain
 from birthcut.oracle import build_rec_chain
 from birthcut.potentials import make_quartic_spec, make_spec
@@ -92,7 +93,6 @@ def lambda_jtheta(mu, x):
     theta1(i(F + F_inf)/2K) / theta1(i(F - F_inf)/2K), with the nome and
     argument conventions of `gamma_jtheta`: the reference for
     `equilibrium.lambda_two_cut`."""
-    from birthcut.equilibrium import _u_of_x_two_cut
     K, Kp, F_inf = mu.K, mu.Kprime, mu.F_inf
     F = _u_of_x_two_cut(mu, x)
     with mp.workprec(mp.prec + 60):

@@ -341,7 +341,6 @@ def test_two_cut_measure_is_real():
     assert None not in (mu.K, mu.Kprime, mu.F_inf)
     assert type(equilibrium._u_of_x_two_cut(mu, mu.endpoints[3] + 1)) is mpf
     assert mpc not in vars(equilibrium).values()
-    assert "mpc" not in vars(equilibrium)
 
 
 def test_two_cut_collision_guard():
