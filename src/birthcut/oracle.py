@@ -133,6 +133,12 @@ class NodeGrid:
                         m=self.m, g=self.g)
 
     @cached_property
+    def squares(self):
+        """X[j]^2 of the nodes n/2..n-1, for the folded principal-value sum
+        of `pihat_direct` on a mirrored grid."""
+        return [x * x for x in self.X[len(self.X) // 2:]]
+
+    @cached_property
     def xs(self):
         """The nodes as exact mpf, formed on first read: no chain sweep
         reads them."""
@@ -949,6 +955,12 @@ def pihat_direct(chain: RecChain, n: int, x):
     pi_n(x) from x's `_Point` and w at the sweep's precision (the point's
     psi weight squared would move the last bit), and
     f(x) ln((x - x_min)/(x_max - x)) adds the subtracted integral back.
+
+    Inside (x_min, x_max) and off the nodes, on a mirrored grid with
+    beta_k = 0 for k < n (every model chain), pi_n(-x) = (-1)^n pi_n(x), so
+    the sum folds as `gram_entries` does: the nodes +-x_j make one term over
+    Y^2 - x_j^2 with numerator 2 Y (P_j - g_j F_X) for n even and
+    2 (P_j x_j - g_j F_X Y) for n odd, from the upper half's values alone.
     """
     _check_index("n", n, 0, chain)
     F, w = chain.grid.F, chain.weight
@@ -960,15 +972,16 @@ def pihat_direct(chain: RecChain, n: int, x):
         P, unit = chain.cached(("pv values", n), lambda: _pv_values(chain, n))
         total = mpf(0)
         FX = 0
-        if chain.x_min < x < chain.x_max:
+        inside = chain.x_min < x < chain.x_max
+        if inside:
             _, _, p, _, _, E = _monic_point(chain, n, x)[1]
             fx = mp.ldexp(mpf(p), E - F) * mp.exp(-w.coupling * w.V(x))
             FX = int(mp.ldexp(fx / unit, F))
             total = fx * mp.log((x - chain.x_min) / (chain.x_max - x))
         Y = int(mp.ldexp(x, F))
-        terms = zip(X, G, P)
         i = bisect.bisect_left(X, Y)
-        if i < len(X) and X[i] == Y:
+        hit = i < len(X) and X[i] == Y
+        if hit:
             # x is node i (to 2^-F): its term has the finite limit
             # -g_i (pi_n w)'(x_i) with (pi_n w)' = w (pi_n' - (N/T_c) V' pi_n)
             xi = mp.make_mpf(from_man_exp(X[i], -F))
@@ -976,10 +989,23 @@ def pihat_direct(chain: RecChain, n: int, x):
             pn, dn = (mp.ldexp(mpf(v), E - F) for v in (p, dp))
             slope = dn - w.coupling * w.V.deriv()(xi) * pn
             total -= chain.grid.gw(i) * slope
-            terms = zip(X[:i] + X[i + 1:], G[:i] + G[i + 1:], P[:i] + P[i + 1:])
+            X, G, P = X[:i] + X[i + 1:], G[:i] + G[i + 1:], P[:i] + P[i + 1:]
         acc = 0
-        for xj, g, p in terms:
-            acc += ((p - (g * FX >> F)) << F) // (Y - xj)
+        if inside and not hit and chain.grid.mirrored \
+                and not any(chain.beta[:n]):
+            # the nodes +-x_j in one term over Y^2 - x_j^2 (docstring)
+            h = len(X) // 2
+            YY = Y * Y
+            XX = chain.grid.squares
+            if n % 2:
+                for xj, xx, g, p in zip(X[h:], XX, G[h:], P[h:]):
+                    acc += (p * xj - (g * FX >> F) * Y << F + 1) // (YY - xx)
+            else:
+                for xx, g, p in zip(XX, G[h:], P[h:]):
+                    acc += ((p - (g * FX >> F)) * Y << F + 1) // (YY - xx)
+        else:
+            for xj, g, p in zip(X, G, P):
+                acc += ((p - (g * FX >> F)) << F) // (Y - xj)
         total += mp.ldexp(mpf(acc), -F) * unit
     with mp.workprec(chain.prec):
         return +total

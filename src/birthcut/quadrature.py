@@ -94,10 +94,13 @@ def gauss_legendre(n: int):
     A rule is built once per (order, precision) and reused across
     precisions: if a finer rule of the order is cached, it is rounded to the
     working precision; else Newton starts from the finest coarser rule
-    cached (2 steps from 256 to 320 bits), and only without either from the
-    float roots of `legendre_seeds` (4 steps at 320 bits). Either way the
-    rule equals a fresh build but where a node or weight lies within a few
-    units of 2^-F of a rounding boundary at the working precision.
+    cached (1 pass per root from 256 to 320 bits), and only without either
+    from the float roots of `legendre_seeds` (3 passes at 320 bits). Each
+    root stops on the predicted size of its next step, and its last pass
+    gives the weight too, by a second-order Taylor step of P_n'. Either way
+    the rule equals a fresh build but where a node or weight lies within
+    2^(GUARD_BITS/2) units of 2^-F of a rounding boundary at the working
+    precision.
     """
     key = (n, mp.prec)
     got = _CACHE.get(key)
@@ -127,19 +130,27 @@ def _build_rule(n: int):
         for _ in range(NEWTON_CAP):
             p, dp = _legendre_slope(n, X, F)
             dx = (p << F) // dp
-            X -= dx
-            # quadratic convergence: the step after this one would be below
-            # one unit of 2^-F
-            if abs(dx) < 1 << (GUARD_BITS // 2):
+            X0, X = X, X - dx
+            D = (1 << F) - (X * X >> F)          # (1 - x^2) 2^F
+            # quadratic convergence: since P''/P' = 2x/(1 - x^2) at a root,
+            # the next step would be (x/(1 - x^2)) dx^2; stop where that is
+            # below 2^(GUARD_BITS/2) units of 2^-F
+            if abs(X) * dx * dx < D << (F + GUARD_BITS // 2):
                 break
         else:
             raise ConvergenceError(
                 "gauss_legendre: a root of P_%d near %s not found in %d "
                 "Newton steps at %d bits" % (
                     n, mp.nstr(mp.ldexp(mpf(X), -F), 17), NEWTON_CAP, mp.prec))
-        _, dp = _legendre_slope(n, X, F)
+        # P'(x) = P'(x0) - P''(x0) dx + P'''(x0) dx^2/2, P'' and P''' from
+        # Legendre's equation (1 - x^2) P'' = 2x P' - n(n+1) P and its
+        # derivative: the last pass gives the weight
+        D0 = (1 << F) - (X0 * X0 >> F)
+        ddp = ((2 * X0 * dp >> F) - n * (n + 1) * p << F) // D0
+        d3p = ((4 * X0 * ddp >> F) - (n * (n + 1) - 2) * dp << F) // D0
+        dp += ((d3p * dx >> F + 1) - ddp) * dx >> F
         half.append(mp.ldexp(mpf(X), -F))
-        w = (2 << (4 * F)) // (((1 << F) - (X * X >> F)) * dp * dp)
+        w = (2 << (4 * F)) // (D * dp * dp)
         hw.append(mp.ldexp(mpf(w), -F))
     mirror = slice(n % 2, None)
     xs = [-x for x in reversed(half[mirror])] + half

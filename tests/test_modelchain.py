@@ -3,6 +3,7 @@ independently re-integrated identities."""
 
 import random
 from collections import OrderedDict
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -472,6 +473,24 @@ def test_converged_residual_is_capped_by_the_domain():
     for prec in (320, 512):
         assert oracle.converged_residual(prec) == \
             mp.exp(-domain_budget(prec)) > mp.ldexp(1, -(3 * prec) // 4)
+
+
+def test_folded_pihat_matches_unfolded():
+    # on the mirrored grid of a model chain (every beta_k = 0) the
+    # principal-value sum folds over the node pairs +-x_j; it agrees to 1
+    # unit of 2^-prec with the same chain on an unmirrored copy of its grid,
+    # which sums every node, at points inside, on a node and outside
+    ch = model_chain(1, 30)
+    flat = replace(ch, grid=replace(ch.grid, mirrored=False))
+    assert ch.grid.mirrored and not any(ch.beta)
+    with mp.workprec(ch.prec):
+        node = min(x for x in ch.xs if x > mpf("0.7"))
+        ys = [mpf(y) for y in ("-3.3", "-0.83", "0.21", "1.17", "2.5")]
+        for n in (0, 1, 5, 12, 29):
+            for y in ys + [node, ch.x_max + 4]:
+                ref = pihat_direct(flat, n, y)
+                assert abs(pihat_direct(ch, n, y) - ref) \
+                    <= mp.ldexp(abs(ref), -ch.prec), (n, y)
 
 
 def test_explicit_nodes_pin_the_grid():

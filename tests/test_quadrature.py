@@ -115,7 +115,7 @@ def test_bracket_nodes_take_no_mp_cos(monkeypatch):
 def test_legendre_newton_raises_at_its_cap(monkeypatch, n):
     # a root that needs more than NEWTON_CAP steps raises, in the float
     # seeds (Tricomi's start is not a root to 1e-15) and in the integer
-    # Newton from those seeds (4 steps at 320 bits)
+    # Newton from those seeds (3 passes at 320 bits)
     seeds = legendre_seeds(n)
     monkeypatch.setattr(quadrature, "NEWTON_CAP", 1)
     with pytest.raises(ConvergenceError, match="P_%d" % n):
@@ -197,7 +197,7 @@ def test_gauss_legendre_rule_is_exact_at_every_order(n):
 def test_rules_derived_across_precisions_equal_fresh_builds(monkeypatch):
     # a rule rounded from a finer cached rule, or refined by Newton from a
     # coarser one, equals the rule built from the float seeds bit for bit;
-    # from 256 to 320 bits Newton takes 2 steps per root, not 4
+    # from 256 to 320 bits Newton takes 1 pass per root, not 3
     from birthcut import quadrature
     slopes = []
     slope = quadrature._legendre_slope
@@ -215,11 +215,11 @@ def test_rules_derived_across_precisions_equal_fresh_builds(monkeypatch):
         return [v._mpf_ for v in xs + ws], len(slopes)
 
     fresh = {p: rule(p) for p in (136, 256, 320)}
-    assert fresh[320][1] == 32 * (4 + 1)
+    assert fresh[320][1] == 32 * 3
     for prec, cached in ((136, (320,)), (256, (320,)), (136, (256, 320)),
                          (320, (256,)), (320, (136,))):
         got, steps = rule(prec, cached)
         assert got == fresh[prec][0], (prec, cached)
         if min(cached) > prec:
             assert steps == 0
-    assert rule(320, (256,))[1] == 32 * (2 + 1)
+    assert rule(320, (256,))[1] == 32 * 1

@@ -10,7 +10,9 @@ three model chains; the oracle's point evaluators at fixed points (psi with
 n rising, repeated and falling, both kernel forms, phi and the count) and
 the model chain's psi lists and Hilbert pairs; the `asymptotics` forms on
 the A10a grid; three two-cut quartic measures with their gamma, Lambda and
-`kvio` text; and the stdout of six CLI commands run through `cli.main`.
+`kvio` text; the stdout of six CLI commands run through `cli.main`; and
+the 64-point Gauss-Legendre rule at 136-512 bits by every start path, with
+the model chain's principal-value sums `pihat_direct` at fixed points.
 Values are hashed by their exact mpf tuples, tables and stdout as text.
 Uses the standard library and birthcut only; under 10 s on one core.
 """
@@ -28,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from mpmath import mp, mpf  # noqa: E402  (mpmath is birthcut's one dependency)
 
 from birthcut import (asymptotics, cli, critical, equilibrium,  # noqa: E402
-                      kvio, modelchain, oracle)
+                      kvio, modelchain, oracle, quadrature)
 from birthcut.potentials import make_quartic_spec  # noqa: E402
 
 
@@ -172,6 +174,35 @@ def commands():
         emit("cli " + " ".join(argv), "exit %d\n%s" % (code, out.getvalue()))
 
 
+def rules():
+    """The 64-point rule at 136-512 bits built fresh, refined from the next
+    coarser rule cached and rounded from the next finer one (the rule cache
+    is restored afterwards), then `pihat_direct` on the (1, 30, 256) model
+    chain inside its support, at a node and outside it."""
+    paths = [(p, ()) for p in (136, 256, 320, 512)] + [
+        (256, (136,)), (320, (256,)), (512, (320,)),
+        (136, (256,)), (256, (320,)), (320, (512,))]
+    held = dict(quadrature._CACHE)
+    values = []
+    for prec, cached in paths:
+        quadrature._CACHE.clear()
+        for p in cached:
+            with mp.workprec(p):
+                quadrature.gauss_legendre(64)
+        with mp.workprec(prec):
+            values.append(quadrature.gauss_legendre(64))
+    quadrature._CACHE.clear()
+    quadrature._CACHE.update(held)
+    emit("rules gauss_legendre 64", values)
+    mc = modelchain.build_chain(1, k_max=30, prec=256)
+    with mp.workprec(mc.prec):
+        node = min(x for x in mc.xs if x > mpf("0.7"))
+        ys = [mpf(y) for y in ("-3.3", "-0.83", "0.21", "1.17", "2.5")]
+        emit("rules pihat_direct", [oracle.pihat_direct(mc, n, y)
+                                    for n in (0, 1, 5, 12, 29)
+                                    for y in ys + [node, mc.x_max + 4]])
+
+
 def main():
     mp.dps = 40                          # the CLI's default working precision
     chains()
@@ -179,6 +210,7 @@ def main():
     a10a()
     two_cut()
     commands()
+    rules()
 
 
 if __name__ == "__main__":
