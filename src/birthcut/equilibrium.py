@@ -36,6 +36,13 @@ x0 = d + i sqrt((c-a)(d-b)) (E(u_inf) - (1 - E'/K') u_inf), is real:
 
     x0 = b + sqrt((c-a)(d-b)) (E(phi | 1-m) - (E'/K') v).
 
+Lambda reads u(x) - u_inf, which goes to 0 like 1/x, so it is formed
+without subtracting two numbers near u_inf: with the addition theorem
+F(phi | k) - F(theta | k) = F(psi | k) (DLMF 19.11.1, sign reversed),
+tan phi = rho(x) and tan theta = r, u(x) - u_inf = i F(psi | 1-m), and psi
+comes from rho(x)^2 - r^2 = (d-b)(d-a) / ((b-a)(x-d)), which does not
+cancel (`_u_from_inf_two_cut`).
+
 One AGM pass at the parameter 1 - m (`specialfn.agm_integrals`) gives K',
 E', F(phi | 1-m) and E(phi | 1-m) together, one at m gives K, and the gap
 moments take K, E and Pi from the same kind of pass; none comes from mpmath.
@@ -486,32 +493,46 @@ def joukowski_lambda(mu: EqMeasure, x):
     return w + root if w >= 1 else w - root
 
 
-def _u_of_x_two_cut(mu: EqMeasure, x):
-    """F(x) = Im u(x) = F(arctan rho(x) | 1-m) for real x > d (module
-    docstring), on the branch with F(d) = K' and F(inf) = F_inf; u(x) = i F(x)
-    lies on the imaginary axis. The amplitude goes to the AGM as
-    (sqrt((b-a)(x-d)), sqrt((d-b)(x-a))), whose ratio is rho(x), so that
-    x - d is kept as it is when x nears d, where arctan rho -> pi/2."""
+def _u_from_inf_two_cut(mu: EqMeasure, x):
+    """F(x) - F_inf = Im (u(x) - u_inf) = F(psi | 1-m) for real x > d (module
+    docstring). With y = rho(x)^2, z = r^2 and D = y - z formed directly,
+
+        sin psi = D / (sqrt(y (1 + m z)(1 + y)) + sqrt(z (1 + m y)(1 + z))),
+        cos psi = (sqrt((1 + z)(1 + y)) + sqrt(z y (1 + m z)(1 + m y)))
+                  / (1 + z + y + m z y),
+
+    both sums of positive terms, so psi keeps its relative accuracy as it
+    goes to 0 like 1/x; x - d enters through D alone."""
     a, b, c, d = mu.endpoints
-    x = mpf(x)
+    x, m = mpf(x), mu.m
     if x <= d:
         raise ValueError("need x > d")
     with mp.workprec(mp.prec + 20):
-        F = agm_integrals(mu.m, amplitude=(mp.sqrt((b - a) * (x - d)),
-                                           mp.sqrt((d - b) * (x - a)))).F
+        z = (d - b) / (b - a)
+        D = (d - b) * (d - a) / ((b - a) * (x - d))
+        y = z + D
+        sin_psi = D / (mp.sqrt(y * (1 + m * z) * (1 + y))
+                       + mp.sqrt(z * (1 + m * y) * (1 + z)))
+        cos_psi = (mp.sqrt((1 + z) * (1 + y))
+                   + mp.sqrt(z * y * (1 + m * z) * (1 + m * y))) \
+            / (1 + z + y + m * z * y)
+        F = agm_integrals(m, amplitude=(cos_psi, sin_psi)).F
     return +F
 
 
 def lambda_two_cut(mu: EqMeasure, x):
     """Lambda(x) = e^{pi u u_inf/(K K')} theta1((u+u_inf)/2K) / theta1((u-u_inf)/2K)
     for real x > d, a real formula in F = Im u(x) and F_inf = Im u_inf
-    (`specialfn` conventions, tau = K'/K) at 20 guard bits, rounded once."""
-    K, Kp, F_inf, F = mu.K, mu.Kprime, mu.F_inf, _u_of_x_two_cut(mu, x)
+    (`specialfn` conventions, tau = K'/K) at 20 guard bits, rounded once;
+    F - F_inf comes from `_u_from_inf_two_cut`, not from F."""
+    K, Kp, F_inf = mu.K, mu.Kprime, mu.F_inf
     with mp.workprec(mp.prec + 20):
+        G = _u_from_inf_two_cut(mu, x)
+        F = F_inf + G
         tau = Kp / K
         lam = mp.exp(-(mp.pi * F * F_inf) / (K * Kp)) \
             * theta1_axis((F + F_inf) / (2 * K), tau) \
-            / theta1_axis((F - F_inf) / (2 * K), tau)
+            / theta1_axis(G / (2 * K), tau)
     return +lam
 
 

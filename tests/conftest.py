@@ -6,7 +6,8 @@ from mpmath import mp, mpf
 
 mp.dps = 40
 
-from birthcut.equilibrium import _u_of_x_two_cut
+from birthcut.equilibrium import _u_from_inf_two_cut
+from birthcut.specialfn import agm_integrals
 from birthcut.modelchain import build_chain
 from birthcut.oracle import build_rec_chain
 from birthcut.potentials import make_quartic_spec, make_spec
@@ -86,22 +87,37 @@ def gamma_jtheta(mu):
     return +gamma
 
 
-def lambda_jtheta(mu, x):
+def u_direct(mu, x):
+    """F(x) = Im u(x) = F(arctan rho(x) | 1-m) of a two-cut measure at
+    x > d, from one AGM amplitude (sqrt((b-a)(x-d)), sqrt((d-b)(x-a))),
+    whose ratio is rho(x), at 20 guard bits: the direct route. F(x) - F_inf
+    formed from it loses about log2(x) bits, which
+    `equilibrium._u_from_inf_two_cut` does not."""
+    a, b, c, d = mu.endpoints
+    with mp.workprec(mp.prec + 20):
+        F = agm_integrals(mu.m, amplitude=(mp.sqrt((b - a) * (x - d)),
+                                           mp.sqrt((d - b) * (x - a)))).F
+    return +F
+
+
+def lambda_jtheta(mu, x, G=None):
     """Lambda(x) of a two-cut measure by mpmath's `jtheta`, at 60 guard bits
-    from the measure's K, K', F_inf and F = Im u(x) of
-    `equilibrium._u_of_x_two_cut`: e^{-pi F F_inf/(K K')}
-    theta1(i(F + F_inf)/2K) / theta1(i(F - F_inf)/2K), with the nome and
-    argument conventions of `gamma_jtheta`: the reference for
+    from the measure's K, K', F_inf and G = F - F_inf, F = Im u(x) (by
+    default G from `equilibrium._u_from_inf_two_cut`):
+    e^{-pi F F_inf/(K K')} theta1(i(F + F_inf)/2K) / theta1(i G/2K), with
+    the nome and argument conventions of `gamma_jtheta`: the reference for
     `equilibrium.lambda_two_cut`."""
     K, Kp, F_inf = mu.K, mu.Kprime, mu.F_inf
-    F = _u_of_x_two_cut(mu, x)
+    if G is None:
+        G = _u_from_inf_two_cut(mu, x)
     with mp.workprec(mp.prec + 60):
         q = mp.exp(-mp.pi * Kp / K)
+        F = F_inf + G
 
         def theta(v):
             return mpmath.jtheta(1, mpmath.mpc(0, mp.pi * v), q).imag
         lam = mp.exp(-mp.pi * F * F_inf / (K * Kp)) \
-            * theta((F + F_inf) / (2 * K)) / theta((F - F_inf) / (2 * K))
+            * theta((F + F_inf) / (2 * K)) / theta(G / (2 * K))
     return +lam
 
 

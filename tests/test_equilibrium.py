@@ -19,7 +19,8 @@ from birthcut.poly import (Poly, deflate, laurent_split, monic_from_roots,
                            sqrt_sigma_tail)
 from birthcut.quadrature import integrate_bracket, integrate_doubling
 from birthcut.critical import one_cut_drift, two_cut_guess
-from conftest import gamma_jtheta, lambda_jtheta, quartic, sn_cn_dn, spec_nu
+from conftest import (gamma_jtheta, lambda_jtheta, quartic, sn_cn_dn, spec_nu,
+                      u_direct)
 
 
 def gamma_from_lambda_limit(mu, x=None):
@@ -293,7 +294,7 @@ def test_u_of_x_closed_form_matches_integral_route(phi_e, that):
     for x in (d * (1 + mpf("1e-5")), d * mpf("1.0001"), 2 * d + 1, mpf(50),
               mpf(10) ** 9 * d):
         ref = _u_by_quadrature(mu, x)
-        got = equilibrium._u_of_x_two_cut(mu, x)
+        got = mu.F_inf + equilibrium._u_from_inf_two_cut(mu, x)
         assert abs(got - ref) < mpf("1e-35") * abs(ref), x
     # F_inf itself from F(d) = K': K' - (1/2) sqrt((d-b)(c-a)) times
     # integral_d^inf dy / sqrt(sigma), with y = d + w^2 on [d, 2d + 1]
@@ -321,7 +322,7 @@ def test_u_of_x_at_the_branch_point():
     dlng = -(1 / (d - a) + 1 / (d - b) + 1 / (d - c)) / 2
     lead = -mp.sqrt((d - b) * (c - a)) * g * mp.sqrt(delta) \
         * (1 + dlng * delta / 3)
-    F = equilibrium._u_of_x_two_cut(mu, d + delta)
+    F = mu.F_inf + equilibrium._u_from_inf_two_cut(mu, d + delta)
     assert abs(F - mu.Kprime - lead) < mpf("1e-12") * abs(lead)
 
 
@@ -339,7 +340,7 @@ def test_two_cut_measure_is_real():
               or (isinstance(v, tuple) and all(isinstance(e, mpf) for e in v)))
         assert ok, (f.name, type(v))
     assert None not in (mu.K, mu.Kprime, mu.F_inf)
-    assert type(equilibrium._u_of_x_two_cut(mu, mu.endpoints[3] + 1)) is mpf
+    assert type(equilibrium._u_from_inf_two_cut(mu, mu.endpoints[3] + 1)) is mpf
     assert mpc not in vars(equilibrium).values()
 
 
@@ -412,6 +413,27 @@ def test_lambda_two_cut_matches_jtheta(phi_e, that):
     d = mu.endpoints[3]
     for x in (d + mpf("1e-20"), d + mpf("1e-3"), d + 1, 10 * d, mpf(10) ** 12):
         ref = lambda_jtheta(mu, x)
+        assert abs(lambda_two_cut(mu, x) - ref) <= 2 * mpf(2) ** -mp.prec * ref, x
+
+
+@pytest.mark.parametrize("that", ["1e-5", "1e-4", "1e-3"])
+@pytest.mark.parametrize("phi_e", ["1.0", "0.62", "1.3"])
+def test_lambda_two_cut_at_large_x_matches_a_wider_reference(phi_e, that):
+    # F(x) - F_inf goes to 0 like 1/x; from the addition theorem it keeps
+    # its relative accuracy, so Lambda is within 2 units of the working
+    # precision of the same endpoints' two-cut data and Lambda formed at 60
+    # more bits by the direct route, F(x) - F_inf, which cancels about
+    # log2(x) of those bits
+    spec = quartic(phi_e)
+    t = mpf(that) * spec.Tc
+    mu = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
+    wide = dataclasses.replace(mu)
+    xs = [mpf(10) ** k for k in (6, 9, 12)]
+    with mp.workprec(mp.prec + 60):
+        equilibrium._fill_two_cut_data(wide)
+        refs = [lambda_jtheta(wide, x, u_direct(wide, x) - wide.F_inf)
+                for x in xs]
+    for x, ref in zip(xs, refs):
         assert abs(lambda_two_cut(mu, x) - ref) <= 2 * mpf(2) ** -mp.prec * ref, x
 
 
