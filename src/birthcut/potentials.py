@@ -156,9 +156,12 @@ def _cut_integral(factors):
     x = 2), so the antiderivative terms are formed with guard bits:
     2 CUT_GUARD_BITS first, which covers a loss of up to CUT_GUARD_BITS in
     one pass, then again with the bits that the measured cancellation
-    sum |terms| / |value| costs, until the guard covers it. Where that
-    would take more than 4 prec guard bits, ConvergenceError names the
-    interval and the bits lost.
+    sum |terms| / |value| costs, until the guard covers it. Where the value
+    keeps fewer bits than that, the loss measured is a lower bound that
+    grows with the guard, and passes go on to 4 prec guard bits. Past them
+    a pass goes on once more only if the loss is measured, the value
+    keeping CUT_GUARD_BITS/2 bits: then prec + lost + CUT_GUARD_BITS bits
+    meet it. Else ConvergenceError names the interval and the bits lost.
 
     P and the product A of (x^2 + 4) and the factors with their absolute
     coefficients are expanded exactly, in Python integers over one power
@@ -199,7 +202,7 @@ def _cut_integral(factors):
         if lo == hi or not any(c):
             return mpf(0)
         prec = mp.prec
-        guard = 2 * CUT_GUARD_BITS
+        guard, followed = 2 * CUT_GUARD_BITS, False
         while True:
             value = mass = F = 0        # the two sums, times 2^(S + F)
             for x, sign in ((hi, 1), (lo, -1)):
@@ -217,12 +220,16 @@ def _cut_integral(factors):
                     else prec + guard)
             if lost + CUT_GUARD_BITS <= guard:
                 return mpf((value, -S - F))
-            if guard >= 4 * prec:
+            capped = guard >= 4 * prec
+            if capped and (followed or
+                           lost + CUT_GUARD_BITS // 2 > prec + guard):
                 raise ConvergenceError(
                     "cut integral from %s to %s%s: %d bits lost to "
-                    "cancellation, past the guard cap of %d bits" % (
+                    "cancellation at %d guard bits, past the cap of %d" % (
                         mp.nstr(lo, 20), mp.nstr(hi, 20),
-                        " (mirrored)" if mirrored else "", lost, guard))
+                        " (mirrored)" if mirrored else "", lost, guard,
+                        4 * prec))
+            followed = capped
             guard = CUT_GUARD_BITS * (lost // CUT_GUARD_BITS + 2)
 
     return integral

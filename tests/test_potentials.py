@@ -284,6 +284,26 @@ def test_cut_integral_past_its_guard_cap_raises():
     assert abs(got - ref) <= mpf("1e-30") * ref
 
 
+def test_cut_integral_follows_a_measured_loss_past_the_cap():
+    # at 15 digits, nu = 5, e = 2.1, F(e - 1e-7, e + 1e-7) loses 281 bits:
+    # the pass at 256 guard bits, past the cap of 4 prec = 212, measures
+    # that loss with 28 bits of the value left, and one more pass at 320
+    # gives the value. The reference is mpmath.quad at 150 digits over the
+    # same binary ends; over e -+ 1e-7 formed at 150 digits the integral is
+    # 1.6826586201e-78, 1.8e-8 away, as the ends round at 15 digits
+    with mp.workdps(15):
+        spec = make_spec(5, mpf("2.1"))
+        e, d = spec.e, mpf("1e-7")
+        lo, hi = e - d, e + d
+        got = _cut_integral(_weight_factors(spec.Q, e, 5))(lo, hi)
+    with mp.workdps(150):
+        M = lambda s: mp.fprod(f(s) for f in _weight_factors(spec.Q, e, 5))
+        ref = mpmath.quad(lambda s: M(s) * mp.sqrt((s - 2) * (s + 2)),
+                          [lo, e, hi])
+    assert abs(ref - mpf("1.6826585898e-78")) < mpf("1e-88")
+    assert abs(got - ref) <= mpf("1e-13") * ref
+
+
 def mpf_sinh_terms(x, K):
     """[t, sinh(t), sinh(2t)/2, ..., sinh(K t)/K] at x = 2 cosh(t) >= 2 in
     mpf at the working precision, by the same addition formulas."""
