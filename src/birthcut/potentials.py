@@ -156,12 +156,13 @@ def _cut_integral(factors):
     x = 2), so the antiderivative terms are formed with guard bits:
     2 CUT_GUARD_BITS first, which covers a loss of up to CUT_GUARD_BITS in
     one pass, then again with the bits that the measured cancellation
-    sum |terms| / |value| costs, until the guard covers it. Where the value
-    keeps fewer bits than that, the loss measured is a lower bound that
-    grows with the guard, and passes go on to 4 prec guard bits. Past them
-    a pass goes on once more only if the loss is measured, the value
-    keeping CUT_GUARD_BITS/2 bits: then prec + lost + CUT_GUARD_BITS bits
-    meet it. Else ConvergenceError names the interval and the bits lost.
+    sum |terms| / |value| costs, until the guard covers it. A pass whose
+    value keeps fewer than CUT_GUARD_BITS/2 bits reads only a lower bound
+    on the loss, one that grows with the guard; such passes go on to 4 prec
+    guard bits. Past them one more pass is made only where the last one
+    measured its loss (its value kept CUT_GUARD_BITS/2 bits), at the
+    prec + lost + CUT_GUARD_BITS bits that meet it; otherwise
+    ConvergenceError names the interval and the bits lost.
 
     P and the product A of (x^2 + 4) and the factors with their absolute
     coefficients are expanded exactly, in Python integers over one power

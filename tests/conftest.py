@@ -7,11 +7,11 @@ from mpmath import mp, mpf
 mp.dps = 40
 
 from birthcut.equilibrium import _u_from_inf_two_cut
-from birthcut.specialfn import agm_integrals
 from birthcut.modelchain import build_chain
 from birthcut.oracle import build_rec_chain
 from birthcut.potentials import make_quartic_spec, make_spec
 from birthcut.quadrature import ConvergenceError
+from birthcut.specialfn import agm_integrals
 
 
 @functools.lru_cache(maxsize=None)
