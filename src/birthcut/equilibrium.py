@@ -13,9 +13,9 @@ W ~ T/x + O(1/x^2) reads
 
 and for s = 2 the effective potential must also be equal across the gap:
 integral_b^c M sqrt(sigma) = 0. A damped Newton iteration (`_solve`) solves
-the 2s conditions for the endpoints; `solve_one_cut` and `solve_two_cut`
-differ only in their Newton settings. The gap condition is in closed form
-too: with P = M sigma it is sum_k p_k I_k over the moments
+the 2s conditions for the endpoints to max |r| <= 2^-(prec - 16) max(T, 1)
+at either cut count, prec the working precision in bits. The gap condition
+is in closed form too: with P = M sigma it is sum_k p_k I_k over the moments
 I_k = integral_b^c t^k / sqrt(sigma), which reduce to the complete elliptic
 integrals K, E and Pi of the parameter 1 - m (`_gap_moments`). No step of
 the two-cut solve is an adaptive quadrature, and its cost does not grow as
@@ -90,9 +90,10 @@ from .quadrature import (GUARD_BITS, ConvergenceError, integrate_bracket,
                          integrate_doubling)
 from .specialfn import agm_integrals, theta1_axis, theta1_prime0
 
-# extra bits for the gap condition: its terms p_k I_k are thousands of times
-# larger than their sum, which Newton drives to 0
+# extra bits for sigma and the gap condition, whose terms p_k I_k are
+# thousands of times larger than their sum, which Newton drives to 0
 GAP_GUARD_BITS = 32
+NEWTON_STEPS = 40                      # step cap of either cut solve
 
 
 class PhaseError(RuntimeError):
@@ -159,13 +160,12 @@ class EqMeasure:
 # moment conditions via Laurent data
 # ----------------------------------------------------------------------------
 
-def _moments(Vp: Poly, endpoints):
+def _moments(Vp: Poly, sigma: Poly):
     """(M, c) for V'/sqrt(sigma) = M + sum_{j <= s+1} c_j x^{-j}, the terms
-    `_cut_system` reads. c_j takes the series of x^s/sqrt(sigma) up to
-    x^{-(j - s + deg V')}, so deg V' + 1 terms past the first reach c_{s+1}."""
-    s = len(endpoints) // 2
-    tail = sqrt_sigma_tail(monic_from_roots(endpoints), Vp.degree + 1,
-                           alpha=-mpf(1) / 2)
+    `_cut_system` reads, sigma of degree 2s. c_j takes the series of
+    x^s/sqrt(sigma) to x^{-(j - s + deg V')}: deg V' + 1 terms past the first."""
+    s = sigma.degree // 2
+    tail = sqrt_sigma_tail(sigma, Vp.degree + 1, alpha=-mpf(1) / 2)
     return laurent_split(Vp, tail, s, s + 1)
 
 
@@ -204,8 +204,9 @@ def _lu_solve(A, b):
     return x
 
 
-def _newton(F, x0, max_iter=100, tol=None):
-    """Damped Newton on F(x) -> (r, J, data), J[i][j] = dr_i/dx_j exactly.
+def _newton(F, x0, T):
+    """Damped Newton on F(x) -> (r, J, data), J[i][j] = dr_i/dx_j exactly,
+    to max |r| <= 2^-(prec - 16) max(T, 1) in at most `NEWTON_STEPS` steps.
 
     F evaluates the residual and its Jacobian together, from one set of
     Laurent data (see the module docstring), so a step whose full length is
@@ -224,11 +225,10 @@ def _newton(F, x0, max_iter=100, tol=None):
     """
     n = len(x0)
     x = [mpf(v) for v in x0]
-    if tol is None:
-        tol = mpf(10) ** (-mp.dps + 8)
+    tol = mp.ldexp(max(T, 1), 16 - mp.prec)
     r, J, data = F(x)
     rn = max(abs(v) for v in r)
-    for steps in range(max_iter):
+    for steps in range(NEWTON_STEPS):
         if rn <= tol:
             return x, data, steps, rn
         try:
@@ -253,9 +253,9 @@ def _newton(F, x0, max_iter=100, tol=None):
         else:
             raise ConvergenceError("line search stalled at residual %s" % rn)
     if rn <= tol:
-        return x, data, max_iter, rn
+        return x, data, NEWTON_STEPS, rn
     raise ConvergenceError("no convergence after %d iterations (residual %s)"
-                           % (max_iter, rn))
+                           % (NEWTON_STEPS, rn))
 
 
 def _cut_system(Vp: Poly, T, x):
@@ -267,7 +267,9 @@ def _cut_system(Vp: Poly, T, x):
     span = x[-1] - x[0]
     if any(hi - lo < mpf("1e-10") * span for lo, hi in zip(x[1:], x[2:])):
         raise PhaseError("cut collision: a cut or the gap has closed")
-    M, cs = _moments(Vp, x)
+    with mp.workprec(mp.prec + GAP_GUARD_BITS):
+        sigma = monic_from_roots(x)
+    M, cs = _moments(Vp, sigma)
     Me = [M(e) for e in x]
     J = [[_dc_de(Me[i], cs, j, e) for i, e in enumerate(x)]
          for j in range(1, s + 2)]
@@ -277,7 +279,6 @@ def _cut_system(Vp: Poly, T, x):
         # integral_b^c M sqrt(sigma) = integral_b^c P / sqrt(sigma), P = M sigma;
         # its e_i-derivative is -(M(e_i)/2) integral_b^c (sigma/(x - e_i)) / sqrt(sigma)
         with mp.workprec(mp.prec + GAP_GUARD_BITS):
-            sigma = monic_from_roots(x)
             P = M * sigma
             I = _gap_moments(x, sigma, len(P))
             gap = mp.fsum(p * Ik for p, Ik in zip(P.c, I))
@@ -288,14 +289,13 @@ def _cut_system(Vp: Poly, T, x):
     return r, J, M
 
 
-def _solve(V: Poly, T, guess, **newton) -> EqMeasure:
+def _solve(V: Poly, T, guess) -> EqMeasure:
     """The s-cut measure, s = len(guess)//2, from Newton on `_cut_system`."""
     T = mpf(T)
     if not T > 0:
         raise ValueError("temperature T = %s: need T > 0" % mp.nstr(T, 10))
     Vp = V.deriv()
-    ends, M, steps, rn = _newton(lambda x: _cut_system(Vp, T, x), guess,
-                                 **newton)
+    ends, M, steps, rn = _newton(lambda x: _cut_system(Vp, T, x), guess, T)
     mu = EqMeasure(s=len(ends) // 2, endpoints=tuple(ends), M=M, T=T, V=V,
                    newton_steps=steps, residual=rn)
     _check_density(mu)
@@ -307,14 +307,13 @@ def _solve(V: Poly, T, guess, **newton) -> EqMeasure:
 def solve_one_cut(V: Poly, T, guess=(-2, 2)) -> EqMeasure:
     """Endpoints (a, b) with c_1 = 0 and c_2 = 2T; raises PhaseError if the
     resulting density is negative somewhere on [a, b]."""
-    # converge to working precision; this is far below the 1e-12 T contract
-    return _solve(V, T, guess, tol=mpf(10) ** (-mp.dps + 8) * max(mpf(T), mpf(1)))
+    return _solve(V, T, guess)
 
 
 def solve_two_cut(V: Poly, T, guess) -> EqMeasure:
     """Endpoints (a, b, c, d) with c_1 = c_2 = 0, c_3 = 2T and equal effective
     potential across the gap; populates x0, m, K, K' and F_inf."""
-    return _solve(V, T, guess, max_iter=40)
+    return _solve(V, T, guess)
 
 
 def _gap_moments(endpoints, sigma, count):

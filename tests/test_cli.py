@@ -345,6 +345,24 @@ def test_transition_rows(tmp_path):
     assert abs(mpf(below[2]) - mpf(below[3])) < mpf("0.1") * abs(mpf(below[3]))
 
 
+def test_transition_rows_at_15_digits_match_40(capsys):
+    # the cut solves stop at the working precision, so both d2F_solver rows
+    # at --dps 15 are within 1e-8 relative of the 40-digit rows (a tolerance
+    # of 10^(8 - dps) left them 3.4e-4 below T_c and 9.4e-6 above)
+    rows = {}
+    for dps in (15, 40):
+        with mp.workdps(mp.dps):         # main sets the global precision
+            assert run(["--dps", str(dps), "transition", "--phi-e", "1.0",
+                        "--t-grid", "1e-5:1e-5:1"]) == 0
+        rows[dps] = [r.split(",") for r in
+                     capsys.readouterr().out.splitlines()[1:]]
+    assert [r[1] for r in rows[15]] == [r[1] for r in rows[40]] \
+        == ["below", "above"]
+    for low, ref in zip(rows[15], rows[40]):
+        assert abs(mpf(low[2]) - mpf(ref[2])) <= mpf("1e-8") * abs(mpf(ref[2])), \
+            low[1]
+
+
 def _former_oracle_table(ch):
     """The oracle table format `compare` read before `kvio.chain_to_table`:
     header N, Tc, n_max, bits and the columns n, ln_h, gamma, beta."""

@@ -152,7 +152,7 @@ def test_gap_moments_match_bracket_quadrature():
     for that in ("1e-3", "1e-4", "1e-5", "1e-6"):
         ends = two_cut_guess(spec, mpf(that) * spec.Tc)
         a, b, c, d = ends
-        M, _ = equilibrium._moments(spec.V.deriv(), ends)
+        M, _ = equilibrium._moments(spec.V.deriv(), monic_from_roots(ends))
         with mp.workprec(mp.prec + equilibrium.GAP_GUARD_BITS):
             sigma = monic_from_roots(ends)
             P = M * sigma
@@ -181,11 +181,10 @@ def test_moments_equal_a_long_tail_split(s):
     # c_1..c_{s+1} bit for bit
     for spec, ends in _endpoint_sets():
         ends = ends if s == 2 else ends[:2]
-        Vp = spec.V.deriv()
-        tail = sqrt_sigma_tail(monic_from_roots(ends), 6 + Vp.degree + s,
-                               alpha=-mpf(1) / 2)
+        Vp, sigma = spec.V.deriv(), monic_from_roots(ends)
+        tail = sqrt_sigma_tail(sigma, 6 + Vp.degree + s, alpha=-mpf(1) / 2)
         M_ref, c_ref = laurent_split(Vp, tail, s, 6)
-        M, c = equilibrium._moments(Vp, ends)
+        M, c = equilibrium._moments(Vp, sigma)
         assert M == M_ref
         assert c[1:s + 2] == c_ref[1:s + 2]
 
@@ -469,9 +468,10 @@ def _veff_measures():
 
 def test_veff_const_bs_matches_the_product_route():
     # values of the earlier route, which multiplied the series of sqrt(sigma)
-    # by the c_j of V'/sqrt(sigma) up to j = 46, at 40 digits
+    # by the c_j of V'/sqrt(sigma) up to j = 46, at 40 digits; the two-cut
+    # value is this route's on an 80-digit solve, at 80 digits
     earlier = ["7.131030771325478962430792836668651711967087",
-               "7.130242759839804193191724826052795850974383",
+               "7.130242759839804193191724826052794497449868",
                "17.80119239550302720917259453609043298121796"]
     for mu, ref in zip(_veff_measures(), earlier):
         assert abs(veff_const_bs(mu) - mpf(ref)) <= mpf("1e-38") * mpf(ref)
@@ -651,7 +651,7 @@ def test_singular_jacobian_is_a_convergence_error(J):
         return [x[0] - 1, x[1] + 1], J, None
 
     with pytest.raises(ConvergenceError, match="singular Jacobian"):
-        equilibrium._newton(system, [0, 0])
+        equilibrium._newton(system, [0, 0], 1)
 
 
 @pytest.mark.parametrize("x,match", [
@@ -699,7 +699,7 @@ def test_effective_potential_vanishes_at_every_endpoint():
 
 
 def test_two_cut_solve_forms_one_moment_set_per_newton_step(monkeypatch):
-    # 5 Newton steps: the guess, one evaluation per accepted step and no
+    # 6 Newton steps: the guess, one evaluation per accepted step and no
     # separate M at the solution; forward differences made 27 calls
     calls = []
     split = equilibrium.laurent_split
@@ -715,6 +715,46 @@ def test_two_cut_solve_forms_one_moment_set_per_newton_step(monkeypatch):
     assert len(calls) <= 7
     assert mu.newton_steps == len(calls) - 1
     assert mu.residual <= mpf(10) ** (-mp.dps + 8)
+
+
+def test_cut_solves_reach_the_working_precision():
+    # both cut counts stop at 2^-(prec - 16) max(T, 1): at phi_e = 1.0 the
+    # endpoints are within 1e-36 of an 80-digit solve of the same V and T,
+    # relative to 1 + |x| (a tolerance of 10^(8 - dps) left the one-cut
+    # solve at t/T_c = -3e-4 2.8e-33 off)
+    spec = quartic("1.0")
+    cases = [(solve_one_cut, spec.Tc * (1 - mpf("3e-4")), (-2, 2))]
+    for that in ("3e-4", "1e-3"):
+        t = mpf(that) * spec.Tc
+        cases.append((solve_two_cut, spec.Tc + t, two_cut_guess(spec, t)))
+    for solve, T, guess in cases:
+        ends = solve(spec.V, T, guess).endpoints
+        with mp.workdps(80):
+            ref = solve(spec.V, T, guess).endpoints
+            err = max(abs(x - y) / (1 + abs(y)) for x, y in zip(ends, ref))
+        assert err <= mpf("1e-36"), (T, err)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_cut_system_forms_sigma_once(monkeypatch, s):
+    # one sigma per evaluation, at the gap row's precision, feeds both the
+    # Laurent moments and (s = 2) the gap row
+    calls = []
+    monic = equilibrium.monic_from_roots
+
+    def counted(roots):
+        calls.append(mp.prec)
+        return monic(roots)
+
+    monkeypatch.setattr(equilibrium, "monic_from_roots", counted)
+    spec = quartic("1.0")
+    t = mpf("1e-4") * spec.Tc
+    if s == 1:
+        T, x = spec.Tc - t, [mpf("-2.01"), mpf("1.99")]
+    else:
+        T, x = spec.Tc + t, list(two_cut_guess(spec, t))
+    equilibrium._cut_system(spec.V.deriv(), T, x)
+    assert calls == [mp.prec + equilibrium.GAP_GUARD_BITS]
 
 
 def _density_verdict_mpf(mu):

@@ -9,10 +9,11 @@ of three quartic oracles on 1024 nodes, of one on the node ladder and of
 three model chains; the oracle's point evaluators at fixed points (psi with
 n rising, repeated and falling, both kernel forms, phi and the count) and
 the model chain's psi lists and Hilbert pairs; the `asymptotics` forms on
-the A10a grid; three two-cut quartic measures with their gamma, Lambda and
-`kvio` text; the stdout of six CLI commands run through `cli.main`; and
-the 64-point Gauss-Legendre rule at 136-512 bits by every start path, with
-the model chain's principal-value sums `pihat_direct` at fixed points.
+the A10a grid; two one-cut measures with their V_eff(b_s); three two-cut
+quartic measures with their gamma, Lambda and `kvio` text; the stdout of
+six CLI commands run through `cli.main`; and the 64-point Gauss-Legendre
+rule at 136-512 bits by every start path, with the model chain's
+principal-value sums `pihat_direct` at fixed points.
 Values are hashed by their exact mpf tuples, tables and stdout as text.
 Uses the standard library and birthcut only; under 10 s on one core.
 """
@@ -31,7 +32,7 @@ from mpmath import mp, mpf  # noqa: E402  (mpmath is birthcut's one dependency)
 
 from birthcut import (asymptotics, cli, critical, equilibrium,  # noqa: E402
                       kvio, modelchain, oracle, quadrature)
-from birthcut.potentials import make_quartic_spec  # noqa: E402
+from birthcut.potentials import make_quartic_spec, make_spec  # noqa: E402
 
 
 def exact(v):
@@ -138,6 +139,23 @@ def a10a():
         asymptotics.beta_full, asymptotics.beta_reduced)])
 
 
+def one_cut():
+    """One-cut measures, the quartic at phi_e = 1.0, t/T_c = -1e-3 from its
+    first-order drift and nu = 2, e = 2.6 at T_c: the endpoints, M, the
+    Newton residual and V_eff(b_s), in one line."""
+    spec = make_quartic_spec(mpf("1.0"))
+    t = mpf("-1e-3") * spec.Tc
+    drift = critical.one_cut_drift(spec, t)
+    nu2 = make_spec(2, mpf("2.6"))
+    values = []
+    for mu in (equilibrium.solve_one_cut(spec.V, spec.Tc + t,
+                                         (drift["a"], drift["b"])),
+               equilibrium.solve_one_cut(nu2.V, nu2.Tc, (-2, 2))):
+        values.append([mu.endpoints, mu.M.c, mu.residual,
+                       equilibrium.veff_const_bs(mu)])
+    emit("one-cut", values)
+
+
 def two_cut():
     """Two-cut quartic measures at (phi_e, t/T_c): the endpoints, m, x0,
     gamma, Lambda at five x > d and the `kvio` text, in one line."""
@@ -208,6 +226,7 @@ def main():
     chains()
     evaluators()
     a10a()
+    one_cut()
     two_cut()
     commands()
     rules()
