@@ -961,6 +961,10 @@ def pihat_direct(chain: RecChain, n: int, x):
     the sum folds as `gram_entries` does: the nodes +-x_j make one term over
     Y^2 - x_j^2 with numerator 2 Y (P_j - g_j F_X) for n even and
     2 (P_j x_j - g_j F_X Y) for n odd, from the upper half's values alone.
+    For n even the folded sum is odd in x: x (the mpf, not its truncation
+    Y) multiplies it once, after its floor divisions, and the subtracted
+    integral is 2 f(x) atanh(x/x_max), so both keep their relative accuracy
+    as x -> 0 instead of an absolute error of about 2^-F.
     """
     _check_index("n", n, 0, chain)
     F, w = chain.grid.F, chain.weight
@@ -973,14 +977,19 @@ def pihat_direct(chain: RecChain, n: int, x):
         total = mpf(0)
         FX = 0
         inside = chain.x_min < x < chain.x_max
+        Y = int(mp.ldexp(x, F))
+        i = bisect.bisect_left(X, Y)
+        hit = i < len(X) and X[i] == Y
+        fold = (inside and not hit and chain.grid.mirrored
+                and not any(chain.beta[:n]))
         if inside:
             _, _, p, _, _, E = _monic_point(chain, n, x)[1]
             fx = mp.ldexp(mpf(p), E - F) * mp.exp(-w.coupling * w.V(x))
             FX = int(mp.ldexp(fx / unit, F))
-            total = fx * mp.log((x - chain.x_min) / (chain.x_max - x))
-        Y = int(mp.ldexp(x, F))
-        i = bisect.bisect_left(X, Y)
-        hit = i < len(X) and X[i] == Y
+            if fold:                # x_min = -x_max: no ratio rounded near 1
+                total = 2 * fx * mp.atanh(x / chain.x_max)
+            else:
+                total = fx * mp.log((x - chain.x_min) / (chain.x_max - x))
         if hit:
             # x is node i (to 2^-F): its term has the finite limit
             # -g_i (pi_n w)'(x_i) with (pi_n w)' = w (pi_n' - (N/T_c) V' pi_n)
@@ -991,8 +1000,7 @@ def pihat_direct(chain: RecChain, n: int, x):
             total -= chain.grid.gw(i) * slope
             X, G, P = X[:i] + X[i + 1:], G[:i] + G[i + 1:], P[:i] + P[i + 1:]
         acc = 0
-        if inside and not hit and chain.grid.mirrored \
-                and not any(chain.beta[:n]):
+        if fold:
             # the nodes +-x_j in one term over Y^2 - x_j^2 (docstring)
             h = len(X) // 2
             YY = Y * Y
@@ -1002,11 +1010,14 @@ def pihat_direct(chain: RecChain, n: int, x):
                     acc += (p * xj - (g * FX >> F) * Y << F + 1) // (YY - xx)
             else:
                 for xx, g, p in zip(XX, G[h:], P[h:]):
-                    acc += ((p - (g * FX >> F)) * Y << F + 1) // (YY - xx)
+                    acc += (p - (g * FX >> F) << 2 * F + 1) // (YY - xx)
         else:
             for xj, g, p in zip(X, G, P):
                 acc += ((p - (g * FX >> F)) << F) // (Y - xj)
-        total += mp.ldexp(mpf(acc), -F) * unit
+        acc = mp.ldexp(mpf(acc), -F)
+        if fold and n % 2 == 0:
+            acc *= x
+        total += acc * unit
     with mp.workprec(chain.prec):
         return +total
 

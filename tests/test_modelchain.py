@@ -493,6 +493,20 @@ def test_folded_pihat_matches_unfolded():
                     <= mp.ldexp(abs(ref), -ch.prec), (n, y)
 
 
+def test_folded_seed_keeps_its_relative_accuracy_near_zero():
+    # pihat_0 is odd in y: the folded sum and the subtracted integral both
+    # vanish like y, so each carries y as a factor, not inside a rounding
+    # (with y inside the floor divisions pihat_0(1e-30) was about 4e22 units
+    # of 2^-256 off). Against the 640-bit mpf sum of the same grid
+    ch = model_chain(1, 30)
+    ys = [s * mpf(y) for s in (1, -1) for y in ("1e-9", "1e-30")]
+    with mp.workprec(ch.prec):
+        got = [pihat_direct(ch, 0, y) for y in ys]
+    with mp.workprec(640):
+        for y, v, (ref, _) in zip(ys, got, pihat_reference(ch, 0, ys)):
+            assert abs(v - ref) <= mp.ldexp(abs(ref), 1 - ch.prec), y
+
+
 def test_explicit_nodes_pin_the_grid():
     # nodes=1024 keeps int(16 x 1.37) = 21 panels and the seed it always had
     ch = build_chain(1, k_max=8, nodes=1024)
