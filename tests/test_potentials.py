@@ -3,7 +3,7 @@ import pytest
 from mpmath import mp, mpf
 
 from birthcut import potentials, quadrature
-from birthcut.poly import Poly
+from birthcut.poly import Poly, isolate_real_roots
 from birthcut.potentials import (CUT_GUARD_BITS, _cosh_coefficients,
                                  _cut_integral, _sinh_terms, _weight_factors,
                                  build_critical_Q, build_potential,
@@ -135,6 +135,46 @@ def test_validate_critical_passes_on_valid_specs():
     for s in (quartic("1.0"), spec_nu(2, "2.6"), spec_nu(4, "2.2")):
         report = validate_critical(s)
         assert report.ok, "\n" + str(report)
+
+
+def _bisected_zero(Q, a, b, qb):
+    """The sign change of Q in the Sturm bracket [a, b] by mp.prec
+    bisections, the upper end of the last bracket: the earlier route of
+    `_sign_change_points`."""
+    for _ in range(mp.prec):
+        m = (a + b) / 2
+        if Q(m) * qb > 0:
+            b = m
+        else:
+            a = m
+    return b
+
+
+@pytest.mark.parametrize("nu,e,Q_tilde", [
+    (2, "2.6", None), (3, "5.0", None), (4, "2.2", None), (5, "2.1", None),
+    (2, "5.0", (2, 0, 1))])
+def test_sign_change_points_by_safeguarded_newton(monkeypatch, nu, e, Q_tilde):
+    # each sign change of Q in (2, e] costs at most 12 evaluations of Q (or
+    # of Q with Q', one Horner pass) and lands within 2 ulps of the
+    # bisection's point, the upper end of a bracket that bisection narrows
+    # to an ulp or two; a nonlinear Q takes Newton steps of its own
+    spec = make_spec(nu, mpf(e), None if Q_tilde is None else Poly(Q_tilde))
+    Q = spec.Q
+    brackets = [(a, b) for a, b in isolate_real_roots(Q, mpf(2), spec.e)
+                if Q(a) * Q(b) <= 0]
+    calls = []
+    plain, slope = Poly.__call__, potentials._value_slope
+    monkeypatch.setattr(Poly, "__call__",
+                        lambda p, x: calls.append(1) or plain(p, x))
+    monkeypatch.setattr(potentials, "_value_slope",
+                        lambda c, x: calls.append(1) or slope(c, x))
+    zeros = potentials._sign_change_points(Q, mpf(2), spec.e)
+    monkeypatch.undo()
+    assert len(zeros) == len(brackets) >= 1
+    assert len(calls) <= 12 * len(zeros)
+    for x, (a, b) in zip(zeros, brackets):
+        ref = _bisected_zero(Q, a, b, Q(b))
+        assert abs(x - ref) <= 2 * mp.ldexp(1, mp.mag(ref) - mp.prec), (x, ref)
 
 
 def test_validate_flags_sign_violation():
