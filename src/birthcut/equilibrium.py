@@ -68,6 +68,23 @@ and c, so Leibniz's rule leaves no boundary terms, and
 over the moments I_k the gap condition has already formed. One evaluation of
 the conditions thus gives Newton its residual and its Jacobian.
 
+That evaluation runs in Python-integer fixed point with W fraction bits
+(Brent & Zimmermann, Modern Computer Arithmetic, section 4.8): products
+shifted down by W, quotients by floor division, square roots by
+`math.isqrt`. The endpoints, V' and T are converted once; sigma, Miller's
+series of x^s/sqrt(sigma) (`_fixed_series`, the recurrence of
+`poly.sqrt_sigma_tail`) and its split into M and c_1..c_{s+1}, M(e_i) and
+the Jacobian rows, and at s = 2 the gap moments, P = M sigma and the gap
+row are all integers; K, E and Pi come from one `specialfn.agm_fixed` pass
+as the integers it holds and are closed in integers. Each output (r, J and
+M's coefficients) is rounded once to the working precision. W is the
+working precision plus `GAP_GUARD_BITS`, plus at s = 2 the bits that a
+narrow newborn cut or gap costs (`_narrow_bits`): -log2 of
+m = (b-a)(d-c)/((c-a)(d-b)), whose square root starts the AGM, and of
+k^2 - alpha^2 = (c-b)(b-a)/((c-a)(d-b)), which divides I_2. Every endpoint
+difference is exact in fixed point, so those two keep relative error 2^-W
+over their size.
+
 W's tail at infinity, summed by `veff_const_bs`, is split off the same kind
 of series: V' is a polynomial, so W's x^{-k} coefficient is -1/2 that of
 M sqrt(sigma).
@@ -82,13 +99,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_man_exp, pi_fixed, round_nearest, to_fixed
 
-from .poly import (Poly, _float_horner, deflate, laurent_split,
-                   monic_from_roots, sqrt_sigma_tail)
+from .poly import (Poly, _float_horner, laurent_split, monic_from_roots,
+                   sqrt_sigma_tail)
 from .quadrature import (GUARD_BITS, ConvergenceError, integrate_bracket,
                          integrate_doubling)
-from .specialfn import agm_integrals, theta1_axis, theta1_prime0
+from .specialfn import agm_fixed, agm_integrals, theta1_axis, theta1_prime0
 
 # extra bits for sigma and the gap condition, whose terms p_k I_k are
 # thousands of times larger than their sum, which Newton drives to 0
@@ -160,22 +177,13 @@ class EqMeasure:
 # moment conditions via Laurent data
 # ----------------------------------------------------------------------------
 
-def _moments(Vp: Poly, sigma: Poly):
-    """(M, c) for V'/sqrt(sigma) = M + sum_{j <= s+1} c_j x^{-j}, the terms
-    `_cut_system` reads, sigma of degree 2s. c_j takes the series of
-    x^s/sqrt(sigma) to x^{-(j - s + deg V')}: deg V' + 1 terms past the first."""
-    s = sigma.degree // 2
-    tail = sqrt_sigma_tail(sigma, Vp.degree + 1, alpha=-mpf(1) / 2)
-    return laurent_split(Vp, tail, s, s + 1)
-
-
-def _dc_de(Me, c, j, e):
-    """dc_j/de at the endpoint e, given Me = M(e) and the c_l:
-    (1/2) (e^{j-1} M(e) + sum_{l<j} c_l e^{j-1-l}), by Horner."""
+def _dc_de(Me, c, j, E, W):
+    """2 dc_j/de over 2^W at the endpoint E 2^-W, given Me = M(e) and the
+    c_l over 2^W: e^{j-1} M(e) + sum_{l<j} c_l e^{j-1-l}, by Horner."""
     acc = Me
     for l in range(1, j):
-        acc = acc * e + c[l]
-    return acc / 2
+        acc = (acc * E >> W) + c[l]
+    return acc
 
 
 def _lu_solve(A, b):
@@ -260,33 +268,109 @@ def _newton(F, x0, T):
 
 def _cut_system(Vp: Poly, T, x):
     """Residual (c_1, .., c_s, c_{s+1} - 2T), plus the gap row when s = 2, at
-    the endpoints x of s = len(x)//2 cuts, its exact Jacobian and M."""
+    the endpoints x of s = len(x)//2 cuts, its exact Jacobian and M.
+
+    One evaluation in W-bit fixed point (module docstring): the endpoints,
+    V' and T are converted once, and each output is rounded once to the
+    working precision."""
     s = len(x) // 2
     if not all(lo < hi for lo, hi in zip(x, x[1:])):
         raise PhaseError("cut collision: need %s" % " < ".join("abcd"[:2 * s]))
     span = x[-1] - x[0]
     if any(hi - lo < mpf("1e-10") * span for lo, hi in zip(x[1:], x[2:])):
         raise PhaseError("cut collision: a cut or the gap has closed")
-    with mp.workprec(mp.prec + GAP_GUARD_BITS):
-        sigma = monic_from_roots(x)
-    M, cs = _moments(Vp, sigma)
-    Me = [M(e) for e in x]
-    J = [[_dc_de(Me[i], cs, j, e) for i, e in enumerate(x)]
-         for j in range(1, s + 2)]
-    r = list(cs[1:s + 2])
-    r[s] -= 2 * T
+    W = mp.prec + GAP_GUARD_BITS + (_narrow_bits(x) if s == 2 else 0)
+    X = [to_fixed(v._mpf_, W) for v in x]
+    vp = [to_fixed(c._mpf_, W) for c in Vp.c]
+    D = len(vp) - 1
+    S = _fixed_monic(X, W)
+    t = _fixed_series(S, D + 1, W)
+    # V'(x) x^-s sum_j t_j x^-j: M_k at x^k, c_l at x^-l
+    M = [sum(vp[k + s + j] * t[j] for j in range(D - s - k + 1)) >> W
+         for k in range(D - s + 1)]
+    c = [None] + [sum(vp[k] * t[k - s + l]
+                      for k in range(max(0, s - l), D + 1)) >> W
+                  for l in range(1, s + 2)]
+    Me = [_fixed_horner(M, E, W) for E in X]
+    rows = [[_dc_de(Me[i], c, j, E, W) for i, E in enumerate(X)]
+            for j in range(1, s + 2)]
+    r = c[1:]
+    r[s] -= 2 * to_fixed(T._mpf_, W)
+    r = [_rounded(v, W) for v in r]
+    J = [[_rounded(v, W + 1) for v in row] for row in rows]
     if s == 2:
-        # integral_b^c M sqrt(sigma) = integral_b^c P / sqrt(sigma), P = M sigma;
-        # its e_i-derivative is -(M(e_i)/2) integral_b^c (sigma/(x - e_i)) / sqrt(sigma)
-        with mp.workprec(mp.prec + GAP_GUARD_BITS):
-            P = M * sigma
-            I = _gap_moments(x, sigma, len(P))
-            gap = mp.fsum(p * Ik for p, Ik in zip(P.c, I))
-            J.append([-Me[i] / 2 * mp.fsum(
-                q * Ik for q, Ik in zip(deflate(sigma, e).c, I))
-                for i, e in enumerate(x)])
-        r.append(+gap)
-    return r, J, M
+        # integral_b^c M sqrt(sigma) = sum_k p_k I_k, P = M sigma; its
+        # e_i-derivative is -(M(e_i)/2) sum_k q_k I_k, q = sigma/(x - e_i)
+        P = [sum(M[k - i] * S[i] for i in range(max(0, k - len(M) + 1),
+                                                 min(k, 4) + 1)) >> W
+             for k in range(len(M) + 4)]
+        I = _gap_moments(X, S, len(P), W)
+        r.append(_rounded(sum(p * Ik for p, Ik in zip(P, I)), 2 * W))
+        J.append([_rounded(-Me[i] * sum(q * Ik for q, Ik in zip(
+            _fixed_deflate(S, E, W), I)), 3 * W + 1) for i, E in enumerate(X)])
+    return r, J, Poly([_rounded(v, W) for v in M])
+
+
+def _narrow_bits(x):
+    """Guard bits for a narrow newborn cut [c, d] or gap [b, c] at the
+    endpoints x = (a, b, c, d): -log2 of m = (b-a)(d-c)/((c-a)(d-b)), whose
+    square root starts the AGM, and of k^2 - n = (c-b)(b-a)/((c-a)(d-b)),
+    which divides I_2 (`_gap_moments`); each is formed from W-bit
+    endpoints, so its relative error is 2^-W over its size."""
+    a, b, c, d = (float(v) for v in x)
+    scale = (c - a) * (d - b)
+    return sum(max(0, -math.frexp(v / scale)[1])
+               for v in ((b - a) * (d - c), (c - b) * (b - a)))
+
+
+def _rounded(v, bits):
+    """The fixed-point integer v over 2^bits as an mpf, rounded to nearest
+    at the working precision."""
+    return mp.make_mpf(from_man_exp(v, -bits, mp.prec, round_nearest))
+
+
+def _fixed_monic(X, W):
+    """The coefficients over 2^W, ascending, of the monic polynomial with
+    the roots X 2^-W."""
+    S = [1 << W]
+    for R in X:
+        S = ([-(R * S[0] >> W)]
+             + [S[k - 1] - (R * S[k] >> W) for k in range(1, len(S))]
+             + [S[-1]])
+    return S
+
+
+def _fixed_series(S, terms, W):
+    """t_0..t_terms over 2^W of x^s/sqrt(sigma) = sum_n t_n x^-n, for the
+    monic sigma of degree 2s with coefficients S over 2^W: J.C.P. Miller's
+    recurrence of `poly.sqrt_sigma_tail` at alpha = -1/2,
+    t_n = -(1/2n) sum_{k=1}^{min(n, 2s)} (2n - k) w_k t_{n-k}, w_k the
+    x^{2s-k} coefficient of sigma."""
+    d = len(S) - 1
+    t = [1 << W]
+    for n in range(1, terms + 1):
+        acc = sum((2 * n - k) * S[d - k] * t[n - k]
+                  for k in range(1, min(n, d) + 1))
+        t.append(-acc // (n << W + 1))
+    return t
+
+
+def _fixed_horner(C, E, W):
+    """The polynomial with coefficients C over 2^W, ascending, at E 2^-W."""
+    acc = 0
+    for ck in reversed(C):
+        acc = (acc * E >> W) + ck
+    return acc
+
+
+def _fixed_deflate(S, E, W):
+    """The quotient of the polynomial S over 2^W by x - E 2^-W, synthetic
+    division with the remainder dropped: for a root, the product of the
+    other factors."""
+    q = [S[-1]]
+    for ck in reversed(S[1:-1]):
+        q.append(ck + (E * q[-1] >> W))
+    return q[::-1]
 
 
 def _solve(V: Poly, T, guess) -> EqMeasure:
@@ -316,10 +400,11 @@ def solve_two_cut(V: Poly, T, guess) -> EqMeasure:
     return _solve(V, T, guess)
 
 
-def _gap_moments(endpoints, sigma, count):
-    """[I_0, ..., I_{count-1}], I_k = integral_b^c t^k dt / sqrt(sigma(t)),
-    in closed form at the working precision, for a < b < c < d and sigma
-    their monic polynomial.
+def _gap_moments(X, S, count, W):
+    """[I_0, ..., I_{count-1}] over 2^W, I_k = integral_b^c t^k dt /
+    sqrt(sigma(t)), in closed form, for the endpoints X = (A, B, C, D) over
+    2^W, a < b < c < d, and S the coefficients over 2^W of their monic
+    sigma.
 
     The substitution sn^2(u|k^2) = (c-a)(t-b) / ((c-b)(t-a)) maps [b, c] onto
     [0, K] and gives t - a = (b-a) / (1 - alpha^2 sn^2), with
@@ -337,25 +422,41 @@ def _gap_moments(endpoints, sigma, count):
     so integral_b^c d/dt [t^j sqrt(sigma)] dt = 0, that is
     sum_i (j + i/2) s_i I_{i+j-1} = 0 for sigma = sum_i s_i t^i, s_4 = 1:
     each I_{j+3} from I_{j-1} .. I_{j+2}.
+
+    K, E and Pi come from one `specialfn.agm_fixed` pass at W bits and are
+    closed in integers. Every endpoint difference is exact, and m and
+    k^2 - alpha^2 are formed as products of them, so each keeps its
+    relative accuracy as the new cut or the gap closes; `_cut_system`
+    sizes W for the bits their size costs (`_narrow_bits`).
     """
-    a, b, c, d = endpoints
-    ca, db, ba = c - a, d - b, b - a
-    k2 = (c - b) * (d - a) / (ca * db)
-    n = (c - b) / ca
-    # m = 1 - k^2 as a product keeps its relative accuracy as the new cut closes
-    K, E, Pi = agm_integrals(ba * (d - c) / (ca * db), n)[:3]
-    g = 2 / mp.sqrt(ca * db)
-    J0 = g * K
-    J1 = g * ba * Pi
-    J2 = g * ba * ba * (n * E + (k2 - n) * K
-                        + (2 * n * k2 + 2 * n - n * n - 3 * k2) * Pi) \
-        / (2 * (n - 1) * (k2 - n))
-    moments = [J0, J1 + a * J0, J2 + 2 * a * J1 + a * a * J0]
-    s = sigma.c
+    A, B, C, D = X
+    one = 1 << W
+    ca, db, ba = C - A, D - B, B - A
+    den = ca * db
+    k2 = ((C - B) * (D - A) << W) // den
+    n = ((C - B) << W) // ca
+    kn = ((C - B) * ba << W) // den          # k^2 - alpha^2
+    mc = (ba * (D - C) << 2 * W) // den      # m = 1 - k^2, over 2^(2W)
+    a, csum, qsum, _, _ = agm_fixed(W, math.isqrt(mc), k2 >> 1,
+                                    1 << GAP_GUARD_BITS, one - n)
+    pi = pi_fixed(W)
+    K = (pi << W) // (2 * a)
+    E = K * (one - csum) >> W
+    Pi = ((pi << W) // (4 * a)) * (2 * one + ((n << W) // (one - n)) * qsum
+                                   // one) >> W
+    g = (2 << 2 * W) // math.isqrt(den)
+    gb = g * ba >> W
+    J0 = g * K >> W
+    J1 = gb * Pi >> W
+    coeff = (2 * n * k2 >> W) + 2 * n - (n * n >> W) - 3 * k2
+    J2 = (gb * ba >> W) * ((n * E + kn * K + coeff * Pi) >> W) \
+        // (2 * (n - one) * kn >> W)
+    moments = [J0, J1 + (A * J0 >> W),
+               J2 + (2 * A * J1 + (A * A >> W) * J0 >> W)]
     for j in range(count - 3):
-        acc = mp.fsum((j + mpf(i) / 2) * s[i] * moments[i + j - 1]
-                      for i in range(0 if j else 1, 4))
-        moments.append(-acc / (j + 2))
+        acc = sum((2 * j + i) * S[i] * moments[i + j - 1]
+                  for i in range(0 if j else 1, 4))
+        moments.append(-acc // ((j + 2) << W + 1))
     return moments[:count]
 
 
@@ -581,7 +682,10 @@ def veff_const_bs(mu: EqMeasure):
 
     Past x = X the integral is summed from W's Laurent tail (module
     docstring); the finite part is integrated with the w^2 substitution at
-    b_s. Requires b_s > 0 (true for every critical model here).
+    b_s. Its integrand is formed at 24 guard bits and rounded once: V' and
+    M sqrt(sigma) agree to about 20 bits at x = X, and at the working
+    precision that cancellation moved V_eff(b_s) by up to 1.5e-37 relative
+    at 40 digits. Requires b_s > 0 (true for every critical model here).
     """
     tail_terms = 40                    # Laurent terms of W - T/x past x = X
     bs = mu.b_s()
@@ -597,8 +701,11 @@ def veff_const_bs(mu: EqMeasure):
                     for k in range(2, tail_terms + 1)) / 2
 
     def integrand(w):
-        x = bs + w * w
-        return 2 * w * ((Vp(x) - M(x) * _sqrt_sigma_signed(mu, x)) / 2 - T / x)
+        with mp.workprec(mp.prec + 24):
+            x = bs + w * w
+            W = (Vp(x) - M(x) * _sqrt_sigma_signed(mu, x)) / 2
+            v = 2 * w * (W - T / x)
+        return +v
 
     finite = integrate_doubling(integrand, 0, mp.sqrt(X - bs), max_panels=256)
     return mu.V(bs) - 2 * T * mp.log(bs) + 2 * (finite + tail)

@@ -129,15 +129,6 @@ def monic_from_roots(roots):
     return p
 
 
-def deflate(p: Poly, root):
-    """The quotient p(x) / (x - root) by synthetic division, the remainder
-    p(root) dropped: for a root of p, the product of its other factors."""
-    q = [p.c[-1]]
-    for ck in reversed(p.c[1:-1]):
-        q.append(ck + root * q[-1])
-    return Poly(reversed(q))
-
-
 # ----------------------------------------------------------------------------
 # Laurent expansions of f/sqrt(sigma) at infinity
 # ----------------------------------------------------------------------------
@@ -147,10 +138,10 @@ def sqrt_sigma_tail(sigma, jmax, alpha=None):
 
     With ``alpha=-0.5`` returns instead the series of x^s/sqrt(sigma).
 
-    `laurent_split` splits it in three places: V' and T_c from M sqrt(x^2-4)
-    (`potentials.build_potential`), the moment conditions from V'/sqrt(sigma)
-    (`equilibrium._moments`) and W's tail from M sqrt(sigma)
-    (`equilibrium.veff_const_bs`).
+    `laurent_split` splits it in two places: V' and T_c from M sqrt(x^2-4)
+    (`potentials.build_potential`) and W's tail from M sqrt(sigma)
+    (`equilibrium.veff_const_bs`). The moment conditions of the cut solves
+    take the same recurrence in fixed point (`equilibrium._fixed_series`).
 
     sigma / x^{2s} = 1 + sum_{k=1}^{2s} w_k x^-k, and J.C.P. Miller's
     recurrence for the power (1 + w)^alpha of a series,

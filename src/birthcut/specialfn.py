@@ -15,11 +15,13 @@ Every elliptic integral here comes from one arithmetic-geometric mean
 (`agm_integrals`): the complete K, E and Pi, and, through the descending
 Landen amplitude that rides on the same sequence, the incomplete F and E of
 the two-cut abelian map (see `equilibrium`). No Carlson-form or other
-second route is used. The sequence runs in fixed point on Python integers,
-with guard bits sized from the inputs so that each result rounds as the
-same sequence in mpf at 20 guard bits does; only its closing formulas are
-mpf operations. The module also owns the conventions and the one real
-theta1 series behind `theta1_axis` and `theta1_prime0`.
+second route is used. The sequence runs in fixed point on Python integers
+(`agm_fixed`), with guard bits sized from the inputs so that each result
+rounds as the same sequence in mpf at 20 guard bits does; only the closing
+formulas of `agm_integrals` are mpf operations, and the two-cut Newton
+evaluation (`equilibrium._gap_moments`) closes them in integers. The module
+also owns the conventions and the one real theta1 series behind
+`theta1_axis` and `theta1_prime0`.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ def agm_integrals(mc, n=None, amplitude=None) -> AGMIntegrals:
         W = mp.prec + 32 + max(0, -mp.mag(mc))
         if n is not None:
             W += max(0, -mp.mag(1 - n))
+        xy = None
         if amplitude is not None:
             x, y = (mpf(v) for v in amplitude)
             if x < 0 or y < 0 or not (x or y):
@@ -95,42 +98,12 @@ def agm_integrals(mc, n=None, amplitude=None) -> AGMIntegrals:
                 W += max(0, mp.mag(x) - mp.mag(y))
             # a shared power of 2 puts the larger coordinate at W bits
             scale = W - max(mp.mag(x), mp.mag(y))
-            x, y = to_fixed(x._mpf_, scale), to_fixed(y._mpf_, scale)
-            turns = 0               # phi_j = atan2(y, x) + turns pi
-            e_sum = 0
+            xy = to_fixed(x._mpf_, scale), to_fixed(y._mpf_, scale)
         one = 1 << W
-        tol = 1 << (W - mp.prec)
-        a, g = one, isqrt(to_fixed(mc._mpf_, 2 * W))
-        if n is not None:
-            p2 = one - to_fixed(n._mpf_, W)
-            p = isqrt(p2 << W)
-            q = qsum = one
-        csum = (one - to_fixed(mc._mpf_, W)) >> 1
-        for steps in range(1, mp.prec + 1):
-            ag = a * g >> W
-            if n is not None:
-                q = q * (p2 - ag) // (2 * (p2 + ag))
-                p = ((p2 + ag) << W) // (2 * p)
-                p2 = p * p >> W
-                qsum += q
-            c = (a - g) >> 1
-            if amplitude is not None:
-                x, y, rising = a * x * x - g * y * y, (a + g) * x * y, y > 0
-                turns *= 2
-                if x < 0:           # phi_j passed an odd multiple of pi/2
-                    x, y = -x, -y
-                    turns += 1 if rising else -1
-                shift = max(x.bit_length(), y.bit_length()) - W
-                x, y = x >> shift, y >> shift
-                c_sin = c * ((y << W) // isqrt(x * x + y * y)) >> W
-                e_sum += c_sin if turns % 2 == 0 else -c_sin
-            a, g = (a + g) >> 1, isqrt(a * g)
-            csum += c * c << (steps - 1) >> W
-            if abs(c) <= tol and (n is None or abs(q) <= tol):
-                break
-        else:
-            raise ConvergenceError("AGM did not converge for mc = %s"
-                                   % mp.nstr(mc, 8))
+        a, csum, qsum, steps, landen = agm_fixed(
+            W, isqrt(to_fixed(mc._mpf_, 2 * W)),
+            (one - to_fixed(mc._mpf_, W)) >> 1, 1 << (W - mp.prec),
+            None if n is None else one - to_fixed(n._mpf_, W), xy)
         a = _from_fixed(a, W)
         K = mp.pi / (2 * a)
         E = K * _from_fixed(one - csum, W)
@@ -138,9 +111,62 @@ def agm_integrals(mc, n=None, amplitude=None) -> AGMIntegrals:
         if n is not None:
             Pi = mp.pi / (4 * a) * (2 + n / (1 - n) * _from_fixed(qsum, W))
         if amplitude is not None:
+            x, y, turns, e_sum = landen
             F = mp.ldexp(mp.atan2(y, x) + turns * mp.pi, -steps) / a
             E_phi = E / K * F + _from_fixed(e_sum, W)
     return AGMIntegrals(*(v if v is None else +v for v in (K, E, Pi, F, E_phi)))
+
+
+def agm_fixed(W, g, csum, tol, p2=None, xy=None):
+    """The AGM sequence of `agm_integrals` on W-bit fixed-point integers:
+    a_0 = 1, g_0 = g 2^-W = sqrt(mc) and csum = (m/2) 2^W; with
+    p2 = (1 - n) 2^W also the Pi sum, and with xy = (x, y), integers of
+    about W bits, the Landen amplitude phi = atan2(y, x). Stops once
+    |c_j| and |Q_j| are at most tol; ConvergenceError after W steps.
+
+    Returns (a, csum, qsum, steps, landen) over 2^W: a the mean,
+    csum = sum_j 2^(j-1) c_j^2, qsum = sum_j Q_j (None without p2), and
+    landen = (x, y, turns, e_sum) (None without xy), phi_steps =
+    atan2(y, x) + turns pi and e_sum = sum_{j>=1} +-c_j sin phi_j. The
+    caller forms K = pi/(2 a) and the rest (`agm_integrals` in mpf,
+    `equilibrium._gap_moments` in integers)."""
+    one = 1 << W
+    a = one
+    qsum = landen = None
+    if p2 is not None:
+        p = isqrt(p2 << W)
+        q = qsum = one
+    if xy is not None:
+        x, y = xy
+        turns = 0               # phi_j = atan2(y, x) + turns pi
+        e_sum = 0
+    for steps in range(1, W + 1):
+        ag = a * g >> W
+        if p2 is not None:
+            q = q * (p2 - ag) // (2 * (p2 + ag))
+            p = ((p2 + ag) << W) // (2 * p)
+            p2 = p * p >> W
+            qsum += q
+        c = (a - g) >> 1
+        if xy is not None:
+            x, y, rising = a * x * x - g * y * y, (a + g) * x * y, y > 0
+            turns *= 2
+            if x < 0:           # phi_j passed an odd multiple of pi/2
+                x, y = -x, -y
+                turns += 1 if rising else -1
+            shift = max(x.bit_length(), y.bit_length()) - W
+            x, y = x >> shift, y >> shift
+            c_sin = c * ((y << W) // isqrt(x * x + y * y)) >> W
+            e_sum += c_sin if turns % 2 == 0 else -c_sin
+        a, g = (a + g) >> 1, isqrt(a * g)
+        csum += c * c << (steps - 1) >> W
+        if abs(c) <= tol and (p2 is None or abs(q) <= tol):
+            break
+    else:
+        raise ConvergenceError("AGM did not converge in %d steps" % W)
+    if xy is not None:
+        landen = x, y, turns, e_sum
+    return a, csum, qsum, steps, landen
 
 
 def _from_fixed(v, W):

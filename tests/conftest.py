@@ -9,6 +9,7 @@ mp.dps = 40
 from birthcut.equilibrium import _u_from_inf_two_cut
 from birthcut.modelchain import build_chain
 from birthcut.oracle import build_rec_chain
+from birthcut.poly import laurent_split, monic_from_roots, sqrt_sigma_tail
 from birthcut.potentials import make_quartic_spec, make_spec
 from birthcut.quadrature import ConvergenceError
 from birthcut.specialfn import agm_integrals
@@ -174,6 +175,67 @@ def agm_reference(mc, n=None, amplitude=None):
             F = mp.ldexp(mp.atan2(y, x) + turns * mp.pi, -steps) / a
             E_phi = E / K * F + e_sum
     return tuple(v if v is None else +v for v in (K, E, Pi, F, E_phi))
+
+
+def cut_system_reference(Vp, T, x):
+    """(r, J, M) of `equilibrium._cut_system` by the same formulas in plain
+    mpf at the working precision: the reference for its fixed-point
+    evaluation. sigma from its roots, the Laurent split of V'/sqrt(sigma)
+    by `poly.sqrt_sigma_tail` and `laurent_split`, the Jacobian rows by
+    Horner in the endpoints, and at s = 2 the gap moments from
+    `agm_integrals` and the cofactors sigma/(x - e_i) by synthetic
+    division."""
+    s = len(x) // 2
+    sigma = monic_from_roots(x)
+    tail = sqrt_sigma_tail(sigma, Vp.degree + 1, alpha=-mpf(1) / 2)
+    M, c = laurent_split(Vp, tail, s, s + 1)
+    Me = [M(e) for e in x]
+
+    def dc_de(j, i):
+        acc = Me[i]
+        for k in range(1, j):
+            acc = acc * x[i] + c[k]
+        return acc / 2
+
+    J = [[dc_de(j, i) for i in range(2 * s)] for j in range(1, s + 2)]
+    r = list(c[1:s + 2])
+    r[s] -= 2 * T
+    if s == 2:
+        P = M * sigma
+        I = gap_moments_reference(x, sigma, len(P))
+        r.append(mp.fsum(p * Ik for p, Ik in zip(P.c, I)))
+        row = []
+        for i, e in enumerate(x):
+            q = [sigma.c[-1]]
+            for ck in reversed(sigma.c[1:-1]):
+                q.append(ck + e * q[-1])
+            row.append(-Me[i] / 2 * mp.fsum(
+                qk * Ik for qk, Ik in zip(reversed(q), I)))
+        J.append(row)
+    return r, J, M
+
+
+def gap_moments_reference(endpoints, sigma, count):
+    """I_0..I_{count-1} of `equilibrium._gap_moments` in mpf: the closed
+    forms on K, E, Pi(alpha^2 | k^2) of `agm_integrals` and the recurrence
+    from integral_b^c d/dt [t^j sqrt(sigma)] dt = 0."""
+    a, b, c, d = endpoints
+    ca, db, ba = c - a, d - b, b - a
+    k2 = (c - b) * (d - a) / (ca * db)
+    n = (c - b) / ca
+    K, E, Pi = agm_integrals(ba * (d - c) / (ca * db), n)[:3]
+    g = 2 / mp.sqrt(ca * db)
+    J0, J1 = g * K, g * ba * Pi
+    J2 = g * ba * ba * (n * E + (k2 - n) * K
+                        + (2 * n * k2 + 2 * n - n * n - 3 * k2) * Pi) \
+        / (2 * (n - 1) * (k2 - n))
+    moments = [J0, J1 + a * J0, J2 + 2 * a * J1 + a * a * J0]
+    s = sigma.c
+    for j in range(count - 3):
+        acc = mp.fsum((j + mpf(i) / 2) * s[i] * moments[i + j - 1]
+                      for i in range(0 if j else 1, 4))
+        moments.append(-acc / (j + 2))
+    return moments[:count]
 
 
 def ln_factorial(n: int):

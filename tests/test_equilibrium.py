@@ -5,6 +5,7 @@ import dataclasses
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import to_fixed
 
 from birthcut import equilibrium, kvio, quadrature
 from birthcut.equilibrium import (ConvergenceError, PhaseError, abelian_objects,
@@ -15,12 +16,12 @@ from birthcut.equilibrium import (ConvergenceError, PhaseError, abelian_objects,
                                   prime_form_one_cut, solve_one_cut,
                                   solve_two_cut, thermo_derivatives,
                                   veff_const_bs)
-from birthcut.poly import (Poly, deflate, laurent_split, monic_from_roots,
+from birthcut.poly import (Poly, laurent_split, monic_from_roots,
                            sqrt_sigma_tail)
 from birthcut.quadrature import integrate_bracket, integrate_doubling
 from birthcut.critical import one_cut_drift, two_cut_guess
-from conftest import (gamma_jtheta, lambda_jtheta, quartic, sn_cn_dn, spec_nu,
-                      u_direct)
+from conftest import (cut_system_reference, gamma_jtheta, lambda_jtheta,
+                      quartic, sn_cn_dn, spec_nu, u_direct)
 
 
 def gamma_from_lambda_limit(mu, x=None):
@@ -144,6 +145,16 @@ def test_gap_period_bracket_converges_in_few_doublings():
     assert calls[0] <= 32 * (1 + 2 + 4 + 8)
 
 
+def _fixed_sigma(ends):
+    """(W, X, S): the width `_cut_system` takes at these endpoints, the
+    endpoints and the coefficients of their sigma over 2^W."""
+    W = mp.prec + equilibrium.GAP_GUARD_BITS
+    if len(ends) == 4:
+        W += equilibrium._narrow_bits(ends)
+    X = [to_fixed(mpf(v)._mpf_, W) for v in ends]
+    return W, X, equilibrium._fixed_monic(X, W)
+
+
 def test_gap_moments_match_bracket_quadrature():
     # the closed-form gap condition sum_k p_k I_k against the cosine-rule
     # quadrature of M sqrt(sigma) at 50 digits, as the new cut shrinks
@@ -152,13 +163,14 @@ def test_gap_moments_match_bracket_quadrature():
     for that in ("1e-3", "1e-4", "1e-5", "1e-6"):
         ends = two_cut_guess(spec, mpf(that) * spec.Tc)
         a, b, c, d = ends
-        M, _ = equilibrium._moments(spec.V.deriv(), monic_from_roots(ends))
-        with mp.workprec(mp.prec + equilibrium.GAP_GUARD_BITS):
-            sigma = monic_from_roots(ends)
-            P = M * sigma
-            terms = [p * I for p, I in
-                     zip(P.c, equilibrium._gap_moments(ends, sigma, len(P)))]
-            gap, scale = mp.fsum(terms), mp.fsum(terms, absolute=True)
+        r, _, M = equilibrium._cut_system(spec.V.deriv(), spec.Tc, list(ends))
+        gap = r[3]
+        W, X, S = _fixed_sigma(ends)
+        with mp.workprec(W):
+            P = M * monic_from_roots(ends)
+            I = [mp.ldexp(v, -W) for v in equilibrium._gap_moments(
+                X, S, len(P), W)]
+            scale = mp.fsum((p * Ik for p, Ik in zip(P.c, I)), absolute=True)
         with mp.workdps(50):
             ref = integrate_bracket(
                 lambda x: M(x) * mp.sqrt((x - a) * (d - x)) * (x - b) * (c - x),
@@ -176,33 +188,91 @@ def _endpoint_sets():
 
 @pytest.mark.parametrize("s", [1, 2])
 def test_moments_equal_a_long_tail_split(s):
-    # _moments expands V'/sqrt(sigma) only to the c_{s+1} the cut system
-    # reads; a tail six terms longer, split to c_6, gives the same M and
-    # c_1..c_{s+1} bit for bit
+    # the cut system expands V'/sqrt(sigma) only to the c_{s+1} it reads;
+    # a tail six terms longer, split to c_6 in mpf at 80 digits, gives the
+    # same M to 2^-(prec-8) relative and c_1..c_{s+1} (the residual at
+    # T = 0) to 2^-(prec-4)
     for spec, ends in _endpoint_sets():
         ends = ends if s == 2 else ends[:2]
-        Vp, sigma = spec.V.deriv(), monic_from_roots(ends)
-        tail = sqrt_sigma_tail(sigma, 6 + Vp.degree + s, alpha=-mpf(1) / 2)
-        M_ref, c_ref = laurent_split(Vp, tail, s, 6)
-        M, c = equilibrium._moments(Vp, sigma)
-        assert M == M_ref
-        assert c[1:s + 2] == c_ref[1:s + 2]
+        Vp = spec.V.deriv()
+        r, _, M = equilibrium._cut_system(Vp, mpf(0), ends)
+        prec = mp.prec
+        with mp.workdps(80):
+            tail = sqrt_sigma_tail(monic_from_roots(ends), 6 + Vp.degree + s,
+                                   alpha=-mpf(1) / 2)
+            M_ref, c_ref = laurent_split(Vp, tail, s, 6)
+            assert len(M) == len(M_ref)
+            assert all(abs(u - v) <= mp.ldexp(abs(v), 8 - prec)
+                       for u, v in zip(M.c, M_ref.c))
+            assert all(abs(u - v) <= mp.ldexp(1, 4 - prec)
+                       for u, v in zip(r[:s + 1], c_ref[1:s + 2]))
 
 
 def test_gap_row_cofactors_by_synthetic_division():
     # sigma/(x - e_i) by deflation against the product of the other three
-    # factors, at the gap row's precision
-    tol = mpf(2) ** -(mp.prec + 28)
+    # factors, in the gap row's fixed point: within 16 units of 2^-W of
+    # the cofactor's largest coefficient
     for _, ends in _endpoint_sets():
-        with mp.workprec(mp.prec + equilibrium.GAP_GUARD_BITS):
-            sigma = monic_from_roots(ends)
-            for i, e in enumerate(ends):
-                ref = monic_from_roots(ends[:i] + ends[i + 1:])
-                got = deflate(sigma, e)
-                assert len(got) == len(ref) == 4
-                scale = max(abs(v) for v in ref.c)
-                assert max(abs(g - r) for g, r in zip(got.c, ref.c)) \
-                    <= tol * scale, (ends, i)
+        W, X, S = _fixed_sigma(ends)
+        for i, E in enumerate(X):
+            ref = equilibrium._fixed_monic(X[:i] + X[i + 1:], W)
+            got = equilibrium._fixed_deflate(S, E, W)
+            assert len(got) == len(ref) == 4
+            bound = 16 * max(abs(v) for v in ref) >> W
+            assert max(abs(g - r) for g, r in zip(got, ref)) <= bound, \
+                (ends, i)
+
+
+def _narrow_gap_endpoints():
+    """The phi_e = 0.62 two-cut solve at t/T_c = 1.58e-3, just below t*
+    (ROADMAP item 9), reached by continuation from the guess at 1e-3:
+    m = 0.96, c - b = 0.014."""
+    spec = quartic("0.62")
+    ends = two_cut_guess(spec, mpf("1e-3") * spec.Tc)
+    for that in ("1e-3", "1.3e-3", "1.45e-3", "1.52e-3", "1.56e-3", "1.58e-3"):
+        T = spec.Tc * (1 + mpf(that))
+        ends = solve_two_cut(spec.V, T, ends).endpoints
+    return spec, T, list(ends)
+
+
+def _system_cases():
+    """(name, V', T, x) for the fixed-point system against its mpf
+    reference: both cut counts at phi_e in {0.62, 1.0, 1.3} and t/T_c in
+    {1e-6, 1e-4, 1e-3} (one-cut below T_c from the first-order drift,
+    two-cut above from `two_cut_guess`), the narrow gap just below t* and
+    nu = 2, e = 5.0 at t/T_c = 1e-4."""
+    for phi_e in ("0.62", "1.0", "1.3"):
+        spec = quartic(phi_e)
+        for that in ("1e-6", "1e-4", "1e-3"):
+            t = mpf(that) * spec.Tc
+            drift = one_cut_drift(spec, -t)
+            yield ("one-cut %s %s" % (phi_e, that), spec.V.deriv(),
+                   spec.Tc - t, [drift["a"], drift["b"]])
+            yield ("two-cut %s %s" % (phi_e, that), spec.V.deriv(),
+                   spec.Tc + t, list(two_cut_guess(spec, t)))
+    spec, T, ends = _narrow_gap_endpoints()
+    yield "two-cut 0.62 1.58e-3", spec.V.deriv(), T, ends
+    spec = spec_nu(2, "5.0")
+    t = mpf("1e-4") * spec.Tc
+    yield "two-cut nu=2 1e-4", spec.V.deriv(), spec.Tc + t, \
+        list(two_cut_guess(spec, t))
+
+
+def test_cut_system_matches_mpf_at_80_digits():
+    # the fixed-point evaluation against the same system in mpf at 80
+    # digits: residual rows within 2^-(prec-4) max(T, 1), every Jacobian
+    # entry and M's coefficients within 2^-(prec-8) relative
+    prec = mp.prec
+    for name, Vp, T, x in _system_cases():
+        r, J, M = equilibrium._cut_system(Vp, T, x)
+        with mp.workdps(80):
+            r_ref, J_ref, M_ref = cut_system_reference(Vp, T, x)
+            assert len(r) == len(r_ref) and len(M) == len(M_ref), name
+            tol = mp.ldexp(max(T, 1), 4 - prec)
+            assert all(abs(u - v) <= tol for u, v in zip(r, r_ref)), name
+            for got, ref in [(M.c, M_ref.c)] + list(zip(J, J_ref)):
+                assert all(abs(u - v) <= mp.ldexp(abs(v), 8 - prec)
+                           for u, v in zip(got, ref)), name
 
 
 # endpoints of the A9 solves (phi_e = 1.0, t/Tc = 1e-3 and 1e-4) as the
@@ -468,11 +538,13 @@ def _veff_measures():
 
 def test_veff_const_bs_matches_the_product_route():
     # values of the earlier route, which multiplied the series of sqrt(sigma)
-    # by the c_j of V'/sqrt(sigma) up to j = 46, at 40 digits; the two-cut
-    # value is this route's on an 80-digit solve, at 80 digits
-    earlier = ["7.131030771325478962430792836668651711967087",
+    # by the c_j of V'/sqrt(sigma) up to j = 46, at 40 digits on these
+    # one-cut measures (the finite part, shared by both routes, with its
+    # integrand at 24 guard bits); the two-cut value is this route's on an
+    # 80-digit solve, at 80 digits
+    earlier = ["7.131030771325478962430792836668651712425897",
                "7.130242759839804193191724826052794497449868",
-               "17.80119239550302720917259453609043298121796"]
+               "17.80119239550302720917259453609043298382168"]
     for mu, ref in zip(_veff_measures(), earlier):
         assert abs(veff_const_bs(mu) - mpf(ref)) <= mpf("1e-38") * mpf(ref)
 
@@ -699,16 +771,17 @@ def test_effective_potential_vanishes_at_every_endpoint():
 
 
 def test_two_cut_solve_forms_one_moment_set_per_newton_step(monkeypatch):
-    # 6 Newton steps: the guess, one evaluation per accepted step and no
-    # separate M at the solution; forward differences made 27 calls
+    # 6 Newton steps: the guess, one evaluation per accepted step, each
+    # with one Laurent series of V'/sqrt(sigma), and no separate M at the
+    # solution; forward differences made 27 evaluations
     calls = []
-    split = equilibrium.laurent_split
+    series = equilibrium._fixed_series
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return split(*args, **kwargs)
+        return series(*args)
 
-    monkeypatch.setattr(equilibrium, "laurent_split", counted)
+    monkeypatch.setattr(equilibrium, "_fixed_series", counted)
     spec = quartic("1.0")
     t = mpf("3e-4") * spec.Tc
     mu = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
@@ -737,24 +810,25 @@ def test_cut_solves_reach_the_working_precision():
 
 @pytest.mark.parametrize("s", [1, 2])
 def test_cut_system_forms_sigma_once(monkeypatch, s):
-    # one sigma per evaluation, at the gap row's precision, feeds both the
+    # one sigma per evaluation, at the gap row's width, feeds both the
     # Laurent moments and (s = 2) the gap row
-    calls = []
-    monic = equilibrium.monic_from_roots
-
-    def counted(roots):
-        calls.append(mp.prec)
-        return monic(roots)
-
-    monkeypatch.setattr(equilibrium, "monic_from_roots", counted)
     spec = quartic("1.0")
     t = mpf("1e-4") * spec.Tc
     if s == 1:
         T, x = spec.Tc - t, [mpf("-2.01"), mpf("1.99")]
     else:
         T, x = spec.Tc + t, list(two_cut_guess(spec, t))
+    width = _fixed_sigma(x)[0]
+    calls = []
+    monic = equilibrium._fixed_monic
+
+    def counted(X, W):
+        calls.append(W)
+        return monic(X, W)
+
+    monkeypatch.setattr(equilibrium, "_fixed_monic", counted)
     equilibrium._cut_system(spec.V.deriv(), T, x)
-    assert calls == [mp.prec + equilibrium.GAP_GUARD_BITS]
+    assert calls == [width]
 
 
 def _density_verdict_mpf(mu):

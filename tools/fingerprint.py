@@ -10,7 +10,8 @@ three model chains; the oracle's point evaluators at fixed points (psi with
 n rising, repeated and falling, both kernel forms, phi and the count) and
 the model chain's psi lists and Hilbert pairs; the `asymptotics` forms on
 the A10a grid; two one-cut measures with their V_eff(b_s); three two-cut
-quartic measures with their gamma, Lambda and `kvio` text; the stdout of
+quartic measures with their gamma, Lambda and `kvio` text; the endpoints,
+Newton steps and residuals of the 30-solve Newton corpus; the stdout of
 six CLI commands run through `cli.main`; and the 64-point Gauss-Legendre
 rule at 136-512 bits by every start path, with the model chain's
 principal-value sums `pihat_direct` at fixed points.
@@ -174,6 +175,23 @@ def two_cut():
     emit("two-cut", "\n".join(values))
 
 
+def newton_corpus():
+    """The 30 cut solves of the Newton corpus: quartic phi_e in
+    {1.0, 0.62, 1.3} at t/T_c in {1e-5, 3e-5, 1e-4, 3e-4, 1e-3}, one-cut
+    below T_c from (-2, 2) and two-cut above from `two_cut_guess`: the
+    endpoints, Newton steps and residual of each, in one line."""
+    values = []
+    for phi_e in ("1.0", "0.62", "1.3"):
+        spec = make_quartic_spec(mpf(phi_e))
+        for that in ("1e-5", "3e-5", "1e-4", "3e-4", "1e-3"):
+            t = mpf(that) * spec.Tc
+            guess = critical.two_cut_guess(spec, t)
+            for mu in (equilibrium.solve_one_cut(spec.V, spec.Tc - t, (-2, 2)),
+                       equilibrium.solve_two_cut(spec.V, spec.Tc + t, guess)):
+                values.append([mu.endpoints, mu.newton_steps, mu.residual])
+    emit("newton corpus", values)
+
+
 COMMANDS = (
     ["chain", "--kmax", "8"],
     ["psi", "--phi-e", "1.05", "--N", "80", "--u", "1.3", "--with-oracle"],
@@ -228,6 +246,7 @@ def main():
     a10a()
     one_cut()
     two_cut()
+    newton_corpus()
     commands()
     rules()
 
