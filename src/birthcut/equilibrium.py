@@ -99,13 +99,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, pi_fixed, round_nearest, to_fixed
+from mpmath.libmp import pi_fixed, to_fixed
 
 from .poly import (Poly, _float_horner, laurent_split, monic_from_roots,
                    sqrt_sigma_tail)
 from .quadrature import (GUARD_BITS, ConvergenceError, integrate_bracket,
                          integrate_doubling)
-from .specialfn import agm_fixed, agm_integrals, theta1_axis, theta1_prime0
+from .specialfn import (_from_fixed, agm_fixed, agm_integrals, theta1_axis,
+                        theta1_prime0)
 
 # extra bits for sigma and the gap condition, whose terms p_k I_k are
 # thousands of times larger than their sum, which Newton drives to 0
@@ -176,15 +177,6 @@ class EqMeasure:
 # ----------------------------------------------------------------------------
 # moment conditions via Laurent data
 # ----------------------------------------------------------------------------
-
-def _dc_de(Me, c, j, E, W):
-    """2 dc_j/de over 2^W at the endpoint E 2^-W, given Me = M(e) and the
-    c_l over 2^W: e^{j-1} M(e) + sum_{l<j} c_l e^{j-1-l}, by Horner."""
-    acc = Me
-    for l in range(1, j):
-        acc = (acc * E >> W) + c[l]
-    return acc
-
 
 def _lu_solve(A, b):
     """x with A x = b for a small square A: Gaussian elimination with
@@ -292,23 +284,24 @@ def _cut_system(Vp: Poly, T, x):
                       for k in range(max(0, s - l), D + 1)) >> W
                   for l in range(1, s + 2)]
     Me = [_fixed_horner(M, E, W) for E in X]
-    rows = [[_dc_de(Me[i], c, j, E, W) for i, E in enumerate(X)]
-            for j in range(1, s + 2)]
+    # 2 dc_j/de_i = e_i^{j-1} M(e_i) + sum_{l<j} c_l e_i^{j-1-l}
+    J = [[_from_fixed(_fixed_horner(c[j - 1:0:-1] + [Me[i]], E, W), W + 1)
+          for i, E in enumerate(X)] for j in range(1, s + 2)]
     r = c[1:]
     r[s] -= 2 * to_fixed(T._mpf_, W)
-    r = [_rounded(v, W) for v in r]
-    J = [[_rounded(v, W + 1) for v in row] for row in rows]
+    r = [_from_fixed(v, W) for v in r]
     if s == 2:
         # integral_b^c M sqrt(sigma) = sum_k p_k I_k, P = M sigma; its
         # e_i-derivative is -(M(e_i)/2) sum_k q_k I_k, q = sigma/(x - e_i)
-        P = [sum(M[k - i] * S[i] for i in range(max(0, k - len(M) + 1),
-                                                 min(k, 4) + 1)) >> W
-             for k in range(len(M) + 4)]
+        P = [0] * (len(M) + 4)
+        for i, m in enumerate(M):
+            for k, sk in enumerate(S):
+                P[i + k] += m * sk
         I = _gap_moments(X, S, len(P), W)
-        r.append(_rounded(sum(p * Ik for p, Ik in zip(P, I)), 2 * W))
-        J.append([_rounded(-Me[i] * sum(q * Ik for q, Ik in zip(
+        r.append(_from_fixed(sum(p * Ik for p, Ik in zip(P, I)), 3 * W))
+        J.append([_from_fixed(-Me[i] * sum(q * Ik for q, Ik in zip(
             _fixed_deflate(S, E, W), I)), 3 * W + 1) for i, E in enumerate(X)])
-    return r, J, Poly([_rounded(v, W) for v in M])
+    return r, J, Poly([_from_fixed(v, W) for v in M])
 
 
 def _narrow_bits(x):
@@ -321,12 +314,6 @@ def _narrow_bits(x):
     scale = (c - a) * (d - b)
     return sum(max(0, -math.frexp(v / scale)[1])
                for v in ((b - a) * (d - c), (c - b) * (b - a)))
-
-
-def _rounded(v, bits):
-    """The fixed-point integer v over 2^bits as an mpf, rounded to nearest
-    at the working precision."""
-    return mp.make_mpf(from_man_exp(v, -bits, mp.prec, round_nearest))
 
 
 def _fixed_monic(X, W):

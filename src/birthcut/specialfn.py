@@ -30,7 +30,7 @@ from math import isqrt
 from typing import NamedTuple, Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .quadrature import ConvergenceError
 
@@ -172,7 +172,7 @@ def agm_fixed(W, g, csum, tol, p2=None, xy=None):
 def _from_fixed(v, W):
     """The W-bit fixed-point integer v as an mpf, rounded to nearest at the
     working precision."""
-    return mp.ldexp(mpf(v), -W)
+    return mp.make_mpf(from_man_exp(v, -W, mp.prec, round_nearest))
 
 
 def _theta1_axis_series(tau, c, w0):
