@@ -108,8 +108,9 @@ from .quadrature import (GUARD_BITS, ConvergenceError, integrate_bracket,
 from .specialfn import (_from_fixed, agm_fixed, agm_integrals, theta1_axis,
                         theta1_prime0)
 
-# extra bits for sigma and the gap condition, whose terms p_k I_k are
-# thousands of times larger than their sum, which Newton drives to 0
+# fraction bits of the cut system's fixed point beyond the working
+# precision: the gap condition's terms p_k I_k are thousands of times
+# larger than their sum, which Newton drives to 0
 GAP_GUARD_BITS = 32
 NEWTON_STEPS = 40                      # step cap of either cut solve
 
@@ -306,10 +307,11 @@ def _cut_system(Vp: Poly, T, x):
 
 def _narrow_bits(x):
     """Guard bits for a narrow newborn cut [c, d] or gap [b, c] at the
-    endpoints x = (a, b, c, d): -log2 of m = (b-a)(d-c)/((c-a)(d-b)), whose
-    square root starts the AGM, and of k^2 - n = (c-b)(b-a)/((c-a)(d-b)),
-    which divides I_2 (`_gap_moments`); each is formed from W-bit
-    endpoints, so its relative error is 2^-W over its size."""
+    endpoints x = (a, b, c, d): -log2 of m = (b-a)(d-c)/((c-a)(d-b)),
+    whose square root starts the AGM, and of k^2 - alpha^2 =
+    (c-b)(b-a)/((c-a)(d-b)), which divides I_2 (`_gap_moments`); each is
+    formed from W-bit endpoints, so its relative error is 2^-W over its
+    size."""
     a, b, c, d = (float(v) for v in x)
     scale = (c - a) * (d - b)
     return sum(max(0, -math.frexp(v / scale)[1])
@@ -670,9 +672,9 @@ def veff_const_bs(mu: EqMeasure):
     Past x = X the integral is summed from W's Laurent tail (module
     docstring); the finite part is integrated with the w^2 substitution at
     b_s. Its integrand is formed at 24 guard bits and rounded once: V' and
-    M sqrt(sigma) agree to about 20 bits at x = X, and at the working
-    precision that cancellation moved V_eff(b_s) by up to 1.5e-37 relative
-    at 40 digits. Requires b_s > 0 (true for every critical model here).
+    M sqrt(sigma) agree to about 20 bits at x = X, a cancellation that at
+    the working precision costs V_eff(b_s) up to about 1.5e-37 relative at
+    40 digits. Requires b_s > 0 (true for every critical model here).
     """
     tail_terms = 40                    # Laurent terms of W - T/x past x = X
     bs = mu.b_s()
