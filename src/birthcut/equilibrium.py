@@ -80,10 +80,11 @@ as the integers it holds and are closed in integers. Each output (r, J and
 M's coefficients) is rounded once to the working precision. W is the
 working precision plus `GAP_GUARD_BITS`, plus at s = 2 the bits that a
 narrow newborn cut or gap costs (`_narrow_bits`): -log2 of
-m = (b-a)(d-c)/((c-a)(d-b)), whose square root starts the AGM, and of
-k^2 - alpha^2 = (c-b)(b-a)/((c-a)(d-b)), which divides I_2. Every endpoint
-difference is exact in fixed point, so those two keep relative error 2^-W
-over their size.
+m = (b-a)(d-c)/((c-a)(d-b)), whose square root starts the AGM, and three
+times -log2 of k^2 - alpha^2 = (c-b)(b-a)/((c-a)(d-b)), which divides I_2
+and whose gap-row entries at a and d cancel by (c-b)^2. Every endpoint
+difference is exact in fixed point, so m and k^2 - alpha^2 keep relative
+error 2^-W over their size.
 
 W's tail at infinity, summed by `veff_const_bs`, is split off the same kind
 of series: V' is a polynomial, so W's x^{-k} coefficient is -1/2 that of
@@ -307,15 +308,20 @@ def _cut_system(Vp: Poly, T, x):
 
 def _narrow_bits(x):
     """Guard bits for a narrow newborn cut [c, d] or gap [b, c] at the
-    endpoints x = (a, b, c, d): -log2 of m = (b-a)(d-c)/((c-a)(d-b)),
-    whose square root starts the AGM, and of k^2 - alpha^2 =
-    (c-b)(b-a)/((c-a)(d-b)), which divides I_2 (`_gap_moments`); each is
-    formed from W-bit endpoints, so its relative error is 2^-W over its
-    size."""
+    endpoints x = (a, b, c, d), from m = (b-a)(d-c)/((c-a)(d-b)) and
+    g = k^2 - alpha^2 = (c-b)(b-a)/((c-a)(d-b)), each formed from W-bit
+    endpoints with relative error 2^-W over its size.
+
+    -log2 m keeps sqrt(m), which starts the AGM, at full relative accuracy,
+    as `specialfn.agm_integrals` sizes its own W. -log2 g counts three
+    times: g divides I_2 (`_gap_moments`), so every I_k carries an error of
+    2^-W/g, and the gap row's entries at a and d, integrals of
+    (t-b)(t-c) times a smooth factor over [b, c], are O((c-b)^2) against
+    terms p_k I_k of O(1)."""
     a, b, c, d = (float(v) for v in x)
     scale = (c - a) * (d - b)
-    return sum(max(0, -math.frexp(v / scale)[1])
-               for v in ((b - a) * (d - c), (c - b) * (b - a)))
+    return (max(0, -math.frexp((b - a) * (d - c) / scale)[1])
+            + 3 * max(0, -math.frexp((c - b) * (b - a) / scale)[1]))
 
 
 def _fixed_monic(X, W):

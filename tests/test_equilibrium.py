@@ -239,8 +239,10 @@ def _system_cases():
     """(name, V', T, x) for the fixed-point system against its mpf
     reference: both cut counts at phi_e in {0.62, 1.0, 1.3} and t/T_c in
     {1e-6, 1e-4, 1e-3} (one-cut below T_c from the first-order drift,
-    two-cut above from `two_cut_guess`), the narrow gap just below t* and
-    nu = 2, e = 5.0 at t/T_c = 1e-4."""
+    two-cut above from `two_cut_guess`), the narrow gap just below t*,
+    nu = 2, e = 5.0 at t/T_c = 1e-4, and quartic endpoints with a gap or a
+    newborn cut 1e-9 wide (the collision guard allows 1e-10 of the span),
+    where the width W grows by `_narrow_bits`."""
     for phi_e in ("0.62", "1.0", "1.3"):
         spec = quartic(phi_e)
         for that in ("1e-6", "1e-4", "1e-3"):
@@ -256,6 +258,12 @@ def _system_cases():
     t = mpf("1e-4") * spec.Tc
     yield "two-cut nu=2 1e-4", spec.V.deriv(), spec.Tc + t, \
         list(two_cut_guess(spec, t))
+    spec = quartic("1.0")
+    T = spec.Tc * (1 + mpf("1e-4"))
+    for name, ends in (("gap", ("-2", "2", "2.000000001", "3.1")),
+                       ("newborn cut", ("-2", "2", "3", "3.000000001"))):
+        yield "two-cut, %s 1e-9 wide" % name, spec.V.deriv(), T, \
+            [mpf(v) for v in ends]
 
 
 def test_cut_system_matches_mpf_at_80_digits():
