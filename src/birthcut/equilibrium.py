@@ -72,12 +72,12 @@ That evaluation runs in Python-integer fixed point with W fraction bits
 (Brent & Zimmermann, Modern Computer Arithmetic, section 4.8): products
 shifted down by W, quotients by floor division, square roots by
 `math.isqrt`. The endpoints, V' and T are converted once; sigma, Miller's
-series of x^s/sqrt(sigma) (`_fixed_series`, the recurrence of
-`poly.sqrt_sigma_tail`) and its split into M and c_1..c_{s+1}, M(e_i) and
-the Jacobian rows, and at s = 2 the gap moments, P = M sigma and the gap
-row are all integers; K, E and Pi come from one `specialfn.agm_fixed` pass
-as the integers it holds and are closed in integers. Each output (r, J and
-M's coefficients) is rounded once to the working precision. W is the
+series of x^s/sqrt(sigma) and its split into M and c_1..c_{s+1}
+(`poly._fixed_series`, `poly._fixed_split`), M(e_i) and the Jacobian rows,
+and at s = 2 the gap moments, P = M sigma and the gap row are all
+integers; K, E and Pi come from one `specialfn.agm_fixed` pass as the
+integers it holds and are closed in integers. Each output (r, J and M's
+coefficients) is rounded once to the working precision. W is the
 working precision plus `GAP_GUARD_BITS`, plus at s = 2 the bits that a
 narrow newborn cut or gap costs (`_narrow_bits`): -log2 of
 m = (b-a)(d-c)/((c-a)(d-b)), whose square root starts the AGM, and three
@@ -86,9 +86,10 @@ and whose gap-row entries at a and d cancel by (c-b)^2. Every endpoint
 difference is exact in fixed point, so m and k^2 - alpha^2 keep relative
 error 2^-W over their size.
 
-W's tail at infinity, summed by `veff_const_bs`, is split off the same kind
-of series: V' is a polynomial, so W's x^{-k} coefficient is -1/2 that of
-M sqrt(sigma).
+W's tail at infinity, summed by `veff_const_bs`, is split off the same
+integer layer: V' is a polynomial, so W's x^{-k} coefficient is -1/2 that
+of M sqrt(sigma), the split of M against Miller's series of
+sqrt(sigma)/x^s.
 
 Density: rho(x) = M(x) sqrt(-sigma(x)) / (2 pi T) on the support.
 """
@@ -102,12 +103,12 @@ from typing import Optional
 from mpmath import mp, mpf
 from mpmath.libmp import pi_fixed, to_fixed
 
-from .poly import (Poly, _float_horner, laurent_split, monic_from_roots,
-                   sqrt_sigma_tail)
+from .poly import (Poly, _fixed_deflate, _fixed_horner, _fixed_monic,
+                   _fixed_series, _fixed_split, _float_horner, _int_product,
+                   monic_from_roots)
 from .quadrature import (GUARD_BITS, ConvergenceError, integrate_bracket,
                          integrate_doubling)
-from .specialfn import (_from_fixed, agm_fixed, agm_integrals, theta1_axis,
-                        theta1_prime0)
+from .specialfn import agm_fixed, agm_integrals, theta1_axis, theta1_prime0
 
 # fraction bits of the cut system's fixed point beyond the working
 # precision: the gap condition's terms p_k I_k are thousands of times
@@ -276,34 +277,28 @@ def _cut_system(Vp: Poly, T, x):
     W = mp.prec + GAP_GUARD_BITS + (_narrow_bits(x) if s == 2 else 0)
     X = [to_fixed(v._mpf_, W) for v in x]
     vp = [to_fixed(c._mpf_, W) for c in Vp.c]
-    D = len(vp) - 1
     S = _fixed_monic(X, W)
-    t = _fixed_series(S, D + 1, W)
     # V'(x) x^-s sum_j t_j x^-j: M_k at x^k, c_l at x^-l
-    M = [sum(vp[k + s + j] * t[j] for j in range(D - s - k + 1)) >> W
-         for k in range(D - s + 1)]
-    c = [None] + [sum(vp[k] * t[k - s + l]
-                      for k in range(max(0, s - l), D + 1)) >> W
-                  for l in range(1, s + 2)]
+    M, c = _fixed_split(vp, _fixed_series(S, len(vp), W), s, s + 1)
+    M = [v >> W for v in M]
+    c = [v >> W for v in c]
     Me = [_fixed_horner(M, E, W) for E in X]
     # 2 dc_j/de_i = e_i^{j-1} M(e_i) + sum_{l<j} c_l e_i^{j-1-l}
-    J = [[_from_fixed(_fixed_horner(c[j - 1:0:-1] + [Me[i]], E, W), W + 1)
+    J = [[mpf((_fixed_horner(c[j - 1:0:-1] + [Me[i]], E, W), -W - 1))
           for i, E in enumerate(X)] for j in range(1, s + 2)]
     r = c[1:]
     r[s] -= 2 * to_fixed(T._mpf_, W)
-    r = [_from_fixed(v, W) for v in r]
+    r = [mpf((v, -W)) for v in r]
     if s == 2:
         # integral_b^c M sqrt(sigma) = sum_k p_k I_k, P = M sigma; its
         # e_i-derivative is -(M(e_i)/2) sum_k q_k I_k, q = sigma/(x - e_i)
-        P = [0] * (len(M) + 4)
-        for i, m in enumerate(M):
-            for k, sk in enumerate(S):
-                P[i + k] += m * sk
+        P = _int_product(M, S)
         I = _gap_moments(X, S, len(P), W)
-        r.append(_from_fixed(sum(p * Ik for p, Ik in zip(P, I)), 3 * W))
-        J.append([_from_fixed(-Me[i] * sum(q * Ik for q, Ik in zip(
-            _fixed_deflate(S, E, W), I)), 3 * W + 1) for i, E in enumerate(X)])
-    return r, J, Poly([_from_fixed(v, W) for v in M])
+        r.append(mpf((sum(p * Ik for p, Ik in zip(P, I)), -3 * W)))
+        J.append([mpf((-Me[i] * sum(q * Ik for q, Ik in zip(
+            _fixed_deflate(S, E, W), I)), -3 * W - 1))
+                  for i, E in enumerate(X)])
+    return r, J, Poly([mpf((v, -W)) for v in M])
 
 
 def _narrow_bits(x):
@@ -322,50 +317,6 @@ def _narrow_bits(x):
     scale = (c - a) * (d - b)
     return (max(0, -math.frexp((b - a) * (d - c) / scale)[1])
             + 3 * max(0, -math.frexp((c - b) * (b - a) / scale)[1]))
-
-
-def _fixed_monic(X, W):
-    """The coefficients over 2^W, ascending, of the monic polynomial with
-    the roots X 2^-W."""
-    S = [1 << W]
-    for R in X:
-        S = ([-(R * S[0] >> W)]
-             + [S[k - 1] - (R * S[k] >> W) for k in range(1, len(S))]
-             + [S[-1]])
-    return S
-
-
-def _fixed_series(S, terms, W):
-    """t_0..t_terms over 2^W of x^s/sqrt(sigma) = sum_n t_n x^-n, for the
-    monic sigma of degree 2s with coefficients S over 2^W: J.C.P. Miller's
-    recurrence of `poly.sqrt_sigma_tail` at alpha = -1/2,
-    t_n = -(1/2n) sum_{k=1}^{min(n, 2s)} (2n - k) w_k t_{n-k}, w_k the
-    x^{2s-k} coefficient of sigma."""
-    d = len(S) - 1
-    t = [1 << W]
-    for n in range(1, terms + 1):
-        acc = sum((2 * n - k) * S[d - k] * t[n - k]
-                  for k in range(1, min(n, d) + 1))
-        t.append(-acc // (n << W + 1))
-    return t
-
-
-def _fixed_horner(C, E, W):
-    """The polynomial with coefficients C over 2^W, ascending, at E 2^-W."""
-    acc = 0
-    for ck in reversed(C):
-        acc = (acc * E >> W) + ck
-    return acc
-
-
-def _fixed_deflate(S, E, W):
-    """The quotient of the polynomial S over 2^W by x - E 2^-W, synthetic
-    division with the remainder dropped: for a root, the product of the
-    other factors."""
-    q = [S[-1]]
-    for ck in reversed(S[1:-1]):
-        q.append(ck + (E * q[-1] >> W))
-    return q[::-1]
 
 
 def _solve(V: Poly, T, guess) -> EqMeasure:
@@ -511,7 +462,7 @@ def normalization(mu: EqMeasure):
     the root by `math.isqrt`, and the value is rounded once."""
     eps = mu.endpoints
     W = mp.prec + GUARD_BITS
-    M = [to_fixed(c._mpf_, W) for c in reversed(mu.M.c)]
+    M = [to_fixed(c._mpf_, W) for c in mu.M.c]
     total = mpf(0)
     for cut in range(mu.s):
         lo, hi = eps[2 * cut], eps[2 * cut + 1]
@@ -521,9 +472,7 @@ def normalization(mu: EqMeasure):
 
         def integrand(x):
             X = to_fixed(x._mpf_, W)
-            m = 0
-            for c in M:
-                m = (m * X >> W) + c
+            m = _fixed_horner(M, X, W)
             rest = 1 << W
             for R in others:
                 rest = rest * abs(X - R) >> W
@@ -677,29 +626,40 @@ def veff_const_bs(mu: EqMeasure):
 
     Past x = X the integral is summed from W's Laurent tail (module
     docstring); the finite part is integrated with the w^2 substitution at
-    b_s. Its integrand is formed at 24 guard bits and rounded once: V' and
-    M sqrt(sigma) agree to about 20 bits at x = X, a cancellation that at
-    the working precision costs V_eff(b_s) up to about 1.5e-37 relative at
-    40 digits. Requires b_s > 0 (true for every critical model here).
+    b_s. Both read M at 24 guard bits, re-derived from V' and the endpoints
+    by the integer split of `_cut_system` (`poly._fixed_split`), which also
+    gives W's tail from the integer series of sqrt(sigma)/x^s. The
+    integrand is formed at the same 24 guard bits and rounded once: V' and
+    M sqrt(sigma) agree to about 20 bits at x = X, and the integrand grows
+    like x^3 up to X, so M or the integrand at the working precision would
+    cost V_eff(b_s) up to about 4e-37 relative at 40 digits. Requires
+    b_s > 0 (true for every critical model here).
     """
     tail_terms = 40                    # Laurent terms of W - T/x past x = X
     bs = mu.b_s()
     if bs <= 0:
         raise ValueError("normalization constant needs b_s > 0")
-    T, Vp, M, s = mu.T, mu.V.deriv(), mu.M, mu.s
-    root = sqrt_sigma_tail(mu.sigma(), tail_terms + M.degree + s)
-    _, n = laurent_split(M, root, -s, tail_terms)
+    T, Vp, s = mu.T, mu.V.deriv(), mu.s
+    W = mp.prec + 24
+    vp = [to_fixed(c._mpf_, W) for c in Vp.c]
+    S = _fixed_monic([to_fixed(v._mpf_, W) for v in mu.endpoints], W)
+    M = [v >> W for v in _fixed_split(
+        vp, _fixed_series(S, len(vp) - 1 - s, W), s, 0)[0]]
+    _, n = _fixed_split(M, _fixed_series(S, tail_terms + len(M) - 1 + s, W,
+                                         root=True), -s, tail_terms)
 
     # integral_X^inf (W - T/x) dx; W - T/x has no x^{-k} term at k <= 1
     X = 8 * max(abs(v) for v in mu.endpoints) + 8
-    tail = -mp.fsum(n[k] * X ** (1 - k) / (k - 1)
-                    for k in range(2, tail_terms + 1)) / 2
+    with mp.workprec(W):
+        M = Poly([mpf((v, -W)) for v in M])
+        tail = -mp.fsum(mpf((n[k], -2 * W)) * X ** (1 - k) / (k - 1)
+                        for k in range(2, tail_terms + 1)) / 2
 
     def integrand(w):
-        with mp.workprec(mp.prec + 24):
+        with mp.workprec(W):
             x = bs + w * w
-            W = (Vp(x) - M(x) * _sqrt_sigma_signed(mu, x)) / 2
-            v = 2 * w * (W - T / x)
+            v = 2 * w * ((Vp(x) - M(x) * _sqrt_sigma_signed(mu, x)) / 2
+                         - T / x)
         return +v
 
     finite = integrate_doubling(integrand, 0, mp.sqrt(X - bs), max_panels=256)

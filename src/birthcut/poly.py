@@ -8,14 +8,20 @@ Besides ring operations the module provides the two nonstandard pieces the
 solvers need:
 
 * Laurent data of f(x) sigma(x)^{+-1/2} at infinity for monic even-degree
-  sigma (polynomial part and the x^{-j} coefficients), which encodes V', T_c
-  and the contour moment conditions algebraically;
+  sigma (polynomial part and the x^{-j} coefficients), which encodes V', T_c,
+  the contour moment conditions and W's tail algebraically. It is one
+  integer layer: polynomials as Python integers over 2^W (`_exact`,
+  `_fixed_monic`, `_int_product`, `_fixed_horner`, `_fixed_deflate`),
+  Miller's series of sigma^(+-1/2) (`_fixed_series`) and its split
+  (`_fixed_split`), shared by `equilibrium._cut_system`,
+  `equilibrium.veff_const_bs` and `potentials.build_potential`;
 * Sturm-sequence root counting, used for the sign conditions on Q.
 """
 
 from __future__ import annotations
 
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
 
 class Poly:
@@ -130,66 +136,90 @@ def monic_from_roots(roots):
 
 
 # ----------------------------------------------------------------------------
-# Laurent expansions of f/sqrt(sigma) at infinity
+# Integer polynomials and Laurent series of sigma^(+-1/2) at infinity
 # ----------------------------------------------------------------------------
 
-def sqrt_sigma_tail(sigma, jmax, alpha=None):
-    """Series t with sqrt(sigma(x)) = x^s * sum_j t[j] x^-j, sigma monic deg 2s.
+def _exact(f: Poly):
+    """(S, a) with f(x) = 2^-S sum_k a[k] x^k exactly, a Python integers."""
+    S = max([0] + [-v._mpf_[2] for v in f.c])
+    return S, [to_fixed(v._mpf_, S) for v in f.c]
 
-    With ``alpha=-0.5`` returns instead the series of x^s/sqrt(sigma).
 
-    `laurent_split` splits it in two places: V' and T_c from M sqrt(x^2-4)
-    (`potentials.build_potential`) and W's tail from M sqrt(sigma)
-    (`equilibrium.veff_const_bs`). The moment conditions of the cut solves
-    take the same recurrence in fixed point (`equilibrium._fixed_series`).
-
-    sigma / x^{2s} = 1 + sum_{k=1}^{2s} w_k x^-k, and J.C.P. Miller's
-    recurrence for the power (1 + w)^alpha of a series,
-    t[n] = (1/n) sum_{k=1}^{min(n, 2s)} ((alpha+1) k - n) w_k t[n-k],
-    takes O(jmax * deg sigma) operations (Henrici, Applied and Computational
-    Complex Analysis vol. 1, 1974, section 1.6).
-    """
-    if alpha is None:
-        alpha = mpf(1) / 2
-    d = sigma.degree
-    if d % 2:
-        raise ValueError("sigma must have even degree")
-    s = d // 2
-    if sigma[d] != 1:
-        raise ValueError("sigma must be monic")
-    w = [sigma[d - k] for k in range(d + 1)]
-    out = [mpf(1)]
-    for n in range(1, jmax + 1):
-        acc = mpf(0)
-        for k in range(1, min(n, d) + 1):
-            acc += ((alpha + 1) * k - n) * w[k] * out[n - k]
-        out.append(acc / n)
+def _int_product(p, q):
+    """The coefficients of the product of two integer polynomials."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
     return out
 
 
-def laurent_split(f, tail, s, jmax):
-    """Split f(x) * x^-s * sum_j tail[j] x^-j into (polynomial part, neg part).
+def _fixed_monic(X, W):
+    """The coefficients over 2^W, ascending, of the monic polynomial with
+    the roots X 2^-W."""
+    S = [1 << W]
+    for R in X:
+        S = ([-(R * S[0] >> W)]
+             + [S[k - 1] - (R * S[k] >> W) for k in range(1, len(S))]
+             + [S[-1]])
+    return S
 
-    Returns (P, c) with P a Poly and c[j] the coefficient of x^-j (c[0] unused).
-    This realizes the contour moments (1/2pi i) oint x^{j-1} f/sqrt(sigma) = c[j]
-    when ``tail`` is the series of x^s/sqrt(sigma).
-    """
-    pol = [mpf(0)] * (f.degree - s + 1 if f.degree >= s else 0)
-    neg = [mpf(0)] * (jmax + 1)
-    for k in range(f.degree + 1):
-        fk = f[k]
-        if fk == 0:
-            continue
-        for j, tj in enumerate(tail):
-            if tj == 0:
-                continue
-            m = k - s - j
-            if m >= 0:
-                if m < len(pol):
-                    pol[m] += fk * tj
-            elif -m <= jmax:
-                neg[-m] += fk * tj
-    return Poly(pol), neg
+
+def _fixed_series(S, terms, W, root=False):
+    """t_0..t_terms over 2^W of x^s/sqrt(sigma) = sum_n t_n x^-n, or with
+    root=True of sqrt(sigma)/x^s, for the monic sigma of degree 2s with
+    coefficients S over 2^W.
+
+    sigma/x^{2s} = 1 + sum_{k=1}^{2s} w_k x^-k, and J.C.P. Miller's
+    recurrence for the power (1 + w)^alpha of a series,
+    t_n = (1/n) sum_{k=1}^{min(n, 2s)} ((alpha + 1) k - n) w_k t_{n-k}
+    (Henrici, Applied and Computational Complex Analysis vol. 1, 1974,
+    section 1.6), at alpha = (a - 2)/2 reads
+    t_n = (1/2n) sum_k (a k - 2n) w_k t_{n-k}: a = 1 for the power -1/2,
+    a = 3 for 1/2. Each t_n is one floor division, so at W = 0 a series
+    with integer terms (sqrt(x^2 - 4)/x) is exact."""
+    d = len(S) - 1
+    a = 3 if root else 1
+    t = [1 << W]
+    for n in range(1, terms + 1):
+        acc = sum((a * k - 2 * n) * S[d - k] * t[n - k]
+                  for k in range(1, min(n, d) + 1))
+        t.append(acc // (n << W + 1))
+    return t
+
+
+def _fixed_split(f, t, s, neg):
+    """(P, c) of the integer polynomial f times x^-s sum_j t_j x^-j, s of
+    either sign: P[k] its x^k coefficient, 0 <= k <= deg f - s, and c[l]
+    its x^-l coefficient, 1 <= l <= neg (c[0] = 0), each the exact sum of
+    the products f_k t_j, unshifted. t needs deg f - s + neg + 1 terms.
+
+    With t the series of x^s/sqrt(sigma) this is V'/sqrt(sigma): M and the
+    contour moments c_l = (1/2 pi i) oint x^{l-1} V'/sqrt(sigma)."""
+    D = len(f) - 1
+    P = [sum(f[k] * t[k - s - m] for k in range(max(0, m + s), D + 1))
+         for m in range(D - s + 1)]
+    c = [0] + [sum(f[k] * t[k - s + l] for k in range(max(0, s - l), D + 1))
+               for l in range(1, neg + 1)]
+    return P, c
+
+
+def _fixed_horner(C, E, W):
+    """The polynomial with coefficients C over 2^W, ascending, at E 2^-W."""
+    acc = 0
+    for ck in reversed(C):
+        acc = (acc * E >> W) + ck
+    return acc
+
+
+def _fixed_deflate(S, E, W):
+    """The quotient of the polynomial S over 2^W by x - E 2^-W, synthetic
+    division with the remainder dropped: for a root, the product of the
+    other factors."""
+    q = [S[-1]]
+    for ck in reversed(S[1:-1]):
+        q.append(ck + (E * q[-1] >> W))
+    return q[::-1]
 
 
 # ----------------------------------------------------------------------------

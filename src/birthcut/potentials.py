@@ -9,7 +9,8 @@ polynomial Q with
     V'(x) = polynomial part at infinity of M(x) sqrt(x^2 - 4),
     T_c   = (1/2) Res_infinity M(x) sqrt(x^2 - 4) dx,
 
-both split off one `poly.sqrt_sigma_tail` series (`build_potential`),
+both split exactly, in integers, off the integer series of
+sqrt(x^2 - 4)/x (`poly._fixed_series`, `build_potential`),
 subject to the sign and vanishing conditions checked by `validate_critical`.
 `build_critical_Q` produces a valid Q = (x - e_tilde) Qtilde from any strictly
 positive even Qtilde by fixing e_tilde as a ratio of two cut integrals.
@@ -35,8 +36,8 @@ from math import comb, isqrt
 from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
-from .poly import (Poly, count_real_roots, isolate_real_roots, laurent_split,
-                   sqrt_sigma_tail)
+from .poly import (Poly, _exact, _fixed_series, _fixed_split, _int_product,
+                   count_real_roots, isolate_real_roots)
 from .quadrature import ConvergenceError
 
 # the step of a `_cut_integral`'s guard bits: its first pass takes twice
@@ -104,21 +105,6 @@ def _cosh_coefficients(p):
             k = n - 2 * j
             c[k] += r * comb(n, j) * (2 if k else 1)
     return c
-
-
-def _exact(f: Poly):
-    """(S, a) with f(x) = 2^-S sum_k a[k] x^k exactly, a Python integers."""
-    S = max([0] + [-v._mpf_[2] for v in f.c])
-    return S, [to_fixed(v._mpf_, S) for v in f.c]
-
-
-def _int_product(p, q):
-    """The coefficients of the product of two integer polynomials."""
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
 
 
 def _sinh_terms(x, K):
@@ -330,12 +316,16 @@ def build_potential(nu: int, e, Q: Poly):
 
     Split against sqrt(x^2-4)/x, whose coefficients are integers, the
     polynomial part is V' and T_c = -(1/2) [x^{-1}-coefficient] (the residue
-    at infinity of f dx is minus the 1/x coefficient of f).
+    at infinity of f dx is minus the 1/x coefficient of f). M's
+    coefficients are taken exactly as integers over 2^S (`poly._exact`), so
+    the split is exact and each coefficient of V' and T_c is rounded once.
     """
     P = Poly([-mpf(e), 1]) ** (2 * nu - 1) * Q
-    Vp, c = laurent_split(P, sqrt_sigma_tail(Poly([-4, 0, 1]), P.degree + 2),
-                          -1, 1)
-    Tc = -c[1] / 2
+    S, p = _exact(P)
+    pol, c = _fixed_split(p, _fixed_series([-4, 0, 1], len(p) + 1, 0,
+                                           root=True), -1, 1)
+    Vp = Poly([mpf((v, -S)) for v in pol])
+    Tc = mpf((-c[1], -S - 1))
     if Tc <= 0:
         raise ValueError("residue gives non-positive T_c = %s" % Tc)
     return Vp.antideriv(0), Tc

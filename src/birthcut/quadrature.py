@@ -141,7 +141,7 @@ def _build_rule(n: int):
             raise ConvergenceError(
                 "gauss_legendre: a root of P_%d near %s not found in %d "
                 "Newton steps at %d bits" % (
-                    n, mp.nstr(mp.ldexp(mpf(X), -F), 17), NEWTON_CAP, mp.prec))
+                    n, mp.nstr(mpf((X, -F)), 17), NEWTON_CAP, mp.prec))
         # P'(x) = P'(x0) - P''(x0) dx + P'''(x0) dx^2/2, P'' and P''' from
         # Legendre's equation (1 - x^2) P'' = 2x P' - n(n+1) P and its
         # derivative: the last pass gives the weight
@@ -149,9 +149,9 @@ def _build_rule(n: int):
         ddp = ((2 * X0 * dp >> F) - n * (n + 1) * p << F) // D0
         d3p = ((4 * X0 * ddp >> F) - (n * (n + 1) - 2) * dp << F) // D0
         dp += ((d3p * dx >> F + 1) - ddp) * dx >> F
-        half.append(mp.ldexp(mpf(X), -F))
+        half.append(mpf((X, -F)))
         w = (2 << (4 * F)) // (D * dp * dp)
-        hw.append(mp.ldexp(mpf(w), -F))
+        hw.append(mpf((w, -F)))
     mirror = slice(n % 2, None)
     xs = [-x for x in reversed(half[mirror])] + half
     ws = list(reversed(hw[mirror])) + hw

@@ -30,7 +30,7 @@ from math import isqrt
 from typing import NamedTuple, Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import to_fixed
 
 from .quadrature import ConvergenceError
 
@@ -104,16 +104,16 @@ def agm_integrals(mc, n=None, amplitude=None) -> AGMIntegrals:
             W, isqrt(to_fixed(mc._mpf_, 2 * W)),
             (one - to_fixed(mc._mpf_, W)) >> 1, 1 << (W - mp.prec),
             None if n is None else one - to_fixed(n._mpf_, W), xy)
-        a = _from_fixed(a, W)
+        a = mpf((a, -W))
         K = mp.pi / (2 * a)
-        E = K * _from_fixed(one - csum, W)
+        E = K * mpf((one - csum, -W))
         Pi = F = E_phi = None
         if n is not None:
-            Pi = mp.pi / (4 * a) * (2 + n / (1 - n) * _from_fixed(qsum, W))
+            Pi = mp.pi / (4 * a) * (2 + n / (1 - n) * mpf((qsum, -W)))
         if amplitude is not None:
             x, y, turns, e_sum = landen
             F = mp.ldexp(mp.atan2(y, x) + turns * mp.pi, -steps) / a
-            E_phi = E / K * F + _from_fixed(e_sum, W)
+            E_phi = E / K * F + mpf((e_sum, -W))
     return AGMIntegrals(*(v if v is None else +v for v in (K, E, Pi, F, E_phi)))
 
 
@@ -167,12 +167,6 @@ def agm_fixed(W, g, csum, tol, p2=None, xy=None):
     if xy is not None:
         landen = x, y, turns, e_sum
     return a, csum, qsum, steps, landen
-
-
-def _from_fixed(v, W):
-    """The W-bit fixed-point integer v as an mpf, rounded to nearest at the
-    working precision."""
-    return mp.make_mpf(from_man_exp(v, -W, mp.prec, round_nearest))
 
 
 def _theta1_axis_series(tau, c, w0):

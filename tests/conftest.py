@@ -9,7 +9,7 @@ mp.dps = 40
 from birthcut.equilibrium import _u_from_inf_two_cut
 from birthcut.modelchain import build_chain
 from birthcut.oracle import build_rec_chain
-from birthcut.poly import laurent_split, monic_from_roots, sqrt_sigma_tail
+from birthcut.poly import Poly, monic_from_roots
 from birthcut.potentials import make_quartic_spec, make_spec
 from birthcut.quadrature import ConvergenceError
 from birthcut.specialfn import agm_integrals
@@ -177,11 +177,50 @@ def agm_reference(mc, n=None, amplitude=None):
     return tuple(v if v is None else +v for v in (K, E, Pi, F, E_phi))
 
 
+def sqrt_sigma_tail(sigma, jmax, alpha=None):
+    """Series t with sqrt(sigma(x)) = x^s sum_j t[j] x^-j, sigma monic of
+    degree 2s, in mpf at the working precision; with alpha = -1/2 the
+    series of x^s/sqrt(sigma). J.C.P. Miller's recurrence for
+    (1 + w)^alpha, sigma/x^{2s} = 1 + sum_k w_k x^-k,
+    t[n] = (1/n) sum_{k=1}^{min(n, 2s)} ((alpha+1) k - n) w_k t[n-k]: the
+    mpf reference for `poly._fixed_series`."""
+    if alpha is None:
+        alpha = mpf(1) / 2
+    d = sigma.degree
+    if d % 2 or sigma[d] != 1:
+        raise ValueError("sigma must be monic of even degree")
+    w = [sigma[d - k] for k in range(d + 1)]
+    out = [mpf(1)]
+    for n in range(1, jmax + 1):
+        acc = mpf(0)
+        for k in range(1, min(n, d) + 1):
+            acc += ((alpha + 1) * k - n) * w[k] * out[n - k]
+        out.append(acc / n)
+    return out
+
+
+def laurent_split(f, tail, s, jmax):
+    """(P, c): the polynomial part P of f(x) x^-s sum_j tail[j] x^-j and
+    c[j] its x^-j coefficient, 1 <= j <= jmax (c[0] = 0), in mpf: the
+    reference for `poly._fixed_split`."""
+    pol = [mpf(0)] * (f.degree - s + 1 if f.degree >= s else 0)
+    neg = [mpf(0)] * (jmax + 1)
+    for k in range(f.degree + 1):
+        for j, tj in enumerate(tail):
+            m = k - s - j
+            if m >= 0:
+                if m < len(pol):
+                    pol[m] += f[k] * tj
+            elif -m <= jmax:
+                neg[-m] += f[k] * tj
+    return Poly(pol), neg
+
+
 def cut_system_reference(Vp, T, x):
     """(r, J, M) of `equilibrium._cut_system` by the same formulas in plain
     mpf at the working precision: the reference for its fixed-point
     evaluation. sigma from its roots, the Laurent split of V'/sqrt(sigma)
-    by `poly.sqrt_sigma_tail` and `laurent_split`, the Jacobian rows by
+    by `sqrt_sigma_tail` and `laurent_split`, the Jacobian rows by
     Horner in the endpoints, and at s = 2 the gap moments from
     `agm_integrals` and the cofactors sigma/(x - e_i) by synthetic
     division."""

@@ -16,12 +16,12 @@ from birthcut.equilibrium import (ConvergenceError, PhaseError, abelian_objects,
                                   prime_form_one_cut, solve_one_cut,
                                   solve_two_cut, thermo_derivatives,
                                   veff_const_bs)
-from birthcut.poly import (Poly, laurent_split, monic_from_roots,
-                           sqrt_sigma_tail)
+from birthcut.poly import Poly, _fixed_deflate, _fixed_monic, monic_from_roots
 from birthcut.quadrature import integrate_bracket, integrate_doubling
 from birthcut.critical import one_cut_drift, two_cut_guess
 from conftest import (cut_system_reference, gamma_jtheta, lambda_jtheta,
-                      quartic, sn_cn_dn, spec_nu, u_direct)
+                      laurent_split, quartic, sn_cn_dn, spec_nu,
+                      sqrt_sigma_tail, u_direct)
 
 
 def gamma_from_lambda_limit(mu, x=None):
@@ -152,7 +152,7 @@ def _fixed_sigma(ends):
     if len(ends) == 4:
         W += equilibrium._narrow_bits(ends)
     X = [to_fixed(mpf(v)._mpf_, W) for v in ends]
-    return W, X, equilibrium._fixed_monic(X, W)
+    return W, X, _fixed_monic(X, W)
 
 
 def test_gap_moments_match_bracket_quadrature():
@@ -215,8 +215,8 @@ def test_gap_row_cofactors_by_synthetic_division():
     for _, ends in _endpoint_sets():
         W, X, S = _fixed_sigma(ends)
         for i, E in enumerate(X):
-            ref = equilibrium._fixed_monic(X[:i] + X[i + 1:], W)
-            got = equilibrium._fixed_deflate(S, E, W)
+            ref = _fixed_monic(X[:i] + X[i + 1:], W)
+            got = _fixed_deflate(S, E, W)
             assert len(got) == len(ref) == 4
             bound = 16 * max(abs(v) for v in ref) >> W
             assert max(abs(g - r) for g, r in zip(got, ref)) <= bound, \
@@ -546,15 +546,30 @@ def _veff_measures():
 
 def test_veff_const_bs_matches_the_product_route():
     # values of the earlier route, which multiplied the series of sqrt(sigma)
-    # by the c_j of V'/sqrt(sigma) up to j = 46, at 40 digits on these
-    # one-cut measures (the finite part, shared by both routes, with its
+    # by the c_j of V'/sqrt(sigma) up to j = 46, at 40 digits on the nu = 2
+    # one-cut measure (the finite part, shared by both routes, with its
     # integrand at 24 guard bits); the two-cut value is this route's on an
-    # 80-digit solve, at 80 digits
-    earlier = ["7.131030771325478962430792836668651712425897",
+    # 80-digit solve, at 80 digits, and the one-cut quartic's is this
+    # route's at 80 digits on the 40-digit endpoints (the product route read
+    # M rounded to 40 digits, which left it 2.1e-38 relative off)
+    earlier = ["7.131030771325478962430792836668651712277045",
                "7.130242759839804193191724826052794497449868",
                "17.80119239550302720917259453609043298382168"]
     for mu, ref in zip(_veff_measures(), earlier):
         assert abs(veff_const_bs(mu) - mpf(ref)) <= mpf("1e-38") * mpf(ref)
+
+
+def test_veff_const_bs_is_within_1e_38_of_its_80_digit_value():
+    # on the same endpoints, V and T: M is re-derived from V' and the
+    # endpoints at 24 guard bits, so only the finite part's rounding and its
+    # quadrature stop remain (measured 1.5e-41, 2.8e-42 and 1.1e-39; M
+    # rounded to the working precision left the one-cut quartic 2.1e-38 off)
+    for mu in _veff_measures():
+        got = veff_const_bs(mu)
+        with mp.workdps(80):
+            ref = veff_const_bs(equilibrium.EqMeasure(
+                s=mu.s, endpoints=mu.endpoints, M=mu.M, T=mu.T, V=mu.V))
+            assert abs(got - ref) <= mpf("1e-38") * abs(ref), mu.endpoints
 
 
 def test_sigma_is_formed_once_per_precision():

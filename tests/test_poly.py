@@ -1,9 +1,10 @@
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
-from birthcut.poly import (Poly, _float_horner, count_real_roots,
-                           isolate_real_roots, laurent_split, monic_from_roots,
-                           sqrt_sigma_tail)
+from birthcut.poly import (Poly, _fixed_monic, _fixed_series, _fixed_split,
+                           _float_horner, count_real_roots, isolate_real_roots,
+                           monic_from_roots)
 
 
 def test_ring_operations():
@@ -41,45 +42,55 @@ def test_float_horner_value_and_scale():
     assert _float_horner([], 2.0) == (0.0, 0.0)
 
 
+def _fixed_sigma(roots, W):
+    return _fixed_monic([to_fixed(mpf(r)._mpf_, W) for r in roots], W)
+
+
 def test_sqrt_sigma_tail_squares_back():
-    # sqrt(sigma) series times itself must reproduce sigma/x^{2s}
-    sigma = monic_from_roots([-2, 2, 3, mpf("3.5")])
-    t = sqrt_sigma_tail(sigma, 12)
-    sq = [mpf(0)] * 13
-    for i, a in enumerate(t):
-        for j, b in enumerate(t):
-            if i + j <= 12:
-                sq[i + j] += a * b
-    for j in range(13):
-        expect = sigma[4 - j] if j <= 4 else mpf(0)
-        assert abs(sq[j] - expect) < mpf("1e-30")
+    # the integer series of sqrt(sigma)/x^{2s} times itself reproduces
+    # sigma/x^{2s} to 2^-(W-8) of the largest product
+    W = 160
+    S = _fixed_sigma([-2, 2, 3, "3.5"], W)
+    t = _fixed_series(S, 12, W, root=True)
+    for n in range(13):
+        products = [t[k] * t[n - k] for k in range(n + 1)]
+        expect = S[4 - n] << W if n <= 4 else 0
+        bound = max(max(abs(v) for v in products), 1 << 2 * W) >> (W - 8)
+        assert abs(sum(products) - expect) <= bound, n
 
 
 @pytest.mark.parametrize("roots", [
     (-2, 2), (-2, 2, 3, "3.5"), ("-1.9", "1.7", "2.41", "2.43", 4, "4.5")])
 def test_sqrt_sigma_tail_power_identities(roots):
-    # tail(1/2)^2 = sigma / x^{2s} and tail(1/2) tail(-1/2) = 1 to jmax = 50
-    sigma = monic_from_roots([mpf(r) for r in roots])
-    jmax, d = 50, sigma.degree
-    half = sqrt_sigma_tail(sigma, jmax)
-    inv = sqrt_sigma_tail(sigma, jmax, alpha=-mpf(1) / 2)
+    # the series of sigma^(1/2) and sigma^(-1/2) to n = 50 at W = 200:
+    # half^2 = sigma/x^{2s} and half * inv = 1, each to 2^-(W-8) of the
+    # sum of the products' sizes
+    W, jmax = 200, 50
+    S = _fixed_sigma(roots, W)
+    d = len(S) - 1
+    half = _fixed_series(S, jmax, W, root=True)
+    inv = _fixed_series(S, jmax, W)
     assert len(half) == len(inv) == jmax + 1
     for n in range(jmax + 1):
         sq = sum(half[k] * half[n - k] for k in range(n + 1))
         one = sum(half[k] * inv[n - k] for k in range(n + 1))
-        scale = sum(abs(half[k] * half[n - k]) for k in range(n + 1))
-        expect = sigma[d - n] if n <= d else 0
-        assert abs(sq - expect) <= mpf("1e-36") * max(scale, 1), n
-        assert abs(one - (1 if n == 0 else 0)) <= mpf("1e-36") * max(scale, 1), n
+        scale = max(sum(abs(half[k] * half[n - k]) for k in range(n + 1)),
+                    sum(abs(half[k] * inv[n - k]) for k in range(n + 1)),
+                    1 << 2 * W)
+        expect = S[d - n] << W if n <= d else 0
+        assert abs(sq - expect) <= scale >> (W - 8), n
+        assert abs(one - (1 << 2 * W if n == 0 else 0)) <= scale >> (W - 8), n
 
 
 def test_laurent_split_contour_moments():
-    # c_j from the series equals the contour integral (1/2pi i) oint x^{j-1} f/sqrt(sigma)
+    # c_j of the split of f/sqrt(sigma), sigma = x^2 - 4, equals the contour
+    # integral (1/2pi i) oint x^{j-1} f/sqrt(sigma); at W = 0 the series,
+    # binom(2k, k) at x^-2k, and the split are exact integers
     import mpmath
-    sigma = monic_from_roots([-2, 2])
     f = Poly([1, -2, 0, 1])  # x^3 - 2x + 1
-    tail = sqrt_sigma_tail(sigma, 8, alpha=-mpf(1) / 2)
-    M, c = laurent_split(f, tail, 1, 6)
+    t = _fixed_series([-4, 0, 1], 8, 0)
+    assert t == [1, 0, 2, 0, 6, 0, 20, 0, 70]
+    M, c = _fixed_split([1, -2, 0, 1], t, 1, 6)
     R = mpf(7)
     for j in (1, 2, 3):
         val = mpmath.quad(
@@ -89,8 +100,8 @@ def test_laurent_split_contour_moments():
             * 1j * R * mpmath.exp(1j * th) / (2j * mpmath.pi),
             [0, 2 * mpmath.pi])
         assert abs(val.real - c[j]) < mpf("1e-25")
-    # polynomial part of x^3/sqrt((x-2)(x+2)) is x^2 + 2 to leading orders
-    assert M.degree == 2
+    # the polynomial part of (x^3 - 2x + 1)/sqrt(x^2 - 4) is x^2
+    assert M == [0, 0, 1]
 
 
 def test_sturm_counts():

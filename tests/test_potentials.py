@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import mpmath
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from birthcut import potentials, quadrature
 from birthcut.poly import Poly, isolate_real_roots
@@ -97,6 +100,13 @@ def test_nu2_potential_degree_and_residue():
     assert abs(-c_m1 / 2 - spec.Tc) / spec.Tc < mpf("1e-20")
 
 
+# (nu, e) of the critical models with Q_tilde = 1 whose V and T_c are checked
+# bit for bit, at nu = 1..5
+POTENTIAL_SPECS = [(1, "2.6"), (2, "2.6"), (3, "2.3"), (4, "2.2"), (5, "2.1"),
+                   (1, "2.1"), (1, "5.0"), (2, "2.2"), (2, "5.0"), (3, "2.6"),
+                   (3, "5.0"), (4, "3.0"), (5, "2.6")]
+
+
 def _binomial_potential(nu, e, Q):
     """V and T_c from the binomial series sqrt(x^2-4) =
     x sum_k binom(1/2, k) (-4)^k x^{-2k}, summed term by term."""
@@ -116,13 +126,41 @@ def _binomial_potential(nu, e, Q):
     return Poly(Vp).antideriv(0), -c_m1 / 2
 
 
-@pytest.mark.parametrize("nu, e", [(1, "2.6"), (2, "2.6"), (3, "2.3"),
-                                   (4, "2.2"), (5, "2.1")])
+def _exact_potential(nu, e, Q):
+    """V and T_c from the exact rational binomial series: P's mpf
+    coefficients as fractions times sqrt(x^2-4) = x sum_k binom(1/2, k)
+    (-4)^k x^{-2k}, each coefficient of V' and T_c rounded once."""
+    def exact(v):
+        sign, man, exp, _ = v._mpf_
+        return (-1) ** sign * man * Fraction(2) ** exp
+
+    def rounded(q):
+        return mp.make_mpf(from_rational(q.numerator, q.denominator,
+                                         mp.prec, round_nearest))
+
+    P = [exact(v) for v in (Poly([-e, 1]) ** (2 * nu - 1) * Q).c]
+    b = [Fraction(1)]
+    for k in range(len(P) // 2 + 1):
+        b.append(b[-1] * (Fraction(1, 2) - k) / (k + 1) * -4)
+    # P(x) x sum_k b_k x^{-2k}: P_i b_k lands at x^{i + 1 - 2k}
+    Vp = [sum(b[k] * P[i] for i in range(len(P)) for k in range(len(b))
+              if i + 1 - 2 * k == m) for m in range(len(P) + 1)]
+    c_m1 = sum(b[k] * P[2 * k - 2] for k in range(1, len(b))
+               if 2 * k - 2 < len(P))
+    return Poly([rounded(v) for v in Vp]).antideriv(0), rounded(-c_m1 / 2)
+
+
+@pytest.mark.parametrize("nu, e", POTENTIAL_SPECS)
 def test_build_potential_matches_binomial_series_bit_for_bit(nu, e):
-    # the Laurent split against sqrt_sigma_tail's integer coefficients adds
-    # the same products in the same order as the binomial series
-    spec = spec_nu(nu, e)
-    assert (spec.V, spec.Tc) == _binomial_potential(nu, spec.e, spec.Q)
+    # the exact integer split of `build_potential` rounds each coefficient
+    # of V' and T_c once, as the exact rational series does, at 15 to 60
+    # digits (a split summed in mpf missed by one unit in one coefficient
+    # in 24 of these 65 cases, all at nu >= 3)
+    for dps in (15, 20, 30, 40, 60):
+        with mp.workdps(dps):
+            spec = make_spec(nu, mpf(e))
+            assert (spec.V, spec.Tc) == _exact_potential(nu, spec.e, spec.Q), \
+                dps
 
 
 def test_quartic_spec_matches_binomial_series_bit_for_bit():

@@ -9,12 +9,14 @@ of three quartic oracles on 1024 nodes, of one on the node ladder and of
 three model chains; the oracle's point evaluators at fixed points (psi with
 n rising, repeated and falling, both kernel forms, phi and the count) and
 the model chain's psi lists and Hilbert pairs; the `asymptotics` forms on
-the A10a grid; two one-cut measures with their V_eff(b_s); three two-cut
-quartic measures with their gamma, Lambda and `kvio` text; the endpoints,
-Newton steps and residuals of the 30-solve Newton corpus; the stdout of
-six CLI commands run through `cli.main`; and the 64-point Gauss-Legendre
-rule at 136-512 bits by every start path, with the model chain's
-principal-value sums `pihat_direct` at fixed points.
+the A10a grid; two one-cut measures, and on a line of its own their
+V_eff(b_s); three two-cut quartic measures with their gamma, Lambda and
+`kvio` text; the endpoints, Newton steps and residuals of the 30-solve
+Newton corpus; the stdout of six CLI commands run through `cli.main`; the
+64-point Gauss-Legendre rule at 136-512 bits by every start path, with the
+model chain's principal-value sums `pihat_direct` at fixed points; and V
+and T_c of 13 critical models at nu = 1..5, one line per model, each at 15,
+40 and 60 digits.
 Values are hashed by their exact mpf tuples, tables and stdout as text.
 Uses the standard library and birthcut only; under 10 s on one core.
 """
@@ -142,19 +144,17 @@ def a10a():
 
 def one_cut():
     """One-cut measures, the quartic at phi_e = 1.0, t/T_c = -1e-3 from its
-    first-order drift and nu = 2, e = 2.6 at T_c: the endpoints, M, the
-    Newton residual and V_eff(b_s), in one line."""
+    first-order drift and nu = 2, e = 2.6 at T_c: the endpoints, M and the
+    Newton residual in one line, V_eff(b_s) in another."""
     spec = make_quartic_spec(mpf("1.0"))
     t = mpf("-1e-3") * spec.Tc
     drift = critical.one_cut_drift(spec, t)
     nu2 = make_spec(2, mpf("2.6"))
-    values = []
-    for mu in (equilibrium.solve_one_cut(spec.V, spec.Tc + t,
-                                         (drift["a"], drift["b"])),
-               equilibrium.solve_one_cut(nu2.V, nu2.Tc, (-2, 2))):
-        values.append([mu.endpoints, mu.M.c, mu.residual,
-                       equilibrium.veff_const_bs(mu)])
-    emit("one-cut", values)
+    mus = (equilibrium.solve_one_cut(spec.V, spec.Tc + t,
+                                     (drift["a"], drift["b"])),
+           equilibrium.solve_one_cut(nu2.V, nu2.Tc, (-2, 2)))
+    emit("one-cut", [[mu.endpoints, mu.M.c, mu.residual] for mu in mus])
+    emit("one-cut V_eff(b_s)", [equilibrium.veff_const_bs(mu) for mu in mus])
 
 
 def two_cut():
@@ -239,6 +239,24 @@ def rules():
                                     for y in ys + [node, mc.x_max + 4]])
 
 
+# (nu, e) of the critical models with Q_tilde = 1 of the `potentials` family
+POTENTIAL_SPECS = ((1, "2.6"), (2, "2.6"), (3, "2.3"), (4, "2.2"), (5, "2.1"),
+                   (1, "2.1"), (1, "5.0"), (2, "2.2"), (2, "5.0"), (3, "2.6"),
+                   (3, "5.0"), (4, "3.0"), (5, "2.6"))
+
+
+def potentials():
+    """V and T_c of `make_spec(nu, e)` at 15, 40 and 60 digits, one line
+    per model."""
+    for nu, e in POTENTIAL_SPECS:
+        values = []
+        for dps in (15, 40, 60):
+            with mp.workdps(dps):
+                spec = make_spec(nu, mpf(e))
+                values.append([spec.V.c, spec.Tc])
+        emit("potentials %d %s" % (nu, e), values)
+
+
 def main():
     mp.dps = 40                          # the CLI's default working precision
     chains()
@@ -249,6 +267,7 @@ def main():
     newton_corpus()
     commands()
     rules()
+    potentials()
 
 
 if __name__ == "__main__":
