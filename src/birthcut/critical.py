@@ -18,6 +18,7 @@ from math import comb, factorial
 
 from mpmath import mp, mpf
 
+from .equilibrium import PhaseError
 from .poly import Poly
 from .potentials import CriticalSpec
 
@@ -118,9 +119,20 @@ def newborn_scaling(spec: CriticalSpec, t) -> NewbornScaling:
 def two_cut_guess(spec: CriticalSpec, t):
     """Initial endpoints (a, b, c, d) for the two-cut solve at T = T_c + t,
     0 < t << T_c: the old cut's first-order drift (`one_cut_drift`'s a and b,
-    continued to t > 0) and the newborn cut [c, d] of `newborn_scaling`."""
+    continued to t > 0) and the newborn cut [c, d] of `newborn_scaling`.
+
+    PhaseError where these ends are out of order: past the two-cut window
+    the newborn cut's first-order c crosses the old cut's b (ROADMAP item
+    9), and no two-cut solve starts from such a guess."""
     ns = newborn_scaling(spec, t)
-    return _drifted_ends(spec, mpf(t)) + (ns.c, ns.d)
+    ends = _drifted_ends(spec, mpf(t)) + (ns.c, ns.d)
+    for i in range(3):
+        if not ends[i] < ends[i + 1]:
+            raise PhaseError("two-cut guess crossed: %s = %s >= %s = %s; t may "
+                             "be past the two-cut window"
+                             % ("abcd"[i], mp.nstr(ends[i], 6),
+                                "abcd"[i + 1], mp.nstr(ends[i + 1], 6)))
+    return ends
 
 
 def transition_curvature(spec: CriticalSpec, t):

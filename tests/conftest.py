@@ -277,6 +277,32 @@ def gap_moments_reference(endpoints, sigma, count):
     return moments[:count]
 
 
+def lu_solve_reference(A, b):
+    """x with A x = b by Gaussian elimination with partial pivoting in mpf,
+    10 bits above the working precision, back substitution by `fsum`;
+    ZeroDivisionError where a pivot is at most n eps max |A_ij|: the
+    reference for `equilibrium._lu_solve`'s integer elimination."""
+    n = len(A)
+    with mp.extraprec(10):
+        rows = [list(row) + [v] for row, v in zip(A, b)]
+        tol = n * mp.eps * max(abs(v) for row in A for v in row)
+        for j in range(n):
+            piv = max(range(j, n), key=lambda k: abs(rows[k][j]))
+            rows[j], rows[piv] = rows[piv], rows[j]
+            pivot = rows[j]
+            if abs(pivot[j]) <= tol:
+                raise ZeroDivisionError("matrix is numerically singular")
+            for row in rows[j + 1:]:
+                f = row[j] / pivot[j]
+                for k in range(j + 1, n + 1):
+                    row[k] -= f * pivot[k]
+        x = [mpf(0)] * n
+        for i in range(n - 1, -1, -1):
+            tail = mp.fsum(rows[i][k] * x[k] for k in range(i + 1, n))
+            x[i] = (rows[i][n] - tail) / rows[i][i]
+    return x
+
+
 def ln_factorial(n: int):
     """ln n!, by direct summation up to n = 10^4."""
     if n < 0:

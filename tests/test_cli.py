@@ -345,6 +345,23 @@ def test_transition_rows(tmp_path):
     assert abs(mpf(below[2]) - mpf(below[3])) < mpf("0.1") * abs(mpf(below[3]))
 
 
+def test_transition_rows_past_the_two_cut_window(capsys):
+    # nu = 2, e = 2.6 leaves the two-cut window near t/T_c = 7.4e-5: the
+    # ten `above` rows from 1.1e-4 on name the crossed guess in four CSV
+    # fields, and the run exits 0
+    assert run(["transition", "--nu", "2", "--e", "2.6",
+                "--t-grid", "1e-5:1e-3:1e-4"]) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 22 and all(len(r) == 4 for r in rows)
+    above = [r for r in rows if r[1] == "above"]
+    mpf(above[0][2])                      # t/T_c = 1e-5 solves
+    for r in above[1:]:
+        assert r[2].startswith("ERROR two-cut guess crossed: b = "), r[0]
+        assert r[2].endswith("; t may be past the two-cut window"), r[0]
+        assert r[3] == ""
+    assert all(mpf(r[2]) > 0 for r in rows if r[1] == "below")
+
+
 def test_transition_rows_at_15_digits_match_40(capsys):
     # the cut solves stop at the working precision, so both d2F_solver rows
     # at --dps 15 are within 1e-8 relative of the 40-digit rows (a tolerance

@@ -9,6 +9,7 @@ from mpmath import mp, mpf
 from birthcut.critical import (g_scaling_poly, newborn_scaling, one_cut_drift,
                                scaling_constant_C, scaling_zeta,
                                transition_curvature, two_cut_guess)
+from birthcut.equilibrium import PhaseError
 from birthcut.poly import Poly
 from conftest import quartic, spec_nu
 
@@ -159,16 +160,37 @@ def test_transition_curvature_sides():
 
 def test_two_cut_guess_is_drift_plus_newborn_cut():
     # bit-identical to the inline guesses it replaced: the general form, and
-    # the nu = 1 form without the power (2 + e)^(2 nu - 1)
+    # the nu = 1 form without the power (2 + e)^(2 nu - 1). Where that form
+    # has b >= c (nu = 2, e = 2.6 past t* ~ 7.4e-5) the guess raises instead
+    crossed = []
     for spec in (quartic("1.0"), quartic("0.6"), spec_nu(2, "2.6")):
         for that in ("1e-5", "3e-4", "1e-3"):
             t = mpf(that) * spec.Tc
             ns = newborn_scaling(spec, t)
             a = -2 + t / ((2 + spec.e) ** (2 * spec.nu - 1) * spec.Q(mpf(-2)))
             b = 2 - t / ((spec.e - 2) ** (2 * spec.nu - 1) * spec.Q(mpf(2)))
+            if b >= ns.c:
+                crossed.append((spec.nu, that))
+                with pytest.raises(PhaseError, match="^two-cut guess crossed"):
+                    two_cut_guess(spec, t)
+                continue
             assert two_cut_guess(spec, t) == (a, b, ns.c, ns.d)
             if spec.nu == 1:
                 assert a == -2 + t / ((2 + spec.e) * spec.Q(mpf(-2)))
                 assert b == 2 - t / ((spec.e - 2) * spec.Q(mpf(2)))
+    assert crossed == [(2, "3e-4"), (2, "1e-3")]
     with pytest.raises(ValueError):
         two_cut_guess(quartic("1.0"), mpf(0))
+
+
+def test_two_cut_guess_names_its_crossing():
+    # nu = 2, e = 2.6: in order at t/T_c = 1e-4, b past c at 1.1e-4; the
+    # message names both ends and has no comma, since `transition` prints it
+    # in a CSV field
+    spec = spec_nu(2, "2.6")
+    a, b, c, d = two_cut_guess(spec, mpf("1e-4") * spec.Tc)
+    assert a < b < c < d
+    with pytest.raises(PhaseError) as exc:
+        two_cut_guess(spec, mpf("1.1e-4") * spec.Tc)
+    assert str(exc.value) == ("two-cut guess crossed: b = 2.2384 >= c = 2.22021;"
+                              " t may be past the two-cut window")

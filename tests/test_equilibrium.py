@@ -19,9 +19,10 @@ from birthcut.equilibrium import (ConvergenceError, PhaseError, abelian_objects,
 from birthcut.poly import Poly, _fixed_deflate, _fixed_monic, monic_from_roots
 from birthcut.quadrature import integrate_bracket, integrate_doubling
 from birthcut.critical import one_cut_drift, two_cut_guess
+from birthcut.potentials import make_quartic_spec, make_spec
 from conftest import (cut_system_reference, gamma_jtheta, lambda_jtheta,
-                      laurent_split, quartic, sn_cn_dn, spec_nu,
-                      sqrt_sigma_tail, u_direct)
+                      laurent_split, lu_solve_reference, quartic, sn_cn_dn,
+                      spec_nu, sqrt_sigma_tail, u_direct)
 
 
 def gamma_from_lambda_limit(mu, x=None):
@@ -726,14 +727,28 @@ def _systems():
 
 @pytest.mark.parametrize("case", range(6))
 def test_list_solve_matches_mpmath_lu_solve(case):
-    # plain elimination against mpmath's LU, to 16 units of 2^-prec
-    # relative in every component
-    name, A, b = _systems()[case]
-    ref = mpmath.lu_solve(mpmath.matrix(A), mpmath.matrix(b))
-    got = equilibrium._lu_solve(A, b)
-    tol = 16 * mpf(2) ** -mp.prec
-    for i, v in enumerate(got):
-        assert abs(v - ref[i]) <= tol * abs(ref[i]), (name, i)
+    # the integer elimination against mpmath's LU at twice the working
+    # precision (same-precision LU is itself 25 units off on the scaled 4x4
+    # at 60 digits), to 16 units of 2^-prec relative in every component, at
+    # 15, 40 and 60 digits. At 15 digits the rows 1e30 larger put every
+    # other pivot below n eps max |A_ij|: singular by the mpf reference's
+    # rule, and by the integer one
+    for dps in (15, 40, 60):
+        with mp.workdps(dps):
+            name, A, b = _systems()[case]
+            try:
+                lu_solve_reference(A, b)
+            except ZeroDivisionError:
+                assert (dps, name[:6]) == (15, "scaled")
+                with pytest.raises(ZeroDivisionError):
+                    equilibrium._lu_solve(A, b)
+                continue
+            with mp.extraprec(mp.prec):
+                ref = mpmath.lu_solve(mpmath.matrix(A), mpmath.matrix(b))
+            got = equilibrium._lu_solve(A, b)
+            tol = 16 * mpf(2) ** -mp.prec
+            for i, v in enumerate(got):
+                assert abs(v - ref[i]) <= tol * abs(ref[i]), (dps, name, i)
 
 
 @pytest.mark.parametrize("J", [[[1, 2], [2, 4]], [[0, 1], [0, 3]]])
@@ -747,6 +762,114 @@ def test_singular_jacobian_is_a_convergence_error(J):
 
     with pytest.raises(ConvergenceError, match="singular Jacobian"):
         equilibrium._newton(system, [0, 0], 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lu_solve_singular_at_n_eps_max(n):
+    # a pivot of exactly n eps max |A_ij| (eps = 2^-(prec + 9), the machine
+    # epsilon 10 bits above the working precision) is singular, one unit of
+    # 2^-prec above it is not; the mpf reference draws the same line
+    tol = n * mpf(3) * mp.ldexp(1, -mp.prec - 9)
+    b = [mpf(1)] * n
+    for pivot, singular in ((tol, True), (tol * (1 + mp.eps), False)):
+        A = [[mpf(0)] * n for _ in range(n)]
+        for i in range(n):
+            A[i][i] = mpf(3)
+        A[n - 1][n - 1] = pivot
+        for solve in (equilibrium._lu_solve, lu_solve_reference):
+            if singular:
+                with pytest.raises(ZeroDivisionError):
+                    solve(A, b)
+            else:
+                x = solve(A, b)
+                assert abs(x[n - 1] * pivot - 1) < mp.eps
+                assert abs(3 * x[0] - 1) < mp.eps
+
+
+def test_lu_solve_all_zero_row_is_singular():
+    # a row of zeros, with a nonzero right-hand side or not, has no pivot
+    A = [[mpf(1), mpf(2), mpf(3)], [mpf(0)] * 3, [mpf(4), mpf(5), mpf(7)]]
+    for b in ([mpf(1)] * 3, [mpf(0)] * 3):
+        with pytest.raises(ZeroDivisionError, match="numerically singular"):
+            equilibrium._lu_solve(A, b)
+    with pytest.raises(ConvergenceError, match="singular Jacobian"):
+        equilibrium._newton(lambda x: ([x[0] - 1, mpf(1), x[2]], A, None),
+                            [0, 0, 0], 1)
+
+
+def _steep_system(calls):
+    """r = (atan(100 (x_0 - 1)), x_1 - x_0), its exact Jacobian, recording
+    each point it is evaluated at: from (1.2, 1.2) the Newton step is -6.1
+    in both components, capped to 0.2 (1 + 1.2) = 0.44, and the capped step
+    still overshoots the root, so the line search halves it."""
+    def system(x):
+        calls.append(list(x))
+        k = mpf(100)
+        z = k * (x[0] - 1)
+        return ([mp.atan(z), x[1] - x[0]],
+                [[k / (1 + z * z), mpf(0)], [mpf(-1), mpf(1)]], None)
+    return system
+
+
+def test_capped_halved_newton_takes_the_reference_iterates(monkeypatch):
+    # the step cap binds and the line search halves, and every point Newton
+    # evaluates is the one it evaluates with the mpf elimination
+    runs = []
+    for solve in (equilibrium._lu_solve, lu_solve_reference):
+        monkeypatch.setattr(equilibrium, "_lu_solve", solve)
+        calls = []
+        x, _, steps, rn = equilibrium._newton(_steep_system(calls),
+                                              [mpf("1.2"), mpf("1.2")], 1)
+        runs.append((calls, x, steps, rn))
+    assert runs[0] == runs[1]
+    calls, x, steps, rn = runs[0]
+    x0 = mpf("1.2")
+    assert abs(abs(calls[1][0] - x0) - (1 + x0) / 5) < mpf("1e-30")
+    assert calls[2][0] - x0 == (calls[1][0] - x0) / 2
+    assert len(calls) > steps + 1
+    assert abs(x[0] - 1) < mpf("1e-30") and x[0] == x[1]
+
+
+def _bit_identity_cases():
+    """(spec name, spec, t/T_c, cuts): the Newton corpus of the bit-identity
+    test, quartic phi_e 1.0 and 0.62 and nu = 2 at e = 2.6."""
+    specs = (("quartic 1.0", lambda: make_quartic_spec(mpf("1.0"))),
+             ("quartic 0.62", lambda: make_quartic_spec(mpf("0.62"))),
+             ("nu=2 e=2.6", lambda: make_spec(2, mpf("2.6"))))
+    for name, make in specs:
+        spec = make()
+        for that in ("1e-5", "1e-4", "1e-3"):
+            for cuts in (1, 2):
+                yield name, spec, mpf(that), cuts
+
+
+def _corpus_solve(spec, that, cuts):
+    """The endpoints, Newton steps and residual of one cut solve, as exact
+    mpf tuples, or the text of the error it raised."""
+    t = that * spec.Tc
+    try:
+        if cuts == 1:
+            mu = solve_one_cut(spec.V, spec.Tc - t, (-2, 2))
+        else:
+            mu = solve_two_cut(spec.V, spec.Tc + t, two_cut_guess(spec, t))
+    except (PhaseError, ConvergenceError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    return [v._mpf_ for v in mu.endpoints], mu.newton_steps, mu.residual._mpf_
+
+
+@pytest.mark.parametrize("dps", [15, 40, 60])
+def test_newton_corpus_is_bit_identical_to_the_mpf_elimination(dps,
+                                                               monkeypatch):
+    # the integer `_lu_solve` and the mpf reference give Newton the same
+    # steps: the same endpoints, step counts and residuals bit for bit, and
+    # the same error text where a solve fails
+    with mp.workdps(dps):
+        for name, spec, that, cuts in _bit_identity_cases():
+            got = _corpus_solve(spec, that, cuts)
+            with monkeypatch.context() as patch:
+                patch.setattr(equilibrium, "_lu_solve", lu_solve_reference)
+                ref = _corpus_solve(spec, that, cuts)
+            assert got == ref, (name, that, cuts)
 
 
 @pytest.mark.parametrize("x,match", [
