@@ -86,10 +86,10 @@ and whose gap-row entries at a and d cancel by (c-b)^2. Every endpoint
 difference is exact in fixed point, so m and k^2 - alpha^2 keep relative
 error 2^-W over their size.
 
-Newton's linear solve J dx = -r runs in integers too (`_lu_solve`): J and
-r are read from their exact mantissas, each row is scaled by a power of
-two and eliminated at prec + 20 fraction bits, and each component of dx is
-rounded once.
+Newton's linear solve J dx = -r runs in integers too (`_lu_solve`): J is
+scaled by one power of two and truncated to prec + 20 fraction bits of its
+smallest row's largest entry, -r is read exactly, the elimination runs on
+those integers, and each component of dx is rounded once.
 
 W's tail at infinity, summed by `veff_const_bs`, is split off the same
 integer layer: V' is a polynomial, so W's x^{-k} coefficient is -1/2 that
@@ -120,6 +120,7 @@ from .specialfn import agm_fixed, agm_integrals, theta1_axis, theta1_prime0
 # larger than their sum, which Newton drives to 0
 GAP_GUARD_BITS = 32
 NEWTON_STEPS = 40                      # step cap of either cut solve
+_CLOSED = 10**10                       # cut or gap < span / _CLOSED: closed
 
 
 class PhaseError(RuntimeError):
@@ -186,69 +187,57 @@ class EqMeasure:
 # moment conditions via Laurent data
 # ----------------------------------------------------------------------------
 
-def _above(x, ex, y, ey):
-    """|x| 2^ex > |y| 2^ey, exactly, for integers x and y."""
-    x, y = abs(x), abs(y)
-    if not x or not y:
-        return x > y
-    lx, ly = x.bit_length() + ex, y.bit_length() + ey
-    if lx != ly:
-        return lx > ly
-    return (x << ex - ey if ex > ey else x) > (y << ey - ex if ey > ex else y)
-
-
 def _lu_solve(A, b):
     """x with A x = b for a small square A of mpf entries: Gaussian
     elimination with partial pivoting on Python integers (module docstring).
 
-    Each entry is read exactly from its mantissa and exponent. Row i is
-    scaled by 2^-t_i, t_i the top bit of its largest |A_ij|, so that A's
-    entries are W-bit fixed-point integers R_ij, W = prec + 20. The column
-    b is scaled by one more power of two, so that its smallest nonzero
-    entry has W bits and every entry is exact. Both scalings are exact, and
-    under them row i is updated by pivot row j as R_ik - R_ij R_jk / R_jj,
-    whatever t_i and t_j are. The pivot is the largest true
-    |A_kj| = |R_kj| 2^(t_k - W), not the largest R_kj. Back substitution
-    forms each x_k from one exact sum and one floor division and rounds it
-    once, 10 bits above the working precision, so that a full Newton step
-    x + dx is rounded once, to the working precision. ZeroDivisionError
-    where a pivot is at most n eps max |A_ij|, eps = 2^(1 - (prec + 10)):
-    A is numerically singular."""
+    Each entry is read from its mantissa and exponent. All of A is scaled
+    by one power of two, 2^(W - t), W = prec + 20 and t the top bit of the
+    smallest row's largest |A_ij|, and floored to integers R_ij: every row
+    keeps at least W bits below its largest entry, and the low bits of
+    entries smaller than that are truncated. The largest |A_ij|, a mantissa
+    of prec bits, stays exact, and so does the singular test against it.
+    The column b is scaled by 2^-u more, u the least of top(b_i) - top(A_i)
+    over the rows, so that every nonzero b_i keeps at least W bits and b is
+    exact. Under the one scale the pivot is the largest |R_kj|, the largest
+    |A_kj| as truncated, not a row-scaled value. The multiplier
+    R_ij / R_jj keeps W + (the spread of the rows' top bits) fraction bits,
+    so that each update R_ik - R_ij R_jk / R_jj is off by at most two units,
+    2^(1 - W) of row i's largest entry, however far row i lies below the
+    pivot row. Back substitution forms each x_k from one exact sum and one
+    floor division and rounds it once, 10 bits above the working precision,
+    so that a full Newton step x + dx is rounded once, to the working
+    precision. ZeroDivisionError where a pivot is at most n eps max |A_ij|,
+    eps = 2^(1 - (prec + 10)): A is numerically singular."""
     n = len(A)
     W = mp.prec + 20
-    rows, tops = [], []
-    big_m, big_e = 0, 0                       # max |A_ij| = big_m 2^big_e
-    for row in A:
-        parts = [v._mpf_ for v in row]
-        top = max((e + bc for _, m, e, bc in parts if m), default=0)
-        for _, m, e, _ in parts:
-            if m and _above(m, e, big_m, big_e):
-                big_m, big_e = m, e
-        rows.append([to_fixed(v, W - top) for v in parts])
-        tops.append(top)
-    parts = [v._mpf_ for v in b]
-    u = min((e + bc - top for (_, m, e, bc), top in zip(parts, tops) if m),
+    A = [[v._mpf_ for v in row] for row in A]
+    b = [v._mpf_ for v in b]
+    tops = [max((e + bc for _, m, e, bc in row if m), default=0)
+            for row in A]
+    t = min(tops)
+    F = W + max(tops) - t
+    u = min((e + bc - top for (_, m, e, bc), top in zip(b, tops) if m),
             default=0)
-    for row, v, top in zip(rows, parts, tops):
-        row.append(to_fixed(v, W - top - u))
+    rows = [[to_fixed(v, W - t) for v in row] + [to_fixed(v, W - t - u)]
+            for row, v in zip(A, b)]
     # singular where |pivot| <= n 2^(1 - (prec + 10)) max |A_ij|
-    tol_m, tol_e = n * big_m, big_e - mp.prec - 9 + W
+    tol = n * max(abs(v) for row in rows for v in row[:n])
     for j in range(n):
         piv = j
         for k in range(j + 1, n):
-            if _above(rows[k][j], tops[k], rows[piv][j], tops[piv]):
+            if abs(rows[k][j]) > abs(rows[piv][j]):
                 piv = k
         rows[j], rows[piv] = rows[piv], rows[j]
-        tops[j], tops[piv] = tops[piv], tops[j]
         pivot = rows[j]
         p = pivot[j]
-        if not _above(p, tops[j], tol_m, tol_e):
+        if abs(p) << mp.prec + 9 <= tol:
             raise ZeroDivisionError("matrix is numerically singular")
         for row in rows[j + 1:]:
             if row[j]:
-                f = (row[j] << W) // p
+                f = (row[j] << F) // p
                 for k in range(j + 1, n + 1):
-                    row[k] -= f * pivot[k] >> W
+                    row[k] -= f * pivot[k] >> F
     y = [0] * n
     for i in range(n - 1, -1, -1):
         row = rows[i]
@@ -269,8 +258,9 @@ def _newton(F, x0, T):
     Newton steps taken and max |r| there.
 
     Each step solves J dx = -r by `_lu_solve`, Gaussian elimination with
-    partial pivoting on the exact integer mantissas of J and r; a
-    numerically singular J raises ConvergenceError.
+    partial pivoting on Python integers: J truncated to prec + 20 fraction
+    bits of its smallest row's largest entry, r exact; a numerically
+    singular J raises ConvergenceError.
 
     Each step component is capped at 0.2 (1 + |x_j|), 0.2 formed once per
     call; near a degenerate critical point the Jacobian is stiff and an
@@ -313,22 +303,19 @@ def _newton(F, x0, T):
                            % (NEWTON_STEPS, rn))
 
 
-def _cut_system(Vp: Poly, T, x, closed=None):
+def _cut_system(Vp: Poly, T, x):
     """Residual (c_1, .., c_s, c_{s+1} - 2T), plus the gap row when s = 2, at
     the endpoints x of s = len(x)//2 cuts, its exact Jacobian and M.
 
     One evaluation in W-bit fixed point (module docstring): the endpoints,
     V' and T are converted once, and each output is rounded once to the
-    working precision. A cut or the gap narrower than `closed` (1e-10 by
-    default, which `_solve` forms once per solve) times the span has
-    closed."""
+    working precision. A cut or the gap narrower than 1e-10 times the span
+    has closed."""
     s = len(x) // 2
     if not all(lo < hi for lo, hi in zip(x, x[1:])):
         raise PhaseError("cut collision: need %s" % " < ".join("abcd"[:2 * s]))
-    if closed is None:
-        closed = mpf("1e-10")
     span = x[-1] - x[0]
-    if any(hi - lo < closed * span for lo, hi in zip(x[1:], x[2:])):
+    if any((hi - lo) * _CLOSED < span for lo, hi in zip(x[1:], x[2:])):
         raise PhaseError("cut collision: a cut or the gap has closed")
     W = mp.prec + GAP_GUARD_BITS + (_narrow_bits(x) if s == 2 else 0)
     X = [to_fixed(v._mpf_, W) for v in x]
@@ -381,9 +368,7 @@ def _solve(V: Poly, T, guess) -> EqMeasure:
     if not T > 0:
         raise ValueError("temperature T = %s: need T > 0" % mp.nstr(T, 10))
     Vp = V.deriv()
-    closed = mpf("1e-10")
-    ends, M, steps, rn = _newton(lambda x: _cut_system(Vp, T, x, closed),
-                                 guess, T)
+    ends, M, steps, rn = _newton(lambda x: _cut_system(Vp, T, x), guess, T)
     mu = EqMeasure(s=len(ends) // 2, endpoints=tuple(ends), M=M, T=T, V=V,
                    newton_steps=steps, residual=rn)
     _check_density(mu)
