@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections import OrderedDict
 
 from mpmath import mp, mpf
 
 from . import asymptotics, critical, equilibrium, kvio, modelchain, oracle
+from .oracle import _recent
 from .potentials import make_quartic_spec, make_spec, validate_critical
 
 EXIT_OK = 0
@@ -23,11 +25,23 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
+# what one process keeps between commands: a transition and an equilibrium
+# at the same t share their measure. The bounds keep memory flat on any grid.
+SPEC_CACHE_SIZE = 4
+MEASURE_CACHE_SIZE = 8
+_specs = OrderedDict()      # (option text, prec) -> CriticalSpec
+_measures = OrderedDict()   # (spec, t, two_cut, prec) -> EqMeasure
+
+
 def _fmt(x, digits=17):
     return mp.nstr(mpf(x), digits)
 
 
 def _load_spec(args):
+    """The spec the options name. One built from --phi-e or --nu/--e is kept
+    under the option text and the precision, and the last SPEC_CACHE_SIZE
+    of them are reused; a --spec FILE spec is read afresh on every call,
+    since the file may change."""
     if args.spec:
         try:
             with open(args.spec) as fh:
@@ -39,10 +53,30 @@ def _load_spec(args):
         except (ValueError, KeyError) as exc:
             raise UsageError("malformed spec file %s: %s" % (args.spec, exc))
     if args.phi_e is not None and (args.nu is None or args.nu == 1):
-        return make_quartic_spec(mpf(args.phi_e))
+        return _recent(_specs, ("phi_e", args.phi_e, mp.prec),
+                       lambda: make_quartic_spec(mpf(args.phi_e)),
+                       SPEC_CACHE_SIZE)
     if args.nu is not None and args.e is not None:
-        return make_spec(args.nu, mpf(args.e))
+        return _recent(_specs, ("nu", args.nu, args.e, mp.prec),
+                       lambda: make_spec(args.nu, mpf(args.e)), SPEC_CACHE_SIZE)
     raise UsageError("need --spec FILE, or --phi-e (nu=1), or --nu with --e")
+
+
+def _measure(spec, t, two_cut):
+    """The equilibrium measure of spec at T = T_c (1 + t): two-cut from
+    `critical.two_cut_guess`, else one-cut from (-2, 2). A call with the
+    same spec, t, cut count and precision as one of the last
+    MEASURE_CACHE_SIZE distinct calls returns that call's measure (shared,
+    read-only); a solve that raises is not kept."""
+    def solve():
+        T = spec.Tc * (1 + t)
+        if two_cut:
+            return equilibrium.solve_two_cut(
+                spec.V, T, critical.two_cut_guess(spec, T - spec.Tc))
+        return equilibrium.solve_one_cut(spec.V, T, guess=(-2, 2))
+
+    return _recent(_measures, (spec, t, two_cut, mp.prec), solve,
+                   MEASURE_CACHE_SIZE)
 
 
 class UsageError(Exception):
@@ -110,12 +144,8 @@ def cmd_validate(args):
 
 def cmd_equilibrium(args):
     spec = _load_spec(args)
-    T = spec.Tc * (1 + mpf(args.t)) if args.t is not None else spec.Tc
-    if args.two_cut:
-        mu = equilibrium.solve_two_cut(
-            spec.V, T, critical.two_cut_guess(spec, T - spec.Tc))
-    else:
-        mu = equilibrium.solve_one_cut(spec.V, T, guess=(-2, 2))
+    t = mpf(0 if args.t is None else args.t)
+    mu = _measure(spec, t, args.two_cut)
     _write(args.out, kvio.measure_to_kv(mu))
     return EXIT_OK
 
@@ -259,16 +289,12 @@ def cmd_transition(args):
     spec = _load_spec(args)
     ts = _parse_grid(args.t_grid or "1e-5:1e-3:1e-4")
     rows = ["t_over_Tc,side,d2F_solver,d2F_formula"]
-    sides = (("below", -1, lambda t: equilibrium.solve_one_cut(
-                 spec.V, spec.Tc - t, guess=(-2, 2))),
-             ("above", 1, lambda t: equilibrium.solve_two_cut(
-                 spec.V, spec.Tc + t, guess=critical.two_cut_guess(spec, t))))
     for that in ts:
-        t = that * spec.Tc
-        for side, sign, solve in sides:
-            law = critical.transition_curvature(spec, sign * t)
+        for side, t in (("below", -that), ("above", that)):
+            law = critical.transition_curvature(spec, t * spec.Tc)
             try:
-                _, _, gamma = equilibrium.abelian_objects(solve(t))
+                _, _, gamma = equilibrium.abelian_objects(
+                    _measure(spec, t, side == "above"))
                 rows.append(",".join([_fmt(that), side, _fmt(-2 * mp.log(gamma)),
                                       _fmt(law)]))
             except (equilibrium.PhaseError, equilibrium.ConvergenceError) as exc:

@@ -241,23 +241,22 @@ def integrate_bracket(f, a, b, n_start=32, max_n=4096):
     def rule(nn):
         if held:
             # `_refine` doubles n: the even nodes of nn are the last rule's
-            acc, mass = held
-            new = range(1, nn, 2)
+            fs, new = [], range(1, nn, 2)
         else:
-            fa, fb = f(a), f(b)
-            acc, mass = (fa + fb) / 2, (abs(fa) + abs(fb)) / 2
-            new = range(1, nn)
+            fs, new = [f(a) / 2, f(b) / 2], range(1, nn)
         # the node at i pi/nn, then rotations by the step between new nodes
         cos, sin = cos_sin_fixed(pi_fixed(W) // nn, W)
         step_c, step_s = cos, sin
         if new.step == 2:
             step_c, step_s = (cos * cos - sin * sin) >> W, (2 * cos * sin) >> W
         for _ in new:
-            fx = f(mpf((MID + HALF * cos, scale)))
-            acc += fx
-            mass += abs(fx)
+            fs.append(f(mpf((MID + HALF * cos, scale))))
             cos, sin = ((cos * step_c - sin * step_s) >> W,
                         (sin * step_c + cos * step_s) >> W)
+        # the last level's sums and the new values, added exactly and
+        # rounded once
+        acc = mp.fsum(held[:1] + fs)
+        mass = mp.fsum(held[1:] + fs, absolute=True)
         held[:] = acc, mass
         h = mp.pi / nn
         return acc * h, mass * h

@@ -5,13 +5,14 @@ import io
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 import birthcut
-from birthcut import cli, modelchain, oracle
+from birthcut import cli, equilibrium, modelchain, oracle
 from birthcut.cli import main
 from birthcut.kvio import measure_from_kv, measure_to_kv, parse_kv, spec_to_kv
 from conftest import quartic
@@ -243,6 +244,85 @@ def test_equilibrium_two_cut(tmp_path):
     mu = measure_from_kv(out.read_text())
     assert mu.s == 2
     assert mu.endpoints[1] < mu.x0 < mu.endpoints[2]   # x0 lies in the gap
+
+
+@pytest.fixture
+def empty_caches(monkeypatch):
+    """The test runs on empty spec and measure caches, and `_clear` empties
+    them again; the process's own caches come back after the test."""
+    monkeypatch.setattr(cli, "_specs", OrderedDict())
+    monkeypatch.setattr(cli, "_measures", OrderedDict())
+
+
+def _clear():
+    cli._specs.clear()
+    cli._measures.clear()
+
+
+TWO_CUT_ARGV = ["equilibrium", "--phi-e", "1.0", "--t", "1e-4", "--two-cut"]
+
+
+def test_equilibrium_after_transition_reuses_spec_and_measure(
+        empty_caches, monkeypatch, capsys):
+    # transition solves the two-cut measure at t/T_c = 1e-4; equilibrium
+    # --two-cut at the same t in the same process builds no spec, evaluates
+    # no cut system, and prints what it prints on empty caches
+    assert run(TWO_CUT_ARGV) == 0
+    fresh = capsys.readouterr().out
+    _clear()
+    assert run(["transition", "--phi-e", "1.0", "--t-grid", "1e-4:1e-4:1"]) == 0
+    capsys.readouterr()
+    calls = []
+    system, build = equilibrium._cut_system, cli.make_quartic_spec
+    monkeypatch.setattr(equilibrium, "_cut_system",
+                        lambda *a: calls.append("system") or system(*a))
+    monkeypatch.setattr(cli, "make_quartic_spec",
+                        lambda *a: calls.append("spec") or build(*a))
+    assert run(TWO_CUT_ARGV) == 0
+    assert calls == []
+    assert capsys.readouterr().out == fresh
+
+
+def test_each_precision_solves_a_measure_of_its_own(empty_caches, capsys):
+    # a --dps 30 run after a 40-digit one at the same t solves again, and
+    # prints what a --dps 30 run on empty caches prints
+    with mp.workdps(mp.dps):             # main sets the global precision
+        assert run(["--dps", "30"] + TWO_CUT_ARGV) == 0
+        fresh30 = capsys.readouterr().out
+        _clear()
+        assert run(TWO_CUT_ARGV) == 0
+        out40 = capsys.readouterr().out
+        assert run(["--dps", "30"] + TWO_CUT_ARGV) == 0
+    assert capsys.readouterr().out == fresh30 != out40
+    assert len(cli._measures) == 2
+
+
+def test_a_long_t_grid_keeps_at_most_the_bound_of_measures(empty_caches,
+                                                           capsys):
+    # 40 points, 80 solves: memory stays flat on any grid
+    assert run(["transition", "--phi-e", "1.0",
+                "--t-grid", "1e-5:4e-4:1e-5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 80
+    assert len(cli._measures) == cli.MEASURE_CACHE_SIZE
+    assert len(cli._specs) == 1
+
+
+def test_a_rewritten_spec_file_is_read_again(empty_caches, tmp_path, capsys):
+    # a --spec FILE spec is never kept: after the file changes, the run
+    # prints what a process that saw only the new file prints
+    path = tmp_path / "model.spec"
+    argv = ["equilibrium", "--spec", str(path), "--t", "1e-4", "--two-cut"]
+    path.write_text(spec_to_kv(quartic("1.3")))
+    assert run(argv) == 0
+    fresh = capsys.readouterr().out
+    _clear()
+    path.write_text(spec_to_kv(quartic("1.0")))
+    assert run(argv) == 0
+    old = capsys.readouterr().out
+    path.write_text(spec_to_kv(quartic("1.3")))
+    assert run(argv) == 0
+    assert capsys.readouterr().out == fresh != old
+    assert not cli._specs
 
 
 def test_negative_option_values(tmp_path):

@@ -11,10 +11,11 @@ n rising, repeated and falling, both kernel forms, phi and the count) and
 the model chain's psi lists and Hilbert pairs; the `asymptotics` forms on
 the A10a grid; two one-cut measures, and on a line of its own their
 V_eff(b_s); three two-cut quartic measures with their gamma, Lambda and
-`kvio` text; the endpoints, Newton steps and residuals of the 30-solve
-Newton corpus; the stdout of six CLI commands run through `cli.main`; the
-64-point Gauss-Legendre rule at 136-512 bits by every start path, with the
-model chain's principal-value sums `pihat_direct` at fixed points; and V
+`kvio` text, and on a line of its own the normalization of all five; the
+endpoints, Newton steps and residuals of the 30-solve Newton corpus; the
+stdout of six CLI commands run through `cli.main`; the 64-point
+Gauss-Legendre rule at 136-512 bits by every start path, with the model
+chain's principal-value sums `pihat_direct` at fixed points; and V
 and T_c of 13 critical models at nu = 1..5, one line per model, each at 15,
 40 and 60 digits.
 Values are hashed by their exact mpf tuples, tables and stdout as text.
@@ -155,12 +156,13 @@ def one_cut():
            equilibrium.solve_one_cut(nu2.V, nu2.Tc, (-2, 2)))
     emit("one-cut", [[mu.endpoints, mu.M.c, mu.residual] for mu in mus])
     emit("one-cut V_eff(b_s)", [equilibrium.veff_const_bs(mu) for mu in mus])
+    return mus
 
 
 def two_cut():
     """Two-cut quartic measures at (phi_e, t/T_c): the endpoints, m, x0,
     gamma, Lambda at five x > d and the `kvio` text, in one line."""
-    values = []
+    values, mus = [], []
     for phi_e, that in (("1.0", "3e-4"), ("0.62", "1e-3"), ("1.3", "1e-5")):
         spec = make_quartic_spec(mpf(phi_e))
         t = mpf(that) * spec.Tc
@@ -172,7 +174,15 @@ def two_cut():
                           equilibrium.gamma_two_cut(mu)]
                          + [equilibrium.lambda_two_cut(mu, x) for x in xs]),
                    kvio.measure_to_kv(mu)]
+        mus.append(mu)
     emit("two-cut", "\n".join(values))
+    return mus
+
+
+def normalization(mus):
+    """`equilibrium.normalization` of the one- and two-cut measures, the
+    bits of `quadrature.integrate_bracket`, in one line."""
+    emit("normalization", [equilibrium.normalization(mu) for mu in mus])
 
 
 def newton_corpus():
@@ -262,8 +272,7 @@ def main():
     chains()
     evaluators()
     a10a()
-    one_cut()
-    two_cut()
+    normalization([*one_cut(), *two_cut()])
     newton_corpus()
     commands()
     rules()
