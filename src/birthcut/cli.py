@@ -293,7 +293,7 @@ def cmd_transition(args):
         for side, t in (("below", -that), ("above", that)):
             law = critical.transition_curvature(spec, t * spec.Tc)
             try:
-                _, _, gamma = equilibrium.abelian_objects(
+                gamma = equilibrium.measure_gamma(
                     _measure(spec, t, side == "above"))
                 rows.append(",".join([_fmt(that), side, _fmt(-2 * mp.log(gamma)),
                                       _fmt(law)]))

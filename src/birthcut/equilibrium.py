@@ -108,9 +108,9 @@ from typing import Optional
 from mpmath import mp, mpf
 from mpmath.libmp import pi_fixed, to_fixed
 
-from .poly import (Poly, _fixed_deflate, _fixed_horner, _fixed_monic,
-                   _fixed_series, _fixed_split, _float_horner, _int_product,
-                   monic_from_roots)
+from .poly import (FLOAT_MARGIN, Poly, _fixed_deflate, _fixed_horner,
+                   _fixed_monic, _fixed_series, _fixed_split, _float_horner,
+                   _int_product, monic_from_roots)
 from .quadrature import (GUARD_BITS, ConvergenceError, integrate_bracket,
                          integrate_doubling)
 from .specialfn import agm_fixed, agm_integrals, theta1_axis, theta1_prime0
@@ -160,28 +160,6 @@ class EqMeasure:
         alternating leftwards, from the discontinuity of sqrt(sigma)."""
         return 1 if (self.s - 1 - i) % 2 == 0 else -1
 
-    def density(self, x):
-        """rho(x) = M sqrt(-sigma) / (2 pi T) with the per-cut branch sign;
-        zero off the support."""
-        x = mpf(x)
-        cut = self._cut_index(x)
-        if cut is None:
-            return mpf(0)
-        neg = -self.sigma()(x)
-        if neg < 0:
-            neg = mpf(0)
-        return self.cut_sign(cut) * self.M(x) * mp.sqrt(neg) / (2 * mp.pi * self.T)
-
-    def _cut_index(self, x):
-        eps = self.endpoints
-        for i in range(self.s):
-            if eps[2 * i] <= x <= eps[2 * i + 1]:
-                return i
-        return None
-
-    def b_s(self):
-        return self.endpoints[-1]
-
 
 # ----------------------------------------------------------------------------
 # moment conditions via Laurent data
@@ -194,9 +172,8 @@ def _lu_solve(A, b):
     Each entry is read from its mantissa and exponent. All of A is scaled
     by one power of two, 2^(W - t), W = prec + 20 and t the top bit of the
     smallest row's largest |A_ij|, and floored to integers R_ij: every row
-    keeps at least W bits below its largest entry, and the low bits of
-    entries smaller than that are truncated. The largest |A_ij|, a mantissa
-    of prec bits, stays exact, and so does the singular test against it.
+    keeps its largest entry, a prec-bit mantissa, exact and at least W bits
+    below it, and the low bits of smaller entries are truncated.
     The column b is scaled by 2^-u more, u the least of top(b_i) - top(A_i)
     over the rows, so that every nonzero b_i keeps at least W bits and b is
     exact. Under the one scale the pivot is the largest |R_kj|, the largest
@@ -207,8 +184,9 @@ def _lu_solve(A, b):
     pivot row. Back substitution forms each x_k from one exact sum and one
     floor division and rounds it once, 10 bits above the working precision,
     so that a full Newton step x + dx is rounded once, to the working
-    precision. ZeroDivisionError where a pivot is at most n eps max |A_ij|,
-    eps = 2^(1 - (prec + 10)): A is numerically singular."""
+    precision. ZeroDivisionError where a pivot is at most n eps times the
+    largest |A_ik| of its own row as given, eps = 2^(1 - (prec + 10)), a
+    bound that scales with its row: A is numerically singular."""
     n = len(A)
     W = mp.prec + 20
     A = [[v._mpf_ for v in row] for row in A]
@@ -221,17 +199,18 @@ def _lu_solve(A, b):
             default=0)
     rows = [[to_fixed(v, W - t) for v in row] + [to_fixed(v, W - t - u)]
             for row, v in zip(A, b)]
-    # singular where |pivot| <= n 2^(1 - (prec + 10)) max |A_ij|
-    tol = n * max(abs(v) for row in rows for v in row[:n])
+    # singular where |pivot| <= n 2^(1 - (prec + 10)) max_k |A_ik| of its row
+    tols = [n * max(map(abs, row[:n])) for row in rows]
     for j in range(n):
         piv = j
         for k in range(j + 1, n):
             if abs(rows[k][j]) > abs(rows[piv][j]):
                 piv = k
         rows[j], rows[piv] = rows[piv], rows[j]
+        tols[j], tols[piv] = tols[piv], tols[j]
         pivot = rows[j]
         p = pivot[j]
-        if abs(p) << mp.prec + 9 <= tol:
+        if abs(p) << mp.prec + 9 <= tols[j]:
             raise ZeroDivisionError("matrix is numerically singular")
         for row in rows[j + 1:]:
             if row[j]:
@@ -454,9 +433,9 @@ def _check_density(mu: EqMeasure):
     where sgn M(x) < -10^(8 - dps) max_k |c_k| (1 + |x|)^deg M.
 
     M is scanned in floats (`poly._float_horner`); the test is formed in
-    mpf only where sgn M_float <= 1e-9 of the scale sum_k |c_k| |x|^k
-    there, so every point skipped passes in mpf too. Where the
-    coefficients leave the float range, no point is skipped."""
+    mpf only where sgn M_float <= `poly.FLOAT_MARGIN` of the scale
+    sum_k |c_k| |x|^k there, so every point skipped passes in mpf too.
+    Where the coefficients leave the float range, no point is skipped."""
     samples = 200                      # points per cut where M's sign is checked
     eps = mu.endpoints
     mscale = max(abs(v) for v in mu.M.c) if mu.M else mpf(1)
@@ -472,7 +451,7 @@ def _check_density(mu: EqMeasure):
             if in_range:
                 acc, size = _float_horner(coeffs,
                                          f_lo + (f_hi - f_lo) * i / samples)
-                if sgn * acc > 1e-9 * size:
+                if sgn * acc > FLOAT_MARGIN * size:
                     continue
             x = lo + (hi - lo) * mpf(i) / samples
             if sgn * mu.M(x) < floor * (1 + abs(x)) ** mu.M.degree:
@@ -566,7 +545,7 @@ def effective_potential(mu: EqMeasure, x):
 
 
 # ----------------------------------------------------------------------------
-# abelian differential, Lambda, gamma, prime form
+# Lambda and gamma
 # ----------------------------------------------------------------------------
 
 def joukowski_lambda(mu: EqMeasure, x):
@@ -637,31 +616,13 @@ def gamma_two_cut(mu: EqMeasure):
     return +gamma
 
 
-def abelian_objects(mu: EqMeasure):
-    """(Omega, Lambda, gamma): the normalized third-kind differential, its
-    exponentiated primitive from b_s, and gamma = lim x/Lambda(x)."""
+def measure_gamma(mu: EqMeasure):
+    """gamma = lim x/Lambda(x), the capacity of the support: (b - a)/4 on one
+    cut, `gamma_two_cut` on two."""
     if mu.s == 1:
         a, b = mu.endpoints
-        return (lambda x: 1 / mp.sqrt((x - a) * (x - b)),
-                lambda x: joukowski_lambda(mu, x), (b - a) / 4)
-    return (lambda x: (x - mu.x0) / mp.sqrt(mu.sigma()(x)),
-            lambda x: lambda_two_cut(mu, x), gamma_two_cut(mu))
-
-
-def prime_form_one_cut(mu: EqMeasure, x, xi):
-    """(H, E): H(x,xi) = phi'(x)/(e^{phi(x)+phi(xi)} - 1) and
-    E(x,xi) = 1 - e^{-(phi(x)+phi(xi))}."""
-    if mu.s != 1:
-        raise ValueError("prime form implemented for the one-cut case only")
-    a, b = mu.endpoints
-    for v in (x, xi):
-        if a <= v <= b:
-            raise ValueError("argument on the cut")
-    lx, lxi = joukowski_lambda(mu, x), joukowski_lambda(mu, xi)
-    phip = 1 / mp.sqrt((x - a) * (x - b))
-    H = phip / (lx * lxi - 1)
-    E = 1 - 1 / (lx * lxi)
-    return H, E
+        return (b - a) / 4
+    return gamma_two_cut(mu)
 
 
 def veff_const_bs(mu: EqMeasure):
@@ -679,7 +640,7 @@ def veff_const_bs(mu: EqMeasure):
     b_s > 0 (true for every critical model here).
     """
     tail_terms = 40                    # Laurent terms of W - T/x past x = X
-    bs = mu.b_s()
+    bs = mu.endpoints[-1]
     if bs <= 0:
         raise ValueError("normalization constant needs b_s > 0")
     T, Vp, s = mu.T, mu.V.deriv(), mu.s
@@ -712,7 +673,7 @@ def veff_const_bs(mu: EqMeasure):
 def thermo_derivatives(mu: EqMeasure):
     """dF/dT = V_eff(b_s), d2F/dT2 = -2 ln gamma, and the trace derivative
     dT(race)/dT ((a+b)/2 for one cut, (a+b+c+d)/2 - x0 for two)."""
-    _, _, gamma = abelian_objects(mu)
+    gamma = measure_gamma(mu)
     eps = mu.endpoints
     if mu.s == 1:
         trace = (eps[0] + eps[1]) / 2
@@ -724,15 +685,6 @@ def thermo_derivatives(mu: EqMeasure):
         "dT_dT_trace": trace,
         "gamma": gamma,
     }
-
-
-def dtrace_dr(mu: EqMeasure, xi):
-    """One-cut d(trace)/d(residue) = gamma / Lambda(xi), for a simple pole
-    of V' at xi outside the cut."""
-    if mu.s != 1:
-        raise ValueError("implemented for the one-cut case only")
-    _, Lam, gamma = abelian_objects(mu)
-    return gamma / Lam(mpf(xi))
 
 
 def classical_gamma_beta(mu: EqMeasure):

@@ -46,9 +46,9 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .oracle import (GUARD_BITS, PANEL_POINTS, RecChain, Weight,
-                     _first_converged, _ladder, _recent, assemble_chain,
-                     orthogonality_residual)
+from .oracle import (CHECK_GRID_RATIO, GUARD_BITS, PANEL_POINTS, RecChain,
+                     Weight, _first_converged, _ladder, _recent,
+                     assemble_chain, orthogonality_residual)
 from .poly import Poly
 from .potentials import CriticalSpec
 
@@ -155,7 +155,8 @@ def build_chain(nu: int, k_max: int = 100, prec: int = 256,
     highest (worst-resolved) index. The same grid serves
     `oracle.pihat_direct` for the Hilbert seed. By default it is the first converged rung of the
     oracle's ladder (`oracle._first_converged`); `nodes` pins it to the
-    grid the oracle checks a `nodes`-node chain on, 1.37x as many.
+    grid the oracle checks a `nodes`-node chain on, `CHECK_GRID_RATIO`
+    times as many.
 
     A call with the same arguments as one of the last CHAIN_CACHE_SIZE
     distinct calls returns the chain that call built (shared, read-only)."""
@@ -180,7 +181,8 @@ def _build_chain(nu, k_max, prec, nodes):
                                [mp.sqrt(g) for g in gsq], log_h, None)
     with mp.workprec(prec):
         if nodes is not None:
-            rungs = (int(max(1, nodes // PANEL_POINTS) * mpf("1.37")),)
+            rungs = (int(max(1, nodes // PANEL_POINTS)
+                         * mpf(CHECK_GRID_RATIO)),)
         else:
             rungs = _ladder(nu, n_max, weight.hi, prec)
 

@@ -93,7 +93,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 from mpmath.libmp.libelefun import exp_basecase, ln2_fixed
 
-from .poly import Poly, _float_horner
+from .poly import FLOAT_MARGIN, Poly, _float_horner
 from .quadrature import gauss_legendre
 
 GUARD_BITS = 32        # fixed-point fraction bits beyond the working precision
@@ -102,6 +102,7 @@ PANEL_POINTS = 64      # Gauss-Legendre points per panel of every chain grid
 MEMO_SIZE = 64         # values a chain's memo keeps, least recently used dropped
 POINT_STORE_SIZE = 2048  # points a chain's point store keeps, the same way
 DIAGONAL_GAP = 1e-8    # kernel_exact's relative |x - x'| of the derivative form
+CHECK_GRID_RATIO = "1.37"  # check-grid nodes per chain node, as mpf text
 
 
 @dataclass(frozen=True, eq=False)
@@ -678,9 +679,9 @@ def _scan_min(V: Poly, lo, hi):
 
     V is scanned in floats (`poly._float_horner`); V is formed in mpf only
     at the float minimum and at every point whose float value is within
-    1e-9 of the scan's scale, max sum_j |c_j| |x|^j, above it, so the mpf
-    minimum is among those points. Where V leaves the float range, every
-    point is formed in mpf."""
+    `poly.FLOAT_MARGIN` of the scan's scale, max sum_j |c_j| |x|^j, above
+    it, so the mpf minimum is among those points. Where V leaves the float
+    range, every point is formed in mpf."""
     count = 401
     c = [float(v) for v in reversed(V.c)]
     f_lo, f_hi = float(lo), float(hi)
@@ -689,7 +690,7 @@ def _scan_min(V: Poly, lo, hi):
         acc, size = _float_horner(c, f_lo + (f_hi - f_lo) * k / (count - 1))
         fs.append(acc)
         scale = max(scale, size)
-    near = min(fs) + 1e-9 * scale
+    near = min(fs) + FLOAT_MARGIN * scale
     keep = [k for k, f in enumerate(fs) if f <= near] \
         if math.isfinite(near) else range(count)
     return min(V(lo + (hi - lo) * k / (count - 1)) for k in keep)
@@ -707,11 +708,11 @@ def _walk_end(V: Poly, x, step, vmin, coupling, n_max: int, budget):
     as an mpf walk gives them.
 
     The walk runs in floats (`poly._float_horner`). V is formed in mpf
-    only at points whose float value is within 1e-9 of its scale above
-    vmin, `_deficit` only where its float value is within 1e-9 of its scale
-    of 0, and at the chosen end and the step before it, which confirm the
-    float walk. Where V leaves the float range, or the confirmation fails,
-    the walk is redone in mpf from x."""
+    only at points whose float value is within `poly.FLOAT_MARGIN` of its
+    scale above vmin, `_deficit` only where its float value is within that
+    margin of its scale of 0, and at the chosen end and the step before
+    it, which confirm the float walk. Where V leaves the float range, or
+    the confirmation fails, the walk is redone in mpf from x."""
     def mpf_walk(x, vmin):
         while _deficit(V, x, vmin, coupling, n_max, budget) < 0:
             x += step
@@ -725,10 +726,12 @@ def _walk_end(V: Poly, x, step, vmin, coupling, n_max: int, budget):
         fx = float(x)
         acc, size = _float_horner(c, fx)
         f_vmin, f_log = float(vmin), 2 * n_max * math.log1p(abs(fx))
-        tol = 1e-9 * (f_coupling * (size + abs(f_vmin)) + f_log + f_budget)
+        tol = FLOAT_MARGIN * (f_coupling * (size + abs(f_vmin)) + f_log
+                              + f_budget)
         if not math.isfinite(tol + acc):
             return mpf_walk(*start)
-        if last is not None and acc <= f_vmin + 1e-9 * (size + abs(f_vmin)):
+        near_min = f_vmin + FLOAT_MARGIN * (size + abs(f_vmin))
+        if last is not None and acc <= near_min:
             vmin = min(vmin, V(x))
             f_vmin = float(vmin)
         f_def = f_coupling * (acc - f_vmin) - f_log - f_budget
@@ -863,11 +866,12 @@ def build_rec_chain(V: Poly, N: int, Tc, n_max: int = None, bits: int = 320,
 def orthogonality_residual(chain: RecChain, pairs, grid=None):
     """max over pairs of |<pi_n, pi_m>/sqrt(h_n h_m) - delta_nm| on a
     `NodeGrid` of the chain's weight that the chain was not built on, by
-    default an independent panelization of [x_min, x_max] with 1.37x the
-    chain's nodes."""
+    default an independent panelization of [x_min, x_max] with
+    `CHECK_GRID_RATIO` (1.37) times the chain's nodes."""
     with mp.workprec(chain.prec):
         if grid is None:
-            panels = max(1, int(len(chain.grid) * mpf("1.37") / PANEL_POINTS))
+            panels = max(1, int(len(chain.grid) * mpf(CHECK_GRID_RATIO)
+                                / PANEL_POINTS))
             grid = chain.weight.grid(panels, chain.grid.F)
         gram = gram_entries(grid, chain.beta, chain.gamma, chain.log_h[0],
                             pairs)

@@ -23,6 +23,8 @@ from __future__ import annotations
 from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
+FLOAT_MARGIN = 1e-9    # of its scale, by which `_float_horner` decides a test
+
 
 class Poly:
     """Real polynomial, coefficients ascending; the zero polynomial is ()."""
@@ -120,7 +122,7 @@ def _float_horner(coeffs, x):
 
     The float value errs from the exact one by about 1e-16 of the second
     number, its scale. So a comparison that the float value passes by more
-    than 1e-9 of that scale is the one the mpf value gives."""
+    than `FLOAT_MARGIN` of that scale is the one the mpf value gives."""
     acc = size = 0.0
     for ck in coeffs:
         acc = acc * x + ck

@@ -12,14 +12,14 @@ gamma = sqrt((d-b)(c-a))/(4K) e^{pi F_inf^2/(K K')}
   * theta1'(0) / (theta1(i F_inf/K)/i).
 
 Every elliptic integral here comes from one arithmetic-geometric mean
-(`agm_integrals`): the complete K, E and Pi, and, through the descending
+(`agm_fixed`): the complete K, E and Pi, and, through the descending
 Landen amplitude that rides on the same sequence, the incomplete F and E of
 the two-cut abelian map (see `equilibrium`). No Carlson-form or other
-second route is used. The sequence runs in fixed point on Python integers
-(`agm_fixed`), with guard bits sized from the inputs so that each result
-rounds as the same sequence in mpf at 20 guard bits does; only the closing
-formulas of `agm_integrals` are mpf operations, and the two-cut Newton
-evaluation (`equilibrium._gap_moments`) closes them in integers. The module
+second route is used. The sequence runs in fixed point on Python integers,
+with guard bits sized from the inputs so that each result rounds as the
+same sequence in mpf at 20 guard bits does. `agm_integrals` closes K, E, F
+and E(phi) in mpf; Pi is closed only in integers, by the two-cut Newton
+evaluation's gap moments (`equilibrium._gap_moments`). The module
 also owns the conventions and the one real theta1 series behind
 `theta1_axis` and `theta1_prime0`.
 """
@@ -38,28 +38,24 @@ from .quadrature import ConvergenceError
 class AGMIntegrals(NamedTuple):
     K: mpf
     E: mpf
-    Pi: Optional[mpf]       # Pi(n|m), where n is given
     F: Optional[mpf]        # F(phi|m), where the amplitude is given
     E_phi: Optional[mpf]    # E(phi|m), where the amplitude is given
 
 
-def agm_integrals(mc, n=None, amplitude=None) -> AGMIntegrals:
-    """K and E at parameter m = 1 - mc, for 0 < mc <= 1; with n < 1 also
-    Pi(n|m), and with amplitude = (x, y), x, y >= 0 not both 0, also
-    F(phi|m) and E(phi|m) at phi = atan2(y, x) in [0, pi/2].
+def agm_integrals(mc, amplitude=None) -> AGMIntegrals:
+    """K and E at parameter m = 1 - mc, for 0 < mc <= 1; with
+    amplitude = (x, y), x, y >= 0 not both 0, also F(phi|m) and E(phi|m) at
+    phi = atan2(y, x) in [0, pi/2].
 
     One arithmetic-geometric mean sequence a_j, g_j from (1, sqrt(mc)) gives
     them all (DLMF 19.8.1, 19.8.6 and section 19.8(ii); Abramowitz & Stegun
     17.6.3 and section 17.6):
 
         K = pi / (2 M),  E = K (1 - sum_j 2^(j-1) c_j^2),  c_0^2 = m,
-        Pi(n|m) = pi/(4 M) (2 + n/(1-n) sum_j Q_j),
         F(phi|m) = lim phi_j / (2^j a_j),
         E(phi|m) = (E/K) F(phi|m) + sum_{j>=1} c_j sin phi_j,
 
-    with c_{j+1} = (a_j - g_j)/2 and p_0^2 = 1 - n, Q_0 = 1,
-    p_{j+1} = (p_j^2 + a_j g_j)/(2 p_j), Q_{j+1} = Q_j (p_j^2 - a_j g_j)
-    / (2 (p_j^2 + a_j g_j)), and the descending Landen amplitude
+    with c_{j+1} = (a_j - g_j)/2 and the descending Landen amplitude
     phi_{j+1} = phi_j + arctan((g_j/a_j) tan phi_j), phi_0 = phi, on the
     branch within pi/2 of phi_j. That step multiplies e^{i phi_j} by
     a_j cos phi_j + i g_j sin phi_j, so phi_j is carried as the unnormalised
@@ -76,19 +72,15 @@ def agm_integrals(mc, n=None, amplitude=None) -> AGMIntegrals:
     its larger coordinate keeps W bits; its direction is all that is read.
     W is the working precision (20 guard bits) plus 32, plus the bits that
     an absolute error of 2^-W costs where a quantity is small: -mag(mc) for
-    sqrt(mc), -mag(1 - n) for the sum that n/(1-n) multiplies, and
-    mag(x) - mag(y) for y_j and sin phi_j when phi is small. Only K = pi/(2 a), the sums' closing
-    products, the atan2 of the vector and the rounding to the caller's
-    precision are mpf operations.
+    sqrt(mc), and mag(x) - mag(y) for y_j and sin phi_j when phi is small.
+    Only K = pi/(2 a), the sums' closing products, the atan2 of the vector
+    and the rounding to the caller's precision are mpf operations.
     """
     mc = mpf(mc)
-    n = None if n is None else mpf(n)
-    if not (0 < mc <= 1 and (n is None or n < 1)):
-        raise ValueError("need 0 < mc <= 1 and n < 1")
+    if not 0 < mc <= 1:
+        raise ValueError("need 0 < mc <= 1")
     with mp.workprec(mp.prec + 20):
         W = mp.prec + 32 + max(0, -mp.mag(mc))
-        if n is not None:
-            W += max(0, -mp.mag(1 - n))
         xy = None
         if amplitude is not None:
             x, y = (mpf(v) for v in amplitude)
@@ -100,36 +92,34 @@ def agm_integrals(mc, n=None, amplitude=None) -> AGMIntegrals:
             scale = W - max(mp.mag(x), mp.mag(y))
             xy = to_fixed(x._mpf_, scale), to_fixed(y._mpf_, scale)
         one = 1 << W
-        a, csum, qsum, steps, landen = agm_fixed(
+        a, csum, _, steps, landen = agm_fixed(
             W, isqrt(to_fixed(mc._mpf_, 2 * W)),
-            (one - to_fixed(mc._mpf_, W)) >> 1, 1 << (W - mp.prec),
-            None if n is None else one - to_fixed(n._mpf_, W), xy)
+            (one - to_fixed(mc._mpf_, W)) >> 1, 1 << (W - mp.prec), xy=xy)
         a = mpf((a, -W))
         K = mp.pi / (2 * a)
         E = K * mpf((one - csum, -W))
-        Pi = F = E_phi = None
-        if n is not None:
-            Pi = mp.pi / (4 * a) * (2 + n / (1 - n) * mpf((qsum, -W)))
+        F = E_phi = None
         if amplitude is not None:
             x, y, turns, e_sum = landen
             F = mp.ldexp(mp.atan2(y, x) + turns * mp.pi, -steps) / a
             E_phi = E / K * F + mpf((e_sum, -W))
-    return AGMIntegrals(*(v if v is None else +v for v in (K, E, Pi, F, E_phi)))
+    return AGMIntegrals(*(v if v is None else +v for v in (K, E, F, E_phi)))
 
 
 def agm_fixed(W, g, csum, tol, p2=None, xy=None):
     """The AGM sequence of `agm_integrals` on W-bit fixed-point integers:
     a_0 = 1, g_0 = g 2^-W = sqrt(mc) and csum = (m/2) 2^W; with
-    p2 = (1 - n) 2^W also the Pi sum, and with xy = (x, y), integers of
-    about W bits, the Landen amplitude phi = atan2(y, x). Stops once
+    p2 = (1 - n) 2^W, n < 1, also the Pi sum, and with xy = (x, y), integers
+    of about W bits, the Landen amplitude phi = atan2(y, x). Stops once
     |c_j| and |Q_j| are at most tol; ConvergenceError after W steps.
 
     Returns (a, csum, qsum, steps, landen) over 2^W: a the mean,
     csum = sum_j 2^(j-1) c_j^2, qsum = sum_j Q_j (None without p2), and
     landen = (x, y, turns, e_sum) (None without xy), phi_steps =
     atan2(y, x) + turns pi and e_sum = sum_{j>=1} +-c_j sin phi_j. The
-    caller forms K = pi/(2 a) and the rest (`agm_integrals` in mpf,
-    `equilibrium._gap_moments` in integers)."""
+    caller forms K = pi/(2 a) and the rest: `agm_integrals` K, E, F and
+    E(phi) in mpf, `equilibrium._gap_moments` K, E and
+    Pi(n|m) = pi/(4 a) (2 + n/(1-n) qsum) (DLMF 19.8.6) in integers."""
     one = 1 << W
     a = one
     qsum = landen = None

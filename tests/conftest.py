@@ -123,9 +123,10 @@ def lambda_jtheta(mu, x, G=None):
 
 
 def agm_reference(mc, n=None, amplitude=None):
-    """(K, E, Pi, F, E_phi) of `specialfn.agm_integrals` by the same AGM
-    sequence in plain mpf arithmetic at 20 guard bits: the reference for
-    its fixed-point loop."""
+    """(K, E, Pi, F, E_phi) by the AGM sequence of `specialfn.agm_fixed` in
+    plain mpf arithmetic at 20 guard bits, Pi(n|m) where n is given, F and
+    E(phi|m) where the amplitude is: the reference for the fixed-point loop
+    of `agm_integrals` and for the Pi sum of `agm_fixed`."""
     mc = mpf(mc)
     n = None if n is None else mpf(n)
     with mp.workprec(mp.prec + 20):
@@ -222,7 +223,7 @@ def cut_system_reference(Vp, T, x):
     evaluation. sigma from its roots, the Laurent split of V'/sqrt(sigma)
     by `sqrt_sigma_tail` and `laurent_split`, the Jacobian rows by
     Horner in the endpoints, and at s = 2 the gap moments from
-    `agm_integrals` and the cofactors sigma/(x - e_i) by synthetic
+    `gap_moments_reference` and the cofactors sigma/(x - e_i) by synthetic
     division."""
     s = len(x) // 2
     sigma = monic_from_roots(x)
@@ -256,13 +257,18 @@ def cut_system_reference(Vp, T, x):
 
 def gap_moments_reference(endpoints, sigma, count):
     """I_0..I_{count-1} of `equilibrium._gap_moments` in mpf: the closed
-    forms on K, E, Pi(alpha^2 | k^2) of `agm_integrals` and the recurrence
-    from integral_b^c d/dt [t^j sqrt(sigma)] dt = 0."""
+    forms on K, E and Pi(alpha^2 | k^2), taken from mpmath's `ellipk`,
+    `ellipe` and `ellippi` at 40 more bits, so independent of the AGM under
+    test, and the recurrence from integral_b^c d/dt [t^j sqrt(sigma)] dt = 0."""
     a, b, c, d = endpoints
     ca, db, ba = c - a, d - b, b - a
     k2 = (c - b) * (d - a) / (ca * db)
     n = (c - b) / ca
-    K, E, Pi = agm_integrals(ba * (d - c) / (ca * db), n)[:3]
+    with mp.workprec(mp.prec + 40):
+        m = (c - b) * (d - a) / ((c - a) * (d - b))
+        K, E, Pi = (mpmath.ellipk(m), mpmath.ellipe(m),
+                    mpmath.ellippi((c - b) / (c - a), m))
+    K, E, Pi = +K, +E, +Pi
     g = 2 / mp.sqrt(ca * db)
     J0, J1 = g * K, g * ba * Pi
     J2 = g * ba * ba * (n * E + (k2 - n) * K
@@ -280,17 +286,19 @@ def gap_moments_reference(endpoints, sigma, count):
 def lu_solve_reference(A, b):
     """x with A x = b by Gaussian elimination with partial pivoting in mpf,
     10 bits above the working precision, back substitution by `fsum`;
-    ZeroDivisionError where a pivot is at most n eps max |A_ij|: the
-    reference for `equilibrium._lu_solve`'s integer elimination."""
+    ZeroDivisionError where a pivot is at most n eps max_k |A_ik| of its
+    own row i as given: the reference for `equilibrium._lu_solve`'s integer
+    elimination."""
     n = len(A)
     with mp.extraprec(10):
         rows = [list(row) + [v] for row, v in zip(A, b)]
-        tol = n * mp.eps * max(abs(v) for row in A for v in row)
+        tols = [n * mp.eps * max(abs(v) for v in row) for row in A]
         for j in range(n):
             piv = max(range(j, n), key=lambda k: abs(rows[k][j]))
             rows[j], rows[piv] = rows[piv], rows[j]
+            tols[j], tols[piv] = tols[piv], tols[j]
             pivot = rows[j]
-            if abs(pivot[j]) <= tol:
+            if abs(pivot[j]) <= tols[j]:
                 raise ZeroDivisionError("matrix is numerically singular")
             for row in rows[j + 1:]:
                 f = row[j] / pivot[j]

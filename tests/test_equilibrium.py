@@ -8,12 +8,11 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import to_fixed
 
 from birthcut import equilibrium, kvio, quadrature
-from birthcut.equilibrium import (ConvergenceError, PhaseError, abelian_objects,
-                                  classical_gamma_beta, dtrace_dr,
-                                  effective_potential, gamma_two_cut,
-                                  joukowski_lambda, lambda_two_cut,
-                                  normalization,
-                                  prime_form_one_cut, solve_one_cut,
+from birthcut.equilibrium import (ConvergenceError, PhaseError,
+                                  classical_gamma_beta, effective_potential,
+                                  gamma_two_cut, joukowski_lambda,
+                                  lambda_two_cut, measure_gamma,
+                                  normalization, solve_one_cut,
                                   solve_two_cut, thermo_derivatives,
                                   veff_const_bs)
 from birthcut.poly import Poly, _fixed_deflate, _fixed_monic, monic_from_roots
@@ -26,12 +25,11 @@ from conftest import (cut_system_reference, gamma_jtheta, lambda_jtheta,
 
 
 def gamma_from_lambda_limit(mu, x=None):
-    """gamma as x/Lambda(x) at large finite x (O(1/x) away from the limit):
-    the numeric limit that checks `gamma_two_cut`."""
+    """gamma as x/Lambda(x) of a two-cut measure at large finite x (O(1/x)
+    away from the limit): the numeric limit that checks `gamma_two_cut`."""
     if x is None:
         x = mpf(10) ** 9 * max(abs(v) for v in mu.endpoints)
-    _, Lambda, _ = abelian_objects(mu)
-    return mpf(x) / Lambda(mpf(x))
+    return mpf(x) / lambda_two_cut(mu, mpf(x))
 
 
 def test_gaussian_semicircle():
@@ -325,10 +323,10 @@ def test_two_cut_solve_runs_no_adaptive_quadrature(monkeypatch):
     mu = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
     assert mu.x0 is not None and mu.F_inf is not None   # _fill_two_cut_data ran
     # the abelian map behind Lambda is closed too, near d and far out
-    _, Lam, gamma = abelian_objects(mu)
+    gamma = gamma_two_cut(mu)
     d = mu.endpoints[3]
     for x in (d * (1 + mpf("1e-8")), d + 1):
-        assert Lam(x) > 1
+        assert lambda_two_cut(mu, x) > 1
     assert abs(gamma_from_lambda_limit(mu) - gamma) < mpf("1e-8") * gamma
     back = kvio.measure_from_kv(kvio.measure_to_kv(mu), spec.V)
     assert abs(back.x0 - mu.x0) < mpf("1e-25")
@@ -450,13 +448,25 @@ def test_effective_potential_critical_well():
 def test_abelian_one_cut():
     spec = quartic("1.0")
     mu = solve_one_cut(spec.V, spec.Tc, guess=(-2, 2))
-    Om, Lam, gamma = abelian_objects(mu)
-    assert abs(gamma - 1) < mpf("1e-28")        # (b-a)/4 at the critical point
+    assert abs(measure_gamma(mu) - 1) < mpf("1e-28")   # (b-a)/4 at T_c
     a, b = mu.endpoints
     for x in (mpf("2.7"), mpf("-4.1")):
-        L = Lam(x)
+        L = joukowski_lambda(mu, x)
         assert abs(L + 1 / L - (2 * x - a - b) / ((b - a) / 2)) < mpf("1e-28")
-        assert abs(Om(x) - 1 / mp.sqrt((x - a) * (x - b))) < mpf("1e-28")
+
+
+def test_measure_gamma_reads_the_cut_count():
+    # (b - a)/4 on one cut and `gamma_two_cut` on two, bit for bit, and the
+    # gamma that `thermo_derivatives` reports
+    spec = quartic("1.0")
+    t = mpf("1e-4") * spec.Tc
+    one = solve_one_cut(spec.V, spec.Tc - t, guess=(-2, 2))
+    two = solve_two_cut(spec.V, spec.Tc + t, guess=two_cut_guess(spec, t))
+    a, b = one.endpoints
+    assert measure_gamma(one) == (b - a) / 4
+    assert measure_gamma(two) == gamma_two_cut(two)
+    for mu in (one, two):
+        assert thermo_derivatives(mu)["gamma"] == measure_gamma(mu)
 
 
 def test_gamma_two_routes_agree():
@@ -515,21 +525,16 @@ def test_lambda_two_cut_at_large_x_matches_a_wider_reference(phi_e, that):
         assert abs(lambda_two_cut(mu, x) - ref) <= 2 * mpf(2) ** -mp.prec * ref, x
 
 
-def test_prime_form():
+def test_joukowski_lambda_slope_at_the_critical_point():
+    # at T_c, (x - xi)/(Lambda(x) - Lambda(xi)) -> 2 sinh(phi_e) e^{-phi_e}
+    # as x, xi -> e; Lambda is not defined on the cut
     spec = quartic("1.0")
     mu = solve_one_cut(spec.V, spec.Tc, guess=(-2, 2))
-    x, xi = mpf("3.4"), mpf("4.1")
-    H1, E1 = prime_form_one_cut(mu, x, xi)
-    H2, E2 = prime_form_one_cut(mu, xi, x)
-    assert abs(E1 - E2) < mpf("1e-28")
-    _, Efar = prime_form_one_cut(mu, mpf("1e9"), xi)
-    assert abs(Efar - 1) < mpf("1e-8")
-    # (x - xi)/(Lambda(x) - Lambda(xi)) -> 2 sinh(phi_e) e^{-phi_e} as x, xi -> e
     xa, xb = spec.e + mpf("1e-7"), spec.e + mpf("2e-7")
     lim = (xa - xb) / (joukowski_lambda(mu, xa) - joukowski_lambda(mu, xb))
     assert abs(lim - 2 * mp.sinh(spec.phi_e) * mp.exp(-spec.phi_e)) < mpf("1e-3")
     with pytest.raises(ValueError):
-        prime_form_one_cut(mu, mpf("0.0"), xi)
+        joukowski_lambda(mu, mpf("0.0"))
 
 
 def _veff_measures():
@@ -585,9 +590,8 @@ def test_sigma_is_formed_once_per_precision():
         assert mu.sigma() is not wide
 
     def values(mu):
-        a, b = mu.endpoints[0], mu.endpoints[-1]
-        out = [mu.density((a + b) / 2), mu.density(a + (b - a) / 7),
-               effective_potential(mu, b + 1), veff_const_bs(mu)]
+        out = [effective_potential(mu, mu.endpoints[-1] + 1),
+               veff_const_bs(mu)]
         return [v._mpf_ for v in out]
 
     cached = [values(mu) for mu in mus]
@@ -628,8 +632,7 @@ def test_dveff_dt_identity_two_cut():
     x = mu.endpoints[3] + 1
     fd = ((effective_potential(mup, x) + veff_const_bs(mup))
           - (effective_potential(mum, x) + veff_const_bs(mum))) / (2 * h)
-    _, Lam, gamma = abelian_objects(mu)
-    pred = -2 * mp.log(gamma * Lam(x))
+    pred = -2 * mp.log(gamma_two_cut(mu) * lambda_two_cut(mu, x))
     assert abs(fd - pred) < mpf("1e-4") * abs(pred)
 
 
@@ -642,9 +645,6 @@ def test_thermo_derivatives_structure():
     cl = classical_gamma_beta(mu)
     assert abs(cl["gamma_n"] - 1) < mpf("1e-25")
     assert abs(cl["beta_n"]) < mpf("1e-25")
-    # d(trace)/dr = gamma/Lambda(xi) = e^{-phi(xi)} at the critical measure
-    xi = mpf("3.9")
-    assert abs(dtrace_dr(mu, xi) - 1 / joukowski_lambda(mu, xi)) < mpf("1e-28")
 
 
 def test_classical_bounds_two_cut():
@@ -727,28 +727,23 @@ def _systems():
 
 @pytest.mark.parametrize("case", range(6))
 def test_list_solve_matches_mpmath_lu_solve(case):
-    # the integer elimination against mpmath's LU at twice the working
-    # precision (same-precision LU is itself 25 units off on the scaled 4x4
-    # at 60 digits), to 16 units of 2^-prec relative in every component, at
-    # 15, 40 and 60 digits. At 15 digits the rows 1e30 larger put every
-    # other pivot below n eps max |A_ij|: singular by the mpf reference's
-    # rule, and by the integer one
+    # the integer elimination and the mpf reference against mpmath's LU at
+    # twice the working precision (same-precision LU is itself 25 units off
+    # on the scaled 4x4 at 60 digits), to 16 units of 2^-prec relative in
+    # every component, at 15, 40 and 60 digits. Each pivot is tested
+    # against its own row, so the rows 1e30 larger leave the other rows'
+    # pivots nonsingular at 15 digits too
     for dps in (15, 40, 60):
         with mp.workdps(dps):
             name, A, b = _systems()[case]
-            try:
-                lu_solve_reference(A, b)
-            except ZeroDivisionError:
-                assert (dps, name[:6]) == (15, "scaled")
-                with pytest.raises(ZeroDivisionError):
-                    equilibrium._lu_solve(A, b)
-                continue
             with mp.extraprec(mp.prec):
                 ref = mpmath.lu_solve(mpmath.matrix(A), mpmath.matrix(b))
-            got = equilibrium._lu_solve(A, b)
             tol = 16 * mpf(2) ** -mp.prec
-            for i, v in enumerate(got):
-                assert abs(v - ref[i]) <= tol * abs(ref[i]), (dps, name, i)
+            for solve in (equilibrium._lu_solve, lu_solve_reference):
+                got = solve(A, b)
+                for i, v in enumerate(got):
+                    assert abs(v - ref[i]) <= tol * abs(ref[i]), \
+                        (dps, name, solve.__name__, i)
 
 
 @pytest.mark.parametrize("J", [[[1, 2], [2, 4]], [[0, 1], [0, 3]]])
@@ -766,24 +761,32 @@ def test_singular_jacobian_is_a_convergence_error(J):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_lu_solve_singular_at_n_eps_max(n):
-    # a pivot of exactly n eps max |A_ij| (eps = 2^-(prec + 9), the machine
-    # epsilon 10 bits above the working precision) is singular, one unit of
-    # 2^-prec above it is not; the mpf reference draws the same line
+    # the last row is (3, 0, .., 0, pivot) and leaves elimination as
+    # (0, .., 0, pivot): a pivot of exactly n eps times its row's largest
+    # entry, 3 (eps = 2^-(prec + 9), the machine epsilon 10 bits above the
+    # working precision), is singular; one unit of the integer elimination
+    # above it, 2^(2 - (prec + 20)) for a row whose top bit is that of 3,
+    # is not; and scaling any row by 2^100 or 2^-100 moves neither verdict.
+    # The mpf reference draws the same line
     tol = n * mpf(3) * mp.ldexp(1, -mp.prec - 9)
-    b = [mpf(1)] * n
-    for pivot, singular in ((tol, True), (tol * (1 + mp.eps), False)):
-        A = [[mpf(0)] * n for _ in range(n)]
-        for i in range(n):
-            A[i][i] = mpf(3)
-        A[n - 1][n - 1] = pivot
-        for solve in (equilibrium._lu_solve, lu_solve_reference):
-            if singular:
-                with pytest.raises(ZeroDivisionError):
-                    solve(A, b)
-            else:
-                x = solve(A, b)
-                assert abs(x[n - 1] * pivot - 1) < mp.eps
-                assert abs(3 * x[0] - 1) < mp.eps
+    above = tol + mp.ldexp(1, 2 - (mp.prec + 20))
+    for pivot, singular in ((tol, True), (above, False)):
+        for row, scale in ((0, 0), (0, 100), (n - 1, 100), (n - 1, -100)):
+            A = [[mpf(0)] * n for _ in range(n)]
+            for i in range(n):
+                A[i][i] = mpf(3)
+            A[n - 1][0], A[n - 1][n - 1] = mpf(3), pivot
+            b = [mpf(1)] * (n - 1) + [mpf(2)]
+            A[row] = [mp.ldexp(v, scale) for v in A[row]]
+            b[row] = mp.ldexp(b[row], scale)
+            for solve in (equilibrium._lu_solve, lu_solve_reference):
+                if singular:
+                    with pytest.raises(ZeroDivisionError):
+                        solve(A, b)
+                else:
+                    x = solve(A, b)
+                    assert abs(x[n - 1] * pivot - 1) < mp.eps
+                    assert abs(3 * x[0] - 1) < mp.eps
 
 
 def test_lu_solve_all_zero_row_is_singular():

@@ -1,11 +1,14 @@
 import random
+from math import isqrt
 
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import to_fixed
 
 from birthcut.quadrature import ConvergenceError
-from birthcut.specialfn import agm_integrals, theta1_axis, theta1_prime0
+from birthcut.specialfn import (agm_fixed, agm_integrals, theta1_axis,
+                                theta1_prime0)
 from conftest import (agm_reference, ln_factorial, ln_zeta_asymptotic,
                       ln_zeta_nu1_exact, small_m_E, small_m_Eprime, small_m_K,
                       sn_cn_dn)
@@ -58,21 +61,42 @@ def test_legendre_relation_across_m():
         assert abs(legendre - mp.pi / 2) < mpf("1e-12")
 
 
+def agm_fixed_K_E_Pi(mc, n):
+    """K, E and Pi(n|m) at m = 1 - mc, n < 1, from `agm_fixed`'s sums closed
+    in mpf at 20 guard bits, with W sized as `agm_integrals` sizes it plus
+    -mag(1 - n) for the sum that n/(1-n) multiplies (the closing that
+    `equilibrium._gap_moments` does in integers)."""
+    mc, n = mpf(mc), mpf(n)
+    with mp.workprec(mp.prec + 20):
+        W = mp.prec + 32 + max(0, -mp.mag(mc)) + max(0, -mp.mag(1 - n))
+        one = 1 << W
+        a, csum, qsum, _, _ = agm_fixed(
+            W, isqrt(to_fixed(mc._mpf_, 2 * W)),
+            (one - to_fixed(mc._mpf_, W)) >> 1, 1 << (W - mp.prec),
+            one - to_fixed(n._mpf_, W))
+        a = mpf((a, -W))
+        K = mp.pi / (2 * a)
+        E = K * mpf((one - csum, -W))
+        Pi = mp.pi / (4 * a) * (2 + n / (1 - n) * mpf((qsum, -W)))
+    return +K, +E, +Pi
+
+
 def test_complete_K_E_Pi_matches_mpmath():
     # one AGM sequence against mpmath's ellipk/ellipe/ellippi, including the
-    # newborn-cut regime m -> 1 and a negative characteristic
+    # newborn-cut regime m -> 1 and a negative characteristic: K and E from
+    # `agm_integrals`, and all three from `agm_fixed`'s sums with the Pi sum
     for mc, n in (("1e-12", "0.1"), ("1e-6", "0.13"), ("0.003", "0.45"),
                   ("0.3", "0.5"), ("0.9", "0.05"), ("1", "0.2"),
                   ("0.5", "-0.7")):
         mc, n = mpf(mc), mpf(n)
-        got = agm_integrals(mc, n)[:3]
         with mp.workprec(mp.prec + 40):
             m = 1 - mc
             ref = (mpmath.ellipk(m), mpmath.ellipe(m), mpmath.ellippi(n, m))
-        for g, r in zip(got, ref):
-            assert abs(g - r) < mpf("1e-38") * abs(r), (mc, n)
+        for got in (agm_integrals(mc)[:2], agm_fixed_K_E_Pi(mc, n)):
+            for g, r in zip(got, ref):
+                assert abs(g - r) < mpf("1e-38") * abs(r), (mc, n)
     with pytest.raises(ValueError):
-        agm_integrals(0, mpf("0.1"))
+        agm_integrals(0)
 
 
 @pytest.mark.parametrize("m", ["1e-12", "0.3", "0.9", "0.999999999999"])
@@ -97,20 +121,23 @@ def test_incomplete_F_E_from_the_agm_match_mpmath(m):
 @pytest.mark.parametrize("dps", [15, 40, 60])
 def test_fixed_point_agm_equals_the_mpf_loop(dps):
     # the integer loop against the same sequence in mpf at 20 guard bits,
-    # bit for bit: mc down to 1e-30, n up to 1 - 1e-8 (and negative), and
-    # amplitude coordinates from 1e-6 to 1e3
+    # bit for bit: mc down to 1e-30, amplitude coordinates from 1e-6 to 1e3
+    # through `agm_integrals`, and n up to 1 - 1e-8 (and negative) through
+    # `agm_fixed`'s Pi sum
     rng = random.Random(dps)
     with mp.workdps(dps):
         for i in range(1200):
             mc = mpf(10) ** mpf(rng.uniform(-30, 0))
-            n = amplitude = None
             if i % 2:
                 n = 1 - mpf(10) ** mpf(rng.uniform(-8, 0.5))
+                got = agm_fixed_K_E_Pi(mc, n)
+                assert got == agm_reference(mc, n)[:3], (mc, n)
             else:
                 amplitude = tuple(mpf(10) ** mpf(rng.uniform(-6, 3))
                                   for _ in range(2))
-            got = tuple(agm_integrals(mc, n, amplitude))
-            assert got == agm_reference(mc, n, amplitude), (mc, n, amplitude)
+                got = tuple(agm_integrals(mc, amplitude))
+                K, E, _, F, E_phi = agm_reference(mc, amplitude=amplitude)
+                assert got == (K, E, F, E_phi), (mc, amplitude)
 
 
 def test_theta1_odd_and_zero():
