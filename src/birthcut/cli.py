@@ -85,6 +85,7 @@ class UsageError(Exception):
 
 MAX_GRID_POINTS = 10 ** 5        # a longer A:B:STEP grid is a usage error
 MIN_DPS = 15                     # working decimal digits at least
+MIN_N = 3                        # the smallest N of a regime or an oracle
 
 # options that hold one real number (the commands convert them with mpf)
 _NUMBER_OPTIONS = ("phi_e", "e", "t", "u")
@@ -103,6 +104,20 @@ def _check_numbers(args):
         if not finite:
             raise UsageError("--%s: expected a finite number, got %r"
                              % (name.replace("_", "-"), text))
+
+
+def _parse_Ns(text):
+    """The comma list of --N values, each an integer N >= MIN_N, checked
+    before any formula takes ln N."""
+    try:
+        Ns = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise UsageError("--N: expected a comma list of integers, got %r"
+                         % text)
+    for N in Ns:
+        if N < MIN_N:
+            raise UsageError("--N %d: need N >= %d" % (N, MIN_N))
+    return Ns
 
 
 def _parse_grid(text):
@@ -223,8 +238,8 @@ def _warn_outside_Z(regimes):
 def cmd_scan_u(args):
     spec = _load_spec(args)
     us = _parse_grid(args.u_grid or "0.1:3.0:0.1")
-    Ns = [int(v) for v in (args.N or "40").split(",")]
-    # every regime first: the domain check (N >= 3) precedes the chain builds
+    Ns = _parse_Ns(args.N or "40")
+    # every regime first: its domain check precedes the chain builds
     regimes = {N: [_regime_at_u(spec, N, u) for u in us] for N in Ns}
     _warn_outside_Z(rp for N in Ns for rp in regimes[N])
     mc = _model_chain(spec)
@@ -256,7 +271,7 @@ def cmd_scan_u(args):
 
 def cmd_psi(args):
     spec = _load_spec(args)
-    N = int((args.N or "80").split(",")[0])
+    N = _parse_Ns(args.N or "80")[0]
     rp = _regime_at_u(spec, N, mpf(args.u or "1.3"))
     p = rp.p
     if rp.u < 0:

@@ -96,7 +96,10 @@ integer layer: V' is a polynomial, so W's x^{-k} coefficient is -1/2 that
 of M sqrt(sigma), the split of M against Miller's series of
 sqrt(sigma)/x^s.
 
-Density: rho(x) = M(x) sqrt(-sigma(x)) / (2 pi T) on the support.
+Density: rho(x) = M(x) sqrt(-sigma(x)) / (2 pi T) on the support. Its
+sign check after each solve (`_check_density`) reads M on the same integer
+layer, by `poly._fixed_horner` over 2^(prec + GUARD_BITS), as
+`normalization` integrates it.
 """
 
 from __future__ import annotations
@@ -108,9 +111,8 @@ from typing import Optional
 from mpmath import mp, mpf
 from mpmath.libmp import pi_fixed, to_fixed
 
-from .poly import (FLOAT_MARGIN, Poly, _fixed_deflate, _fixed_horner,
-                   _fixed_monic, _fixed_series, _fixed_split, _float_horner,
-                   _int_product, monic_from_roots)
+from .poly import (Poly, _fixed_deflate, _fixed_horner, _fixed_monic,
+                   _fixed_series, _fixed_split, _int_product, monic_from_roots)
 from .quadrature import (GUARD_BITS, ConvergenceError, integrate_bracket,
                          integrate_doubling)
 from .specialfn import agm_fixed, agm_integrals, theta1_axis, theta1_prime0
@@ -432,29 +434,35 @@ def _check_density(mu: EqMeasure):
     """Raise PhaseError at the first of 199 evenly spaced points per cut
     where sgn M(x) < -10^(8 - dps) max_k |c_k| (1 + |x|)^deg M.
 
-    M is scanned in floats (`poly._float_horner`); the test is formed in
-    mpf only where sgn M_float <= `poly.FLOAT_MARGIN` of the scale
-    sum_k |c_k| |x|^k there, so every point skipped passes in mpf too.
-    Where the coefficients leave the float range, no point is skipped."""
+    The test runs in integers over 2^W, W = prec + GUARD_BITS: M's
+    coefficients times the power of two that puts the largest just below
+    2^W, each point truncated to W fraction bits, and M(x) by
+    `poly._fixed_horner`. The floor is negative, so it is formed only where
+    sgn M(x) < 0."""
     samples = 200                      # points per cut where M's sign is checked
+    if not mu.M:
+        return
+    W = mp.prec + GUARD_BITS
+    top = max(v._mpf_[2] + v._mpf_[3] for v in mu.M.c if v)
+    C = [to_fixed(v._mpf_, W - top) for v in mu.M.c]
+    cmax = max(abs(c) for c in C)
+    one = 1 << W
     eps = mu.endpoints
-    mscale = max(abs(v) for v in mu.M.c) if mu.M else mpf(1)
-    floor = -mscale * mpf(10) ** (-mp.dps + 8)
-    coeffs = [float(v) for v in reversed(mu.M.c)]
-    in_range = all(v == 0 or 1e-290 < abs(ck) < math.inf
-                   for ck, v in zip(coeffs, reversed(mu.M.c)))
     for cut in range(mu.s):
         lo, hi = eps[2 * cut], eps[2 * cut + 1]
-        f_lo, f_hi = float(lo), float(hi)
+        LO, HI = to_fixed(lo._mpf_, W), to_fixed(hi._mpf_, W)
         sgn = mu.cut_sign(cut)
         for i in range(1, samples):
-            if in_range:
-                acc, size = _float_horner(coeffs,
-                                         f_lo + (f_hi - f_lo) * i / samples)
-                if sgn * acc > FLOAT_MARGIN * size:
-                    continue
-            x = lo + (hi - lo) * mpf(i) / samples
-            if sgn * mu.M(x) < floor * (1 + abs(x)) ** mu.M.degree:
+            X = LO + (HI - LO) * i // samples
+            m = sgn * _fixed_horner(C, X, W)
+            if m >= 0:
+                continue
+            # the test times 10^dps: m 10^dps < -cmax 10^8 (1 + |x|)^deg M
+            bound = cmax * 10 ** 8
+            for _ in range(mu.M.degree):
+                bound = bound * (one + abs(X)) >> W
+            if m * 10 ** mp.dps < -bound:
+                x = lo + (hi - lo) * mpf(i) / samples
                 raise PhaseError("negative density at x = %s; wrong cut count "
                                  "for this temperature" % mp.nstr(x, 10))
 

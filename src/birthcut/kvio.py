@@ -59,6 +59,8 @@ def spec_from_kv(text: str) -> CriticalSpec:
     if missing:
         raise ValueError("spec block missing keys: %s" % ", ".join(missing))
     nu = int(kv["nu"])
+    if nu < 1:
+        raise ValueError("nu = %d: need nu >= 1" % nu)
     e = mpf(kv["e"])
     Q = Poly([mpf(v) for v in kv["Q"].split()])
     V = Poly([mpf(v) for v in kv["V"].split()])

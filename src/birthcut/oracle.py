@@ -28,7 +28,10 @@ Gauss-Legendre rules converge geometrically on analytic integrands
 (Trefethen, SIAM Rev. 50, 2008).
 
 A chain is the recurrence chain of one `Weight` (V, N, T_c and the ends
-lo, hi that `Weight.default` chooses), the one place N/T_c is formed.
+lo, hi that `Weight.default` chooses), the one place N/T_c is formed. Its
+integer coefficients of (N/2 T_c) V (`Weight.poly`) serve the domain rule
+and every grid node and point, each by `poly._fixed_horner`: no float
+decides an end or a weight.
 Whatever builds the recurrence (beta_n, gamma_n, ln h_n), `assemble_chain`
 derives the rest of a `RecChain` from it in one place: gamma_n^2, ln zeta_n,
 the fixed-point copies and the factors 1/sqrt(h_n).
@@ -91,9 +94,9 @@ from itertools import islice
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
-from mpmath.libmp.libelefun import exp_basecase, ln2_fixed
+from mpmath.libmp.libelefun import exp_basecase, ln2_fixed, log_int_fixed
 
-from .poly import FLOAT_MARGIN, Poly, _float_horner
+from .poly import Poly, _fixed_horner
 from .quadrature import gauss_legendre
 
 GUARD_BITS = 32        # fixed-point fraction bits beyond the working precision
@@ -175,17 +178,45 @@ class Weight:
     def default(cls, V: Poly, N: int, Tc, n_max: int, prec: int):
         """The weight on [lo, hi] with (N/Tc)(V - V_min) - 2 n_max ln(1+|x|)
         beyond the precision budget at both ends. V_min starts as the
-        minimum of V over 401 points of [-3, 3] (`_scan_min`) and takes in
-        every end tried; each end walks out from -3 or 3 in half-steps
-        (`_walk_end`), the left one first."""
+        minimum of V over 401 points of [-3, 3] and takes in every end
+        tried; each end walks out from -3 or 3 in half-steps, the left one
+        first.
+
+        Each test is decided at half its size in integers over 2^F,
+        F = prec + GUARD_BITS: G - G_min - n_max ln(1+|x|) 2^F against the
+        budget over 2^(F-1), with G = (N/2 T_c) V 2^F by `_fixed_horner` on
+        the weight's own coefficients (`poly(F)`) and ln(1+|x|) =
+        ln(2+|2x|) - ln 2 from mpmath's fixed-point ln of an integer. The
+        walk ends only where G grows without bound, so N/T_c > 0 and V of
+        even degree with a positive leading coefficient are required
+        (ValueError).
+        """
+        if not (N > 0 and Tc > 0 and V.degree >= 2 and V.degree % 2 == 0
+                and V.c[-1] > 0):
+            raise ValueError(
+                "weight exp(-(N/Tc) V) with N = %s, Tc = %s and V of degree %d"
+                ": need N/Tc > 0 and V of even degree with a positive leading "
+                "coefficient" % (N, mp.nstr(mpf(Tc), 10), V.degree))
         w = cls(V, N, Tc, mpf(-3), mpf(3))
-        coupling = w.coupling
-        vmin = _scan_min(V, w.lo, w.hi)
-        budget = domain_budget(prec)
-        half = mpf(1) / 2
-        lo, vmin = _walk_end(V, w.lo, -half, vmin, coupling, n_max, budget)
-        hi, _ = _walk_end(V, w.hi, half, vmin, coupling, n_max, budget)
-        return replace(w, lo=lo, hi=hi)
+        F = prec + GUARD_BITS
+        C = w.poly(F)
+        gmin = min(_fixed_horner(C, (3 * (k - 200) << F) // 200, F)
+                   for k in range(401))
+        budget = _fixed(domain_budget(prec), F - 1)
+        ln2 = ln2_fixed(F)
+
+        def walk(h, step):
+            """The first of h, h + step, ... half-steps where the test holds."""
+            nonlocal gmin
+            while True:
+                G = _fixed_horner(C, h << F - 1, F)
+                gmin = min(gmin, G)
+                if (G - gmin - n_max * (log_int_fixed(2 + abs(h), F) - ln2)
+                        >= budget):
+                    return mpf(h) / 2
+                h += step
+
+        return replace(w, lo=walk(-6, -1), hi=walk(6, 1))
 
     @property
     def coupling(self):
@@ -193,15 +224,16 @@ class Weight:
         return mpf(self.N) / self.Tc
 
     def poly(self, F):
-        """(N/2 T_c) V's coefficients times 2^F as integers, highest degree
-        first (N/T_c at F - GUARD_BITS bits, each product at F + 16): the
-        Horner coefficients of `_root_weight`, formed once per F."""
+        """(N/2 T_c) V's coefficients times 2^F as integers, ascending
+        (N/T_c at F - GUARD_BITS bits, each product at F + 16): the
+        `_fixed_horner` coefficients of `_root_weight` and of `default`'s
+        walk, formed once per F."""
         if F not in self._polys:
             with mp.workprec(F - GUARD_BITS):
                 coupling = self.coupling
             with mp.workprec(F + 16):
                 self._polys[F] = _to_fixed(
-                    [coupling * c / 2 for c in reversed(self.V.c)], F)
+                    [coupling * c / 2 for c in self.V.c], F)
         return self._polys[F]
 
     def grid(self, panels, F):
@@ -261,12 +293,10 @@ class Weight:
 
 def _root_weight(C, X, F):
     """(G, k, W) at x = X 2^-F for the `Weight.poly` coefficients C of
-    (N/2 T_c) V: G = (N/2 T_c) V(x) 2^F by Horner, and
+    (N/2 T_c) V: G = (N/2 T_c) V(x) 2^F by `_fixed_horner`, and
     sqrt(w(x)) = W 2^-(F + k), W = 2^F e^{-r 2^-F} from mpmath's fixed-point
     exp series, where G = k L + r with L = 2^F ln 2 and 0 <= r < L."""
-    G = 0
-    for c in C:
-        G = (G * X >> F) + c
+    G = _fixed_horner(C, X, F)
     k, r = divmod(G, ln2_fixed(F))
     return G, k, exp_basecase(-r, F)
 
@@ -671,79 +701,6 @@ def domain_budget(prec: int):
     """The precision budget of `Weight.default`: ln of the factor by which the
     weight times x^{2 n_max} has fallen at the domain's ends."""
     return mpf(prec) * mp.log(2) * mpf("0.45") + 60
-
-
-def _scan_min(V: Poly, lo, hi):
-    """min of V over the 401 points lo + (hi - lo) k/400, as the mpf
-    minimum of all of them at the working precision gives it.
-
-    V is scanned in floats (`poly._float_horner`); V is formed in mpf only
-    at the float minimum and at every point whose float value is within
-    `poly.FLOAT_MARGIN` of the scan's scale, max sum_j |c_j| |x|^j, above
-    it, so the mpf minimum is among those points. Where V leaves the float
-    range, every point is formed in mpf."""
-    count = 401
-    c = [float(v) for v in reversed(V.c)]
-    f_lo, f_hi = float(lo), float(hi)
-    fs, scale = [], 0.0
-    for k in range(count):
-        acc, size = _float_horner(c, f_lo + (f_hi - f_lo) * k / (count - 1))
-        fs.append(acc)
-        scale = max(scale, size)
-    near = min(fs) + FLOAT_MARGIN * scale
-    keep = [k for k, f in enumerate(fs) if f <= near] \
-        if math.isfinite(near) else range(count)
-    return min(V(lo + (hi - lo) * k / (count - 1)) for k in keep)
-
-
-def _deficit(V: Poly, x, vmin, coupling, n_max: int, budget):
-    """(N/Tc)(V(x) - vmin) - 2 n_max ln(1+|x|) - budget in mpf;
-    `Weight.default` stops at the first end where it is >= 0."""
-    return coupling * (V(x) - vmin) - 2 * n_max * mp.log(1 + abs(x)) - budget
-
-
-def _walk_end(V: Poly, x, step, vmin, coupling, n_max: int, budget):
-    """(end, vmin): the first of x, x + step, x + 2 step, ... where
-    `_deficit` >= 0, with vmin lowered by V at each point after x up to it,
-    as an mpf walk gives them.
-
-    The walk runs in floats (`poly._float_horner`). V is formed in mpf
-    only at points whose float value is within `poly.FLOAT_MARGIN` of its
-    scale above vmin, `_deficit` only where its float value is within that
-    margin of its scale of 0, and at the chosen end and the step before
-    it, which confirm the float walk. Where V leaves the float range, or
-    the confirmation fails, the walk is redone in mpf from x."""
-    def mpf_walk(x, vmin):
-        while _deficit(V, x, vmin, coupling, n_max, budget) < 0:
-            x += step
-            vmin = min(vmin, V(x))
-        return x, vmin
-
-    c = [float(v) for v in reversed(V.c)]
-    f_coupling, f_budget = float(coupling), float(budget)
-    start, last = (x, vmin), None
-    while True:
-        fx = float(x)
-        acc, size = _float_horner(c, fx)
-        f_vmin, f_log = float(vmin), 2 * n_max * math.log1p(abs(fx))
-        tol = FLOAT_MARGIN * (f_coupling * (size + abs(f_vmin)) + f_log
-                              + f_budget)
-        if not math.isfinite(tol + acc):
-            return mpf_walk(*start)
-        near_min = f_vmin + FLOAT_MARGIN * (size + abs(f_vmin))
-        if last is not None and acc <= near_min:
-            vmin = min(vmin, V(x))
-            f_vmin = float(vmin)
-        f_def = f_coupling * (acc - f_vmin) - f_log - f_budget
-        if abs(f_def) <= tol:
-            f_def = _deficit(V, x, vmin, coupling, n_max, budget)
-        if f_def >= 0:
-            break
-        last = (x, vmin)
-        x += step
-    confirmed = _deficit(V, x, vmin, coupling, n_max, budget) >= 0 and (
-        last is None or _deficit(V, *last, coupling, n_max, budget) < 0)
-    return (x, vmin) if confirmed else mpf_walk(*start)
 
 
 # the node ladder's panel counts: 320, 640, 1344, 2752, 5568 and 11200 nodes,

@@ -14,7 +14,10 @@ solvers need:
   `_fixed_monic`, `_int_product`, `_fixed_horner`, `_fixed_deflate`),
   Miller's series of sigma^(+-1/2) (`_fixed_series`) and its split
   (`_fixed_split`), shared by `equilibrium._cut_system`,
-  `equilibrium.veff_const_bs` and `potentials.build_potential`;
+  `equilibrium.veff_const_bs` and `potentials.build_potential`. The one
+  integer Horner, `_fixed_horner`, also decides every polynomial test: the
+  oracle's weight and domain rule (`oracle.Weight`) and the density check
+  (`equilibrium._check_density`); no float decides one;
 * Sturm-sequence root counting, used for the sign conditions on Q.
 """
 
@@ -22,8 +25,6 @@ from __future__ import annotations
 
 from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
-
-FLOAT_MARGIN = 1e-9    # of its scale, by which `_float_horner` decides a test
 
 
 class Poly:
@@ -92,6 +93,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("Poly power %d: need a power >= 0" % n)
         out = Poly([1])
         base = self
         while n:
@@ -114,20 +117,6 @@ class Poly:
 
 def _as_poly(x):
     return x if isinstance(x, Poly) else Poly([x])
-
-
-def _float_horner(coeffs, x):
-    """(p(x), sum_k |c_k| |x|^k) in floats, by Horner, for p's coefficients
-    as floats, highest degree first.
-
-    The float value errs from the exact one by about 1e-16 of the second
-    number, its scale. So a comparison that the float value passes by more
-    than `FLOAT_MARGIN` of that scale is the one the mpf value gives."""
-    acc = size = 0.0
-    for ck in coeffs:
-        acc = acc * x + ck
-        size = size * abs(x) + abs(ck)
-    return acc, size
 
 
 def monic_from_roots(roots):

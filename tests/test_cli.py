@@ -179,7 +179,56 @@ def test_scan_u_checks_every_N_before_building_the_chain(monkeypatch, capsys):
 
     monkeypatch.setattr(modelchain, "build_chain", no_build)
     assert run(["scan-u", "--phi-e", "0.62", "--N", "40,2"]) == 2
-    assert capsys.readouterr().err == "error: need N >= 3\n"
+    assert capsys.readouterr().err == "error: --N 2: need N >= 3\n"
+
+
+@pytest.mark.parametrize("cmd", ["scan-u", "psi"])
+@pytest.mark.parametrize("N", ["-5", "0", "2"])
+def test_N_below_3_is_usage_error_before_any_logarithm(cmd, N, capsys):
+    # ln N came first: psi at N = -5 ended in a TypeError traceback (int()
+    # of an mpc), scan-u at N = 0 in "cannot convert inf or nan to int"
+    assert run([cmd, "--phi-e", "0.62", "--N", N]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --N %s: need N >= 3\n" % N
+
+
+def _edited_spec(tmp_path, key, value):
+    """A file of the phi_e = 0.62 spec with the key's value replaced."""
+    lines = [("%s = %s" % (key, value(line.split("=", 1)[1].split())))
+             if line.startswith(key + " =") else line
+             for line in spec_to_kv(quartic("0.62")).splitlines()]
+    path = tmp_path / "edited.spec"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("nu", ["0", "-1"])
+def test_spec_with_nu_below_1_is_usage_error(tmp_path, capsys, nu):
+    # build_potential raised Poly([-e, 1]) to the power 2 nu - 1 < 0, whose
+    # square-and-multiply loop never ended: validate hung
+    path = _edited_spec(tmp_path, "nu", lambda _: nu)
+    assert run(["validate", "--spec", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed spec file") and err.count("\n") == 1
+    assert "nu = %s: need nu >= 1" % nu in err
+
+
+@pytest.mark.parametrize("cmd", [["scan-u", "--N", "40", "--u-grid", "1:1:1"],
+                                 ["psi", "--N", "40", "--with-oracle"]])
+@pytest.mark.parametrize("key, value", [
+    ("Tc", lambda _: "-1"),
+    ("V", lambda c: " ".join(c[:-1] + ["-" + c[-1]]))])
+def test_oracle_of_a_weight_that_does_not_decay_is_usage_error(
+        tmp_path, capsys, cmd, key, value):
+    # with T_c <= 0 or a negative leading coefficient of V the domain walk
+    # never met its budget, and the command never returned
+    path = _edited_spec(tmp_path, key, value)
+    assert run(cmd + ["--spec", path]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: weight exp(-(N/Tc) V)")
+    assert err.endswith("need N/Tc > 0 and V of even degree with a positive "
+                        "leading coefficient")
 
 
 def test_equilibrium_solver_failure_is_numerical_failure(capsys):

@@ -1004,7 +1004,10 @@ def _density_verdict(mu):
     return None
 
 
-def test_float_density_scan_matches_mpf_scan():
+def test_density_scan_matches_mpf_scan():
+    # the integer scan gives the all-mpf scan's verdicts, also where M is 0
+    # to 1e-16 of its scale at a sample (a float scan could not decide)
+    # and where M's coefficients leave the float range
     spec = quartic("1.0")
     one = solve_one_cut(spec.V, spec.Tc * (1 - mpf("1e-5")), guess=(-2, 2))
     t = mpf("1e-4") * spec.Tc
@@ -1018,16 +1021,16 @@ def test_float_density_scan_matches_mpf_scan():
 
     def square_at_1(shift, scale=1):
         # scale ((x - 1)^2 + shift): x = 1 is sample 150 of [-2, 2], where
-        # the float value is 0 whatever |shift| < 1e-16, so only mpf decides
+        # M is scale shift, 0 to 1e-16 of its scale whatever |shift| < 1e-16
         return Poly([scale * (1 + mpf(shift)), -2 * scale, scale])
 
     cases = {
         "one-cut solve": one,
         "two-cut solve": two,
         "two-cut, M flipped": measure(-two.M, two.endpoints, 2),
-        "undecided in floats, negative": measure(square_at_1("-1e-30")),
-        "undecided in floats, positive": measure(square_at_1("1e-30")),
-        "undecided in floats, within the floor": measure(square_at_1("-1e-33")),
+        "below 1e-16 of scale, negative": measure(square_at_1("-1e-30")),
+        "below 1e-16 of scale, positive": measure(square_at_1("1e-30")),
+        "below 1e-16 of scale, within the floor": measure(square_at_1("-1e-33")),
         "beyond float range, negative": measure(square_at_1("-1e-30", mpf("1e400"))),
         "beyond float range, positive": measure(square_at_1("1e-30", mpf("1e400"))),
         "below float range, negative": measure(square_at_1("-1e-30", mpf("1e-400"))),
@@ -1036,7 +1039,7 @@ def test_float_density_scan_matches_mpf_scan():
     verdicts = {name: _density_verdict(mu) for name, mu in cases.items()}
     assert verdicts == {name: _density_verdict_mpf(mu)
                         for name, mu in cases.items()}
-    assert verdicts["undecided in floats, negative"] == (
+    assert verdicts["below 1e-16 of scale, negative"] == (
         "negative density at x = 1.0; wrong cut count for this temperature")
     assert verdicts["one-cut solve"] is None and verdicts["two-cut solve"] is None
     assert verdicts["two-cut, M flipped"] is not None

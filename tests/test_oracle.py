@@ -18,7 +18,7 @@ from birthcut.oracle import (GUARD_BITS, PANEL_POINTS, POINT_STORE_SIZE,
                              gram_entries, kernel_exact,
                              orthogonality_residual, pihat_direct,
                              psi_values)
-from birthcut.poly import Poly
+from birthcut.poly import Poly, _fixed_horner
 from birthcut.quadrature import gauss_legendre, panel_nodes
 from conftest import model_chain, monic_reference, oracle_chain, quartic
 
@@ -902,23 +902,12 @@ def domain_args(kind, a, b):
     return Poly([0] * (2 * a) + [mpf(1) / (2 * a)]), 1, 1, b - 1
 
 
-@pytest.mark.parametrize("kind, a, b, bits, lo, hi", DOMAIN_ENDS)
-def test_domain_ends_from_the_float_scan(kind, a, b, bits, lo, hi):
-    # V_min is scanned in floats and formed in mpf only near the float
-    # minimum; it is still the mpf minimum of all 401 points
-    V, N, Tc, n_max = domain_args(kind, a, b)
-    with mp.workprec(bits):
-        assert domain(V, N, Tc, n_max, bits) == (lo, hi)
-        left, right = mpf(-3), mpf(3)
-        assert oracle._scan_min(V, left, right) == min(
-            V(left + (right - left) * k / 400) for k in range(401))
-
-
 def mpf_domain(V, N, Tc, n_max, bits):
-    """`domain` as a walk in mpf alone: the reference of the float walk."""
+    """`domain` as a walk in mpf alone: V_min the mpf minimum of all 401
+    points of [-3, 3], then each end walked out in half-steps."""
     coupling, budget = mpf(N) / Tc, oracle.domain_budget(bits)
     lo, hi = mpf(-3), mpf(3)
-    vmin = oracle._scan_min(V, lo, hi)
+    vmin = min(V(lo + (hi - lo) * k / 400) for k in range(401))
 
     def deficit(x):
         return coupling * (V(x) - vmin) - 2 * n_max * mp.log(1 + abs(x)) - budget
@@ -933,26 +922,62 @@ def mpf_domain(V, N, Tc, n_max, bits):
 
 
 @pytest.mark.parametrize("kind, a, b, bits, lo, hi", DOMAIN_ENDS)
-def test_domain_walk_confirms_each_end_in_mpf(monkeypatch, kind, a, b, bits,
-                                              lo, hi):
-    # the half-steps are walked in floats; mpf `_deficit` runs at the chosen
-    # end and the step before it, where the all-mpf walk ran it at every
-    # step: 68 times for y^2/2 at k_max = 8, 236 at k_max = 200
+def test_domain_ends_from_the_float_scan(kind, a, b, bits, lo, hi):
+    # the ends decided in integers are the pinned ones and the all-mpf
+    # walk's, whose V_min is the mpf minimum of all 401 scan points
     V, N, Tc, n_max = domain_args(kind, a, b)
-    calls = []
-    deficit = oracle._deficit
-    monkeypatch.setattr(oracle, "_deficit",
-                        lambda *args: calls.append(args[1]) or deficit(*args))
     with mp.workprec(bits):
         assert domain(V, N, Tc, n_max, bits) == (lo, hi) \
             == mpf_domain(V, N, Tc, n_max, bits)
-    assert sorted(calls) == sorted({lo, hi, lo + (lo < -3) / mpf(2),
-                                    hi - (hi > 3) / mpf(2)}), calls
+
+
+@pytest.mark.parametrize("kind, a, b, bits, lo, hi", DOMAIN_ENDS)
+def test_domain_walk_confirms_each_end_in_mpf(kind, a, b, bits, lo, hi):
+    # each end is where the walk's mpf deficit first reaches 0: >= 0 at
+    # the end, and < 0 one half-step inside it where the end is past +-3,
+    # with V_min over the scan and the points walked up to that end
+    V, N, Tc, n_max = domain_args(kind, a, b)
+    with mp.workprec(bits):
+        ends = domain(V, N, Tc, n_max, bits)
+        coupling, budget = mpf(N) / Tc, oracle.domain_budget(bits)
+        vmin = min(V(mpf(-3) + mpf(3) * k / 200) for k in range(401))
+        for end in ends:
+            steps = range(6, int(2 * abs(end)) + 1)
+            vmin = min([vmin] + [V(mp.sign(end) * h / 2) for h in steps])
+
+            def deficit(x):
+                return (coupling * (V(x) - vmin)
+                        - 2 * n_max * mp.log(1 + abs(x)) - budget)
+
+            assert deficit(end) >= 0, end
+            if abs(end) > 3:
+                assert deficit(end - mp.sign(end) / 2) < 0, end
+
+
+@pytest.mark.parametrize("bits", [256, 320])
+@pytest.mark.parametrize("N", [3, 40, 160])
+@pytest.mark.parametrize("phi_e", ["0.5", "0.62", "1.0", "1.3"])
+def test_quartic_domain_ends_are_the_mpf_walks(phi_e, N, bits):
+    V, N, Tc, n_max = domain_args("q", phi_e, N)
+    with mp.workprec(bits):
+        assert domain(V, N, Tc, n_max, bits) == mpf_domain(V, N, Tc, n_max,
+                                                           bits)
+
+
+@pytest.mark.parametrize("V, N, Tc", [
+    (Poly([0, 0, 1]), 10, 0), (Poly([0, 0, 1]), 10, -1),
+    (Poly([0, 0, 1]), 0, 1), (Poly([0, 0, -1]), 10, 1),
+    (Poly([0, 1, 0, 1]), 10, 1), (Poly([1]), 10, 1)])
+def test_default_weight_needs_a_growing_exponent(V, N, Tc):
+    # the walk ends only where (N/Tc) V grows without bound; with these it
+    # never met the budget and walked out for ever
+    with pytest.raises(ValueError, match="need N/Tc > 0"):
+        oracle.Weight.default(V, N, Tc, 10, 256)
 
 
 def test_domain_where_floats_cannot_decide():
-    # the all-mpf walk's ends where the float walk must hand over to mpf: V
-    # out of float range; wells beyond [-3, 3] that lower V_min on the way
+    # the all-mpf walk's ends where a float walk could not decide: V out
+    # of float range; wells beyond [-3, 3] that lower V_min on the way
     # out; and a deficit that is 0 at 4.5 to within mpf rounding
     bits, n_max = 256, 10
     with mp.workprec(bits):
@@ -966,11 +991,16 @@ def test_domain_where_floats_cannot_decide():
 
 def test_scan_min_where_floats_cannot_decide():
     # (x^2 - 9/4)^2 - 6e-19 x: both wells' floors are scan points and read
-    # 0 in floats, while in mpf the right one is 1.8e-18 lower; and a V
-    # whose coefficients overflow floats
-    V = Poly([mpf(81) / 16, mpf("-6e-19"), -mpf(9) / 2, 0, 1])
-    with mp.workprec(256):
+    # 0 in floats, while in mpf the right one is 1.8e-18 lower, and the
+    # weight's integer Horner orders them so; and a V whose coefficients
+    # overflow floats. Both give the all-mpf walk's ends.
+    bits, F = 256, 256 + GUARD_BITS
+    wells = Poly([mpf(81) / 16, mpf("-6e-19"), -mpf(9) / 2, 0, 1])
+    with mp.workprec(bits):
         three = mpf(3)
-        assert oracle._scan_min(V, -three, three) == V(three / 2) \
-            < V(-three / 2)
-        assert oracle._scan_min(Poly([0, 0, mpf("1e400")]), -three, three) == 0
+        assert wells(three / 2) < wells(-three / 2)
+        C = oracle.Weight(wells, 1, 1, -three, three).poly(F)
+        assert _fixed_horner(C, 3 << F - 1, F) \
+            < _fixed_horner(C, -3 << F - 1, F)
+        for V in (wells, Poly([0, 0, mpf("1e400")])):
+            assert domain(V, 1, 1, 10, bits) == mpf_domain(V, 1, 1, 10, bits)

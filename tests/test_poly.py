@@ -3,7 +3,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
 from birthcut.poly import (Poly, _fixed_monic, _fixed_series, _fixed_split,
-                           _float_horner, count_real_roots, isolate_real_roots,
+                           count_real_roots, isolate_real_roots,
                            monic_from_roots)
 
 
@@ -34,12 +34,11 @@ def test_horner_matches_powers():
     assert abs(p(x) - direct) < mpf("1e-35")
 
 
-def test_float_horner_value_and_scale():
-    # 5x^4 - x^3 + 4x^2 - x + 3, highest degree first, exact in floats
-    coeffs = [5.0, -1.0, 4.0, -1.0, 3.0]
-    assert _float_horner(coeffs, 2.0) == (89.0, 109.0)
-    assert _float_horner(coeffs, -2.0) == (109.0, 109.0)
-    assert _float_horner([], 2.0) == (0.0, 0.0)
+@pytest.mark.parametrize("n", [-1, -3])
+def test_negative_power_is_an_error(n):
+    # -1 >> 1 == -1, so the square-and-multiply loop never ended
+    with pytest.raises(ValueError, match="need a power >= 0"):
+        Poly([-2, 1]) ** n
 
 
 def _fixed_sigma(roots, W):
