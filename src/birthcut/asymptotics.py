@@ -55,6 +55,7 @@ from .oracle import RecChain, kernel_exact, psi_values, psihat_values
 from .potentials import CriticalSpec
 
 FORBIDDEN_BAND = mpf("0.02")     # guard band around integer / half-integer u
+MIN_N = 3                        # the smallest N of a regime point
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,8 @@ def _scaling_map(spec: CriticalSpec, N: int, prec: int) -> ScalingMap:
 
 
 def make_regime(spec: CriticalSpec, N: int, p: int) -> RegimePoint:
-    if N < 3:
-        raise ValueError("need N >= 3")
+    if N < MIN_N:
+        raise ValueError("need N >= %d" % MIN_N)
     if N + p < 1:
         raise ValueError("index n = N + p = %d: need n >= 1" % (N + p))
     u = 2 * spec.nu * spec.phi_e * p / mp.log(N)

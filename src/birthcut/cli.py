@@ -85,7 +85,6 @@ class UsageError(Exception):
 
 MAX_GRID_POINTS = 10 ** 5        # a longer A:B:STEP grid is a usage error
 MIN_DPS = 15                     # working decimal digits at least
-MIN_N = 3                        # the smallest N of a regime or an oracle
 
 # options that hold one real number (the commands convert them with mpf)
 _NUMBER_OPTIONS = ("phi_e", "e", "t", "u")
@@ -107,16 +106,16 @@ def _check_numbers(args):
 
 
 def _parse_Ns(text):
-    """The comma list of --N values, each an integer N >= MIN_N, checked
-    before any formula takes ln N."""
+    """The comma list of --N values, each an integer N >= the regime's
+    `asymptotics.MIN_N`, checked before any formula takes ln N."""
     try:
         Ns = [int(v) for v in text.split(",")]
     except ValueError:
         raise UsageError("--N: expected a comma list of integers, got %r"
                          % text)
     for N in Ns:
-        if N < MIN_N:
-            raise UsageError("--N %d: need N >= %d" % (N, MIN_N))
+        if N < asymptotics.MIN_N:
+            raise UsageError("--N %d: need N >= %d" % (N, asymptotics.MIN_N))
     return Ns
 
 
