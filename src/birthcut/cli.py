@@ -414,7 +414,8 @@ _parser = None
 
 
 def main(argv=None):
-    """Run one command line; returns its exit code.
+    """Run one command line at --dps digits; returns its exit code and
+    leaves the global precision as it found it.
 
     The parser is built on the first call and reused: each `parse_args`
     makes a fresh namespace, so no call sees another's arguments. The
@@ -434,17 +435,18 @@ def main(argv=None):
             # the adaptive quadrature stops at 10^(TOL_DIGITS - dps)
             raise UsageError("--dps %d: need at least %d digits"
                              % (args.dps, MIN_DPS))
-        mp.dps = args.dps
-        _check_numbers(args)
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        with mp.workdps(args.dps):
+            _check_numbers(args)
+            return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (UsageError, ValueError) as exc:
         # ValueError here is an argument outside a function's domain, such as
         # mpf('abc'), phi_e <= 0 or k_max > 200
-        print("error: %s" % exc, file=sys.stderr)
+        print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return EXIT_USAGE
     except (equilibrium.PhaseError, equilibrium.ConvergenceError,
             ArithmeticError) as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
+        print("numerical failure: %s" % (str(exc) or type(exc).__name__),
+              file=sys.stderr)
         return EXIT_NUMERICAL
 
 

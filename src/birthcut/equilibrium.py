@@ -111,7 +111,7 @@ from typing import Optional
 from mpmath import mp, mpf
 from mpmath.libmp import pi_fixed, to_fixed
 
-from .poly import (Poly, _fixed_deflate, _fixed_horner, _fixed_monic,
+from .poly import (Poly, _fixed, _fixed_deflate, _fixed_horner, _fixed_monic,
                    _fixed_series, _fixed_split, _int_product, monic_from_roots)
 from .quadrature import (GUARD_BITS, ConvergenceError, integrate_bracket,
                          integrate_doubling)
@@ -299,8 +299,8 @@ def _cut_system(Vp: Poly, T, x):
     if any((hi - lo) * _CLOSED < span for lo, hi in zip(x[1:], x[2:])):
         raise PhaseError("cut collision: a cut or the gap has closed")
     W = mp.prec + GAP_GUARD_BITS + (_narrow_bits(x) if s == 2 else 0)
-    X = [to_fixed(v._mpf_, W) for v in x]
-    vp = [to_fixed(c._mpf_, W) for c in Vp.c]
+    X = [_fixed(v, W) for v in x]
+    vp = [_fixed(c, W) for c in Vp.c]
     S = _fixed_monic(X, W)
     # V'(x) x^-s sum_j t_j x^-j: M_k at x^k, c_l at x^-l
     M, c = _fixed_split(vp, _fixed_series(S, len(vp), W), s, s + 1)
@@ -311,7 +311,7 @@ def _cut_system(Vp: Poly, T, x):
     J = [[mpf((_fixed_horner(c[j - 1:0:-1] + [Me[i]], E, W), -W - 1))
           for i, E in enumerate(X)] for j in range(1, s + 2)]
     r = c[1:]
-    r[s] -= 2 * to_fixed(T._mpf_, W)
+    r[s] -= 2 * _fixed(T, W)
     r = [mpf((v, -W)) for v in r]
     if s == 2:
         # integral_b^c M sqrt(sigma) = sum_k p_k I_k, P = M sigma; its
@@ -444,13 +444,13 @@ def _check_density(mu: EqMeasure):
         return
     W = mp.prec + GUARD_BITS
     top = max(v._mpf_[2] + v._mpf_[3] for v in mu.M.c if v)
-    C = [to_fixed(v._mpf_, W - top) for v in mu.M.c]
+    C = [_fixed(v, W - top) for v in mu.M.c]
     cmax = max(abs(c) for c in C)
     one = 1 << W
     eps = mu.endpoints
     for cut in range(mu.s):
         lo, hi = eps[2 * cut], eps[2 * cut + 1]
-        LO, HI = to_fixed(lo._mpf_, W), to_fixed(hi._mpf_, W)
+        LO, HI = _fixed(lo, W), _fixed(hi, W)
         sgn = mu.cut_sign(cut)
         for i in range(1, samples):
             X = LO + (HI - LO) * i // samples
@@ -492,16 +492,16 @@ def normalization(mu: EqMeasure):
     the root by `math.isqrt`, and the value is rounded once."""
     eps = mu.endpoints
     W = mp.prec + GUARD_BITS
-    M = [to_fixed(c._mpf_, W) for c in mu.M.c]
+    M = [_fixed(c, W) for c in mu.M.c]
     total = mpf(0)
     for cut in range(mu.s):
         lo, hi = eps[2 * cut], eps[2 * cut + 1]
         sgn = mu.cut_sign(cut)
-        LO, HI = to_fixed(lo._mpf_, W), to_fixed(hi._mpf_, W)
-        others = [to_fixed(r._mpf_, W) for r in eps if r < lo or r > hi]
+        LO, HI = _fixed(lo, W), _fixed(hi, W)
+        others = [_fixed(r, W) for r in eps if r < lo or r > hi]
 
         def integrand(x):
-            X = to_fixed(x._mpf_, W)
+            X = _fixed(x, W)
             m = _fixed_horner(M, X, W)
             rest = 1 << W
             for R in others:
@@ -653,8 +653,8 @@ def veff_const_bs(mu: EqMeasure):
         raise ValueError("normalization constant needs b_s > 0")
     T, Vp, s = mu.T, mu.V.deriv(), mu.s
     W = mp.prec + 24
-    vp = [to_fixed(c._mpf_, W) for c in Vp.c]
-    S = _fixed_monic([to_fixed(v._mpf_, W) for v in mu.endpoints], W)
+    vp = [_fixed(c, W) for c in Vp.c]
+    S = _fixed_monic([_fixed(v, W) for v in mu.endpoints], W)
     M = [v >> W for v in _fixed_split(
         vp, _fixed_series(S, len(vp) - 1 - s, W), s, 0)[0]]
     _, n = _fixed_split(M, _fixed_series(S, tail_terms + len(M) - 1 + s, W,

@@ -54,6 +54,9 @@ def spec_to_kv(spec: CriticalSpec) -> str:
 
 
 def spec_from_kv(text: str) -> CriticalSpec:
+    """The spec of a key = value block; ValueError naming the key for a
+    missing key, nu < 1, a non-finite number, e <= 2, phi_e <= 0, Tc <= 0,
+    or a zero Q or V. The model's own conditions are the callers'."""
     kv = parse_kv(text)
     missing = [k for k in ("nu", "e", "Q", "V", "Tc") if k not in kv]
     if missing:
@@ -61,14 +64,28 @@ def spec_from_kv(text: str) -> CriticalSpec:
     nu = int(kv["nu"])
     if nu < 1:
         raise ValueError("nu = %d: need nu >= 1" % nu)
-    e = mpf(kv["e"])
-    Q = Poly([mpf(v) for v in kv["Q"].split()])
-    V = Poly([mpf(v) for v in kv["V"].split()])
-    Tc = mpf(kv["Tc"])
-    phi_e = mpf(kv["phi_e"]) if "phi_e" in kv else mp.acosh(e / 2)
+
+    def number(key, above=-mp.inf):
+        v = mpf(kv[key])
+        if not above < v < mp.inf:            # false for nan too
+            raise ValueError("%s = %s: need a number in (%s, inf)"
+                             % (key, kv[key], above))
+        return v
+
+    def poly(key):
+        p = Poly([mpf(v) for v in kv[key].split()])
+        if not p or not all(map(mp.isfinite, p.c)):
+            raise ValueError("%s = %r: need finite coefficients, not all 0"
+                             % (key, kv[key]))
+        return p
+
+    e, Q = number("e", 2), poly("Q")
+    phi_e = number("phi_e", 0) if "phi_e" in kv else mp.acosh(e / 2)
     d = int(kv["d"]) if "d" in kv else Q.degree + 2 * nu
+    kv.setdefault("e_tilde", "0")
     return CriticalSpec(nu=nu, e=e, phi_e=phi_e, Q=Q,
-                        e_tilde=mpf(kv.get("e_tilde", "0")), V=V, Tc=Tc, d=d)
+                        e_tilde=number("e_tilde"), V=poly("V"),
+                        Tc=number("Tc", 0), d=d)
 
 
 def measure_to_kv(mu: EqMeasure) -> str:

@@ -31,7 +31,8 @@ A chain is the recurrence chain of one `Weight` (V, N, T_c and the ends
 lo, hi that `Weight.default` chooses), the one place N/T_c is formed. Its
 integer coefficients of (N/2 T_c) V (`Weight.poly`) serve the domain rule
 and every grid node and point, each by `poly._fixed_horner`: no float
-decides an end or a weight.
+decides an end or a weight. Reals enter these integers by `poly._fixed`,
+a floor, and values leave them as mpf((man, exp), prec=p), rounded once.
 Whatever builds the recurrence (beta_n, gamma_n, ln h_n), `assemble_chain`
 derives the rest of a `RecChain` from it in one place: gamma_n^2, ln zeta_n,
 the fixed-point copies and the factors 1/sqrt(h_n).
@@ -93,10 +94,9 @@ from functools import cached_property
 from itertools import islice
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest
 from mpmath.libmp.libelefun import exp_basecase, ln2_fixed, log_int_fixed
 
-from .poly import Poly, _fixed_horner
+from .poly import Poly, _fixed, _fixed_horner
 from .quadrature import gauss_legendre
 
 GUARD_BITS = 32        # fixed-point fraction bits beyond the working precision
@@ -106,6 +106,7 @@ MEMO_SIZE = 64         # values a chain's memo keeps, least recently used droppe
 POINT_STORE_SIZE = 2048  # points a chain's point store keeps, the same way
 DIAGONAL_GAP = 1e-8    # kernel_exact's relative |x - x'| of the derivative form
 CHECK_GRID_RATIO = "1.37"  # check-grid nodes per chain node, as mpf text
+DOMAIN_HALF_STEPS = 1 << 14  # half-steps each end of Weight.default walks
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,12 +147,12 @@ class NodeGrid:
     def xs(self):
         """The nodes as exact mpf, formed on first read: no chain sweep
         reads them."""
-        return [mp.make_mpf(from_man_exp(x, -self.F)) for x in self.X]
+        return [mpf((x, -self.F), prec=0) for x in self.X]
 
     def gw(self, i):
         """g_i w_i as an mpf at the working precision."""
         shift = 2 * (self.F + self.K[i] + self.m)
-        return mp.ldexp(mpf(self.U[i] ** 2), -shift)
+        return mpf((self.U[i] ** 2, -shift))
 
     def gl_w(self):
         """The GL weights g_i of every node."""
@@ -189,7 +190,8 @@ class Weight:
         ln(2+|2x|) - ln 2 from mpmath's fixed-point ln of an integer. The
         walk ends only where G grows without bound, so N/T_c > 0 and V of
         even degree with a positive leading coefficient are required
-        (ValueError).
+        (ValueError), and so is an end beyond DOMAIN_HALF_STEPS half-steps
+        (|x| > 8195), where the weight falls too slowly.
         """
         if not (N > 0 and Tc > 0 and V.degree >= 2 and V.degree % 2 == 0
                 and V.c[-1] > 0):
@@ -208,13 +210,15 @@ class Weight:
         def walk(h, step):
             """The first of h, h + step, ... half-steps where the test holds."""
             nonlocal gmin
-            while True:
+            for h in range(h, h + DOMAIN_HALF_STEPS * step, step):
                 G = _fixed_horner(C, h << F - 1, F)
                 gmin = min(gmin, G)
                 if (G - gmin - n_max * (log_int_fixed(2 + abs(h), F) - ln2)
                         >= budget):
                     return mpf(h) / 2
-                h += step
+            raise ValueError(
+                "weight exp(-(N/Tc) V) still above the precision budget at "
+                "x = %s: V grows too slowly" % (mpf(h) / 2))
 
         return replace(w, lo=walk(-6, -1), hi=walk(6, 1))
 
@@ -232,8 +236,8 @@ class Weight:
             with mp.workprec(F - GUARD_BITS):
                 coupling = self.coupling
             with mp.workprec(F + 16):
-                self._polys[F] = _to_fixed(
-                    [coupling * c / 2 for c in self.V.c], F)
+                self._polys[F] = [_fixed(coupling * c / 2, F)
+                                  for c in self.V.c]
         return self._polys[F]
 
     def grid(self, panels, F):
@@ -257,16 +261,13 @@ class Weight:
         with mp.workprec(prec):
             ts, gs = gauss_legendre(PANEL_POINTS)
         with mp.workprec(F + 16):
-            LO, HI = _to_fixed([mpf(self.lo), mpf(self.hi)], F)
+            LO, HI = _fixed(mpf(self.lo), F), _fixed(mpf(self.hi), F)
             H = (HI - LO) // panels
-            T = [t + (1 << F) for t in _to_fixed(ts, F)]
-            g = [mp.ldexp(mpf(H), -F - 1) * w for w in gs]
-            roots = []                   # sqrt(g_j) = S_j 2^-(F + s_j)
-            for gj in g:
-                man, ex = mp.sqrt(gj).man_exp
-                bl = man.bit_length()
-                roots.append((man << (F - bl) if bl < F else man >> (bl - F),
-                              -(ex + bl)))
+            T = [_fixed(t, F) + (1 << F) for t in ts]
+            g = [mpf((H, -F - 1)) * w for w in gs]
+            # sqrt(g_j) = S_j 2^-(F + s_j), S_j of F bits
+            roots = [(_fixed(r, F - mp.mag(r)), -mp.mag(r))
+                     for r in map(mp.sqrt, g)]
         C = self.poly(F)
         n = panels * PANEL_POINTS
         mirrored = LO == -HI and not any(self.V.c[1::2])
@@ -317,7 +318,7 @@ def _recent(store: OrderedDict, key, compute, size: int):
 class _Point:
     """What a chain keeps of one evaluation point x (an mpf at the chain's
     precision), with F = prec + GUARD_BITS:
-    - X = x 2^F truncated to an integer;
+    - X = floor(x 2^F), exact for an x that is not tiny;
     - G = (N/2 T_c) V(x) 2^F as an integer and the psi weight
       w = e^{-(N/2 T_c) V(x)} = W 2^-(F + k), W good to a few units, both
       from `_root_weight` on the chain's `Weight.poly`, as a grid node's
@@ -331,14 +332,9 @@ class _Point:
         F = chain.prec + GUARD_BITS
         self.X = _fixed(x, F)
         self.G, k, W = _root_weight(chain.weight.poly(F), self.X, F)
-        self.w = _rounded(W, -F - k, chain.prec)
-        self.w2 = _rounded(W * W, -2 * (F + k), chain.prec)
+        self.w = mpf((W, -F - k), prec=chain.prec)
+        self.w2 = mpf((W * W, -2 * (F + k)), prec=chain.prec)
         self.state = _monic_start(F)
-
-
-def _rounded(man, exp, prec):
-    """man 2^exp as an mpf rounded to nearest at prec bits."""
-    return mp.make_mpf(from_man_exp(man, exp, prec, round_nearest))
 
 
 @dataclass
@@ -420,8 +416,8 @@ def assemble_chain(weight: Weight, prec: int, beta, gamma, log_h,
         return RecChain(weight=weight, n_max=len(log_h) - 1, prec=prec,
                         log_h=log_h, gamma=gamma, beta=beta, gsq=gsq,
                         inv_sqrt_h=[mp.exp(-v / 2) for v in log_h],
-                        ln_zeta=ln_zeta, beta_fx=_to_fixed(beta, F),
-                        gsq_fx=_to_fixed(gsq, F), grid=grid)
+                        ln_zeta=ln_zeta, beta_fx=[_fixed(v, F) for v in beta],
+                        gsq_fx=[_fixed(v, F) for v in gsq], grid=grid)
 
 
 def _start_vector(grid, norm):
@@ -430,10 +426,9 @@ def _start_vector(grid, norm):
     one integer product U_i M per node, with 2^-m / sqrt(norm) = M 2^(q - F).
     """
     F = grid.F
-    man, ex = mp.ldexp(1 / mp.sqrt(norm), -grid.m).man_exp
-    bl = man.bit_length()
-    M = man << (F - bl) if bl < F else man >> (bl - F)
-    q = ex + bl
+    r = mp.ldexp(1 / mp.sqrt(norm), -grid.m)
+    q = mp.mag(r)
+    M = _fixed(r, F - q)
     a, e = [], []
     for u, k in zip(grid.U, grid.K):
         ei = max(0, k - q)
@@ -519,9 +514,8 @@ def stieltjes_chain(xs, n_steps):
     F, X = grid.F, grid.X
     betas, gammas, ln_hs = [], [], []
     with mp.workprec(F + 16):
-        total = mp.ldexp(mpf(sum(u * u >> 2 * k
-                                 for u, k in zip(grid.U, grid.K))),
-                         -2 * (F + grid.m))
+        total = mpf((sum(u * u >> 2 * k for u, k in zip(grid.U, grid.K)),
+                     -2 * (F + grid.m)))
         ln_h = mp.log(total)
         a, e = _start_vector(grid, total)
         c = [0] * len(a)
@@ -540,27 +534,12 @@ def stieltjes_chain(xs, n_steps):
             gammas.append(b)
             ln_hs.append(ln_h)
             if k + 1 < n_steps:
-                alpha = mp.sqrt(mp.ldexp(mpf(S), -F))
+                alpha = mp.sqrt(mpf((S, -F)))
                 s = _nearest_shift(alpha * b if k else alpha)
                 a, c, e, S_next, T = _advance(X, a, c, e, T // S, G, F + s, F,
                                               True, True)
                 S_prev, S, s_prev = S, S_next, s
     return ([+v for v in betas], [+v for v in gammas], [+v for v in ln_hs])
-
-
-def _fixed(v, F):
-    """v times 2^F, truncated toward 0 to an integer, as int(mp.ldexp(v, F))
-    gives it, by shifting the mpf mantissa directly."""
-    sign, man, exp, _ = (v if isinstance(v, mpf) else mpf(v))._mpf_
-    shift = exp + F
-    # the magnitude is shifted, so a right shift truncates toward 0
-    n = man << shift if shift >= 0 else man >> -shift
-    return -n if sign else n
-
-
-def _to_fixed(values, F):
-    """`_fixed` of each value."""
-    return [_fixed(v, F) for v in values]
 
 
 def _node_vectors(grid, beta, gamma, ln_h0, count, sums=()):
@@ -632,8 +611,7 @@ def gram_entries(grid, beta, gamma, ln_h0, pairs):
                     P = sum(x * y >> (F + i + j)
                             for x, y, i, j in zip(a, a2, e, e2))
                 # folded, P is the upper half's sum: both halves give 2 P
-                gram[n, m_] = mp.ldexp(mpf(P), int(fold) - F) \
-                    / (alpha[n] * alpha[m_])
+                gram[n, m_] = mpf((P, int(fold) - F)) / (alpha[n] * alpha[m_])
     return [+gram[pq] for pq in pairs]
 
 
@@ -852,7 +830,7 @@ def eval_psi_exact(chain: RecChain, n: int, x):
     _check_index("n", n, 0, chain)
     with mp.workprec(chain.prec):
         pt, (_, _, p, _, _, E) = _monic_point(chain, n, mpf(x))
-        p = _rounded(p, E - chain.prec - GUARD_BITS, chain.prec)
+        p = mpf((p, E - chain.prec - GUARD_BITS), prec=chain.prec)
         return p * pt.w * chain.inv_sqrt_h[n]
 
 
@@ -874,14 +852,14 @@ def psi_values(chain: RecChain, n: int, y):
             F = chain.prec + GUARD_BITS
             ps = [(1 << F, 0)]                 # (p_k, E_k), p_0 = 1
             _monic_steps(chain, pt.X, _monic_start(F), n, every=ps)
-            return [_rounded(p, E - F, chain.prec) * pt.w * c
+            return [mpf((p, E - F), prec=chain.prec) * pt.w * c
                     for (p, E), c in zip(ps, chain.inv_sqrt_h)]
         return list(chain.cached(("psi", n, y), one_pass))
 
 
 def _pv_weights(grid: NodeGrid):
     """The GL weights g_i of the grid's nodes times 2^F, as integers."""
-    return _to_fixed(grid.g, grid.F) * (len(grid) // len(grid.g))
+    return [_fixed(g, grid.F) for g in grid.g] * (len(grid) // len(grid.g))
 
 
 def _pv_values(chain: RecChain, n: int):
@@ -922,7 +900,7 @@ def pihat_direct(chain: RecChain, n: int, x):
     the sum folds as `gram_entries` does: the nodes +-x_j make one term over
     Y^2 - x_j^2 with numerator 2 Y (P_j - g_j F_X) for n even and
     2 (P_j x_j - g_j F_X Y) for n odd, from the upper half's values alone.
-    For n even the folded sum is odd in x: x (the mpf, not its truncation
+    For n even the folded sum is odd in x: x (the mpf, not its floor
     Y) multiplies it once, after its floor divisions, and the subtracted
     integral is 2 f(x) atanh(x/x_max), so both keep their relative accuracy
     as x -> 0 instead of an absolute error of about 2^-F.
@@ -938,15 +916,15 @@ def pihat_direct(chain: RecChain, n: int, x):
         total = mpf(0)
         FX = 0
         inside = chain.x_min < x < chain.x_max
-        Y = int(mp.ldexp(x, F))
+        Y = _fixed(x, F)
         i = bisect.bisect_left(X, Y)
         hit = i < len(X) and X[i] == Y
         fold = (inside and not hit and chain.grid.mirrored
                 and not any(chain.beta[:n]))
         if inside:
             _, _, p, _, _, E = _monic_point(chain, n, x)[1]
-            fx = mp.ldexp(mpf(p), E - F) * mp.exp(-w.coupling * w.V(x))
-            FX = int(mp.ldexp(fx / unit, F))
+            fx = mpf((p, E - F)) * mp.exp(-w.coupling * w.V(x))
+            FX = _fixed(fx / unit, F)
             if fold:                # x_min = -x_max: no ratio rounded near 1
                 total = 2 * fx * mp.atanh(x / chain.x_max)
             else:
@@ -954,9 +932,9 @@ def pihat_direct(chain: RecChain, n: int, x):
         if hit:
             # x is node i (to 2^-F): its term has the finite limit
             # -g_i (pi_n w)'(x_i) with (pi_n w)' = w (pi_n' - (N/T_c) V' pi_n)
-            xi = mp.make_mpf(from_man_exp(X[i], -F))
+            xi = mpf((X[i], -F), prec=0)
             _, (_, _, p, _, dp, E) = _monic_point(chain, n, xi, deriv=True)
-            pn, dn = (mp.ldexp(mpf(v), E - F) for v in (p, dp))
+            pn, dn = mpf((p, E - F)), mpf((dp, E - F))
             slope = dn - w.coupling * w.V.deriv()(xi) * pn
             total -= chain.grid.gw(i) * slope
             X, G, P = X[:i] + X[i + 1:], G[:i] + G[i + 1:], P[:i] + P[i + 1:]
@@ -975,7 +953,7 @@ def pihat_direct(chain: RecChain, n: int, x):
         else:
             for xj, g, p in zip(X, G, P):
                 acc += ((p - (g * FX >> F)) << F) // (Y - xj)
-        acc = mp.ldexp(mpf(acc), -F)
+        acc = mpf((acc, -F))
         if fold and n % 2 == 0:
             acc *= x
         total += acc * unit
@@ -997,7 +975,7 @@ def _antiweight(chain: RecChain, n: int, x):
     if n >= 0:
         E -= _fixed(chain.log_h[n], F - 1)
     k, r = divmod(E, ln2_fixed(F))
-    return _rounded(exp_basecase(r, F), k - F, chain.prec)
+    return mpf((exp_basecase(r, F), k - F), prec=chain.prec)
 
 
 def eval_phi_exact(chain: RecChain, n: int, x):
@@ -1059,11 +1037,11 @@ def kernel_exact(chain: RecChain, n: int, x, x2):
         if x2 != x and abs(x - x2) > DIAGONAL_GAP * (1 + abs(x)):
             a, (_, q1, p1, _, _, E1) = _monic_point(chain, n, x)
             b, (_, q2, p2, _, _, E2) = _monic_point(chain, n, x2)
-            cd = _rounded(p1 * q2 - q1 * p2, E1 + E2 - 2 * F, chain.prec)
+            cd = mpf((p1 * q2 - q1 * p2, E1 + E2 - 2 * F), prec=chain.prec)
             return scale * a.w * b.w * cd / (x - x2)
         a, (_, q, p, dq, dp, E) = _monic_point(chain, n, x, deriv=True)
-        return scale * a.w2 * _rounded(dp * q - dq * p, 2 * (E - F),
-                                       chain.prec)
+        return scale * a.w2 * mpf((dp * q - dq * p, 2 * (E - F)),
+                                  prec=chain.prec)
 
 
 def _count_sweep(chain: RecChain, lo, hi, panels):
@@ -1098,7 +1076,7 @@ def expected_count_exact(chain: RecChain, n: int, lo, hi=None, panels=24):
         with mp.workprec(F + 16):
             try:
                 for _, _, S, alpha in islice(sweep, max(0, n - len(terms))):
-                    terms.append(mp.ldexp(mpf(S), -F) / (alpha * alpha))
+                    terms.append(mpf((S, -F)) / (alpha * alpha))
             except BaseException:
                 # a sweep stopped by an exception cannot resume: drop it
                 chain._memo.pop(key, None)

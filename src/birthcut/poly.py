@@ -10,14 +10,16 @@ solvers need:
 * Laurent data of f(x) sigma(x)^{+-1/2} at infinity for monic even-degree
   sigma (polynomial part and the x^{-j} coefficients), which encodes V', T_c,
   the contour moment conditions and W's tail algebraically. It is one
-  integer layer: polynomials as Python integers over 2^W (`_exact`,
-  `_fixed_monic`, `_int_product`, `_fixed_horner`, `_fixed_deflate`),
-  Miller's series of sigma^(+-1/2) (`_fixed_series`) and its split
-  (`_fixed_split`), shared by `equilibrium._cut_system`,
-  `equilibrium.veff_const_bs` and `potentials.build_potential`. The one
-  integer Horner, `_fixed_horner`, also decides every polynomial test: the
-  oracle's weight and domain rule (`oracle.Weight`) and the density check
-  (`equilibrium._check_density`); no float decides one;
+  integer layer, which every module enters by `_fixed` (floor(v 2^W) of an
+  mpf v) and leaves by mpf((man, exp), prec=p): polynomials as Python
+  integers over 2^W (`_exact`, `_fixed_monic`, `_int_product`,
+  `_fixed_horner`, `_fixed_deflate`), Miller's series of sigma^(+-1/2)
+  (`_fixed_series`) and its split (`_fixed_split`), shared by
+  `equilibrium._cut_system`, `equilibrium.veff_const_bs` and
+  `potentials.build_potential`. The one integer Horner, `_fixed_horner`,
+  also decides every polynomial test: the oracle's weight and domain rule
+  (`oracle.Weight`) and the density check (`equilibrium._check_density`);
+  no float decides one;
 * Sturm-sequence root counting, used for the sign conditions on Q.
 """
 
@@ -130,10 +132,16 @@ def monic_from_roots(roots):
 # Integer polynomials and Laurent series of sigma^(+-1/2) at infinity
 # ----------------------------------------------------------------------------
 
+def _fixed(v, W):
+    """floor(v 2^W) for the mpf v: the one way a real enters the integer
+    layer (exact where v 2^W is an integer)."""
+    return to_fixed(v._mpf_, W)
+
+
 def _exact(f: Poly):
     """(S, a) with f(x) = 2^-S sum_k a[k] x^k exactly, a Python integers."""
     S = max([0] + [-v._mpf_[2] for v in f.c])
-    return S, [to_fixed(v._mpf_, S) for v in f.c]
+    return S, [_fixed(v, S) for v in f.c]
 
 
 def _int_product(p, q):

@@ -34,10 +34,9 @@ from dataclasses import dataclass
 from math import comb, isqrt
 
 from mpmath import mp, mpf
-from mpmath.libmp import to_fixed
 
-from .poly import (Poly, _exact, _fixed_series, _fixed_split, _int_product,
-                   count_real_roots, isolate_real_roots)
+from .poly import (Poly, _exact, _fixed, _fixed_series, _fixed_split,
+                   _int_product, count_real_roots, isolate_real_roots)
 from .quadrature import ConvergenceError
 
 # the step of a `_cut_integral`'s guard bits: its first pass takes twice
@@ -118,9 +117,9 @@ def _sinh_terms(x, K):
     2 sinh(t) = isqrt((x - 2)(x + 2)), and t is one mpf asinh. The addition
     formulas add only positive terms, so nothing cancels as t -> 0."""
     F = mp.prec + max(0, -mp.mag(x - 2)) // 2 + 8
-    X = to_fixed(x._mpf_, F)                    # 2 cosh(t)
+    X = _fixed(x, F)                            # 2 cosh(t)
     R = isqrt((X - (2 << F)) * (X + (2 << F)))  # 2 sinh(t)
-    out = [to_fixed(mp.asinh(mpf((R, -F - 1)))._mpf_, F)]
+    out = [_fixed(mp.asinh(mpf((R, -F - 1))), F)]
     s, c = 0, 1 << F            # sinh(k t), cosh(k t)
     for k in range(1, K + 1):
         s, c = (s * X + c * R) >> (F + 1), (c * X + s * R) >> (F + 1)

@@ -26,8 +26,9 @@ from __future__ import annotations
 import math
 
 from mpmath import mp, mpf
-from mpmath.libmp import to_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, pi_fixed
+
+from .poly import _fixed
 
 _CACHE = {}
 GUARD_BITS = 32        # fixed-point fraction bits beyond the working precision
@@ -121,7 +122,7 @@ def _build_rule(n: int):
     F = mp.prec + GUARD_BITS
     if held:
         # the non-negative nodes of the finest coarser rule, ascending
-        starts = [int(mp.ldexp(x, F)) for x in _CACHE[n, held[-1]][0][n // 2:]]
+        starts = [_fixed(x, F) for x in _CACHE[n, held[-1]][0][n // 2:]]
     else:
         starts = [(int(math.ldexp(s, 53)) << F) >> 53
                   for s in legendre_seeds(n)]
@@ -234,7 +235,7 @@ def integrate_bracket(f, a, b, n_start=32, max_n=4096):
     W = mp.prec + GUARD_BITS
     # x = (MID + HALF cos 2^W) 2^-(E + W + 1), with a and b exact
     E = max(0, -a._mpf_[2], -b._mpf_[2])
-    A, B = to_fixed(a._mpf_, E), to_fixed(b._mpf_, E)
+    A, B = _fixed(a, E), _fixed(b, E)
     MID, HALF, scale = A + B << W, B - A, -(E + W + 1)
     held = []     # [sum f, sum |f|] over the last rule's nodes, ends halved
 

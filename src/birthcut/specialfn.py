@@ -30,8 +30,8 @@ from math import isqrt
 from typing import NamedTuple, Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import to_fixed
 
+from .poly import _fixed
 from .quadrature import ConvergenceError
 
 
@@ -90,11 +90,11 @@ def agm_integrals(mc, amplitude=None) -> AGMIntegrals:
                 W += max(0, mp.mag(x) - mp.mag(y))
             # a shared power of 2 puts the larger coordinate at W bits
             scale = W - max(mp.mag(x), mp.mag(y))
-            xy = to_fixed(x._mpf_, scale), to_fixed(y._mpf_, scale)
+            xy = _fixed(x, scale), _fixed(y, scale)
         one = 1 << W
         a, csum, _, steps, landen = agm_fixed(
-            W, isqrt(to_fixed(mc._mpf_, 2 * W)),
-            (one - to_fixed(mc._mpf_, W)) >> 1, 1 << (W - mp.prec), xy=xy)
+            W, isqrt(_fixed(mc, 2 * W)), (one - _fixed(mc, W)) >> 1,
+            1 << (W - mp.prec), xy=xy)
         a = mpf((a, -W))
         K = mp.pi / (2 * a)
         E = K * mpf((one - csum, -W))

@@ -66,8 +66,7 @@ def test_validate_passes_at_every_precision(dps, spec_args, capsys):
     # nu = 4, e = 2.05 (15 digits) the rounding of Q's coefficients leaves
     # the vanishing integral below minus 16 units of the scale; the floor
     # covers it
-    with mp.workdps(mp.dps):             # main sets the global precision
-        assert run(["--dps", str(dps), "validate"] + spec_args) == 0
+    assert run(["--dps", str(dps), "validate"] + spec_args) == 0
     assert "FAIL" not in capsys.readouterr().out
 
 
@@ -193,11 +192,11 @@ def test_N_below_3_is_usage_error_before_any_logarithm(cmd, N, capsys):
     assert captured.err == "error: --N %s: need N >= 3\n" % N
 
 
-def _edited_spec(tmp_path, key, value):
-    """A file of the phi_e = 0.62 spec with the key's value replaced."""
+def _edited_spec(tmp_path, key, value, phi_e="0.62"):
+    """A file of the quartic spec at phi_e with the key's value replaced."""
     lines = [("%s = %s" % (key, value(line.split("=", 1)[1].split())))
              if line.startswith(key + " =") else line
-             for line in spec_to_kv(quartic("0.62")).splitlines()]
+             for line in spec_to_kv(quartic(phi_e)).splitlines()]
     path = tmp_path / "edited.spec"
     path.write_text("\n".join(lines) + "\n")
     return str(path)
@@ -222,13 +221,64 @@ def test_spec_with_nu_below_1_is_usage_error(tmp_path, capsys, nu):
 def test_oracle_of_a_weight_that_does_not_decay_is_usage_error(
         tmp_path, capsys, cmd, key, value):
     # with T_c <= 0 or a negative leading coefficient of V the domain walk
-    # never met its budget, and the command never returned
+    # never met its budget, and the command never returned. T_c <= 0 is a
+    # malformed spec file; such a V is a well-formed file of an invalid
+    # model, which the weight's check rejects
     path = _edited_spec(tmp_path, key, value)
     assert run(cmd + ["--spec", path]) == 2
     err = capsys.readouterr().err.splitlines()[-1]
+    if key == "Tc":
+        assert err.endswith("Tc = -1: need a number in (0, inf)")
+        return
     assert err.startswith("error: weight exp(-(N/Tc) V)")
     assert err.endswith("need N/Tc > 0 and V of even degree with a positive "
                         "leading coefficient")
+
+
+@pytest.mark.parametrize("cmd", [
+    ["validate"], ["critical", "--t", "1e-3"], ["equilibrium", "--t", "1e-3"],
+    ["transition"], ["psi", "--N", "40", "--u", "1"]])
+@pytest.mark.parametrize("key, value", [
+    ("e", "1.5"), ("phi_e", "-1"), ("Tc", "-2"), ("Tc", "0"), ("Q", ""),
+    ("V", ""), ("e", "nan"), ("e_tilde", "inf")])
+def test_malformed_spec_value_is_usage_error(tmp_path, capsys, cmd, key,
+                                             value):
+    # each ended in a traceback (e = 1.5 in critical, transition and psi;
+    # phi_e = -1 and Tc = -2 in psi), the empty message "numerical
+    # failure: " (Tc = 0, an empty Q), or exit 0 (e = nan)
+    path = _edited_spec(tmp_path, key, lambda _: value, phi_e="1.0")
+    assert run(cmd + ["--spec", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed spec file %s: %s = "
+                                   % (path, key))
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc, code, text", [
+    (ZeroDivisionError(), 3, "numerical failure: ZeroDivisionError"),
+    (ValueError(), 2, "error: ValueError")])
+def test_an_empty_message_names_the_exception_type(monkeypatch, capsys, exc,
+                                                   code, text):
+    def fail(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    assert run(["validate", "--phi-e", "1.0"]) == code
+    assert capsys.readouterr().err == text + "\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--dps", "20", "validate", "--nu", "2", "--e", "2.6"], 0),
+    (["--dps", "20", "validate"], 2),
+    (["--dps", "5", "validate", "--phi-e", "1"], 2),
+    (["--dps", "20", "validate", "--phi-e", "x"], 2),
+    (["--no-such-option"], 2)])
+def test_main_leaves_the_global_precision_as_it_found_it(argv, code, capsys):
+    # main set mp.dps to --dps and left it there; a run and each kind of
+    # usage error now leave it as it was
+    with mp.workdps(15):
+        assert run(argv) == code
+        assert mp.dps == 15
 
 
 def test_equilibrium_solver_failure_is_numerical_failure(capsys):
@@ -335,13 +385,12 @@ def test_equilibrium_after_transition_reuses_spec_and_measure(
 def test_each_precision_solves_a_measure_of_its_own(empty_caches, capsys):
     # a --dps 30 run after a 40-digit one at the same t solves again, and
     # prints what a --dps 30 run on empty caches prints
-    with mp.workdps(mp.dps):             # main sets the global precision
-        assert run(["--dps", "30"] + TWO_CUT_ARGV) == 0
-        fresh30 = capsys.readouterr().out
-        _clear()
-        assert run(TWO_CUT_ARGV) == 0
-        out40 = capsys.readouterr().out
-        assert run(["--dps", "30"] + TWO_CUT_ARGV) == 0
+    assert run(["--dps", "30"] + TWO_CUT_ARGV) == 0
+    fresh30 = capsys.readouterr().out
+    _clear()
+    assert run(TWO_CUT_ARGV) == 0
+    out40 = capsys.readouterr().out
+    assert run(["--dps", "30"] + TWO_CUT_ARGV) == 0
     assert capsys.readouterr().out == fresh30 != out40
     assert len(cli._measures) == 2
 
@@ -425,25 +474,24 @@ def test_unconverged_oracle_ladder_warns_once(monkeypatch, capsys):
                 ["psi", "--phi-e", "1.05", "--N", "8", "--u", "1.3",
                  "--with-oracle"])
     plain = []
-    with mp.workdps(mp.dps):             # main sets the global precision
-        for argv in commands:
-            assert run(argv) == 0
-            plain.append(capsys.readouterr())
-        resid = mp.ldexp(1, -100)
-        monkeypatch.setattr(oracle, "orthogonality_residual",
-                            lambda ch, pairs, grid=None: resid)
-        monkeypatch.setattr(oracle, "PANEL_LADDER", (5, 10))   # a short climb
-        for argv, before, chains in zip(commands, plain, (2, 1)):
-            assert run(argv) == 0
-            out, err = capsys.readouterr()
-            assert out == before.out
-            lines = err.splitlines()
-            warned = [l for l in lines if "orthonormality residual" in l]
-            assert [l for l in lines if l not in warned] \
-                == before.err.splitlines()
-            assert len(warned) == chains
-            assert all(mp.nstr(resid, 3) in l and "%d nodes" % (
-                64 * oracle.PANEL_LADDER[-1]) in l for l in warned)
+    for argv in commands:
+        assert run(argv) == 0
+        plain.append(capsys.readouterr())
+    resid = mp.ldexp(1, -100)
+    monkeypatch.setattr(oracle, "orthogonality_residual",
+                        lambda ch, pairs, grid=None: resid)
+    monkeypatch.setattr(oracle, "PANEL_LADDER", (5, 10))   # a short climb
+    for argv, before, chains in zip(commands, plain, (2, 1)):
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == before.out
+        lines = err.splitlines()
+        warned = [l for l in lines if "orthonormality residual" in l]
+        assert [l for l in lines if l not in warned] \
+            == before.err.splitlines()
+        assert len(warned) == chains
+        assert all(mp.nstr(resid, 3) in l and "%d nodes" % (
+            64 * oracle.PANEL_LADDER[-1]) in l for l in warned)
 
 
 def test_scan_u_reduced_forms_follow_the_full_ones_below_threshold(tmp_path):
@@ -497,9 +545,8 @@ def test_transition_rows_at_15_digits_match_40(capsys):
     # of 10^(8 - dps) left them 3.4e-4 below T_c and 9.4e-6 above)
     rows = {}
     for dps in (15, 40):
-        with mp.workdps(mp.dps):         # main sets the global precision
-            assert run(["--dps", str(dps), "transition", "--phi-e", "1.0",
-                        "--t-grid", "1e-5:1e-5:1"]) == 0
+        assert run(["--dps", str(dps), "transition", "--phi-e", "1.0",
+                    "--t-grid", "1e-5:1e-5:1"]) == 0
         rows[dps] = [r.split(",") for r in
                      capsys.readouterr().out.splitlines()[1:]]
     assert [r[1] for r in rows[15]] == [r[1] for r in rows[40]] \

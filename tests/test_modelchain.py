@@ -1,7 +1,6 @@
 """The y^{2 nu}/(2 nu) model chain against Gaussian closed forms and
 independently re-integrated identities."""
 
-import random
 from collections import OrderedDict
 from dataclasses import replace
 from types import SimpleNamespace
@@ -13,13 +12,13 @@ from birthcut import modelchain, oracle
 from birthcut.kvio import chain_to_table
 from birthcut.modelchain import (A_constant, build_chain, freud_gsq, ln_A_k,
                                  string_guard_bits)
-from birthcut.oracle import (GUARD_BITS, MEMO_SIZE, _fixed, _monic_point,
-                             _monic_start, _monic_steps,
-                             _to_fixed, build_rec_chain, domain_budget,
-                             eval_phi_exact, eval_psi_exact, kernel_exact,
-                             orthogonality_residual, phat_values, pihat_direct,
-                             psi_values, psihat_values)
-from birthcut.poly import Poly
+from birthcut.oracle import (GUARD_BITS, MEMO_SIZE, _monic_point,
+                             _monic_start, _monic_steps, build_rec_chain,
+                             domain_budget, eval_phi_exact, eval_psi_exact,
+                             kernel_exact, orthogonality_residual,
+                             phat_values, pihat_direct, psi_values,
+                             psihat_values)
+from birthcut.poly import Poly, _fixed
 from birthcut.quadrature import panel_nodes
 from conftest import (ln_zeta_nu1_exact, model_chain, monic_reference,
                       oracle_chain, quartic)
@@ -186,8 +185,8 @@ def test_monic_block_rescales_small_values():
         beta = [mpf(0)] * 40
         gsq = [j * mpf("1e-6") for j in range(40)]
         F = 256 + GUARD_BITS
-        ch = SimpleNamespace(prec=256, beta_fx=_to_fixed(beta, F),
-                             gsq_fx=_to_fixed(gsq, F))
+        ch = SimpleNamespace(prec=256, beta_fx=[_fixed(v, F) for v in beta],
+                             gsq_fx=[_fixed(v, F) for v in gsq])
         x = mpf("0.0013")
         _, q, p, dq, dp, E = _monic_steps(ch, _fixed(x, F), _monic_start(F),
                                           40, deriv=True)
@@ -392,18 +391,6 @@ def test_string_recursion_guard_suffices():
                 <= mpf(2) ** -prec, nu
 
 
-def test_to_fixed_truncates_toward_zero_like_int_ldexp():
-    rng = random.Random(5)
-    F = 256 + GUARD_BITS
-    with mp.workprec(256):
-        values = [mpf(0), mpf(1), mpf(-1), mp.ldexp(mpf(-3), -F - 1),
-                  mp.ldexp(mpf(5), -F - 3), 2 ** 300 + mpf(1)]
-        for _ in range(300):
-            v = mp.ldexp(mpf(rng.random()), rng.randint(-F - 20, 60))
-            values.append(v if rng.random() < 0.5 else -v)
-        assert _to_fixed(values, F) == [int(mp.ldexp(v, F)) for v in values]
-
-
 def test_build_chain_shares_one_chain_per_argument_tuple(monkeypatch):
     monkeypatch.setattr(modelchain, "_chains", OrderedDict())
     checks = []
@@ -570,8 +557,7 @@ def test_unconverged_ladder_is_recorded_and_reported(monkeypatch, capsys):
     resid = mp.ldexp(1, -100)
     monkeypatch.setattr(modelchain, "orthogonality_residual",
                         lambda ch, pairs, grid: resid)
-    with mp.workdps(mp.dps):             # main sets the global precision
-        assert main(["chain", "--nu", "1", "--kmax", "5"]) == 0
+    assert main(["chain", "--nu", "1", "--kmax", "5"]) == 0
     out, err = capsys.readouterr()
     ch = build_chain(1, k_max=5, prec=320)
     assert len(ch.grid) == 64 * oracle.PANEL_LADDER[-1]

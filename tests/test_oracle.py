@@ -3,6 +3,7 @@ resolution independence, and the kernel/counting machinery."""
 
 import functools
 import random
+import time
 from collections import OrderedDict
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from birthcut.oracle import (GUARD_BITS, PANEL_POINTS, POINT_STORE_SIZE,
                              gram_entries, kernel_exact,
                              orthogonality_residual, pihat_direct,
                              psi_values)
-from birthcut.poly import Poly, _fixed_horner
+from birthcut.poly import Poly, _fixed, _fixed_horner
 from birthcut.quadrature import gauss_legendre, panel_nodes
 from conftest import model_chain, monic_reference, oracle_chain, quartic
 
@@ -437,9 +438,9 @@ def reference_grid(weight, panels, F):
     with mp.workprec(prec):
         ts, gs = gauss_legendre(PANEL_POINTS)
     with mp.workprec(F + 16):
-        LO, HI = oracle._to_fixed([mpf(weight.lo), mpf(weight.hi)], F)
+        LO, HI = _fixed(mpf(weight.lo), F), _fixed(mpf(weight.hi), F)
         H = (HI - LO) // panels
-        T = [t + (1 << F) for t in oracle._to_fixed(ts, F)]
+        T = [_fixed(t, F) + (1 << F) for t in ts]
         roots = []
         for w in gs:
             man, ex = mp.sqrt(mp.ldexp(mpf(H), -F - 1) * w).man_exp
@@ -973,6 +974,18 @@ def test_default_weight_needs_a_growing_exponent(V, N, Tc):
     # never met the budget and walked out for ever
     with pytest.raises(ValueError, match="need N/Tc > 0"):
         oracle.Weight.default(V, N, Tc, 10, 256)
+
+
+def test_default_weight_that_grows_too_slowly_is_an_error():
+    # 1e-3 x^2 ends at +-515; with 1e-30 x^2 the walk went on for ever, and
+    # now stops at DOMAIN_HALF_STEPS half-steps, |x| about 8195
+    with mp.workprec(256):
+        w = oracle.Weight.default(Poly([0, 0, mpf("1e-3")]), 1, 1, 10, 256)
+        assert (w.lo, w.hi) == (-515, 515)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="V grows too slowly"):
+            oracle.Weight.default(Poly([0, 0, mpf("1e-30")]), 1, 1, 10, 256)
+        assert time.perf_counter() - start < 1
 
 
 def test_domain_where_floats_cannot_decide():

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
-from birthcut.poly import (Poly, _fixed_monic, _fixed_series, _fixed_split,
-                           count_real_roots, isolate_real_roots,
+from birthcut.poly import (Poly, _fixed, _fixed_monic, _fixed_series,
+                           _fixed_split, count_real_roots, isolate_real_roots,
                            monic_from_roots)
 
 
@@ -43,6 +45,21 @@ def test_negative_power_is_an_error(n):
 
 def _fixed_sigma(roots, W):
     return _fixed_monic([to_fixed(mpf(r)._mpf_, W) for r in roots], W)
+
+
+def test_fixed_floors_like_mp_floor_ldexp():
+    # the one way into the integer layer floors, negatives included, and is
+    # exact where v 2^F is an integer
+    rng = random.Random(5)
+    F = 256 + 32
+    with mp.workprec(256):
+        values = [mpf(0), mpf(1), mpf(-1), mp.ldexp(mpf(-3), -F - 1),
+                  mp.ldexp(mpf(5), -F - 3), 2 ** 300 + mpf(1)]
+        for _ in range(300):
+            v = mp.ldexp(mpf(rng.random()), rng.randint(-F - 20, 60))
+            values.append(v if rng.random() < 0.5 else -v)
+        assert [_fixed(v, F) for v in values] \
+            == [int(mp.floor(mp.ldexp(v, F))) for v in values]
 
 
 def test_sqrt_sigma_tail_squares_back():
